@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .coherent import CoherentState, PhasePoint, cs_overlap, resolution_kernel
-from .errors import DomainError
+from .errors import PtsusyError
 from .operators import verify_operator_identities
 from .quadrature import DEFAULT_CONFIG, integrate_interval
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
@@ -493,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"ptsusy: config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, OSError, ValueError) as exc:
+    except (PtsusyError, OSError, ValueError) as exc:
         print(f"ptsusy: error: {exc}", file=sys.stderr)
         return 2
 

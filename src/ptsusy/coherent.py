@@ -244,22 +244,23 @@ def identity_gram_projection(
     Returns the matrix int conj(phi_i) G phi_j dx for i, j < size, which is
     the identity matrix when the coherent family resolves unity.  The kernel
     G is evaluated pointwise inside the quadrature, so this is a genuine
-    double-integral check, not a restatement of orthonormality.
+    double-integral check, not a restatement of orthonormality.  The upper
+    triangle is one vector-valued integral, so G is computed once per node.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)
     funcs = [eigenfunction(params, m, n) for n in range(size)]
     L = params.length
     lo, hi = 1e-6 * L, (1.0 - 1e-6) * L
+    rows, cols = np.triu_indices(size)
+
+    def integrand(x):
+        g = resolution_kernel(params, m, x, kernel_config)
+        phi = np.array([f(x) for f in funcs])
+        return np.conj(phi[rows]) * g * phi[cols]
+
+    value = integrate_interval(integrand, lo, hi, config).value
     out = np.zeros((size, size), dtype=complex)
-    for i in range(size):
-        for j in range(i, size):
-
-            def integrand(x):
-                g = resolution_kernel(params, m, x, kernel_config)
-                return np.conj(funcs[i](x)) * np.asarray(g) * funcs[j](x)
-
-            val = integrate_interval(integrand, lo, hi, config).value
-            out[i, j] = val
-            out[j, i] = np.conj(val)
+    out[rows, cols] = value
+    out[cols, rows] = np.conj(value)
     return out

@@ -20,7 +20,13 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, derivative as fd_derivative, integrate_interval
+from .quadrature import (
+    DEFAULT_CONFIG,
+    IntegralResult,
+    QuadratureConfig,
+    derivative as fd_derivative,
+    integrate_interval,
+)
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
 from .wavefn import EigenFunction, eigenfunction
 
@@ -312,15 +318,22 @@ def _rel(lhs: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> float:
     return num / max(scale, 1e-300)
 
 
-def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float = 1.0) -> float:
+def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float = 1.0) -> IntegralResult:
     L = params.length
 
     def integrand(x):
         vals = apply_word(params, word, func, x, sign)
         return np.abs(vals) ** 2
 
-    res = integrate_interval(integrand, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
-    return float(res.value.real)
+    return integrate_interval(integrand, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
+
+
+def _quad_details(*results: IntegralResult) -> dict:
+    # provenance of a quadrature residual: summed error bound and abscissas
+    return {
+        "quad_error": sum(r.error for r in results),
+        "quad_evaluations": sum(r.evaluations for r in results),
+    }
 
 
 def test_corpus(params: ModelParams, m: int, n_eigen: int = 4, n_bumps: int = 2):
@@ -458,12 +471,14 @@ def verify_operator_identities(
     add("ladder_action", _rel(lhs, pref * phi_up(bulk)), 1e-8)
 
     # Mean values of the chain products by quadrature.
-    mean = _norm_sq(params, word_bdag, phi_up, config, sign)
-    add("mean_BBdag", _rel(np.array([mean]), np.array([pref**2])), 1e-8)
+    quad = _norm_sq(params, word_bdag, phi_up, config, sign)
+    mean = float(quad.value.real)
+    add("mean_BBdag", _rel(np.array([mean]), np.array([pref**2])), 1e-8, details=_quad_details(quad))
     if n > m:
-        mean = _norm_sq(params, word_b, phi_n, config, sign)
+        quad = _norm_sq(params, word_b, phi_n, config, sign)
+        mean = float(quad.value.real)
         pref_n = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n - m - 1, m)
-        add("mean_BdagB", _rel(np.array([mean]), np.array([pref_n**2])), 1e-8)
+        add("mean_BdagB", _rel(np.array([mean]), np.array([pref_n**2])), 1e-8, details=_quad_details(quad))
 
     # Adjoint consistency; bumps keep both inner products away from zero.
     psi = TrigPolyBump(params, 201)
@@ -476,9 +491,15 @@ def verify_operator_identities(
     def inner_right(x):
         return np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign)
 
-    va = integrate_interval(inner_left, lo, hi, config).value
-    vb = integrate_interval(inner_right, lo, hi, config).value
-    add("adjoint_consistency", abs(va - vb) / max(abs(va), abs(vb), 1e-300), 1e-9)
+    quad_a = integrate_interval(inner_left, lo, hi, config)
+    quad_b = integrate_interval(inner_right, lo, hi, config)
+    va, vb = quad_a.value, quad_b.value
+    add(
+        "adjoint_consistency",
+        abs(va - vb) / max(abs(va), abs(vb), 1e-300),
+        1e-9,
+        details=_quad_details(quad_a, quad_b),
+    )
 
     # Eigen-residual of the level-m state n.
     phi_m = eigenfunction(params, m, n)
@@ -487,8 +508,9 @@ def verify_operator_identities(
     def resid_sq(x):
         return np.abs(apply_word(params, (("H", m),), phi_m, x) - e_val * phi_m(x)) ** 2
 
-    r2 = integrate_interval(resid_sq, lo, hi, config).value.real
-    add("eigen_residual", math.sqrt(max(r2, 0.0)) / abs(e_val), 1e-6)
+    quad = integrate_interval(resid_sq, lo, hi, config)
+    r2 = quad.value.real
+    add("eigen_residual", math.sqrt(max(r2, 0.0)) / abs(e_val), 1e-6, details=_quad_details(quad))
 
     # Mixed chain products: evaluate every well-formed printed variant.
     # The operand index n keeps the chains from annihilating either side.
@@ -563,13 +585,13 @@ def verify_operator_identities(
         lam = tuple(("A", k) for k in range(m + 1, n + 1))
         lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
         state_hi = eigenfunction(params, n + 1, n)
-        mean = _norm_sq(params, lam_dag, state_hi, config)
+        mean = float(_norm_sq(params, lam_dag, state_hi, config).value.real)
         target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(
             params, n, m
         )
         mean_details["lambda_lambdadag"] = _rel(np.array([mean]), np.array([target]))
         state_mid = eigenfunction(params, m + 1, n)
-        mean = _norm_sq(params, lam, state_mid, config)
+        mean = float(_norm_sq(params, lam, state_mid, config).value.real)
         ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
         target = ((hbar * math.pi / L) ** (n - m) * ratio) ** 2
         mean_details["lambdadag_lambda"] = _rel(np.array([mean]), np.array([target]))
@@ -577,7 +599,7 @@ def verify_operator_identities(
         theta = tuple(("Adag", k) for k in range(m, n, -1))
         theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
         state_hi = eigenfunction(params, n + 1, n)
-        mean = _norm_sq(params, theta_dag, state_hi, config)
+        mean = float(_norm_sq(params, theta_dag, state_hi, config).value.real)
         unit = (hbar * math.pi / L) ** (2 * (m - n))
         target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
         if target == 0.0:
@@ -587,7 +609,7 @@ def verify_operator_identities(
         else:
             mean_details["theta_thetadag"] = _rel(np.array([mean]), np.array([target]))
         state_mid = eigenfunction(params, m + 1, n)
-        mean = _norm_sq(params, theta, state_mid, config)
+        mean = float(_norm_sq(params, theta, state_mid, config).value.real)
         ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
         target = ((hbar * math.pi / L) ** (m - n) * ratio) ** 2
         mean_details["thetadag_theta"] = _rel(np.array([mean]), np.array([target]))

@@ -6,6 +6,14 @@ plain panel-adaptive Gauss-Legendre integration, an exponential-tail wrapper
 for real-line integrals, and Richardson-extrapolated central differences.
 Integrands must accept numpy arrays of abscissas and return arrays of values
 (real or complex).
+
+``integrate_interval`` is vector valued: an integrand may return an array of
+shape (..., n_nodes) whose last axis runs over the abscissas, and every
+leading component is integrated on one shared set of panels.  Each component
+carries its own error bound and must meet its own tolerance, so a Gram matrix
+costs one evaluation of every function per node instead of one adaptive
+integral per matrix entry.  A one-dimensional integrand is the special case
+with an empty leading shape.
 """
 
 from __future__ import annotations
@@ -47,8 +55,14 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: complex
-    error: float
+    """Integral estimate, error bound and abscissa count.
+
+    value and error are a complex and a float for a one-dimensional
+    integrand, and arrays of the integrand's leading shape otherwise.
+    """
+
+    value: complex | np.ndarray
+    error: float | np.ndarray
     evaluations: int
 
 
@@ -58,30 +72,46 @@ def _gauss_rule(order: int):
     return nodes, weights
 
 
-def _panel_value(f, a: float, b: float, order: int) -> complex:
+def _modulus(z):
+    # hypot rounds exactly as abs(complex); numpy's complex absolute does not
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _panel_value(f, a: float, b: float, order: int) -> np.ndarray:
     nodes, weights = _gauss_rule(order)
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
     vals = np.asarray(f(xs))
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NonFiniteIntegrandError(f"integrand not finite inside [{a!r}, {b!r}]")
-    return complex(np.sum(weights * vals) * half)
+    return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
-    """Integrate f over [a, b] to the configured tolerance.
+    """Integrate f over [a, b] to the configured tolerance, componentwise.
 
     Args:
-        f: vectorized integrand, called with an ndarray of points in (a, b).
+        f: vectorized integrand, called with an ndarray of n points in (a, b).
+            It returns shape (n,) for a scalar integrand or (..., n) for a
+            vector of integrands: the last axis is the node axis.
         a, b: finite endpoints, a < b.
         config: tolerances, panel budget, and the endpoint substitution flag.
 
+    Each panel is integrated by the Gauss rule on itself and on its two
+    halves; the discrepancy is that panel's error, per component.  The
+    integral stops when every component k has total error within
+    max(abs_tol, rel_tol * |I_k|), or within its rounding-noise floor.
+    Until then the panel whose largest component error is largest is split.
+
     Returns:
-        IntegralResult with the integral estimate, a conservative error bound
-        (sum of per-panel refinement discrepancies), and the evaluation count.
+        IntegralResult with the estimate and a conservative error bound (sum
+        of per-panel discrepancies), both of the integrand's leading shape,
+        and the number of abscissas.  For a scalar integrand the value is a
+        complex and the error a float.
 
     Raises:
-        SubdivisionLimitError: panel budget exhausted before reaching tolerance.
+        SubdivisionLimitError: panel budget exhausted before every component
+            reached its tolerance.
         NonFiniteIntegrandError: integrand produced NaN or infinity.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
@@ -100,7 +130,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     order = config.base_rule_order
     evals = [0]
 
-    def panel(lo: float, hi: float) -> complex:
+    def panel(lo: float, hi: float) -> np.ndarray:
         evals[0] += order
         return _panel_value(f, lo, hi, order)
 
@@ -110,7 +140,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         left = panel(lo, mid)
         right = panel(mid, hi)
         fine = left + right
-        err = abs(coarse - fine)
+        err = _modulus(coarse - fine)
         return (lo, hi, fine, err, left, right)
 
     counter = itertools.count()
@@ -123,20 +153,23 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         seg = make_segment(float(lo), float(hi))
         total += seg[2]
         total_err += seg[3]
-        heapq.heappush(heap, (-seg[3], next(counter), seg))
+        heapq.heappush(heap, (-float(seg[3].max()), next(counter), seg))
 
     n_segments = n_init
     while True:
-        tol = max(config.abs_tol, config.rel_tol * abs(total))
+        size = _modulus(total)
+        tol = np.maximum(config.abs_tol, config.rel_tol * size)
         # Floor: panel discrepancies cannot resolve below the rounding noise of
         # the accumulated panel values themselves.
-        floor = 1e-16 * abs(total) * max(1, n_segments)
-        if total_err <= max(tol, floor):
+        floor = 1e-16 * size * max(1, n_segments)
+        target = np.maximum(tol, floor)
+        if (total_err <= target).all():
             break
         if n_segments >= config.max_subdivisions:
+            worst = np.unravel_index(np.argmax(total_err - target), np.shape(total_err))
             raise SubdivisionLimitError(
                 f"no convergence within {config.max_subdivisions} panels "
-                f"(residual error {total_err:.3e}, tolerance {tol:.3e})"
+                f"(residual error {total_err[worst]:.3e}, tolerance {tol[worst]:.3e})"
             )
         neg_err, _, seg = heapq.heappop(heap)
         lo, hi, fine, err, left, right = seg
@@ -149,10 +182,12 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
             child = make_segment(child_lo, child_hi)
             total += child[2]
             total_err += child[3]
-            heapq.heappush(heap, (-child[3], next(counter), child))
+            heapq.heappush(heap, (-float(child[3].max()), next(counter), child))
         n_segments += 1
 
-    reported = max(total_err, 2e-16 * abs(total))
+    reported = np.maximum(total_err, 2e-16 * size)
+    if np.ndim(total) == 0:
+        return IntegralResult(value=complex(total), error=float(reported), evaluations=evals[0])
     return IntegralResult(value=total, error=reported, evaluations=evals[0])
 
 

@@ -320,8 +320,9 @@ def eval_eigenfunction_derivative(params: ModelParams, n: int, x):
 def hierarchy_eigenfunction(params: ModelParams, idx: LevelIndex, x):
     """Value(s) of the n-th eigenfunction of hierarchy level m.
 
-    For m = 0 this is exactly ``eval_eigenfunction``; for m >= 1 the ladder
-    chain is folded with jet arithmetic and scaled by the gap product root.
+    Every level uses its own closed form: the level-zero state n of the
+    family with strength index nu + m.  For m = 0 this is exactly
+    ``eval_eigenfunction``.
     """
     return eigenfunction(params, idx.m, idx.n)(x)
 
@@ -377,16 +378,22 @@ def gram_matrix(
     length: float,
     config: QuadratureConfig | None = None,
 ) -> np.ndarray:
-    """Hermitian Gram matrix of callables over [0, length] by adaptive quadrature."""
+    """Hermitian Gram matrix of callables over [0, length] by adaptive quadrature.
+
+    The upper triangle is one vector-valued integral: every function is
+    evaluated once per node, and every entry meets its own tolerance.
+    """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)
     k = len(functions)
+    rows, cols = np.triu_indices(k)
+
+    def integrand(t):
+        phi = np.array([f(t) for f in functions])
+        return np.conj(phi[rows]) * phi[cols]
+
+    value = integrate_interval(integrand, 0.0, length, config).value
     gram = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        fi = functions[i]
-        for j in range(i, k):
-            fj = functions[j]
-            res = integrate_interval(lambda t: np.conj(fi(t)) * fj(t), 0.0, length, config)
-            gram[i, j] = res.value
-            gram[j, i] = np.conj(res.value)
+    gram[rows, cols] = value
+    gram[cols, rows] = np.conj(value)
     return gram

@@ -10,6 +10,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import ptsusy.cli
+from ptsusy.errors import PtsusyError
+
 CLI = [sys.executable, "-m", "ptsusy.cli"]
 
 
@@ -191,3 +194,17 @@ def test_out_flag_writes_file_with_lf_endings(tmp_path):
     raw = out.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+@pytest.mark.parametrize("error", PtsusyError.__subclasses__(), ids=lambda e: e.__name__)
+def test_package_errors_exit_2_with_one_stderr_line(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("integrator gave up")
+
+    monkeypatch.setattr(ptsusy.cli, "integrate_interval", fail)
+    code = ptsusy.cli.main(["wavefn", "--n", "1", "--grid", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ptsusy: error: integrator gave up"]
+    assert "Traceback" not in captured.err

@@ -23,8 +23,10 @@ from ptsusy.errors import DomainError
 from ptsusy.operators import apply_word
 from ptsusy.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 from ptsusy.spectrum import ModelParams
+from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, interior_grid
+from oracles import pairwise_gram
 
 QCFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -182,6 +184,36 @@ def test_resolution_kernel_domain():
 def test_gram_projection_identity_small():
     mat = identity_gram_projection(DEFAULT, 0, 3)
     assert np.max(np.abs(mat - np.eye(3))) < 1e-8
+
+
+def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):
+    import ptsusy.coherent as coherent
+
+    reported = []
+
+    def recorded(*args):
+        reported.append(integrate_interval(*args))
+        return reported[-1]
+
+    monkeypatch.setattr(coherent, "integrate_interval", recorded)
+    # looser than the defaults: this compares two routes, not the identity
+    config = QuadratureConfig(endpoint_substitution=True, abs_tol=1e-7, rel_tol=1e-7)
+    kernel_config = replace(DEFAULT_CONFIG, abs_tol=1e-8, rel_tol=1e-8)
+    m, size = 1, 2
+    mat = identity_gram_projection(DEFAULT, m, size, config, kernel_config)
+    (res,) = reported
+    funcs = [eigenfunction(DEFAULT, m, n) for n in range(size)]
+    L = DEFAULT.length
+    ref, ref_err = pairwise_gram(
+        funcs, 1e-6 * L, (1.0 - 1e-6) * L, config, lambda x: resolution_kernel(DEFAULT, m, x, kernel_config)
+    )
+    rows, cols = np.triu_indices(size)
+    assert np.all(np.abs(mat[rows, cols] - ref[rows, cols]) <= res.error + ref_err[rows, cols])
+    # lower triangle filled as the conjugate of the upper one, diagonal included
+    want = np.zeros_like(mat)
+    want[rows, cols] = res.value
+    want[cols, rows] = np.conj(res.value)
+    assert np.array_equal(mat, want)
 
 
 def test_log_normalization_closed_form_value():

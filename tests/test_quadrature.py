@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 from ptsusy.errors import NonFiniteIntegrandError, SubdivisionLimitError
 from ptsusy.quadrature import (
@@ -68,6 +69,71 @@ def test_subdivision_limit_raises():
 def test_nonfinite_integrand_raises():
     with pytest.raises(NonFiniteIntegrandError):
         integrate_interval(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
+
+
+def _components(x):
+    # monomials, Fourier modes and an endpoint-singular inverse square root
+    x = np.asarray(x, dtype=float)
+    return np.array(
+        [
+            np.ones_like(x),
+            x,
+            x**4,
+            np.exp(2j * np.pi * x),
+            np.exp(6j * np.pi * x),
+            np.cos(40.0 * np.pi * x) ** 2,
+            1.0 / np.sqrt(x),
+        ]
+    )
+
+
+COMPONENT_INTEGRALS = np.array([1.0, 0.5, 0.2, 0.0, 0.0, 0.5, 2.0])
+
+
+def test_vector_integrand_matches_scalar_calls_and_truth():
+    cfg = QuadratureConfig(endpoint_substitution=True)
+    res = integrate_interval(_components, 0.0, 1.0, cfg)
+    assert res.value.shape == res.error.shape == COMPONENT_INTEGRALS.shape
+    assert type(res.evaluations) is int
+    # the floor 2e-16 |I| of a reported error can sit a rounding of the
+    # result below the accumulated summation error, hence one eps * |I|
+    actual = np.abs(res.value - COMPONENT_INTEGRALS)
+    assert np.all(actual <= res.error + np.finfo(float).eps * COMPONENT_INTEGRALS)
+    for k in range(len(COMPONENT_INTEGRALS)):
+        scalar = integrate_interval(lambda x: _components(x)[k], 0.0, 1.0, cfg)
+        assert abs(scalar.value - res.value[k]) <= scalar.error + res.error[k]
+
+
+def test_vector_integrand_matches_scipy_quad_vec():
+    cfg = QuadratureConfig(endpoint_substitution=True)
+    res = integrate_interval(_components, 0.0, 1.0, cfg)
+    ref, ref_err = quad_vec(_components, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)
+    assert np.all(np.abs(res.value - ref) <= res.error + ref_err)
+
+
+def test_vector_leading_shape_is_kept():
+    res = integrate_interval(lambda x: np.array([[x, x**2], [x**3, 4.0 * x**3]]), 0.0, 1.0)
+    assert res.value.shape == res.error.shape == (2, 2)
+    assert np.allclose(res.value, [[0.5, 1.0 / 3.0], [0.25, 1.0]], rtol=0, atol=1e-15)
+
+
+def test_scalar_integrand_keeps_scalar_types():
+    res = integrate_interval(lambda x: np.exp(x), 0.0, 1.0)
+    assert type(res.value) is complex
+    assert type(res.error) is float
+    assert type(res.evaluations) is int
+
+
+def test_nonfinite_component_raises():
+    with pytest.raises(NonFiniteIntegrandError):
+        integrate_interval(lambda x: np.array([x, np.where(x > 0.5, np.nan, 1.0)]), 0.0, 1.0)
+
+
+def test_one_unconverged_component_exhausts_the_budget():
+    cfg = QuadratureConfig(max_subdivisions=8, abs_tol=1e-15, rel_tol=1e-15)
+    integrate_interval(lambda x: x**2, 0.0, 1.0, cfg)  # converges on its own
+    with pytest.raises(SubdivisionLimitError):
+        integrate_interval(lambda x: np.array([x**2, 1.0 / x]), 0.0, 1.0, cfg)
 
 
 def test_real_line_gaussian():

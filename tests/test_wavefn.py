@@ -26,6 +26,7 @@ from ptsusy.wavefn import (
 )
 
 from conftest import DEFAULT, interior_grid
+from oracles import pairwise_gram
 
 NORM_CFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -168,6 +169,53 @@ def test_gram_matrix_level_two():
     funcs = [eigenfunction(DEFAULT, 2, n) for n in range(4)]
     g = gram_matrix(funcs, DEFAULT.length)
     assert np.max(np.abs(g - np.eye(4))) < 1e-10
+
+
+# the acceptance configuration of criterion 1
+ORTHONORMALITY_CONFIG = QuadratureConfig(endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-8)
+
+
+@pytest.mark.parametrize("m", [0, 10])
+def test_gram_matrix_agrees_with_pairwise_oracle(monkeypatch, m):
+    import ptsusy.wavefn as wavefn
+
+    reported = []
+
+    def recorded(*args):
+        reported.append(integrate_interval(*args))
+        return reported[-1]
+
+    monkeypatch.setattr(wavefn, "integrate_interval", recorded)
+    funcs = [eigenfunction(DEFAULT, m, n) for n in range(11)]
+    gram = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    (res,) = reported
+    ref, ref_err = pairwise_gram(funcs, 0.0, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    rows, cols = np.triu_indices(11)
+    assert np.all(np.abs(gram[rows, cols] - ref[rows, cols]) <= res.error + ref_err[rows, cols])
+    # lower triangle filled as the conjugate of the upper one, diagonal included
+    want = np.zeros_like(gram)
+    want[rows, cols] = res.value
+    want[cols, rows] = np.conj(res.value)
+    assert np.array_equal(gram, want)
+
+
+@pytest.mark.parametrize("m", [0, 10])
+def test_gram_matrix_point_budget(m):
+    # one evaluation of every function per node; the per-pair loop this
+    # replaced took 25,380 points at m = 0 and 42,840 at m = 10
+    points = [0]
+
+    def counted(f):
+        def g(x):
+            points[0] += np.size(x)
+            return f(x)
+
+        return g
+
+    funcs = [counted(eigenfunction(DEFAULT, m, n)) for n in range(11)]
+    gram = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    assert np.max(np.abs(gram - np.eye(11))) < 1e-8
+    assert points[0] <= 5000
 
 
 def test_parity_at_zero_tilt():
