@@ -7,7 +7,6 @@ from .coherent import (
     PhasePoint,
     cs_normalization,
     cs_overlap,
-    eval_cs,
     identity_gram_projection,
     master_integral,
     resolution_kernel,
@@ -26,10 +25,7 @@ from .errors import (
 from .operators import (
     IdentityResult,
     SuperPotential,
-    apply_A,
-    apply_B_chain,
     apply_word,
-    hamiltonian_apply,
     potential,
     superpotential,
     verify_operator_identities,
@@ -47,10 +43,7 @@ from .spectrum import (
 from .wavefn import (
     EigenFunction,
     eigenfunction,
-    eval_eigenfunction,
-    eval_eigenfunction_derivative,
     gram_matrix,
-    hierarchy_eigenfunction,
     normalization_K,
     partner_eigenfunction_explicit,
 )
@@ -75,23 +68,16 @@ __all__ = [
     "SubdivisionLimitError",
     "SuperPotential",
     "TailBoundError",
-    "apply_A",
-    "apply_B_chain",
     "apply_word",
     "cs_normalization",
     "cs_overlap",
     "derivative",
     "eigenfunction",
     "energy",
-    "eval_cs",
-    "eval_eigenfunction",
-    "eval_eigenfunction_derivative",
     "gap_factor_M",
     "gap_factor_N",
     "gram_matrix",
     "ground_energy",
-    "hamiltonian_apply",
-    "hierarchy_eigenfunction",
     "identity_gram_projection",
     "integrate_interval",
     "integrate_real_line",

@@ -30,8 +30,10 @@ _PARAM_KEYS = ("nu", "beta", "hbar", "length", "mass")
 _DEFAULTS = {"nu": 1.0, "beta": 0.0, "hbar": 1.0, "length": 1.0, "mass": 0.5}
 
 # config keys that take a single value; q and p take comma lists
-_SCALAR_KEYS = _PARAM_KEYS + ("m", "n", "m_max", "n_max", "grid_points", "format", "out")
+_INT_KEYS = ("m", "n", "m_max", "n_max", "grid_points")
+_SCALAR_KEYS = _PARAM_KEYS + _INT_KEYS + ("format", "out")
 _ALIASES = {"l": "length", "grid": "grid_points"}
+_FORMATS = ("csv", "json")
 
 
 class ConfigError(Exception):
@@ -67,14 +69,18 @@ def load_config(path: str) -> dict:
                     out.setdefault("tol", {})[key[4:]] = float(value)
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: field {key}: bad float {value!r}")
+            elif key == "format" and value not in _FORMATS:
+                raise ConfigError(f"{path}:{lineno}: field format: expected csv or json, got {value!r}")
+            elif key in ("format", "out"):
+                out[key] = value
             elif key in _SCALAR_KEYS:
-                if key in ("format", "out"):
-                    out[key] = value
-                else:
-                    try:
-                        out[key] = float(value)
-                    except ValueError:
-                        raise ConfigError(f"{path}:{lineno}: field {key}: bad float {value!r}")
+                try:
+                    num = float(value)
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: field {key}: bad float {value!r}")
+                if key in _INT_KEYS and not num.is_integer():
+                    raise ConfigError(f"{path}:{lineno}: field {key}: expected an integer, got {value!r}")
+                out[key] = num
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown field {key!r}")
     return out
@@ -119,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         for key in _PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+        sp.add_argument("--format", choices=_FORMATS, default=None)
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("spectrum", help="energy table over hierarchy levels")
@@ -290,6 +296,8 @@ def cmd_verify(cfg: dict) -> int:
     m = int(cfg.get("m", 1))
     n = int(cfg.get("n", 2))
     grid = int(cfg.get("grid_points", 161))
+    if grid < 1:
+        raise ConfigError("grid_points must be at least 1")
     sign = -1.0 if cfg.get("corrupt_w_sign") else 1.0
     results = verify_operator_identities(params, n, m, grid_size=grid, sign=sign)
     tols = cfg.get("tol", {})
@@ -341,6 +349,8 @@ def cmd_coherent(cfg: dict) -> int:
     qs = cfg.get("q") or [0.25 * L, 0.5 * L, 0.75 * L]
     ps = cfg.get("p") or [-4.0, 0.0, 4.0]
     grid = int(cfg.get("grid_points", 9))
+    if grid < 1:
+        raise ConfigError("grid_points must be at least 1")
     tols = cfg.get("tol", {})
     tol_norm = tols.get("normalization", 1e-8)
     tol_overlap = tols.get("overlap", 1e-8)

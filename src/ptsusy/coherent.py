@@ -145,17 +145,16 @@ class CoherentState:
         return complex(out[0]) if scalar else out
 
     def taylor(self, x, order: int) -> jets.Jet:
+        """Taylor jet at interior point(s) x; ``DomainError`` outside (0, L)."""
         L = self.params.length
-        X = jets.Jet.variable(np.asarray(x, dtype=float), order)
+        arr = np.asarray(x, dtype=float)
+        if np.any((arr <= 0.0) | (arr >= L)):
+            raise DomainError("Taylor jets defined on the open interval (0, L)")
+        X = jets.Jet.variable(arr, order)
         s, _ = jets.sin_cos(X * (math.pi / L))
         return jets.exp(X * self._rate + jets.log(s) * (self._dp + 1.0)) * math.exp(
             self.log_R + self._log_K0
         )
-
-
-def eval_cs(params: ModelParams, m: int, q: float, p: float, x):
-    """Values of the coherent state at phase-space point (q, p)."""
-    return CoherentState(params, m, PhasePoint(q, p))(x)
 
 
 def cs_overlap(a: CoherentState, b: CoherentState) -> complex:

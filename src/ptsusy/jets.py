@@ -148,11 +148,6 @@ def log(u: Jet) -> Jet:
     return Jet(l)
 
 
-def power(u: Jet, p) -> Jet:
-    """u**p for real or complex exponent p; u.value must avoid the log cut."""
-    return exp(log(u) * p)
-
-
 def polyval(coeffs, u: Jet) -> Jet:
     """Horner evaluation of sum_k coeffs[k] * u**k on a jet argument."""
     acc = Jet.constant(coeffs[-1], u.order, u.c.shape[1:])

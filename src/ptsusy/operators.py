@@ -2,9 +2,8 @@
 
 Operator words (ladder steps and Hamiltonian applications at chosen hierarchy
 levels) are folded over Taylor jets of the operand, so arbitrarily nested
-applications stay exact to rounding.  Operands must expose ``taylor(x, order)``;
-eigenfunctions and coherent states do so natively, and free-form callables can
-be wrapped in a finite-difference adapter capped at shallow depth.
+applications stay exact to rounding.  Operands must expose ``taylor(x, order)``,
+as eigenfunctions, coherent states and the smooth test bumps do.
 
 The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
@@ -20,15 +19,9 @@ import numpy as np
 
 from . import jets
 from .errors import DomainError
-from .quadrature import (
-    DEFAULT_CONFIG,
-    IntegralResult,
-    QuadratureConfig,
-    derivative as fd_derivative,
-    integrate_interval,
-)
+from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_interval
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
-from .wavefn import EigenFunction, eigenfunction
+from .wavefn import eigenfunction
 
 #: Relative clamp keeping operator evaluations away from the wall singularities.
 EDGE_CLAMP = 1e-6
@@ -57,13 +50,6 @@ class SuperPotential:
         w = -(math.pi * p.hbar / p.length) * (s / np.tan(theta) - p.beta / s)
         return self.sign * w
 
-    def derivative(self, x):
-        p = self.params
-        arr = np.asarray(x, dtype=float)
-        theta = math.pi * arr / p.length
-        s = p.nu + self.m + 1.0
-        return self.sign * (math.pi / p.length) ** 2 * p.hbar * s / np.sin(theta) ** 2
-
 
 def superpotential(params: ModelParams, m: int, x, sign: float = 1.0):
     """W_m(x); real, diverging to -inf at the left wall and +inf at the right."""
@@ -78,31 +64,17 @@ def superpotential_jet(params: ModelParams, m: int, X: jets.Jet, sign: float = 1
     return ((c / s) * lvl - params.beta / lvl) * (-sign * math.pi * params.hbar / params.length)
 
 
-def potential(params: ModelParams, m: int, x, route: str = "closed_form"):
-    """Potential of hierarchy level m by one of three equivalent routes.
-
-    closed_form: strength (nu+m)(nu+m+1) on 1/sin^2 plus the cotangent tilt.
-    superpotential: (W_m^2 - hbar W_m') / (2 mass) + ground energy of level m.
-    shift: level-zero potential plus the m-dependent 1/sin^2 increment.
-    """
+def potential(params: ModelParams, m: int, x):
+    """Potential of hierarchy level m: e0 times the strength (nu+m)(nu+m+1)
+    on 1/sin^2 plus the cotangent tilt -2 beta cot."""
     arr = np.asarray(x, dtype=float)
     if np.any((arr <= 0.0) | (arr >= params.length)):
         raise DomainError("potential defined on the open interval (0, L)")
     theta = math.pi * arr / params.length
-    nu, beta, eps0 = params.nu, params.beta, params.epsilon0
-    if route == "closed_form":
-        lvl = nu + m
-        return eps0 * ((lvl * (lvl + 1.0)) / np.sin(theta) ** 2 - 2.0 * beta / np.tan(theta))
-    if route == "superpotential":
-        sp = SuperPotential(params, m)
-        w = sp(arr)
-        return (w * w - params.hbar * sp.derivative(arr)) / (2.0 * params.mass) + energy(
-            params, LevelIndex(m, 0)
-        )
-    if route == "shift":
-        base = eps0 * (nu * (nu + 1.0) / np.sin(theta) ** 2 - 2.0 * beta / np.tan(theta))
-        return base + eps0 * m * (2.0 * nu + m + 1.0) / np.sin(theta) ** 2
-    raise ValueError(f"unknown potential route {route!r}")
+    lvl = params.nu + m
+    return params.epsilon0 * (
+        (lvl * (lvl + 1.0)) / np.sin(theta) ** 2 - 2.0 * params.beta / np.tan(theta)
+    )
 
 
 def _potential_jet(params: ModelParams, m: int, X: jets.Jet) -> jets.Jet:
@@ -111,58 +83,6 @@ def _potential_jet(params: ModelParams, m: int, X: jets.Jet) -> jets.Jet:
     lvl = params.nu + m
     inv_s2 = 1.0 / (s * s)
     return (inv_s2 * (lvl * (lvl + 1.0)) - (c / s) * (2.0 * params.beta)) * params.epsilon0
-
-
-@dataclass
-class GridFunction:
-    """Sampled complex values of an operator application result."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-
-class FiniteDifferenceFunction:
-    """Adapter giving a plain callable a shallow ``taylor`` interface.
-
-    Jet depth is capped at 3: free-form callables are only ever pushed through
-    short operator words, anything deeper needs a closed-form jet.
-    """
-
-    MAX_ORDER = 3
-
-    def __init__(self, f, scale: float = 1e-2):
-        self.f = f
-        self.scale = scale
-
-    def __call__(self, x):
-        return self.f(x)
-
-    def taylor(self, x, order: int) -> jets.Jet:
-        if order > self.MAX_ORDER:
-            raise DomainError("finite-difference fallback capped at jet order 3")
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        c = np.zeros((order + 1,) + arr.shape, dtype=complex)
-        c[0] = self.f(arr)
-        for i, xi in enumerate(arr):
-            if order >= 1:
-                c[1, i], _ = fd_derivative(self.f, float(xi), order=1, h0=self.scale)
-            if order >= 2:
-                val, _ = fd_derivative(self.f, float(xi), order=2, h0=self.scale)
-                c[2, i] = val / 2.0
-            if order >= 3:
-                def second(t):
-                    return np.asarray(
-                        [
-                            fd_derivative(self.f, float(tj), order=2, h0=self.scale)[0]
-                            for tj in np.atleast_1d(t)
-                        ]
-                    )
-
-                val, _ = fd_derivative(second, float(xi), order=1, h0=self.scale * 2.0)
-                c[3, i] = val / 6.0
-        if np.ndim(x) == 0:
-            c = c[:, 0]
-        return jets.Jet(c)
 
 
 class TrigPolyBump:
@@ -235,49 +155,6 @@ def default_grid(params: ModelParams, size: int = 161, clamp: float = 0.02) -> n
     """
     L = params.length
     return np.linspace(clamp * L, (1.0 - clamp) * L, size)
-
-
-def apply_A(params: ModelParams, m: int, func, grid=None, dagger: bool = False, sign: float = 1.0) -> GridFunction:
-    """Single ladder step at level m (lowering by default, raising with dagger)."""
-    if grid is None:
-        grid = default_grid(params)
-    word = (("Adag" if dagger else "A", m),)
-    return GridFunction(grid=np.asarray(grid, float), values=apply_word(params, word, func, grid, sign))
-
-
-def apply_B_chain(params: ModelParams, m: int, func, grid=None, dagger: bool = False, sign: float = 1.0) -> GridFunction:
-    """Full chain through levels 0..m (or its adjoint, applied in reverse)."""
-    if grid is None:
-        grid = default_grid(params)
-    if dagger:
-        word = tuple(("Adag", k) for k in range(m, -1, -1))
-    else:
-        word = tuple(("A", k) for k in range(m + 1))
-    return GridFunction(grid=np.asarray(grid, float), values=apply_word(params, word, func, grid, sign))
-
-
-def hamiltonian_apply(
-    params: ModelParams,
-    m: int,
-    func,
-    grid=None,
-    form: str = "direct",
-    sign: float = 1.0,
-) -> GridFunction:
-    """Apply the level-m Hamiltonian, either directly or via its factorization."""
-    if grid is None:
-        grid = default_grid(params)
-    grid = np.asarray(grid, float)
-    if form == "direct":
-        values = apply_word(params, (("H", m),), func, grid)
-    elif form == "factorized":
-        chained = apply_word(params, (("A", m), ("Adag", m)), func, grid, sign)
-        values = chained / (2.0 * params.mass) + energy(params, LevelIndex(m, 0)) * np.asarray(
-            func(grid), dtype=complex
-        )
-    else:
-        raise ValueError(f"unknown hamiltonian form {form!r}")
-    return GridFunction(grid=grid, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +274,15 @@ def verify_operator_identities(
         1e-9,
     )
 
-    # Factorized Hamiltonian reproduces the direct one on the corpus.
+    # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
+    # one on the corpus.
     corpus_m = test_corpus(params, m)
+    e0_m = energy(params, LevelIndex(m, 0))
     worst = 0.0
     for f in corpus_m:
-        direct = hamiltonian_apply(params, m, f, grid, form="direct").values
-        fact = hamiltonian_apply(params, m, f, grid, form="factorized", sign=sign).values
+        direct = apply_word(params, (("H", m),), f, grid)
+        chained = apply_word(params, (("A", m), ("Adag", m)), f, grid, sign)
+        fact = chained / two_m + e0_m * np.asarray(f(grid), dtype=complex)
         worst = max(worst, _rel(fact, direct))
     add("factorization", worst, 1e-9)
 

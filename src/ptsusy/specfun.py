@@ -1,15 +1,16 @@
-"""Complex special-function kernels: log-gamma, Pochhammer products, Jacobi polynomials.
+"""Complex special-function kernels: log-gamma, Pochhammer products, Jacobi coefficients.
 
 Everything here works for complex parameters, which the rest of the package relies on:
 the eigenfunction polynomials carry conjugate complex Jacobi parameters and the
-normalization sums need gamma functions of complex argument.  Values that can
-overflow are handled by the callers in log space; this module only promises
-accurate complex values for moderate arguments.
+normalization constants and coherent-state kernels need gamma functions of
+complex argument.  Jacobi polynomials are supplied as their power-series
+coefficients in (1 - z)/2; the callers evaluate them in their own variables.
+Values that can overflow are handled by the callers in log space; this module
+only promises accurate complex values for moderate arguments.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -102,11 +103,6 @@ def log_gamma(z):
     return out[0] if scalar else out
 
 
-def gamma(z):
-    """exp(log_gamma(z)); convenience for moderate arguments."""
-    return np.exp(log_gamma(z))
-
-
 def pochhammer(a, k: int):
     """Rising factorial (a)_k as an explicit k-term product.
 
@@ -120,23 +116,6 @@ def pochhammer(a, k: int):
     for j in range(int(k)):
         result = result * (a + j)
     return result
-
-
-def pochhammer_pair(a, b, k: int):
-    """Two-symbol product (a)_k (b)_k."""
-    return pochhammer(a, k) * pochhammer(b, k)
-
-
-def log_pochhammer(a: complex, k: int) -> complex:
-    """Sum of principal logs of the factors of (a)_k; raises on a zero factor."""
-    a = complex(a)
-    total = 0.0 + 0.0j
-    for j in range(int(k)):
-        f = a + j
-        if f == 0:
-            raise PoleError("log_pochhammer hit an exactly zero factor")
-        total += cmath.log(f)
-    return total
 
 
 @lru_cache(maxsize=4096)
@@ -163,82 +142,3 @@ def jacobi_series_coefficients(n: int, alpha: complex, beta: complex) -> tuple:
             den = (alpha + 1.0 + k) * (k + 1.0)
             term = term * num / den
     return tuple(coeffs)
-
-
-def _compensated_scalar_sum(terms) -> complex:
-    # Descending-magnitude compensated accumulation, real and imaginary parts
-    # summed separately with exact fsum.
-    ordered = sorted(terms, key=abs, reverse=True)
-    return complex(math.fsum(t.real for t in ordered), math.fsum(t.imag for t in ordered))
-
-
-def jacobi_poly(n: int, alpha, beta, z):
-    """Jacobi polynomial P_n^(alpha,beta)(z) for fully complex parameters.
-
-    Args:
-        n: degree, capped at ``DEGREE_CAP``.
-        alpha, beta: complex parameters.
-        z: complex scalar or array argument.
-
-    Returns:
-        Polynomial value(s), complex.
-
-    Scalar arguments are summed in descending magnitude order with compensated
-    accumulation; array arguments use a Kahan loop over the fixed coefficient
-    order, which keeps the evaluation vectorized at a negligible accuracy cost
-    for the in-cap degrees.
-    """
-    coeffs = jacobi_series_coefficients(int(n), complex(alpha), complex(beta))
-    if np.ndim(z) == 0:
-        u = (1.0 - complex(z)) / 2.0
-        terms = []
-        up = 1.0 + 0.0j
-        for c in coeffs:
-            terms.append(c * up)
-            up *= u
-        return _compensated_scalar_sum(terms)
-
-    zarr = np.asarray(z, dtype=complex)
-    u = (1.0 - zarr) / 2.0
-    total = np.zeros_like(u)
-    comp = np.zeros_like(u)
-    up = np.ones_like(u)
-    for c in coeffs:
-        term = c * up - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-        up = up * u
-    return total
-
-
-def jacobi_poly_derivative(n: int, alpha, beta, z):
-    """d/dz of P_n^(alpha,beta) via the degree-lowering identity.
-
-    Uses d/dz P_n^(a,b)(z) = (n + a + b + 1)/2 * P_{n-1}^(a+1,b+1)(z);
-    degree zero differentiates to exactly zero.
-    """
-    if n == 0:
-        if np.ndim(z) == 0:
-            return 0.0 + 0.0j
-        return np.zeros(np.shape(z), dtype=complex)
-    factor = (n + complex(alpha) + complex(beta) + 1.0) / 2.0
-    return factor * jacobi_poly(n - 1, complex(alpha) + 1.0, complex(beta) + 1.0, z)
-
-
-def scaled_phase_sum(log_terms) -> tuple[float, complex]:
-    """Sum terms given as complex logs, returning (log_magnitude, unit_sum).
-
-    The value represented is exp(log_magnitude) * unit_sum where unit_sum is an
-    O(1) complex number.  Terms are rescaled by the largest magnitude before
-    summation so the result never overflows; the compensated accumulation keeps
-    cancellation noise at the level of the largest term times machine epsilon.
-    """
-    logs = list(log_terms)
-    if not logs:
-        return (-math.inf, 0.0 + 0.0j)
-    mstar = max(lt.real for lt in logs)
-    if mstar == -math.inf:
-        return (-math.inf, 0.0 + 0.0j)
-    scaled = [cmath.exp(lt - mstar) for lt in logs]
-    return (mstar, _compensated_scalar_sum(scaled))

@@ -8,10 +8,8 @@ gives every ladder relation a positive connection constant.
 
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
-The equivalent gamma / Pochhammer double sum is kept as a secondary route for
-cross-checks; it is analytically identical but numerically ill conditioned
-(its terms cancel roughly like 10**n), so it guards itself and is never used
-in production.
+Derivatives of any order come from the Taylor jets that ``EigenFunction.taylor``
+emits on the open interval.
 
 A level-m state is the level-zero closed form of the family whose strength
 index is shifted by m, with the same phase convention; the ladder-chain
@@ -29,30 +27,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import jets
-from .errors import DegreeCapError, DomainError, LossOfSignificanceError
+from .errors import DegreeCapError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
-from .specfun import (
-    jacobi_series_coefficients,
-    log_gamma,
-    log_pochhammer,
-    scaled_phase_sum,
-)
+from .specfun import jacobi_series_coefficients, log_gamma
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy
 
 
 @dataclass(frozen=True)
 class NormalizationData:
-    """Normalization constant for one base state, kept in log form.
-
-    O_value / T_value (and their logs) are only populated by the double-sum
-    route; the production product form has no use for them.
-    """
+    """Normalization constant for one base state, kept in log form."""
 
     log_K: float
-    O_value: float | None = None
-    T_value: float | None = None
-    log_O: float | None = None
-    log_T: float | None = None
 
     @property
     def K(self) -> float:
@@ -90,7 +75,7 @@ def normalization_K(params: ModelParams, n: int, cap: int = LEVEL_CAP) -> Normal
         s**n sqrt(n! (n + 2 nu + 2)_n / prod_{j=1..n} ((nu + j)^2 s^2 + beta^2))
 
     with s = n + nu + 1.  One factor per ladder rung, every factor positive,
-    so this stays accurate at any degree, unlike the equivalent double sum.
+    so this stays accurate at any degree.
     """
     if n < 0:
         raise DomainError("excitation number must be nonnegative")
@@ -107,74 +92,6 @@ def normalization_K(params: ModelParams, n: int, cap: int = LEVEL_CAP) -> Normal
     for j in range(1, n + 1):
         log_rungs -= 0.5 * math.log((nu + j) ** 2 * s * s + beta * beta)
     return NormalizationData(log_K=log_k0 + log_rungs)
-
-
-@lru_cache(maxsize=512)
-def normalization_double_sum(params: ModelParams, n: int, cap: int = LEVEL_CAP) -> NormalizationData:
-    """Normalization constant through the conjugate-symmetric double sum.
-
-    Analytically identical to ``normalization_K`` but the terms cancel roughly
-    like 10**n, so this route is for cross-checking at small n only.  The sum
-    is accumulated as scaled complex exponentials so no intermediate gamma
-    value ever overflows; a surviving imaginary part or a cancellation past
-    ten digits raises ``LossOfSignificanceError`` instead of returning a
-    silently wrong constant.
-    """
-    if n < 0:
-        raise DomainError("excitation number must be nonnegative")
-    _check_degree(n, cap)
-    nu, beta, L = params.nu, params.beta, params.length
-    s = n + nu + 1.0
-    b = beta / s
-
-    # T factor: n! over the modulus of a never-vanishing Pochhammer product.
-    log_abs_poch = 0.0
-    for j in range(n):
-        re = -nu - n + j
-        mag2 = re * re + b * b
-        if mag2 < 1e-12:
-            raise LossOfSignificanceError(
-                "normalization Pochhammer factor vanishes to working precision"
-            )
-        log_abs_poch += 0.5 * math.log(mag2)
-    log_T = math.lgamma(n + 1.0) - log_abs_poch
-
-    # Overlap double sum in scaled log space.
-    ib = 1j * b
-    side_minus = []  # k side, carries -ib in the Pochhammer and +ib in the gamma
-    side_plus = []
-    for k in range(n + 1):
-        shared = log_pochhammer(-n, k) + log_pochhammer(-2.0 * nu - n - 1.0, k) - math.lgamma(k + 1.0)
-        side_minus.append(shared - log_pochhammer(-nu - n - ib, k) - log_gamma(n + nu + 2.0 - k + ib))
-        side_plus.append(shared - log_pochhammer(-nu - n + ib, k) - log_gamma(n + nu + 2.0 - k - ib))
-    term_logs = []
-    for k in range(n + 1):
-        for t in range(n + 1):
-            term_logs.append(
-                side_minus[k] + side_plus[t] + log_gamma(2.0 * n + 2.0 * nu - k - t + 3.0)
-            )
-    log_mag, unit = scaled_phase_sum(term_logs)
-    sum_abs = math.fsum(math.exp(lt.real - log_mag) for lt in term_logs)
-    if abs(unit) < 1e-10 * sum_abs:
-        raise LossOfSignificanceError("normalization double sum cancelled past ten digits")
-    if abs(unit.imag) > 1e-10 * abs(unit.real) or unit.real <= 0.0:
-        raise LossOfSignificanceError("normalization double sum lost conjugate symmetry")
-    log_O = log_mag + math.log(unit.real)
-
-    log_K = (
-        (n + nu + 1.0) * math.log(2.0)
-        - 0.5 * math.log(L)
-        + log_T
-        + beta * math.pi / (2.0 * s)
-        - 0.5 * log_O
-    )
-    return NormalizationData(
-        log_K=log_K,
-        O_value=math.exp(log_O),
-        T_value=math.exp(log_T),
-        log_O=log_O,
-        log_T=log_T,
-    )
 
 
 def _ladder_phase(n: int) -> complex:
@@ -227,32 +144,21 @@ class EigenFunction:
         self.norm_data = norm
         self.phase = _ladder_phase(n)
         s = n + self._nu_eff + 1.0
-        self._s = s
         self._gamma = -params.beta * math.pi / (params.length * s)
         alpha = complex(-s, params.beta / s)
         self._coeffs = jacobi_series_coefficients(n, alpha, alpha.conjugate())
-        self._coeffs_d = (
-            jacobi_series_coefficients(n - 1, alpha + 1.0, alpha.conjugate() + 1.0)
-            if n >= 1
-            else (0.0 + 0.0j,)
-        )
 
     @property
     def energy(self) -> float:
         return energy(self.params, self.idx)
 
-    def _prepare(self, x):
+    def __call__(self, x):
+        p = self.params
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        L = self.params.length
-        if np.any((arr < 0.0) | (arr > L)):
+        if np.any((arr < 0.0) | (arr > p.length)):
             raise DomainError("x outside the box [0, L]")
-        return arr, scalar
-
-    def __call__(self, x):
-        arr, scalar = self._prepare(x)
-        p = self.params
         theta = math.pi * arr / p.length
         w = np.sin(theta)
         v = -0.5j * np.exp(1j * theta)
@@ -268,31 +174,17 @@ class EigenFunction:
         out[interior] = self.phase * envelope * poly[interior]
         return complex(out[0]) if scalar else out
 
-    def derivative(self, x):
-        arr, scalar = self._prepare(x)
-        p = self.params
-        n = self._deg
-        if np.any((arr <= 0.0) | (arr >= p.length)):
-            raise DomainError("derivative defined on the open interval (0, L)")
-        theta = math.pi * arr / p.length
-        w = np.sin(theta).astype(complex)
-        c = np.cos(theta)
-        v = -0.5j * np.exp(1j * theta)
-        bracket = (self._s * c - (p.beta / self._s) * np.sin(theta)) * _poly_envelope(
-            self._coeffs, n, v, w
-        )
-        if n >= 1:
-            bracket = bracket + (0.5j * (n + 2.0 * self._nu_eff + 1.0)) * _poly_envelope(
-                self._coeffs_d, n - 1, v, w
-            )
-        envelope = np.exp(self.norm_data.log_K + self._gamma * arr + self._nu_eff * np.log(w.real))
-        out = self.phase * (math.pi / p.length) * envelope * bracket
-        return complex(out[0]) if scalar else out
-
     def taylor(self, x, order: int) -> jets.Jet:
-        """Taylor jet at interior point(s) x; batch axes follow the shape of x."""
+        """Taylor jet at interior point(s) x; batch axes follow the shape of x.
+
+        Coefficient k is the k-th derivative over k!.  The jet exists only on
+        the open interval (0, L); anywhere else raises ``DomainError``.
+        """
         p = self.params
-        X = jets.Jet.variable(np.asarray(x, dtype=float), order)
+        arr = np.asarray(x, dtype=float)
+        if np.any((arr <= 0.0) | (arr >= p.length)):
+            raise DomainError("Taylor jets defined on the open interval (0, L)")
+        X = jets.Jet.variable(arr, order)
         theta = X * (math.pi / p.length)
         s, c = jets.sin_cos(theta)
         u = (1.0 - 1j * (c / s)) * 0.5
@@ -305,26 +197,6 @@ class EigenFunction:
 def eigenfunction(params: ModelParams, m: int, n: int, cap: int = LEVEL_CAP) -> EigenFunction:
     """Cached EigenFunction factory."""
     return EigenFunction(params, LevelIndex(m=m, n=n), cap)
-
-
-def eval_eigenfunction(params: ModelParams, n: int, x):
-    """Value(s) of the n-th base eigenfunction at x in [0, L]."""
-    return eigenfunction(params, 0, n)(x)
-
-
-def eval_eigenfunction_derivative(params: ModelParams, n: int, x):
-    """Closed-form d/dx of the n-th base eigenfunction on the open interval."""
-    return eigenfunction(params, 0, n).derivative(x)
-
-
-def hierarchy_eigenfunction(params: ModelParams, idx: LevelIndex, x):
-    """Value(s) of the n-th eigenfunction of hierarchy level m.
-
-    Every level uses its own closed form: the level-zero state n of the
-    family with strength index nu + m.  For m = 0 this is exactly
-    ``eval_eigenfunction``.
-    """
-    return eigenfunction(params, idx.m, idx.n)(x)
 
 
 def partner_eigenfunction_explicit(params: ModelParams, n: int, x):

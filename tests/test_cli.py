@@ -147,6 +147,44 @@ def test_config_parse_error_diagnostics(tmp_path):
     assert "bad.cfg:2" in proc.stderr and "whatever" in proc.stderr
 
 
+def test_config_format_must_be_csv_or_json(tmp_path, capsys):
+    cfg = tmp_path / "fmt.cfg"
+    cfg.write_text("nu = 1.0\nformat = xml\n")
+    for command in ("spectrum", "verify"):
+        assert ptsusy.cli.main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fmt.cfg:2" in captured.err and "format" in captured.err
+
+
+@pytest.mark.parametrize("line", ["m = 1.7", "n = 2.9", "m_max = 0.5", "n_max = 1e-3", "grid = 2.5"])
+def test_config_integer_keys_reject_fractions(tmp_path, capsys, line):
+    cfg = tmp_path / "int.cfg"
+    cfg.write_text(f"# integer fields\n{line}\n")
+    command = "spectrum" if "max" in line else "wavefn"
+    assert ptsusy.cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "int.cfg:2" in captured.err and line.split()[0] in captured.err
+
+
+def test_config_integer_keys_accept_integral_floats(tmp_path, capsys):
+    cfg = tmp_path / "int.cfg"
+    cfg.write_text("m = 1\nn = 2.0\ngrid = 5.0\n")
+    assert ptsusy.cli.main(["wavefn", "--config", str(cfg)]) == 0
+    flags = capsys.readouterr().out
+    assert ptsusy.cli.main(["wavefn", "--m", "1", "--n", "2", "--grid", "5"]) == 0
+    assert capsys.readouterr().out == flags
+
+
+@pytest.mark.parametrize("command", ["verify", "coherent"])
+def test_grid_zero_rejected(capsys, command):
+    assert ptsusy.cli.main([command, "--grid", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ptsusy: config error: grid_points must be at least 1"]
+
+
 def test_coherent_csv_self_overlap_and_kernel():
     proc = run_cli(
         "coherent", "--nu", "1", "--beta", "2", "--m", "0",

@@ -13,7 +13,6 @@ from ptsusy.coherent import (
     cs_log_normalization,
     cs_normalization,
     cs_overlap,
-    eval_cs,
     identity_gram_projection,
     log_master_integral,
     master_integral,
@@ -148,11 +147,15 @@ def test_phase_point_domain_guard():
         CoherentState(DEFAULT, 0, PhasePoint(DEFAULT.length, 0.0))
 
 
-def test_eval_cs_helper_and_endpoints():
-    vals = eval_cs(DEFAULT, 0, 0.4, 1.0, np.array([0.0, 0.5, 1.0]))
-    assert vals[0] == 0.0 and vals[2] == 0.0
+def test_endpoints_zero_and_jets_interior_only():
     st = CoherentState(DEFAULT, 0, PhasePoint(0.4, 1.0))
+    vals = st(np.array([0.0, 0.5, 1.0]))
+    assert vals[0] == 0.0 and vals[2] == 0.0
     assert vals[1] == pytest.approx(st(0.5), rel=1e-14)
+    # the jet exists on the open interval only
+    for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0])):
+        with pytest.raises(DomainError):
+            st.taylor(x, 1)
 
 
 def test_taylor_matches_values():

@@ -7,19 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from ptsusy import jets
 from ptsusy.errors import DomainError
 from ptsusy.operators import (
     EDGE_CLAMP,
-    FiniteDifferenceFunction,
     SuperPotential,
     TrigPolyBump,
-    apply_A,
-    apply_B_chain,
     apply_word,
     default_grid,
-    hamiltonian_apply,
     potential,
     superpotential,
+    superpotential_jet,
     verify_operator_identities,
 )
 from ptsusy.spectrum import LevelIndex, ModelParams, energy
@@ -70,19 +68,28 @@ def test_superpotential_object_and_domain():
 
 
 def test_superpotential_derivative_matches_fd():
+    # coefficient 1 of the jet that operator words fold is W'
     from ptsusy.quadrature import derivative as fd
 
     w = SuperPotential(params=DEFAULT, m=1)
     for x0 in (0.2, 0.5, 0.77):
         want, _ = fd(lambda t: w(float(t)), x0, order=1)
-        assert w.derivative(x0) == pytest.approx(want, rel=1e-9)
+        jet = superpotential_jet(DEFAULT, 1, jets.Jet.variable(x0, 1))
+        assert jet.c[0] == pytest.approx(w(x0), rel=1e-14)
+        assert jet.c[1] == pytest.approx(want, rel=1e-9)
 
 
 def test_potential_three_routes_agree():
+    # closed form against (W^2 - hbar W') / 2M + E_0^(1) and against the
+    # level-zero potential plus the m-dependent 1/sin^2 increment
+    m = 1
     xs = interior_grid(DEFAULT, 41)
-    v0 = potential(DEFAULT, 1, xs, route="closed_form")
-    v1 = potential(DEFAULT, 1, xs, route="superpotential")
-    v2 = potential(DEFAULT, 1, xs, route="shift")
+    v0 = potential(DEFAULT, m, xs)
+    w = superpotential(DEFAULT, m, xs)
+    dw = superpotential_jet(DEFAULT, m, jets.Jet.variable(xs, 1)).c[1].real
+    v1 = (w * w - DEFAULT.hbar * dw) / (2.0 * DEFAULT.mass) + energy(DEFAULT, LevelIndex(m, 0))
+    inv_s2 = 1.0 / np.sin(math.pi * xs / DEFAULT.length) ** 2
+    v2 = potential(DEFAULT, 0, xs) + DEFAULT.epsilon0 * m * (2.0 * DEFAULT.nu + m + 1.0) * inv_s2
     scale = np.max(np.abs(v0))
     assert np.max(np.abs(v1 - v0)) < 1e-10 * scale
     assert np.max(np.abs(v2 - v0)) < 1e-10 * scale
@@ -97,17 +104,18 @@ def test_ground_state_annihilated():
     for m in (0, 1, 2):
         f = eigenfunction(DEFAULT, m, 0)
         grid = default_grid(DEFAULT)
-        out = apply_A(DEFAULT, m, f, grid)
-        assert np.max(np.abs(out.values)) < 1e-10 * np.max(np.abs(f(grid)))
+        out = apply_word(DEFAULT, (("A", m),), f, grid)
+        assert np.max(np.abs(out)) < 1e-10 * np.max(np.abs(f(grid)))
 
 
 def test_hamiltonian_two_forms_agree_on_bump():
     bump = TrigPolyBump(DEFAULT, 7)
     grid = default_grid(DEFAULT)
-    direct = hamiltonian_apply(DEFAULT, 1, bump, grid, form="direct")
-    fact = hamiltonian_apply(DEFAULT, 1, bump, grid, form="factorized")
-    scale = np.max(np.abs(direct.values))
-    assert np.max(np.abs(direct.values - fact.values)) < 1e-9 * scale
+    direct = apply_word(DEFAULT, (("H", 1),), bump, grid)
+    chained = apply_word(DEFAULT, (("A", 1), ("Adag", 1)), bump, grid)
+    fact = chained / (2.0 * DEFAULT.mass) + energy(DEFAULT, LevelIndex(1, 0)) * bump(grid)
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(direct - fact)) < 1e-9 * scale
 
 
 def test_eigen_relation_through_word():
@@ -125,9 +133,9 @@ def test_ladder_chain_matches_gap_factor():
     top = eigenfunction(DEFAULT, 0, n + m + 1)
     target = eigenfunction(DEFAULT, m + 1, n)
     grid = interior_grid(DEFAULT, 31, clamp=0.1)
-    out = apply_B_chain(DEFAULT, m, top, grid)
+    out = apply_word(DEFAULT, tuple(("A", k) for k in range(m + 1)), top, grid)
     pref = (math.pi * DEFAULT.hbar / DEFAULT.length) ** (m + 1) * gap_factor_M(DEFAULT, n, m)
-    assert np.max(np.abs(out.values - pref * target(grid))) < 1e-9 * pref * np.max(
+    assert np.max(np.abs(out - pref * target(grid))) < 1e-9 * pref * np.max(
         np.abs(target(grid))
     )
 
@@ -151,13 +159,6 @@ def test_word_acts_left_entry_first():
     want_aa = two_m * (e1 - e0) * f(grid)
     assert np.max(np.abs(a_then_ad - want_aa)) < 1e-9 * np.max(np.abs(want_aa))
     assert np.max(np.abs(ad_then_a - want_aa)) > 1e-3 * np.max(np.abs(want_aa))
-
-
-def test_finite_difference_function_taylor():
-    fdf = FiniteDifferenceFunction(lambda x: np.sin(2.0 * x))
-    jet = fdf.taylor(np.array([0.4]), 2)
-    assert np.allclose(jet.value, math.sin(0.8), rtol=1e-9)
-    assert np.allclose(jet.derivative().value, 2.0 * math.cos(0.8), rtol=1e-6)
 
 
 def test_trig_poly_bump_deterministic_and_zero_at_walls():

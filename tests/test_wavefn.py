@@ -1,6 +1,7 @@
 """Eigenfunction layer: normalization constants against an independent
-high-precision quadrature oracle, orthonormality, derivative consistency,
-the superpotential log-derivative law, and the two normalization routes.
+high-precision quadrature oracle, orthonormality, Taylor-jet derivatives
+against finite differences, the superpotential log-derivative law, and the
+product-form normalization against the double-sum oracle.
 """
 
 import math
@@ -10,23 +11,19 @@ import numpy as np
 import pytest
 
 from ptsusy.errors import DomainError, LossOfSignificanceError
-from ptsusy.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
+from ptsusy.quadrature import QuadratureConfig, integrate_interval
 from ptsusy.quadrature import derivative as fd_derivative
 from ptsusy.spectrum import LevelIndex, ModelParams
 from ptsusy.wavefn import (
-    EigenFunction,
     eigenfunction,
-    eval_eigenfunction,
     gram_matrix,
-    hierarchy_eigenfunction,
     log_ground_constant,
-    normalization_double_sum,
     normalization_K,
     partner_eigenfunction_explicit,
 )
 
 from conftest import DEFAULT, interior_grid
-from oracles import pairwise_gram
+from oracles import normalization_double_sum, pairwise_gram
 
 NORM_CFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -59,7 +56,7 @@ def test_normalization_double_sum_agrees_at_low_degree():
     # the printed double-sum route is usable at small n; cross-check the routes
     for n in range(0, 6):
         a = normalization_K(DEFAULT, n).K
-        b = normalization_double_sum(DEFAULT, n).K
+        b = math.exp(normalization_double_sum(DEFAULT, n))
         assert a == pytest.approx(b, rel=1e-8)
 
 
@@ -132,6 +129,15 @@ def test_outside_box_rejected():
         f(1.2)
 
 
+def test_taylor_rejects_walls_and_outside():
+    # the jet exists on the open interval only: all NaN at the walls, and
+    # no eigenfunction outside the box
+    f = eigenfunction(DEFAULT, 0, 2)
+    for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0])):
+        with pytest.raises(DomainError):
+            f.taylor(x, 1)
+
+
 def test_ground_state_log_derivative_is_superpotential():
     # hbar phi0'/phi0 = -W at every level: the defining factorization relation
     from ptsusy.operators import superpotential
@@ -139,7 +145,7 @@ def test_ground_state_log_derivative_is_superpotential():
     for m in (0, 1, 2):
         f = eigenfunction(DEFAULT, m, 0)
         xs = interior_grid(DEFAULT, 23, clamp=0.08)
-        lhs = DEFAULT.hbar * f.derivative(xs) / f(xs)
+        lhs = DEFAULT.hbar * f.taylor(xs, 1).c[1] / f(xs)
         rhs = -superpotential(DEFAULT, m, xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
@@ -148,7 +154,7 @@ def test_derivative_matches_finite_differences():
     f = eigenfunction(DEFAULT, 0, 3)
     for x0 in (0.21, 0.5, 0.83):
         want, _ = fd_derivative(f, x0, order=1, h0=1e-3)
-        assert f.derivative(x0) == pytest.approx(want, rel=1e-8)
+        assert f.taylor(x0, 1).c[1] == pytest.approx(want, rel=1e-8)
 
 
 def test_taylor_consistent_with_call_and_derivative():
@@ -156,7 +162,11 @@ def test_taylor_consistent_with_call_and_derivative():
     xs = np.array([0.3, 0.62])
     jet = f.taylor(xs, 2)
     assert np.allclose(jet.value, f(xs), rtol=1e-12)
-    assert np.allclose(jet.derivative().value, f.derivative(xs), rtol=1e-11)
+    # a lower-order jet is the truncation of a higher-order one
+    assert np.allclose(f.taylor(xs, 1).c, jet.c[:2], rtol=1e-13)
+    for x0, c2 in zip(xs, jet.c[2]):
+        want, _ = fd_derivative(f, x0, order=2, h0=1e-3)
+        assert 2.0 * c2 == pytest.approx(want, rel=1e-6)
 
 
 def test_gram_matrix_orthonormal():
@@ -242,19 +252,6 @@ def test_hierarchy_identity_shifted_family():
     lhs = eigenfunction(DEFAULT, 2, 3)(xs)
     rhs = eigenfunction(shifted, 0, 3)(xs)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * np.max(np.abs(rhs))
-
-
-def test_hierarchy_eval_helper():
-    xs = np.array([0.4])
-    a = hierarchy_eigenfunction(DEFAULT, LevelIndex(m=1, n=2), xs)
-    b = eigenfunction(DEFAULT, 1, 2)(xs)
-    assert np.allclose(a, b, rtol=1e-14)
-
-
-def test_eval_helpers_scalar():
-    v = eval_eigenfunction(DEFAULT, 2, 0.37)
-    f = eigenfunction(DEFAULT, 0, 2)
-    assert v == pytest.approx(f(0.37), rel=1e-14)
 
 
 def test_partner_level_closed_form_two_routes():
