@@ -64,6 +64,8 @@ def load_config(path: str) -> dict:
                     out[key] = [float(v) for v in value.split(",") if v.strip()]
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: field {key}: bad float list {value!r}")
+                if not all(map(math.isfinite, out[key])):
+                    raise ConfigError(f"{path}:{lineno}: field {key}: expected finite numbers, got {value!r}")
             elif key.startswith("tol_"):
                 try:
                     out.setdefault("tol", {})[key[4:]] = float(value)
@@ -183,6 +185,9 @@ def _merge(args: argparse.Namespace, tol_flags: dict) -> dict:
     for key in ("q", "p"):
         val = getattr(args, key, None)
         if val is not None:
+            bad = [v for v in val if not math.isfinite(v)]
+            if bad:
+                raise ConfigError(f"flag --{key}: expected a finite number, got {bad[0]!r}")
             cfg[key] = val
     cfg["tol"].update(tol_flags)
     return cfg
@@ -233,6 +238,9 @@ def cmd_spectrum(cfg: dict) -> int:
     params = _params(cfg)
     m_max = int(cfg.get("m_max", 2))
     n_max = int(cfg.get("n_max", 5))
+    for key, cap in (("m_max", m_max), ("n_max", n_max)):
+        if cap < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {cap}")
     gap = bool(cfg.get("gap_factors", False))
     rows = []
     for m in range(m_max + 1):

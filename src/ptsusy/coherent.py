@@ -130,7 +130,7 @@ class CoherentState:
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
         L = self.params.length
-        if np.any((arr < 0.0) | (arr > L)):
+        if not np.all((arr >= 0.0) & (arr <= L)):
             raise DomainError("x outside the box [0, L]")
         theta = math.pi * arr / L
         w = np.sin(theta)
@@ -148,7 +148,7 @@ class CoherentState:
         """Taylor jet at interior point(s) x; ``DomainError`` outside (0, L)."""
         L = self.params.length
         arr = np.asarray(x, dtype=float)
-        if np.any((arr <= 0.0) | (arr >= L)):
+        if not np.all((arr > 0.0) & (arr < L)):
             raise DomainError("Taylor jets defined on the open interval (0, L)")
         X = jets.Jet.variable(arr, order)
         s, _ = jets.sin_cos(X * (math.pi / L))
@@ -207,7 +207,7 @@ def resolution_kernel(
     s = dp + 1.0
     L = params.length
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any((arr <= 0.0) | (arr >= L)):
+    if not np.all((arr > 0.0) & (arr < L)):
         raise DomainError("kernel defined on the open interval (0, L)")
     log_front = (dp + 1.0) * _LN4 - math.log(math.pi) - math.lgamma(2.0 * dp + 3.0)
     out = np.empty(arr.shape, dtype=float)

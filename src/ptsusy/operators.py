@@ -43,7 +43,7 @@ class SuperPotential:
     def __call__(self, x):
         p = self.params
         arr = np.asarray(x, dtype=float)
-        if np.any((arr <= 0.0) | (arr >= p.length)):
+        if not np.all((arr > 0.0) & (arr < p.length)):
             raise DomainError("superpotential defined on the open interval (0, L)")
         theta = math.pi * arr / p.length
         s = p.nu + self.m + 1.0
@@ -68,7 +68,7 @@ def potential(params: ModelParams, m: int, x):
     """Potential of hierarchy level m: e0 times the strength (nu+m)(nu+m+1)
     on 1/sin^2 plus the cotangent tilt -2 beta cot."""
     arr = np.asarray(x, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= params.length)):
+    if not np.all((arr > 0.0) & (arr < params.length)):
         raise DomainError("potential defined on the open interval (0, L)")
     theta = math.pi * arr / params.length
     lvl = params.nu + m
@@ -122,7 +122,7 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     the complex values of the resulting function at x.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= params.length)):
+    if not np.all((arr > 0.0) & (arr < params.length)):
         raise DomainError("operator applications need interior sample points")
     order = _word_order(word)
     fj = func.taylor(arr, order)
@@ -461,17 +461,24 @@ def verify_operator_identities(
 
     # Partial-chain mean values (quadrature route).
     mean_details = {}
+    mean_quads = []
+
+    def chain_mean(word, state) -> float:
+        quad = _norm_sq(params, word, state, config)
+        mean_quads.append(quad)
+        return float(quad.value.real)
+
     if n > m:
         lam = tuple(("A", k) for k in range(m + 1, n + 1))
         lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
         state_hi = eigenfunction(params, n + 1, n)
-        mean = float(_norm_sq(params, lam_dag, state_hi, config).value.real)
+        mean = chain_mean(lam_dag, state_hi)
         target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(
             params, n, m
         )
         mean_details["lambda_lambdadag"] = _rel(np.array([mean]), np.array([target]))
         state_mid = eigenfunction(params, m + 1, n)
-        mean = float(_norm_sq(params, lam, state_mid, config).value.real)
+        mean = chain_mean(lam, state_mid)
         ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
         target = ((hbar * math.pi / L) ** (n - m) * ratio) ** 2
         mean_details["lambdadag_lambda"] = _rel(np.array([mean]), np.array([target]))
@@ -479,7 +486,7 @@ def verify_operator_identities(
         theta = tuple(("Adag", k) for k in range(m, n, -1))
         theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
         state_hi = eigenfunction(params, n + 1, n)
-        mean = float(_norm_sq(params, theta_dag, state_hi, config).value.real)
+        mean = chain_mean(theta_dag, state_hi)
         unit = (hbar * math.pi / L) ** (2 * (m - n))
         target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
         if target == 0.0:
@@ -489,7 +496,7 @@ def verify_operator_identities(
         else:
             mean_details["theta_thetadag"] = _rel(np.array([mean]), np.array([target]))
         state_mid = eigenfunction(params, m + 1, n)
-        mean = float(_norm_sq(params, theta, state_mid, config).value.real)
+        mean = chain_mean(theta, state_mid)
         ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
         target = ((hbar * math.pi / L) ** (m - n) * ratio) ** 2
         mean_details["thetadag_theta"] = _rel(np.array([mean]), np.array([target]))
@@ -499,7 +506,7 @@ def verify_operator_identities(
             max(mean_details.values()),
             None,
             informational=True,
-            details=mean_details,
+            details={**mean_details, **_quad_details(*mean_quads)},
         )
 
     return results

@@ -5,7 +5,10 @@ package, so it deliberately avoids the analytic machinery of the other modules:
 plain panel-adaptive Gauss-Legendre integration, an exponential-tail wrapper
 for real-line integrals, and Richardson-extrapolated central differences.
 Integrands must accept numpy arrays of abscissas and return arrays of values
-(real or complex).
+(real or complex).  An integrand's value at a node must not depend on the
+other nodes of the same call: ``integrate_interval`` calls it once per
+refinement step with the nodes of several panels, and ``integrate_real_line``
+reads its first truncation check off the ends of its coarse probe.
 
 ``integrate_interval`` is vector valued: an integrand may return an array of
 shape (..., n_nodes) whose last axis runs over the abscissas, and every
@@ -77,13 +80,21 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _panel_value(f, a: float, b: float, order: int) -> np.ndarray:
+def _panel_values(f, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+    """Gauss sums of f over the panels [lo[k], hi[k]] from one call of f.
+
+    Returns shape (..., n_panels).  A non-finite value raises naming the
+    first panel, in the order given, that holds one.
+    """
     nodes, weights = _gauss_rule(order)
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * nodes
-    vals = np.asarray(f(xs))
-    if not np.isfinite(vals).all():
-        raise NonFiniteIntegrandError(f"integrand not finite inside [{a!r}, {b!r}]")
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    vals = np.asarray(f(xs.ravel()))
+    vals = vals.reshape(vals.shape[:-1] + xs.shape)
+    finite = np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise NonFiniteIntegrandError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
     return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
 
 
@@ -93,7 +104,8 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     Args:
         f: vectorized integrand, called with an ndarray of n points in (a, b).
             It returns shape (n,) for a scalar integrand or (..., n) for a
-            vector of integrands: the last axis is the node axis.
+            vector of integrands: the last axis is the node axis.  Its value
+            at a node must not depend on the other nodes in the call.
         a, b: finite endpoints, a < b.
         config: tolerances, panel budget, and the endpoint substitution flag.
 
@@ -102,6 +114,13 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     integral stops when every component k has total error within
     max(abs_tol, rel_tol * |I_k|), or within its rounding-noise floor.
     Until then the panel whose largest component error is largest is split.
+
+    f is called once per refinement step: once for the 12 panels of the 4
+    initial segments (each segment and its two halves), then once per split
+    for the 4 quarter panels of the two children, whose own Gauss values
+    are the halves already computed.  Results are the same as integrating
+    panel by panel; a non-finite value names the first affected panel in
+    that panel-by-panel order.
 
     Returns:
         IntegralResult with the estimate and a conservative error bound (sum
@@ -128,32 +147,40 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         return integrate_interval(g, 0.0, math.pi, inner)
 
     order = config.base_rule_order
-    evals = [0]
-
-    def panel(lo: float, hi: float) -> np.ndarray:
-        evals[0] += order
-        return _panel_value(f, lo, hi, order)
-
-    def make_segment(lo: float, hi: float):
-        mid = 0.5 * (lo + hi)
-        coarse = panel(lo, hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        fine = left + right
-        err = _modulus(coarse - fine)
-        return (lo, hi, fine, err, left, right)
-
+    evaluations = 0
     counter = itertools.count()
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0
+
+    def add_segments(lo: np.ndarray, hi: np.ndarray, coarse: np.ndarray | None = None) -> None:
+        # One call of f for the halves of every segment [lo[k], hi[k]], and for
+        # the segments themselves unless their values are given.  Panels are
+        # laid out coarse, left, right per segment, the order in which a
+        # panel-by-panel loop would meet them.
+        nonlocal evaluations, total, total_err
+        mid = 0.5 * (lo + hi)
+        if coarse is None:
+            lows, highs = np.stack([lo, lo, mid], axis=-1), np.stack([hi, mid, hi], axis=-1)
+        else:
+            lows, highs = np.stack([lo, mid], axis=-1), np.stack([mid, hi], axis=-1)
+        vals = _panel_values(f, lows.ravel(), highs.ravel(), order)
+        evaluations += lows.size * order
+        vals = vals.reshape(vals.shape[:-1] + lows.shape)
+        if coarse is None:
+            coarse = vals[..., 0]
+        left, right = vals[..., -2], vals[..., -1]
+        fine = left + right
+        err = _modulus(coarse - fine)
+        for k in range(len(lo)):
+            seg = (float(lo[k]), float(hi[k]), fine[..., k], err[..., k], left[..., k], right[..., k])
+            total += seg[2]
+            total_err += seg[3]
+            heapq.heappush(heap, (-float(seg[3].max()), next(counter), seg))
+
     n_init = 4
     edges = np.linspace(a, b, n_init + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = make_segment(float(lo), float(hi))
-        total += seg[2]
-        total_err += seg[3]
-        heapq.heappush(heap, (-float(seg[3].max()), next(counter), seg))
+    add_segments(edges[:-1], edges[1:])
 
     n_segments = n_init
     while True:
@@ -178,17 +205,14 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         mid = 0.5 * (lo + hi)
         total -= fine
         total_err -= err
-        for child_lo, child_hi in ((lo, mid), (mid, hi)):
-            child = make_segment(child_lo, child_hi)
-            total += child[2]
-            total_err += child[3]
-            heapq.heappush(heap, (-float(child[3].max()), next(counter), child))
+        # the children's coarse panels are the halves already evaluated
+        add_segments(np.array([lo, mid]), np.array([mid, hi]), np.stack([left, right], axis=-1))
         n_segments += 1
 
     reported = np.maximum(total_err, 2e-16 * size)
     if np.ndim(total) == 0:
-        return IntegralResult(value=complex(total), error=float(reported), evaluations=evals[0])
-    return IntegralResult(value=total, error=reported, evaluations=evals[0])
+        return IntegralResult(value=complex(total), error=float(reported), evaluations=evaluations)
+    return IntegralResult(value=total, error=reported, evaluations=evaluations)
 
 
 def integrate_real_line(
@@ -218,11 +242,15 @@ def integrate_real_line(
 
     u0 = 8.0 * decay_scale
     probe = np.linspace(-u0, u0, 65)
-    rough = abs(np.trapezoid(np.asarray(f(probe)), probe))
+    probe_vals = np.asarray(f(probe))
+    rough = abs(np.trapezoid(probe_vals, probe))
 
     u = u0
-    for _ in range(max_expansions):
-        edge = np.asarray(f(np.array([-u, u])))
+    for expansion in range(max_expansions):
+        if expansion:
+            edge = np.asarray(f(np.array([-u, u])))
+        else:
+            edge = probe_vals[..., [0, -1]]  # linspace ends are exactly -u0 and u0
         if not np.all(np.isfinite(edge)):
             raise NonFiniteIntegrandError("integrand not finite at the truncation points")
         tail = float(np.sum(np.abs(edge))) * decay_scale * 4.0

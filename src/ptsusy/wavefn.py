@@ -157,7 +157,7 @@ class EigenFunction:
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
         arr = np.atleast_1d(arr)
-        if np.any((arr < 0.0) | (arr > p.length)):
+        if not np.all((arr >= 0.0) & (arr <= p.length)):
             raise DomainError("x outside the box [0, L]")
         theta = math.pi * arr / p.length
         w = np.sin(theta)
@@ -182,7 +182,7 @@ class EigenFunction:
         """
         p = self.params
         arr = np.asarray(x, dtype=float)
-        if np.any((arr <= 0.0) | (arr >= p.length)):
+        if not np.all((arr > 0.0) & (arr < p.length)):
             raise DomainError("Taylor jets defined on the open interval (0, L)")
         X = jets.Jet.variable(arr, order)
         theta = X * (math.pi / p.length)
@@ -225,7 +225,7 @@ def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any((arr < 0.0) | (arr > L)):
+    if not np.all((arr >= 0.0) & (arr <= L)):
         raise DomainError("x outside the box [0, L]")
     theta = math.pi * arr / L
     w = np.sin(theta).astype(complex)

@@ -5,6 +5,13 @@
 integral: every upper-triangle entry is its own scalar adaptive integral,
 with its own panels and its own error bound.
 
+``panelwise_integrate`` and ``panelwise_real_line`` are the adaptive
+integrator as it was before ``integrate_interval`` batched its panels: one
+integrand call per 15-node panel, the coarse panel of every child segment
+evaluated again, and a separate call for the first truncation check.  The
+batched integrator must reproduce their values, errors and errors raised bit
+for bit, with fewer integrand calls.
+
 ``normalization_double_sum`` is the independent route to the eigenfunction
 normalization constant that ``wavefn.normalization_K`` computes by its
 product form: the gamma / Pochhammer double sum.  It is analytically
@@ -13,12 +20,23 @@ identical but numerically ill conditioned (its terms cancel roughly like
 """
 
 import cmath
+import heapq
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from ptsusy.errors import DegreeCapError, DomainError, LossOfSignificanceError, PoleError
-from ptsusy.quadrature import integrate_interval
+from ptsusy.errors import (
+    DegreeCapError,
+    DomainError,
+    LossOfSignificanceError,
+    NonFiniteIntegrandError,
+    PoleError,
+    SubdivisionLimitError,
+    TailBoundError,
+)
+from ptsusy.quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
 from ptsusy.specfun import log_gamma
 from ptsusy.spectrum import LEVEL_CAP
 
@@ -46,6 +64,105 @@ def pairwise_gram(functions, a, b, config, weight=None):
             gram[j, i] = np.conj(res.value)
             error[i, j] = error[j, i] = res.error
     return gram, error
+
+
+def _modulus(z):
+    return np.hypot(np.real(z), np.imag(z))
+
+
+def _panel_value(f, a, b, order):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (b - a)
+    xs = 0.5 * (a + b) + half * nodes
+    vals = np.asarray(f(xs))
+    if not np.isfinite(vals).all():
+        raise NonFiniteIntegrandError(f"integrand not finite inside [{a!r}, {b!r}]")
+    return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
+
+
+def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
+    """``integrate_interval`` with one integrand call per panel."""
+    if config.endpoint_substitution:
+        span = b - a
+
+        def g(t):
+            x = a + span * 0.5 * (1.0 - np.cos(t))
+            return f(x) * (span * 0.5 * np.sin(t))
+
+        return panelwise_integrate(g, 0.0, math.pi, replace(config, endpoint_substitution=False))
+
+    order = config.base_rule_order
+    evals = 0
+
+    def make_segment(lo, hi):
+        nonlocal evals
+        evals += 3 * order
+        mid = 0.5 * (lo + hi)
+        coarse = _panel_value(f, lo, hi, order)
+        left = _panel_value(f, lo, mid, order)
+        right = _panel_value(f, mid, hi, order)
+        fine = left + right
+        return (lo, hi, fine, _modulus(coarse - fine))
+
+    counter = itertools.count()
+    heap = []
+    total = 0.0 + 0.0j
+    total_err = 0.0
+    edges = np.linspace(a, b, 5)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        seg = make_segment(float(lo), float(hi))
+        total += seg[2]
+        total_err += seg[3]
+        heapq.heappush(heap, (-float(seg[3].max()), next(counter), seg))
+    n_segments = 4
+    while True:
+        size = _modulus(total)
+        tol = np.maximum(config.abs_tol, config.rel_tol * size)
+        target = np.maximum(tol, 1e-16 * size * n_segments)
+        if (total_err <= target).all():
+            break
+        if n_segments >= config.max_subdivisions:
+            worst = np.unravel_index(np.argmax(total_err - target), np.shape(total_err))
+            raise SubdivisionLimitError(
+                f"no convergence within {config.max_subdivisions} panels "
+                f"(residual error {total_err[worst]:.3e}, tolerance {tol[worst]:.3e})"
+            )
+        neg_err, _, (lo, hi, fine, err) = heapq.heappop(heap)
+        if -neg_err <= 0.0:
+            break
+        mid = 0.5 * (lo + hi)
+        total -= fine
+        total_err -= err
+        for child_lo, child_hi in ((lo, mid), (mid, hi)):
+            child = make_segment(child_lo, child_hi)
+            total += child[2]
+            total_err += child[3]
+            heapq.heappush(heap, (-float(child[3].max()), next(counter), child))
+        n_segments += 1
+
+    reported = np.maximum(total_err, 2e-16 * size)
+    if np.ndim(total) == 0:
+        return IntegralResult(complex(total), float(reported), evals)
+    return IntegralResult(total, reported, evals)
+
+
+def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG, max_expansions=60):
+    """``integrate_real_line`` on ``panelwise_integrate``, probing every truncation point."""
+    u0 = 8.0 * decay_scale
+    probe = np.linspace(-u0, u0, 65)
+    rough = abs(np.trapezoid(np.asarray(f(probe)), probe))
+    u = u0
+    for _ in range(max_expansions):
+        edge = np.asarray(f(np.array([-u, u])))
+        if not np.all(np.isfinite(edge)):
+            raise NonFiniteIntegrandError("integrand not finite at the truncation points")
+        tail = float(np.sum(np.abs(edge))) * decay_scale * 4.0
+        tol = max(config.abs_tol, config.rel_tol * max(rough, 0.0))
+        if tail <= 0.25 * max(tol, 1e-300):
+            core = panelwise_integrate(f, -u, u, config)
+            return IntegralResult(core.value, core.error + tail, core.evaluations + 2)
+        u *= 1.6
+    raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
 
 
 def log_pochhammer(a: complex, k: int) -> complex:

@@ -246,3 +246,32 @@ def test_package_errors_exit_2_with_one_stderr_line(monkeypatch, capsys, error):
     assert captured.out == ""
     assert captured.err.splitlines() == ["ptsusy: error: integrator gave up"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["q", "p"])
+def test_nonfinite_phase_labels_rejected(tmp_path, capsys, key, value):
+    # rejected before any state is built: one stderr line and no numpy warning
+    assert ptsusy.cli.main(["coherent", f"--{key}", value, "--skip-resolution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"ptsusy: config error: flag --{key}: expected a finite number, got {float(value)!r}"
+    ]
+    cfg = tmp_path / "labels.cfg"
+    cfg.write_text(f"nu = 1.0\n{key} = 0.5, {value}\n")
+    assert ptsusy.cli.main(["coherent", "--config", str(cfg), "--skip-resolution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "labels.cfg:2" in captured.err and f"field {key}" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--m-max", "--n-max"])
+def test_spectrum_rejects_negative_caps(capsys, flag):
+    assert ptsusy.cli.main(["spectrum", flag, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = flag[2:].replace("-", "_")
+    assert captured.err.splitlines() == [f"ptsusy: config error: {key} must be nonnegative, got -1"]

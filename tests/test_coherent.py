@@ -153,7 +153,7 @@ def test_endpoints_zero_and_jets_interior_only():
     assert vals[0] == 0.0 and vals[2] == 0.0
     assert vals[1] == pytest.approx(st(0.5), rel=1e-14)
     # the jet exists on the open interval only
-    for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0])):
+    for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0]), math.nan):
         with pytest.raises(DomainError):
             st.taylor(x, 1)
 
@@ -180,8 +180,9 @@ def test_resolution_kernel_beta_independent():
 
 
 def test_resolution_kernel_domain():
-    with pytest.raises(DomainError):
-        resolution_kernel(DEFAULT, 0, 0.0)
+    for x in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            resolution_kernel(DEFAULT, 0, x)
 
 
 def test_gram_projection_identity_small():

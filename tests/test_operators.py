@@ -65,6 +65,8 @@ def test_superpotential_object_and_domain():
         w(0.0)
     with pytest.raises(DomainError):
         w(DEFAULT.length)
+    with pytest.raises(DomainError):
+        w(math.nan)
 
 
 def test_superpotential_derivative_matches_fd():
@@ -96,8 +98,9 @@ def test_potential_three_routes_agree():
 
 
 def test_potential_rejects_walls():
-    with pytest.raises(DomainError):
-        potential(DEFAULT, 0, 0.0)
+    for x in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            potential(DEFAULT, 0, x)
 
 
 def test_ground_state_annihilated():
@@ -142,8 +145,9 @@ def test_ladder_chain_matches_gap_factor():
 
 def test_apply_word_rejects_wall_points():
     f = eigenfunction(DEFAULT, 0, 0)
-    with pytest.raises(DomainError):
-        apply_word(DEFAULT, (("A", 0),), f, np.array([0.0, 0.5]))
+    for xs in (np.array([0.0, 0.5]), np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            apply_word(DEFAULT, (("A", 0),), f, xs)
 
 
 def test_word_acts_left_entry_first():
@@ -217,6 +221,18 @@ def test_informational_variants_recorded():
     partial = results["partial_chain_product"]
     assert "mass_prefactor" in partial.details and "index_prefactor" in partial.details
     assert partial.details["matching_variant"] == "mass_prefactor"
+
+
+@pytest.mark.parametrize(
+    ("n", "m", "keys"),
+    [(2, 1, ("lambda_lambdadag", "lambdadag_lambda")), (1, 3, ("theta_thetadag", "thetadag_theta"))],
+)
+def test_partial_chain_means_record_quadrature_provenance(n, m, keys):
+    means = {r.name: r for r in verify_operator_identities(DEFAULT, n, m)}["partial_chain_means"]
+    assert set(means.details) == set(keys) | {"quad_error", "quad_evaluations"}
+    assert means.details["quad_error"] > 0.0 and means.details["quad_evaluations"] > 0
+    # the residual is the worst of the residual keys, not of the provenance
+    assert means.max_residual == max(means.details[k] for k in keys)
 
 
 def test_negative_control_sign_flip():

@@ -15,6 +15,8 @@ from ptsusy.quadrature import (
     integrate_real_line,
 )
 
+from oracles import panelwise_integrate, panelwise_real_line
+
 
 def test_sine_squared_half():
     res = integrate_interval(lambda x: np.sin(np.pi * x) ** 2, 0.0, 1.0)
@@ -159,3 +161,135 @@ def test_derivative_first_and_second_order():
     assert abs(val + math.sin(0.3)) < 1e-7
     val, err = derivative(lambda x: x**3 - 2.0 * x, 1.1, order=1)
     assert abs(val - (3 * 1.1**2 - 2.0)) < 1e-9
+
+
+class Counting:
+    """Integrand wrapper that records the number of abscissas of every call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, x):
+        self.sizes.append(x.size)
+        return self.f(x)
+
+
+SUBSTITUTED = QuadratureConfig(endpoint_substitution=True)
+TIGHT = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13)
+
+# (integrand, a, b, config): no split, a few splits, many splits, scalar and
+# vector valued, with and without the endpoint substitution
+BATCHING_CASES = {
+    "polynomial": (lambda x: 3.0 * x**2, 0.0, 2.0, DEFAULT_CONFIG),
+    "complex_mode": (lambda x: np.exp(2j * np.pi * x), 0.0, 1.0, DEFAULT_CONFIG),
+    "oscillatory": (lambda x: np.cos(40.0 * np.pi * x) ** 2, 0.0, 1.0, TIGHT),
+    "peak": (lambda x: 1.0 / (1e-4 + (x - 0.3) ** 2), 0.0, 1.0, DEFAULT_CONFIG),
+    "inverse_sqrt": (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, SUBSTITUTED),
+    "log": (lambda x: np.log(x), 1e-300, 1.0, SUBSTITUTED),
+    "components": (_components, 0.0, 1.0, SUBSTITUTED),
+    "two_log_singularities": (
+        lambda x: np.array([np.log(np.abs(x - 0.3)), np.log(np.abs(x - 0.71))]),
+        0.0,
+        1.0,
+        TIGHT,
+    ),
+    "matrix": (lambda x: np.array([[x, np.sin(9.0 * x)], [np.exp(-x), 1.0 / (0.01 + x * x)]]), -1.0, 2.0, TIGHT),
+}
+
+
+@pytest.mark.parametrize("case", BATCHING_CASES.values(), ids=BATCHING_CASES.keys())
+def test_batched_panels_match_panelwise_oracle_bit_for_bit(case):
+    f, a, b, cfg = case
+    batched, panelwise = Counting(f), Counting(f)
+    res = integrate_interval(batched, a, b, cfg)
+    ref = panelwise_integrate(panelwise, a, b, cfg)
+    assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
+    assert np.asarray(res.error).tobytes() == np.asarray(ref.error).tobytes()
+    assert type(res.value) is type(ref.value) and type(res.error) is type(ref.error)
+    # the oracle evaluates 3 panels per initial segment and 6 per split; the
+    # batched loop makes one call for the 12 initial panels and one call of
+    # 4 quarter panels per split, reusing the halves as the children's coarse
+    order = cfg.base_rule_order
+    splits = (ref.evaluations // order - 12) // 6
+    assert ref.evaluations == order * (12 + 6 * splits)
+    assert len(batched.sizes) == 1 + splits
+    assert res.evaluations == sum(batched.sizes) == order * (12 + 4 * splits)
+    assert sum(panelwise.sizes) == ref.evaluations
+
+
+def test_batching_cases_cover_splits():
+    splits = []
+    for f, a, b, cfg in BATCHING_CASES.values():
+        counted = Counting(f)
+        integrate_interval(counted, a, b, cfg)
+        splits.append(len(counted.sizes) - 1)
+    assert min(splits) == 0 and max(splits) >= 50
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_subdivision_limit_matches_panelwise_oracle(vector):
+    cfg = QuadratureConfig(max_subdivisions=8, abs_tol=1e-15, rel_tol=1e-15)
+    f = (lambda x: np.array([x**2, 1.0 / x])) if vector else (lambda x: 1.0 / x)
+    counted = Counting(f)
+    with pytest.raises(SubdivisionLimitError) as batched:
+        integrate_interval(counted, 0.0, 1.0, cfg)
+    with pytest.raises(SubdivisionLimitError) as panelwise:
+        panelwise_integrate(f, 0.0, 1.0, cfg)
+    assert str(batched.value) == str(panelwise.value)
+    assert "within 8 panels" in str(batched.value)
+    assert len(counted.sizes) == 1 + (cfg.max_subdivisions - 4)
+
+
+def _nan_near(x0, width, f):
+    def g(x):
+        return np.where(np.abs(x - x0) < width, np.nan, f(x))
+
+    return g
+
+
+NONFINITE_CASES = {
+    # non-finite on an initial panel: its coarse panel is named first
+    "initial": (lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0, DEFAULT_CONFIG),
+    # only reached after refinement focuses on the singular point
+    "refined": (_nan_near(0.3, 1e-5, lambda x: 1.0 / np.sqrt(np.abs(x - 0.3))), 0.0, 1.0, DEFAULT_CONFIG),
+    "refined_vector": (
+        _nan_near(0.3, 1e-5, lambda x: np.array([x, 1.0 / np.sqrt(np.abs(x - 0.3))])),
+        0.0,
+        1.0,
+        DEFAULT_CONFIG,
+    ),
+    "substituted": (_nan_near(0.7, 1e-6, lambda x: 1.0 / np.abs(x - 0.7) ** 0.25), 0.0, 1.0, SUBSTITUTED),
+}
+
+
+@pytest.mark.parametrize("case", NONFINITE_CASES.values(), ids=NONFINITE_CASES.keys())
+def test_nonfinite_panel_named_as_panelwise_oracle(case):
+    f, a, b, cfg = case
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteIntegrandError) as batched:
+            integrate_interval(f, a, b, cfg)
+        with pytest.raises(NonFiniteIntegrandError) as panelwise:
+            panelwise_integrate(f, a, b, cfg)
+    assert str(batched.value) == str(panelwise.value)
+
+
+REAL_LINE_CASES = {
+    "gaussian": (lambda u: np.exp(-(u**2)), 1.0),
+    "sech_wrong_scale": (lambda u: 1.0 / np.cosh(u), 0.1),
+    "two_sided_exponential": (lambda u: np.exp(-np.abs(u) / 3.0), 3.0),
+    "complex_shifted": (lambda u: np.exp(-((u - 1.0) ** 2) + 2j * u) / (1.0 + u * u), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", REAL_LINE_CASES.values(), ids=REAL_LINE_CASES.keys())
+def test_real_line_matches_panelwise_oracle_with_one_probe_fewer(case):
+    f, scale = case
+    batched, panelwise = Counting(f), Counting(f)
+    res = integrate_real_line(batched, scale, DEFAULT_CONFIG)
+    ref = panelwise_real_line(panelwise, scale, DEFAULT_CONFIG)
+    assert res.value == ref.value and res.error == ref.error
+    assert res.evaluations <= ref.evaluations
+    # the first truncation check reads the ends of the 65-point probe
+    assert batched.sizes[0] == panelwise.sizes[0] == 65
+    assert batched.sizes.count(2) == panelwise.sizes.count(2) - 1

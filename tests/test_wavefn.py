@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DomainError, LossOfSignificanceError
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
 from ptsusy.quadrature import derivative as fd_derivative
@@ -129,11 +130,27 @@ def test_outside_box_rejected():
         f(1.2)
 
 
+@pytest.mark.parametrize(
+    "func",
+    [
+        eigenfunction(DEFAULT, 0, 1),
+        CoherentState(DEFAULT, 0, PhasePoint(0.4, 1.0)),
+        lambda x: partner_eigenfunction_explicit(DEFAULT, 1, x),
+    ],
+    ids=["eigenfunction", "coherent_state", "partner_explicit"],
+)
+def test_nan_position_rejected(func):
+    # NaN fails every comparison, so it must not slip past the box guard as 0
+    for x in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            func(x)
+
+
 def test_taylor_rejects_walls_and_outside():
     # the jet exists on the open interval only: all NaN at the walls, and
     # no eigenfunction outside the box
     f = eigenfunction(DEFAULT, 0, 2)
-    for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0])):
+    for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0]), math.nan):
         with pytest.raises(DomainError):
             f.taylor(x, 1)
 
