@@ -64,6 +64,8 @@ def log_master_integral(delta: float, z: complex) -> complex:
 
 def _level_width(params: ModelParams, m: int) -> float:
     # d' = nu + m: effective sine power index of the level-m ground state
+    if m < 0:
+        raise DomainError(f"hierarchy level must be nonnegative, got m={m}")
     return params.nu + m
 
 

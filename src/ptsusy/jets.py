@@ -6,6 +6,19 @@ function in the package can emit its Taylor jet at a point, and operator
 chains are then folded with the exact series recurrences below.  Coefficient
 arrays carry the truncation order on the leading axis and broadcast over any
 trailing batch axes, so whole sample grids are processed at once.
+
+Cost at order n, counted in numpy array operations (each one sweeps the whole
+batch): a product takes n + 1, one slice-accumulate per coefficient of the
+left factor (0-d jets keep the term-by-term loop); a quotient, ``sin_cos``,
+``exp`` and ``log`` take O(n^2); ``derivative``, ``truncate``, sums and
+products with scalars take O(1).
+
+Coefficient k of a product, a quotient, ``sin_cos``, ``exp`` or ``log``
+depends only on the coefficients <= k of the arguments, through a sequence of
+operations that does not depend on the truncation order.  A jet computed at
+order N and truncated to n is therefore bit-identical to the same jet
+computed at order n, so one jet at the largest order needed can serve every
+lower order.
 """
 
 from __future__ import annotations
@@ -80,10 +93,21 @@ class Jet:
             return Jet(self.c * np.asarray(other, dtype=complex))
         n = min(self.order, other.order)
         a, b = self.c, other.c
-        out = np.zeros((n + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=complex)
-        for k in range(n + 1):
-            for j in range(k + 1):
-                out[k] += a[j] * b[k - j]
+        batch = a.shape[1:]
+        if b.shape[1:] != batch:
+            batch = np.broadcast_shapes(batch, b.shape[1:])
+            a, b = _lift(a, batch), _lift(b, batch)
+        out = np.zeros((n + 1,) + batch, dtype=complex)
+        # out[k] += a[j] b[k - j] for every k >= j at once; each out[k] still
+        # sums its terms in the order j = 0..k
+        for j in range(n + 1):
+            if batch:
+                out[j:] += a[j] * b[: n + 1 - j]
+            else:
+                # numpy rounds a product of two complex scalars without the
+                # fused multiply-add its array loops may use; keep that rounding
+                for k in range(j, n + 1):
+                    out[k] += a[j] * b[k - j]
         return Jet(out)
 
     __rmul__ = __mul__
@@ -105,6 +129,12 @@ class Jet:
         return Jet.constant(other, self.order, self.c.shape[1:]) / self
 
 
+def _lift(c, batch):
+    # prepend unit batch axes so that every coefficient slice broadcasts
+    # against a stack of coefficients
+    return c.reshape(c.shape[:1] + (1,) * (len(batch) - c.ndim + 1) + c.shape[1:])
+
+
 def sin_cos(u: Jet) -> tuple[Jet, Jet]:
     """Jets of sin(u) and cos(u), computed jointly from the ODE recurrence."""
     n = u.order
@@ -113,12 +143,13 @@ def sin_cos(u: Jet) -> tuple[Jet, Jet]:
     c = np.zeros((n + 1,) + shape, dtype=complex)
     s[0] = np.sin(u.c[0])
     c[0] = np.cos(u.c[0])
+    du = [j * u.c[j] for j in range(n + 1)]  # du[j] is coefficient j - 1 of u'
     for k in range(1, n + 1):
         ss = np.zeros(shape, dtype=complex)
         cc = np.zeros(shape, dtype=complex)
         for j in range(1, k + 1):
-            ss += j * u.c[j] * c[k - j]
-            cc += j * u.c[j] * s[k - j]
+            ss += du[j] * c[k - j]
+            cc += du[j] * s[k - j]
         s[k] = ss / k
         c[k] = -cc / k
     return Jet(s), Jet(c)
@@ -128,10 +159,11 @@ def exp(u: Jet) -> Jet:
     n = u.order
     e = np.zeros_like(u.c)
     e[0] = np.exp(u.c[0])
+    du = [j * u.c[j] for j in range(n + 1)]
     for k in range(1, n + 1):
         acc = np.zeros(u.c.shape[1:], dtype=complex)
         for j in range(1, k + 1):
-            acc += j * u.c[j] * e[k - j]
+            acc += du[j] * e[k - j]
         e[k] = acc / k
     return Jet(e)
 

@@ -3,7 +3,9 @@
 Operator words (ladder steps and Hamiltonian applications at chosen hierarchy
 levels) are folded over Taylor jets of the operand, so arbitrarily nested
 applications stay exact to rounding.  Operands must expose ``taylor(x, order)``,
-as eigenfunctions, coherent states and the smooth test bumps do.
+as eigenfunctions, coherent states and the smooth test bumps do.  The angle
+jets cot and 1/sin^2 of the grid are computed once per word, and a corpus of
+operands can be stacked into one, so that one fold serves every member.
 
 The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
@@ -58,10 +60,25 @@ def superpotential(params: ModelParams, m: int, x, sign: float = 1.0):
 
 def superpotential_jet(params: ModelParams, m: int, X: jets.Jet, sign: float = 1.0) -> jets.Jet:
     """Jet of W_m along the variable jet X."""
-    theta = X * (math.pi / params.length)
-    s, c = jets.sin_cos(theta)
+    cot, _ = _angle_jets(params, X, with_csc2=False)
+    return _superpotential_from(params, m, cot, sign)
+
+
+def _angle_jets(params: ModelParams, X: jets.Jet, with_csc2: bool):
+    # cot(pi X / L) and, if asked, 1 / sin^2(pi X / L); coefficient k of each
+    # does not depend on the order of X, so one pair serves every truncation
+    s, c = jets.sin_cos(X * (math.pi / params.length))
+    return c / s, (1.0 / (s * s) if with_csc2 else None)
+
+
+def _superpotential_from(params: ModelParams, m: int, cot: jets.Jet, sign: float) -> jets.Jet:
     lvl = params.nu + m + 1.0
-    return ((c / s) * lvl - params.beta / lvl) * (-sign * math.pi * params.hbar / params.length)
+    return (cot * lvl - params.beta / lvl) * (-sign * math.pi * params.hbar / params.length)
+
+
+def _potential_from(params: ModelParams, m: int, cot: jets.Jet, csc2: jets.Jet) -> jets.Jet:
+    lvl = params.nu + m
+    return (csc2 * (lvl * (lvl + 1.0)) - cot * (2.0 * params.beta)) * params.epsilon0
 
 
 def potential(params: ModelParams, m: int, x):
@@ -75,14 +92,6 @@ def potential(params: ModelParams, m: int, x):
     return params.epsilon0 * (
         (lvl * (lvl + 1.0)) / np.sin(theta) ** 2 - 2.0 * params.beta / np.tan(theta)
     )
-
-
-def _potential_jet(params: ModelParams, m: int, X: jets.Jet) -> jets.Jet:
-    theta = X * (math.pi / params.length)
-    s, c = jets.sin_cos(theta)
-    lvl = params.nu + m
-    inv_s2 = 1.0 / (s * s)
-    return (inv_s2 * (lvl * (lvl + 1.0)) - (c / s) * (2.0 * params.beta)) * params.epsilon0
 
 
 class TrigPolyBump:
@@ -115,33 +124,59 @@ def _word_order(word) -> int:
     return sum(2 if kind == "H" else 1 for kind, _ in word)
 
 
+def _step(params: ModelParams, kind: str, level: int, fj: jets.Jet, cot, csc2, sign: float) -> jets.Jet:
+    # one operator applied to the jet fj; the angle jets cot and csc2 (None
+    # unless a Hamiltonian step needs it) are truncated to the result's order
+    hbar = params.hbar
+    if kind in ("A", "Adag"):
+        w = _superpotential_from(params, level, cot.truncate(fj.order - 1), sign)
+        return fj.derivative() * (hbar if kind == "A" else -hbar) + w * fj
+    if kind == "H":
+        v = _potential_from(params, level, cot.truncate(fj.order - 2), csc2.truncate(fj.order - 2))
+        kinetic = fj.derivative().derivative() * (-(hbar**2) / (2.0 * params.mass))
+        return kinetic + v * fj
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
 def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     """Apply a sequence of operators (first entry acts first) at points x.
 
     Word entries are ("A", level), ("Adag", level), or ("H", level).  Returns
-    the complex values of the resulting function at x.
+    the complex values of the resulting function at x, of shape x.shape.  An
+    operand may also stand for k functions at once: if ``func.taylor(x,
+    order)`` returns a jet of shape (order + 1, k, *x.shape), the word acts on
+    all of them in one fold and the result has shape (k, *x.shape), row i
+    bit-identical to applying the word to member i alone.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < params.length)):
         raise DomainError("operator applications need interior sample points")
     order = _word_order(word)
     fj = func.taylor(arr, order)
-    X = jets.Jet.variable(arr, order)
-    hbar = params.hbar
+    with_csc2 = any(kind == "H" for kind, _ in word)
+    cot, csc2 = _angle_jets(params, jets.Jet.variable(arr, order), with_csc2)
     for kind, level in word:
-        if kind == "A":
-            w = superpotential_jet(params, level, X.truncate(fj.order), sign)
-            fj = fj.derivative() * hbar + w.truncate(fj.order - 1) * fj
-        elif kind == "Adag":
-            w = superpotential_jet(params, level, X.truncate(fj.order), sign)
-            fj = fj.derivative() * (-hbar) + w.truncate(fj.order - 1) * fj
-        elif kind == "H":
-            v = _potential_jet(params, level, X.truncate(fj.order))
-            kinetic = fj.derivative().derivative() * (-(hbar**2) / (2.0 * params.mass))
-            fj = kinetic + v.truncate(fj.order - 2) * fj
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
+        fj = _step(params, kind, level, fj, cot, csc2, sign)
     return fj.value
+
+
+class _OperandStack:
+    """Several operands as one, for ``apply_word``: the members' jets are
+    stacked on an axis after the Taylor axis, and built once per grid and
+    order, so both sides of an identity share them."""
+
+    def __init__(self, funcs):
+        self.funcs = list(funcs)
+        self._jets = {}
+
+    def __iter__(self):
+        return iter(self.funcs)
+
+    def taylor(self, x, order: int) -> jets.Jet:
+        key = (order, x.shape, x.tobytes())
+        if key not in self._jets:
+            self._jets[key] = jets.Jet(np.stack([f.taylor(x, order).c for f in self.funcs], axis=1))
+        return self._jets[key]
 
 
 def default_grid(params: ModelParams, size: int = 161, clamp: float = 0.02) -> np.ndarray:
@@ -246,8 +281,8 @@ def verify_operator_identities(
     grid = default_grid(params, grid_size)
     bulk = default_grid(params, grid_size, clamp=0.1)
     results: list[IdentityResult] = []
-    hbar, L, mass = params.hbar, params.length, params.mass
-    two_m = 2.0 * mass
+    hbar, L = params.hbar, params.length
+    two_m = 2.0 * params.mass
     e0_level = lambda k: energy(params, LevelIndex(0, k))
     idx = {"n": n, "m": m}
 
@@ -275,15 +310,16 @@ def verify_operator_identities(
     )
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
-    # one on the corpus.
-    corpus_m = test_corpus(params, m)
+    # one on the corpus.  Each corpus is one stacked operand: a word folds all
+    # members at once, and residuals are still taken member by member.
+    corpus_m = _OperandStack(test_corpus(params, m))
     e0_m = energy(params, LevelIndex(m, 0))
     worst = 0.0
-    for f in corpus_m:
-        direct = apply_word(params, (("H", m),), f, grid)
-        chained = apply_word(params, (("A", m), ("Adag", m)), f, grid, sign)
-        fact = chained / two_m + e0_m * np.asarray(f(grid), dtype=complex)
-        worst = max(worst, _rel(fact, direct))
+    direct = apply_word(params, (("H", m),), corpus_m, grid)
+    chained = apply_word(params, (("A", m), ("Adag", m)), corpus_m, grid, sign)
+    for f, d, c in zip(corpus_m, direct, chained):
+        fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
+        worst = max(worst, _rel(fact, d))
     add("factorization", worst, 1e-9)
 
     # Single-step intertwining, both directions.  The scale floor keeps the
@@ -293,29 +329,23 @@ def verify_operator_identities(
             np.max(np.abs(f(bulk)))
         )
 
-    worst = 0.0
-    for f in corpus_m:
-        lhs = apply_word(params, (("A", m), ("H", m + 1)), f, bulk, sign)
-        rhs = apply_word(params, (("H", m), ("A", m)), f, bulk, sign)
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), op_floor(f, 3))
-        worst = max(worst, _rel(lhs, rhs, scale=scale))
-    corpus_up = test_corpus(params, m + 1)
-    for f in corpus_up:
-        lhs = apply_word(params, (("Adag", m), ("H", m)), f, bulk, sign)
-        rhs = apply_word(params, (("H", m + 1), ("Adag", m)), f, bulk, sign)
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), op_floor(f, 3))
-        worst = max(worst, _rel(lhs, rhs, scale=scale))
+    def worst_of(corpus, lhs_word, rhs_word, depth, worst=0.0):
+        lhs = apply_word(params, lhs_word, corpus, bulk, sign)
+        rhs = apply_word(params, rhs_word, corpus, bulk, sign)
+        for f, lf, rf in zip(corpus, lhs, rhs):
+            scale = max(float(np.max(np.abs(lf))), float(np.max(np.abs(rf))), op_floor(f, depth))
+            worst = max(worst, _rel(lf, rf, scale=scale))
+        return worst
+
+    worst = worst_of(corpus_m, (("A", m), ("H", m + 1)), (("H", m), ("A", m)), 3)
+    corpus_up = _OperandStack(test_corpus(params, m + 1))
+    worst = worst_of(corpus_up, (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), 3, worst)
     add("intertwining_single", worst, 1e-7)
 
     # Chain intertwining (equivalently, the supercharge commutator component).
     word_b = tuple(("A", k) for k in range(m + 1))
-    worst = 0.0
-    corpus_0 = test_corpus(params, 0)
-    for f in corpus_0:
-        lhs = apply_word(params, word_b + (("H", m + 1),), f, bulk, sign)
-        rhs = apply_word(params, (("H", 0),) + word_b, f, bulk, sign)
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), op_floor(f, m + 3))
-        worst = max(worst, _rel(lhs, rhs, scale=scale))
+    corpus_0 = _OperandStack(test_corpus(params, 0))
+    worst = worst_of(corpus_0, word_b + (("H", m + 1),), (("H", 0),) + word_b, m + 3)
     add("intertwining_chain", worst, 1e-7)
     add("supercharge_commutator", worst, 1e-7, details={"alias_of": "intertwining_chain"})
 
@@ -414,15 +444,11 @@ def verify_operator_identities(
             # theta first, then the operator polynomial prod_k (H - E_k) folded directly
             order = _word_order(theta) + 2 * (n + 1)
             fj = psi_mixed.taylor(bulk, order)
-            X = jets.Jet.variable(bulk, order)
+            cot, csc2 = _angle_jets(params, jets.Jet.variable(bulk, order), with_csc2=True)
             for kind, level in theta:
-                w = superpotential_jet(params, level, X.truncate(fj.order), sign)
-                fj = fj.derivative() * (-hbar) + w.truncate(fj.order - 1) * fj
+                fj = _step(params, kind, level, fj, cot, csc2, sign)
             for k in range(n + 1):
-                v = _potential_jet(params, n + 1, X.truncate(fj.order))
-                hfj = fj.derivative().derivative() * (-(hbar**2) / (2.0 * mass)) + v.truncate(
-                    fj.order - 2
-                ) * fj
+                hfj = _step(params, "H", n + 1, fj, cot, csc2, sign)
                 fj = hfj + fj.truncate(hfj.order) * (-e0_level(k))
             rhs = two_m ** (n + 1) * fj.value
             details["theta_form"] = _rel(lhs, rhs)

@@ -232,7 +232,9 @@ def integrate_real_line(
 
     The truncation point U grows until (|f(U)| + |f(-U)|) * 4 s sits below a
     quarter of the active tolerance; probing f itself (rather than trusting a
-    pure exponential model) keeps algebraic prefactors honest.
+    pure exponential model) keeps algebraic prefactors honest.  The reported
+    evaluations count every abscissa passed to f: the probe, the truncation
+    checks and the core integral.
 
     Raises:
         TailBoundError: tails could not be certified within the expansion budget.
@@ -246,9 +248,11 @@ def integrate_real_line(
     rough = abs(np.trapezoid(probe_vals, probe))
 
     u = u0
+    evaluations = probe.size
     for expansion in range(max_expansions):
         if expansion:
             edge = np.asarray(f(np.array([-u, u])))
+            evaluations += 2
         else:
             edge = probe_vals[..., [0, -1]]  # linspace ends are exactly -u0 and u0
         if not np.all(np.isfinite(edge)):
@@ -257,7 +261,7 @@ def integrate_real_line(
         tol = max(config.abs_tol, config.rel_tol * max(rough, 0.0))
         if tail <= 0.25 * max(tol, 1e-300):
             core = integrate_interval(f, -u, u, config)
-            return IntegralResult(core.value, core.error + tail, core.evaluations + 2)
+            return IntegralResult(core.value, core.error + tail, core.evaluations + evaluations)
         u *= 1.6
     raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
 

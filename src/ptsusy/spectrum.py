@@ -27,11 +27,11 @@ class ModelParams:
     mass: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", float(self.nu))
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "hbar", float(self.hbar))
-        object.__setattr__(self, "length", float(self.length))
-        object.__setattr__(self, "mass", float(self.mass))
+        for name in ("nu", "beta", "hbar", "length", "mass"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, value)
         if not (self.nu >= 0.0):
             raise DomainError("nu must be >= 0")
         if not (self.beta >= 0.0):

@@ -12,6 +12,11 @@ evaluated again, and a separate call for the first truncation check.  The
 batched integrator must reproduce their values, errors and errors raised bit
 for bit, with fewer integrand calls.
 
+``serial_jet_mul`` is the jet product as it was before ``Jet.__mul__``
+accumulated whole coefficient slices: a double loop over (k, j) with one
+numpy product per term.  The sliced product adds the same terms in the same
+order, so it must agree bit for bit.
+
 ``normalization_double_sum`` is the independent route to the eigenfunction
 normalization constant that ``wavefn.normalization_K`` computes by its
 product form: the gamma / Pochhammer double sum.  It is analytically
@@ -39,6 +44,16 @@ from ptsusy.errors import (
 from ptsusy.quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
 from ptsusy.specfun import log_gamma
 from ptsusy.spectrum import LEVEL_CAP
+
+
+def serial_jet_mul(a, b):
+    """Coefficients of the product of two jets, term by term."""
+    n = min(a.order, b.order)
+    out = np.zeros((n + 1,) + np.broadcast_shapes(a.c.shape[1:], b.c.shape[1:]), dtype=complex)
+    for k in range(n + 1):
+        for j in range(k + 1):
+            out[k] += a.c[j] * b.c[k - j]
+    return out
 
 
 def pairwise_gram(functions, a, b, config, weight=None):

@@ -275,3 +275,26 @@ def test_spectrum_rejects_negative_caps(capsys, flag):
     assert captured.out == ""
     key = flag[2:].replace("-", "_")
     assert captured.err.splitlines() == [f"ptsusy: config error: {key} must be nonnegative, got -1"]
+
+
+def test_coherent_rejects_negative_level(tmp_path, capsys):
+    assert ptsusy.cli.main(["coherent", "--m", "-1", "--skip-resolution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ptsusy: error: hierarchy level must be nonnegative, got m=-1"]
+    cfg = tmp_path / "level.cfg"
+    cfg.write_text("m = -1\n")
+    assert ptsusy.cli.main(["coherent", "--config", str(cfg), "--skip-resolution"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ptsusy: error: hierarchy level must be nonnegative, got m=-1"]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["nu", "beta", "hbar", "length", "mass"])
+def test_nonfinite_model_parameters_rejected(capsys, key, value):
+    args = ["spectrum", "--m-max", "0", "--n-max", "1", f"--{key}", value]
+    assert ptsusy.cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ptsusy: error: {key} must be finite, got {float(value)!r}"]

@@ -140,6 +140,15 @@ def test_overlap_requires_same_level_and_model():
         cs_overlap(a, b)
 
 
+def test_negative_level_rejected():
+    with pytest.raises(DomainError, match="m=-1"):
+        CoherentState(DEFAULT, -1, PhasePoint(0.3, 0.0))
+    with pytest.raises(DomainError, match="m=-1"):
+        cs_log_normalization(DEFAULT, -1, 0.3)
+    with pytest.raises(DomainError, match="m=-1"):
+        resolution_kernel(DEFAULT, -1, 0.5)
+
+
 def test_phase_point_domain_guard():
     with pytest.raises(DomainError):
         CoherentState(DEFAULT, 0, PhasePoint(0.0, 0.0))

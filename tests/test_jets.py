@@ -7,6 +7,8 @@ import pytest
 
 from ptsusy import jets
 
+from oracles import serial_jet_mul
+
 
 def coeffs_of(jet, k):
     return np.asarray(jet.c[k])
@@ -101,3 +103,43 @@ def test_composition_against_finite_difference():
     G = jets.exp(X * 0.3) * (C / S)
     val, _ = fd(lambda t: g(float(t)), x0, order=1)
     assert np.allclose(G.derivative().value[0], val, rtol=1e-9)
+
+
+def _random_jet(rng, order, shape):
+    c = rng.normal(size=(order + 1,) + shape) + 1j * rng.normal(size=(order + 1,) + shape)
+    return jets.Jet(c)
+
+
+# (left batch shape, right batch shape): equal, broadcast against a stack,
+# scalar against a grid, and two shapes that both broadcast
+BATCH_SHAPES = [((), ()), ((7,), (7,)), ((7,), (3, 7)), ((3, 7), (7,)), ((), (3, 7)), ((3, 1), (1, 5))]
+
+
+@pytest.mark.parametrize("shapes", BATCH_SHAPES, ids=str)
+def test_product_bit_identical_to_serial_oracle(shapes):
+    rng = np.random.default_rng(5)
+    for order in range(13):
+        for other in (order, max(order - 2, 0), order + 1):
+            a = _random_jet(rng, order, shapes[0])
+            b = _random_jet(rng, other, shapes[1])
+            np.testing.assert_array_equal((a * b).c, serial_jet_mul(a, b))
+
+
+def test_coefficients_independent_of_truncation_order():
+    # apply_word computes its angle jets once at the word order and truncates
+    # them at every step, which needs exactly this
+    rng = np.random.default_rng(9)
+    top = 12
+    u, v = _random_jet(rng, top, (5,)), _random_jet(rng, top, (5,))
+    ops = {
+        "sin_cos": lambda a, b: jets.sin_cos(a),
+        "mul": lambda a, b: (a * b,),
+        "div": lambda a, b: (a / b,),
+        "exp": lambda a, b: (jets.exp(a),),
+        "log": lambda a, b: (jets.log(a),),
+    }
+    for name, op in ops.items():
+        full = op(u, v)
+        for n in range(top + 1):
+            for jf, jn in zip(full, op(u.truncate(n), v.truncate(n))):
+                np.testing.assert_array_equal(jf.truncate(n).c, jn.c, err_msg=f"{name} at order {n}")

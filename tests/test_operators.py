@@ -7,12 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from ptsusy import jets
+from ptsusy import jets, operators
 from ptsusy.errors import DomainError
 from ptsusy.operators import (
     EDGE_CLAMP,
     SuperPotential,
     TrigPolyBump,
+    _rel,
     apply_word,
     default_grid,
     potential,
@@ -244,3 +245,68 @@ def test_negative_control_sign_flip():
     # structural checks hold for any real superpotential
     assert results["adjoint_consistency"].passed is True
     assert results["eigen_residual"].passed is True
+
+
+def _words(m, rng):
+    # every single step at levels m and m + 1, then random words of depth
+    # 2..m+3 over A, Adag and H at levels 0..m+1
+    kinds = ("A", "Adag", "H")
+    words = [((kind, level),) for kind in kinds for level in (m, m + 1)]
+    for depth in range(2, m + 4):
+        for _ in range(2):
+            words.append(tuple((kinds[rng.integers(3)], int(rng.integers(m + 2))) for _ in range(depth)))
+    return words
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_stacked_operand_matches_per_operand_fold(m):
+    rng = np.random.default_rng(40 + m)
+    members = operators.test_corpus(DEFAULT, m)
+    stack = operators._OperandStack(members)
+    for grid in (default_grid(DEFAULT), default_grid(DEFAULT, clamp=0.1)):
+        for word in _words(m, rng):
+            for sign in (1.0, -1.0):
+                stacked = apply_word(DEFAULT, word, stack, grid, sign)
+                assert stacked.shape == (len(members),) + grid.shape
+                for f, row in zip(members, stacked):
+                    np.testing.assert_array_equal(row, apply_word(DEFAULT, word, f, grid, sign), err_msg=str(word))
+
+
+def _per_operand_residuals(params, n, m, sign):
+    """factorization and both intertwining residuals, one operand at a time."""
+    grid, bulk = default_grid(params), default_grid(params, clamp=0.1)
+    two_m = 2.0 * params.mass
+    e0_m = energy(params, LevelIndex(m, 0))
+
+    def op_floor(f, depth):
+        unit = (math.pi * params.hbar / params.length) ** (depth - 2)
+        return params.epsilon0 * unit * float(np.max(np.abs(f(bulk))))
+
+    def worst_of(funcs, lhs_word, rhs_word, depth, worst=0.0):
+        for f in funcs:
+            lhs = apply_word(params, lhs_word, f, bulk, sign)
+            rhs = apply_word(params, rhs_word, f, bulk, sign)
+            scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), op_floor(f, depth))
+            worst = max(worst, _rel(lhs, rhs, scale=scale))
+        return worst
+
+    fact = 0.0
+    for f in operators.test_corpus(params, m):
+        direct = apply_word(params, (("H", m),), f, grid)
+        chained = apply_word(params, (("A", m), ("Adag", m)), f, grid, sign)
+        fact = max(fact, _rel(chained / two_m + e0_m * np.asarray(f(grid), dtype=complex), direct))
+    single = worst_of(operators.test_corpus(params, m), (("A", m), ("H", m + 1)), (("H", m), ("A", m)), 3)
+    single = worst_of(
+        operators.test_corpus(params, m + 1), (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), 3, single
+    )
+    word_b = tuple(("A", k) for k in range(m + 1))
+    chain = worst_of(operators.test_corpus(params, 0), word_b + (("H", m + 1),), (("H", 0),) + word_b, m + 3)
+    return {"factorization": fact, "intertwining_single": single, "intertwining_chain": chain}
+
+
+@pytest.mark.parametrize(("n", "m", "sign"), [(0, 0, 1.0), (2, 1, 1.0), (1, 3, 1.0), (2, 1, -1.0)])
+def test_stacked_identities_match_per_operand_recomputation(n, m, sign):
+    results = {r.name: r for r in verify_operator_identities(DEFAULT, n, m, sign=sign)}
+    for name, residual in _per_operand_residuals(DEFAULT, n, m, sign).items():
+        assert results[name].max_residual == residual, name
+        assert results[name].passed == (residual < results[name].threshold)

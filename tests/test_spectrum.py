@@ -114,3 +114,11 @@ def test_invalid_parameters_rejected():
         ModelParams(nu=0.0, beta=0.0, hbar=1.0, length=-1.0, mass=0.5)
     with pytest.raises(DomainError):
         LevelIndex(m=-1, n=0)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("field", ["nu", "beta", "hbar", "length", "mass"])
+def test_nonfinite_parameters_rejected(field, value):
+    kwargs = {"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        ModelParams(**kwargs)
