@@ -172,11 +172,7 @@ def _merge(args: argparse.Namespace, tol_flags: dict) -> dict:
         tols = file_cfg.pop("tol", {})
         cfg.update(file_cfg)
         cfg["tol"] = tols
-    for key in _PARAM_KEYS + ("format", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    for key in ("m", "n", "m_max", "n_max"):
+    for key in _PARAM_KEYS + ("format", "out", "m", "n", "m_max", "n_max"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -220,6 +216,11 @@ def _sanitize(obj):
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     return obj
+
+
+def _csv_row(row: dict, cols) -> str:
+    # the float columns, then the pass flag
+    return ",".join([_fmt(row[c]) for c in cols] + [str(row["passed"]).lower()])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -378,13 +379,7 @@ def cmd_coherent(cfg: dict) -> int:
         ok = self_dev <= tol_overlap and quad_dev <= tol_norm
         all_pass = all_pass and ok
         norm_rows.append(
-            {
-                "q": pt.q,
-                "p": pt.p,
-                "self_overlap_dev": float(self_dev),
-                "norm_quadrature_dev": float(quad_dev),
-                "passed": bool(ok),
-            }
+            {"q": pt.q, "p": pt.p, "self_overlap_dev": float(self_dev), "norm_quadrature_dev": float(quad_dev), "passed": bool(ok)}
         )
 
     overlap_rows = []
@@ -398,17 +393,8 @@ def cmd_coherent(cfg: dict) -> int:
             ok = dev <= tol_overlap
             all_pass = all_pass and ok
             overlap_rows.append(
-                {
-                    "q1": pa.q,
-                    "p1": pa.p,
-                    "q2": pb.q,
-                    "p2": pb.p,
-                    "re": float(val.real),
-                    "im": float(val.imag),
-                    "abs": float(abs(val)),
-                    "quadrature_dev": float(dev),
-                    "passed": bool(ok),
-                }
+                {"q1": pa.q, "p1": pa.p, "q2": pb.q, "p2": pb.p, "re": float(val.real), "im": float(val.imag),
+                 "abs": float(abs(val)), "quadrature_dev": float(dev), "passed": bool(ok)}
             )
 
     resolution = None
@@ -431,11 +417,7 @@ def cmd_coherent(cfg: dict) -> int:
             "command": "coherent",
             "params": _param_obj(params),
             "level": m,
-            "tolerances": {
-                "normalization": tol_norm,
-                "overlap": tol_overlap,
-                "resolution": tol_resolution,
-            },
+            "tolerances": {"normalization": tol_norm, "overlap": tol_overlap, "resolution": tol_resolution},
             "normalization": norm_rows,
             "overlaps": overlap_rows,
             "all_pass": bool(all_pass),
@@ -445,43 +427,15 @@ def cmd_coherent(cfg: dict) -> int:
         _emit_json(report, cfg["out"])
         return 0 if all_pass else 1
 
-    lines = [_param_header(params), f"# level: m={m}", "# table: normalization"]
-    lines.append("q,p,self_overlap_dev,norm_quadrature_dev,passed")
-    for row in norm_rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row["q"]),
-                    _fmt(row["p"]),
-                    _fmt(row["self_overlap_dev"]),
-                    _fmt(row["norm_quadrature_dev"]),
-                    str(row["passed"]).lower(),
-                )
-            )
-        )
-    lines.append("# table: overlaps")
-    lines.append("q1,p1,q2,p2,re,im,abs,quadrature_dev,passed")
-    for row in overlap_rows:
-        lines.append(
-            ",".join(
-                [_fmt(row[c]) for c in ("q1", "p1", "q2", "p2", "re", "im", "abs", "quadrature_dev")]
-                + [str(row["passed"]).lower()]
-            )
-        )
+    norm_cols = ("q", "p", "self_overlap_dev", "norm_quadrature_dev")
+    lines = [_param_header(params), f"# level: m={m}", "# table: normalization", ",".join(norm_cols + ("passed",))]
+    lines += [_csv_row(row, norm_cols) for row in norm_rows]
+    overlap_cols = ("q1", "p1", "q2", "p2", "re", "im", "abs", "quadrature_dev")
+    lines += ["# table: overlaps", ",".join(overlap_cols + ("passed",))]
+    lines += [_csv_row(row, overlap_cols) for row in overlap_rows]
     if resolution is not None:
-        lines.append("# table: resolution")
-        lines.append("x,kernel,tolerance,passed")
-        for row in resolution["rows"]:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(row["x"]),
-                        _fmt(row["kernel"]),
-                        _fmt(tol_resolution),
-                        str(row["passed"]).lower(),
-                    )
-                )
-            )
+        lines += ["# table: resolution", "x,kernel,tolerance,passed"]
+        lines += [_csv_row({**row, "tolerance": tol_resolution}, ("x", "kernel", "tolerance")) for row in resolution["rows"]]
     lines.append(f"# all_pass: {str(all_pass).lower()}")
     _emit("\n".join(lines) + "\n", cfg["out"])
     return 0 if all_pass else 1

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import jets
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval, integrate_real_line
 from .specfun import log_gamma
@@ -66,6 +65,8 @@ def _level_width(params: ModelParams, m: int) -> float:
     # d' = nu + m: effective sine power index of the level-m ground state
     if m < 0:
         raise DomainError(f"hierarchy level must be nonnegative, got m={m}")
+    if not float(m).is_integer():
+        raise DomainError("level indices must be integers")
     return params.nu + m
 
 
@@ -101,14 +102,14 @@ class CoherentState:
     """Normalized lowering-operator eigenstate at hierarchy level m.
 
     Satisfies A_m eta = (W_m(q) + i p) eta pointwise; callable on scalars or
-    arrays, with exact Taylor jets for operator applications.
+    arrays.  Operator words act on its cotangent form, one term with Q = 1.
     """
 
     def __init__(self, params: ModelParams, m: int, point: PhasePoint):
         self.params = params
+        dp = _level_width(params, m)
         self.m = int(m)
         self.point = point
-        dp = _level_width(params, self.m)
         self._dp = dp
         s = dp + 1.0
         u = _cot_q(params, point.q)
@@ -146,17 +147,10 @@ class CoherentState:
         )
         return complex(out[0]) if scalar else out
 
-    def taylor(self, x, order: int) -> jets.Jet:
-        """Taylor jet at interior point(s) x; ``DomainError`` outside (0, L)."""
-        L = self.params.length
-        arr = np.asarray(x, dtype=float)
-        if not np.all((arr > 0.0) & (arr < L)):
-            raise DomainError("Taylor jets defined on the open interval (0, L)")
-        X = jets.Jet.variable(arr, order)
-        s, _ = jets.sin_cos(X * (math.pi / L))
-        return jets.exp(X * self._rate + jets.log(s) * (self._dp + 1.0)) * math.exp(
-            self.log_R + self._log_K0
-        )
+    @property
+    def cot_terms(self) -> tuple:
+        """(log C, gamma, a, Q) of the one term C e^(gamma x) sin^a Q(cot)."""
+        return ((self.log_R + self._log_K0, self._rate, self._dp + 1.0, np.ones(1, dtype=complex)),)
 
 
 def cs_overlap(a: CoherentState, b: CoherentState) -> complex:

@@ -1,24 +1,17 @@
 """Truncated Taylor-series (jet) arithmetic.
 
-Applying a depth-k ladder chain needs k exact derivatives of the operand at
-each sample point.  Rather than nesting finite differences, every closed-form
-function in the package can emit its Taylor jet at a point, and operator
-chains are then folded with the exact series recurrences below.  Coefficient
-arrays carry the truncation order on the leading axis and broadcast over any
-trailing batch axes, so whole sample grids are processed at once.
-
-Cost at order n, counted in numpy array operations (each one sweeps the whole
-batch): a product takes n + 1, one slice-accumulate per coefficient of the
-left factor (0-d jets keep the term-by-term loop); a quotient, ``sin_cos``,
-``exp`` and ``log`` take O(n^2); ``derivative``, ``truncate``, sums and
-products with scalars take O(1).
+``EigenFunction.taylor`` emits the Taylor jet of an eigenfunction at sample
+points, and the test suite folds operator words over jets as the check,
+independent of the cotangent fold in ``operators``, that words are applied
+right.  Coefficient arrays carry the truncation order on the leading axis and
+broadcast over any trailing batch axes, so whole sample grids are processed
+at once.
 
 Coefficient k of a product, a quotient, ``sin_cos``, ``exp`` or ``log``
 depends only on the coefficients <= k of the arguments, through a sequence of
-operations that does not depend on the truncation order.  A jet computed at
-order N and truncated to n is therefore bit-identical to the same jet
-computed at order n, so one jet at the largest order needed can serve every
-lower order.
+operations that does not depend on the truncation order, so a jet computed at
+order N and truncated to n is bit-identical to the same jet computed at
+order n.
 """
 
 from __future__ import annotations

@@ -1,11 +1,23 @@
 """First-order ladder operators, Hamiltonians, and the identity verification suite.
 
 Operator words (ladder steps and Hamiltonian applications at chosen hierarchy
-levels) are folded over Taylor jets of the operand, so arbitrarily nested
-applications stay exact to rounding.  Operands must expose ``taylor(x, order)``,
-as eigenfunctions, coherent states and the smooth test bumps do.  The angle
-jets cot and 1/sin^2 of the grid are computed once per word, and a corpus of
-operands can be stacked into one, so that one fold serves every member.
+levels) act on the cotangent form of their operand: a sum of terms
+
+    C e^(gamma x) sin(theta)^a Q(cot theta),    theta = pi x / L,
+
+each given by an operand's ``cot_terms`` as a tuple (log C, gamma, a, Q) with
+Q the coefficients of a polynomial in c = cot theta, lowest first.  With
+k = pi / L, d/dx keeps C, gamma and a and maps Q to
+(gamma + a k c) Q - k (1 + c^2) Q'.  The superpotential W_m is a degree-1
+polynomial in c and the potential V_m a degree-2 one (the shape invariance
+of the hierarchy), so a whole word is folded once on the coefficients of Q,
+exactly up to rounding and independently of where it is evaluated.  The
+coefficients that are roundoff (``NOISE_FLOOR``) are dropped, and a term of
+degree d is evaluated as C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) with
+s = sin theta, which stays bounded up to the walls.  Eigenfunctions,
+coherent states and the smooth test bumps provide ``cot_terms``, and a
+corpus of operands can be stacked into one, so that one fold serves every
+member.
 
 The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
@@ -15,11 +27,12 @@ deliberately ambiguous ones as informational rather than asserting them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from . import jets
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_interval
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
@@ -58,29 +71,6 @@ def superpotential(params: ModelParams, m: int, x, sign: float = 1.0):
     return SuperPotential(params, m, sign)(x)
 
 
-def superpotential_jet(params: ModelParams, m: int, X: jets.Jet, sign: float = 1.0) -> jets.Jet:
-    """Jet of W_m along the variable jet X."""
-    cot, _ = _angle_jets(params, X, with_csc2=False)
-    return _superpotential_from(params, m, cot, sign)
-
-
-def _angle_jets(params: ModelParams, X: jets.Jet, with_csc2: bool):
-    # cot(pi X / L) and, if asked, 1 / sin^2(pi X / L); coefficient k of each
-    # does not depend on the order of X, so one pair serves every truncation
-    s, c = jets.sin_cos(X * (math.pi / params.length))
-    return c / s, (1.0 / (s * s) if with_csc2 else None)
-
-
-def _superpotential_from(params: ModelParams, m: int, cot: jets.Jet, sign: float) -> jets.Jet:
-    lvl = params.nu + m + 1.0
-    return (cot * lvl - params.beta / lvl) * (-sign * math.pi * params.hbar / params.length)
-
-
-def _potential_from(params: ModelParams, m: int, cot: jets.Jet, csc2: jets.Jet) -> jets.Jet:
-    lvl = params.nu + m
-    return (csc2 * (lvl * (lvl + 1.0)) - cot * (2.0 * params.beta)) * params.epsilon0
-
-
 def potential(params: ModelParams, m: int, x):
     """Potential of hierarchy level m: e0 times the strength (nu+m)(nu+m+1)
     on 1/sin^2 plus the cotangent tilt -2 beta cot."""
@@ -109,84 +99,176 @@ class TrigPolyBump:
             acc += cj * np.sin(j * theta)
         return np.sin(theta) ** 2 * acc
 
-    def taylor(self, x, order: int) -> jets.Jet:
-        X = jets.Jet.variable(np.asarray(x, dtype=float), order)
-        theta = X * (math.pi / self.params.length)
-        s, _ = jets.sin_cos(theta)
-        acc = jets.Jet.constant(0.0, order, np.shape(x))
-        for j, cj in enumerate(self.coeffs, start=1):
-            sj, _ = jets.sin_cos(theta * float(j))
-            acc = acc + sj * float(cj)
-        return s * s * acc
+    @cached_property
+    def cot_terms(self) -> tuple:
+        # sin j theta = s^j Im (c + i)^j and s^-2 = 1 + c^2: the odd modes and
+        # the even modes are one term s^a Q(c) each, a = 2 + the top mode
+        terms = []
+        for first in (1, 2):
+            modes = range(first, len(self.coeffs) + 1, 2)
+            if not modes:
+                continue
+            a = modes[-1] + 2
+            q = np.zeros(a - 2)
+            for j in modes:
+                mode = np.ones(1, dtype=complex)
+                for _ in range(j):
+                    mode = np.convolve(mode, [1j, 1.0])
+                mode = mode.imag[:j]
+                for _ in range((a - j - 2) // 2):
+                    mode = np.convolve(mode, [1.0, 0.0, 1.0])
+                q += self.coeffs[j - 1] * mode
+            terms.append((0.0, 0.0, float(a), q.astype(complex)))
+        return tuple(terms)
 
 
-def _word_order(word) -> int:
-    return sum(2 if kind == "H" else 1 for kind, _ in word)
+#: A folded coefficient of Q no larger than this fraction of the sum of the
+#: magnitudes it was computed from is zero to working precision.  Near a wall
+#: cot^j amplifies such noise without bound: a chain that lowers the degree of
+#: its operand leaves its top coefficients at roundoff, not at zero.
+NOISE_FLOOR = 1e-12
 
 
-def _step(params: ModelParams, kind: str, level: int, fj: jets.Jet, cot, csc2, sign: float) -> jets.Jet:
-    # one operator applied to the jet fj; the angle jets cot and csc2 (None
-    # unless a Hamiltonian step needs it) are truncated to the result's order
-    hbar = params.hbar
+class _Terms(NamedTuple):
+    # cotangent terms as arrays over terms, Q zero-padded to a common width;
+    # mag holds, per coefficient of Q, the sum of the magnitudes it came from
+    log_c: np.ndarray
+    gamma: np.ndarray
+    power: np.ndarray
+    coeffs: np.ndarray
+    mag: np.ndarray
+
+    @classmethod
+    def of(cls, terms) -> "_Terms":
+        log_c, gamma, power, qs = zip(*terms)
+        coeffs = np.zeros((len(qs), max(map(len, qs))), dtype=complex)
+        for row, q in zip(coeffs, qs):
+            row[: len(q)] = q
+        return cls(np.array(log_c), np.array(gamma, dtype=complex), np.array(power), coeffs, np.abs(coeffs))
+
+
+def _d_dx(params: ModelParams, terms: _Terms, q: np.ndarray, lift=np.positive) -> np.ndarray:
+    # coefficient j of the new Q: gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1);
+    # with lift=np.abs, the same sum over magnitudes
+    k = math.pi / params.length
+    n = q.shape[1]
+    j = np.arange(n)
+    out = np.zeros((q.shape[0], n + 1), dtype=q.dtype)
+    out[:, :n] = lift(terms.gamma)[:, None] * q
+    out[:, 1:] += lift(k * (terms.power[:, None] - j)) * q
+    out[:, : n - 1] += lift(-k * j[1:]) * q[:, 1:]
+    return out
+
+
+def _times(poly, q: np.ndarray) -> np.ndarray:
+    # product with the polynomial poly in c, lowest coefficient first
+    n = q.shape[1]
+    out = np.zeros((q.shape[0], n + len(poly) - 1), dtype=q.dtype)
+    for i, p in enumerate(poly):
+        out[:, i : i + n] += p * q
+    return out
+
+
+def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float, shift: float = 0.0) -> _Terms:
+    # one operator applied to Q and to its magnitudes; an "H" step subtracts shift * Q
     if kind in ("A", "Adag"):
-        w = _superpotential_from(params, level, cot.truncate(fj.order - 1), sign)
-        return fj.derivative() * (hbar if kind == "A" else -hbar) + w * fj
-    if kind == "H":
-        v = _potential_from(params, level, cot.truncate(fj.order - 2), csc2.truncate(fj.order - 2))
-        kinetic = fj.derivative().derivative() * (-(hbar**2) / (2.0 * params.mass))
-        return kinetic + v * fj
-    raise ValueError(f"unknown operator kind {kind!r}")
+        lvl = params.nu + level + 1.0
+        unit = -sign * math.pi * params.hbar / params.length
+        poly = ((-params.beta / lvl) * unit, lvl * unit)
+        scale = params.hbar if kind == "A" else -params.hbar
+
+        def op(q, lift):
+            return _d_dx(params, terms, q, lift) * lift(scale) + _times(lift(poly), q)
+
+    elif kind == "H":
+        lvl = params.nu + level
+        strength = lvl * (lvl + 1.0) * params.epsilon0
+        poly = (strength - shift, -2.0 * params.beta * params.epsilon0, strength)
+        scale = -(params.hbar**2) / (2.0 * params.mass)
+
+        def op(q, lift):
+            return _d_dx(params, terms, _d_dx(params, terms, q, lift), lift) * lift(scale) + _times(lift(poly), q)
+
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return terms._replace(coeffs=op(terms.coeffs, np.positive), mag=op(terms.mag, np.abs))
+
+
+def _evaluate(params: ModelParams, terms: _Terms, x: np.ndarray) -> np.ndarray:
+    # rows of C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) at the 1-d points
+    # x.  Coefficients under the noise floor are dropped and every term is
+    # evaluated at the degree d of its top remaining coefficient, so a row
+    # does not depend on the other terms it is stacked with.
+    q = np.where(np.abs(terms.coeffs) > NOISE_FLOOR * terms.mag, terms.coeffs, 0.0)
+    nonzero = q != 0.0
+    degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    theta = x * (math.pi / params.length)
+    s, cos = np.sin(theta), np.cos(theta)
+    log_s = np.log(s)
+    rows = np.empty((len(q), x.size), dtype=complex)
+    for d in np.unique(degree):
+        sel = degree == d
+        acc = np.broadcast_to(q[sel, d, None], (np.count_nonzero(sel), x.size))
+        s_pow = np.ones_like(s)
+        for j in range(d - 1, -1, -1):
+            s_pow = s_pow * s
+            acc = acc * cos + q[sel, j, None] * s_pow
+        expo = terms.log_c[sel, None] + terms.gamma[sel, None] * x + (terms.power[sel, None] - d) * log_s
+        rows[sel] = np.exp(expo) * acc
+    return rows
 
 
 def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     """Apply a sequence of operators (first entry acts first) at points x.
 
     Word entries are ("A", level), ("Adag", level), or ("H", level).  Returns
-    the complex values of the resulting function at x, of shape x.shape.  An
-    operand may also stand for k functions at once: if ``func.taylor(x,
-    order)`` returns a jet of shape (order + 1, k, *x.shape), the word acts on
-    all of them in one fold and the result has shape (k, *x.shape), row i
+    the complex values of the resulting function at x, of shape x.shape.  The
+    word is folded once on the operand's ``cot_terms`` and the result is
+    evaluated at x, a scalar being one point of a 1-d grid, so the value at a
+    point does not depend on the other points.  A stacked operand
+    (``_OperandStack`` of k functions) gives shape (k, *x.shape), row i
     bit-identical to applying the word to member i alone.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < params.length)):
         raise DomainError("operator applications need interior sample points")
-    order = _word_order(word)
-    fj = func.taylor(arr, order)
-    with_csc2 = any(kind == "H" for kind, _ in word)
-    cot, csc2 = _angle_jets(params, jets.Jet.variable(arr, order), with_csc2)
+    terms = _Terms.of(func.cot_terms)
     for kind, level in word:
-        fj = _step(params, kind, level, fj, cot, csc2, sign)
-    return fj.value
+        terms = _step(params, kind, level, terms, sign)
+    out = _members(func, _evaluate(params, terms, arr.ravel()))
+    return out.reshape(out.shape[:-1] + arr.shape)[()]
+
+
+def _members(func, rows: np.ndarray) -> np.ndarray:
+    # the evaluated term rows summed per member, in term order
+    stacked = isinstance(func, _OperandStack)
+    owner = func.owner if stacked else np.zeros(len(rows), dtype=int)
+    out = np.zeros((owner[-1] + 1, rows.shape[1]), dtype=complex)
+    for i, row in zip(owner, rows):
+        out[i] += row
+    return out if stacked else out[0]
 
 
 class _OperandStack:
-    """Several operands as one, for ``apply_word``: the members' jets are
-    stacked on an axis after the Taylor axis, and built once per grid and
-    order, so both sides of an identity share them."""
+    """Several operands as one, for ``apply_word``: the members' cotangent
+    terms side by side, each tagged with the member it belongs to."""
 
     def __init__(self, funcs):
         self.funcs = list(funcs)
-        self._jets = {}
+        self.cot_terms = tuple(t for f in self.funcs for t in f.cot_terms)
+        self.owner = np.array([i for i, f in enumerate(self.funcs) for _ in f.cot_terms])
 
     def __iter__(self):
         return iter(self.funcs)
-
-    def taylor(self, x, order: int) -> jets.Jet:
-        key = (order, x.shape, x.tobytes())
-        if key not in self._jets:
-            self._jets[key] = jets.Jet(np.stack([f.taylor(x, order).c for f in self.funcs], axis=1))
-        return self._jets[key]
 
 
 def default_grid(params: ModelParams, size: int = 161, clamp: float = 0.02) -> np.ndarray:
     """Uniform interior grid clamped away from the walls.
 
-    Identity checks default to a bulk clamp of 0.02 L: within a few times
-    1e-3 L of a wall the 1/sin^2 singularity amplifies jet roundoff up to the
-    size of the values themselves for depth >= 3 operator words, which says
-    nothing about the identities.  Quadrature keeps the much smaller
-    EDGE_CLAMP since integrals weight the edge region by its tiny measure.
+    Identity checks use a clamp of 0.02 L, and 0.1 L for chains of depth
+    three and beyond (see ``verify_operator_identities``).  Quadrature keeps
+    the much smaller EDGE_CLAMP since integrals weight the edge region by its
+    tiny measure.
     """
     L = params.length
     return np.linspace(clamp * L, (1.0 - clamp) * L, size)
@@ -209,16 +291,7 @@ class IdentityResult:
     details: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "indices": self.indices,
-            "max_residual": self.max_residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "informational": self.informational,
-            "grid_size": self.grid_size,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _rel(lhs: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> float:
@@ -269,11 +342,11 @@ def verify_operator_identities(
     printed form is ambiguous are evaluated in every well-formed variant and
     reported as informational, with the matching variant recorded.
 
-    Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L].  Chains of
-    depth three and beyond use the bulk span [0.1 L, 0.9 L]: closer to a wall
-    the 1/sin^2 singularity amplifies jet roundoff past any fixed tolerance,
-    which measures the floating point format rather than the identities.  The
-    wall behavior itself is still pinned by the eigen-residual quadrature,
+    Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L] and chains of
+    depth three and beyond on the bulk span [0.1 L, 0.9 L].  The spans keep
+    reports comparable across versions; the residuals themselves do not grow
+    toward the walls (on nu = 1, beta = 2 they are the same at 1e-3 L as in
+    the bulk).  The wall behavior is pinned by the quadrature identities,
     whose integrals run to within 1e-6 L of the walls.
     """
     if config is None:
@@ -286,28 +359,16 @@ def verify_operator_identities(
     e0_level = lambda k: energy(params, LevelIndex(0, k))
     idx = {"n": n, "m": m}
 
-    def add(name, res, threshold, informational=False, details=None, indices=None):
+    def add(name, res, threshold, informational=False, details=None):
+        passed = None if informational else bool(res < threshold)
         results.append(
-            IdentityResult(
-                name=name,
-                indices=indices or dict(idx),
-                max_residual=res,
-                threshold=threshold,
-                passed=None if informational else bool(res < threshold),
-                informational=informational,
-                grid_size=grid_size,
-                details=details or {},
-            )
+            IdentityResult(name, dict(idx), res, threshold, passed, informational, grid_size, details or {})
         )
 
     # Ground-state annihilation at level m.
     ground = eigenfunction(params, m, 0)
     ann = apply_word(params, (("A", m),), ground, grid, sign)
-    add(
-        "ground_state_annihilation",
-        _rel(ann, np.zeros_like(ann), scale=float(np.max(np.abs(ground(grid))))),
-        1e-9,
-    )
+    add("ground_state_annihilation", _rel(ann, np.zeros_like(ann), scale=float(np.max(np.abs(ground(grid))))), 1e-9)
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
     # one on the corpus.  Each corpus is one stacked operand: a word folds all
@@ -325,9 +386,7 @@ def verify_operator_identities(
     # Single-step intertwining, both directions.  The scale floor keeps the
     # annihilated ground state from turning into a noise-over-noise ratio.
     def op_floor(f, depth):
-        return params.epsilon0 * (math.pi * hbar / L) ** (depth - 2) * float(
-            np.max(np.abs(f(bulk)))
-        )
+        return params.epsilon0 * (math.pi * hbar / L) ** (depth - 2) * float(np.max(np.abs(f(bulk))))
 
     def worst_of(corpus, lhs_word, rhs_word, depth, worst=0.0):
         lhs = apply_word(params, lhs_word, corpus, bulk, sign)
@@ -404,12 +463,7 @@ def verify_operator_identities(
     quad_a = integrate_interval(inner_left, lo, hi, config)
     quad_b = integrate_interval(inner_right, lo, hi, config)
     va, vb = quad_a.value, quad_b.value
-    add(
-        "adjoint_consistency",
-        abs(va - vb) / max(abs(va), abs(vb), 1e-300),
-        1e-9,
-        details=_quad_details(quad_a, quad_b),
-    )
+    add("adjoint_consistency", abs(va - vb) / max(abs(va), abs(vb), 1e-300), 1e-9, details=_quad_details(quad_a, quad_b))
 
     # Eigen-residual of the level-m state n.
     phi_m = eigenfunction(params, m, n)
@@ -442,15 +496,12 @@ def verify_operator_identities(
         if n < m:
             theta = tuple(("Adag", k) for k in range(m, n, -1))
             # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-            order = _word_order(theta) + 2 * (n + 1)
-            fj = psi_mixed.taylor(bulk, order)
-            cot, csc2 = _angle_jets(params, jets.Jet.variable(bulk, order), with_csc2=True)
+            terms = _Terms.of(psi_mixed.cot_terms)
             for kind, level in theta:
-                fj = _step(params, kind, level, fj, cot, csc2, sign)
+                terms = _step(params, kind, level, terms, sign)
             for k in range(n + 1):
-                hfj = _step(params, "H", n + 1, fj, cot, csc2, sign)
-                fj = hfj + fj.truncate(hfj.order) * (-e0_level(k))
-            rhs = two_m ** (n + 1) * fj.value
+                terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
+            rhs = two_m ** (n + 1) * _members(psi_mixed, _evaluate(params, terms, bulk))
             details["theta_form"] = _rel(lhs, rhs)
             best = "theta_form"
         if "lambda_form" in details and "theta_form" in details:
@@ -470,20 +521,10 @@ def verify_operator_identities(
             core *= e_hi - e0_level(k)
         variants = {
             "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi(bulk)),
-            "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi(bulk))
-            if m > 0
-            else float("inf"),
+            "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi(bulk)) if m > 0 else float("inf"),
         }
-        variants["matching_variant"] = min(
-            (k for k in ("mass_prefactor", "index_prefactor")), key=lambda k: variants[k]
-        )
-        add(
-            "partial_chain_product",
-            variants[variants["matching_variant"]],
-            None,
-            informational=True,
-            details=variants,
-        )
+        variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
+        add("partial_chain_product", variants[variants["matching_variant"]], None, informational=True, details=variants)
 
     # Partial-chain mean values (quadrature route).
     mean_details = {}
@@ -499,9 +540,7 @@ def verify_operator_identities(
         lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
         state_hi = eigenfunction(params, n + 1, n)
         mean = chain_mean(lam_dag, state_hi)
-        target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(
-            params, n, m
-        )
+        target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
         mean_details["lambda_lambdadag"] = _rel(np.array([mean]), np.array([target]))
         state_mid = eigenfunction(params, m + 1, n)
         mean = chain_mean(lam, state_mid)
@@ -527,12 +566,7 @@ def verify_operator_identities(
         target = ((hbar * math.pi / L) ** (m - n) * ratio) ** 2
         mean_details["thetadag_theta"] = _rel(np.array([mean]), np.array([target]))
     if mean_details:
-        add(
-            "partial_chain_means",
-            max(mean_details.values()),
-            None,
-            informational=True,
-            details={**mean_details, **_quad_details(*mean_quads)},
-        )
+        details = {**mean_details, **_quad_details(*mean_quads)}
+        add("partial_chain_means", max(mean_details.values()), None, informational=True, details=details)
 
     return results

@@ -8,8 +8,9 @@ gives every ladder relation a positive connection constant.
 
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
-Derivatives of any order come from the Taylor jets that ``EigenFunction.taylor``
-emits on the open interval.
+Operator words act on the cotangent form that ``EigenFunction.cot_terms``
+gives; ``EigenFunction.taylor`` still emits Taylor jets on the open interval,
+which only the tests use, as the independent route.
 
 A level-m state is the level-zero closed form of the family whose strength
 index is shifted by m, with the same phase convention; the ladder-chain
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -173,6 +174,17 @@ class EigenFunction:
         )
         out[interior] = self.phase * envelope * poly[interior]
         return complex(out[0]) if scalar else out
+
+    @cached_property
+    def cot_terms(self) -> tuple:
+        """The state as one term (log C, gamma, a, Q) of the cotangent form
+        C e^(gamma x) sin^a Q(cot) that operator words act on: v / sin =
+        (1 - i cot) / 2 turns the Jacobi series into Q, and a = nu + m + n + 1."""
+        q = np.array([self._coeffs[-1]], dtype=complex)
+        for ck in self._coeffs[-2::-1]:
+            q = np.convolve(q, [0.5, -0.5j])
+            q[0] += ck
+        return ((self.norm_data.log_K, self._gamma, self._nu_eff + self._deg + 1.0, self.phase * q),)
 
     def taylor(self, x, order: int) -> jets.Jet:
         """Taylor jet at interior point(s) x; batch axes follow the shape of x.

@@ -17,6 +17,13 @@ accumulated whole coefficient slices: a double loop over (k, j) with one
 numpy product per term.  The sliced product adds the same terms in the same
 order, so it must agree bit for bit.
 
+``jet_apply_word`` is the operator-word fold as it was before words acted
+on the cotangent form: every operand emits its Taylor jet at the sample
+points, and each operator step is exact series arithmetic on the jets, with
+cot and 1/sin^2 of the grid as jets too.  It shares nothing with
+``operators.apply_word`` but the closed-form coefficients of W_m and V_m, so
+the two must agree to the jets' roundoff.
+
 ``normalization_double_sum`` is the independent route to the eigenfunction
 normalization constant that ``wavefn.normalization_K`` computes by its
 product form: the gamma / Pochhammer double sum.  It is analytically
@@ -32,6 +39,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from ptsusy import jets
+from ptsusy.coherent import CoherentState
 from ptsusy.errors import (
     DegreeCapError,
     DomainError,
@@ -41,6 +50,7 @@ from ptsusy.errors import (
     SubdivisionLimitError,
     TailBoundError,
 )
+from ptsusy.operators import TrigPolyBump, _OperandStack
 from ptsusy.quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
 from ptsusy.specfun import log_gamma
 from ptsusy.spectrum import LEVEL_CAP
@@ -54,6 +64,51 @@ def serial_jet_mul(a, b):
         for j in range(k + 1):
             out[k] += a.c[j] * b.c[k - j]
     return out
+
+
+def operand_jet(func, x, order: int) -> jets.Jet:
+    """Taylor jet of an operand at the points x; a stack has its members on
+    the axis after the Taylor axis."""
+    if isinstance(func, _OperandStack):
+        return jets.Jet(np.stack([operand_jet(f, x, order).c for f in func], axis=1))
+    X = jets.Jet.variable(np.asarray(x, dtype=float), order)
+    s, _ = jets.sin_cos(X * (math.pi / func.params.length))
+    if isinstance(func, TrigPolyBump):
+        acc = jets.Jet.constant(0.0, order, np.shape(x))
+        for j, cj in enumerate(func.coeffs, start=1):
+            sj, _ = jets.sin_cos(X * (j * math.pi / func.params.length))
+            acc = acc + sj * float(cj)
+        return s * s * acc
+    if isinstance(func, CoherentState):
+        return jets.exp(X * func._rate + jets.log(s) * (func._dp + 1.0)) * math.exp(func.log_R + func._log_K0)
+    return func.taylor(x, order)
+
+
+def _jet_step(params, kind, level, fj, cot, csc2, sign):
+    hbar = params.hbar
+    if kind in ("A", "Adag"):
+        lvl = params.nu + level + 1.0
+        w = (cot.truncate(fj.order - 1) * lvl - params.beta / lvl) * (-sign * math.pi * hbar / params.length)
+        return fj.derivative() * (hbar if kind == "A" else -hbar) + w * fj
+    if kind == "H":
+        lvl = params.nu + level
+        c, c2 = cot.truncate(fj.order - 2), csc2.truncate(fj.order - 2)
+        v = (c2 * (lvl * (lvl + 1.0)) - c * (2.0 * params.beta)) * params.epsilon0
+        kinetic = fj.derivative().derivative() * (-(hbar**2) / (2.0 * params.mass))
+        return kinetic + v * fj
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
+def jet_apply_word(params, word, func, x, sign=1.0):
+    """``operators.apply_word`` folded over Taylor jets of the operand."""
+    arr = np.asarray(x, dtype=float)
+    order = sum(2 if kind == "H" else 1 for kind, _ in word)
+    fj = operand_jet(func, arr, order)
+    s, c = jets.sin_cos(jets.Jet.variable(arr, order) * (math.pi / params.length))
+    cot, csc2 = c / s, 1.0 / (s * s)
+    for kind, level in word:
+        fj = _jet_step(params, kind, level, fj, cot, csc2, sign)
+    return fj.value
 
 
 def pairwise_gram(functions, a, b, config, weight=None):

@@ -104,6 +104,14 @@ def test_verify_json_schema_and_exit_zero(tmp_path):
     assert "factorization" in names and "mixed_product" in names
 
 
+def test_verify_deep_cell_exits_zero_in_time():
+    # this cell once spent minutes in a norm integral that could not converge
+    proc = subprocess.run(
+        CLI + ["verify", "--n", "7", "--m", "0"], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_verify_corrupt_sign_fails_with_nonzero_exit(tmp_path):
     out = tmp_path / "bad.json"
     proc = run_cli(

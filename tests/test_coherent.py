@@ -149,6 +149,20 @@ def test_negative_level_rejected():
         resolution_kernel(DEFAULT, -1, 0.5)
 
 
+def test_fractional_level_rejected():
+    pt = PhasePoint(0.3, 0.0)
+    with pytest.raises(DomainError, match="integers"):
+        CoherentState(DEFAULT, 0.5, pt)
+    with pytest.raises(DomainError, match="integers"):
+        cs_log_normalization(DEFAULT, 0.5, 0.3)
+    with pytest.raises(DomainError, match="integers"):
+        resolution_kernel(DEFAULT, 0.5, 0.5)
+    # an integral float is the integer level
+    st = CoherentState(DEFAULT, 1.0, pt)
+    assert st.m == 1 and st.log_R == CoherentState(DEFAULT, 1, pt).log_R
+    assert resolution_kernel(DEFAULT, 1.0, 0.5) == resolution_kernel(DEFAULT, 1, 0.5)
+
+
 def test_phase_point_domain_guard():
     with pytest.raises(DomainError):
         CoherentState(DEFAULT, 0, PhasePoint(0.0, 0.0))
@@ -156,22 +170,22 @@ def test_phase_point_domain_guard():
         CoherentState(DEFAULT, 0, PhasePoint(DEFAULT.length, 0.0))
 
 
-def test_endpoints_zero_and_jets_interior_only():
+def test_endpoints_zero_and_operator_words_interior_only():
     st = CoherentState(DEFAULT, 0, PhasePoint(0.4, 1.0))
     vals = st(np.array([0.0, 0.5, 1.0]))
     assert vals[0] == 0.0 and vals[2] == 0.0
     assert vals[1] == pytest.approx(st(0.5), rel=1e-14)
-    # the jet exists on the open interval only
+    # operator words are evaluated on the open interval only
     for x in (0.0, DEFAULT.length, 1.3 * DEFAULT.length, np.array([0.5, 0.0]), math.nan):
         with pytest.raises(DomainError):
-            st.taylor(x, 1)
+            apply_word(DEFAULT, (("A", 0),), st, x)
 
 
-def test_taylor_matches_values():
+def test_cot_terms_match_values():
+    # the empty word evaluates the cotangent form itself
     st = CoherentState(DEFAULT, 1, PhasePoint(0.3, 2.0))
     xs = np.array([0.2, 0.55])
-    jet = st.taylor(xs, 2)
-    assert np.allclose(jet.value, st(xs), rtol=1e-12)
+    assert np.allclose(apply_word(DEFAULT, (), st, xs), st(xs), rtol=1e-12)
 
 
 def test_resolution_kernel_unity():

@@ -3,11 +3,13 @@ routes, word application, and the identity verification suite including its
 negative control."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from ptsusy import jets, operators
+from ptsusy import operators
+from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DomainError
 from ptsusy.operators import (
     EDGE_CLAMP,
@@ -18,13 +20,13 @@ from ptsusy.operators import (
     default_grid,
     potential,
     superpotential,
-    superpotential_jet,
     verify_operator_identities,
 )
 from ptsusy.spectrum import LevelIndex, ModelParams, energy
 from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, interior_grid
+from oracles import jet_apply_word
 
 MANDATORY = {
     "ground_state_annihilation",
@@ -70,16 +72,19 @@ def test_superpotential_object_and_domain():
         w(math.nan)
 
 
+def superpotential_derivative(params, m, x):
+    # closed form W_m' = (pi^2 hbar / L^2)(nu + m + 1)(1 + cot^2)
+    cot = 1.0 / np.tan(math.pi * np.asarray(x) / params.length)
+    return (math.pi / params.length) ** 2 * params.hbar * (params.nu + m + 1.0) * (1.0 + cot * cot)
+
+
 def test_superpotential_derivative_matches_fd():
-    # coefficient 1 of the jet that operator words fold is W'
     from ptsusy.quadrature import derivative as fd
 
     w = SuperPotential(params=DEFAULT, m=1)
     for x0 in (0.2, 0.5, 0.77):
         want, _ = fd(lambda t: w(float(t)), x0, order=1)
-        jet = superpotential_jet(DEFAULT, 1, jets.Jet.variable(x0, 1))
-        assert jet.c[0] == pytest.approx(w(x0), rel=1e-14)
-        assert jet.c[1] == pytest.approx(want, rel=1e-9)
+        assert superpotential_derivative(DEFAULT, 1, x0) == pytest.approx(want, rel=1e-9)
 
 
 def test_potential_three_routes_agree():
@@ -89,7 +94,7 @@ def test_potential_three_routes_agree():
     xs = interior_grid(DEFAULT, 41)
     v0 = potential(DEFAULT, m, xs)
     w = superpotential(DEFAULT, m, xs)
-    dw = superpotential_jet(DEFAULT, m, jets.Jet.variable(xs, 1)).c[1].real
+    dw = superpotential_derivative(DEFAULT, m, xs)
     v1 = (w * w - DEFAULT.hbar * dw) / (2.0 * DEFAULT.mass) + energy(DEFAULT, LevelIndex(m, 0))
     inv_s2 = 1.0 / np.sin(math.pi * xs / DEFAULT.length) ** 2
     v2 = potential(DEFAULT, 0, xs) + DEFAULT.epsilon0 * m * (2.0 * DEFAULT.nu + m + 1.0) * inv_s2
@@ -270,6 +275,72 @@ def test_stacked_operand_matches_per_operand_fold(m):
                 assert stacked.shape == (len(members),) + grid.shape
                 for f, row in zip(members, stacked):
                     np.testing.assert_array_equal(row, apply_word(DEFAULT, word, f, grid, sign), err_msg=str(word))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_word_matches_jet_oracle(m):
+    # the cotangent fold against the Taylor-jet fold on the bulk grid; an
+    # annihilated result is measured in the word's natural unit instead
+    rng = np.random.default_rng(40 + m)
+    bulk = default_grid(DEFAULT, clamp=0.1)
+    corpus = operators.test_corpus(DEFAULT, m)
+    operands = corpus + [CoherentState(DEFAULT, m, PhasePoint(0.3, 2.0)), operators._OperandStack(corpus)]
+    for word in _words(m, rng):
+        order = sum(2 if kind == "H" else 1 for kind, _ in word)
+        for f in operands:
+            size = max(float(np.max(np.abs(g(bulk)))) for g in getattr(f, "funcs", [f]))
+            unit = (math.pi * DEFAULT.hbar / DEFAULT.length) ** order * size
+            for sign in (1.0, -1.0):
+                got = apply_word(DEFAULT, word, f, bulk, sign)
+                want = jet_apply_word(DEFAULT, word, f, bulk, sign)
+                scale = max(float(np.max(np.abs(want))), unit)
+                assert np.max(np.abs(got - want)) < 1e-10 * scale, (word, sign, f)
+
+
+def test_word_value_does_not_depend_on_the_other_points():
+    # a scalar is one point of a 1-d grid: no separate 0-d arithmetic
+    word = (("H", 1), ("A", 1))
+    f = eigenfunction(DEFAULT, 1, 2)
+    grid = default_grid(DEFAULT)
+    grid[57] = 0.3
+    at_scalar = apply_word(DEFAULT, word, f, 0.3)
+    assert np.shape(at_scalar) == ()
+    assert np.array_equal(apply_word(DEFAULT, word, f, np.array([0.3])), [at_scalar])
+    assert np.array_equal(apply_word(DEFAULT, word, f, grid)[57], at_scalar)
+
+
+def test_lowering_chain_exact_up_to_the_walls():
+    # the chain lowers the degree of Q from n + m + 1 to n - m - 1; its top
+    # coefficients cancel to roundoff, which must not swamp the value at the
+    # quadrature clamp, where cot^(2m+2) would amplify it by ~1e65
+    from ptsusy.spectrum import gap_factor_M
+
+    n, m = 6, 5
+    xs = np.array([EDGE_CLAMP, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - EDGE_CLAMP]) * DEFAULT.length
+    out = apply_word(DEFAULT, tuple(("A", k) for k in range(m + 1)), eigenfunction(DEFAULT, 0, n + m + 1), xs)
+    pref = (math.pi * DEFAULT.hbar / DEFAULT.length) ** (m + 1) * gap_factor_M(DEFAULT, n, m)
+    want = pref * eigenfunction(DEFAULT, m + 1, n)(xs)
+    assert np.all(np.abs(out - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize(("n", "m"), [(6, 0), (0, 5), (6, 5)])
+def test_formerly_hanging_cells_finish_fast(n, m):
+    start = time.perf_counter()
+    results = verify_operator_identities(DEFAULT, n, m)
+    assert time.perf_counter() - start < 2.0
+    for r in results:
+        assert r.details.get("quad_evaluations", 0) <= 1000, r.name
+    assert not [r.name for r in results if r.passed is False]
+
+
+def test_product_bdagb_passes_on_the_index_grid():
+    bad = []
+    for m in range(6):
+        for n in range(7):
+            res = {r.name: r for r in verify_operator_identities(DEFAULT, n, m)}["product_BdagB"]
+            if not res.passed:
+                bad.append((n, m, res.max_residual))
+    assert not bad
 
 
 def _per_operand_residuals(params, n, m, sign):
