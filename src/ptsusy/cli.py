@@ -172,7 +172,9 @@ def _merge(args: argparse.Namespace, tol_flags: dict) -> dict:
         tols = file_cfg.pop("tol", {})
         cfg.update(file_cfg)
         cfg["tol"] = tols
-    for key in _PARAM_KEYS + ("format", "out", "m", "n", "m_max", "n_max"):
+    # a store-true flag is False, never None, on the subcommand that has it
+    flags = ("format", "out", "m", "n", "m_max", "n_max", "gap_factors", "corrupt_w_sign", "skip_resolution")
+    for key in _PARAM_KEYS + flags:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -199,11 +201,6 @@ def _params(cfg: dict) -> ModelParams:
     )
 
 
-def _param_header(params: ModelParams) -> str:
-    pairs = " ".join(f"{k}={_fmt(getattr(params, k))}" for k in _PARAM_KEYS)
-    return f"# params: {pairs}"
-
-
 def _param_obj(params: ModelParams) -> dict:
     return {k: float(getattr(params, k)) for k in _PARAM_KEYS}
 
@@ -218,21 +215,42 @@ def _sanitize(obj):
     return obj
 
 
-def _csv_row(row: dict, cols) -> str:
-    # the float columns, then the pass flag
-    return ",".join([_fmt(row[c]) for c in cols] + [str(row["passed"]).lower()])
+def _cell(value) -> str:
+    # the one CSV cell format: None empty, flags lower case, ints and names as is
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, str)):
+        return str(value)
+    return _fmt(value)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write(cfg: dict, report: dict, tables=(), notes=None, trailer=None) -> None:
+    """Emit a report as one sorted JSON object, or as CSV.
+
+    The CSV is the '# params:' header, one '# key: k=v ...' line per note,
+    then per (title, columns, rows) table an optional '# table:' line, the
+    header row and one line per row dict, and last '# trailer: value' with
+    the report's value of the trailer key.
+    """
+    if cfg["format"] == "json":
+        text = json.dumps(_sanitize(report), sort_keys=True, indent=2)
     else:
-        sys.stdout.write(text)
-
-
-def _emit_json(report: dict, out: str | None) -> None:
-    _emit(json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n", out)
+        notes = {"params": report["params"], **(notes or {})}
+        lines = [f"# {key}: " + " ".join(f"{k}={_cell(v)}" for k, v in pairs.items()) for key, pairs in notes.items()]
+        for title, cols, rows in tables:
+            lines += [f"# table: {title}"] if title else []
+            lines.append(",".join(cols))
+            lines += [",".join(_cell(row[c]) for c in cols) for row in rows]
+        if trailer:
+            lines.append(f"# {trailer}: {_cell(report[trailer])}")
+        text = "\n".join(lines)
+    if cfg["out"]:
+        with open(cfg["out"], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
 
 
 def cmd_spectrum(cfg: dict) -> int:
@@ -251,14 +269,8 @@ def cmd_spectrum(cfg: dict) -> int:
                 row["gap_factor_m"] = gap_factor_M(params, n, m)
                 row["gap_factor_n"] = gap_factor_N(params, n, m)
             rows.append(row)
-    if cfg["format"] == "json":
-        _emit_json({"command": "spectrum", "params": _param_obj(params), "rows": rows}, cfg["out"])
-        return 0
     cols = ["m", "n", "energy"] + (["gap_factor_m", "gap_factor_n"] if gap else [])
-    lines = [_param_header(params), ",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) if c in ("m", "n") else _fmt(row[c]) for c in cols))
-    _emit("\n".join(lines) + "\n", cfg["out"])
+    _write(cfg, {"command": "spectrum", "params": _param_obj(params), "rows": rows}, [(None, cols, rows)])
     return 0
 
 
@@ -279,24 +291,13 @@ def cmd_wavefn(cfg: dict) -> int:
         params.length - eps,
         replace(DEFAULT_CONFIG, endpoint_substitution=True),
     ).value.real
-    if cfg["format"] == "json":
-        report = {
-            "command": "wavefn",
-            "params": _param_obj(params),
-            "indices": {"m": m, "n": n},
-            "norm": float(norm),
-            "rows": [
-                {"x": float(x), "re": float(v.real), "im": float(v.imag), "abs2": float(abs(v) ** 2)}
-                for x, v in zip(xs, vals)
-            ],
-        }
-        _emit_json(report, cfg["out"])
-        return 0
-    lines = [_param_header(params), f"# indices: m={m} n={n}", "x,re,im,abs2"]
-    for x, v in zip(xs, vals):
-        lines.append(",".join((_fmt(x), _fmt(v.real), _fmt(v.imag), _fmt(abs(v) ** 2))))
-    lines.append(f"# norm: {_fmt(norm)}")
-    _emit("\n".join(lines) + "\n", cfg["out"])
+    rows = [
+        {"x": float(x), "re": float(v.real), "im": float(v.imag), "abs2": float(abs(v) ** 2)}
+        for x, v in zip(xs, vals)
+    ]
+    indices = {"m": m, "n": n}
+    report = {"command": "wavefn", "params": _param_obj(params), "indices": indices, "norm": float(norm), "rows": rows}
+    _write(cfg, report, [(None, ("x", "re", "im", "abs2"), rows)], {"indices": indices}, "norm")
     return 0
 
 
@@ -315,39 +316,19 @@ def cmd_verify(cfg: dict) -> int:
         tol = tols.get(res.name)
         if tol is not None and not res.informational:
             res = replace(res, threshold=tol, passed=bool(res.max_residual <= tol))
-        entries.append(res)
-    mandatory_pass = all(r.passed for r in entries if not r.informational)
+        entries.append(res.to_jsonable())
+    mandatory_pass = all(r["passed"] for r in entries if not r["informational"])
     report = {
         "command": "verify",
         "params": _param_obj(params),
         "indices": {"n": n, "m": m},
         "grid_size": grid,
         "superpotential_sign": sign,
-        "identities": [r.to_jsonable() for r in entries],
+        "identities": entries,
         "mandatory_pass": bool(mandatory_pass),
     }
-    if cfg["format"] == "csv":
-        lines = [
-            _param_header(params),
-            f"# indices: n={n} m={m} sign={_fmt(sign)}",
-            "name,max_residual,threshold,passed,informational",
-        ]
-        for r in entries:
-            lines.append(
-                ",".join(
-                    (
-                        r.name,
-                        _fmt(r.max_residual) if math.isfinite(r.max_residual) else repr(r.max_residual),
-                        "" if r.threshold is None else _fmt(r.threshold),
-                        "" if r.passed is None else str(r.passed).lower(),
-                        str(r.informational).lower(),
-                    )
-                )
-            )
-        lines.append(f"# mandatory_pass: {str(mandatory_pass).lower()}")
-        _emit("\n".join(lines) + "\n", cfg["out"])
-    else:
-        _emit_json(report, cfg["out"])
+    table = (None, ("name", "max_residual", "threshold", "passed", "informational"), entries)
+    _write(cfg, report, [table], {"indices": {"n": n, "m": m, "sign": sign}}, "mandatory_pass")
     return 0 if mandatory_pass else 1
 
 
@@ -412,32 +393,24 @@ def cmd_coherent(cfg: dict) -> int:
             "rows": res_rows,
         }
 
-    if cfg["format"] == "json":
-        report = {
-            "command": "coherent",
-            "params": _param_obj(params),
-            "level": m,
-            "tolerances": {"normalization": tol_norm, "overlap": tol_overlap, "resolution": tol_resolution},
-            "normalization": norm_rows,
-            "overlaps": overlap_rows,
-            "all_pass": bool(all_pass),
-        }
-        if resolution is not None:
-            report["resolution"] = resolution
-        _emit_json(report, cfg["out"])
-        return 0 if all_pass else 1
-
-    norm_cols = ("q", "p", "self_overlap_dev", "norm_quadrature_dev")
-    lines = [_param_header(params), f"# level: m={m}", "# table: normalization", ",".join(norm_cols + ("passed",))]
-    lines += [_csv_row(row, norm_cols) for row in norm_rows]
-    overlap_cols = ("q1", "p1", "q2", "p2", "re", "im", "abs", "quadrature_dev")
-    lines += ["# table: overlaps", ",".join(overlap_cols + ("passed",))]
-    lines += [_csv_row(row, overlap_cols) for row in overlap_rows]
+    report = {
+        "command": "coherent",
+        "params": _param_obj(params),
+        "level": m,
+        "tolerances": {"normalization": tol_norm, "overlap": tol_overlap, "resolution": tol_resolution},
+        "normalization": norm_rows,
+        "overlaps": overlap_rows,
+        "all_pass": bool(all_pass),
+    }
+    tables = [
+        ("normalization", ("q", "p", "self_overlap_dev", "norm_quadrature_dev", "passed"), norm_rows),
+        ("overlaps", ("q1", "p1", "q2", "p2", "re", "im", "abs", "quadrature_dev", "passed"), overlap_rows),
+    ]
     if resolution is not None:
-        lines += ["# table: resolution", "x,kernel,tolerance,passed"]
-        lines += [_csv_row({**row, "tolerance": tol_resolution}, ("x", "kernel", "tolerance")) for row in resolution["rows"]]
-    lines.append(f"# all_pass: {str(all_pass).lower()}")
-    _emit("\n".join(lines) + "\n", cfg["out"])
+        report["resolution"] = resolution
+        rows = [{**row, "tolerance": tol_resolution} for row in resolution["rows"]]
+        tables.append(("resolution", ("x", "kernel", "tolerance", "passed"), rows))
+    _write(cfg, report, tables, {"level": {"m": m}}, "all_pass")
     return 0 if all_pass else 1
 
 
@@ -455,12 +428,6 @@ def main(argv: list[str] | None = None) -> int:
         raw, tol_flags = _extract_tol_flags(raw)
         args = _build_parser().parse_args(raw)
         cfg = _merge(args, tol_flags)
-        if args.command == "spectrum":
-            cfg["gap_factors"] = bool(getattr(args, "gap_factors", False))
-        if args.command == "verify":
-            cfg["corrupt_w_sign"] = bool(getattr(args, "corrupt_w_sign", False))
-        if args.command == "coherent":
-            cfg["skip_resolution"] = bool(getattr(args, "skip_resolution", False))
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"ptsusy: config error: {exc}", file=sys.stderr)
