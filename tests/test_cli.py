@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import ptsusy.cli
+import ptsusy.wavefn
 from ptsusy.errors import PtsusyError
 
 CLI = [sys.executable, "-m", "ptsusy.cli"]
@@ -73,6 +74,49 @@ def test_spectrum_json_sorted_and_deterministic(tmp_path):
     assert list(obj.keys()) == sorted(obj.keys())
 
 
+SPECTRUM_CSV = """\
+# params: nu=0.0 beta=0.0 hbar=1.0 length=1.0 mass=0.5
+m,n,energy,gap_factor_m,gap_factor_n
+0,0,9.869604401089358,1.7320508075688774,3.0000000000000004
+0,1,39.47841760435743,2.82842712474619,15.0
+1,0,39.47841760435743,6.324555320336757,0.0
+1,1,88.82643960980423,13.416407864998739,180.0
+"""
+
+SPECTRUM_JSON = """\
+{
+  "command": "spectrum",
+  "params": {
+    "beta": 0.0,
+    "hbar": 1.0,
+    "length": 1.0,
+    "mass": 0.5,
+    "nu": 0.0
+  },
+  "rows": [
+    {
+      "energy": 9.869604401089358,
+      "m": 0,
+      "n": 0
+    },
+    {
+      "energy": 39.47841760435743,
+      "m": 0,
+      "n": 1
+    }
+  ]
+}
+"""
+
+
+def test_spectrum_golden_bytes(capsys):
+    args = ["spectrum", "--nu", "0", "--beta", "0", "--m-max", "1", "--n-max", "1"]
+    assert ptsusy.cli.main(args + ["--gap-factors"]) == 0
+    assert capsys.readouterr().out == SPECTRUM_CSV
+    assert ptsusy.cli.main(args[:-3] + ["0", "--n-max", "1", "--format", "json"]) == 0
+    assert capsys.readouterr().out == SPECTRUM_JSON
+
+
 def test_wavefn_symmetric_ground_state():
     proc = run_cli("wavefn", "--nu", "0", "--beta", "0", "--m", "0", "--n", "0", "--grid", "9")
     comments, header, data = parse_csv(proc.stdout)
@@ -102,6 +146,23 @@ def test_verify_json_schema_and_exit_zero(tmp_path):
     assert report["mandatory_pass"] is True
     names = {e["name"] for e in report["identities"]}
     assert "factorization" in names and "mixed_product" in names
+
+
+def test_verify_csv_informational_rows_have_empty_verdict_cells(capsys):
+    assert ptsusy.cli.main(["verify", "--n", "2", "--m", "1", "--grid", "21"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "# params: nu=1.0 beta=0.0 hbar=1.0 length=1.0 mass=0.5",
+        "# indices: n=2 m=1 sign=1.0",
+        "name,max_residual,threshold,passed,informational",
+    ]
+    assert lines[-1] == "# mandatory_pass: true"
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[3:-1]}
+    assert rows["factorization"][1:] == ["1e-09", "true", "false"]
+    informational = [name for name, cells in rows.items() if cells[3] == "true"]
+    assert informational == ["mixed_product", "partial_chain_product", "partial_chain_means"]
+    for name in informational:
+        assert rows[name][1:] == ["", "", "true"]
 
 
 def test_verify_deep_cell_exits_zero_in_time():
@@ -211,6 +272,23 @@ def test_coherent_csv_self_overlap_and_kernel():
     res_start = lines.index("# table: resolution") + 2
     for row in lines[res_start:-1]:
         assert float(row.split(",")[1]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_coherent_tables_are_one_gram_integral(monkeypatch, capsys):
+    # counted through every module binding the CLI can reach it by
+    calls = []
+    for module in (ptsusy.cli, ptsusy.wavefn):
+
+        def counted(*args, _real=module.integrate_interval, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate_interval", counted)
+    args = ["coherent", "--q", "0.3", "--q", "0.6", "--p", "-1", "--p", "2", "--skip-resolution"]
+    assert ptsusy.cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("# all_pass: true\n")
+    assert len(calls) == 1
 
 
 def test_coherent_json_schema_and_determinism(tmp_path):
