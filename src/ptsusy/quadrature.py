@@ -25,7 +25,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +36,12 @@ from .errors import (
 )
 
 
+#: Gauss-Legendre nodes per panel.
+BASE_RULE_ORDER = 15
+#: Growth steps ``integrate_real_line`` may take while certifying the tails.
+MAX_EXPANSIONS = 60
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances and budgets for the adaptive integrator.
@@ -46,7 +51,6 @@ class QuadratureConfig:
     which clusters nodes at both ends and tames algebraic endpoint behavior.
     """
 
-    base_rule_order: int = 15
     max_subdivisions: int = 2**14
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
@@ -69,10 +73,7 @@ class IntegralResult:
     evaluations: int
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(BASE_RULE_ORDER)
 
 
 def _modulus(z):
@@ -80,22 +81,21 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _panel_values(f, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Gauss sums of f over the panels [lo[k], hi[k]] from one call of f.
 
     Returns shape (..., n_panels).  A non-finite value raises naming the
     first panel, in the order given, that holds one.
     """
-    nodes, weights = _gauss_rule(order)
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.asarray(f(xs.ravel()))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
     finite = np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteIntegrandError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
-    return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
+    return np.asarray((_WEIGHTS * vals).sum(axis=-1) * half, dtype=complex)
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
@@ -146,7 +146,6 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         inner = replace(config, endpoint_substitution=False)
         return integrate_interval(g, 0.0, math.pi, inner)
 
-    order = config.base_rule_order
     evaluations = 0
     counter = itertools.count()
     heap = []
@@ -164,8 +163,8 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
             lows, highs = np.stack([lo, lo, mid], axis=-1), np.stack([hi, mid, hi], axis=-1)
         else:
             lows, highs = np.stack([lo, mid], axis=-1), np.stack([mid, hi], axis=-1)
-        vals = _panel_values(f, lows.ravel(), highs.ravel(), order)
-        evaluations += lows.size * order
+        vals = _panel_values(f, lows.ravel(), highs.ravel())
+        evaluations += lows.size * BASE_RULE_ORDER
         vals = vals.reshape(vals.shape[:-1] + lows.shape)
         if coarse is None:
             coarse = vals[..., 0]
@@ -215,12 +214,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     return IntegralResult(value=total, error=reported, evaluations=evaluations)
 
 
-def integrate_real_line(
-    f,
-    decay_scale: float,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    max_expansions: int = 60,
-) -> IntegralResult:
+def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integrate f over the whole real line assuming exponential tail decay.
 
     Args:
@@ -228,7 +222,6 @@ def integrate_real_line(
         decay_scale: s such that |f(u)| falls off roughly like exp(-|u|/s) for
             large |u|; used for the initial truncation and the tail bound.
         config: interval-integration tolerances.
-        max_expansions: growth steps allowed while certifying the tails.
 
     The truncation point U grows until (|f(U)| + |f(-U)|) * 4 s sits below a
     quarter of the active tolerance; probing f itself (rather than trusting a
@@ -237,7 +230,8 @@ def integrate_real_line(
     checks and the core integral.
 
     Raises:
-        TailBoundError: tails could not be certified within the expansion budget.
+        TailBoundError: tails could not be certified within MAX_EXPANSIONS
+            growth steps.
     """
     if not decay_scale > 0.0:
         raise ValueError("decay_scale must be positive")
@@ -249,7 +243,7 @@ def integrate_real_line(
 
     u = u0
     evaluations = probe.size
-    for expansion in range(max_expansions):
+    for expansion in range(MAX_EXPANSIONS):
         if expansion:
             edge = np.asarray(f(np.array([-u, u])))
             evaluations += 2

@@ -51,7 +51,7 @@ from ptsusy.errors import (
     TailBoundError,
 )
 from ptsusy.operators import TrigPolyBump, _OperandStack
-from ptsusy.quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
+from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
 from ptsusy.specfun import log_gamma
 from ptsusy.spectrum import LEVEL_CAP
 
@@ -161,7 +161,7 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
 
         return panelwise_integrate(g, 0.0, math.pi, replace(config, endpoint_substitution=False))
 
-    order = config.base_rule_order
+    order = BASE_RULE_ORDER
     evals = 0
 
     def make_segment(lo, hi):
@@ -216,13 +216,13 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
     return IntegralResult(total, reported, evals)
 
 
-def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG, max_expansions=60):
+def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG):
     """``integrate_real_line`` on ``panelwise_integrate``, probing every truncation point."""
     u0 = 8.0 * decay_scale
     probe = np.linspace(-u0, u0, 65)
     rough = abs(np.trapezoid(np.asarray(f(probe)), probe))
     u = u0
-    for _ in range(max_expansions):
+    for _ in range(MAX_EXPANSIONS):
         edge = np.asarray(f(np.array([-u, u])))
         if not np.all(np.isfinite(edge)):
             raise NonFiniteIntegrandError("integrand not finite at the truncation points")

@@ -8,6 +8,7 @@ from scipy.integrate import quad_vec
 
 from ptsusy.errors import NonFiniteIntegrandError, SubdivisionLimitError
 from ptsusy.quadrature import (
+    BASE_RULE_ORDER,
     DEFAULT_CONFIG,
     QuadratureConfig,
     derivative,
@@ -210,7 +211,7 @@ def test_batched_panels_match_panelwise_oracle_bit_for_bit(case):
     # the oracle evaluates 3 panels per initial segment and 6 per split; the
     # batched loop makes one call for the 12 initial panels and one call of
     # 4 quarter panels per split, reusing the halves as the children's coarse
-    order = cfg.base_rule_order
+    order = BASE_RULE_ORDER
     splits = (ref.evaluations // order - 12) // 6
     assert ref.evaluations == order * (12 + 6 * splits)
     assert len(batched.sizes) == 1 + splits
