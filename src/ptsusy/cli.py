@@ -364,8 +364,8 @@ def cmd_coherent(cfg: dict) -> int:
 
     overlap_rows = []
     for i, j in zip(*np.triu_indices(len(states))):
-        (pa, sa), (pb, sb) = (points[i], states[i]), (points[j], states[j])
-        val = cs_overlap(sa, sb)
+        pa, pb = points[i], points[j]
+        val = cs_overlap(states[i], states[j])
         dev = abs(val - gram[i, j])
         ok = dev <= tol_overlap
         all_pass = all_pass and ok

@@ -25,6 +25,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,7 +74,10 @@ class IntegralResult:
     evaluations: int
 
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(BASE_RULE_ORDER)
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    # built on first use: importing numpy.polynomial costs every process about 1.7 MB
+    return np.polynomial.legendre.leggauss(BASE_RULE_ORDER)
 
 
 def _modulus(z):
@@ -87,15 +91,16 @@ def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     Returns shape (..., n_panels).  A non-finite value raises naming the
     first panel, in the order given, that holds one.
     """
+    nodes, weights = _gauss_rule()
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
     vals = np.asarray(f(xs.ravel()))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
     finite = np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))
     if not finite.all():
         k = int(np.argmin(finite))
         raise NonFiniteIntegrandError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
-    return np.asarray((_WEIGHTS * vals).sum(axis=-1) * half, dtype=complex)
+    return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
