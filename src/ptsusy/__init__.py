@@ -5,10 +5,8 @@ factorization operators, and coherent states, with verification oracles.
 from .coherent import (
     CoherentState,
     PhasePoint,
-    cs_normalization,
     cs_overlap,
     identity_gram_projection,
-    master_integral,
     resolution_kernel,
 )
 from .errors import (
@@ -69,7 +67,6 @@ __all__ = [
     "SuperPotential",
     "TailBoundError",
     "apply_word",
-    "cs_normalization",
     "cs_overlap",
     "derivative",
     "eigenfunction",
@@ -81,7 +78,6 @@ __all__ = [
     "identity_gram_projection",
     "integrate_interval",
     "integrate_real_line",
-    "master_integral",
     "normalization_K",
     "partner_eigenfunction_explicit",
     "phase_alpha",

@@ -28,6 +28,9 @@ from .spectrum import ModelParams
 from .wavefn import eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
+#: Most points one ``log_gamma`` call of ``resolution_kernel`` receives; the
+#: integrand is evaluated in blocks of rows to bound its working set.
+_KERNEL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -38,17 +41,13 @@ class PhasePoint:
     p: float
 
 
-def master_integral(delta: float, z: complex) -> complex:
-    """The normalized sine-power exponential moment, dimensionless form.
-
-    Equals (1/L) int_0^L sin(pi x/L)**(2 delta + 2) exp(z x / L) dx for any
-    complex z; requires delta > -3/2 so the endpoint power is integrable.
-    """
-    return complex(np.exp(log_master_integral(delta, z)))
-
-
 def log_master_integral(delta: float, z: complex) -> complex:
-    """Principal log of the master integral; safe for large |Re z|."""
+    """Principal log of the master integral; safe for large |Re z|.
+
+    The master integral is (1/L) int_0^L sin(pi x/L)**(2 delta + 2)
+    exp(z x / L) dx for any complex z; it needs delta > -3/2 so the endpoint
+    power is integrable.
+    """
     if delta <= -1.5:
         raise DomainError("master integral needs delta > -3/2")
     tau = 1j * complex(z) / (2.0 * math.pi)
@@ -92,10 +91,6 @@ def cs_log_normalization(params: ModelParams, m: int, q: float) -> float:
         - log_gamma(complex(dp + 2.0, params.beta / s)).real
         - 0.5 * params.beta * math.pi / s
     )
-
-
-def cs_normalization(params: ModelParams, m: int, q: float) -> float:
-    return math.exp(cs_log_normalization(params, m, q))
 
 
 class CoherentState:
@@ -196,6 +191,24 @@ def resolution_kernel(
                      / (1+u**2) du
 
     independent of beta: the tilt cancels between R**2 and the ground state.
+    The u-integrand decays at least like exp(-|u| / decay(x)) with
+    decay(x) = 1 / (2 pi (d'+1) min(x/L, 1 - x/L)).  Substituting
+    u = decay(x) t gives every x the same decay in t, so all x share one set
+    of t nodes and the whole array is one vector-valued real-line integral.
+    The front factor and the Jacobian decay(x) sit in the exponent, so each
+    component integrates to G(x) itself, about 1.  Without that, near-wall
+    components are many orders of magnitude larger than the others, and
+    since refinement is ranked by absolute error the small ones never
+    converge.  The integrand is
+    evaluated in blocks of rows, at most ``_KERNEL_BLOCK`` points per
+    ``log_gamma`` call.
+
+    Because the panels are shared, G(x) depends on the other points of the
+    call: the panels they ask for refine its integral further, which moves
+    it by about its tolerance.  Near a wall with d' < 1 the u-integrand has
+    a layer of width about 1 around u = 0, width about 2 pi min(x/L, 1 - x/L)
+    in t, that the nodes can miss: at nu = 0, m = 0 and x = 1e-3 L a
+    one-point call reads 1 - 3.3e-6.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, abs_tol=1e-10, rel_tol=1e-9)
@@ -205,26 +218,34 @@ def resolution_kernel(
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all((arr > 0.0) & (arr < L)):
         raise DomainError("kernel defined on the open interval (0, L)")
-    log_front = (dp + 1.0) * _LN4 - math.log(math.pi) - math.lgamma(2.0 * dp + 3.0)
-    out = np.empty(arr.shape, dtype=float)
-    for i, xi in enumerate(arr.ravel()):
-        drift = math.pi * s * (1.0 - 2.0 * xi / L)
+    xs = arr.ravel()
+    decay = 1.0 / (2.0 * math.pi * s * np.minimum(xs / L, 1.0 - xs / L))
+    drift = math.pi * s * (1.0 - 2.0 * xs / L)
+    log_front = (
+        (dp + 1.0) * _LN4
+        - math.log(math.pi)
+        - math.lgamma(2.0 * dp + 3.0)
+        + (2.0 * dp + 2.0) * np.log(np.sin(math.pi * xs / L))
+        + np.log(decay)
+    )
 
-        def integrand(u):
-            u = np.asarray(u, dtype=float)
+    def integrand(t):
+        # row i is the u-integrand of x_i at u = decay_i t, times decay_i and
+        # the front factor, so every row integrates to G(x_i)
+        out = np.empty((xs.size, t.size))
+        step = max(1, _KERNEL_BLOCK // t.size)
+        for lo in range(0, xs.size, step):
+            rows = slice(lo, lo + step)
+            u = decay[rows, None] * t
             zg = np.empty(u.shape, dtype=complex)
             zg.real = dp + 2.0
             zg.imag = s * u
-            expo = 2.0 * log_gamma(zg).real + drift * u
-            return np.exp(expo) / (1.0 + u * u)
+            expo = 2.0 * log_gamma(zg).real + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
+            out[rows] = np.exp(expo)
+        return out
 
-        decay = 1.0 / (2.0 * math.pi * s * min(xi / L, 1.0 - xi / L))
-        res = integrate_real_line(integrand, decay, config)
-        theta = math.pi * xi / L
-        out.ravel()[i] = math.exp(
-            log_front + (2.0 * dp + 2.0) * math.log(math.sin(theta))
-        ) * float(res.value.real)
-    return out if np.ndim(x) else float(out.ravel()[0])
+    g = integrate_real_line(integrand, 1.0, config).value.real.reshape(arr.shape)
+    return g if np.ndim(x) else float(g.ravel()[0])
 
 
 def identity_gram_projection(
@@ -241,6 +262,13 @@ def identity_gram_projection(
     G is evaluated pointwise inside the quadrature, so this is a genuine
     double-integral check, not a restatement of orthonormality.  The upper
     triangle is one vector-valued integral, so G is computed once per node.
+
+    Each integrand call computes G at all its nodes with one
+    ``resolution_kernel`` call, whose panels those nodes share.  So the
+    integrand's value at a node depends on the other nodes of the call,
+    which the ``quadrature`` contract rules out, but only by about the
+    kernel's own tolerance (``kernel_config``; see ``resolution_kernel`` for
+    the near-wall case at d' < 1).
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)

@@ -8,15 +8,20 @@ Integrands must accept numpy arrays of abscissas and return arrays of values
 (real or complex).  An integrand's value at a node must not depend on the
 other nodes of the same call: ``integrate_interval`` calls it once per
 refinement step with the nodes of several panels, and ``integrate_real_line``
-reads its first truncation check off the ends of its coarse probe.
+reads its first truncation check off the ends of its coarse probe.  One
+caller bends this rule: the integrand of ``coherent.identity_gram_projection``
+computes its resolution kernel at all nodes of a call on shared panels, so a
+node's value moves with the other nodes by about the kernel's tolerance.
 
-``integrate_interval`` is vector valued: an integrand may return an array of
+Both integrators are vector valued: an integrand may return an array of
 shape (..., n_nodes) whose last axis runs over the abscissas, and every
 leading component is integrated on one shared set of panels.  Each component
 carries its own error bound and must meet its own tolerance, so a Gram matrix
 costs one evaluation of every function per node instead of one adaptive
-integral per matrix entry.  A one-dimensional integrand is the special case
-with an empty leading shape.
+integral per matrix entry.  ``integrate_real_line`` also takes each
+component's rough size and tail bound on its own, and grows one truncation
+point until every component's tail is certified.  A one-dimensional
+integrand is the special case with an empty leading shape.
 """
 
 from __future__ import annotations
@@ -119,6 +124,11 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     integral stops when every component k has total error within
     max(abs_tol, rel_tol * |I_k|), or within its rounding-noise floor.
     Until then the panel whose largest component error is largest is split.
+    That ranking is by absolute error, so components of very different
+    magnitude starve the small ones: the large components keep drawing the
+    splits while a small one that has not met its own tolerance waits, and
+    the panel budget can run out first.  Scale the components to comparable
+    size before stacking them.
 
     f is called once per refinement step: once for the 12 panels of the 4
     initial segments (each segment and its two halves), then once per split
@@ -223,16 +233,20 @@ def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAUL
     """Integrate f over the whole real line assuming exponential tail decay.
 
     Args:
-        f: vectorized integrand.
+        f: vectorized integrand, shape (n,) or (..., n) as for
+            ``integrate_interval``.
         decay_scale: s such that |f(u)| falls off roughly like exp(-|u|/s) for
             large |u|; used for the initial truncation and the tail bound.
         config: interval-integration tolerances.
 
-    The truncation point U grows until (|f(U)| + |f(-U)|) * 4 s sits below a
-    quarter of the active tolerance; probing f itself (rather than trusting a
-    pure exponential model) keeps algebraic prefactors honest.  The reported
-    evaluations count every abscissa passed to f: the probe, the truncation
-    checks and the core integral.
+    The truncation point U grows until, for every component k,
+    (|f_k(U)| + |f_k(-U)|) * 4 s sits below a quarter of that component's
+    tolerance max(abs_tol, rel_tol * rough_k), where rough_k is a trapezoid
+    estimate of |I_k| on a 65-point probe of [-8 s, 8 s].  Probing f itself
+    (rather than trusting a pure exponential model) keeps algebraic
+    prefactors honest.  The reported error adds each component's tail bound
+    to its core error.  The reported evaluations count every abscissa passed
+    to f: the probe, the truncation checks and the core integral.
 
     Raises:
         TailBoundError: tails could not be certified within MAX_EXPANSIONS
@@ -244,7 +258,8 @@ def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAUL
     u0 = 8.0 * decay_scale
     probe = np.linspace(-u0, u0, 65)
     probe_vals = np.asarray(f(probe))
-    rough = abs(np.trapezoid(probe_vals, probe))
+    rough = np.abs(np.trapezoid(probe_vals, probe))
+    tol = np.fmax(config.abs_tol, config.rel_tol * rough)  # fmax: a NaN rough leaves abs_tol
 
     u = u0
     evaluations = probe.size
@@ -256,10 +271,11 @@ def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAUL
             edge = probe_vals[..., [0, -1]]  # linspace ends are exactly -u0 and u0
         if not np.all(np.isfinite(edge)):
             raise NonFiniteIntegrandError("integrand not finite at the truncation points")
-        tail = float(np.sum(np.abs(edge))) * decay_scale * 4.0
-        tol = max(config.abs_tol, config.rel_tol * max(rough, 0.0))
-        if tail <= 0.25 * max(tol, 1e-300):
+        tail = np.abs(edge).sum(axis=-1) * decay_scale * 4.0
+        if np.all(tail <= 0.25 * np.maximum(tol, 1e-300)):
             core = integrate_interval(f, -u, u, config)
+            if np.ndim(tail) == 0:
+                tail = float(tail)
             return IntegralResult(core.value, core.error + tail, core.evaluations + evaluations)
         u *= 1.6
     raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")

@@ -24,6 +24,10 @@ cot and 1/sin^2 of the grid as jets too.  It shares nothing with
 ``operators.apply_word`` but the closed-form coefficients of W_m and V_m, so
 the two must agree to the jets' roundoff.
 
+``master_integral`` and ``cs_normalization`` are the exp forms of
+``coherent.log_master_integral`` and ``coherent.cs_log_normalization``; the
+package works in log space only, and the tests compare the plain values.
+
 ``normalization_double_sum`` is the independent route to the eigenfunction
 normalization constant that ``wavefn.normalization_K`` computes by its
 product form: the gamma / Pochhammer double sum.  It is analytically
@@ -40,7 +44,7 @@ from dataclasses import replace
 import numpy as np
 
 from ptsusy import jets
-from ptsusy.coherent import CoherentState
+from ptsusy.coherent import CoherentState, cs_log_normalization, log_master_integral
 from ptsusy.errors import (
     DegreeCapError,
     DomainError,
@@ -233,6 +237,16 @@ def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG):
             return IntegralResult(core.value, core.error + tail, core.evaluations + 2)
         u *= 1.6
     raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
+
+
+def master_integral(delta: float, z: complex) -> complex:
+    """(1/L) int_0^L sin(pi x/L)**(2 delta + 2) exp(z x / L) dx, delta > -3/2."""
+    return complex(np.exp(log_master_integral(delta, z)))
+
+
+def cs_normalization(params, m: int, q: float) -> float:
+    """R(q), the coherent-state normalization constant."""
+    return math.exp(cs_log_normalization(params, m, q))
 
 
 def log_pochhammer(a: complex, k: int) -> complex:

@@ -18,13 +18,14 @@ from ptsusy.coherent import (
     PhasePoint,
     cs_overlap,
     identity_gram_projection,
-    master_integral,
     resolution_kernel,
 )
 from ptsusy.operators import apply_word, verify_operator_identities
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
 from ptsusy.spectrum import LevelIndex, ModelParams, energy, gap_factor_M
 from ptsusy.wavefn import eigenfunction, gram_matrix, partner_eigenfunction_explicit
+
+from oracles import master_integral
 
 DEFAULT = ModelParams(nu=1.0, beta=2.0, hbar=1.0, length=1.0, mass=0.5)
 NU_BETA_GRID = [(nu, beta) for nu in (0.5, 1.0, 2.5) for beta in (0.0, 1.0, 3.0)]

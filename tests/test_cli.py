@@ -165,10 +165,12 @@ def test_verify_csv_informational_rows_have_empty_verdict_cells(capsys):
         assert rows[name][1:] == ["", "", "true"]
 
 
-def test_verify_deep_cell_exits_zero_in_time():
-    # this cell once spent minutes in a norm integral that could not converge
+@pytest.mark.parametrize("n, m", [(7, 0), (8, 6)])
+def test_verify_deep_cell_exits_zero_in_time(n, m):
+    # (7, 0) once spent minutes in a norm integral that could not converge,
+    # and (8, 6) failed mean_BdagB falsely under the jet fold
     proc = subprocess.run(
-        CLI + ["verify", "--n", "7", "--m", "0"], capture_output=True, text=True, timeout=60
+        CLI + ["verify", "--n", str(n), "--m", str(m)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

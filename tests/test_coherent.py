@@ -11,11 +11,9 @@ from ptsusy.coherent import (
     CoherentState,
     PhasePoint,
     cs_log_normalization,
-    cs_normalization,
     cs_overlap,
     identity_gram_projection,
     log_master_integral,
-    master_integral,
     resolution_kernel,
 )
 from ptsusy.errors import DomainError
@@ -25,7 +23,7 @@ from ptsusy.spectrum import ModelParams
 from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, interior_grid
-from oracles import pairwise_gram
+from oracles import cs_normalization, master_integral, pairwise_gram
 
 QCFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -193,6 +191,25 @@ def test_resolution_kernel_unity():
     for m in (0, 1):
         g = resolution_kernel(DEFAULT, m, xs)
         assert np.max(np.abs(np.asarray(g) - 1.0)) < 1e-8
+
+
+def test_resolution_kernel_batch_matches_one_point_calls():
+    # one call over x from next to a wall to the midpoint shares its t nodes;
+    # each row is normalized to G(x), so no component starves the others
+    xs = np.array([1e-6, 1e-3, 0.02, 0.3, 0.5, 0.77, 0.999]) * DEFAULT.length
+    batch = resolution_kernel(DEFAULT, 0, xs)
+    single = np.array([resolution_kernel(DEFAULT, 0, x) for x in xs])
+    assert np.max(np.abs(batch - single)) < 1e-9
+    assert np.max(np.abs(batch - 1.0)) < 1e-8
+    assert np.max(np.abs(single - 1.0)) < 1e-8
+
+
+def test_resolution_kernel_keeps_the_input_shape():
+    xs = np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
+    g = resolution_kernel(DEFAULT, 1, xs)
+    assert g.shape == xs.shape
+    assert np.array_equal(g.ravel(), resolution_kernel(DEFAULT, 1, xs.ravel()))
+    assert type(resolution_kernel(DEFAULT, 1, 0.3)) is float
 
 
 def test_resolution_kernel_beta_independent():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from ptsusy.errors import NonFiniteIntegrandError, SubdivisionLimitError
+from ptsusy.errors import NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
 from ptsusy.quadrature import (
     BASE_RULE_ORDER,
     DEFAULT_CONFIG,
@@ -294,3 +294,34 @@ def test_real_line_matches_panelwise_oracle_with_one_probe_fewer(case):
     # the first truncation check reads the ends of the 65-point probe
     assert batched.sizes[0] == panelwise.sizes[0] == 65
     assert batched.sizes.count(2) == panelwise.sizes.count(2) - 1
+
+
+def test_real_line_vector_components_match_scalar_calls():
+    # components of different decay share one truncation point and one set
+    # of panels; each must lie within its reported error of its own call
+    cases = [REAL_LINE_CASES[k] for k in ("gaussian", "complex_shifted", "two_sided_exponential")]
+    scale = max(s for _, s in cases)
+    res = integrate_real_line(lambda u: np.array([f(u) for f, _ in cases]), scale, DEFAULT_CONFIG)
+    assert res.value.shape == res.error.shape == (len(cases),)
+    for k, (f, own_scale) in enumerate(cases):
+        scalar = integrate_real_line(f, own_scale, DEFAULT_CONFIG)
+        assert abs(res.value[k] - scalar.value) <= res.error[k]
+
+
+def test_real_line_vector_errors_name_the_truncation_points():
+    # a component that never decays keeps the tails uncertified; a component
+    # that is NaN at the ends is caught at the truncation points
+    gaussian = REAL_LINE_CASES["gaussian"][0]
+    flat = np.ones_like
+    with pytest.raises(TailBoundError) as scalar:
+        integrate_real_line(flat, 1.0, DEFAULT_CONFIG)
+    with pytest.raises(TailBoundError) as vector:
+        integrate_real_line(lambda u: np.array([gaussian(u), flat(u)]), 1.0, DEFAULT_CONFIG)
+    assert str(vector.value) == str(scalar.value)
+    assert "could not certify tails out to |u|" in str(vector.value)
+
+    def nan_ends(u):
+        return np.array([gaussian(u), np.where(np.abs(u) >= 8.0, np.nan, 1.0)])
+
+    with pytest.raises(NonFiniteIntegrandError, match="at the truncation points"):
+        integrate_real_line(nan_ends, 1.0, DEFAULT_CONFIG)
