@@ -22,10 +22,7 @@ from .errors import (
 )
 from .operators import (
     IdentityResult,
-    SuperPotential,
     apply_word,
-    potential,
-    superpotential,
     verify_operator_identities,
 )
 from .quadrature import QuadratureConfig, derivative, integrate_interval, integrate_real_line
@@ -64,7 +61,6 @@ __all__ = [
     "QuadratureConfig",
     "StepUnderflowError",
     "SubdivisionLimitError",
-    "SuperPotential",
     "TailBoundError",
     "apply_word",
     "cs_overlap",
@@ -81,9 +77,7 @@ __all__ = [
     "normalization_K",
     "partner_eigenfunction_explicit",
     "phase_alpha",
-    "potential",
     "resolution_kernel",
-    "superpotential",
     "verify_operator_identities",
     "__version__",
 ]

@@ -41,25 +41,6 @@ class PhasePoint:
     p: float
 
 
-def log_master_integral(delta: float, z: complex) -> complex:
-    """Principal log of the master integral; safe for large |Re z|.
-
-    The master integral is (1/L) int_0^L sin(pi x/L)**(2 delta + 2)
-    exp(z x / L) dx for any complex z; it needs delta > -3/2 so the endpoint
-    power is integrable.
-    """
-    if delta <= -1.5:
-        raise DomainError("master integral needs delta > -3/2")
-    tau = 1j * complex(z) / (2.0 * math.pi)
-    return (
-        log_gamma(2.0 * delta + 3.0)
-        + 0.5 * complex(z)
-        - (delta + 1.0) * _LN4
-        - log_gamma(delta + 2.0 + tau)
-        - log_gamma(delta + 2.0 - tau)
-    )
-
-
 def _level_width(params: ModelParams, m: int) -> float:
     # d' = nu + m: effective sine power index of the level-m ground state
     if m < 0:

@@ -19,9 +19,19 @@ coherent states and the smooth test bumps provide ``cot_terms``, and a
 corpus of operands can be stacked into one, so that one fold serves every
 member.
 
+A word is folded one operator at a time on top of the fold of its prefix.
+Calls that share a ``folds`` dict fold each (operand, prefix, sign) once and
+keep it there, together with each folded word's evaluation plan: Q cut at
+the noise floor, the degree of every row and the rows in falling degree.
+The plan is evaluated in one Horner pass, which a row joins at its own
+degree, so each row goes through the same operations as when it is
+evaluated alone.
+
 The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
 deliberately ambiguous ones as informational rather than asserting them.
+One call shares one ``folds`` dict among all its words, including the
+integrands of its quadratures, and drops it on return.
 """
 
 from __future__ import annotations
@@ -40,48 +50,6 @@ from .wavefn import eigenfunction
 
 #: Relative clamp keeping operator evaluations away from the wall singularities.
 EDGE_CLAMP = 1e-6
-
-
-@dataclass(frozen=True)
-class SuperPotential:
-    """Closed-form superpotential of hierarchy level m.
-
-    ``sign=-1`` yields a deliberately corrupted operator family used as the
-    negative control in the verification suite; every factorization identity
-    must then fail by a wide margin.
-    """
-
-    params: ModelParams
-    m: int
-    sign: float = 1.0
-
-    def __call__(self, x):
-        p = self.params
-        arr = np.asarray(x, dtype=float)
-        if not np.all((arr > 0.0) & (arr < p.length)):
-            raise DomainError("superpotential defined on the open interval (0, L)")
-        theta = math.pi * arr / p.length
-        s = p.nu + self.m + 1.0
-        w = -(math.pi * p.hbar / p.length) * (s / np.tan(theta) - p.beta / s)
-        return self.sign * w
-
-
-def superpotential(params: ModelParams, m: int, x, sign: float = 1.0):
-    """W_m(x); real, diverging to -inf at the left wall and +inf at the right."""
-    return SuperPotential(params, m, sign)(x)
-
-
-def potential(params: ModelParams, m: int, x):
-    """Potential of hierarchy level m: e0 times the strength (nu+m)(nu+m+1)
-    on 1/sin^2 plus the cotangent tilt -2 beta cot."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr > 0.0) & (arr < params.length)):
-        raise DomainError("potential defined on the open interval (0, L)")
-    theta = math.pi * arr / params.length
-    lvl = params.nu + m
-    return params.epsilon0 * (
-        (lvl * (lvl + 1.0)) / np.sin(theta) ** 2 - 2.0 * params.beta / np.tan(theta)
-    )
 
 
 class TrigPolyBump:
@@ -194,48 +162,102 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
     return terms._replace(coeffs=op(terms.coeffs, np.positive), mag=op(terms.mag, np.abs))
 
 
-def _evaluate(params: ModelParams, terms: _Terms, x: np.ndarray) -> np.ndarray:
-    # rows of C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) at the 1-d points
-    # x.  Coefficients under the noise floor are dropped and every term is
+class _Plan(NamedTuple):
+    # a folded word prepared for evaluation, rows sorted by falling degree d:
+    # Q cut at the noise floor, each row's q_d, the leading row count still in
+    # Horner's loop at each power j < top degree, the term index of each row,
+    # and the exponent's coefficients with the sine power a - d
+    q: np.ndarray
+    top: np.ndarray
+    loop: tuple
+    order: np.ndarray
+    log_c: np.ndarray
+    gamma: np.ndarray
+    sin_power: np.ndarray
+
+
+def _plan(terms: _Terms) -> _Plan:
+    # Coefficients under the noise floor are dropped and every term is
     # evaluated at the degree d of its top remaining coefficient, so a row
     # does not depend on the other terms it is stacked with.
     q = np.where(np.abs(terms.coeffs) > NOISE_FLOOR * terms.mag, terms.coeffs, 0.0)
     nonzero = q != 0.0
     degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    order = np.argsort(-degree, kind="stable")
+    degree = degree[order]
+    powers = np.arange(degree[0] - 1, -1, -1)
+    loop = tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
+    q = q[order]
+    top = q[np.arange(len(q)), degree]
+    return _Plan(q, top, loop, order, terms.log_c[order], terms.gamma[order], terms.power[order] - degree)
+
+
+def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
+    # rows of C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) at the 1-d points
+    # x, in term order.  One Horner pass runs from the top degree down; a row
+    # joins it at its own degree, so it sees the same operations in the same
+    # order as when it is evaluated alone.
     theta = x * (math.pi / params.length)
     s, cos = np.sin(theta), np.cos(theta)
-    log_s = np.log(s)
-    rows = np.empty((len(q), x.size), dtype=complex)
-    for d in np.unique(degree):
-        sel = degree == d
-        acc = np.broadcast_to(q[sel, d, None], (np.count_nonzero(sel), x.size))
-        s_pow = np.ones_like(s)
-        for j in range(d - 1, -1, -1):
-            s_pow = s_pow * s
-            acc = acc * cos + q[sel, j, None] * s_pow
-        expo = terms.log_c[sel, None] + terms.gamma[sel, None] * x + (terms.power[sel, None] - d) * log_s
-        rows[sel] = np.exp(expo) * acc
+    acc = np.repeat(plan.top[:, None], x.size, axis=1)
+    s_pow = np.ones(acc.shape)
+    for j, k in plan.loop:
+        s_pow[:k] *= s
+        acc[:k] = acc[:k] * cos + plan.q[:k, j, None] * s_pow[:k]
+    expo = plan.log_c[:, None] + plan.gamma[:, None] * x + plan.sin_power[:, None] * np.log(s)
+    rows = np.empty_like(acc)
+    rows[plan.order] = np.exp(expo) * acc
     return rows
 
 
-def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
+class _Fold:
+    # a word folded on an operand; the operand is kept so that its id, part
+    # of the key in a folds dict, is not reused while the dict lives
+    def __init__(self, func, terms: _Terms):
+        self.func = func
+        self.terms = terms
+
+    @cached_property
+    def plan(self) -> _Plan:
+        return _plan(self.terms)
+
+
+def _fold(params: ModelParams, word: tuple, func, sign: float, folds: dict) -> _Fold:
+    # the fold of word on func, extending the fold of word[:-1] by one step;
+    # every (operand, prefix, sign) is folded once per folds dict
+    key = (id(func), word, sign)
+    if key not in folds:
+        if word:
+            terms = _step(params, *word[-1], _fold(params, word[:-1], func, sign, folds).terms, sign)
+        else:
+            terms = _Terms.of(func.cot_terms)
+        folds[key] = _Fold(func, terms)
+    return folds[key]
+
+
+def apply_word(params: ModelParams, word, func, x, sign: float = 1.0, *, folds: dict | None = None):
     """Apply a sequence of operators (first entry acts first) at points x.
 
     Word entries are ("A", level), ("Adag", level), or ("H", level).  Returns
     the complex values of the resulting function at x, of shape x.shape.  The
-    word is folded once on the operand's ``cot_terms`` and the result is
-    evaluated at x, a scalar being one point of a 1-d grid, so the value at a
-    point does not depend on the other points.  A stacked operand
-    (``_OperandStack`` of k functions) gives shape (k, *x.shape), row i
-    bit-identical to applying the word to member i alone.
+    word is folded on the operand's ``cot_terms`` and the result is evaluated
+    at x, a scalar being one point of a 1-d grid, so the value at a point
+    does not depend on the other points.  A stacked operand (``_OperandStack``
+    of k functions) gives shape (k, *x.shape), row i bit-identical to
+    applying the word to member i alone.
+
+    ``folds`` is a dict shared by calls that may repeat words or their
+    prefixes: the fold of each (operand, prefix, sign) and the evaluation plan
+    of each word are then computed once and kept in it, and a word extends
+    its longest folded prefix.  The values are bit-identical either way.  The
+    dict holds its operands, so it should live no longer than one batch of
+    calls.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < params.length)):
         raise DomainError("operator applications need interior sample points")
-    terms = _Terms.of(func.cot_terms)
-    for kind, level in word:
-        terms = _step(params, kind, level, terms, sign)
-    out = _members(func, _evaluate(params, terms, arr.ravel()))
+    fold = _fold(params, tuple(word), func, sign, {} if folds is None else folds)
+    out = _members(func, _evaluate(params, fold.plan, arr.ravel()))
     return out.reshape(out.shape[:-1] + arr.shape)[()]
 
 
@@ -303,11 +325,11 @@ def _rel(lhs: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> float:
     return num / max(scale, 1e-300)
 
 
-def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float = 1.0) -> IntegralResult:
+def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float, folds: dict) -> IntegralResult:
     L = params.length
 
     def integrand(x):
-        vals = apply_word(params, word, func, x, sign)
+        vals = apply_word(params, word, func, x, sign, folds=folds)
         return np.abs(vals) ** 2
 
     return integrate_interval(integrand, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
@@ -368,6 +390,8 @@ def verify_operator_identities(
     two_m = 2.0 * params.mass
     e0_level = lambda k: energy(params, LevelIndex(0, k))
     idx = {"n": n, "m": m}
+    # one fold per (operand, word prefix, sign) for this call's words
+    folds: dict = {}
 
     def add(name, res, threshold, informational=False, details=None):
         passed = None if informational else bool(res < threshold)
@@ -377,7 +401,7 @@ def verify_operator_identities(
 
     # Ground-state annihilation at level m.
     ground = eigenfunction(params, m, 0)
-    ann = apply_word(params, (("A", m),), ground, grid, sign)
+    ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
     add("ground_state_annihilation", _rel(ann, np.zeros_like(ann), scale=float(np.max(np.abs(ground(grid))))), 1e-9)
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
@@ -386,8 +410,8 @@ def verify_operator_identities(
     corpus_m = _OperandStack(test_corpus(params, m))
     e0_m = energy(params, LevelIndex(m, 0))
     worst = 0.0
-    direct = apply_word(params, (("H", m),), corpus_m, grid)
-    chained = apply_word(params, (("A", m), ("Adag", m)), corpus_m, grid, sign)
+    direct = apply_word(params, (("H", m),), corpus_m, grid, folds=folds)
+    chained = apply_word(params, (("A", m), ("Adag", m)), corpus_m, grid, sign, folds=folds)
     for f, d, c in zip(corpus_m, direct, chained):
         fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
         worst = max(worst, _rel(fact, d))
@@ -396,8 +420,8 @@ def verify_operator_identities(
     # Single-step intertwining, both directions.  An annihilated member, such
     # as the ground state under A_m, folds to exactly 0 on both sides.
     def worst_of(corpus, lhs_word, rhs_word, worst=0.0):
-        lhs = apply_word(params, lhs_word, corpus, bulk, sign)
-        rhs = apply_word(params, rhs_word, corpus, bulk, sign)
+        lhs = apply_word(params, lhs_word, corpus, bulk, sign, folds=folds)
+        rhs = apply_word(params, rhs_word, corpus, bulk, sign, folds=folds)
         return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
 
     worst = worst_of(corpus_m, (("A", m), ("H", m + 1)), (("H", m), ("A", m)))
@@ -417,7 +441,7 @@ def verify_operator_identities(
     # the chain: the fold leaves it exactly 0, so the residual must be 0 too.
     word_bdag = tuple(("Adag", k) for k in range(m, -1, -1))
     phi_n = eigenfunction(params, 0, n)
-    lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign)
+    lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign, folds=folds)
     scalar = two_m ** (m + 1)
     scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n(bulk))))
     for k in range(m + 1):
@@ -428,7 +452,7 @@ def verify_operator_identities(
     add("supercharge_anticommutator_block0", res_bdagb, 1e-9, details={"alias_of": "product_BdagB"})
 
     phi_up = eigenfunction(params, m + 1, n)
-    lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign)
+    lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign, folds=folds)
     scalar = two_m ** (m + 1)
     e_up = energy(params, LevelIndex(m + 1, n))
     for k in range(m + 1):
@@ -439,16 +463,16 @@ def verify_operator_identities(
 
     # Chain action with the closed-form gap factor.
     phi_top = eigenfunction(params, 0, n + m + 1)
-    lhs = apply_word(params, word_b, phi_top, bulk, sign)
+    lhs = apply_word(params, word_b, phi_top, bulk, sign, folds=folds)
     pref = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n, m)
     add("ladder_action", _rel(lhs, pref * phi_up(bulk)), 1e-8)
 
     # Mean values of the chain products by quadrature.
-    quad = _norm_sq(params, word_bdag, phi_up, config, sign)
+    quad = _norm_sq(params, word_bdag, phi_up, config, sign, folds)
     mean = float(quad.value.real)
     add("mean_BBdag", _rel(np.array([mean]), np.array([pref**2])), 1e-8, details=_quad_details(quad))
     if n > m:
-        quad = _norm_sq(params, word_b, phi_n, config, sign)
+        quad = _norm_sq(params, word_b, phi_n, config, sign, folds)
         mean = float(quad.value.real)
         pref_n = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n - m - 1, m)
         add("mean_BdagB", _rel(np.array([mean]), np.array([pref_n**2])), 1e-8, details=_quad_details(quad))
@@ -459,8 +483,8 @@ def verify_operator_identities(
     lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
 
     def inner_pair(x):
-        left = np.conj(apply_word(params, (("A", m),), psi, x, sign)) * phi(x)
-        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign)])
+        left = np.conj(apply_word(params, (("A", m),), psi, x, sign, folds=folds)) * phi(x)
+        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign, folds=folds)])
 
     quad = integrate_interval(inner_pair, lo, hi, config)
     va, vb = quad.value.tolist()
@@ -471,7 +495,7 @@ def verify_operator_identities(
     e_val = energy(params, LevelIndex(m, n))
 
     def resid_sq(x):
-        return np.abs(apply_word(params, (("H", m),), phi_m, x) - e_val * phi_m(x)) ** 2
+        return np.abs(apply_word(params, (("H", m),), phi_m, x, folds=folds) - e_val * phi_m(x)) ** 2
 
     quad = integrate_interval(resid_sq, lo, hi, config)
     r2 = quad.value.real
@@ -482,7 +506,7 @@ def verify_operator_identities(
     if n != m:
         psi_mixed = eigenfunction(params, m + 1, n)
         word_bn = tuple(("A", k) for k in range(n + 1))
-        lhs = apply_word(params, word_bdag + word_bn, psi_mixed, bulk, sign)
+        lhs = apply_word(params, word_bdag + word_bn, psi_mixed, bulk, sign, folds=folds)
         details = {}
         best = None
         if n > m:
@@ -491,18 +515,16 @@ def verify_operator_identities(
             e_psi = energy(params, LevelIndex(m + 1, n))
             for k in range(m + 1):
                 scalar *= e_psi - e0_level(k)
-            rhs = scalar * apply_word(params, lam, psi_mixed, bulk, sign)
+            rhs = scalar * apply_word(params, lam, psi_mixed, bulk, sign, folds=folds)
             details["lambda_form"] = _rel(lhs, rhs)
             best = "lambda_form"
         if n < m:
             theta = tuple(("Adag", k) for k in range(m, n, -1))
             # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-            terms = _Terms.of(psi_mixed.cot_terms)
-            for kind, level in theta:
-                terms = _step(params, kind, level, terms, sign)
+            terms = _fold(params, theta, psi_mixed, sign, folds).terms
             for k in range(n + 1):
                 terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
-            rhs = two_m ** (n + 1) * _members(psi_mixed, _evaluate(params, terms, bulk))
+            rhs = two_m ** (n + 1) * _members(psi_mixed, _evaluate(params, _plan(terms), bulk))
             details["theta_form"] = _rel(lhs, rhs)
             best = "theta_form"
         if "lambda_form" in details and "theta_form" in details:
@@ -516,7 +538,7 @@ def verify_operator_identities(
         lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
         phi_hi = eigenfunction(params, n + 1, 0)
         e_hi = energy(params, LevelIndex(n + 1, 0))
-        lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign)
+        lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign, folds=folds)
         core = 1.0
         for k in range(m + 1, n + 1):
             core *= e_hi - e0_level(k)
@@ -532,7 +554,7 @@ def verify_operator_identities(
     mean_quads = []
 
     def chain_mean(word, state) -> float:
-        quad = _norm_sq(params, word, state, config)
+        quad = _norm_sq(params, word, state, config, 1.0, folds)
         mean_quads.append(quad)
         return float(quad.value.real)
 

@@ -24,9 +24,21 @@ cot and 1/sin^2 of the grid as jets too.  It shares nothing with
 ``operators.apply_word`` but the closed-form coefficients of W_m and V_m, so
 the two must agree to the jets' roundoff.
 
-``master_integral`` and ``cs_normalization`` are the exp forms of
-``coherent.log_master_integral`` and ``coherent.cs_log_normalization``; the
-package works in log space only, and the tests compare the plain values.
+``grouped_evaluate`` is the evaluation of folded cotangent terms as it was
+before ``operators._evaluate`` ran one Horner pass over prepared rows: one
+Horner loop per distinct row degree.  Each row goes through the same
+operations in both, so they must agree bit for bit.
+
+``SuperPotential``, ``superpotential`` and ``potential`` are the closed forms
+of W_m and V_m on the grid.  The package folds them into operator words as
+cotangent polynomials and never evaluates them pointwise; the tests check
+the hierarchy's potential relations and the eigenfunctions' log-derivative
+against them.
+
+``log_master_integral`` is the master integral of the coherent states in log
+space; the package builds its gamma ratios inline.  ``master_integral`` and
+``cs_normalization`` are the exp forms of it and of
+``coherent.cs_log_normalization``, and the tests compare the plain values.
 
 ``normalization_double_sum`` is the independent route to the eigenfunction
 normalization constant that ``wavefn.normalization_K`` computes by its
@@ -39,12 +51,12 @@ import cmath
 import heapq
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ptsusy import jets
-from ptsusy.coherent import CoherentState, cs_log_normalization, log_master_integral
+from ptsusy.coherent import CoherentState, cs_log_normalization
 from ptsusy.errors import (
     DegreeCapError,
     DomainError,
@@ -54,10 +66,10 @@ from ptsusy.errors import (
     SubdivisionLimitError,
     TailBoundError,
 )
-from ptsusy.operators import TrigPolyBump, _OperandStack
+from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
 from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
 from ptsusy.specfun import log_gamma
-from ptsusy.spectrum import LEVEL_CAP
+from ptsusy.spectrum import LEVEL_CAP, ModelParams
 
 
 def serial_jet_mul(a, b):
@@ -103,6 +115,47 @@ def _jet_step(params, kind, level, fj, cot, csc2, sign):
     raise ValueError(f"unknown operator kind {kind!r}")
 
 
+@dataclass(frozen=True)
+class SuperPotential:
+    """Closed-form superpotential of hierarchy level m.
+
+    ``sign=-1`` gives the sign-flipped family that ``verify`` uses as its
+    negative control.
+    """
+
+    params: ModelParams
+    m: int
+    sign: float = 1.0
+
+    def __call__(self, x):
+        p = self.params
+        arr = np.asarray(x, dtype=float)
+        if not np.all((arr > 0.0) & (arr < p.length)):
+            raise DomainError("superpotential defined on the open interval (0, L)")
+        theta = math.pi * arr / p.length
+        s = p.nu + self.m + 1.0
+        w = -(math.pi * p.hbar / p.length) * (s / np.tan(theta) - p.beta / s)
+        return self.sign * w
+
+
+def superpotential(params, m: int, x, sign: float = 1.0):
+    """W_m(x); real, diverging to -inf at the left wall and +inf at the right."""
+    return SuperPotential(params, m, sign)(x)
+
+
+def potential(params, m: int, x):
+    """Potential of hierarchy level m: e0 times the strength (nu+m)(nu+m+1)
+    on 1/sin^2 plus the cotangent tilt -2 beta cot."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr > 0.0) & (arr < params.length)):
+        raise DomainError("potential defined on the open interval (0, L)")
+    theta = math.pi * arr / params.length
+    lvl = params.nu + m
+    return params.epsilon0 * (
+        (lvl * (lvl + 1.0)) / np.sin(theta) ** 2 - 2.0 * params.beta / np.tan(theta)
+    )
+
+
 def jet_apply_word(params, word, func, x, sign=1.0):
     """``operators.apply_word`` folded over Taylor jets of the operand."""
     arr = np.asarray(x, dtype=float)
@@ -113,6 +166,28 @@ def jet_apply_word(params, word, func, x, sign=1.0):
     for kind, level in word:
         fj = _jet_step(params, kind, level, fj, cot, csc2, sign)
     return fj.value
+
+
+def grouped_evaluate(params, terms, x):
+    """Rows of the folded ``operators._Terms`` at the 1-d points x, one
+    Horner loop per degree."""
+    q = np.where(np.abs(terms.coeffs) > NOISE_FLOOR * terms.mag, terms.coeffs, 0.0)
+    nonzero = q != 0.0
+    degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    theta = x * (math.pi / params.length)
+    s, cos = np.sin(theta), np.cos(theta)
+    log_s = np.log(s)
+    rows = np.empty((len(q), x.size), dtype=complex)
+    for d in np.unique(degree):
+        sel = degree == d
+        acc = np.broadcast_to(q[sel, d, None], (np.count_nonzero(sel), x.size))
+        s_pow = np.ones_like(s)
+        for j in range(d - 1, -1, -1):
+            s_pow = s_pow * s
+            acc = acc * cos + q[sel, j, None] * s_pow
+        expo = terms.log_c[sel, None] + terms.gamma[sel, None] * x + (terms.power[sel, None] - d) * log_s
+        rows[sel] = np.exp(expo) * acc
+    return rows
 
 
 def pairwise_gram(functions, a, b, config, weight=None):
@@ -237,6 +312,25 @@ def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG):
             return IntegralResult(core.value, core.error + tail, core.evaluations + 2)
         u *= 1.6
     raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
+
+
+def log_master_integral(delta: float, z: complex) -> complex:
+    """Principal log of the master integral; safe for large |Re z|.
+
+    The master integral is (1/L) int_0^L sin(pi x/L)**(2 delta + 2)
+    exp(z x / L) dx for any complex z; it needs delta > -3/2 so the endpoint
+    power is integrable.
+    """
+    if delta <= -1.5:
+        raise DomainError("master integral needs delta > -3/2")
+    tau = 1j * complex(z) / (2.0 * math.pi)
+    return (
+        log_gamma(2.0 * delta + 3.0)
+        + 0.5 * complex(z)
+        - (delta + 1.0) * math.log(4.0)
+        - log_gamma(delta + 2.0 + tau)
+        - log_gamma(delta + 2.0 - tau)
+    )
 
 
 def master_integral(delta: float, z: complex) -> complex:

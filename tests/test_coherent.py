@@ -13,7 +13,6 @@ from ptsusy.coherent import (
     cs_log_normalization,
     cs_overlap,
     identity_gram_projection,
-    log_master_integral,
     resolution_kernel,
 )
 from ptsusy.errors import DomainError
@@ -23,7 +22,7 @@ from ptsusy.spectrum import ModelParams
 from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, interior_grid
-from oracles import cs_normalization, master_integral, pairwise_gram
+from oracles import cs_normalization, log_master_integral, master_integral, pairwise_gram, superpotential
 
 QCFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -102,8 +101,6 @@ def test_eigenrelation_of_lowering_operator():
 
 
 def test_eigenvalue_components():
-    from ptsusy.operators import superpotential
-
     st = CoherentState(DEFAULT, 1, PhasePoint(0.4, -3.0))
     z = st.eigenvalue
     assert z.real == pytest.approx(superpotential(DEFAULT, 1, 0.4), rel=1e-12)

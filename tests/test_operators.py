@@ -13,20 +13,17 @@ from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DomainError
 from ptsusy.operators import (
     EDGE_CLAMP,
-    SuperPotential,
     TrigPolyBump,
     _rel,
     apply_word,
     default_grid,
-    potential,
-    superpotential,
     verify_operator_identities,
 )
 from ptsusy.spectrum import LevelIndex, ModelParams, energy
 from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, interior_grid
-from oracles import jet_apply_word
+from oracles import SuperPotential, grouped_evaluate, jet_apply_word, potential, superpotential
 
 MANDATORY = {
     "ground_state_annihilation",
@@ -275,6 +272,86 @@ def test_stacked_operand_matches_per_operand_fold(m):
                 assert stacked.shape == (len(members),) + grid.shape
                 for f, row in zip(members, stacked):
                     np.testing.assert_array_equal(row, apply_word(DEFAULT, word, f, grid, sign), err_msg=str(word))
+
+
+def _chain_words(m):
+    # B = A_m ... A_0 and B^dag, as the product identities spell them
+    return tuple(("A", k) for k in range(m + 1)), tuple(("Adag", k) for k in range(m, -1, -1))
+
+
+def test_verify_folds_each_prefix_once(monkeypatch):
+    steps = []
+    prefixes = set()
+    step, apply = operators._step, operators.apply_word
+
+    def counted_step(params, kind, level, terms, sign, shift=0.0):
+        steps.append((terms, kind, level, sign, shift))
+        return step(params, kind, level, terms, sign, shift)
+
+    def recorded_apply(params, word, func, x, sign=1.0, *, folds=None):
+        assert folds is not None
+        prefixes.update((id(func), tuple(word[:i]), sign) for i in range(1, len(word) + 1))
+        return apply(params, word, func, x, sign, folds=folds)
+
+    monkeypatch.setattr(operators, "_step", counted_step)
+    monkeypatch.setattr(operators, "apply_word", recorded_apply)
+    first = verify_operator_identities(DEFAULT, 3, 2)
+    # no folded prefix is extended by the same operator twice, and the
+    # quadrature integrands, called once per refinement step, add no folds
+    assert len({(id(t), kind, level, sign, shift) for t, kind, level, sign, shift in steps}) == len(steps)
+    assert len(steps) == len(prefixes)
+    # nothing is carried over to the next call
+    folded = len(steps)
+    steps.clear()
+    second = verify_operator_identities(DEFAULT, 3, 2)
+    assert len(steps) == folded
+    assert [r.to_jsonable() for r in second] == [r.to_jsonable() for r in first]
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("operand", ("corpus", "eigenfunction"))
+def test_shared_folds_are_bit_identical(operand, sign):
+    word_b, word_bdag = _chain_words(2)
+    word = word_b + word_bdag
+    if operand == "corpus":
+        func = operators._OperandStack(operators.test_corpus(DEFAULT, 0))
+    else:
+        func = eigenfunction(DEFAULT, 0, 3)
+    grid = default_grid(DEFAULT)
+    # the whole word first, so that its prefixes are looked up, not folded
+    folds = {}
+    for w in (word,) + tuple(word[:i] for i in range(1, len(word) + 1)):
+        shared = apply_word(DEFAULT, w, func, grid, sign, folds=folds)
+        assert np.array_equal(shared, apply_word(DEFAULT, w, func, grid, sign)), w
+    assert len(folds) == len(word) + 1
+
+
+def test_one_pass_horner_rows_match_each_term_alone():
+    # the lowering chain leaves the rows at different degrees, so they join
+    # the Horner loop at different powers
+    word_b, _ = _chain_words(1)
+    fold = operators._fold(DEFAULT, word_b, operators._OperandStack(operators.test_corpus(DEFAULT, 0)), 1.0, {})
+    terms, plan = fold.terms, fold.plan
+    degree = terms.power[plan.order] - plan.sin_power
+    assert len(set(degree.tolist())) > 2
+    assert list(degree) == sorted(degree, reverse=True)
+    grid = default_grid(DEFAULT)
+    rows = operators._evaluate(DEFAULT, plan, grid)
+    for i, row in enumerate(rows):
+        alone = operators._Terms(*(field[i : i + 1] for field in terms))
+        assert np.array_equal(row, operators._evaluate(DEFAULT, operators._plan(alone), grid)[0]), i
+
+
+@pytest.mark.parametrize("m", range(3))
+def test_one_pass_horner_matches_per_degree_loops(m):
+    rng = np.random.default_rng(40 + m)
+    stack = operators._OperandStack(operators.test_corpus(DEFAULT, m))
+    for grid in (default_grid(DEFAULT), np.array([EDGE_CLAMP, 0.5, 1.0 - EDGE_CLAMP]) * DEFAULT.length):
+        for word in _words(m, rng):
+            for sign in (1.0, -1.0):
+                fold = operators._fold(DEFAULT, word, stack, sign, {})
+                got = operators._evaluate(DEFAULT, fold.plan, grid)
+                assert np.array_equal(got, grouped_evaluate(DEFAULT, fold.terms, grid)), (word, sign)
 
 
 @pytest.mark.parametrize("m", range(4))

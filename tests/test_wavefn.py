@@ -24,7 +24,7 @@ from ptsusy.wavefn import (
 )
 
 from conftest import DEFAULT, interior_grid
-from oracles import normalization_double_sum, pairwise_gram
+from oracles import normalization_double_sum, pairwise_gram, superpotential
 
 NORM_CFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -157,8 +157,6 @@ def test_taylor_rejects_walls_and_outside():
 
 def test_ground_state_log_derivative_is_superpotential():
     # hbar phi0'/phi0 = -W at every level: the defining factorization relation
-    from ptsusy.operators import superpotential
-
     for m in (0, 1, 2):
         f = eigenfunction(DEFAULT, m, 0)
         xs = interior_grid(DEFAULT, 23, clamp=0.08)
