@@ -16,7 +16,6 @@ from .errors import (
     NonFiniteIntegrandError,
     PoleError,
     PtsusyError,
-    StepUnderflowError,
     SubdivisionLimitError,
     TailBoundError,
 )
@@ -25,14 +24,13 @@ from .operators import (
     apply_word,
     verify_operator_identities,
 )
-from .quadrature import QuadratureConfig, derivative, integrate_interval, integrate_real_line
+from .quadrature import QuadratureConfig, integrate_interval, integrate_real_line
 from .spectrum import (
     LevelIndex,
     ModelParams,
     energy,
     gap_factor_M,
     gap_factor_N,
-    ground_energy,
     phase_alpha,
 )
 from .wavefn import (
@@ -59,18 +57,15 @@ __all__ = [
     "PoleError",
     "PtsusyError",
     "QuadratureConfig",
-    "StepUnderflowError",
     "SubdivisionLimitError",
     "TailBoundError",
     "apply_word",
     "cs_overlap",
-    "derivative",
     "eigenfunction",
     "energy",
     "gap_factor_M",
     "gap_factor_N",
     "gram_matrix",
-    "ground_energy",
     "identity_gram_projection",
     "integrate_interval",
     "integrate_real_line",

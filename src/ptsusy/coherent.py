@@ -25,7 +25,7 @@ from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval, integrate_real_line
 from .specfun import log_gamma
 from .spectrum import ModelParams
-from .wavefn import eigenfunction, log_ground_constant
+from .wavefn import EigenFamily, eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
 #: Most points one ``log_gamma`` call of ``resolution_kernel`` receives; the
@@ -242,7 +242,8 @@ def identity_gram_projection(
     the identity matrix when the coherent family resolves unity.  The kernel
     G is evaluated pointwise inside the quadrature, so this is a genuine
     double-integral check, not a restatement of orthonormality.  The upper
-    triangle is one vector-valued integral, so G is computed once per node.
+    triangle is one vector-valued integral, so G is computed once per node,
+    and one ``EigenFamily`` built per call evaluates the states there.
 
     Each integrand call computes G at all its nodes with one
     ``resolution_kernel`` call, whose panels those nodes share.  So the
@@ -253,14 +254,14 @@ def identity_gram_projection(
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)
-    funcs = [eigenfunction(params, m, n) for n in range(size)]
+    family = EigenFamily(eigenfunction(params, m, n) for n in range(size))
     L = params.length
     lo, hi = 1e-6 * L, (1.0 - 1e-6) * L
     rows, cols = np.triu_indices(size)
 
     def integrand(x):
         g = resolution_kernel(params, m, x, kernel_config)
-        phi = np.array([f(x) for f in funcs])
+        phi = family(x)
         return np.conj(phi[rows]) * g * phi[cols]
 
     value = integrate_interval(integrand, lo, hi, config).value

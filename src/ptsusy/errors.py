@@ -35,7 +35,3 @@ class TailBoundError(PtsusyError, RuntimeError):
 
 class NonFiniteIntegrandError(PtsusyError, RuntimeError):
     """Integrand returned NaN or infinity inside the integration domain."""
-
-
-class StepUnderflowError(PtsusyError, ValueError):
-    """Finite-difference step too small to resolve at machine precision."""

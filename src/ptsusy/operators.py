@@ -443,21 +443,23 @@ def verify_operator_identities(
     phi_n = eigenfunction(params, 0, n)
     lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign, folds=folds)
     scalar = two_m ** (m + 1)
-    scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n(bulk))))
+    phi_n_bulk = phi_n(bulk)
+    scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_bulk)))
     for k in range(m + 1):
         scalar *= e0_level(n) - e0_level(k)
         scale *= abs(e0_level(n) - e0_level(k))
-    res_bdagb = _rel(lhs, scalar * phi_n(bulk), scale=scale)
+    res_bdagb = _rel(lhs, scalar * phi_n_bulk, scale=scale)
     add("product_BdagB", res_bdagb, 1e-9, details={"annihilating_branch": n <= m})
     add("supercharge_anticommutator_block0", res_bdagb, 1e-9, details={"alias_of": "product_BdagB"})
 
     phi_up = eigenfunction(params, m + 1, n)
+    phi_up_bulk = phi_up(bulk)
     lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign, folds=folds)
     scalar = two_m ** (m + 1)
     e_up = energy(params, LevelIndex(m + 1, n))
     for k in range(m + 1):
         scalar *= e_up - e0_level(k)
-    res_bbdag = _rel(lhs, scalar * phi_up(bulk))
+    res_bbdag = _rel(lhs, scalar * phi_up_bulk)
     add("product_BBdag", res_bbdag, 1e-9)
     add("supercharge_anticommutator_block1", res_bbdag, 1e-9, details={"alias_of": "product_BBdag"})
 
@@ -465,7 +467,7 @@ def verify_operator_identities(
     phi_top = eigenfunction(params, 0, n + m + 1)
     lhs = apply_word(params, word_b, phi_top, bulk, sign, folds=folds)
     pref = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n, m)
-    add("ladder_action", _rel(lhs, pref * phi_up(bulk)), 1e-8)
+    add("ladder_action", _rel(lhs, pref * phi_up_bulk), 1e-8)
 
     # Mean values of the chain products by quadrature.
     quad = _norm_sq(params, word_bdag, phi_up, config, sign, folds)
@@ -542,9 +544,10 @@ def verify_operator_identities(
         core = 1.0
         for k in range(m + 1, n + 1):
             core *= e_hi - e0_level(k)
+        phi_hi_bulk = phi_hi(bulk)
         variants = {
-            "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi(bulk)),
-            "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi(bulk)) if m > 0 else float("inf"),
+            "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_bulk),
+            "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_bulk) if m > 0 else float("inf"),
         }
         variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
         add("partial_chain_product", variants[variants["matching_variant"]], None, informational=True, details=variants)

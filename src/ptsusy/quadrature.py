@@ -1,9 +1,9 @@
-"""Adaptive quadrature and finite-difference oracles.
+"""Adaptive quadrature.
 
 This module is the independent numerical referee for every closed form in the
 package, so it deliberately avoids the analytic machinery of the other modules:
-plain panel-adaptive Gauss-Legendre integration, an exponential-tail wrapper
-for real-line integrals, and Richardson-extrapolated central differences.
+plain panel-adaptive Gauss-Legendre integration and an exponential-tail
+wrapper for real-line integrals.
 Integrands must accept numpy arrays of abscissas and return arrays of values
 (real or complex).  An integrand's value at a node must not depend on the
 other nodes of the same call: ``integrate_interval`` calls it once per
@@ -34,12 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    NonFiniteIntegrandError,
-    StepUnderflowError,
-    SubdivisionLimitError,
-    TailBoundError,
-)
+from .errors import NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
 
 
 #: Gauss-Legendre nodes per panel.
@@ -279,59 +274,3 @@ def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAUL
             return IntegralResult(core.value, core.error + tail, core.evaluations + evaluations)
         u *= 1.6
     raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
-
-
-def derivative(f, x: float, order: int = 1, h0: float | None = None, levels: int = 6):
-    """Richardson-extrapolated central difference of order 1 or 2.
-
-    Args:
-        f: scalar-or-vectorized function of one real variable.
-        x: evaluation point.
-        order: 1 for f', 2 for f''.
-        h0: starting step; default 0.05 * (1 + |x|).
-        levels: extrapolation depth.
-
-    Returns:
-        (value, error_estimate) with the error taken from the last diagonal
-        increment of the extrapolation table.
-
-    Raises:
-        StepUnderflowError: steps too small to move x at machine precision.
-    """
-    if order not in (1, 2):
-        raise ValueError("derivative supports order 1 or 2 only")
-    if h0 is None:
-        h0 = 0.05 * (1.0 + abs(x))
-    if h0 <= 0.0:
-        raise StepUnderflowError("h0 must be positive")
-    smallest = h0 / 2.0 ** (levels - 1)
-    if x + smallest == x or smallest < 4e-13 * max(1.0, abs(x)):
-        raise StepUnderflowError("finite-difference step underflows at this x")
-
-    def sample(t: float) -> complex:
-        # scalar call; accept scalar or length-1 array results
-        return complex(np.asarray(f(t)).ravel()[0])
-
-    def central(h: float) -> complex:
-        fp = sample(x + h)
-        fm = sample(x - h)
-        if order == 1:
-            return (fp - fm) / (2.0 * h)
-        return (fp - 2.0 * sample(x) + fm) / (h * h)
-
-    rows = []
-    best = None
-    best_err = math.inf
-    for i in range(levels):
-        h = h0 / 2.0**i
-        row = [central(h)]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append((factor * row[j - 1] - rows[i - 1][j - 1]) / (factor - 1.0))
-        rows.append(row)
-        if i > 0:
-            err = abs(row[-1] - rows[i - 1][-1])
-            if err <= best_err:
-                best_err = err
-                best = row[-1]
-    return best, best_err

@@ -70,11 +70,6 @@ def energy(params: ModelParams, idx: LevelIndex) -> float:
     return params.epsilon0 * (s * s - params.beta**2 / (s * s))
 
 
-def ground_energy(params: ModelParams, m: int) -> float:
-    """Ground-state energy of hierarchy level m."""
-    return energy(params, LevelIndex(m=m, n=0))
-
-
 def _gap_product_logs(factors) -> float:
     # All gap-factor pieces are positive in the supported index range, so a
     # plain log sum is safe; a zero factor short-circuits to -inf.

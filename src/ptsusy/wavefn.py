@@ -8,6 +8,12 @@ gives every ladder relation a positive connection constant.
 
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
+The Jacobi factor times its sine power is a compensated sum in a fixed order
+per state.  ``EigenFamily`` evaluates states of one ``ModelParams`` together:
+one table of powers and one compensated sum for all rows, each row bit for
+bit what the state gives alone.  ``gram_matrix`` and
+``coherent.identity_gram_projection`` build one family per call, and a single
+state's call is the one-row family.
 Operator words act on the cotangent form that ``EigenFunction.cot_terms``
 gives; ``EigenFunction.taylor`` still emits Taylor jets on the open interval,
 which only the tests use, as the independent route.
@@ -101,27 +107,59 @@ def _ladder_phase(n: int) -> complex:
     return (-1j) ** (n % 4)
 
 
-def _poly_envelope(coeffs, deg: int, v, w):
-    # sum_k c_k v^k w^(deg-k) == sin^deg * P_deg(i cot), bounded for all x in [0, L].
-    # Fixed descending-coefficient-magnitude order with Kahan accumulation.
-    order = sorted(range(deg + 1), key=lambda k: abs(coeffs[k]) * 0.5**k, reverse=True)
-    vp = [None] * (deg + 1)
-    wp = [None] * (deg + 1)
-    vk = np.ones_like(v)
-    wk = np.ones_like(w)
-    for k in range(deg + 1):
-        vp[k] = vk
-        wp[k] = wk
-        vk = vk * v
-        wk = wk * w
-    total = np.zeros_like(v)
-    comp = np.zeros_like(v)
-    for k in order:
-        term = coeffs[k] * vp[k] * wp[deg - k] - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
+def _kahan_order(coeffs) -> tuple:
+    # fixed order of sum_k c_k v^k w^(deg-k): descending |c_k| 2^-k
+    order = sorted(range(len(coeffs)), key=lambda k: abs(coeffs[k]) * 0.5**k, reverse=True)
+    return tuple(order), tuple(coeffs[k] for k in order)
+
+
+class _EnvelopeSums:
+    """Rows sum_k c_k v^k w^(deg-k) == sin^deg * P_deg(i cot), bounded on [0, L].
+
+    Built from rows (order, ordered coefficients) by falling degree.  A call
+    builds the v^k and w^k tables once and runs one Kahan loop: step j adds
+    term order[j] of the leading rows whose degree reaches j and sets the
+    others aside, so each row goes through the operations of its own sum.
+    """
+
+    def __init__(self, rows):
+        self.rows = len(rows)
+        self.top = len(rows[0][0]) - 1
+        self.steps = []
+        for j in range(self.top + 1):
+            live = [(order[j], len(order) - 1 - order[j], coeffs[j]) for order, coeffs in rows if len(order) > j]
+            if len(live) == 1:
+                # scalar times 1-d row, as a one-state sum multiplies: numpy
+                # can round a complex (1, 1) * (1,) product differently
+                ((power, other, coef),) = live
+                self.steps.append((1, coef, power, other))
+            else:
+                power, other, coef = (np.array(c) for c in zip(*live))
+                self.steps.append((len(live), coef.astype(complex)[:, None], power, other))
+
+    def __call__(self, v, w):
+        """Rows at the 1-d complex points v = -i e^(i theta) / 2, w = sin theta."""
+        vp = [np.ones(v.size, dtype=complex)]
+        wp = [vp[0]]
+        for _ in range(self.top):
+            vp.append(vp[-1] * v)
+            wp.append(wp[-1] * w)
+        if self.rows > 1:
+            vp, wp = np.array(vp), np.array(wp)
+        live = self.rows
+        # a one-row plan sums on 1-d rows, as a one-state sum does
+        total = np.zeros((live, v.size) if live > 1 else v.size, dtype=complex)
+        comp = np.zeros(total.shape, dtype=complex)
+        done = []
+        for k, coef, vk, wk in self.steps:
+            if k < live:
+                done.append(total[k:])
+                total, comp, live = total[:k], comp[:k], k
+            term = coef * vp[vk] * wp[wk] - comp
+            t = total + term
+            comp = (t - total) - term
+            total = t
+        return np.concatenate([total, *done[::-1]]) if done else total.reshape(self.rows, v.size)
 
 
 class EigenFunction:
@@ -154,26 +192,16 @@ class EigenFunction:
         return energy(self.params, self.idx)
 
     def __call__(self, x):
-        p = self.params
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if not np.all((arr >= 0.0) & (arr <= p.length)):
-            raise DomainError("x outside the box [0, L]")
-        theta = math.pi * arr / p.length
-        w = np.sin(theta)
-        v = -0.5j * np.exp(1j * theta)
-        poly = _poly_envelope(self._coeffs, self._deg, v.astype(complex), w.astype(complex))
-        out = np.zeros(arr.shape, dtype=complex)
-        # mask on x, not on sin: sin(pi * L / L) is a subnormal, not an exact 0
-        interior = (arr > 0.0) & (arr < p.length)
-        envelope = np.exp(
-            self.norm_data.log_K
-            + self._gamma * arr[interior]
-            + (self._nu_eff + 1.0) * np.log(w[interior])
-        )
-        out[interior] = self.phase * envelope * poly[interior]
-        return complex(out[0]) if scalar else out
+        row = self._family(x)[0]
+        return complex(row) if row.ndim == 0 else row
+
+    @cached_property
+    def _kahan(self) -> tuple:
+        return _kahan_order(self._coeffs)
+
+    @cached_property
+    def _family(self) -> "EigenFamily":
+        return EigenFamily((self,))
 
     @cached_property
     def cot_terms(self) -> tuple:
@@ -205,6 +233,50 @@ class EigenFunction:
         return env * poly * (self.phase * math.exp(self.norm_data.log_K))
 
 
+class EigenFamily:
+    """Eigenfunctions of one ``ModelParams``, any levels, evaluated together.
+
+    Calling it at x returns shape (len(states),) + shape(x), and row i equals
+    ``states[i](x)`` bit for bit.  The plan holds the rows by falling degree,
+    each with its state's Kahan order, log K, gamma, nu + m + 1 and phase.  A
+    call runs one ``_EnvelopeSums`` pass, takes the envelope of every row in
+    one expression and scatters the rows back to the order given.
+    """
+
+    def __init__(self, states):
+        states = tuple(states)
+        self.params = states[0].params
+        if any(f.params != self.params for f in states):
+            raise DomainError("an eigenfunction family shares one ModelParams")
+        by_degree = sorted(range(len(states)), key=lambda i: -states[i]._deg)
+        rows = [states[i] for i in by_degree]
+        self._sums = _EnvelopeSums([f._kahan for f in rows])
+        env = np.array([[[f.norm_data.log_K], [f._gamma], [f._nu_eff + 1.0]] for f in rows])
+        self._log_K, self._gamma, self._power = env.transpose(1, 0, 2)  # each (rows, 1)
+        self._phase = np.array([[f.phase] for f in rows])
+        self._inverse = None if by_degree == list(range(len(states))) else np.argsort(by_degree)
+
+    def __call__(self, x) -> np.ndarray:
+        p = self.params
+        arr = np.asarray(x, dtype=float)
+        if not ((arr >= 0.0) & (arr <= p.length)).all():
+            raise DomainError("x outside the box [0, L]")
+        flat = arr.ravel()
+        theta = math.pi * flat / p.length
+        w = np.sin(theta)
+        v = -0.5j * np.exp(1j * theta)
+        poly = self._sums(v, w.astype(complex))
+        out = np.zeros(poly.shape, dtype=complex)
+        # mask on x, not on sin: sin(pi * L / L) is a subnormal, not an exact 0
+        interior = (flat > 0.0) & (flat < p.length)
+        cols = slice(None) if interior.all() else interior  # a mask costs more on rows
+        expo = self._log_K + self._gamma * flat[cols] + self._power * np.log(w[cols])
+        out[:, cols] = self._phase * np.exp(expo) * poly[:, cols]
+        if self._inverse is not None:
+            out = out[self._inverse]
+        return out.reshape((len(out),) + arr.shape)
+
+
 @lru_cache(maxsize=1024)
 def eigenfunction(params: ModelParams, m: int, n: int, cap: int = LEVEL_CAP) -> EigenFunction:
     """Cached EigenFunction factory."""
@@ -225,36 +297,26 @@ def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
     s1 = n + nu + 2.0
     a1 = complex(-s1, beta / s1)
     norm = normalization_K(params, n + 1)
-    e_top = energy(params, LevelIndex(0, n + 1))
-    e_bot = energy(params, LevelIndex(0, 0))
-    gap = e_top - e_bot
-    mean_gap = gap / (n + 1.0)
-    amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * mean_gap / (n + 2.0 * nu + 3.0))
+    gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))
+    amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * (gap / (n + 1.0)) / (n + 2.0 * nu + 3.0))
     alpha_mix = phase_alpha(params, n)
     c_top = jacobi_series_coefficients(n + 1, a1, a1.conjugate())
     c_shift = jacobi_series_coefficients(n, a1 + 1.0, a1.conjugate() + 1.0)
 
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
     if not np.all((arr >= 0.0) & (arr <= L)):
         raise DomainError("x outside the box [0, L]")
-    theta = math.pi * arr / L
+    flat = arr.ravel()
+    theta = math.pi * flat / L
     w = np.sin(theta).astype(complex)
     v = -0.5j * np.exp(1j * theta)
-    out = np.zeros(arr.shape, dtype=complex)
-    interior = (arr > 0.0) & (arr < L)
-    bracket = amp * np.cos(theta - alpha_mix) * _poly_envelope(c_top, n + 1, v, w) + (
-        0.5j * math.pi * hbar * (n + 2.0 * nu + 2.0) / L
-    ) * _poly_envelope(c_shift, n, v, w)
-    envelope = np.exp(
-        norm.log_K
-        - beta * math.pi * arr[interior] / (L * s1)
-        + nu * np.log(w[interior].real)
-    )
-    phase = _ladder_phase(n + 1)
-    out[interior] = phase * envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
-    return complex(out[0]) if scalar else out
+    out = np.zeros(flat.shape, dtype=complex)
+    interior = (flat > 0.0) & (flat < L)
+    top, shift = _EnvelopeSums([_kahan_order(c_top), _kahan_order(c_shift)])(v, w)
+    bracket = amp * np.cos(theta - alpha_mix) * top + (0.5j * math.pi * hbar * (n + 2.0 * nu + 2.0) / L) * shift
+    envelope = np.exp(norm.log_K - beta * math.pi * flat[interior] / (L * s1) + nu * np.log(w[interior].real))
+    out[interior] = _ladder_phase(n + 1) * envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def gram_matrix(
@@ -265,15 +327,22 @@ def gram_matrix(
     """Hermitian Gram matrix of callables over [0, length] by adaptive quadrature.
 
     The upper triangle is one vector-valued integral: every function is
-    evaluated once per node, and every entry meets its own tolerance.
+    evaluated once per node, and every entry meets its own tolerance.  When
+    every function is an ``EigenFunction`` of one ``ModelParams``, one
+    ``EigenFamily`` built per call evaluates them all at each node, with the
+    values each gives alone; other callables are called one by one.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)
     k = len(functions)
     rows, cols = np.triu_indices(k)
+    if k and all(isinstance(f, EigenFunction) and f.params == functions[0].params for f in functions):
+        values = EigenFamily(functions)
+    else:
+        values = lambda t: np.array([f(t) for f in functions])
 
     def integrand(t):
-        phi = np.array([f(t) for f in functions])
+        phi = values(t)
         return np.conj(phi[rows]) * phi[cols]
 
     value = integrate_interval(integrand, 0.0, length, config).value

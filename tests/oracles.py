@@ -45,6 +45,17 @@ normalization constant that ``wavefn.normalization_K`` computes by its
 product form: the gamma / Pochhammer double sum.  It is analytically
 identical but numerically ill conditioned (its terms cancel roughly like
 10**n), so it guards itself and serves as a cross-check at small n only.
+
+``poly_envelope`` is the per-state compensated sum that evaluated every
+eigenfunction before ``wavefn.EigenFamily`` ran one Kahan loop over all rows
+of a family: its own power tables and its own order, sorted at each call.
+``per_state_eigenfunction`` and ``per_state_partner`` are ``EigenFunction``
+calls and ``partner_eigenfunction_explicit`` as they were on top of it.  The
+batched rows go through the same operations, so they must agree bit for bit.
+
+``derivative`` is the Richardson-extrapolated central difference that
+checks the Taylor jets and the superpotential's derivative;
+``ground_energy`` is the level's n = 0 energy by name.
 """
 
 import cmath
@@ -63,13 +74,15 @@ from ptsusy.errors import (
     LossOfSignificanceError,
     NonFiniteIntegrandError,
     PoleError,
+    PtsusyError,
     SubdivisionLimitError,
     TailBoundError,
 )
 from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
 from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
-from ptsusy.specfun import log_gamma
-from ptsusy.spectrum import LEVEL_CAP, ModelParams
+from ptsusy.specfun import jacobi_series_coefficients, log_gamma
+from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, phase_alpha
+from ptsusy.wavefn import _ladder_phase, normalization_K
 
 
 def serial_jet_mul(a, b):
@@ -437,3 +450,136 @@ def normalization_double_sum(params, n: int, cap: int = LEVEL_CAP) -> float:
         + beta * math.pi / (2.0 * s)
         - 0.5 * log_O
     )
+
+
+def ground_energy(params, m: int) -> float:
+    """Ground-state energy of hierarchy level m."""
+    return energy(params, LevelIndex(m=m, n=0))
+
+
+class StepUnderflowError(PtsusyError, ValueError):
+    """Finite-difference step too small to resolve at machine precision."""
+
+
+def derivative(f, x: float, order: int = 1, h0: float | None = None, levels: int = 6):
+    """Richardson-extrapolated central difference of order 1 or 2.
+
+    Args:
+        f: scalar-or-vectorized function of one real variable.
+        x: evaluation point.
+        order: 1 for f', 2 for f''.
+        h0: starting step; default 0.05 * (1 + |x|).
+        levels: extrapolation depth.
+
+    Returns:
+        (value, error_estimate) with the error taken from the last diagonal
+        increment of the extrapolation table.
+
+    Raises:
+        StepUnderflowError: steps too small to move x at machine precision.
+    """
+    if order not in (1, 2):
+        raise ValueError("derivative supports order 1 or 2 only")
+    if h0 is None:
+        h0 = 0.05 * (1.0 + abs(x))
+    if h0 <= 0.0:
+        raise StepUnderflowError("h0 must be positive")
+    smallest = h0 / 2.0 ** (levels - 1)
+    if x + smallest == x or smallest < 4e-13 * max(1.0, abs(x)):
+        raise StepUnderflowError("finite-difference step underflows at this x")
+
+    def sample(t: float) -> complex:
+        # scalar call; accept scalar or length-1 array results
+        return complex(np.asarray(f(t)).ravel()[0])
+
+    def central(h: float) -> complex:
+        fp = sample(x + h)
+        fm = sample(x - h)
+        if order == 1:
+            return (fp - fm) / (2.0 * h)
+        return (fp - 2.0 * sample(x) + fm) / (h * h)
+
+    rows = []
+    best = None
+    best_err = math.inf
+    for i in range(levels):
+        h = h0 / 2.0**i
+        row = [central(h)]
+        for j in range(1, i + 1):
+            factor = 4.0**j
+            row.append((factor * row[j - 1] - rows[i - 1][j - 1]) / (factor - 1.0))
+        rows.append(row)
+        if i > 0:
+            err = abs(row[-1] - rows[i - 1][-1])
+            if err <= best_err:
+                best_err = err
+                best = row[-1]
+    return best, best_err
+
+
+def poly_envelope(coeffs, deg: int, v, w):
+    """sum_k c_k v^k w^(deg-k) for one polynomial, in descending |c_k| 2^-k
+    order with Kahan accumulation."""
+    order = sorted(range(deg + 1), key=lambda k: abs(coeffs[k]) * 0.5**k, reverse=True)
+    vp = [None] * (deg + 1)
+    wp = [None] * (deg + 1)
+    vk = np.ones_like(v)
+    wk = np.ones_like(w)
+    for k in range(deg + 1):
+        vp[k] = vk
+        wp[k] = wk
+        vk = vk * v
+        wk = wk * w
+    total = np.zeros_like(v)
+    comp = np.zeros_like(v)
+    for k in order:
+        term = coeffs[k] * vp[k] * wp[deg - k] - comp
+        t = total + term
+        comp = (t - total) - term
+        total = t
+    return total
+
+
+def per_state_eigenfunction(func, x):
+    """The eigenfunction func at x from its own ``poly_envelope``."""
+    p = func.params
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if not np.all((arr >= 0.0) & (arr <= p.length)):
+        raise DomainError("x outside the box [0, L]")
+    theta = math.pi * arr / p.length
+    w = np.sin(theta)
+    v = -0.5j * np.exp(1j * theta)
+    poly = poly_envelope(func._coeffs, func._deg, v.astype(complex), w.astype(complex))
+    out = np.zeros(arr.shape, dtype=complex)
+    interior = (arr > 0.0) & (arr < p.length)
+    envelope = np.exp(func.norm_data.log_K + func._gamma * arr[interior] + (func._nu_eff + 1.0) * np.log(w[interior]))
+    out[interior] = func.phase * envelope * poly[interior]
+    return complex(out[0]) if scalar else out
+
+
+def per_state_partner(params, n: int, x):
+    """``partner_eigenfunction_explicit`` with one ``poly_envelope`` per polynomial."""
+    nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
+    s1 = n + nu + 2.0
+    a1 = complex(-s1, beta / s1)
+    norm = normalization_K(params, n + 1)
+    gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))
+    amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * (gap / (n + 1.0)) / (n + 2.0 * nu + 3.0))
+    c_top = jacobi_series_coefficients(n + 1, a1, a1.conjugate())
+    c_shift = jacobi_series_coefficients(n, a1 + 1.0, a1.conjugate() + 1.0)
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    theta = math.pi * arr / L
+    w = np.sin(theta).astype(complex)
+    v = -0.5j * np.exp(1j * theta)
+    out = np.zeros(arr.shape, dtype=complex)
+    interior = (arr > 0.0) & (arr < L)
+    bracket = amp * np.cos(theta - phase_alpha(params, n)) * poly_envelope(c_top, n + 1, v, w) + (
+        0.5j * math.pi * hbar * (n + 2.0 * nu + 2.0) / L
+    ) * poly_envelope(c_shift, n, v, w)
+    envelope = np.exp(norm.log_K - beta * math.pi * arr[interior] / (L * s1) + nu * np.log(w[interior].real))
+    out[interior] = _ladder_phase(n + 1) * envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
+    return complex(out[0]) if scalar else out

@@ -92,7 +92,7 @@ def test_truncate():
 
 def test_composition_against_finite_difference():
     # the superpotential-like composite 1/tan at a bulk point
-    from ptsusy.quadrature import derivative as fd
+    from oracles import derivative as fd
 
     def g(t):
         return math.exp(0.3 * t) / math.tan(t)

@@ -76,7 +76,7 @@ def superpotential_derivative(params, m, x):
 
 
 def test_superpotential_derivative_matches_fd():
-    from ptsusy.quadrature import derivative as fd
+    from oracles import derivative as fd
 
     w = SuperPotential(params=DEFAULT, m=1)
     for x0 in (0.2, 0.5, 0.77):

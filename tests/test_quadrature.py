@@ -11,12 +11,11 @@ from ptsusy.quadrature import (
     BASE_RULE_ORDER,
     DEFAULT_CONFIG,
     QuadratureConfig,
-    derivative,
     integrate_interval,
     integrate_real_line,
 )
 
-from oracles import panelwise_integrate, panelwise_real_line
+from oracles import derivative, panelwise_integrate, panelwise_real_line
 
 
 def test_sine_squared_half():

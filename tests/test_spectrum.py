@@ -14,9 +14,10 @@ from ptsusy.spectrum import (
     energy,
     gap_factor_M,
     gap_factor_N,
-    ground_energy,
     phase_alpha,
 )
+
+from oracles import ground_energy
 
 P = ModelParams(nu=1.0, beta=2.0, hbar=1.0, length=1.0, mass=0.5)
 

@@ -13,9 +13,9 @@ import pytest
 from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DomainError, LossOfSignificanceError
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
-from ptsusy.quadrature import derivative as fd_derivative
 from ptsusy.spectrum import LevelIndex, ModelParams
 from ptsusy.wavefn import (
+    EigenFamily,
     eigenfunction,
     gram_matrix,
     log_ground_constant,
@@ -23,8 +23,15 @@ from ptsusy.wavefn import (
     partner_eigenfunction_explicit,
 )
 
-from conftest import DEFAULT, interior_grid
-from oracles import normalization_double_sum, pairwise_gram, superpotential
+from conftest import DEFAULT, PARAM_GRID, interior_grid
+from oracles import derivative as fd_derivative
+from oracles import (
+    normalization_double_sum,
+    pairwise_gram,
+    per_state_eigenfunction,
+    per_state_partner,
+    superpotential,
+)
 
 NORM_CFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -241,6 +248,73 @@ def test_gram_matrix_point_budget(m):
     gram = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
     assert np.max(np.abs(gram - np.eye(11))) < 1e-8
     assert points[0] <= 5000
+
+
+# two (nu, beta) for the bit-for-bit checks, one of them in a non-unit gauge
+BITWISE_PARAMS = [DEFAULT, ModelParams(nu=0.37, beta=0.0, hbar=2.0, length=2.0, mass=1.0)]
+
+
+def _bitwise_points(p):
+    # exactly 0 and L, a scalar, one point, and a 2-d grid
+    grid = np.concatenate([[0.0], interior_grid(p, 59, clamp=0.01), [p.length]])
+    return [grid, 0.3 * p.length, grid[[17]], grid[1:].reshape(6, 10)]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p", BITWISE_PARAMS, ids=["default", "gauge2"])
+def test_family_rows_match_per_state_reference(p):
+    # every row of one family of levels 0-10, n 0-10, and every one-state
+    # call, runs the operations of the per-state compensated sum
+    states = [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
+    family = EigenFamily(states)
+    for x in _bitwise_points(p):
+        rows = family(x)
+        assert rows.shape == (len(states),) + np.shape(x)
+        for f, row in zip(states, rows):
+            want = per_state_eigenfunction(f, x)
+            assert _same_bits(row, want), (f.idx, np.shape(x))
+            assert _same_bits(f(x), want), (f.idx, np.shape(x))
+            assert type(f(x)) is type(want)
+
+
+def test_family_returns_rows_in_input_order():
+    # degrees out of order, levels mixed, tied degrees and a repeated state
+    cells = ((3, 2), (0, 7), (5, 0), (1, 1), (2, 9), (6, 2), (0, 7), (4, 4))
+    states = [eigenfunction(DEFAULT, m, n) for m, n in cells]
+    xs = np.linspace(0.0, DEFAULT.length, 41)
+    rows = EigenFamily(states)(xs)
+    for f, row in zip(states, rows):
+        assert _same_bits(row, per_state_eigenfunction(f, xs)), f.idx
+
+
+def test_family_rejects_nan_outside_and_mixed_params():
+    family = EigenFamily([eigenfunction(DEFAULT, 1, n) for n in range(4)])
+    for x in (math.nan, np.array([0.5, math.nan]), -0.1, np.array([[0.5, 1.2]])):
+        with pytest.raises(DomainError):
+            family(x)
+    with pytest.raises(DomainError):
+        EigenFamily([eigenfunction(DEFAULT, 0, 1), eigenfunction(PARAM_GRID[0], 0, 1)])
+
+
+@pytest.mark.parametrize("m", [0, 7])
+def test_gram_matrix_family_byte_equal_to_plain_callables(m):
+    # eigenfunctions of one model go through one family per call; the same
+    # states wrapped as plain callables take one call each per node
+    funcs = [eigenfunction(DEFAULT, m, n) for n in range(11)]
+    plain = [lambda x, f=f: f(x) for f in funcs]
+    batched = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    assert batched.tobytes() == gram_matrix(plain, DEFAULT.length, ORTHONORMALITY_CONFIG).tobytes()
+
+
+@pytest.mark.parametrize("p", BITWISE_PARAMS, ids=["default", "gauge2"])
+def test_partner_explicit_matches_per_state_reference(p):
+    for n in range(10):
+        for x in _bitwise_points(p):
+            assert _same_bits(partner_eigenfunction_explicit(p, n, x), per_state_partner(p, n, x)), (n, np.shape(x))
 
 
 def test_parity_at_zero_tilt():
