@@ -243,7 +243,8 @@ def identity_gram_projection(
     G is evaluated pointwise inside the quadrature, so this is a genuine
     double-integral check, not a restatement of orthonormality.  The upper
     triangle is one vector-valued integral, so G is computed once per node,
-    and one ``EigenFamily`` built per call evaluates the states there.
+    and one ``EigenFamily`` built per call evaluates the states there in
+    one Horner pass of their two-sided binomial sums.
 
     Each integrand call computes G at all its nodes with one
     ``resolution_kernel`` call, whose panels those nodes share.  So the

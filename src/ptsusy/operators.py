@@ -37,16 +37,17 @@ integrands of its quadratures, and drops it on return.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PtsusyError
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_interval
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
-from .wavefn import eigenfunction
+from .wavefn import _leading_loop, eigenfunction
 
 #: Relative clamp keeping operator evaluations away from the wall singularities.
 EDGE_CLAMP = 1e-6
@@ -185,11 +186,9 @@ def _plan(terms: _Terms) -> _Plan:
     degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     order = np.argsort(-degree, kind="stable")
     degree = degree[order]
-    powers = np.arange(degree[0] - 1, -1, -1)
-    loop = tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
     q = q[order]
     top = q[np.arange(len(q)), degree]
-    return _Plan(q, top, loop, order, terms.log_c[order], terms.gamma[order], terms.power[order] - degree)
+    return _Plan(q, top, _leading_loop(degree), order, terms.log_c[order], terms.gamma[order], terms.power[order] - degree)
 
 
 def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -305,7 +304,7 @@ def default_grid(params: ModelParams, size: int = 161, clamp: float = 0.02) -> n
 class IdentityResult:
     name: str
     indices: dict
-    max_residual: float
+    max_residual: float | str
     threshold: float | None
     passed: bool | None
     informational: bool
@@ -325,12 +324,13 @@ def _rel(lhs: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> float:
     return num / max(scale, 1e-300)
 
 
-def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float, folds: dict) -> IntegralResult:
+def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float, folds: dict, unit=1.0):
+    # the squared norm of the word applied to func, in units of unit
     L = params.length
 
     def integrand(x):
         vals = apply_word(params, word, func, x, sign, folds=folds)
-        return np.abs(vals) ** 2
+        return np.abs(vals) ** 2 / unit
 
     return integrate_interval(integrand, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
 
@@ -369,7 +369,11 @@ def verify_operator_identities(
 
     Mandatory identities carry thresholds and a pass flag; identities whose
     printed form is ambiguous are evaluated in every well-formed variant and
-    reported as informational, with the matching variant recorded.
+    reported as informational, with the matching variant recorded.  A
+    ``PtsusyError`` inside one identity, such as a state above the level cap
+    or an integral out of panels, ends only that identity: its rows carry
+    the error's type name as the residual and its message under "error" in
+    details, and are not passed if mandatory, skipped if informational.
 
     Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L] and chains of
     depth three and beyond on the bulk span [0.1 L, 0.9 L].  The bulk span is
@@ -392,92 +396,101 @@ def verify_operator_identities(
     idx = {"n": n, "m": m}
     # one fold per (operand, word prefix, sign) for this call's words
     folds: dict = {}
+    # the standard operands of a level as one stack, built once per call: a
+    # word folds all members at once, and residuals are taken member by member
+    corpus = lru_cache(maxsize=None)(lambda level: _OperandStack(test_corpus(params, level)))
+    on_bulk = lru_cache(maxsize=None)(lambda state: state(bulk))
 
-    def add(name, res, threshold, informational=False, details=None):
-        passed = None if informational else bool(res < threshold)
-        results.append(
-            IdentityResult(name, dict(idx), res, threshold, passed, informational, grid_size, details or {})
-        )
+    @contextmanager
+    def identity(*names, threshold=None):
+        # yields the recorder of one identity's residual, a row per name with
+        # the later names aliases of the first, or records a package error
+        def record(res, details=None):
+            passed = None if threshold is None else not isinstance(res, str) and bool(res < threshold)
+            for i, name in enumerate(names):
+                extra = (details or {}) if i == 0 else {"alias_of": names[0]}
+                results.append(IdentityResult(name, dict(idx), res, threshold, passed, threshold is None, grid_size, extra))
+
+        try:
+            yield record
+        except PtsusyError as exc:
+            record(type(exc).__name__, {"error": str(exc)})
 
     # Ground-state annihilation at level m.
-    ground = eigenfunction(params, m, 0)
-    ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
-    add("ground_state_annihilation", _rel(ann, np.zeros_like(ann), scale=float(np.max(np.abs(ground(grid))))), 1e-9)
+    with identity("ground_state_annihilation", threshold=1e-9) as record:
+        ground = eigenfunction(params, m, 0)
+        ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
+        record(_rel(ann, np.zeros_like(ann), scale=float(np.max(np.abs(ground(grid))))))
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
-    # one on the corpus.  Each corpus is one stacked operand: a word folds all
-    # members at once, and residuals are still taken member by member.
-    corpus_m = _OperandStack(test_corpus(params, m))
-    e0_m = energy(params, LevelIndex(m, 0))
-    worst = 0.0
-    direct = apply_word(params, (("H", m),), corpus_m, grid, folds=folds)
-    chained = apply_word(params, (("A", m), ("Adag", m)), corpus_m, grid, sign, folds=folds)
-    for f, d, c in zip(corpus_m, direct, chained):
-        fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
-        worst = max(worst, _rel(fact, d))
-    add("factorization", worst, 1e-9)
+    # one on the corpus.
+    with identity("factorization", threshold=1e-9) as record:
+        e0_m = energy(params, LevelIndex(m, 0))
+        worst = 0.0
+        direct = apply_word(params, (("H", m),), corpus(m), grid, folds=folds)
+        chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign, folds=folds)
+        for f, d, c in zip(corpus(m), direct, chained):
+            fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
+            worst = max(worst, _rel(fact, d))
+        record(worst)
 
     # Single-step intertwining, both directions.  An annihilated member, such
     # as the ground state under A_m, folds to exactly 0 on both sides.
-    def worst_of(corpus, lhs_word, rhs_word, worst=0.0):
-        lhs = apply_word(params, lhs_word, corpus, bulk, sign, folds=folds)
-        rhs = apply_word(params, rhs_word, corpus, bulk, sign, folds=folds)
+    def worst_of(stack, lhs_word, rhs_word, worst=0.0):
+        lhs = apply_word(params, lhs_word, stack, bulk, sign, folds=folds)
+        rhs = apply_word(params, rhs_word, stack, bulk, sign, folds=folds)
         return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
 
-    worst = worst_of(corpus_m, (("A", m), ("H", m + 1)), (("H", m), ("A", m)))
-    corpus_up = _OperandStack(test_corpus(params, m + 1))
-    worst = worst_of(corpus_up, (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), worst)
-    add("intertwining_single", worst, 1e-7)
+    with identity("intertwining_single", threshold=1e-7) as record:
+        worst = worst_of(corpus(m), (("A", m), ("H", m + 1)), (("H", m), ("A", m)))
+        record(worst_of(corpus(m + 1), (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), worst))
 
     # Chain intertwining (equivalently, the supercharge commutator component).
     word_b = tuple(("A", k) for k in range(m + 1))
-    corpus_0 = _OperandStack(test_corpus(params, 0))
-    worst = worst_of(corpus_0, word_b + (("H", m + 1),), (("H", 0),) + word_b)
-    add("intertwining_chain", worst, 1e-7)
-    add("supercharge_commutator", worst, 1e-7, details={"alias_of": "intertwining_chain"})
+    with identity("intertwining_chain", "supercharge_commutator", threshold=1e-7) as record:
+        record(worst_of(corpus(0), word_b + (("H", m + 1),), (("H", 0),) + word_b))
 
     # Product identities on eigenstates (the supercharge anticommutator blocks).
     # For n <= m one energy factor vanishes and the content is annihilation of
-    # the chain: the fold leaves it exactly 0, so the residual must be 0 too.
+    # the chain: the residual is scaled by the other factors, so it does not
+    # rest on the fold leaving the chain exactly 0.
     word_bdag = tuple(("Adag", k) for k in range(m, -1, -1))
-    phi_n = eigenfunction(params, 0, n)
-    lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign, folds=folds)
-    scalar = two_m ** (m + 1)
-    phi_n_bulk = phi_n(bulk)
-    scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_bulk)))
-    for k in range(m + 1):
-        scalar *= e0_level(n) - e0_level(k)
-        scale *= abs(e0_level(n) - e0_level(k))
-    res_bdagb = _rel(lhs, scalar * phi_n_bulk, scale=scale)
-    add("product_BdagB", res_bdagb, 1e-9, details={"annihilating_branch": n <= m})
-    add("supercharge_anticommutator_block0", res_bdagb, 1e-9, details={"alias_of": "product_BdagB"})
+    with identity("product_BdagB", "supercharge_anticommutator_block0", threshold=1e-9) as record:
+        phi_n = eigenfunction(params, 0, n)
+        lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign, folds=folds)
+        scalar = two_m ** (m + 1)
+        phi_n_bulk = on_bulk(phi_n)
+        scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_bulk)))
+        for k in range(m + 1):
+            scalar *= e0_level(n) - e0_level(k)
+            if k != n:
+                scale *= abs(e0_level(n) - e0_level(k))
+        record(_rel(lhs, scalar * phi_n_bulk, scale=scale), {"annihilating_branch": n <= m})
 
-    phi_up = eigenfunction(params, m + 1, n)
-    phi_up_bulk = phi_up(bulk)
-    lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign, folds=folds)
-    scalar = two_m ** (m + 1)
-    e_up = energy(params, LevelIndex(m + 1, n))
-    for k in range(m + 1):
-        scalar *= e_up - e0_level(k)
-    res_bbdag = _rel(lhs, scalar * phi_up_bulk)
-    add("product_BBdag", res_bbdag, 1e-9)
-    add("supercharge_anticommutator_block1", res_bbdag, 1e-9, details={"alias_of": "product_BBdag"})
+    with identity("product_BBdag", "supercharge_anticommutator_block1", threshold=1e-9) as record:
+        phi_up = eigenfunction(params, m + 1, n)
+        lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign, folds=folds)
+        scalar = two_m ** (m + 1)
+        e_up = energy(params, LevelIndex(m + 1, n))
+        for k in range(m + 1):
+            scalar *= e_up - e0_level(k)
+        record(_rel(lhs, scalar * on_bulk(phi_up)))
 
     # Chain action with the closed-form gap factor.
-    phi_top = eigenfunction(params, 0, n + m + 1)
-    lhs = apply_word(params, word_b, phi_top, bulk, sign, folds=folds)
     pref = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n, m)
-    add("ladder_action", _rel(lhs, pref * phi_up_bulk), 1e-8)
+    with identity("ladder_action", threshold=1e-8) as record:
+        lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), bulk, sign, folds=folds)
+        record(_rel(lhs, pref * on_bulk(eigenfunction(params, m + 1, n))))
 
     # Mean values of the chain products by quadrature.
-    quad = _norm_sq(params, word_bdag, phi_up, config, sign, folds)
-    mean = float(quad.value.real)
-    add("mean_BBdag", _rel(np.array([mean]), np.array([pref**2])), 1e-8, details=_quad_details(quad))
+    with identity("mean_BBdag", threshold=1e-8) as record:
+        quad = _norm_sq(params, word_bdag, eigenfunction(params, m + 1, n), config, sign, folds)
+        record(_rel(np.array([quad.value.real]), np.array([pref**2])), _quad_details(quad))
     if n > m:
-        quad = _norm_sq(params, word_b, phi_n, config, sign, folds)
-        mean = float(quad.value.real)
-        pref_n = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n - m - 1, m)
-        add("mean_BdagB", _rel(np.array([mean]), np.array([pref_n**2])), 1e-8, details=_quad_details(quad))
+        with identity("mean_BdagB", threshold=1e-8) as record:
+            quad = _norm_sq(params, word_b, eigenfunction(params, 0, n), config, sign, folds)
+            pref_n = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n - m - 1, m)
+            record(_rel(np.array([quad.value.real]), np.array([pref_n**2])), _quad_details(quad))
 
     # Adjoint consistency, <A psi, phi> and <psi, A^dag phi> as one two-component
     # integral; bumps keep both inner products away from zero.
@@ -488,111 +501,109 @@ def verify_operator_identities(
         left = np.conj(apply_word(params, (("A", m),), psi, x, sign, folds=folds)) * phi(x)
         return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign, folds=folds)])
 
-    quad = integrate_interval(inner_pair, lo, hi, config)
-    va, vb = quad.value.tolist()
-    add("adjoint_consistency", abs(va - vb) / max(abs(va), abs(vb), 1e-300), 1e-9, details=_quad_details(quad))
+    with identity("adjoint_consistency", threshold=1e-9) as record:
+        quad = integrate_interval(inner_pair, lo, hi, config)
+        va, vb = quad.value.tolist()
+        record(abs(va - vb) / max(abs(va), abs(vb), 1e-300), _quad_details(quad))
 
-    # Eigen-residual of the level-m state n.
-    phi_m = eigenfunction(params, m, n)
-    e_val = energy(params, LevelIndex(m, n))
+    # Eigen-residual of the level-m state n, relative to its energy.  A
+    # residual at the 1e-6 threshold squares to 1e-12; an absolute tolerance
+    # of 1e-16 resolves it to 1e-8 and leaves the roundoff below unresolved.
+    with identity("eigen_residual", threshold=1e-6) as record:
+        phi_m = eigenfunction(params, m, n)
+        e_val = energy(params, LevelIndex(m, n))
 
-    def resid_sq(x):
-        return np.abs(apply_word(params, (("H", m),), phi_m, x, folds=folds) - e_val * phi_m(x)) ** 2
+        def resid_sq(x):
+            return np.abs(apply_word(params, (("H", m),), phi_m, x, folds=folds) / e_val - phi_m(x)) ** 2
 
-    quad = integrate_interval(resid_sq, lo, hi, config)
-    r2 = quad.value.real
-    add("eigen_residual", math.sqrt(max(r2, 0.0)) / abs(e_val), 1e-6, details=_quad_details(quad))
+        quad = integrate_interval(resid_sq, lo, hi, replace(config, abs_tol=1e-16))
+        record(math.sqrt(max(quad.value.real, 0.0)), _quad_details(quad))
 
     # Mixed chain products: evaluate every well-formed printed variant.
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
-        psi_mixed = eigenfunction(params, m + 1, n)
-        word_bn = tuple(("A", k) for k in range(n + 1))
-        lhs = apply_word(params, word_bdag + word_bn, psi_mixed, bulk, sign, folds=folds)
-        details = {}
-        best = None
-        if n > m:
-            lam = tuple(("A", k) for k in range(m + 1, n + 1))
-            scalar = two_m ** (m + 1)
-            e_psi = energy(params, LevelIndex(m + 1, n))
-            for k in range(m + 1):
-                scalar *= e_psi - e0_level(k)
-            rhs = scalar * apply_word(params, lam, psi_mixed, bulk, sign, folds=folds)
-            details["lambda_form"] = _rel(lhs, rhs)
-            best = "lambda_form"
-        if n < m:
-            theta = tuple(("Adag", k) for k in range(m, n, -1))
-            # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-            terms = _fold(params, theta, psi_mixed, sign, folds).terms
-            for k in range(n + 1):
-                terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
-            rhs = two_m ** (n + 1) * _members(psi_mixed, _evaluate(params, _plan(terms), bulk))
-            details["theta_form"] = _rel(lhs, rhs)
-            best = "theta_form"
-        if "lambda_form" in details and "theta_form" in details:
-            best = min(details, key=details.get)
-        details["matching_variant"] = best
-        add("mixed_product", min(v for k, v in details.items() if k != "matching_variant"), None, informational=True, details=details)
+        with identity("mixed_product") as record:
+            psi_mixed = eigenfunction(params, m + 1, n)
+            word_bn = tuple(("A", k) for k in range(n + 1))
+            lhs = apply_word(params, word_bdag + word_bn, psi_mixed, bulk, sign, folds=folds)
+            details = {}
+            if n > m:
+                lam = tuple(("A", k) for k in range(m + 1, n + 1))
+                scalar = two_m ** (m + 1)
+                e_psi = energy(params, LevelIndex(m + 1, n))
+                for k in range(m + 1):
+                    scalar *= e_psi - e0_level(k)
+                rhs = scalar * apply_word(params, lam, psi_mixed, bulk, sign, folds=folds)
+                details["lambda_form"] = _rel(lhs, rhs)
+            else:
+                theta = tuple(("Adag", k) for k in range(m, n, -1))
+                # theta first, then the operator polynomial prod_k (H - E_k) folded directly
+                terms = _fold(params, theta, psi_mixed, sign, folds).terms
+                for k in range(n + 1):
+                    terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
+                rhs = two_m ** (n + 1) * _members(psi_mixed, _evaluate(params, _plan(terms), bulk))
+                details["theta_form"] = _rel(lhs, rhs)
+            (best,) = details
+            details["matching_variant"] = best
+            record(details[best], details)
 
     # Partial-chain products with both candidate prefactors.
     if n > m:
-        lam = tuple(("A", k) for k in range(m + 1, n + 1))
-        lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
-        phi_hi = eigenfunction(params, n + 1, 0)
-        e_hi = energy(params, LevelIndex(n + 1, 0))
-        lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign, folds=folds)
-        core = 1.0
-        for k in range(m + 1, n + 1):
-            core *= e_hi - e0_level(k)
-        phi_hi_bulk = phi_hi(bulk)
-        variants = {
-            "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_bulk),
-            "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_bulk) if m > 0 else float("inf"),
-        }
-        variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
-        add("partial_chain_product", variants[variants["matching_variant"]], None, informational=True, details=variants)
+        with identity("partial_chain_product") as record:
+            lam = tuple(("A", k) for k in range(m + 1, n + 1))
+            lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
+            phi_hi = eigenfunction(params, n + 1, 0)
+            e_hi = energy(params, LevelIndex(n + 1, 0))
+            lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign, folds=folds)
+            core = 1.0
+            for k in range(m + 1, n + 1):
+                core *= e_hi - e0_level(k)
+            phi_hi_bulk = on_bulk(phi_hi)
+            variants = {
+                "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_bulk),
+                "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_bulk) if m > 0 else float("inf"),
+            }
+            variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
+            record(variants[variants["matching_variant"]], variants)
 
     # Partial-chain mean values (quadrature route).
-    mean_details = {}
-    mean_quads = []
+    if n != m:
+        with identity("partial_chain_means") as record:
+            mean_details = {}
+            mean_quads = []
 
-    def chain_mean(word, state) -> float:
-        quad = _norm_sq(params, word, state, config, 1.0, folds)
-        mean_quads.append(quad)
-        return float(quad.value.real)
+            def chain_mean(word, state, unit=1.0) -> float:
+                quad = _norm_sq(params, word, state, config, 1.0, folds, unit)
+                mean_quads.append(quad)
+                return float(quad.value.real)
 
-    if n > m:
-        lam = tuple(("A", k) for k in range(m + 1, n + 1))
-        lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
-        state_hi = eigenfunction(params, n + 1, n)
-        mean = chain_mean(lam_dag, state_hi)
-        target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
-        mean_details["lambda_lambdadag"] = _rel(np.array([mean]), np.array([target]))
-        state_mid = eigenfunction(params, m + 1, n)
-        mean = chain_mean(lam, state_mid)
-        ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
-        target = ((hbar * math.pi / L) ** (n - m) * ratio) ** 2
-        mean_details["lambdadag_lambda"] = _rel(np.array([mean]), np.array([target]))
-    if n < m:
-        theta = tuple(("Adag", k) for k in range(m, n, -1))
-        theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
-        state_hi = eigenfunction(params, n + 1, n)
-        mean = chain_mean(theta_dag, state_hi)
-        unit = (hbar * math.pi / L) ** (2 * (m - n))
-        target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
-        if target == 0.0:
-            # closed-form factor vanishes (m >= 2n+1): the chain annihilates
-            # the state, so compare the mean against zero in natural units
-            mean_details["theta_thetadag"] = mean / unit
-        else:
-            mean_details["theta_thetadag"] = _rel(np.array([mean]), np.array([target]))
-        state_mid = eigenfunction(params, m + 1, n)
-        mean = chain_mean(theta, state_mid)
-        ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
-        target = ((hbar * math.pi / L) ** (m - n) * ratio) ** 2
-        mean_details["thetadag_theta"] = _rel(np.array([mean]), np.array([target]))
-    if mean_details:
-        details = {**mean_details, **_quad_details(*mean_quads)}
-        add("partial_chain_means", max(mean_details.values()), None, informational=True, details=details)
+            state_hi = eigenfunction(params, n + 1, n)
+            state_mid = eigenfunction(params, m + 1, n)
+            if n > m:
+                lam = tuple(("A", k) for k in range(m + 1, n + 1))
+                lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
+                mean = chain_mean(lam_dag, state_hi)
+                target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
+                mean_details["lambda_lambdadag"] = _rel(np.array([mean]), np.array([target]))
+                mean = chain_mean(lam, state_mid)
+                ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
+                target = ((hbar * math.pi / L) ** (n - m) * ratio) ** 2
+                mean_details["lambdadag_lambda"] = _rel(np.array([mean]), np.array([target]))
+            else:
+                theta = tuple(("Adag", k) for k in range(m, n, -1))
+                theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
+                unit = (hbar * math.pi / L) ** (2 * (m - n))
+                target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
+                if target == 0.0:
+                    # closed-form factor vanishes (m >= 2n+1): the chain annihilates
+                    # the state, so the mean is integrated against zero in natural units
+                    mean_details["theta_thetadag"] = chain_mean(theta_dag, state_hi, unit)
+                else:
+                    mean_details["theta_thetadag"] = _rel(np.array([chain_mean(theta_dag, state_hi)]), np.array([target]))
+                mean = chain_mean(theta, state_mid)
+                ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
+                target = ((hbar * math.pi / L) ** (m - n) * ratio) ** 2
+                mean_details["thetadag_theta"] = _rel(np.array([mean]), np.array([target]))
+            record(max(mean_details.values()), {**mean_details, **_quad_details(*mean_quads)})
 
     return results

@@ -134,7 +134,8 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
 
     Returns:
         IntegralResult with the estimate and a conservative error bound (sum
-        of per-panel discrepancies), both of the integrand's leading shape,
+        of per-panel discrepancies, at least the rounding-noise floor of the
+        stopping test), both of the integrand's leading shape,
         and the number of abscissas.  For a scalar integrand the value is a
         complex and the error a float.
 
@@ -218,7 +219,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         add_segments(np.array([lo, mid]), np.array([mid, hi]), np.stack([left, right], axis=-1))
         n_segments += 1
 
-    reported = np.maximum(total_err, 2e-16 * size)
+    reported = np.maximum(total_err, floor)
     if np.ndim(total) == 0:
         return IntegralResult(value=complex(total), error=float(reported), evaluations=evaluations)
     return IntegralResult(value=total, error=reported, evaluations=evaluations)

@@ -4,7 +4,9 @@ Everything here works for complex parameters, which the rest of the package reli
 the eigenfunction polynomials carry conjugate complex Jacobi parameters and the
 normalization constants and coherent-state kernels need gamma functions of
 complex argument.  Jacobi polynomials are supplied as their power-series
-coefficients in (1 - z)/2; the callers evaluate them in their own variables.
+coefficients in (1 - z)/2.  Nothing in the package sums them (``wavefn``
+uses the two-sided binomial form): the tests do, and the benchmark in
+``perfbench/`` reads their cache, so they stay here until it stops.
 Values that can overflow are handled by the callers in log space; this module
 only promises accurate complex values for moderate arguments.
 """

@@ -8,15 +8,22 @@ gives every ladder relation a positive connection constant.
 
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
-The Jacobi factor times its sine power is a compensated sum in a fixed order
-per state.  ``EigenFamily`` evaluates states of one ``ModelParams`` together:
-one table of powers and one compensated sum for all rows, each row bit for
-bit what the state gives alone.  ``gram_matrix`` and
+
+The Jacobi factor is summed in its two-sided binomial form (DLMF 18.5.8).
+At z = i cot theta, (z -+ 1) / 2 = i e^(+-i theta) / (2 sin theta), so
+
+    sin^n P_n^(alpha, conj alpha)(i cot theta) = (i/2)^n sum_k F_k e^(i (2k - n) theta),
+    F_k = C(n + alpha, n - k) C(n + conj alpha, k),
+
+a finite Fourier series with products for coefficients, no cancellation;
+the phase turns (i/2)^n into 2^-n.  Horner's rule in e^(2 i theta) on the
+unit circle is backward stable.  ``EigenFamily`` evaluates states of one
+``ModelParams`` in one Horner pass; ``gram_matrix`` and
 ``coherent.identity_gram_projection`` build one family per call, and a single
-state's call is the one-row family.
-Operator words act on the cotangent form that ``EigenFunction.cot_terms``
-gives; ``EigenFunction.taylor`` still emits Taylor jets on the open interval,
-which only the tests use, as the independent route.
+state's call is the one-row family.  Operator words act on the cotangent form
+of ``EigenFunction.cot_terms``, the same sum with e^(+-i theta) =
+sin theta (cot theta +- i); ``EigenFunction.taylor`` emits its Taylor jets on
+the open interval, which only the tests use, as the independent route.
 
 A level-m state is the level-zero closed form of the family whose strength
 index is shifted by m, with the same phase convention; the ladder-chain
@@ -36,8 +43,8 @@ import numpy as np
 from . import jets
 from .errors import DegreeCapError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
-from .specfun import jacobi_series_coefficients, log_gamma
-from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy
+from .specfun import log_gamma
+from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, phase_alpha
 
 
 @dataclass(frozen=True)
@@ -101,65 +108,45 @@ def normalization_K(params: ModelParams, n: int, cap: int = LEVEL_CAP) -> Normal
     return NormalizationData(log_K=log_k0 + log_rungs)
 
 
-def _ladder_phase(n: int) -> complex:
-    # (-i)**n; with this choice every state is real valued and every ladder
-    # step carries a positive connection constant.
-    return (-1j) ** (n % 4)
+def _fourier_coefficients(n: int, alpha: complex) -> np.ndarray:
+    # F_k = C(n + alpha, n - k) C(n + conj alpha, k), k = 0..n; binomials of
+    # conjugate arguments are conjugate, and each is a product of its factors
+    w = n + alpha
+    binom = [1.0 + 0.0j]
+    for j in range(n):
+        binom.append(binom[-1] * (w - j) / (j + 1))
+    binom = np.array(binom)
+    return binom[::-1] * binom.conj()
 
 
-def _kahan_order(coeffs) -> tuple:
-    # fixed order of sum_k c_k v^k w^(deg-k): descending |c_k| 2^-k
-    order = sorted(range(len(coeffs)), key=lambda k: abs(coeffs[k]) * 0.5**k, reverse=True)
-    return tuple(order), tuple(coeffs[k] for k in order)
+def _leading_loop(degree: np.ndarray) -> tuple:
+    # Horner's loop over rows of falling degree: (power j, count of leading
+    # rows whose degree exceeds j) from the top degree down, so that a row
+    # joins at its own degree and sees the operations it would see alone
+    powers = np.arange(degree[0] - 1, -1, -1)
+    return tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
 
 
-class _EnvelopeSums:
-    """Rows sum_k c_k v^k w^(deg-k) == sin^deg * P_deg(i cot), bounded on [0, L].
-
-    Built from rows (order, ordered coefficients) by falling degree.  A call
-    builds the v^k and w^k tables once and runs one Kahan loop: step j adds
-    term order[j] of the leading rows whose degree reaches j and sets the
-    others aside, so each row goes through the operations of its own sum.
-    """
+class _FourierRows:
+    """Rows sum_k G_k e^(i (2k - d) theta) of coefficient rows G given by
+    falling degree d: one Horner pass in z = e^(2 i theta) at the 1-d angles
+    theta, which a row joins at its own degree, then e^(-i d theta)."""
 
     def __init__(self, rows):
-        self.rows = len(rows)
-        self.top = len(rows[0][0]) - 1
-        self.steps = []
-        for j in range(self.top + 1):
-            live = [(order[j], len(order) - 1 - order[j], coeffs[j]) for order, coeffs in rows if len(order) > j]
-            if len(live) == 1:
-                # scalar times 1-d row, as a one-state sum multiplies: numpy
-                # can round a complex (1, 1) * (1,) product differently
-                ((power, other, coef),) = live
-                self.steps.append((1, coef, power, other))
-            else:
-                power, other, coef = (np.array(c) for c in zip(*live))
-                self.steps.append((len(live), coef.astype(complex)[:, None], power, other))
+        degree = np.array([len(g) - 1 for g in rows])
+        self.coeffs = np.zeros((len(rows), degree[0] + 1), dtype=complex)
+        for out, g in zip(self.coeffs, rows):
+            out[: len(g)] = g
+        self.top = self.coeffs[np.arange(len(rows)), degree]
+        self.loop = _leading_loop(degree)
+        self.turn = -1j * degree[:, None]
 
-    def __call__(self, v, w):
-        """Rows at the 1-d complex points v = -i e^(i theta) / 2, w = sin theta."""
-        vp = [np.ones(v.size, dtype=complex)]
-        wp = [vp[0]]
-        for _ in range(self.top):
-            vp.append(vp[-1] * v)
-            wp.append(wp[-1] * w)
-        if self.rows > 1:
-            vp, wp = np.array(vp), np.array(wp)
-        live = self.rows
-        # a one-row plan sums on 1-d rows, as a one-state sum does
-        total = np.zeros((live, v.size) if live > 1 else v.size, dtype=complex)
-        comp = np.zeros(total.shape, dtype=complex)
-        done = []
-        for k, coef, vk, wk in self.steps:
-            if k < live:
-                done.append(total[k:])
-                total, comp, live = total[:k], comp[:k], k
-            term = coef * vp[vk] * wp[wk] - comp
-            t = total + term
-            comp = (t - total) - term
-            total = t
-        return np.concatenate([total, *done[::-1]]) if done else total.reshape(self.rows, v.size)
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        z = np.exp(2j * theta)
+        acc = np.repeat(self.top[:, None], theta.size, axis=1)
+        for j, k in self.loop:
+            acc[:k] = acc[:k] * z + self.coeffs[:k, j, None]
+        return acc * np.exp(self.turn * theta)
 
 
 class EigenFunction:
@@ -177,15 +164,12 @@ class EigenFunction:
         self.params = params
         self.idx = idx
         n = idx.n
-        self._deg = n
         self._nu_eff = params.nu + idx.m
-        norm = normalization_K(replace(params, nu=self._nu_eff), n, cap)
-        self.norm_data = norm
-        self.phase = _ladder_phase(n)
+        self.norm_data = normalization_K(replace(params, nu=self._nu_eff), n, cap)
         s = n + self._nu_eff + 1.0
         self._gamma = -params.beta * math.pi / (params.length * s)
-        alpha = complex(-s, params.beta / s)
-        self._coeffs = jacobi_series_coefficients(n, alpha, alpha.conjugate())
+        # the phase (-i)^n times (i/2)^n leaves 2^-n
+        self._fourier = _fourier_coefficients(n, complex(-s, params.beta / s)) * 0.5**n
 
     @property
     def energy(self) -> float:
@@ -196,23 +180,23 @@ class EigenFunction:
         return complex(row) if row.ndim == 0 else row
 
     @cached_property
-    def _kahan(self) -> tuple:
-        return _kahan_order(self._coeffs)
-
-    @cached_property
     def _family(self) -> "EigenFamily":
         return EigenFamily((self,))
 
     @cached_property
     def cot_terms(self) -> tuple:
         """The state as one term (log C, gamma, a, Q) of the cotangent form
-        C e^(gamma x) sin^a Q(cot) that operator words act on: v / sin =
-        (1 - i cot) / 2 turns the Jacobi series into Q, and a = nu + m + n + 1."""
-        q = np.array([self._coeffs[-1]], dtype=complex)
-        for ck in self._coeffs[-2::-1]:
-            q = np.convolve(q, [0.5, -0.5j])
-            q[0] += ck
-        return ((self.norm_data.log_K, self._gamma, self._nu_eff + self._deg + 1.0, self.phase * q),)
+        C e^(gamma x) sin^a Q(cot) that operator words act on, a = nu + m + n + 1:
+        e^(+-i theta) = sin (cot +- i) turns the Fourier sum into
+        Q(c) = sum_k 2^-n F_k (c + i)^k (c - i)^(n - k)."""
+        n = self.idx.n
+        down = [np.ones(1, dtype=complex)]
+        for _ in range(n):
+            down.append(np.convolve(down[-1], [-1j, 1.0]))
+        q = self._fourier[n:]
+        for k in range(n - 1, -1, -1):
+            q = np.convolve(q, [1j, 1.0]) + self._fourier[k] * down[n - k]
+        return ((self.norm_data.log_K, self._gamma, self._nu_eff + n + 1.0, q),)
 
     def taylor(self, x, order: int) -> jets.Jet:
         """Taylor jet at interior point(s) x; batch axes follow the shape of x.
@@ -224,23 +208,22 @@ class EigenFunction:
         arr = np.asarray(x, dtype=float)
         if not np.all((arr > 0.0) & (arr < p.length)):
             raise DomainError("Taylor jets defined on the open interval (0, L)")
+        ((log_c, gamma, power, q),) = self.cot_terms
         X = jets.Jet.variable(arr, order)
-        theta = X * (math.pi / p.length)
-        s, c = jets.sin_cos(theta)
-        u = (1.0 - 1j * (c / s)) * 0.5
-        poly = jets.polyval(self._coeffs, u)
-        env = jets.exp(X * self._gamma + jets.log(s) * (self._nu_eff + self._deg + 1.0))
-        return env * poly * (self.phase * math.exp(self.norm_data.log_K))
+        s, c = jets.sin_cos(X * (math.pi / p.length))
+        env = jets.exp(X * gamma + jets.log(s) * power)
+        return env * jets.polyval(q, c / s) * math.exp(log_c)
 
 
 class EigenFamily:
     """Eigenfunctions of one ``ModelParams``, any levels, evaluated together.
 
-    Calling it at x returns shape (len(states),) + shape(x), and row i equals
-    ``states[i](x)`` bit for bit.  The plan holds the rows by falling degree,
-    each with its state's Kahan order, log K, gamma, nu + m + 1 and phase.  A
-    call runs one ``_EnvelopeSums`` pass, takes the envelope of every row in
-    one expression and scatters the rows back to the order given.
+    Calling it at x returns shape (len(states),) + shape(x), row i the values
+    of ``states[i]``.  The rows are held by falling degree n, each with its
+    2^-n F_k, log K, gamma and nu + m + 1.  A call runs one ``_FourierRows``
+    pass, so a row goes through the same operations in any family, takes
+    the envelope of every row in one expression and puts the rows back in
+    the order given.
     """
 
     def __init__(self, states):
@@ -248,12 +231,11 @@ class EigenFamily:
         self.params = states[0].params
         if any(f.params != self.params for f in states):
             raise DomainError("an eigenfunction family shares one ModelParams")
-        by_degree = sorted(range(len(states)), key=lambda i: -states[i]._deg)
+        by_degree = sorted(range(len(states)), key=lambda i: -states[i].idx.n)
         rows = [states[i] for i in by_degree]
-        self._sums = _EnvelopeSums([f._kahan for f in rows])
+        self._sums = _FourierRows([f._fourier for f in rows])
         env = np.array([[[f.norm_data.log_K], [f._gamma], [f._nu_eff + 1.0]] for f in rows])
         self._log_K, self._gamma, self._power = env.transpose(1, 0, 2)  # each (rows, 1)
-        self._phase = np.array([[f.phase] for f in rows])
         self._inverse = None if by_degree == list(range(len(states))) else np.argsort(by_degree)
 
     def __call__(self, x) -> np.ndarray:
@@ -263,15 +245,13 @@ class EigenFamily:
             raise DomainError("x outside the box [0, L]")
         flat = arr.ravel()
         theta = math.pi * flat / p.length
-        w = np.sin(theta)
-        v = -0.5j * np.exp(1j * theta)
-        poly = self._sums(v, w.astype(complex))
+        poly = self._sums(theta)
         out = np.zeros(poly.shape, dtype=complex)
         # mask on x, not on sin: sin(pi * L / L) is a subnormal, not an exact 0
         interior = (flat > 0.0) & (flat < p.length)
         cols = slice(None) if interior.all() else interior  # a mask costs more on rows
-        expo = self._log_K + self._gamma * flat[cols] + self._power * np.log(w[cols])
-        out[:, cols] = self._phase * np.exp(expo) * poly[:, cols]
+        expo = self._log_K + self._gamma * flat[cols] + self._power * np.log(np.sin(theta[cols]))
+        out[:, cols] = np.exp(expo) * poly[:, cols]
         if self._inverse is not None:
             out = out[self._inverse]
         return out.reshape((len(out),) + arr.shape)
@@ -291,8 +271,6 @@ def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
     carries the parameter-shifted degree n polynomial.  Used as the second
     route when validating the chain construction.
     """
-    from .spectrum import phase_alpha
-
     nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
     s1 = n + nu + 2.0
     a1 = complex(-s1, beta / s1)
@@ -300,22 +278,22 @@ def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
     gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))
     amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * (gap / (n + 1.0)) / (n + 2.0 * nu + 3.0))
     alpha_mix = phase_alpha(params, n)
-    c_top = jacobi_series_coefficients(n + 1, a1, a1.conjugate())
-    c_shift = jacobi_series_coefficients(n, a1 + 1.0, a1.conjugate() + 1.0)
 
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= L)):
         raise DomainError("x outside the box [0, L]")
     flat = arr.ravel()
     theta = math.pi * flat / L
-    w = np.sin(theta).astype(complex)
-    v = -0.5j * np.exp(1j * theta)
     out = np.zeros(flat.shape, dtype=complex)
     interior = (flat > 0.0) & (flat < L)
-    top, shift = _EnvelopeSums([_kahan_order(c_top), _kahan_order(c_shift)])(v, w)
-    bracket = amp * np.cos(theta - alpha_mix) * top + (0.5j * math.pi * hbar * (n + 2.0 * nu + 2.0) / L) * shift
-    envelope = np.exp(norm.log_K - beta * math.pi * flat[interior] / (L * s1) + nu * np.log(w[interior].real))
-    out[interior] = _ladder_phase(n + 1) * envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
+    # sin^(n+1) P_(n+1)^(a1, conj a1) and sin^n P_n^(a1+1, conj a1+1) under the phase
+    # (-i)^(n+1): 2^-(n+1), and -i 2^-n, which cancels the i of the companion term
+    top, shift = _FourierRows(
+        [_fourier_coefficients(n + 1, a1) * 0.5 ** (n + 1), _fourier_coefficients(n, a1 + 1.0) * 0.5**n]
+    )(theta)
+    bracket = amp * np.cos(theta - alpha_mix) * top + (0.5 * math.pi * hbar * (n + 2.0 * nu + 2.0) / L) * shift
+    envelope = np.exp(norm.log_K - beta * math.pi * flat[interior] / (L * s1) + nu * np.log(np.sin(theta[interior])))
+    out[interior] = envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -329,8 +307,9 @@ def gram_matrix(
     The upper triangle is one vector-valued integral: every function is
     evaluated once per node, and every entry meets its own tolerance.  When
     every function is an ``EigenFunction`` of one ``ModelParams``, one
-    ``EigenFamily`` built per call evaluates them all at each node, with the
-    values each gives alone; other callables are called one by one.
+    ``EigenFamily`` built per call evaluates them all at each node, each row
+    bit for bit what its state gives alone at the same nodes; other
+    callables are called one by one.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)

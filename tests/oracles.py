@@ -46,12 +46,13 @@ product form: the gamma / Pochhammer double sum.  It is analytically
 identical but numerically ill conditioned (its terms cancel roughly like
 10**n), so it guards itself and serves as a cross-check at small n only.
 
-``poly_envelope`` is the per-state compensated sum that evaluated every
-eigenfunction before ``wavefn.EigenFamily`` ran one Kahan loop over all rows
-of a family: its own power tables and its own order, sorted at each call.
-``per_state_eigenfunction`` and ``per_state_partner`` are ``EigenFunction``
-calls and ``partner_eigenfunction_explicit`` as they were on top of it.  The
-batched rows go through the same operations, so they must agree bit for bit.
+``mp_eigenfunctions`` and ``mp_partner`` are the eigenfunctions and
+``partner_eigenfunction_explicit`` from the Jacobi polynomials at 60 digits
+on the imaginary cotangent line, with the package's own log K:
+P_n^(a, b) = (a + 1)_n / n! 2F1(-n, n + a + b + 1; a + 1; (1 - z) / 2),
+as ``mpmath.jacobi`` sums it, with the prefactor taken once per polynomial.
+They share no summation with the two-sided binomial sum of ``wavefn``, and
+at 60 digits the cancellation of the hypergeometric series costs nothing.
 
 ``derivative`` is the Richardson-extrapolated central difference that
 checks the Taylor jets and the superpotential's derivative;
@@ -64,6 +65,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 
 from ptsusy import jets
@@ -80,9 +82,9 @@ from ptsusy.errors import (
 )
 from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
 from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
-from ptsusy.specfun import jacobi_series_coefficients, log_gamma
+from ptsusy.specfun import log_gamma
 from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, phase_alpha
-from ptsusy.wavefn import _ladder_phase, normalization_K
+from ptsusy.wavefn import normalization_K
 
 
 def serial_jet_mul(a, b):
@@ -302,7 +304,7 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
             heapq.heappush(heap, (-float(child[3].max()), next(counter), child))
         n_segments += 1
 
-    reported = np.maximum(total_err, 2e-16 * size)
+    reported = np.maximum(total_err, 1e-16 * size * n_segments)
     if np.ndim(total) == 0:
         return IntegralResult(complex(total), float(reported), evals)
     return IntegralResult(total, reported, evals)
@@ -517,69 +519,56 @@ def derivative(f, x: float, order: int = 1, h0: float | None = None, levels: int
     return best, best_err
 
 
-def poly_envelope(coeffs, deg: int, v, w):
-    """sum_k c_k v^k w^(deg-k) for one polynomial, in descending |c_k| 2^-k
-    order with Kahan accumulation."""
-    order = sorted(range(deg + 1), key=lambda k: abs(coeffs[k]) * 0.5**k, reverse=True)
-    vp = [None] * (deg + 1)
-    wp = [None] * (deg + 1)
-    vk = np.ones_like(v)
-    wk = np.ones_like(w)
-    for k in range(deg + 1):
-        vp[k] = vk
-        wp[k] = wk
-        vk = vk * v
-        wk = wk * w
-    total = np.zeros_like(v)
-    comp = np.zeros_like(v)
-    for k in order:
-        term = coeffs[k] * vp[k] * wp[deg - k] - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
+def _mp_points(x, length):
+    # (x, sin theta, (1 - i cot theta) / 2) at every point, as mpmath numbers
+    out = []
+    for xv in np.ravel(x):
+        theta = mpmath.pi * mpmath.mpf(xv) / length
+        out.append((mpmath.mpf(xv), mpmath.sin(theta), (1 - 1j * mpmath.cot(theta)) / 2))
+    return out
 
 
-def per_state_eigenfunction(func, x):
-    """The eigenfunction func at x from its own ``poly_envelope``."""
-    p = func.params
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all((arr >= 0.0) & (arr <= p.length)):
-        raise DomainError("x outside the box [0, L]")
-    theta = math.pi * arr / p.length
-    w = np.sin(theta)
-    v = -0.5j * np.exp(1j * theta)
-    poly = poly_envelope(func._coeffs, func._deg, v.astype(complex), w.astype(complex))
-    out = np.zeros(arr.shape, dtype=complex)
-    interior = (arr > 0.0) & (arr < p.length)
-    envelope = np.exp(func.norm_data.log_K + func._gamma * arr[interior] + (func._nu_eff + 1.0) * np.log(w[interior]))
-    out[interior] = func.phase * envelope * poly[interior]
-    return complex(out[0]) if scalar else out
+def _mp_jacobi(n, a):
+    # P_n^(a, conj a) at the point u = (1 - z) / 2, as mpmath.jacobi sums it
+    b = mpmath.conj(a)
+    pref = mpmath.rf(a + 1, n) / mpmath.factorial(n)
+    return lambda u: pref * mpmath.hyp2f1(-n, n + a + b + 1, a + 1, u)
 
 
-def per_state_partner(params, n: int, x):
-    """``partner_eigenfunction_explicit`` with one ``poly_envelope`` per polynomial."""
+def mp_eigenfunctions(states, x, dps=60):
+    """Rows of the eigenfunctions ``states``, all of one model, at the
+    interior points x: (-i)^n K e^(gamma x) sin^(nu + m + n + 1) P_n(i cot)."""
+    p = states[0].params
+    rows = []
+    with mpmath.workdps(dps):
+        points = _mp_points(x, p.length)
+        for f in states:
+            n, nu = f.idx.n, p.nu + f.idx.m
+            s = n + nu + 1.0
+            jacobi = _mp_jacobi(n, mpmath.mpc(-s, p.beta / s))
+            const = (-1j) ** n * mpmath.exp(f.norm_data.log_K)
+            rate = -p.beta * mpmath.pi / (p.length * s)
+            rows.append([complex(const * mpmath.exp(rate * xv) * sn ** (nu + n + 1) * jacobi(u)) for xv, sn, u in points])
+    return np.array(rows).reshape((len(states),) + np.shape(x))
+
+
+def mp_partner(params, n: int, x, dps=60):
+    """``partner_eigenfunction_explicit`` at the interior points x."""
     nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
-    s1 = n + nu + 2.0
-    a1 = complex(-s1, beta / s1)
     norm = normalization_K(params, n + 1)
     gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))
     amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * (gap / (n + 1.0)) / (n + 2.0 * nu + 3.0))
-    c_top = jacobi_series_coefficients(n + 1, a1, a1.conjugate())
-    c_shift = jacobi_series_coefficients(n, a1 + 1.0, a1.conjugate() + 1.0)
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    theta = math.pi * arr / L
-    w = np.sin(theta).astype(complex)
-    v = -0.5j * np.exp(1j * theta)
-    out = np.zeros(arr.shape, dtype=complex)
-    interior = (arr > 0.0) & (arr < L)
-    bracket = amp * np.cos(theta - phase_alpha(params, n)) * poly_envelope(c_top, n + 1, v, w) + (
-        0.5j * math.pi * hbar * (n + 2.0 * nu + 2.0) / L
-    ) * poly_envelope(c_shift, n, v, w)
-    envelope = np.exp(norm.log_K - beta * math.pi * arr[interior] / (L * s1) + nu * np.log(w[interior].real))
-    out[interior] = _ladder_phase(n + 1) * envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
-    return complex(out[0]) if scalar else out
+    out = []
+    with mpmath.workdps(dps):
+        s1 = n + nu + 2.0
+        a1 = mpmath.mpc(-s1, beta / s1)
+        top, shift = _mp_jacobi(n + 1, a1), _mp_jacobi(n, a1 + 1)
+        alpha_mix = phase_alpha(params, n)
+        const = (-1j) ** (n + 1) * mpmath.exp(norm.log_K) / mpmath.sqrt(2.0 * mass * gap)
+        for xv, sn, u in _mp_points(x, L):
+            theta = mpmath.pi * xv / L
+            bracket = amp * mpmath.cos(theta - alpha_mix) * sn ** (n + 1) * top(u) + (
+                0.5j * mpmath.pi * hbar * (n + 2 * nu + 2) / L
+            ) * sn**n * shift(u)
+            out.append(complex(const * mpmath.exp(-beta * mpmath.pi * xv / (L * s1)) * sn**nu * bracket))
+    return np.array(out).reshape(np.shape(x))

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -173,6 +174,47 @@ def test_verify_deep_cell_exits_zero_in_time(n, m):
         CLI + ["verify", "--n", str(n), "--m", str(m)], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("n, m", [(5, 5), (15, 4)])
+def test_verify_cell_at_cli_defaults_is_honest_and_fast(n, m):
+    # At the CLI defaults (nu 1, beta 0), (5, 5) read product_BdagB 2e298
+    # through a vanishing scale factor and exited 1, and (15, 4) spent 8.7 s
+    # integrating roundoff in eigen_residual and exited 2.  The partial-chain
+    # means of (15, 4) need a state above the level cap: that row is skipped
+    # with the reason, and the verdict stands.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        CLI + ["verify", "--n", str(n), "--m", str(m), "--format", "json"], capture_output=True, text=True, timeout=60
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stdout + proc.stderr
+    assert elapsed < 3.0
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, load_schema("verify_report.schema.json"))
+    assert report["mandatory_pass"] is True
+    skipped = [e for e in report["identities"] if isinstance(e["max_residual"], str)]
+    if n > 9:
+        (row,) = skipped
+        assert row["name"] == "partial_chain_means" and row["passed"] is None
+        assert row["max_residual"] == "DegreeCapError" and "exceeds cap" in row["details"]["error"]
+    else:
+        assert skipped == []
+
+
+def test_verify_row_above_the_level_cap_fails_alone(capsys):
+    # at (0, 17) the single-step intertwining needs level-18 operands up to
+    # n = 3, above the level cap: that mandatory row fails with the error's
+    # name, a tolerance override leaves it failed, and the other rows stand
+    args = ["verify", "--n", "0", "--m", "17", "--format", "json", "--tol-intertwining_single", "1"]
+    assert ptsusy.cli.main(args) == 1
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, load_schema("verify_report.schema.json"))
+    by_name = {e["name"]: e for e in report["identities"]}
+    row = by_name.pop("intertwining_single")
+    assert row["max_residual"] == "DegreeCapError" and row["passed"] is False
+    assert "exceeds cap" in row["details"]["error"]
+    assert all(e["passed"] is not False for e in by_name.values())
 
 
 def test_verify_corrupt_sign_fails_with_nonzero_exit(tmp_path):

@@ -19,6 +19,7 @@ from ptsusy.operators import (
     default_grid,
     verify_operator_identities,
 )
+from ptsusy.quadrature import QuadratureConfig
 from ptsusy.spectrum import LevelIndex, ModelParams, energy
 from ptsusy.wavefn import eigenfunction
 
@@ -238,6 +239,21 @@ def test_partial_chain_means_record_quadrature_provenance(n, m, keys):
     assert means.max_residual == max(means.details[k] for k in keys)
 
 
+def test_package_errors_become_rows_of_their_identity():
+    # a panel budget and tolerances that these integrals cannot meet: each
+    # records the error, mandatory ones as failed and informational ones as
+    # skipped, and the other identities keep their verdicts
+    cfg = QuadratureConfig(max_subdivisions=4, abs_tol=1e-30, rel_tol=1e-30)
+    results = {r.name: r for r in verify_operator_identities(DEFAULT, 2, 1, grid_size=21, config=cfg)}
+    for name in ("mean_BBdag", "adjoint_consistency", "partial_chain_means"):
+        row = results[name]
+        assert row.max_residual == "SubdivisionLimitError" and "4 panels" in row.details["error"], name
+        assert row.passed is (None if row.informational else False), name
+    for name in ("factorization", "product_BdagB", "supercharge_anticommutator_block0", "mixed_product"):
+        assert not isinstance(results[name].max_residual, str), name
+    assert results["factorization"].passed is True
+
+
 def test_negative_control_sign_flip():
     results = {r.name: r for r in verify_operator_identities(DEFAULT, 2, 1, sign=-1.0)}
     # the factorization-dependent identities must fail by a wide margin
@@ -418,6 +434,27 @@ def test_product_bdagb_passes_on_the_index_grid():
             if not res.passed:
                 bad.append((n, m, res.max_residual))
     assert not bad
+
+
+def test_product_bdagb_scale_does_not_rest_on_exact_annihilation(monkeypatch):
+    # For n <= m the chain annihilates phi_n and the factor E_n - E_n of the
+    # scale vanishes.  With the noise floor off, the fold leaves roundoff
+    # where the chain should vanish; scaled by the nonvanishing factors it
+    # stays a roundoff-sized residual (it read 1e298 with the zero factor).
+    monkeypatch.setattr(operators, "NOISE_FLOOR", 0.0)
+    res = {r.name: r for r in verify_operator_identities(DEFAULT, 5, 5)}["product_BdagB"]
+    assert res.details["annihilating_branch"] is True
+    assert res.max_residual < 1e-9
+
+
+def test_eigen_residual_does_not_depend_on_the_energy_scale():
+    # |H phi / E - phi|^2 is integrated in units of 1: in a gauge where E is
+    # near 1e9, |H phi - E phi|^2 in units of E^2 was roundoff far above its
+    # absolute tolerance and spent the whole panel budget (3.3 s) on it
+    small = ModelParams(nu=1.0, beta=0.0, length=1e-4)
+    res = {r.name: r for r in verify_operator_identities(small, 2, 1)}["eigen_residual"]
+    assert res.passed is True and res.max_residual < 1e-12
+    assert res.details["quad_evaluations"] <= 1000
 
 
 def _per_operand_residuals(params, n, m, sign):

@@ -97,13 +97,18 @@ def test_vector_integrand_matches_scalar_calls_and_truth():
     res = integrate_interval(_components, 0.0, 1.0, cfg)
     assert res.value.shape == res.error.shape == COMPONENT_INTEGRALS.shape
     assert type(res.evaluations) is int
-    # the floor 2e-16 |I| of a reported error can sit a rounding of the
-    # result below the accumulated summation error, hence one eps * |I|
-    actual = np.abs(res.value - COMPONENT_INTEGRALS)
-    assert np.all(actual <= res.error + np.finfo(float).eps * COMPONENT_INTEGRALS)
+    assert np.all(np.abs(res.value - COMPONENT_INTEGRALS) <= res.error)
     for k in range(len(COMPONENT_INTEGRALS)):
         scalar = integrate_interval(lambda x: _components(x)[k], 0.0, 1.0, cfg)
         assert abs(scalar.value - res.value[k]) <= scalar.error + res.error[k]
+
+
+@pytest.mark.parametrize("substitute", [False, True])
+def test_reported_error_covers_summation_rounding(substitute):
+    # int_0^1 x dx sums to 0.5 - 1.1e-16; the reported error is at least the
+    # stopping test's rounding floor, 1e-16 |I| per segment, so it covers that
+    res = integrate_interval(lambda x: x, 0.0, 1.0, QuadratureConfig(endpoint_substitution=substitute))
+    assert abs(res.value - 0.5) <= res.error
 
 
 def test_vector_integrand_matches_scipy_quad_vec():

@@ -3,8 +3,7 @@
 mpmath supplies the gamma oracle and a complex-parameter Jacobi value, scipy
 the real-parameter Jacobi oracle; complex-parameter Jacobi values are also
 pinned by the three-term recurrence and by explicit low-degree expansions.
-Jacobi values are summed from ``jacobi_series_coefficients``, the form the
-eigenfunctions use.
+Jacobi values are summed from ``jacobi_series_coefficients``.
 """
 
 import math

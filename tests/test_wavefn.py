@@ -5,7 +5,6 @@ product-form normalization against the double-sum oracle.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +25,10 @@ from ptsusy.wavefn import (
 from conftest import DEFAULT, PARAM_GRID, interior_grid
 from oracles import derivative as fd_derivative
 from oracles import (
+    mp_eigenfunctions,
+    mp_partner,
     normalization_double_sum,
     pairwise_gram,
-    per_state_eigenfunction,
-    per_state_partner,
     superpotential,
 )
 
@@ -106,19 +105,14 @@ def test_unit_norm_hierarchy_levels():
 
 
 def test_unit_norm_high_degree_noise_floor():
-    # polynomial-envelope cancellation sets an evaluation noise floor that
-    # grows with degree; tolerances are proportionate, not cosmetic
+    # the two-sided binomial sum keeps the evaluation error far below the
+    # norm tolerance up to the level cap.  The Jacobi series it replaced lost
+    # about 6e-8 at n = 20, and the default tolerances raised
+    # SubdivisionLimitError there; both states now meet the low-degree bound
     f = eigenfunction(DEFAULT, 0, 15)
-    assert quad_norm(f, DEFAULT.length) == pytest.approx(1.0, abs=3e-9)
-    # at n=20 the measured evaluation noise is ~6e-8; asking the adaptive
-    # estimator for more than that raises SubdivisionLimitError by design
+    assert quad_norm(f, DEFAULT.length) == pytest.approx(1.0, abs=5e-11)
     p = ModelParams(nu=2.5, beta=3.0, hbar=1.0, length=1.0, mass=0.5)
-    cfg = replace(NORM_CFG, abs_tol=1e-7, rel_tol=1e-6)
-    eps = 1e-9
-    val = integrate_interval(
-        lambda x: np.abs(eigenfunction(p, 0, 20)(x)) ** 2, eps, 1.0 - eps, cfg
-    ).value.real
-    assert val == pytest.approx(1.0, abs=3e-6)
+    assert quad_norm(eigenfunction(p, 0, 20), p.length) == pytest.approx(1.0, abs=5e-11)
 
 
 def test_endpoints_exact_zero():
@@ -250,11 +244,25 @@ def test_gram_matrix_point_budget(m):
     assert points[0] <= 5000
 
 
-# two (nu, beta) for the bit-for-bit checks, one of them in a non-unit gauge
-BITWISE_PARAMS = [DEFAULT, ModelParams(nu=0.37, beta=0.0, hbar=2.0, length=2.0, mass=1.0)]
+# the parameter sets of the checks against the mpmath route: the tests'
+# default, one in a non-unit gauge, the symmetric infinite well and the CLI
+# default; the first two also serve the family checks
+MP_PARAMS = [
+    DEFAULT,
+    ModelParams(nu=0.37, beta=0.0, hbar=2.0, length=2.0, mass=1.0),
+    ModelParams(nu=0.0, beta=0.0),
+    ModelParams(nu=1.0, beta=0.0),
+]
+MP_IDS = ["default", "gauge2", "well", "cli_default"]
+FAMILY_PARAMS = MP_PARAMS[:2]
 
 
-def _bitwise_points(p):
+def _bulk(p):
+    # 41 points of [0.1 L, 0.9 L]
+    return np.linspace(0.1 * p.length, 0.9 * p.length, 41)
+
+
+def _family_points(p):
     # exactly 0 and L, a scalar, one point, and a 2-d grid
     grid = np.concatenate([[0.0], interior_grid(p, 59, clamp=0.01), [p.length]])
     return [grid, 0.3 * p.length, grid[[17]], grid[1:].reshape(6, 10)]
@@ -265,30 +273,51 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("p", BITWISE_PARAMS, ids=["default", "gauge2"])
+@pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
 def test_family_rows_match_per_state_reference(p):
-    # every row of one family of levels 0-10, n 0-10, and every one-state
-    # call, runs the operations of the per-state compensated sum
+    # every state of levels 0-10, n 0-10 as a row of one family, against the
+    # 60-digit Jacobi series of each state; the Jacobi series in double
+    # erred up to 1.4e-9 here at level 10
+    xs = _bulk(p)
+    states = [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
+    rows = EigenFamily(states)(xs)
+    for f, row, want in zip(states, rows, mp_eigenfunctions(states, xs)):
+        assert np.max(np.abs(row - want)) <= 1e-11 * np.max(np.abs(want)), f.idx
+
+
+@pytest.mark.parametrize("p", FAMILY_PARAMS, ids=["default", "gauge2"])
+def test_one_state_calls_match_family_rows(p):
+    # a one-state call is the one-row family and keeps shape and type.  Its
+    # values agree with the rows of a family of levels 0-10, n 0-10 bit for
+    # bit on a grid; at one point numpy's broadcast loops round the Horner
+    # steps differently (measured up to 3.7e-14 of the largest row), well
+    # inside the evaluation error against the mpmath route
     states = [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
     family = EigenFamily(states)
-    for x in _bitwise_points(p):
+    for x in _family_points(p):
         rows = family(x)
         assert rows.shape == (len(states),) + np.shape(x)
         for f, row in zip(states, rows):
-            want = per_state_eigenfunction(f, x)
-            assert _same_bits(row, want), (f.idx, np.shape(x))
-            assert _same_bits(f(x), want), (f.idx, np.shape(x))
-            assert type(f(x)) is type(want)
+            alone = f(x)
+            assert np.shape(alone) == np.shape(x) and type(alone) is (complex if np.ndim(x) == 0 else np.ndarray)
+            if np.size(x) > 1:
+                assert _same_bits(alone, row), (f.idx, np.shape(x))
+            assert np.all(np.abs(alone - row) <= 1e-13 * np.max(np.abs(rows))), (f.idx, np.shape(x))
+        walls = np.isin(np.asarray(x), [0.0, p.length])
+        assert np.all(rows[:, walls] == 0.0)
 
 
 def test_family_returns_rows_in_input_order():
-    # degrees out of order, levels mixed, tied degrees and a repeated state
+    # degrees out of order, levels mixed, tied degrees and a repeated state:
+    # each row is bit for bit the row of the same state in the sorted family
     cells = ((3, 2), (0, 7), (5, 0), (1, 1), (2, 9), (6, 2), (0, 7), (4, 4))
     states = [eigenfunction(DEFAULT, m, n) for m, n in cells]
+    ordered = sorted(range(len(cells)), key=lambda i: -cells[i][1])
     xs = np.linspace(0.0, DEFAULT.length, 41)
     rows = EigenFamily(states)(xs)
-    for f, row in zip(states, rows):
-        assert _same_bits(row, per_state_eigenfunction(f, xs)), f.idx
+    sorted_rows = EigenFamily([states[i] for i in ordered])(xs)
+    for i, row in zip(ordered, sorted_rows):
+        assert _same_bits(rows[i], row), cells[i]
 
 
 def test_family_rejects_nan_outside_and_mixed_params():
@@ -303,18 +332,25 @@ def test_family_rejects_nan_outside_and_mixed_params():
 @pytest.mark.parametrize("m", [0, 7])
 def test_gram_matrix_family_byte_equal_to_plain_callables(m):
     # eigenfunctions of one model go through one family per call; the same
-    # states wrapped as plain callables take one call each per node
+    # states wrapped as plain callables take one call each per node array,
+    # which runs the same operations on every row
     funcs = [eigenfunction(DEFAULT, m, n) for n in range(11)]
     plain = [lambda x, f=f: f(x) for f in funcs]
     batched = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
     assert batched.tobytes() == gram_matrix(plain, DEFAULT.length, ORTHONORMALITY_CONFIG).tobytes()
 
 
-@pytest.mark.parametrize("p", BITWISE_PARAMS, ids=["default", "gauge2"])
+@pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
 def test_partner_explicit_matches_per_state_reference(p):
+    xs = _bulk(p)
     for n in range(10):
-        for x in _bitwise_points(p):
-            assert _same_bits(partner_eigenfunction_explicit(p, n, x), per_state_partner(p, n, x)), (n, np.shape(x))
+        want = mp_partner(p, n, xs)
+        assert np.max(np.abs(partner_eigenfunction_explicit(p, n, xs) - want)) <= 1e-11 * np.max(np.abs(want)), n
+    # shape and type follow x, and the walls are exact zeros
+    for x in _family_points(p):
+        got = partner_eigenfunction_explicit(p, 3, x)
+        assert np.shape(got) == np.shape(x) and type(got) is (complex if np.ndim(x) == 0 else np.ndarray)
+        assert np.all(np.asarray(got)[np.isin(np.asarray(x), [0.0, p.length])] == 0.0)
 
 
 def test_parity_at_zero_tilt():
