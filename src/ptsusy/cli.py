@@ -306,8 +306,8 @@ def cmd_verify(cfg: dict) -> int:
     m = int(cfg.get("m", 1))
     n = int(cfg.get("n", 2))
     grid = int(cfg.get("grid_points", 161))
-    if grid < 1:
-        raise ConfigError("grid_points must be at least 1")
+    if grid < 3:
+        raise ConfigError("grid_points must be at least 3")
     sign = -1.0 if cfg.get("corrupt_w_sign") else 1.0
     results = verify_operator_identities(params, n, m, grid_size=grid, sign=sign)
     tols = cfg.get("tol", {})

@@ -44,9 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, PtsusyError
+from .errors import DegreeCapError, DomainError, PtsusyError
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_interval
-from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
+from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
 from .wavefn import _leading_loop, eigenfunction
 
 #: Relative clamp keeping operator evaluations away from the wall singularities.
@@ -54,12 +54,11 @@ EDGE_CLAMP = 1e-6
 
 
 class TrigPolyBump:
-    """Smooth Dirichlet test function: sin^2 envelope times a random sine sum."""
+    """Smooth Dirichlet test function: sin^2 envelope times a random four-mode sine sum."""
 
-    def __init__(self, params: ModelParams, seed: int, n_modes: int = 4):
+    def __init__(self, params: ModelParams, seed: int):
         self.params = params
-        rng = np.random.default_rng(seed)
-        self.coeffs = rng.normal(size=n_modes)
+        self.coeffs = np.random.default_rng(seed).normal(size=4)
 
     def __call__(self, x):
         theta = math.pi * np.asarray(x, dtype=float) / self.params.length
@@ -75,8 +74,6 @@ class TrigPolyBump:
         terms = []
         for first in (1, 2):
             modes = range(first, len(self.coeffs) + 1, 2)
-            if not modes:
-                continue
             a = modes[-1] + 2
             q = np.zeros(a - 2)
             for j in modes:
@@ -315,24 +312,11 @@ class IdentityResult:
         return asdict(self)
 
 
-def _rel(lhs: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> float:
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
+def _rel(lhs, rhs, scale: float | None = None) -> float:
     num = float(np.max(np.abs(lhs - rhs)))
     if scale is None:
         scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
     return num / max(scale, 1e-300)
-
-
-def _norm_sq(params: ModelParams, word, func, config: QuadratureConfig, sign: float, folds: dict, unit=1.0):
-    # the squared norm of the word applied to func, in units of unit
-    L = params.length
-
-    def integrand(x):
-        vals = apply_word(params, word, func, x, sign, folds=folds)
-        return np.abs(vals) ** 2 / unit
-
-    return integrate_interval(integrand, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
 
 
 def _quad_details(*results: IntegralResult) -> dict:
@@ -350,11 +334,9 @@ def _bump(params: ModelParams, seed: int) -> TrigPolyBump:
     return TrigPolyBump(params, seed)
 
 
-def test_corpus(params: ModelParams, m: int, n_eigen: int = 4, n_bumps: int = 2):
-    """Standard operand set: low eigenfunctions of level m plus seeded bumps."""
-    funcs = [eigenfunction(params, m, n) for n in range(n_eigen)]
-    funcs += [_bump(params, seed) for seed in (101, 102)[:n_bumps]]
-    return funcs
+def test_corpus(params: ModelParams, m: int):
+    """Standard operand set: the four lowest eigenfunctions of level m plus two seeded bumps."""
+    return [eigenfunction(params, m, n) for n in range(4)] + [_bump(params, 101), _bump(params, 102)]
 
 
 def verify_operator_identities(
@@ -369,11 +351,16 @@ def verify_operator_identities(
 
     Mandatory identities carry thresholds and a pass flag; identities whose
     printed form is ambiguous are evaluated in every well-formed variant and
-    reported as informational, with the matching variant recorded.  A
-    ``PtsusyError`` inside one identity, such as a state above the level cap
-    or an integral out of panels, ends only that identity: its rows carry
-    the error's type name as the residual and its message under "error" in
-    details, and are not passed if mandatory, skipped if informational.
+    reported as informational, with the matching variant recorded.
+
+    The mandatory identities need states of degree up to max(n + m + 1, m + 4),
+    the latter for the operand corpus of level m + 1.  Above ``LEVEL_CAP``
+    the cell cannot be certified and raises ``DegreeCapError`` up front.  Any
+    other ``PtsusyError`` inside one identity, such as an informational state
+    above the cap or an integral out of panels, ends only that identity: its
+    rows carry the error's type name as the residual and its message under
+    "error" in details, and are not passed if mandatory, skipped if
+    informational.
 
     Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L] and chains of
     depth three and beyond on the bulk span [0.1 L, 0.9 L].  The bulk span is
@@ -385,12 +372,18 @@ def verify_operator_identities(
     the quadrature identities, whose integrals run to within 1e-6 L of the
     walls.
     """
+    degree = max(n + m + 1, m + 4)
+    if degree > LEVEL_CAP:
+        raise DegreeCapError(f"cell (n={n}, m={m}) needs states of degree {degree}, which exceeds cap {LEVEL_CAP}")
     if config is None:
         config = replace(DEFAULT_CONFIG, abs_tol=1e-13, rel_tol=1e-11)
     grid = default_grid(params, grid_size)
     bulk = default_grid(params, grid_size, clamp=0.1)
     results: list[IdentityResult] = []
-    hbar, L = params.hbar, params.length
+    L = params.length
+    # the unit pi hbar / L of the ladder-chain prefactors
+    rung = math.pi * params.hbar / L
+    lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
     two_m = 2.0 * params.mass
     e0_level = lambda k: energy(params, LevelIndex(0, k))
     idx = {"n": n, "m": m}
@@ -400,6 +393,35 @@ def verify_operator_identities(
     # word folds all members at once, and residuals are taken member by member
     corpus = lru_cache(maxsize=None)(lambda level: _OperandStack(test_corpus(params, level)))
     on_bulk = lru_cache(maxsize=None)(lambda state: state(bulk))
+    # the chain B = A_m ... A_0 and its adjoint, and the partial chains
+    # Lambda (levels m+1..n, empty unless n > m) and Theta (levels n+1..m,
+    # empty unless m > n) with their adjoints; the first entry acts first
+    word_b = tuple(("A", k) for k in range(m + 1))
+    word_bdag = tuple(("Adag", k) for k in range(m, -1, -1))
+    lam = tuple(("A", k) for k in range(m + 1, n + 1))
+    lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
+    theta = tuple(("Adag", k) for k in range(m, n, -1))
+    theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
+    # state n of levels 0, m and m + 1, each of degree at most n + m + 1
+    phi_n, phi_m, phi_up = (eigenfunction(params, level, n) for level in (0, m, m + 1))
+
+    def chain_eigenvalue(e, levels):
+        # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
+        value = two_m ** len(levels)
+        for k in levels:
+            value *= e - e0_level(k)
+        return value
+
+    def chain_mean(word, state, target, chain_sign=1.0, unit=1.0):
+        # the quadrature of |word state|^2 / unit and its residual relative to
+        # target; a target of None stands for a closed form that vanishes
+        # identically, and the residual is then the mean itself
+        def integrand(x):
+            return np.abs(apply_word(params, word, state, x, chain_sign, folds=folds)) ** 2 / unit
+
+        quad = integrate_interval(integrand, lo, hi, config)
+        mean = float(quad.value.real)
+        return quad, mean if target is None else _rel(mean, target)
 
     @contextmanager
     def identity(*names, threshold=None):
@@ -420,7 +442,7 @@ def verify_operator_identities(
     with identity("ground_state_annihilation", threshold=1e-9) as record:
         ground = eigenfunction(params, m, 0)
         ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
-        record(_rel(ann, np.zeros_like(ann), scale=float(np.max(np.abs(ground(grid))))))
+        record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground(grid))))))
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
     # one on the corpus.
@@ -446,7 +468,6 @@ def verify_operator_identities(
         record(worst_of(corpus(m + 1), (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), worst))
 
     # Chain intertwining (equivalently, the supercharge commutator component).
-    word_b = tuple(("A", k) for k in range(m + 1))
     with identity("intertwining_chain", "supercharge_commutator", threshold=1e-7) as record:
         record(worst_of(corpus(0), word_b + (("H", m + 1),), (("H", 0),) + word_b))
 
@@ -454,48 +475,40 @@ def verify_operator_identities(
     # For n <= m one energy factor vanishes and the content is annihilation of
     # the chain: the residual is scaled by the other factors, so it does not
     # rest on the fold leaving the chain exactly 0.
-    word_bdag = tuple(("Adag", k) for k in range(m, -1, -1))
     with identity("product_BdagB", "supercharge_anticommutator_block0", threshold=1e-9) as record:
-        phi_n = eigenfunction(params, 0, n)
         lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign, folds=folds)
-        scalar = two_m ** (m + 1)
         phi_n_bulk = on_bulk(phi_n)
         scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_bulk)))
         for k in range(m + 1):
-            scalar *= e0_level(n) - e0_level(k)
             if k != n:
-                scale *= abs(e0_level(n) - e0_level(k))
-        record(_rel(lhs, scalar * phi_n_bulk, scale=scale), {"annihilating_branch": n <= m})
+                scale *= abs(phi_n.energy - e0_level(k))
+        rhs = chain_eigenvalue(phi_n.energy, range(m + 1)) * phi_n_bulk
+        record(_rel(lhs, rhs, scale=scale), {"annihilating_branch": n <= m})
 
+    eig_up = chain_eigenvalue(phi_up.energy, range(m + 1))
     with identity("product_BBdag", "supercharge_anticommutator_block1", threshold=1e-9) as record:
-        phi_up = eigenfunction(params, m + 1, n)
         lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign, folds=folds)
-        scalar = two_m ** (m + 1)
-        e_up = energy(params, LevelIndex(m + 1, n))
-        for k in range(m + 1):
-            scalar *= e_up - e0_level(k)
-        record(_rel(lhs, scalar * on_bulk(phi_up)))
+        record(_rel(lhs, eig_up * on_bulk(phi_up)))
 
     # Chain action with the closed-form gap factor.
-    pref = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n, m)
+    pref = rung ** (m + 1) * gap_factor_M(params, n, m)
     with identity("ladder_action", threshold=1e-8) as record:
         lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), bulk, sign, folds=folds)
-        record(_rel(lhs, pref * on_bulk(eigenfunction(params, m + 1, n))))
+        record(_rel(lhs, pref * on_bulk(phi_up)))
 
     # Mean values of the chain products by quadrature.
     with identity("mean_BBdag", threshold=1e-8) as record:
-        quad = _norm_sq(params, word_bdag, eigenfunction(params, m + 1, n), config, sign, folds)
-        record(_rel(np.array([quad.value.real]), np.array([pref**2])), _quad_details(quad))
+        quad, res = chain_mean(word_bdag, phi_up, pref**2, sign)
+        record(res, _quad_details(quad))
     if n > m:
         with identity("mean_BdagB", threshold=1e-8) as record:
-            quad = _norm_sq(params, word_b, eigenfunction(params, 0, n), config, sign, folds)
-            pref_n = (math.pi * hbar / L) ** (m + 1) * gap_factor_M(params, n - m - 1, m)
-            record(_rel(np.array([quad.value.real]), np.array([pref_n**2])), _quad_details(quad))
+            pref_n = rung ** (m + 1) * gap_factor_M(params, n - m - 1, m)
+            quad, res = chain_mean(word_b, phi_n, pref_n**2, sign)
+            record(res, _quad_details(quad))
 
     # Adjoint consistency, <A psi, phi> and <psi, A^dag phi> as one two-component
     # integral; bumps keep both inner products away from zero.
     psi, phi = _bump(params, 201), _bump(params, 202)
-    lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
 
     def inner_pair(x):
         left = np.conj(apply_word(params, (("A", m),), psi, x, sign, folds=folds)) * phi(x)
@@ -510,8 +523,7 @@ def verify_operator_identities(
     # residual at the 1e-6 threshold squares to 1e-12; an absolute tolerance
     # of 1e-16 resolves it to 1e-8 and leaves the roundoff below unresolved.
     with identity("eigen_residual", threshold=1e-6) as record:
-        phi_m = eigenfunction(params, m, n)
-        e_val = energy(params, LevelIndex(m, n))
+        e_val = phi_m.energy
 
         def resid_sq(x):
             return np.abs(apply_word(params, (("H", m),), phi_m, x, folds=folds) / e_val - phi_m(x)) ** 2
@@ -523,25 +535,17 @@ def verify_operator_identities(
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
         with identity("mixed_product") as record:
-            psi_mixed = eigenfunction(params, m + 1, n)
-            word_bn = tuple(("A", k) for k in range(n + 1))
-            lhs = apply_word(params, word_bdag + word_bn, psi_mixed, bulk, sign, folds=folds)
+            lhs = apply_word(params, word_bdag + word_b[: n + 1] + lam, phi_up, bulk, sign, folds=folds)
             details = {}
             if n > m:
-                lam = tuple(("A", k) for k in range(m + 1, n + 1))
-                scalar = two_m ** (m + 1)
-                e_psi = energy(params, LevelIndex(m + 1, n))
-                for k in range(m + 1):
-                    scalar *= e_psi - e0_level(k)
-                rhs = scalar * apply_word(params, lam, psi_mixed, bulk, sign, folds=folds)
+                rhs = eig_up * apply_word(params, lam, phi_up, bulk, sign, folds=folds)
                 details["lambda_form"] = _rel(lhs, rhs)
             else:
-                theta = tuple(("Adag", k) for k in range(m, n, -1))
                 # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-                terms = _fold(params, theta, psi_mixed, sign, folds).terms
+                terms = _fold(params, theta, phi_up, sign, folds).terms
                 for k in range(n + 1):
                     terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
-                rhs = two_m ** (n + 1) * _members(psi_mixed, _evaluate(params, _plan(terms), bulk))
+                rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms), bulk))
                 details["theta_form"] = _rel(lhs, rhs)
             (best,) = details
             details["matching_variant"] = best
@@ -550,14 +554,11 @@ def verify_operator_identities(
     # Partial-chain products with both candidate prefactors.
     if n > m:
         with identity("partial_chain_product") as record:
-            lam = tuple(("A", k) for k in range(m + 1, n + 1))
-            lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
             phi_hi = eigenfunction(params, n + 1, 0)
-            e_hi = energy(params, LevelIndex(n + 1, 0))
             lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign, folds=folds)
             core = 1.0
             for k in range(m + 1, n + 1):
-                core *= e_hi - e0_level(k)
+                core *= phi_hi.energy - e0_level(k)
             phi_hi_bulk = on_bulk(phi_hi)
             variants = {
                 "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_bulk),
@@ -569,41 +570,24 @@ def verify_operator_identities(
     # Partial-chain mean values (quadrature route).
     if n != m:
         with identity("partial_chain_means") as record:
-            mean_details = {}
-            mean_quads = []
-
-            def chain_mean(word, state, unit=1.0) -> float:
-                quad = _norm_sq(params, word, state, config, 1.0, folds, unit)
-                mean_quads.append(quad)
-                return float(quad.value.real)
-
             state_hi = eigenfunction(params, n + 1, n)
-            state_mid = eigenfunction(params, m + 1, n)
             if n > m:
-                lam = tuple(("A", k) for k in range(m + 1, n + 1))
-                lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
-                mean = chain_mean(lam_dag, state_hi)
-                target = (hbar * math.pi / L) ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
-                mean_details["lambda_lambdadag"] = _rel(np.array([mean]), np.array([target]))
-                mean = chain_mean(lam, state_mid)
+                target = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
+                means = {"lambda_lambdadag": chain_mean(lam_dag, state_hi, target)}
                 ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
-                target = ((hbar * math.pi / L) ** (n - m) * ratio) ** 2
-                mean_details["lambdadag_lambda"] = _rel(np.array([mean]), np.array([target]))
+                means["lambdadag_lambda"] = chain_mean(lam, phi_up, (rung ** (n - m) * ratio) ** 2)
             else:
-                theta = tuple(("Adag", k) for k in range(m, n, -1))
-                theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
-                unit = (hbar * math.pi / L) ** (2 * (m - n))
+                unit = rung ** (2 * (m - n))
                 target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
                 if target == 0.0:
                     # closed-form factor vanishes (m >= 2n+1): the chain annihilates
                     # the state, so the mean is integrated against zero in natural units
-                    mean_details["theta_thetadag"] = chain_mean(theta_dag, state_hi, unit)
+                    means = {"theta_thetadag": chain_mean(theta_dag, state_hi, None, unit=unit)}
                 else:
-                    mean_details["theta_thetadag"] = _rel(np.array([chain_mean(theta_dag, state_hi)]), np.array([target]))
-                mean = chain_mean(theta, state_mid)
+                    means = {"theta_thetadag": chain_mean(theta_dag, state_hi, target)}
                 ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
-                target = ((hbar * math.pi / L) ** (m - n) * ratio) ** 2
-                mean_details["thetadag_theta"] = _rel(np.array([mean]), np.array([target]))
-            record(max(mean_details.values()), {**mean_details, **_quad_details(*mean_quads)})
+                means["thetadag_theta"] = chain_mean(theta, phi_up, (rung ** (m - n) * ratio) ** 2)
+            residuals = {key: res for key, (_, res) in means.items()}
+            record(max(residuals.values()), {**residuals, **_quad_details(*(quad for quad, _ in means.values()))})
 
     return results

@@ -107,19 +107,14 @@ def gap_factor_M(params: ModelParams, n: int, m: int) -> float:
 def gap_factor_N(params: ModelParams, n: int, m: int) -> float:
     """Diagonal-chain gap factor N(n, m) >= 0.
 
-    Vanishes identically once m >= 2n + 1 (a chain rung meets its own energy),
-    which is the correct physical zero rather than an error.
+    N(n, m) is the product M^2(2n - m, m): the same rungs, read from the
+    top level 2n + 1.  It vanishes identically once m >= 2n + 1 (a chain rung
+    meets its own energy), which is the correct physical zero rather than an
+    error.
     """
     if n < 0 or m < 0:
         raise DomainError("gap_factor_N needs n >= 0 and m >= 0")
-    nu, beta = params.nu, params.beta
-    top = 2.0 * n + nu + 2.0
-    factors = []
-    for k in range(m + 1):
-        factors.append(2.0 * n - k + 1.0)
-        factors.append(2.0 * n + 2.0 * nu + k + 3.0)
-        factors.append(1.0 + beta**2 / ((k + nu + 1.0) * top) ** 2)
-    log_n = _gap_product_logs(factors)
+    log_n = _gap_product_logs(_m_squared_factors(params, 2 * n - m, m))
     return 0.0 if log_n == -math.inf else math.exp(log_n)
 
 

@@ -58,9 +58,9 @@ class NormalizationData:
         return math.exp(self.log_K)
 
 
-def _check_degree(n: int, cap: int):
-    if n > cap:
-        raise DegreeCapError(f"combined level degree {n} exceeds cap {cap}")
+def _check_degree(n: int):
+    if n > LEVEL_CAP:
+        raise DegreeCapError(f"combined level degree {n} exceeds cap {LEVEL_CAP}")
 
 
 def log_ground_constant(nu: float, beta: float, length: float) -> float:
@@ -80,7 +80,7 @@ def log_ground_constant(nu: float, beta: float, length: float) -> float:
 
 
 @lru_cache(maxsize=2048)
-def normalization_K(params: ModelParams, n: int, cap: int = LEVEL_CAP) -> NormalizationData:
+def normalization_K(params: ModelParams, n: int) -> NormalizationData:
     """Normalization constant of the n-th base eigenfunction, in log form.
 
     Product route: the ground constant of the family with strength index
@@ -93,7 +93,7 @@ def normalization_K(params: ModelParams, n: int, cap: int = LEVEL_CAP) -> Normal
     """
     if n < 0:
         raise DomainError("excitation number must be nonnegative")
-    _check_degree(n, cap)
+    _check_degree(n)
     nu, beta, L = params.nu, params.beta, params.length
     s = n + nu + 1.0
     log_k0 = log_ground_constant(nu + n, beta, L)
@@ -159,13 +159,13 @@ class EigenFunction:
     instead of assuming it.
     """
 
-    def __init__(self, params: ModelParams, idx: LevelIndex, cap: int = LEVEL_CAP):
-        _check_degree(idx.m + idx.n, cap)
+    def __init__(self, params: ModelParams, idx: LevelIndex):
+        _check_degree(idx.m + idx.n)
         self.params = params
         self.idx = idx
         n = idx.n
         self._nu_eff = params.nu + idx.m
-        self.norm_data = normalization_K(replace(params, nu=self._nu_eff), n, cap)
+        self.norm_data = normalization_K(replace(params, nu=self._nu_eff), n)
         s = n + self._nu_eff + 1.0
         self._gamma = -params.beta * math.pi / (params.length * s)
         # the phase (-i)^n times (i/2)^n leaves 2^-n
@@ -258,9 +258,9 @@ class EigenFamily:
 
 
 @lru_cache(maxsize=1024)
-def eigenfunction(params: ModelParams, m: int, n: int, cap: int = LEVEL_CAP) -> EigenFunction:
+def eigenfunction(params: ModelParams, m: int, n: int) -> EigenFunction:
     """Cached EigenFunction factory."""
-    return EigenFunction(params, LevelIndex(m=m, n=n), cap)
+    return EigenFunction(params, LevelIndex(m=m, n=n))
 
 
 def partner_eigenfunction_explicit(params: ModelParams, n: int, x):

@@ -54,6 +54,11 @@ as ``mpmath.jacobi`` sums it, with the prefactor taken once per polynomial.
 They share no summation with the two-sided binomial sum of ``wavefn``, and
 at 60 digits the cancellation of the hypergeometric series costs nothing.
 
+``gap_factor_N_loop`` is ``spectrum.gap_factor_N`` as it was before it
+became the M^2 product M^2(2n - m, m): its own loop over the rungs of the
+diagonal chain.  Both take the same factors in the same order, so they must
+agree bit for bit, the zero branch included.
+
 ``derivative`` is the Richardson-extrapolated central difference that
 checks the Taylor jets and the superpotential's derivative;
 ``ground_energy`` is the level's n = 0 energy by name.
@@ -83,7 +88,7 @@ from ptsusy.errors import (
 from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
 from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
 from ptsusy.specfun import log_gamma
-from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, phase_alpha
+from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, _gap_product_logs, energy, phase_alpha
 from ptsusy.wavefn import normalization_K
 
 
@@ -457,6 +462,19 @@ def normalization_double_sum(params, n: int, cap: int = LEVEL_CAP) -> float:
 def ground_energy(params, m: int) -> float:
     """Ground-state energy of hierarchy level m."""
     return energy(params, LevelIndex(m=m, n=0))
+
+
+def gap_factor_N_loop(params, n: int, m: int) -> float:
+    """N(n, m) from its own list of rung factors, read from the top level 2n + 1."""
+    nu, beta = params.nu, params.beta
+    top = 2.0 * n + nu + 2.0
+    factors = []
+    for k in range(m + 1):
+        factors.append(2.0 * n - k + 1.0)
+        factors.append(2.0 * n + 2.0 * nu + k + 3.0)
+        factors.append(1.0 + beta**2 / ((k + nu + 1.0) * top) ** 2)
+    log_n = _gap_product_logs(factors)
+    return 0.0 if log_n == -math.inf else math.exp(log_n)
 
 
 class StepUnderflowError(PtsusyError, ValueError):

@@ -12,8 +12,9 @@ import jsonschema
 import pytest
 
 import ptsusy.cli
+import ptsusy.operators
 import ptsusy.wavefn
-from ptsusy.errors import PtsusyError
+from ptsusy.errors import PtsusyError, SubdivisionLimitError
 
 CLI = [sys.executable, "-m", "ptsusy.cli"]
 
@@ -202,19 +203,41 @@ def test_verify_cell_at_cli_defaults_is_honest_and_fast(n, m):
         assert skipped == []
 
 
-def test_verify_row_above_the_level_cap_fails_alone(capsys):
-    # at (0, 17) the single-step intertwining needs level-18 operands up to
-    # n = 3, above the level cap: that mandatory row fails with the error's
-    # name, a tolerance override leaves it failed, and the other rows stand
-    args = ["verify", "--n", "0", "--m", "17", "--format", "json", "--tol-intertwining_single", "1"]
+def test_verify_row_above_the_level_cap_fails_alone(capsys, monkeypatch):
+    # At (10, 1) every mandatory identity lies within the level cap, but the
+    # informational partial-chain means need the level-11 state n = 10: that
+    # row alone is skipped as DegreeCapError.  With the quadrature out of
+    # panels, each quadrature row records the error, a tolerance override
+    # leaves a mandatory one failed, and the other rows stand.
+    def out_of_panels(*args, **kwargs):
+        raise SubdivisionLimitError("no panels left")
+
+    monkeypatch.setattr(ptsusy.operators, "integrate_interval", out_of_panels)
+    args = ["verify", "--n", "10", "--m", "1", "--format", "json", "--tol-eigen_residual", "1"]
     assert ptsusy.cli.main(args) == 1
     report = json.loads(capsys.readouterr().out)
     jsonschema.validate(report, load_schema("verify_report.schema.json"))
     by_name = {e["name"]: e for e in report["identities"]}
-    row = by_name.pop("intertwining_single")
-    assert row["max_residual"] == "DegreeCapError" and row["passed"] is False
+    row = by_name.pop("partial_chain_means")
+    assert row["max_residual"] == "DegreeCapError" and row["passed"] is None
     assert "exceeds cap" in row["details"]["error"]
-    assert all(e["passed"] is not False for e in by_name.values())
+    for name in ("mean_BBdag", "mean_BdagB", "adjoint_consistency", "eigen_residual"):
+        row = by_name.pop(name)
+        assert row["max_residual"] == "SubdivisionLimitError" and row["passed"] is False, name
+        assert row["details"]["error"] == "no panels left"
+    assert all(not isinstance(e["max_residual"], str) and e["passed"] is not False for e in by_name.values())
+
+
+@pytest.mark.parametrize(("n", "m", "degree"), [(0, 17, 21), (30, 0, 31)])
+def test_verify_cell_above_the_level_cap_exits_2(n, m, degree):
+    # the corpus of level m + 1 reaches degree m + 4, the ladder action
+    # degree n + m + 1: above the cap no verdict can be certified
+    start = time.perf_counter()
+    proc = run_cli("verify", "--n", str(n), "--m", str(m), check=False)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("ptsusy: error: ") and f"degree {degree}, which exceeds cap 20" in line
 
 
 def test_verify_corrupt_sign_fails_with_nonzero_exit(tmp_path):
@@ -295,7 +318,18 @@ def test_grid_zero_rejected(capsys, command):
     assert ptsusy.cli.main([command, "--grid", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["ptsusy: config error: grid_points must be at least 1"]
+    least = {"verify": 3, "coherent": 1}[command]
+    assert captured.err.splitlines() == [f"ptsusy: config error: grid_points must be at least {least}"]
+
+
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_verify_grid_below_the_schema_minimum_rejected(capsys, grid):
+    # the report schema asks for a grid of at least 3 points
+    assert load_schema("verify_report.schema.json")["properties"]["grid_size"]["minimum"] == 3
+    assert ptsusy.cli.main(["verify", "--grid", grid, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["ptsusy: config error: grid_points must be at least 3"]
 
 
 def test_coherent_csv_self_overlap_and_kernel():

@@ -10,7 +10,7 @@ import pytest
 
 from ptsusy import operators
 from ptsusy.coherent import CoherentState, PhasePoint
-from ptsusy.errors import DomainError
+from ptsusy.errors import DegreeCapError, DomainError
 from ptsusy.operators import (
     EDGE_CLAMP,
     TrigPolyBump,
@@ -252,6 +252,24 @@ def test_package_errors_become_rows_of_their_identity():
     for name in ("factorization", "product_BdagB", "supercharge_anticommutator_block0", "mixed_product"):
         assert not isinstance(results[name].max_residual, str), name
     assert results["factorization"].passed is True
+
+
+@pytest.mark.parametrize(("n", "m", "degree"), [(0, 17, 21), (2, 17, 21), (0, 19, 23), (30, 0, 31)])
+def test_cell_above_the_level_cap_is_rejected_up_front(monkeypatch, n, m, degree):
+    # the mandatory identities need degree max(n + m + 1, m + 4); above the
+    # cap the call raises before it builds any state or row
+    def no_states(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(operators, "eigenfunction", no_states)
+    with pytest.raises(DegreeCapError, match=f"needs states of degree {degree}, which exceeds cap 20"):
+        verify_operator_identities(DEFAULT, n, m)
+
+
+@pytest.mark.parametrize(("n", "m"), [(0, 16), (19, 0)])
+def test_cells_at_the_level_cap_are_certified(n, m):
+    results = verify_operator_identities(DEFAULT, n, m)
+    assert all(r.passed for r in results if not r.informational)
 
 
 def test_negative_control_sign_flip():

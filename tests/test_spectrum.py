@@ -17,7 +17,8 @@ from ptsusy.spectrum import (
     phase_alpha,
 )
 
-from oracles import ground_energy
+from conftest import PARAM_GRID
+from oracles import gap_factor_N_loop, ground_energy
 
 P = ModelParams(nu=1.0, beta=2.0, hbar=1.0, length=1.0, mass=0.5)
 
@@ -82,6 +83,19 @@ def test_gap_factor_n_zero_branch():
     assert gap_factor_N(P, 1, 3) == 0.0
     assert gap_factor_N(P, 0, 1) == 0.0
     assert gap_factor_N(P, 2, 1) > 0.0
+
+
+def test_gap_factor_n_is_the_m_squared_product_bit_for_bit():
+    # N(n, m) = M^2(2n - m, m), read through the same rungs in the same
+    # order as the loop it replaced, zero branch (m >= 2n + 1) included
+    zeros = 0
+    for p in PARAM_GRID:
+        for n in range(25):
+            for m in range(45):
+                want = gap_factor_N_loop(p, n, m)
+                assert gap_factor_N(p, n, m) == want, (p, n, m)
+                zeros += want == 0.0
+    assert zeros == len(PARAM_GRID) * sum(max(0, 45 - (2 * n + 1)) for n in range(25))
 
 
 def test_gap_factor_n_energy_product():
