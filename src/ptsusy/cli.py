@@ -35,6 +35,28 @@ _SCALAR_KEYS = _PARAM_KEYS + _INT_KEYS + ("format", "out")
 _ALIASES = {"l": "length", "grid": "grid_points"}
 _FORMATS = ("csv", "json")
 
+# the tolerances each subcommand reads, by the name of their --tol-<name>
+# flag: verify the thresholds of the mandatory identities, coherent its own
+_TOLERANCES = {
+    "verify": (
+        "ground_state_annihilation",
+        "factorization",
+        "intertwining_single",
+        "intertwining_chain",
+        "supercharge_commutator",
+        "product_BdagB",
+        "supercharge_anticommutator_block0",
+        "product_BBdag",
+        "supercharge_anticommutator_block1",
+        "ladder_action",
+        "mean_BBdag",
+        "mean_BdagB",
+        "adjoint_consistency",
+        "eigen_residual",
+    ),
+    "coherent": ("normalization", "overlap", "resolution"),
+}
+
 
 class ConfigError(Exception):
     pass
@@ -43,6 +65,17 @@ class ConfigError(Exception):
 def _fmt(x: float) -> str:
     # repr gives the shortest decimal that round-trips, at most 17 digits
     return repr(float(x))
+
+
+def _tolerance(text: str, where: str) -> float:
+    # a tolerance is a finite nonnegative number
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{where}: bad float {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ConfigError(f"{where}: expected a finite nonnegative tolerance, got {text!r}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -67,10 +100,7 @@ def load_config(path: str) -> dict:
                 if not all(map(math.isfinite, out[key])):
                     raise ConfigError(f"{path}:{lineno}: field {key}: expected finite numbers, got {value!r}")
             elif key.startswith("tol_"):
-                try:
-                    out.setdefault("tol", {})[key[4:]] = float(value)
-                except ValueError:
-                    raise ConfigError(f"{path}:{lineno}: field {key}: bad float {value!r}")
+                out.setdefault("tol", {})[key[4:]] = _tolerance(value, f"{path}:{lineno}: field {key}")
             elif key == "format" and value not in _FORMATS:
                 raise ConfigError(f"{path}:{lineno}: field format: expected csv or json, got {value!r}")
             elif key in ("format", "out"):
@@ -105,10 +135,7 @@ def _extract_tol_flags(argv: list[str]) -> tuple[list[str], dict]:
                 if i >= len(argv):
                     raise ConfigError(f"flag {arg} needs a value")
                 value = argv[i]
-            try:
-                tols[name.replace("-", "_")] = float(value)
-            except ValueError:
-                raise ConfigError(f"flag {arg}: bad float {value!r}")
+            tols[name.replace("-", "_")] = _tolerance(value, f"flag --tol-{name}")
         else:
             clean.append(arg)
         i += 1
@@ -187,6 +214,10 @@ def _merge(args: argparse.Namespace, tol_flags: dict) -> dict:
             if bad:
                 raise ConfigError(f"flag --{key}: expected a finite number, got {bad[0]!r}")
             cfg[key] = val
+    # a config file may serve several subcommands, a flag only the one it is given to
+    for name in tol_flags:
+        if name not in _TOLERANCES.get(args.command, ()):
+            raise ConfigError(f"flag --tol-{name}: {args.command} reads no tolerance of that name")
     cfg["tol"].update(tol_flags)
     return cfg
 

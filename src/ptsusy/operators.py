@@ -31,7 +31,11 @@ The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
 deliberately ambiguous ones as informational rather than asserting them.
 One call shares one ``folds`` dict among all its words, including the
-integrands of its quadratures, and drops it on return.
+integrands of its quadratures, and drops it on return.  The identities that
+depend on the level m alone are computed once per (params, m, grid size,
+sign, quadrature configuration) with a ``folds`` dict of their own, and their
+rows are kept in a bounded memo across calls; each call receives copies
+stamped with its own indices.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -339,6 +343,93 @@ def test_corpus(params: ModelParams, m: int):
     return [eigenfunction(params, m, n) for n in range(4)] + [_bump(params, 101), _bump(params, 102)]
 
 
+@contextmanager
+def _identity(results: list, indices: dict, grid_size: int, *names, threshold=None):
+    # yields the recorder of one identity's residual, a row per name with the
+    # later names aliases of the first, or records a package error
+    def record(res, details=None):
+        passed = None if threshold is None else not isinstance(res, str) and bool(res < threshold)
+        for i, name in enumerate(names):
+            extra = (details or {}) if i == 0 else {"alias_of": names[0]}
+            results.append(IdentityResult(name, dict(indices), res, threshold, passed, threshold is None, grid_size, extra))
+
+    try:
+        yield record
+    except PtsusyError as exc:
+        record(type(exc).__name__, {"error": str(exc)})
+
+
+@lru_cache(maxsize=256)
+def _level_identities(
+    params: ModelParams, m: int, grid_size: int, sign: float, config: QuadratureConfig
+) -> tuple[tuple[IdentityResult, ...], tuple[IdentityResult, ...]]:
+    # The identities of level m that do not depend on the state n: the rows
+    # that lead the report and the adjoint row that follows the chain means.
+    # The rows are shared by every caller; ``verify_operator_identities``
+    # hands out copies.
+    grid = default_grid(params, grid_size)
+    bulk = default_grid(params, grid_size, clamp=0.1)
+    head: list[IdentityResult] = []
+    tail: list[IdentityResult] = []
+    idx = {"m": m}
+    two_m = 2.0 * params.mass
+    # one fold per (operand, word prefix, sign) for the words of this level
+    folds: dict = {}
+    # the standard operands of a level as one stack: a word folds all members
+    # at once, and residuals are taken member by member
+    corpus = lru_cache(maxsize=None)(lambda level: _OperandStack(test_corpus(params, level)))
+
+    # Ground-state annihilation at level m.
+    with _identity(head, idx, grid_size, "ground_state_annihilation", threshold=1e-9) as record:
+        ground = eigenfunction(params, m, 0)
+        ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
+        record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground(grid))))))
+
+    # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
+    # one on the corpus.
+    with _identity(head, idx, grid_size, "factorization", threshold=1e-9) as record:
+        e0_m = energy(params, LevelIndex(m, 0))
+        worst = 0.0
+        direct = apply_word(params, (("H", m),), corpus(m), grid, folds=folds)
+        chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign, folds=folds)
+        for f, d, c in zip(corpus(m), direct, chained):
+            fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
+            worst = max(worst, _rel(fact, d))
+        record(worst)
+
+    # Single-step intertwining, both directions.  An annihilated member, such
+    # as the ground state under A_m, folds to exactly 0 on both sides.
+    def worst_of(stack, lhs_word, rhs_word, worst=0.0):
+        lhs = apply_word(params, lhs_word, stack, bulk, sign, folds=folds)
+        rhs = apply_word(params, rhs_word, stack, bulk, sign, folds=folds)
+        return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
+
+    with _identity(head, idx, grid_size, "intertwining_single", threshold=1e-7) as record:
+        worst = worst_of(corpus(m), (("A", m), ("H", m + 1)), (("H", m), ("A", m)))
+        record(worst_of(corpus(m + 1), (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), worst))
+
+    # Chain intertwining (equivalently, the supercharge commutator component).
+    word_b = tuple(("A", k) for k in range(m + 1))
+    with _identity(head, idx, grid_size, "intertwining_chain", "supercharge_commutator", threshold=1e-7) as record:
+        record(worst_of(corpus(0), word_b + (("H", m + 1),), (("H", 0),) + word_b))
+
+    # Adjoint consistency, <A psi, phi> and <psi, A^dag phi> as one two-component
+    # integral; bumps keep both inner products away from zero.
+    psi, phi = _bump(params, 201), _bump(params, 202)
+
+    def inner_pair(x):
+        left = np.conj(apply_word(params, (("A", m),), psi, x, sign, folds=folds)) * phi(x)
+        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign, folds=folds)])
+
+    with _identity(tail, idx, grid_size, "adjoint_consistency", threshold=1e-9) as record:
+        L = params.length
+        quad = integrate_interval(inner_pair, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
+        va, vb = quad.value.tolist()
+        record(abs(va - vb) / max(abs(va), abs(vb), 1e-300), _quad_details(quad))
+
+    return tuple(head), tuple(tail)
+
+
 def verify_operator_identities(
     params: ModelParams,
     n: int,
@@ -362,6 +453,17 @@ def verify_operator_identities(
     "error" in details, and are not passed if mandatory, skipped if
     informational.
 
+    Five identities do not depend on n: ground-state annihilation,
+    factorization, single-step and chain intertwining (with its
+    ``supercharge_commutator`` alias) and adjoint consistency.  Their rows
+    are computed once per (params, m, grid_size, sign, config), with
+    ``config=None`` resolved to the suite's default first, and kept in a
+    bounded memo (``_level_identities``, 256 keys); a row recording a
+    package error is kept like any other.  A call that shares the key
+    reuses them, each a copy with this cell's indices and its own details,
+    and evaluates only the identities that depend on n.  The values are the
+    same bit for bit as a call with an empty memo.
+
     Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L] and chains of
     depth three and beyond on the bulk span [0.1 L, 0.9 L].  The bulk span is
     load-bearing.  On nu = 1, beta = 2 the residuals are the same at 1e-3 L
@@ -377,21 +479,24 @@ def verify_operator_identities(
         raise DegreeCapError(f"cell (n={n}, m={m}) needs states of degree {degree}, which exceeds cap {LEVEL_CAP}")
     if config is None:
         config = replace(DEFAULT_CONFIG, abs_tol=1e-13, rel_tol=1e-11)
-    grid = default_grid(params, grid_size)
+    head, tail = _level_identities(params, m, grid_size, sign, config)
     bulk = default_grid(params, grid_size, clamp=0.1)
-    results: list[IdentityResult] = []
+    idx = {"n": n, "m": m}
+
+    def stamped(rows):
+        # copies of memoized level rows with this cell's indices and their own
+        # details, so that no caller can reach a memoized row
+        return [replace(r, indices=dict(idx), details=dict(r.details)) for r in rows]
+
+    results = stamped(head)
     L = params.length
     # the unit pi hbar / L of the ladder-chain prefactors
     rung = math.pi * params.hbar / L
     lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
     two_m = 2.0 * params.mass
     e0_level = lambda k: energy(params, LevelIndex(0, k))
-    idx = {"n": n, "m": m}
     # one fold per (operand, word prefix, sign) for this call's words
     folds: dict = {}
-    # the standard operands of a level as one stack, built once per call: a
-    # word folds all members at once, and residuals are taken member by member
-    corpus = lru_cache(maxsize=None)(lambda level: _OperandStack(test_corpus(params, level)))
     on_bulk = lru_cache(maxsize=None)(lambda state: state(bulk))
     # the chain B = A_m ... A_0 and its adjoint, and the partial chains
     # Lambda (levels m+1..n, empty unless n > m) and Theta (levels n+1..m,
@@ -423,53 +528,7 @@ def verify_operator_identities(
         mean = float(quad.value.real)
         return quad, mean if target is None else _rel(mean, target)
 
-    @contextmanager
-    def identity(*names, threshold=None):
-        # yields the recorder of one identity's residual, a row per name with
-        # the later names aliases of the first, or records a package error
-        def record(res, details=None):
-            passed = None if threshold is None else not isinstance(res, str) and bool(res < threshold)
-            for i, name in enumerate(names):
-                extra = (details or {}) if i == 0 else {"alias_of": names[0]}
-                results.append(IdentityResult(name, dict(idx), res, threshold, passed, threshold is None, grid_size, extra))
-
-        try:
-            yield record
-        except PtsusyError as exc:
-            record(type(exc).__name__, {"error": str(exc)})
-
-    # Ground-state annihilation at level m.
-    with identity("ground_state_annihilation", threshold=1e-9) as record:
-        ground = eigenfunction(params, m, 0)
-        ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
-        record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground(grid))))))
-
-    # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
-    # one on the corpus.
-    with identity("factorization", threshold=1e-9) as record:
-        e0_m = energy(params, LevelIndex(m, 0))
-        worst = 0.0
-        direct = apply_word(params, (("H", m),), corpus(m), grid, folds=folds)
-        chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign, folds=folds)
-        for f, d, c in zip(corpus(m), direct, chained):
-            fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
-            worst = max(worst, _rel(fact, d))
-        record(worst)
-
-    # Single-step intertwining, both directions.  An annihilated member, such
-    # as the ground state under A_m, folds to exactly 0 on both sides.
-    def worst_of(stack, lhs_word, rhs_word, worst=0.0):
-        lhs = apply_word(params, lhs_word, stack, bulk, sign, folds=folds)
-        rhs = apply_word(params, rhs_word, stack, bulk, sign, folds=folds)
-        return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
-
-    with identity("intertwining_single", threshold=1e-7) as record:
-        worst = worst_of(corpus(m), (("A", m), ("H", m + 1)), (("H", m), ("A", m)))
-        record(worst_of(corpus(m + 1), (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), worst))
-
-    # Chain intertwining (equivalently, the supercharge commutator component).
-    with identity("intertwining_chain", "supercharge_commutator", threshold=1e-7) as record:
-        record(worst_of(corpus(0), word_b + (("H", m + 1),), (("H", 0),) + word_b))
+    identity = partial(_identity, results, idx, grid_size)
 
     # Product identities on eigenstates (the supercharge anticommutator blocks).
     # For n <= m one energy factor vanishes and the content is annihilation of
@@ -506,18 +565,7 @@ def verify_operator_identities(
             quad, res = chain_mean(word_b, phi_n, pref_n**2, sign)
             record(res, _quad_details(quad))
 
-    # Adjoint consistency, <A psi, phi> and <psi, A^dag phi> as one two-component
-    # integral; bumps keep both inner products away from zero.
-    psi, phi = _bump(params, 201), _bump(params, 202)
-
-    def inner_pair(x):
-        left = np.conj(apply_word(params, (("A", m),), psi, x, sign, folds=folds)) * phi(x)
-        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign, folds=folds)])
-
-    with identity("adjoint_consistency", threshold=1e-9) as record:
-        quad = integrate_interval(inner_pair, lo, hi, config)
-        va, vb = quad.value.tolist()
-        record(abs(va - vb) / max(abs(va), abs(vb), 1e-300), _quad_details(quad))
+    results.extend(stamped(tail))
 
     # Eigen-residual of the level-m state n, relative to its energy.  A
     # residual at the 1e-6 threshold squares to 1e-12; an absolute tolerance

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ptsusy import operators
 from ptsusy.spectrum import ModelParams
 
 DEFAULT = ModelParams(nu=1.0, beta=2.0, hbar=1.0, length=1.0, mass=0.5)
@@ -13,6 +14,14 @@ PARAM_GRID = [
     ModelParams(nu=2.5, beta=1.0, hbar=1.0, length=1.0, mass=0.5),
     ModelParams(nu=0.5, beta=3.0, hbar=2.0, length=3.0, mass=1.5),
 ]
+
+
+@pytest.fixture(autouse=True)
+def cold_level_memo():
+    # verify_operator_identities keeps the level rows of earlier calls; a test
+    # that patches the quadrature, the fold or the states must not see rows
+    # an earlier test computed without the patch
+    operators._level_identities.cache_clear()
 
 
 @pytest.fixture

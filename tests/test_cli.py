@@ -462,3 +462,59 @@ def test_nonfinite_model_parameters_rejected(capsys, key, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"ptsusy: error: {key} must be finite, got {float(value)!r}"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize(("command", "name"), [("verify", "factorization"), ("coherent", "overlap")])
+def test_unusable_tolerances_rejected(tmp_path, capsys, command, name, value):
+    # a non-finite tolerance made a report its schema rejects, a negative one
+    # a verdict no residual can pass; both are rejected before any work
+    assert ptsusy.cli.main([command, f"--tol-{name}={value}", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"ptsusy: config error: flag --tol-{name}: expected a finite nonnegative tolerance, got {value!r}"
+    ]
+    cfg = tmp_path / "tols.cfg"
+    cfg.write_text(f"nu = 1.0\ntol_{name} = {value}\n")
+    assert ptsusy.cli.main([command, "--config", str(cfg), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"ptsusy: config error: {cfg}:2: field tol_{name}: expected a finite nonnegative tolerance, got {value!r}"
+    ]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [
+        ("verify", "--tol-factorisation"),
+        ("verify", "--tol-overlap"),
+        ("verify", "--tol-mixed_product"),
+        ("coherent", "--tol-factorization"),
+        ("spectrum", "--tol-overlap"),
+        ("wavefn", "--tol-normalization"),
+    ],
+)
+def test_tolerance_flags_the_command_does_not_read_rejected(capsys, command, flag):
+    # a misspelled or misplaced override used to be ignored with exit 0
+    assert ptsusy.cli.main([command, flag, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"ptsusy: config error: flag {flag}: {command} reads no tolerance of that name"]
+
+
+def test_verify_tolerance_names_are_the_mandatory_identities():
+    # at n > m every mandatory identity has a row, in report order
+    results = ptsusy.operators.verify_operator_identities(ptsusy.cli._params(ptsusy.cli._DEFAULTS), 2, 1)
+    assert list(ptsusy.cli._TOLERANCES["verify"]) == [r.name for r in results if not r.informational]
+
+
+def test_zero_and_dashed_tolerance_flags_accepted(capsys):
+    # a zero threshold is a valid (failing) override, and dashes in a flag's
+    # name stand for underscores
+    args = ["verify", "--n", "1", "--m", "0", "--tol-eigen-residual", "0", "--format", "json"]
+    assert ptsusy.cli.main(args) == 1
+    report = json.loads(capsys.readouterr().out)
+    row = {e["name"]: e for e in report["identities"]}["eigen_residual"]
+    assert row["threshold"] == 0.0 and row["passed"] is False

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from ptsusy import operators
+from ptsusy import cli, operators
 from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DegreeCapError, DomainError
 from ptsusy.operators import (
@@ -334,12 +334,91 @@ def test_verify_folds_each_prefix_once(monkeypatch):
     # quadrature integrands, called once per refinement step, add no folds
     assert len({(id(t), kind, level, sign, shift) for t, kind, level, sign, shift in steps}) == len(steps)
     assert len(steps) == len(prefixes)
-    # nothing is carried over to the next call
+    # the level rows are kept: the same cell again folds only the words that
+    # depend on n, each prefix once, and no fold is carried over
     folded = len(steps)
     steps.clear()
+    prefixes.clear()
     second = verify_operator_identities(DEFAULT, 3, 2)
-    assert len(steps) == folded
+    assert 0 < len(steps) == len(prefixes) < folded
     assert [r.to_jsonable() for r in second] == [r.to_jsonable() for r in first]
+    # with the memo cleared the level words are folded again
+    operators._level_identities.cache_clear()
+    steps.clear()
+    third = verify_operator_identities(DEFAULT, 3, 2)
+    assert len(steps) == folded
+    assert [r.to_jsonable() for r in third] == [r.to_jsonable() for r in first]
+
+
+LEVEL_ROWS = (
+    "ground_state_annihilation",
+    "factorization",
+    "intertwining_single",
+    "intertwining_chain",
+    "supercharge_commutator",
+    "adjoint_consistency",
+)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_level_rows_from_a_warm_memo_equal_cold_ones(sign):
+    for m in range(6):
+        operators._level_identities.cache_clear()
+        warm = [[r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] for n in range(7)]
+        assert operators._level_identities.cache_info().hits == 6
+        for n in range(7):
+            operators._level_identities.cache_clear()
+            cold = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)]
+            assert warm[n] == cold, (n, m)
+
+
+def test_mutating_a_returned_row_leaves_the_memo_unchanged():
+    first = verify_operator_identities(DEFAULT, 2, 1)
+    want = [r.to_jsonable() for r in first]
+    for r in first:
+        r.details["tampered"] = True
+        r.indices["n"] = 99
+        r.max_residual = "tampered"
+    again = verify_operator_identities(DEFAULT, 2, 1)
+    assert operators._level_identities.cache_info().hits == 1
+    assert [r.to_jsonable() for r in again] == want
+
+
+def test_level_rows_carry_their_own_cells_indices():
+    cells = [(0, 2), (3, 2), (5, 2)]
+    runs = [verify_operator_identities(DEFAULT, n, m) for n, m in cells]
+    assert operators._level_identities.cache_info().hits == 2
+    for (n, m), results in zip(cells, runs):
+        level = [r for r in results if r.name in LEVEL_ROWS]
+        assert [r.name for r in level] == list(LEVEL_ROWS)
+        assert all(r.indices == {"n": n, "m": m} for r in results)
+    # no two rows share an indices or a details object, within or across cells
+    rows = [r for results in runs for r in results]
+    assert len({id(r.indices) for r in rows}) == len({id(r.details) for r in rows}) == len(rows)
+
+
+# the cells whose operand corpus at level m + 1 needs degree m + 4 > LEVEL_CAP
+CAP_CELLS = {(0, 17), (0, 18), (0, 19), (1, 17), (1, 18), (2, 17)}
+
+
+def test_every_cell_under_the_level_cap_is_certified():
+    # every cell n + m <= 19 that eigenfunction(0, n + m + 1) allows: on the
+    # test point, the symmetric well and the CLI default, every mandatory row
+    # passes except at the six cells rejected up front
+    start = time.perf_counter()
+    for params in (DEFAULT, ModelParams(nu=0.0, beta=0.0), ModelParams(**cli._DEFAULTS)):
+        capped, failed = set(), []
+        for total in range(20):
+            for m in range(total + 1):
+                try:
+                    results = verify_operator_identities(params, total - m, m)
+                except DegreeCapError:
+                    capped.add((total - m, m))
+                    continue
+                failed += [(total - m, m, r.name) for r in results if not r.informational and not r.passed]
+        assert not failed, params
+        assert capped == CAP_CELLS, params
+    assert time.perf_counter() - start < 30.0
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
