@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval, integrate_real_line
-from .specfun import log_gamma
+from .specfun import log_abs_gamma, log_gamma
 from .spectrum import ModelParams
 from .wavefn import EigenFamily, eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
-#: Most points one ``log_gamma`` call of ``resolution_kernel`` receives; the
-#: integrand is evaluated in blocks of rows to bound its working set.
+#: Most points one ``log_abs_gamma`` call of ``resolution_kernel`` receives;
+#: the integrand is evaluated in blocks of rows so that the real Lanczos sum's
+#: working arrays stay small enough to be reused instead of faulted in anew.
 _KERNEL_BLOCK = 4096
 
 
@@ -182,7 +183,9 @@ def resolution_kernel(
     since refinement is ranked by absolute error the small ones never
     converge.  The integrand is
     evaluated in blocks of rows, at most ``_KERNEL_BLOCK`` points per
-    ``log_gamma`` call.
+    ``log_abs_gamma`` call: only Re lgamma is needed, and ``log_abs_gamma``
+    sums it in real arithmetic, where ``log_gamma`` (its reference in the
+    tests) would pay for the whole complex sum.
 
     Because the panels are shared, G(x) depends on the other points of the
     call: the panels they ask for refine its integral further, which moves
@@ -218,10 +221,9 @@ def resolution_kernel(
         for lo in range(0, xs.size, step):
             rows = slice(lo, lo + step)
             u = decay[rows, None] * t
-            zg = np.empty(u.shape, dtype=complex)
-            zg.real = dp + 2.0
-            zg.imag = s * u
-            expo = 2.0 * log_gamma(zg).real + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
+            expo = (
+                2.0 * log_abs_gamma(dp + 2.0, s * u) + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
+            )
             out[rows] = np.exp(expo)
         return out
 

@@ -3,12 +3,19 @@
 Everything here works for complex parameters, which the rest of the package relies on:
 the eigenfunction polynomials carry conjugate complex Jacobi parameters and the
 normalization constants and coherent-state kernels need gamma functions of
-complex argument.  Jacobi polynomials are supplied as their power-series
-coefficients in (1 - z)/2.  Nothing in the package sums them (``wavefn``
-uses the two-sided binomial form): the tests do, and the benchmark in
-``perfbench/`` reads their cache, so they stay here until it stops.
-Values that can overflow are handled by the callers in log space; this module
-only promises accurate complex values for moderate arguments.
+complex argument.
+
+``log_gamma`` is the general complex log-gamma.  Beside it, ``log_abs_gamma``
+gives only its real part, log|Gamma(x + iy)| on a line of fixed x, summed in
+real arithmetic over arrays of y: the resolution kernel needs nothing else,
+at hundreds of thousands of points per pass, and ``log_gamma`` is the
+reference its tests hold it to.
+
+Jacobi polynomials are supplied as their power-series coefficients in
+(1 - z)/2.  Nothing in the package sums them (``wavefn`` uses the two-sided
+binomial form): the tests do, and the benchmark in ``perfbench/`` reads
+their cache, so they stay here until it stops.  Values that can overflow are
+handled by the callers in log space.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegreeCapError, PoleError
+from .errors import DegreeCapError, DomainError, PoleError
 
 # Hard ceiling on polynomial degree.  Beyond this the terminating hypergeometric
 # sum starts losing more digits than the package tolerances allow.
@@ -49,7 +56,7 @@ _LANCZOS_C = (
 
 
 def _lanczos_right(z: np.ndarray) -> np.ndarray:
-    # Valid for Re z >= 0.5 only; callers shift into this half plane first.
+    # Valid for Re z >= 0.5 only; the left half plane is reflected into it.
     zz = z - 1.0
     acc = np.full_like(z, _LANCZOS_C[0])
     for i in range(1, len(_LANCZOS_C)):
@@ -58,26 +65,48 @@ def _lanczos_right(z: np.ndarray) -> np.ndarray:
     return 0.5 * _LOG_2PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
 
 
+def _log_sin_pi(z: np.ndarray) -> np.ndarray:
+    # Principal Log sin(pi z), finite for any |Im z|.  With n = round(x) and
+    # x - n exact, sin and cos of a = pi x are (-1)^n sin(pi (x - n)) and
+    # (-1)^n cos(pi (x - n)), with exact zeros at integers.  With b = pi y and
+    # E = e^(-2|b|), |sin|^2 = (cosh 2b - cos 2a) / 2 is written as
+    # e^(2|b|) ((1 - E)^2 + 4 E sin^2 a) / 4 and the argument as
+    # atan2(cos a tanh b, sin a), both free of overflow.
+    n = np.round(z.real)
+    sign = 1.0 - 2.0 * np.fmod(np.abs(n), 2.0)
+    f = np.pi * (z.real - n)
+    sin_a = sign * np.sin(f)
+    cos_a = sign * np.cos(f)
+    b = np.pi * z.imag
+    e = np.exp(-2.0 * np.abs(b))
+    log_mod = np.abs(b) - math.log(2.0) + 0.5 * np.log(np.expm1(-2.0 * np.abs(b)) ** 2 + 4.0 * e * sin_a**2)
+    return log_mod + 1j * np.arctan2(cos_a * np.tanh(b), sin_a)
+
+
 def log_gamma(z):
     """Principal-branch complex log-gamma.
 
     Args:
-        z: complex scalar or array.  Nonpositive integers raise ``PoleError``.
+        z: complex scalar or array.  The nonpositive real axis raises
+            ``PoleError`` (poles at the integers, no principal branch between
+            them), and a non-finite value raises ``DomainError``.
 
     Returns:
         log(Gamma(z)) on the principal analytic continuation (imaginary part is
         continuous, not reduced mod 2*pi).  Shape follows the input.
 
-    For Re z < 0.5 the value is lifted with the recurrence
-    ``log_gamma(z) = log_gamma(z + k) - sum_j Log(z + j)``, which reproduces the
-    principal branch away from the negative real axis.  Arguments on the
-    negative real axis itself (other than poles) are outside the supported
-    domain of this branch bookkeeping and are rejected.
+    For Re z >= 0.5 this is the complex Lanczos sum.  For Re z < 0.5 it is
+    the reflection formula
+    ``log pi - Log sin(pi z) - log_gamma(1 - z) + 2 pi i sgn(Im z) floor(Re z / 2 + 1/4)``,
+    whose last term moves the principal Log of the sine onto the continuous
+    branch; its cost does not depend on |Re z|.
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
+    arr = np.atleast_1d(arr)
 
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("log_gamma argument must be finite")
     on_real_axis = arr.imag == 0.0
     nonpos_int = on_real_axis & (arr.real <= 0.0) & (arr.real == np.round(arr.real))
     if np.any(nonpos_int):
@@ -92,17 +121,58 @@ def log_gamma(z):
     left = ~right
     if np.any(left):
         zl = arr[left]
-        shift = np.ceil(0.5 - zl.real).astype(int)
-        kmax = int(shift.max())
-        acc = np.zeros_like(zl)
-        w = zl.copy()
-        for step in range(kmax):
-            live = step < shift
-            acc[live] += np.log(w[live])
-            w[live] += 1.0
-        out[left] = _lanczos_right(w) - acc
+        branch = np.sign(zl.imag) * np.floor(0.5 * zl.real + 0.25)
+        out[left] = math.log(math.pi) - _log_sin_pi(zl) - _lanczos_right(1.0 - zl) + 2j * math.pi * branch
 
     return out[0] if scalar else out
+
+
+def log_abs_gamma(x: float, y):
+    """log|Gamma(x + iy)| for a real scalar x >= 0.5 and a real array y.
+
+    The real part of ``log_gamma`` on a line Re z = x, summed in real
+    arithmetic: the resolution kernel needs only this part, at thousands of
+    points per call, and the complex sum pays for 14 complex divisions and
+    two complex logarithms per point.  Same g and coefficients as
+    ``log_gamma``, which stays the general function and this one's reference.
+    With a = x - 1 + i, each partial fraction c_i / (a + iy) adds
+    a r to Re S and -y r to Im S, r = c_i / (a^2 + y^2); the working arrays
+    have the shape of y.  |y| must stay below 1e150, where y^2 is finite.
+    Returns an array of y's shape, or a float for a scalar y.
+    """
+    x = float(x)
+    if not x >= 0.5 or not math.isfinite(x):
+        raise DomainError(f"log_abs_gamma needs a finite x >= 0.5, got {x!r}")
+    scalar = np.ndim(y) == 0
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if not np.all(np.abs(y) < 1e150):
+        raise DomainError("log_abs_gamma needs finite |y| < 1e150")
+    y2 = y * y
+    re = np.full(y.shape, _LANCZOS_C[0])
+    im = np.zeros(y.shape)
+    r = np.empty(y.shape)
+    for i in range(1, len(_LANCZOS_C)):
+        a = x - 1.0 + i
+        np.add(y2, a * a, out=r)
+        np.divide(_LANCZOS_C[i], r, out=r)
+        im -= r
+        r *= a
+        re += r
+    im *= y
+    t = x - 0.5 + _LANCZOS_G
+    # log|S|^2 overwrites re and (x - 1/2) log|t + iy| overwrites y2
+    re *= re
+    im *= im
+    re += im
+    np.log(re, out=re)
+    y2 += t * t
+    np.log(y2, out=y2)
+    y2 *= 0.5 * (x - 0.5)
+    out = np.arctan2(y, t)
+    out *= y
+    np.subtract(y2, out, out=out)
+    out += 0.5 * re + (0.5 * _LOG_2PI - t)
+    return float(out[0]) if scalar else out
 
 
 def pochhammer(a, k: int):

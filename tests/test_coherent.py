@@ -4,6 +4,7 @@ lowering-operator eigenrelation, overlap algebra, and the completeness kernel.""
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from ptsusy.coherent import (
 from ptsusy.errors import DomainError
 from ptsusy.operators import apply_word
 from ptsusy.quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
+from ptsusy.specfun import log_gamma
 from ptsusy.spectrum import ModelParams
 from ptsusy.wavefn import eigenfunction
 
@@ -128,6 +130,31 @@ def test_overlap_hermiticity_and_bound():
     assert abs(cs_overlap(states[0], states[2])) < 0.999
 
 
+def test_overlap_far_apart_in_momentum():
+    # one of dp + 2 +- tau has real part about -1.6e5, which log_gamma
+    # reflects at the cost of any other point; the closed form then holds to
+    # the rounding of its phase Delta p L / (2 hbar) = 5e5
+    p = replace(DEFAULT, beta=0.0)
+    a = CoherentState(p, 0, PhasePoint(0.3, 0.0))
+    b = CoherentState(p, 0, PhasePoint(0.3, 1e6))
+    dp, s = a._dp, a._dp + 1.0
+    with mpmath.workdps(40):
+        ua, ub = mpmath.mpf(a._u), mpmath.mpf(b._u)
+        tau = 1j * (-mpmath.pi * s * (ua + ub) + 1j * mpmath.mpf(1e6)) / (2.0 * mpmath.pi)
+        ref = complex(
+            mpmath.exp(
+                mpmath.loggamma(mpmath.mpc(dp + 2.0, s * ua)).real
+                + mpmath.loggamma(mpmath.mpc(dp + 2.0, s * ub)).real
+                + 0.5j * mpmath.mpf(1e6)
+                - mpmath.loggamma(dp + 2.0 + tau)
+                - mpmath.loggamma(dp + 2.0 - tau)
+            )
+        )
+    got = cs_overlap(a, b)
+    assert abs(got - ref) <= 1e-9 * abs(ref)
+    assert abs(cs_overlap(b, a) - np.conj(got)) <= 1e-9 * abs(ref)
+
+
 def test_overlap_requires_same_level_and_model():
     a = CoherentState(DEFAULT, 0, PhasePoint(0.3, 0.0))
     b = CoherentState(DEFAULT, 1, PhasePoint(0.3, 0.0))
@@ -201,6 +228,32 @@ def test_resolution_kernel_batch_matches_one_point_calls():
     assert np.max(np.abs(single - 1.0)) < 1e-8
 
 
+# the benchmark's kernel points, in units of L
+KERNEL_X = np.array((1e-3, 5e-3, 0.02) + tuple(j / 16.0 for j in range(1, 16)) + (0.98, 0.995, 0.999))
+
+
+@pytest.mark.parametrize("params", [DEFAULT, replace(DEFAULT, nu=0.0, beta=0.0)], ids=["nu1b2", "nu0b0"])
+def test_resolution_kernel_real_sum_matches_the_complex_sum(monkeypatch, params):
+    import ptsusy.coherent as coherent
+
+    xs = KERNEL_X * params.length
+    real = [resolution_kernel(params, m, xs) for m in (0, 1, 2)]
+    monkeypatch.setattr(coherent, "log_abs_gamma", lambda x, y: log_gamma(x + 1j * np.asarray(y)).real)
+    for m, g in zip((0, 1, 2), real):
+        assert np.max(np.abs(g - resolution_kernel(params, m, xs))) < 1e-13
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 'Resolve the near-wall layer of the resolution kernel': the Gauss nodes "
+    "step over the u-integrand's layer of width about 1 at d' < 1, so G misses 3.29e-6",
+)
+def test_resolution_kernel_near_wall_layer():
+    # criterion 10's bound at nu = 0, m = 0, one point 1e-3 L from the wall
+    p = replace(DEFAULT, nu=0.0, beta=0.0)
+    assert abs(resolution_kernel(p, 0, 1e-3 * p.length) - 1.0) < 1e-6
+
+
 def test_resolution_kernel_keeps_the_input_shape():
     xs = np.array([[0.1, 0.2, 0.3], [0.6, 0.7, 0.8]])
     g = resolution_kernel(DEFAULT, 1, xs)
@@ -259,8 +312,6 @@ def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):
 
 def test_log_normalization_closed_form_value():
     # direct transcription of the gamma-ratio form at a hand-checked point
-    from ptsusy.specfun import log_gamma
-
     q = 0.5
     m = 0
     # u = 0 at the midpoint: log R = Re lg(nu+2) - Re lg(nu+2+i beta/(nu+1)) - beta pi/(2(nu+1))

@@ -15,8 +15,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptsusy.errors import DegreeCapError
-from ptsusy.specfun import DEGREE_CAP, jacobi_series_coefficients, log_gamma, pochhammer
+from ptsusy.errors import DegreeCapError, DomainError
+from ptsusy.specfun import DEGREE_CAP, jacobi_series_coefficients, log_abs_gamma, log_gamma, pochhammer
 
 from oracles import log_pochhammer, scaled_phase_sum
 
@@ -82,6 +82,79 @@ def test_reflection_formula():
         lhs = np.exp(log_gamma(z) + log_gamma(1.0 - z))
         rhs = math.pi / np.sin(math.pi * z)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@pytest.mark.parametrize("x", [-1e8, -1e5, -10.7, -0.76, 0.3])
+def test_log_gamma_left_half_plane_against_mpmath(x):
+    # down to Re z = -1e8: the reflection formula costs the same at any |Re z|
+    for y in (0.3, -0.3, 5.0, -5.0, 300.0, -300.0):
+        ref = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+        got = complex(log_gamma(complex(x, y)))
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (x, y)
+
+
+def test_log_gamma_left_half_plane_vectorized_and_real_segment():
+    zs = np.array([-1e8 + 0.3j, -3.5 - 2.0j, 0.3 + 0.0j, 0.1 + 0.0j])
+    got = log_gamma(zs)
+    for z, g in zip(zs, got):
+        assert abs(g - complex(mpmath.loggamma(complex(z)))) <= 1e-12 * max(1.0, abs(g))
+    # on (0, 1/2) of the real axis the value is real
+    assert got[2].imag == 0.0 and got[3].imag == 0.0
+
+
+def test_log_gamma_rejects_non_finite():
+    for z in (math.nan, complex(1.0, math.inf), complex(-math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            log_gamma(z)
+    with pytest.raises(DomainError):
+        log_gamma(np.array([1.0 + 1j, complex(math.nan, 0.0)]))
+
+
+ABS_GAMMA_X = (0.5, 2.0, 3.03, 7.5)
+ABS_GAMMA_Y = np.array([0.0, 1e-3, -1e-3, 1.0, -1.0, 30.0, -30.0, 1e3, -1e3, 1e5, -1e5])
+
+
+@pytest.mark.parametrize("x", ABS_GAMMA_X)
+def test_log_abs_gamma_against_mpmath(x):
+    got = log_abs_gamma(x, ABS_GAMMA_Y)
+    for y, g in zip(ABS_GAMMA_Y, got):
+        ref = float(mpmath.loggamma(mpmath.mpc(x, y)).real)
+        assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref)), (x, y)
+
+
+@pytest.mark.parametrize("x", ABS_GAMMA_X)
+def test_log_abs_gamma_matches_the_complex_sum(x):
+    got = log_abs_gamma(x, ABS_GAMMA_Y)
+    ref = log_gamma(x + 1j * ABS_GAMMA_Y).real
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
+@given(
+    st.floats(min_value=0.5, max_value=50.0),
+    st.floats(min_value=-1e4, max_value=1e4),
+)
+@settings(max_examples=60, deadline=None)
+def test_log_abs_gamma_is_even_in_y(x, y):
+    ys = np.array([y, -y])
+    got = log_abs_gamma(x, ys)
+    assert abs(got[0] - got[1]) <= 1e-15 * max(1.0, abs(got[0]))
+    ref = log_gamma(complex(x, y)).real
+    assert abs(got[0] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+def test_log_abs_gamma_shapes_and_domain():
+    ys = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    got = log_abs_gamma(2.5, ys)
+    assert got.shape == ys.shape
+    assert np.array_equal(got.ravel(), log_abs_gamma(2.5, ys.ravel()))
+    assert type(log_abs_gamma(2.5, 0.7)) is float
+    assert log_abs_gamma(2.5, 0.7) == log_abs_gamma(2.5, np.array([0.7]))[0]
+    for x in (0.49, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            log_abs_gamma(x, ys)
+    for y in (math.nan, math.inf, 1e200):
+        with pytest.raises(DomainError):
+            log_abs_gamma(2.5, np.array([0.0, y]))
 
 
 def test_gamma_poles_raise():
