@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval, integrate_real_line
 from .specfun import log_abs_gamma, log_gamma
-from .spectrum import ModelParams
+from .spectrum import ModelParams, level_number
 from .wavefn import EigenFamily, eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
@@ -46,9 +46,7 @@ def _level_width(params: ModelParams, m: int) -> float:
     # d' = nu + m: effective sine power index of the level-m ground state
     if m < 0:
         raise DomainError(f"hierarchy level must be nonnegative, got m={m}")
-    if not float(m).is_integer():
-        raise DomainError("level indices must be integers")
-    return params.nu + m
+    return params.nu + level_number(m)
 
 
 def _cot_q(params: ModelParams, q: float) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -45,18 +46,38 @@ class ModelParams:
         return self.hbar**2 * math.pi**2 / (2.0 * self.mass * self.length**2)
 
 
+def level_number(value) -> int:
+    """A level or excitation index as an ``int``, or ``DomainError``.
+
+    Accepts any integer type and any real whole number (2.0, ``np.int64(2)``);
+    a fraction, a non-finite value or a non-number is rejected, so an index
+    never reaches ``range`` or an array subscript as anything but an int.
+    """
+    if isinstance(value, numbers.Integral):
+        value = int(value)
+    elif isinstance(value, numbers.Real) and float(value).is_integer():
+        value = int(value)
+    else:
+        raise DomainError(f"level indices must be integers, got {value!r}")
+    if value < 0:
+        raise DomainError("level indices must be nonnegative")
+    return value
+
+
 @dataclass(frozen=True)
 class LevelIndex:
-    """Hierarchy level m >= 0 and excitation number n >= 0 within that level."""
+    """Hierarchy level m >= 0 and excitation number n >= 0 within that level.
+
+    Whole-number values such as 2.0 are stored as ``int``, the way
+    ``ModelParams`` stores its fields as ``float``.
+    """
 
     m: int
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise DomainError("level indices must be nonnegative")
-        if self.m != int(self.m) or self.n != int(self.n):
-            raise DomainError("level indices must be integers")
+        for name in ("m", "n"):
+            object.__setattr__(self, name, level_number(getattr(self, name)))
 
 
 def energy(params: ModelParams, idx: LevelIndex) -> float:

@@ -8,6 +8,12 @@ gives every ladder relation a positive connection constant.
 
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
+The ground constants of one ``ModelParams`` at nu, nu + 1, ..., nu + LEVEL_CAP
+form one read-only ladder, computed in one vectorised ``log_gamma`` call on
+first use and cached (``ground_ladder``).  State n of level m reads entry n
+of the ladder of strength index nu + m, so one level costs one call, and
+every entry is bit for bit what the scalar ``log_ground_constant`` gives.
+``CoherentState`` has no level cap and keeps the scalar call.
 
 The Jacobi factor is summed in its two-sided binomial form (DLMF 18.5.8).
 At z = i cot theta, (z -+ 1) / 2 = i e^(+-i theta) / (2 sin theta), so
@@ -44,7 +50,7 @@ from . import jets
 from .errors import DegreeCapError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 from .specfun import log_gamma
-from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, phase_alpha
+from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, level_number, phase_alpha
 
 
 @dataclass(frozen=True)
@@ -63,20 +69,44 @@ def _check_degree(n: int):
         raise DegreeCapError(f"combined level degree {n} exceeds cap {LEVEL_CAP}")
 
 
-def log_ground_constant(nu: float, beta: float, length: float) -> float:
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+
+def log_ground_constant(nu, beta: float, length: float):
     """log of the ground-state constant of the family with the given indices.
 
     2**(nu+1) |Gamma(nu+2 + i beta/(nu+1))| exp(beta pi / (2(nu+1)))
     divided by sqrt(L Gamma(2 nu + 3)).
+
+    nu is a scalar or an array; the result has its shape (a float for a
+    scalar).  An array costs one ``log_gamma`` call for all its entries, and
+    every entry is bit for bit the scalar call's value: the arithmetic is
+    elementwise IEEE and Gamma(2 nu + 3) goes through ``math.lgamma`` per
+    entry.
     """
+    nu = np.asarray(nu, dtype=float)
     s = nu + 1.0
-    return (
+    out = (
         (nu + 1.0) * math.log(2.0)
-        + log_gamma(complex(nu + 2.0, beta / s)).real
+        + log_gamma((nu + 2.0) + 1j * (beta / s)).real
         + beta * math.pi / (2.0 * s)
         - 0.5 * math.log(length)
-        - 0.5 * math.lgamma(2.0 * nu + 3.0)
+        - 0.5 * _lgamma(2.0 * nu + 3.0)
     )
+    return out[()]
+
+
+@lru_cache(maxsize=256)
+def ground_ladder(params: ModelParams) -> np.ndarray:
+    """log_ground_constant(nu + j, beta, L) for j = 0..LEVEL_CAP, read-only.
+
+    One vectorised pass per ``ModelParams``: every state of one level reads
+    its ground constant from the same ladder.  Entry j is bit for bit the
+    scalar call at nu + j.
+    """
+    ladder = log_ground_constant(params.nu + np.arange(LEVEL_CAP + 1), params.beta, params.length)
+    ladder.flags.writeable = False
+    return ladder
 
 
 @lru_cache(maxsize=2048)
@@ -84,19 +114,19 @@ def normalization_K(params: ModelParams, n: int) -> NormalizationData:
     """Normalization constant of the n-th base eigenfunction, in log form.
 
     Product route: the ground constant of the family with strength index
-    nu + n times
+    nu + n, entry n of ``ground_ladder(params)``, times
 
         s**n sqrt(n! (n + 2 nu + 2)_n / prod_{j=1..n} ((nu + j)^2 s^2 + beta^2))
 
     with s = n + nu + 1.  One factor per ladder rung, every factor positive,
-    so this stays accurate at any degree.
+    so this stays accurate at any degree.  n must be a whole number in
+    [0, LEVEL_CAP]; it is checked before it indexes the ladder.
     """
-    if n < 0:
-        raise DomainError("excitation number must be nonnegative")
+    n = level_number(n)
     _check_degree(n)
     nu, beta, L = params.nu, params.beta, params.length
     s = n + nu + 1.0
-    log_k0 = log_ground_constant(nu + n, beta, L)
+    log_k0 = ground_ladder(params)[n]
     log_rungs = n * math.log(s) if n else 0.0
     log_rungs += 0.5 * (
         math.lgamma(n + 1.0)
@@ -228,6 +258,8 @@ class EigenFamily:
 
     def __init__(self, states):
         states = tuple(states)
+        if not states:
+            raise DomainError("an eigenfunction family needs at least one state")
         self.params = states[0].params
         if any(f.params != self.params for f in states):
             raise DomainError("an eigenfunction family shares one ModelParams")
@@ -314,8 +346,10 @@ def gram_matrix(
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)
     k = len(functions)
+    if not k:
+        return np.zeros((0, 0), dtype=complex)
     rows, cols = np.triu_indices(k)
-    if k and all(isinstance(f, EigenFunction) and f.params == functions[0].params for f in functions):
+    if all(isinstance(f, EigenFunction) and f.params == functions[0].params for f in functions):
         values = EigenFamily(functions)
     else:
         values = lambda t: np.array([f(t) for f in functions])

@@ -9,14 +9,17 @@ import math
 import numpy as np
 import pytest
 
+from ptsusy import specfun, wavefn
 from ptsusy.coherent import CoherentState, PhasePoint
-from ptsusy.errors import DomainError, LossOfSignificanceError
+from ptsusy.errors import DegreeCapError, DomainError, LossOfSignificanceError
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
-from ptsusy.spectrum import LevelIndex, ModelParams
+from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams
 from ptsusy.wavefn import (
     EigenFamily,
+    EigenFunction,
     eigenfunction,
     gram_matrix,
+    ground_ladder,
     log_ground_constant,
     normalization_K,
     partner_eigenfunction_explicit,
@@ -82,6 +85,68 @@ def test_ground_constant_symmetric_well():
     assert f(0.5) == pytest.approx(math.sqrt(2.0), rel=1e-13)
     xs = interior_grid(p, 17)
     assert np.allclose(f(xs), np.sqrt(2.0) * np.sin(np.pi * xs), rtol=1e-13)
+
+
+@pytest.mark.parametrize("p", PARAM_GRID, ids=lambda p: f"nu{p.nu}b{p.beta}L{p.length}")
+def test_ground_ladder_matches_scalar_route_bit_for_bit(p):
+    ladder = ground_ladder(p)
+    assert ladder.shape == (LEVEL_CAP + 1,)
+    for j in range(LEVEL_CAP + 1):
+        scalar = log_ground_constant(p.nu + j, p.beta, p.length)
+        assert isinstance(scalar, float)
+        assert ladder[j].hex() == scalar.hex(), j
+
+
+def test_ground_ladder_is_read_only():
+    ladder = ground_ladder(DEFAULT)
+    with pytest.raises(ValueError):
+        ladder[0] = 0.0
+    with pytest.raises(ValueError):
+        ladder += 1.0
+
+
+def test_one_level_costs_one_log_gamma_call(monkeypatch):
+    # a parameter set no other test builds, so every cache starts cold
+    p = ModelParams(nu=0.8123, beta=1.4321, hbar=1.0, length=1.0, mass=0.5)
+    calls = []
+
+    def counted(z):
+        calls.append(np.size(z))
+        return specfun.log_gamma(z)
+
+    monkeypatch.setattr(wavefn, "log_gamma", counted)
+    states = [EigenFunction(p, LevelIndex(m=3, n=n)) for n in range(11)]
+    assert calls == [LEVEL_CAP + 1]
+    assert all(math.isfinite(f.norm_data.log_K) for f in states)
+
+
+@pytest.mark.parametrize("n", [2.0, np.int64(2), np.float64(2.0)])
+def test_whole_number_indices_are_ints(n):
+    # past the caches, which would hand back the entry an int index made
+    assert normalization_K.__wrapped__(DEFAULT, n) == normalization_K(DEFAULT, 2)
+    idx = LevelIndex(m=n, n=n)
+    assert type(idx.m) is int and type(idx.n) is int
+    f = EigenFunction(DEFAULT, LevelIndex(m=0, n=n))
+    assert type(f.idx.n) is int
+    xs = interior_grid(DEFAULT, 7)
+    assert f(xs).tobytes() == eigenfunction(DEFAULT, 0, 2)(xs).tobytes()
+
+
+@pytest.mark.parametrize("n", [2.5, -1, math.nan, math.inf, "2"])
+def test_bad_indices_raise_domain_error(n):
+    with pytest.raises(DomainError):
+        normalization_K(DEFAULT, n)
+    with pytest.raises(DomainError):
+        eigenfunction(DEFAULT, 0, n)
+    with pytest.raises(DomainError):
+        LevelIndex(m=0, n=n)
+
+
+def test_index_above_level_cap_raises_before_the_ladder():
+    with pytest.raises(DegreeCapError):
+        normalization_K(DEFAULT, LEVEL_CAP + 1)
+    with pytest.raises(DegreeCapError):
+        eigenfunction(DEFAULT, 0, LEVEL_CAP + 1)
 
 
 def test_states_are_real_positive_phase():
@@ -327,6 +392,16 @@ def test_family_rejects_nan_outside_and_mixed_params():
             family(x)
     with pytest.raises(DomainError):
         EigenFamily([eigenfunction(DEFAULT, 0, 1), eigenfunction(PARAM_GRID[0], 0, 1)])
+
+
+def test_empty_family_raises_domain_error():
+    with pytest.raises(DomainError, match="at least one state"):
+        EigenFamily(())
+
+
+def test_gram_matrix_of_no_functions_is_empty():
+    gram = gram_matrix([], DEFAULT.length)
+    assert gram.shape == (0, 0) and gram.dtype == complex
 
 
 @pytest.mark.parametrize("m", [0, 7])
