@@ -20,27 +20,30 @@ corpus of operands can be stacked into one, so that one fold serves every
 member.
 
 A word is folded one operator at a time on top of the fold of its prefix.
-Calls that share a ``folds`` dict fold each (operand, prefix, sign) once and
-keep it there, together with each folded word's evaluation plan: Q cut at
-the noise floor, the degree of every row and the rows in falling degree.
-The plan is evaluated in one Horner pass, which a row joins at its own
-degree, so each row goes through the same operations as when it is
-evaluated alone.
+Q and the magnitudes each of its coefficients was summed from are held as
+one band of rows, so a step is one pass with the signed multipliers on the
+Q rows and their absolute values on the magnitude rows.  A process-wide,
+bounded memo keeps the fold of each (params, operand, prefix, sign),
+together with each folded word's evaluation plan: Q cut at the noise floor,
+the degree of every row and the rows in falling degree.  The plan is
+evaluated in one Horner pass, which a row joins at its own degree, so each
+row goes through the same operations as when it is evaluated alone.
 
 The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
 deliberately ambiguous ones as informational rather than asserting them.
-One call shares one ``folds`` dict among all its words, including the
-integrands of its quadratures, and drops it on return.  The identities that
-depend on the level m alone are computed once per (params, m, grid size,
-sign, quadrature configuration) with a ``folds`` dict of their own, and their
-rows are kept in a bounded memo across calls; each call receives copies
-stamped with its own indices.
+Its words, the integrands of its quadratures included, share the fold
+memo with every other call, so a prefix that several identities or cells
+apply to one operand is folded once.  The identities that depend on the
+level m alone are computed once per (params, m, grid size, sign, quadrature
+configuration), and their rows are kept in a bounded memo across calls;
+each call receives copies stamped with its own indices.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache, partial
@@ -100,68 +103,72 @@ NOISE_FLOOR = 1e-12
 
 
 class _Terms(NamedTuple):
-    # cotangent terms as arrays over terms, Q zero-padded to a common width;
-    # mag holds, per coefficient of Q, the sum of the magnitudes it came from
+    # cotangent terms as arrays over its r terms; band holds Q, zero-padded to
+    # a common width, in rows :r and, per coefficient, the sum of the
+    # magnitudes it came from in rows r:, so that a step folds both in one pass
     log_c: np.ndarray
     gamma: np.ndarray
     power: np.ndarray
-    coeffs: np.ndarray
-    mag: np.ndarray
+    band: np.ndarray
+    d_dx: "_DDx"
 
     @classmethod
-    def of(cls, terms) -> "_Terms":
+    def of(cls, params: ModelParams, terms) -> "_Terms":
         log_c, gamma, power, qs = zip(*terms)
         coeffs = np.zeros((len(qs), max(map(len, qs))), dtype=complex)
         for row, q in zip(coeffs, qs):
             row[: len(q)] = q
-        return cls(np.array(log_c), np.array(gamma, dtype=complex), np.array(power), coeffs, np.abs(coeffs))
+        gamma, power = np.array(gamma, dtype=complex), np.array(power)
+        return cls(np.array(log_c), gamma, power, np.concatenate([coeffs, np.abs(coeffs)]), _DDx(params, gamma, power))
 
 
-def _d_dx(params: ModelParams, terms: _Terms, q: np.ndarray, lift=np.positive) -> np.ndarray:
-    # coefficient j of the new Q: gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1);
-    # with lift=np.abs, the same sum over magnitudes
-    k = math.pi / params.length
-    n = q.shape[1]
-    j = np.arange(n)
-    out = np.zeros((q.shape[0], n + 1), dtype=q.dtype)
-    out[:, :n] = lift(terms.gamma)[:, None] * q
-    out[:, 1:] += lift(k * (terms.power[:, None] - j)) * q
-    out[:, : n - 1] += lift(-k * j[1:]) * q[:, 1:]
-    return out
+class _DDx:
+    # d/dx on a band: coefficient j of the new Q is
+    # gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1), and of the
+    # magnitudes the same sum with every multiplier's absolute value.  The
+    # multipliers depend on the operand alone and grow with the widest band.
+    def __init__(self, params: ModelParams, gamma: np.ndarray, power: np.ndarray):
+        self.k, self.power = math.pi / params.length, power[:, None]
+        self.gamma = np.concatenate([gamma, np.abs(gamma)])[:, None]
+        self.rise = self.fall = np.zeros((len(self.gamma), 0), dtype=complex)
 
-
-def _times(poly, q: np.ndarray) -> np.ndarray:
-    # product with the polynomial poly in c, lowest coefficient first
-    n = q.shape[1]
-    out = np.zeros((q.shape[0], n + len(poly) - 1), dtype=q.dtype)
-    for i, p in enumerate(poly):
-        out[:, i : i + n] += p * q
-    return out
+    def __call__(self, band: np.ndarray) -> np.ndarray:
+        n = band.shape[1]
+        # fall is widened last, so a widening cut short by a signal is redone
+        if self.fall.shape[1] < n:
+            rise, fall = self.k * (self.power - np.arange(2 * n)), -self.k * np.arange(1, 2 * n + 1)
+            self.rise = np.concatenate([rise, np.abs(rise)]).astype(complex)
+            self.fall = np.repeat([fall, np.abs(fall)], len(self.power), axis=0).astype(complex)
+        out = np.zeros((band.shape[0], n + 1), dtype=complex)
+        out[:, :n] = self.gamma * band
+        out[:, 1:] += self.rise[:, :n] * band
+        out[:, : n - 1] += self.fall[:, : n - 1] * band[:, 1:]
+        return out
 
 
 def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float, shift: float = 0.0) -> _Terms:
-    # one operator applied to Q and to its magnitudes; an "H" step subtracts shift * Q
+    # one operator applied to the band, its signed factors on the Q rows and
+    # their absolute values on the magnitude rows; an "H" step subtracts shift * Q
     if kind in ("A", "Adag"):
         lvl = params.nu + level + 1.0
         unit = -sign * math.pi * params.hbar / params.length
-        poly = ((-params.beta / lvl) * unit, lvl * unit)
-        scale = params.hbar if kind == "A" else -params.hbar
-
-        def op(q, lift):
-            return _d_dx(params, terms, q, lift) * lift(scale) + _times(lift(poly), q)
-
+        factors = (params.hbar if kind == "A" else -params.hbar, (-params.beta / lvl) * unit, lvl * unit)
+        derived = terms.d_dx(terms.band)
     elif kind == "H":
         lvl = params.nu + level
         strength = lvl * (lvl + 1.0) * params.epsilon0
-        poly = (strength - shift, -2.0 * params.beta * params.epsilon0, strength)
         scale = -(params.hbar**2) / (2.0 * params.mass)
-
-        def op(q, lift):
-            return _d_dx(params, terms, _d_dx(params, terms, q, lift), lift) * lift(scale) + _times(lift(poly), q)
-
+        factors = (scale, strength - shift, -2.0 * params.beta * params.epsilon0, strength)
+        derived = terms.d_dx(terms.d_dx(terms.band))
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return terms._replace(coeffs=op(terms.coeffs, np.positive), mag=op(terms.mag, np.abs))
+    # column 0 scales the derivative, columns 1: are the polynomial in c
+    factors = np.repeat([factors, np.abs(factors)], len(terms.gamma), axis=0)
+    n = terms.band.shape[1]
+    times = np.zeros(derived.shape, dtype=complex)
+    for i in range(1, factors.shape[1]):
+        times[:, i - 1 : i - 1 + n] += factors[:, i : i + 1] * terms.band
+    return terms._replace(band=derived * factors[:, :1] + times)
 
 
 class _Plan(NamedTuple):
@@ -182,7 +189,8 @@ def _plan(terms: _Terms) -> _Plan:
     # Coefficients under the noise floor are dropped and every term is
     # evaluated at the degree d of its top remaining coefficient, so a row
     # does not depend on the other terms it is stacked with.
-    q = np.where(np.abs(terms.coeffs) > NOISE_FLOOR * terms.mag, terms.coeffs, 0.0)
+    q, mag = terms.band[: len(terms.gamma)], terms.band[len(terms.gamma) :].real
+    q = np.where(np.abs(q) > NOISE_FLOOR * mag, q, 0.0)
     nonzero = q != 0.0
     degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
     order = np.argsort(-degree, kind="stable")
@@ -210,9 +218,16 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
     return rows
 
 
+#: The most folds the fold memo keeps; the least recently used goes first.
+FOLD_MEMO_SIZE = 512
+
+# (params, id(operand), word, sign) -> _Fold, least recently used first
+_folds: OrderedDict = OrderedDict()
+
+
 class _Fold:
     # a word folded on an operand; the operand is kept so that its id, part
-    # of the key in a folds dict, is not reused while the dict lives
+    # of the key in the fold memo, is not reused while the entry lives
     def __init__(self, func, terms: _Terms):
         self.func = func
         self.terms = terms
@@ -222,20 +237,25 @@ class _Fold:
         return _plan(self.terms)
 
 
-def _fold(params: ModelParams, word: tuple, func, sign: float, folds: dict) -> _Fold:
+def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Fold:
     # the fold of word on func, extending the fold of word[:-1] by one step;
-    # every (operand, prefix, sign) is folded once per folds dict
-    key = (id(func), word, sign)
-    if key not in folds:
-        if word:
-            terms = _step(params, *word[-1], _fold(params, word[:-1], func, sign, folds).terms, sign)
-        else:
-            terms = _Terms.of(func.cot_terms)
-        folds[key] = _Fold(func, terms)
-    return folds[key]
+    # a (params, operand, prefix, sign) is folded once while the memo holds it
+    key = (params, id(func), word, sign)
+    fold = _folds.get(key)
+    if fold is not None:
+        _folds.move_to_end(key)
+        return fold
+    if word:
+        terms = _step(params, *word[-1], _fold(params, word[:-1], func, sign).terms, sign)
+    else:
+        terms = _Terms.of(params, func.cot_terms)
+    fold = _folds[key] = _Fold(func, terms)
+    while len(_folds) > FOLD_MEMO_SIZE:
+        _folds.popitem(last=False)
+    return fold
 
 
-def apply_word(params: ModelParams, word, func, x, sign: float = 1.0, *, folds: dict | None = None):
+def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     """Apply a sequence of operators (first entry acts first) at points x.
 
     Word entries are ("A", level), ("Adag", level), or ("H", level).  Returns
@@ -246,17 +266,17 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0, *, folds: 
     of k functions) gives shape (k, *x.shape), row i bit-identical to
     applying the word to member i alone.
 
-    ``folds`` is a dict shared by calls that may repeat words or their
-    prefixes: the fold of each (operand, prefix, sign) and the evaluation plan
-    of each word are then computed once and kept in it, and a word extends
-    its longest folded prefix.  The values are bit-identical either way.  The
-    dict holds its operands, so it should live no longer than one batch of
-    calls.
+    The fold of every (params, operand, prefix, sign) and the evaluation plan
+    of every word are kept in a process-wide memo of ``FOLD_MEMO_SIZE``
+    entries, and a word extends its longest folded prefix, so calls that
+    repeat a word or share a prefix do not fold it again.  An entry holds its
+    operand, which need not be hashable but must keep its ``cot_terms``.  The
+    values are bit-identical with a warm memo and a cold one.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr > 0.0) & (arr < params.length)):
         raise DomainError("operator applications need interior sample points")
-    fold = _fold(params, tuple(word), func, sign, {} if folds is None else folds)
+    fold = _fold(params, tuple(word), func, sign)
     out = _members(func, _evaluate(params, fold.plan, arr.ravel()))
     return out.reshape(out.shape[:-1] + arr.shape)[()]
 
@@ -373,8 +393,6 @@ def _level_identities(
     tail: list[IdentityResult] = []
     idx = {"m": m}
     two_m = 2.0 * params.mass
-    # one fold per (operand, word prefix, sign) for the words of this level
-    folds: dict = {}
     # the standard operands of a level as one stack: a word folds all members
     # at once, and residuals are taken member by member
     corpus = lru_cache(maxsize=None)(lambda level: _OperandStack(test_corpus(params, level)))
@@ -382,7 +400,7 @@ def _level_identities(
     # Ground-state annihilation at level m.
     with _identity(head, idx, grid_size, "ground_state_annihilation", threshold=1e-9) as record:
         ground = eigenfunction(params, m, 0)
-        ann = apply_word(params, (("A", m),), ground, grid, sign, folds=folds)
+        ann = apply_word(params, (("A", m),), ground, grid, sign)
         record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground(grid))))))
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
@@ -390,8 +408,8 @@ def _level_identities(
     with _identity(head, idx, grid_size, "factorization", threshold=1e-9) as record:
         e0_m = energy(params, LevelIndex(m, 0))
         worst = 0.0
-        direct = apply_word(params, (("H", m),), corpus(m), grid, folds=folds)
-        chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign, folds=folds)
+        direct = apply_word(params, (("H", m),), corpus(m), grid)
+        chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign)
         for f, d, c in zip(corpus(m), direct, chained):
             fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
             worst = max(worst, _rel(fact, d))
@@ -400,8 +418,8 @@ def _level_identities(
     # Single-step intertwining, both directions.  An annihilated member, such
     # as the ground state under A_m, folds to exactly 0 on both sides.
     def worst_of(stack, lhs_word, rhs_word, worst=0.0):
-        lhs = apply_word(params, lhs_word, stack, bulk, sign, folds=folds)
-        rhs = apply_word(params, rhs_word, stack, bulk, sign, folds=folds)
+        lhs = apply_word(params, lhs_word, stack, bulk, sign)
+        rhs = apply_word(params, rhs_word, stack, bulk, sign)
         return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
 
     with _identity(head, idx, grid_size, "intertwining_single", threshold=1e-7) as record:
@@ -418,8 +436,8 @@ def _level_identities(
     psi, phi = _bump(params, 201), _bump(params, 202)
 
     def inner_pair(x):
-        left = np.conj(apply_word(params, (("A", m),), psi, x, sign, folds=folds)) * phi(x)
-        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign, folds=folds)])
+        left = np.conj(apply_word(params, (("A", m),), psi, x, sign)) * phi(x)
+        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign)])
 
     with _identity(tail, idx, grid_size, "adjoint_consistency", threshold=1e-9) as record:
         L = params.length
@@ -465,14 +483,14 @@ def verify_operator_identities(
     same bit for bit as a call with an empty memo.
 
     Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L] and chains of
-    depth three and beyond on the bulk span [0.1 L, 0.9 L].  The bulk span is
-    load-bearing.  On nu = 1, beta = 2 the residuals are the same at 1e-3 L
-    as in the bulk, but on nu = 0, beta = 0 the ``product_BBdag`` residual
-    grows toward the walls with the chain depth: at a 1e-3 L clamp it fails
-    at 17 of the cells n, m <= 8, all with m >= 5 (2.0e-5 at (3, 6)), and
-    on [0.02 L, 0.98 L] at (2, 8) (2.4e-9).  The wall behavior is pinned by
-    the quadrature identities, whose integrals run to within 1e-6 L of the
-    walls.
+    depth three and beyond on the bulk span [0.1 L, 0.9 L].  The bulk span
+    is not load-bearing: since the states are summed in the two-sided
+    binomial form, every one of the 204 cells n + m <= 19 under the level
+    cap passes on nu = 1, beta = 2, on nu = 0, beta = 0 and on nu = 1,
+    beta = 0 when every grid, the bulk included, is clamped at 1e-3 L or at
+    1e-5 L instead.  The quadrature identities integrate to within 1e-6 L of
+    the walls.  The words of the call go through the fold memo of
+    ``apply_word``; the rows do not depend on what it holds.
     """
     degree = max(n + m + 1, m + 4)
     if degree > LEVEL_CAP:
@@ -495,8 +513,6 @@ def verify_operator_identities(
     lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
     two_m = 2.0 * params.mass
     e0_level = lambda k: energy(params, LevelIndex(0, k))
-    # one fold per (operand, word prefix, sign) for this call's words
-    folds: dict = {}
     on_bulk = lru_cache(maxsize=None)(lambda state: state(bulk))
     # the chain B = A_m ... A_0 and its adjoint, and the partial chains
     # Lambda (levels m+1..n, empty unless n > m) and Theta (levels n+1..m,
@@ -522,7 +538,7 @@ def verify_operator_identities(
         # target; a target of None stands for a closed form that vanishes
         # identically, and the residual is then the mean itself
         def integrand(x):
-            return np.abs(apply_word(params, word, state, x, chain_sign, folds=folds)) ** 2 / unit
+            return np.abs(apply_word(params, word, state, x, chain_sign)) ** 2 / unit
 
         quad = integrate_interval(integrand, lo, hi, config)
         mean = float(quad.value.real)
@@ -535,7 +551,7 @@ def verify_operator_identities(
     # the chain: the residual is scaled by the other factors, so it does not
     # rest on the fold leaving the chain exactly 0.
     with identity("product_BdagB", "supercharge_anticommutator_block0", threshold=1e-9) as record:
-        lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign, folds=folds)
+        lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign)
         phi_n_bulk = on_bulk(phi_n)
         scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_bulk)))
         for k in range(m + 1):
@@ -546,13 +562,13 @@ def verify_operator_identities(
 
     eig_up = chain_eigenvalue(phi_up.energy, range(m + 1))
     with identity("product_BBdag", "supercharge_anticommutator_block1", threshold=1e-9) as record:
-        lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign, folds=folds)
+        lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign)
         record(_rel(lhs, eig_up * on_bulk(phi_up)))
 
     # Chain action with the closed-form gap factor.
     pref = rung ** (m + 1) * gap_factor_M(params, n, m)
     with identity("ladder_action", threshold=1e-8) as record:
-        lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), bulk, sign, folds=folds)
+        lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), bulk, sign)
         record(_rel(lhs, pref * on_bulk(phi_up)))
 
     # Mean values of the chain products by quadrature.
@@ -574,7 +590,7 @@ def verify_operator_identities(
         e_val = phi_m.energy
 
         def resid_sq(x):
-            return np.abs(apply_word(params, (("H", m),), phi_m, x, folds=folds) / e_val - phi_m(x)) ** 2
+            return np.abs(apply_word(params, (("H", m),), phi_m, x) / e_val - phi_m(x)) ** 2
 
         quad = integrate_interval(resid_sq, lo, hi, replace(config, abs_tol=1e-16))
         record(math.sqrt(max(quad.value.real, 0.0)), _quad_details(quad))
@@ -583,14 +599,14 @@ def verify_operator_identities(
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
         with identity("mixed_product") as record:
-            lhs = apply_word(params, word_bdag + word_b[: n + 1] + lam, phi_up, bulk, sign, folds=folds)
+            lhs = apply_word(params, word_bdag + word_b[: n + 1] + lam, phi_up, bulk, sign)
             details = {}
             if n > m:
-                rhs = eig_up * apply_word(params, lam, phi_up, bulk, sign, folds=folds)
+                rhs = eig_up * apply_word(params, lam, phi_up, bulk, sign)
                 details["lambda_form"] = _rel(lhs, rhs)
             else:
                 # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-                terms = _fold(params, theta, phi_up, sign, folds).terms
+                terms = _fold(params, theta, phi_up, sign).terms
                 for k in range(n + 1):
                     terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
                 rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms), bulk))
@@ -603,7 +619,7 @@ def verify_operator_identities(
     if n > m:
         with identity("partial_chain_product") as record:
             phi_hi = eigenfunction(params, n + 1, 0)
-            lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign, folds=folds)
+            lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign)
             core = 1.0
             for k in range(m + 1, n + 1):
                 core *= phi_hi.energy - e0_level(k)

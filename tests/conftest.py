@@ -16,12 +16,19 @@ PARAM_GRID = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def cold_level_memo():
-    # verify_operator_identities keeps the level rows of earlier calls; a test
-    # that patches the quadrature, the fold or the states must not see rows
-    # an earlier test computed without the patch
+def clear_memos():
+    """Empty the level-row memo and the fold memo of ``operators``."""
     operators._level_identities.cache_clear()
+    operators._folds.clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    # verify_operator_identities keeps the level rows of earlier calls and
+    # apply_word the folds; a test that patches the quadrature, the fold, the
+    # noise floor or the states must not see rows or folds an earlier test
+    # computed without the patch
+    clear_memos()
 
 
 @pytest.fixture

@@ -24,6 +24,13 @@ cot and 1/sin^2 of the grid as jets too.  It shares nothing with
 ``operators.apply_word`` but the closed-form coefficients of W_m and V_m, so
 the two must agree to the jets' roundoff.
 
+``two_pass_step`` is one operator step of the word fold as it was before
+``operators._step`` held Q and its magnitudes in one band: the operator
+runs twice, once on Q with the signed multipliers and once on the
+magnitudes with their absolute values, and every d/dx builds its
+multipliers again.  Each coefficient goes through the same operations in
+both, so they must agree bit for bit.
+
 ``grouped_evaluate`` is the evaluation of folded cotangent terms as it was
 before ``operators._evaluate`` ran one Horner pass over prepared rows: one
 Horner loop per distinct row degree.  Each row goes through the same
@@ -69,6 +76,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -188,9 +196,75 @@ def jet_apply_word(params, word, func, x, sign=1.0):
     return fj.value
 
 
-def grouped_evaluate(params, terms, x):
-    """Rows of the folded ``operators._Terms`` at the 1-d points x, one
-    Horner loop per degree."""
+class SplitTerms(NamedTuple):
+    """Cotangent terms with Q and the magnitudes it came from as two arrays."""
+
+    log_c: np.ndarray
+    gamma: np.ndarray
+    power: np.ndarray
+    coeffs: np.ndarray
+    mag: np.ndarray
+
+
+def split_terms(terms) -> SplitTerms:
+    """The ``SplitTerms`` of folded ``operators._Terms``, whose band holds
+    the rows of Q over the rows of the magnitudes."""
+    coeffs, mag = np.split(terms.band, 2)
+    return SplitTerms(terms.log_c, terms.gamma, terms.power, coeffs, mag.real)
+
+
+def _two_pass_d_dx(params, terms, q, lift=np.positive):
+    # coefficient j of the new Q: gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1);
+    # with lift=np.abs, the same sum over magnitudes
+    k = math.pi / params.length
+    n = q.shape[1]
+    j = np.arange(n)
+    out = np.zeros((q.shape[0], n + 1), dtype=q.dtype)
+    out[:, :n] = lift(terms.gamma)[:, None] * q
+    out[:, 1:] += lift(k * (terms.power[:, None] - j)) * q
+    out[:, : n - 1] += lift(-k * j[1:]) * q[:, 1:]
+    return out
+
+
+def _two_pass_times(poly, q):
+    # product with the polynomial poly in c, lowest coefficient first
+    n = q.shape[1]
+    out = np.zeros((q.shape[0], n + len(poly) - 1), dtype=q.dtype)
+    for i, p in enumerate(poly):
+        out[:, i : i + n] += p * q
+    return out
+
+
+def two_pass_step(params, kind, level, terms: SplitTerms, sign, shift=0.0) -> SplitTerms:
+    """One operator applied to Q and, separately, to its magnitudes; an "H"
+    step subtracts shift * Q."""
+    if kind in ("A", "Adag"):
+        lvl = params.nu + level + 1.0
+        unit = -sign * math.pi * params.hbar / params.length
+        poly = ((-params.beta / lvl) * unit, lvl * unit)
+        scale = params.hbar if kind == "A" else -params.hbar
+
+        def op(q, lift):
+            return _two_pass_d_dx(params, terms, q, lift) * lift(scale) + _two_pass_times(lift(poly), q)
+
+    elif kind == "H":
+        lvl = params.nu + level
+        strength = lvl * (lvl + 1.0) * params.epsilon0
+        poly = (strength - shift, -2.0 * params.beta * params.epsilon0, strength)
+        scale = -(params.hbar**2) / (2.0 * params.mass)
+
+        def op(q, lift):
+            d2 = _two_pass_d_dx(params, terms, _two_pass_d_dx(params, terms, q, lift), lift)
+            return d2 * lift(scale) + _two_pass_times(lift(poly), q)
+
+    else:
+        raise ValueError(f"unknown operator kind {kind!r}")
+    return terms._replace(coeffs=op(terms.coeffs, np.positive), mag=op(terms.mag, np.abs))
+
+
+def grouped_evaluate(params, terms: SplitTerms, x):
+    """Rows of folded cotangent terms at the 1-d points x, one Horner loop
+    per degree."""
     q = np.where(np.abs(terms.coeffs) > NOISE_FLOOR * terms.mag, terms.coeffs, 0.0)
     nonzero = q != 0.0
     degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)

@@ -4,6 +4,7 @@ negative control."""
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,8 +24,16 @@ from ptsusy.quadrature import QuadratureConfig
 from ptsusy.spectrum import LevelIndex, ModelParams, energy
 from ptsusy.wavefn import eigenfunction
 
-from conftest import DEFAULT, interior_grid
-from oracles import SuperPotential, grouped_evaluate, jet_apply_word, potential, superpotential
+from conftest import DEFAULT, clear_memos, interior_grid
+from oracles import (
+    SuperPotential,
+    grouped_evaluate,
+    jet_apply_word,
+    potential,
+    split_terms,
+    superpotential,
+    two_pass_step,
+)
 
 MANDATORY = {
     "ground_state_annihilation",
@@ -313,41 +322,152 @@ def _chain_words(m):
     return tuple(("A", k) for k in range(m + 1)), tuple(("Adag", k) for k in range(m, -1, -1))
 
 
-def test_verify_folds_each_prefix_once(monkeypatch):
-    steps = []
-    prefixes = set()
-    step, apply = operators._step, operators.apply_word
+def _record_folds(monkeypatch):
+    # every fold the memo misses, as its key (params, id(operand), word,
+    # sign), and every step taken
+    misses, steps = [], []
+    fold, step = operators._fold, operators._step
+
+    def recorded_fold(params, word, func, sign):
+        if (params, id(func), word, sign) not in operators._folds:
+            misses.append((params, id(func), word, sign))
+        return fold(params, word, func, sign)
 
     def counted_step(params, kind, level, terms, sign, shift=0.0):
-        steps.append((terms, kind, level, sign, shift))
+        steps.append((kind, level, sign, shift))
         return step(params, kind, level, terms, sign, shift)
 
-    def recorded_apply(params, word, func, x, sign=1.0, *, folds=None):
-        assert folds is not None
-        prefixes.update((id(func), tuple(word[:i]), sign) for i in range(1, len(word) + 1))
-        return apply(params, word, func, x, sign, folds=folds)
-
+    monkeypatch.setattr(operators, "_fold", recorded_fold)
     monkeypatch.setattr(operators, "_step", counted_step)
-    monkeypatch.setattr(operators, "apply_word", recorded_apply)
-    first = verify_operator_identities(DEFAULT, 3, 2)
-    # no folded prefix is extended by the same operator twice, and the
-    # quadrature integrands, called once per refinement step, add no folds
-    assert len({(id(t), kind, level, sign, shift) for t, kind, level, sign, shift in steps}) == len(steps)
-    assert len(steps) == len(prefixes)
-    # the level rows are kept: the same cell again folds only the words that
-    # depend on n, each prefix once, and no fold is carried over
-    folded = len(steps)
+    return misses, steps
+
+
+def test_verify_folds_each_prefix_once(monkeypatch):
+    misses, steps = _record_folds(monkeypatch)
+    cells = [(n, m, sign) for n, m in ((3, 2), (3, 3), (2, 3)) for sign in (1.0, -1.0)]
+    rows = [[r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] for n, m, sign in cells]
+    # every miss is in the memo still, so no key was folded twice, and the
+    # quadrature integrands, called once per refinement step, add no folds;
+    # a step extends a folded prefix, the shifted H steps of mixed_product
+    # (n < m) aside
+    assert len(operators._folds) == len(set(misses)) == len(misses)
+    shifted = [s for s in steps if s[3] != 0.0]
+    assert shifted and len(steps) - len(shifted) == sum(1 for key in misses if key[2])
+    # each cell alone, with both memos cleared, gives the same rows
+    for (n, m, sign), want in zip(cells, rows):
+        clear_memos()
+        assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] == want, (n, m, sign)
+
+
+def test_a_cell_reuses_the_folds_of_an_earlier_cell(monkeypatch):
+    _, steps = _record_folds(monkeypatch)
+    cold_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 3)]
+    cold = len(steps)
+    clear_memos()
+    verify_operator_identities(DEFAULT, 3, 2)
     steps.clear()
-    prefixes.clear()
-    second = verify_operator_identities(DEFAULT, 3, 2)
-    assert 0 < len(steps) == len(prefixes) < folded
-    assert [r.to_jsonable() for r in second] == [r.to_jsonable() for r in first]
-    # with the memo cleared the level words are folded again
-    operators._level_identities.cache_clear()
-    steps.clear()
-    third = verify_operator_identities(DEFAULT, 3, 2)
-    assert len(steps) == folded
-    assert [r.to_jsonable() for r in third] == [r.to_jsonable() for r in first]
+    warm_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 3)]
+    # word_b on phi_3 and the chains of level 2 are folded already
+    assert 0 < len(steps) < cold
+    assert warm_rows == cold_rows
+
+
+def test_fold_memo_stays_within_its_bound(monkeypatch):
+    sizes = []
+    fold = operators._fold
+
+    def sized_fold(*args):
+        out = fold(*args)
+        sizes.append(len(operators._folds))
+        return out
+
+    monkeypatch.setattr(operators, "_fold", sized_fold)
+    for m in range(5):
+        for n in range(7):
+            verify_operator_identities(DEFAULT, n, m)
+    assert max(sizes) == operators.FOLD_MEMO_SIZE
+    # a small memo evicts folds that later words need again; they are folded
+    # again to the same values
+    want = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)]
+    monkeypatch.setattr(operators, "FOLD_MEMO_SIZE", 16)
+    clear_memos()
+    sizes.clear()
+    assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)] == want
+    assert max(sizes) == 16
+
+
+def test_fold_memo_keys_the_sign():
+    # the negative control never reads a fold of sign +1
+    f = eigenfunction(DEFAULT, 0, 3)
+    word, _ = _chain_words(2)
+    grid = default_grid(DEFAULT)
+    plus = apply_word(DEFAULT, word, f, grid, 1.0)
+    minus = apply_word(DEFAULT, word, f, grid, -1.0)
+    assert {(word, 1.0), (word, -1.0)} <= {(key[2], key[3]) for key in operators._folds if key[1] == id(f)}
+    assert np.max(np.abs(plus - minus)) > 1e-3 * np.max(np.abs(plus))
+    plus_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 1)]
+    warm = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 1, sign=-1.0)]
+    clear_memos()
+    assert np.array_equal(apply_word(DEFAULT, word, f, grid, -1.0), minus)
+    assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 1, sign=-1.0)] == warm
+    assert warm != plus_rows
+
+
+@dataclass
+class _ByValue:
+    # an operand compared by value, so not hashable
+    inner: object
+
+    @property
+    def cot_terms(self):
+        return self.inner.cot_terms
+
+    def __call__(self, x):
+        return self.inner(x)
+
+
+def test_unhashable_operand_folds_by_identity():
+    f = eigenfunction(DEFAULT, 1, 2)
+    operand, twin = _ByValue(f), _ByValue(f)
+    with pytest.raises(TypeError):
+        hash(operand)
+    assert operand == twin
+    word = (("A", 1), ("H", 1), ("Adag", 0))
+    grid = default_grid(DEFAULT)
+    got = apply_word(DEFAULT, word, operand, grid)
+    assert np.array_equal(got, apply_word(DEFAULT, word, f, grid))
+    assert np.array_equal(apply_word(DEFAULT, word, twin, grid), got)
+
+
+def _two_pass_fold(word, func, sign):
+    terms = split_terms(operators._Terms.of(DEFAULT, func.cot_terms))
+    for kind, level in word:
+        terms = two_pass_step(DEFAULT, kind, level, terms, sign)
+    return terms
+
+
+def _same_bits(got, want):
+    # the band of Q and magnitude rows against the two arrays, byte for byte
+    got = split_terms(got)
+    return all(getattr(got, name).tobytes() == getattr(want, name).tobytes() for name in ("coeffs", "mag"))
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_stacked_step_matches_two_pass_step(m):
+    # Q and its magnitudes in one band, against the step that folds them
+    # one after the other; each word is then extended by a shifted H step,
+    # as mixed_product folds its operator polynomial
+    rng = np.random.default_rng(40 + m)
+    corpus = operators.test_corpus(DEFAULT, m)
+    shift = energy(DEFAULT, LevelIndex(0, m))
+    for word in _words(m, rng):
+        for f in [operators._OperandStack(corpus)] + corpus:
+            for sign in (1.0, -1.0):
+                got, want = operators._fold(DEFAULT, word, f, sign).terms, _two_pass_fold(word, f, sign)
+                assert _same_bits(got, want), (word, sign, f)
+                got = operators._step(DEFAULT, "H", m + 1, got, sign, shift=shift)
+                want = two_pass_step(DEFAULT, "H", m + 1, want, sign, shift=shift)
+                assert _same_bits(got, want), (word, sign, f)
 
 
 LEVEL_ROWS = (
@@ -362,12 +482,13 @@ LEVEL_ROWS = (
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_level_rows_from_a_warm_memo_equal_cold_ones(sign):
+    # cold: the level rows and the folds both computed anew
     for m in range(6):
-        operators._level_identities.cache_clear()
+        clear_memos()
         warm = [[r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] for n in range(7)]
         assert operators._level_identities.cache_info().hits == 6
         for n in range(7):
-            operators._level_identities.cache_clear()
+            clear_memos()
             cold = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)]
             assert warm[n] == cold, (n, m)
 
@@ -431,19 +552,26 @@ def test_shared_folds_are_bit_identical(operand, sign):
     else:
         func = eigenfunction(DEFAULT, 0, 3)
     grid = default_grid(DEFAULT)
+    prefixes = tuple(word[:i] for i in range(1, len(word) + 1))
+    cold = {}
+    for w in prefixes:
+        operators._folds.clear()
+        cold[w] = apply_word(DEFAULT, w, func, grid, sign)
     # the whole word first, so that its prefixes are looked up, not folded
-    folds = {}
-    for w in (word,) + tuple(word[:i] for i in range(1, len(word) + 1)):
-        shared = apply_word(DEFAULT, w, func, grid, sign, folds=folds)
-        assert np.array_equal(shared, apply_word(DEFAULT, w, func, grid, sign)), w
-    assert len(folds) == len(word) + 1
+    operators._folds.clear()
+    for w in (word,) + prefixes:
+        assert np.array_equal(apply_word(DEFAULT, w, func, grid, sign), cold[w]), w
+    assert len(operators._folds) == len(word) + 1
+    # a fold looked up again is the last to be evicted
+    apply_word(DEFAULT, word[:1], func, grid, sign)
+    assert next(reversed(operators._folds))[2] == word[:1]
 
 
 def test_one_pass_horner_rows_match_each_term_alone():
     # the lowering chain leaves the rows at different degrees, so they join
     # the Horner loop at different powers
     word_b, _ = _chain_words(1)
-    fold = operators._fold(DEFAULT, word_b, operators._OperandStack(operators.test_corpus(DEFAULT, 0)), 1.0, {})
+    fold = operators._fold(DEFAULT, word_b, operators._OperandStack(operators.test_corpus(DEFAULT, 0)), 1.0)
     terms, plan = fold.terms, fold.plan
     degree = terms.power[plan.order] - plan.sin_power
     assert len(set(degree.tolist())) > 2
@@ -451,7 +579,11 @@ def test_one_pass_horner_rows_match_each_term_alone():
     grid = default_grid(DEFAULT)
     rows = operators._evaluate(DEFAULT, plan, grid)
     for i, row in enumerate(rows):
-        alone = operators._Terms(*(field[i : i + 1] for field in terms))
+        # term i alone: its Q row and its magnitude row
+        one = slice(i, i + 1)
+        alone = terms._replace(
+            log_c=terms.log_c[one], gamma=terms.gamma[one], power=terms.power[one], band=terms.band[[i, i + len(rows)]]
+        )
         assert np.array_equal(row, operators._evaluate(DEFAULT, operators._plan(alone), grid)[0]), i
 
 
@@ -462,9 +594,9 @@ def test_one_pass_horner_matches_per_degree_loops(m):
     for grid in (default_grid(DEFAULT), np.array([EDGE_CLAMP, 0.5, 1.0 - EDGE_CLAMP]) * DEFAULT.length):
         for word in _words(m, rng):
             for sign in (1.0, -1.0):
-                fold = operators._fold(DEFAULT, word, stack, sign, {})
+                fold = operators._fold(DEFAULT, word, stack, sign)
                 got = operators._evaluate(DEFAULT, fold.plan, grid)
-                assert np.array_equal(got, grouped_evaluate(DEFAULT, fold.terms, grid)), (word, sign)
+                assert np.array_equal(got, grouped_evaluate(DEFAULT, split_terms(fold.terms), grid)), (word, sign)
 
 
 @pytest.mark.parametrize("m", range(4))
