@@ -255,6 +255,9 @@ def identity_gram_projection(
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)
+    if size == 0:  # no states to project on, as gram_matrix([]); the level is still checked
+        _level_width(params, m)
+        return np.zeros((0, 0), dtype=complex)
     family = EigenFamily(eigenfunction(params, m, n) for n in range(size))
     L = params.length
     lo, hi = 1e-6 * L, (1.0 - 1e-6) * L

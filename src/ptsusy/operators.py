@@ -22,12 +22,12 @@ member.
 A word is folded one operator at a time on top of the fold of its prefix.
 Q and the magnitudes each of its coefficients was summed from are held as
 one band of rows, so a step is one pass with the signed multipliers on the
-Q rows and their absolute values on the magnitude rows.  A process-wide,
-bounded memo keeps the fold of each (params, operand, prefix, sign),
-together with each folded word's evaluation plan: Q cut at the noise floor,
-the degree of every row and the rows in falling degree.  The plan is
-evaluated in one Horner pass, which a row joins at its own degree, so each
-row goes through the same operations as when it is evaluated alone.
+Q rows and their absolute values on the magnitude rows, kept as read-only
+columns per set of factor values.  A process-wide, bounded memo keeps the
+fold of each (params, operand, prefix, sign) with its evaluation plan: the
+rows in falling degree and, per power, Q cut at the noise floor.  The plan
+is evaluated in one Horner pass in place, which a row joins at its own
+degree, so each row sees the same operations as when it is evaluated alone.
 
 The verification suite evaluates every operator identity of the hierarchy on
 sample grids and reports one relative residual per identity, flagging the
@@ -140,7 +140,7 @@ class _DDx:
             self.rise = np.concatenate([rise, np.abs(rise)]).astype(complex)
             self.fall = np.repeat([fall, np.abs(fall)], len(self.power), axis=0).astype(complex)
         out = np.zeros((band.shape[0], n + 1), dtype=complex)
-        out[:, :n] = self.gamma * band
+        np.multiply(self.gamma, band, out=out[:, :n])
         out[:, 1:] += self.rise[:, :n] * band
         out[:, : n - 1] += self.fall[:, : n - 1] * band[:, 1:]
         return out
@@ -163,20 +163,27 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     # column 0 scales the derivative, columns 1: are the polynomial in c
-    factors = np.repeat([factors, np.abs(factors)], len(terms.gamma), axis=0)
+    scale, *poly = _factor_columns(factors, len(terms.gamma))
     n = terms.band.shape[1]
     times = np.zeros(derived.shape, dtype=complex)
-    for i in range(1, factors.shape[1]):
-        times[:, i - 1 : i - 1 + n] += factors[:, i : i + 1] * terms.band
-    return terms._replace(band=derived * factors[:, :1] + times)
+    for i, column in enumerate(poly):
+        times[:, i : i + n] += column * terms.band
+    return terms._replace(band=derived * scale + times)
+
+
+@lru_cache(maxsize=1024)
+def _factor_columns(factors: tuple, rows: int) -> tuple:
+    # a step's factors as read-only columns (see _step), keyed on their values
+    table = np.repeat([factors, np.abs(factors)], rows, axis=0).astype(complex)
+    table.setflags(write=False)
+    return tuple(table[:, i : i + 1] for i in range(len(factors)))
 
 
 class _Plan(NamedTuple):
     # a folded word prepared for evaluation, rows sorted by falling degree d:
-    # Q cut at the noise floor, each row's q_d, the leading row count still in
-    # Horner's loop at each power j < top degree, the term index of each row,
-    # and the exponent's coefficients with the sine power a - d
-    q: np.ndarray
+    # each row's q_d, per power j < top degree the leading row count still in
+    # Horner's loop and their q_j (Q cut at the noise floor) as a column, the
+    # term index of each row, and the exponent's coefficients with a - d
     top: np.ndarray
     loop: tuple
     order: np.ndarray
@@ -191,27 +198,27 @@ def _plan(terms: _Terms) -> _Plan:
     # does not depend on the other terms it is stacked with.
     q, mag = terms.band[: len(terms.gamma)], terms.band[len(terms.gamma) :].real
     q = np.where(np.abs(q) > NOISE_FLOOR * mag, q, 0.0)
-    nonzero = q != 0.0
-    degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
-    degree = degree[order]
-    q = q[order]
-    top = q[np.arange(len(q)), degree]
-    return _Plan(q, top, _leading_loop(degree), order, terms.log_c[order], terms.gamma[order], terms.power[order] - degree)
+    degree, q = degree[order], q[order]
+    loop = tuple((k, q[:k, j, None]) for j, k in _leading_loop(degree))
+    return _Plan(q[np.arange(len(q)), degree], loop, order, terms.log_c[order], terms.gamma[order], terms.power[order] - degree)
 
 
 def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
     # rows of C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) at the 1-d points
-    # x, in term order.  One Horner pass runs from the top degree down; a row
-    # joins it at its own degree, so it sees the same operations in the same
-    # order as when it is evaluated alone.
+    # x, in term order.  One Horner pass runs from the top degree down, in
+    # place; a row joins it at its own degree, so it sees the same operations
+    # in the same order as when it is evaluated alone.
     theta = x * (math.pi / params.length)
     s, cos = np.sin(theta), np.cos(theta)
     acc = np.repeat(plan.top[:, None], x.size, axis=1)
     s_pow = np.ones(acc.shape)
-    for j, k in plan.loop:
-        s_pow[:k] *= s
-        acc[:k] = acc[:k] * cos + plan.q[:k, j, None] * s_pow[:k]
+    for k, q_j in plan.loop:
+        lead, lead_pow = acc[:k], s_pow[:k]
+        lead_pow *= s
+        lead *= cos
+        lead += q_j * lead_pow
     expo = plan.log_c[:, None] + plan.gamma[:, None] * x + plan.sin_power[:, None] * np.log(s)
     rows = np.empty_like(acc)
     rows[plan.order] = np.exp(expo) * acc
@@ -274,7 +281,8 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     values are bit-identical with a warm memo and a cold one.
     """
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr > 0.0) & (arr < params.length)):
+    # NaN fails both comparisons; an empty x passes
+    if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=-math.inf) < params.length):
         raise DomainError("operator applications need interior sample points")
     fold = _fold(params, tuple(word), func, sign)
     out = _members(func, _evaluate(params, fold.plan, arr.ravel()))
@@ -282,13 +290,13 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
 
 
 def _members(func, rows: np.ndarray) -> np.ndarray:
-    # the evaluated term rows summed per member, in term order
-    stacked = isinstance(func, _OperandStack)
-    owner = func.owner if stacked else np.zeros(len(rows), dtype=int)
-    out = np.zeros((owner[-1] + 1, rows.shape[1]), dtype=complex)
-    for i, row in zip(owner, rows):
+    # the evaluated term rows summed per member, in term order, from 0
+    if not isinstance(func, _OperandStack):
+        return sum(rows)
+    out = np.zeros((len(func.funcs), rows.shape[1]), dtype=complex)
+    for i, row in zip(func.owner, rows):
         out[i] += row
-    return out if stacked else out[0]
+    return out
 
 
 class _OperandStack:
@@ -337,9 +345,9 @@ class IdentityResult:
 
 
 def _rel(lhs, rhs, scale: float | None = None) -> float:
-    num = float(np.max(np.abs(lhs - rhs)))
+    num = float(np.abs(lhs - rhs).max())
     if scale is None:
-        scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
     return num / max(scale, 1e-300)
 
 
@@ -504,7 +512,7 @@ def verify_operator_identities(
     def stamped(rows):
         # copies of memoized level rows with this cell's indices and their own
         # details, so that no caller can reach a memoized row
-        return [replace(r, indices=dict(idx), details=dict(r.details)) for r in rows]
+        return [IdentityResult(**{**vars(r), "indices": dict(idx), "details": dict(r.details)}) for r in rows]
 
     results = stamped(head)
     L = params.length

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
+from .errors import DomainError, NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
 
 
 #: Gauss-Legendre nodes per panel.
@@ -47,7 +47,8 @@ MAX_EXPANSIONS = 60
 class QuadratureConfig:
     """Tolerances and budgets for the adaptive integrator.
 
-    abs_tol and rel_tol combine as max(abs_tol, rel_tol * |integral|);
+    abs_tol and rel_tol, finite and nonnegative, combine as max(abs_tol,
+    rel_tol * |integral|); max_subdivisions > 0 is the integer panel budget;
     endpoint_substitution maps the panel through x = a + (b-a)(1 - cos t)/2,
     which clusters nodes at both ends and tames algebraic endpoint behavior.
     """
@@ -56,6 +57,11 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     endpoint_substitution: bool = False
+
+    def __post_init__(self):
+        budget, tols = self.max_subdivisions, (self.abs_tol, self.rel_tol)
+        if not (isinstance(budget, (int, np.integer)) and budget > 0 and all(0.0 <= tol < math.inf for tol in tols)):
+            raise DomainError(f"need a positive integer panel budget and finite, nonnegative tolerances: {self!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -82,7 +88,7 @@ def _gauss_rule():
 
 def _modulus(z):
     # hypot rounds exactly as abs(complex); numpy's complex absolute does not
-    return np.hypot(np.real(z), np.imag(z))
+    return np.hypot(z.real, z.imag)
 
 
 def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -96,9 +102,8 @@ def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
     vals = np.asarray(f(xs.ravel()))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
-    finite = np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))
-    if not finite.all():
-        k = int(np.argmin(finite))
+    if not np.isfinite(vals).all():
+        k = int(np.argmin(np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))))
         raise NonFiniteIntegrandError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
     return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
 
@@ -118,12 +123,12 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     halves; the discrepancy is that panel's error, per component.  The
     integral stops when every component k has total error within
     max(abs_tol, rel_tol * |I_k|), or within its rounding-noise floor.
-    Until then the panel whose largest component error is largest is split.
-    That ranking is by absolute error, so components of very different
-    magnitude starve the small ones: the large components keep drawing the
-    splits while a small one that has not met its own tolerance waits, and
-    the panel budget can run out first.  Scale the components to comparable
-    size before stacking them.
+    Until then the panel whose largest component error is largest is split,
+    the first made among equals.  That ranking is by absolute error, so
+    components of very different magnitude starve the small ones: the large
+    components keep drawing the splits while a small one that has not met
+    its own tolerance waits, and the panel budget can run out first.  Scale
+    the components to comparable size before stacking them.
 
     f is called once per refinement step: once for the 12 panels of the 4
     initial segments (each segment and its two halves), then once per split
@@ -165,15 +170,13 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
 
     def add_segments(lo: np.ndarray, hi: np.ndarray, coarse: np.ndarray | None = None) -> None:
         # One call of f for the halves of every segment [lo[k], hi[k]], and for
-        # the segments themselves unless their values are given.  Panels are
-        # laid out coarse, left, right per segment, the order in which a
-        # panel-by-panel loop would meet them.
+        # the segments themselves unless their values are given, panels laid
+        # out coarse, left, right per segment as a panel-by-panel loop meets
+        # them; a segment's key is its largest error (0 with no components).
         nonlocal evaluations, total, total_err
         mid = 0.5 * (lo + hi)
-        if coarse is None:
-            lows, highs = np.stack([lo, lo, mid], axis=-1), np.stack([hi, mid, hi], axis=-1)
-        else:
-            lows, highs = np.stack([lo, mid], axis=-1), np.stack([mid, hi], axis=-1)
+        ends = (lo, lo, mid, hi, mid, hi) if coarse is None else (lo, mid, mid, hi)
+        lows, highs = np.array(ends).reshape(2, -1, len(lo)).transpose(0, 2, 1)
         vals = _panel_values(f, lows.ravel(), highs.ravel())
         evaluations += lows.size * BASE_RULE_ORDER
         vals = vals.reshape(vals.shape[:-1] + lows.shape)
@@ -182,11 +185,12 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         left, right = vals[..., -2], vals[..., -1]
         fine = left + right
         err = _modulus(coarse - fine)
-        for k in range(len(lo)):
-            seg = (float(lo[k]), float(hi[k]), fine[..., k], err[..., k], left[..., k], right[..., k])
+        keys = err.reshape(-1, len(lo)).max(axis=0, initial=0.0).tolist()
+        per_segment = (v.transpose(-1, *range(v.ndim - 1)) for v in (fine, err, left, right))
+        for key, seg in zip(keys, zip(lo.tolist(), hi.tolist(), *per_segment)):
             total += seg[2]
             total_err += seg[3]
-            heapq.heappush(heap, (-float(seg[3].max()), next(counter), seg))
+            heapq.heappush(heap, (-key, next(counter), seg))
 
     n_init = 4
     edges = np.linspace(a, b, n_init + 1)

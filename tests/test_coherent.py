@@ -260,6 +260,9 @@ def test_resolution_kernel_keeps_the_input_shape():
     assert g.shape == xs.shape
     assert np.array_equal(g.ravel(), resolution_kernel(DEFAULT, 1, xs.ravel()))
     assert type(resolution_kernel(DEFAULT, 1, 0.3)) is float
+    for shape in ((0,), (0, 3)):
+        empty = resolution_kernel(DEFAULT, 1, np.zeros(shape))
+        assert empty.shape == shape and empty.dtype == float
 
 
 def test_resolution_kernel_beta_independent():
@@ -278,6 +281,15 @@ def test_resolution_kernel_domain():
 def test_gram_projection_identity_small():
     mat = identity_gram_projection(DEFAULT, 0, 3)
     assert np.max(np.abs(mat - np.eye(3))) < 1e-8
+
+
+def test_gram_projection_on_no_states_is_empty():
+    # the 0 x 0 matrix, as gram_matrix([]) gives
+    mat = identity_gram_projection(DEFAULT, 1, 0)
+    assert mat.shape == (0, 0) and mat.dtype == complex
+    for m in (-1, 0.5):
+        with pytest.raises(DomainError):
+            identity_gram_projection(DEFAULT, m, 0)
 
 
 def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):

@@ -4,7 +4,7 @@ negative control."""
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -158,9 +158,18 @@ def test_ladder_chain_matches_gap_factor():
 
 def test_apply_word_rejects_wall_points():
     f = eigenfunction(DEFAULT, 0, 0)
-    for xs in (np.array([0.0, 0.5]), np.array([0.5, math.nan])):
+    L = DEFAULT.length
+    bad = [0.0, L, math.nan, math.inf, -math.inf]
+    for xs in bad + [np.array([0.5 * L, x]) for x in bad] + [np.array([[x], [0.5 * L]]) for x in bad]:
         with pytest.raises(DomainError):
             apply_word(DEFAULT, (("A", 0),), f, xs)
+
+
+def test_apply_word_accepts_an_empty_grid():
+    word = (("A", 0), ("H", 1))
+    assert apply_word(DEFAULT, word, eigenfunction(DEFAULT, 0, 1), np.array([])).shape == (0,)
+    stack = operators._OperandStack(operators.test_corpus(DEFAULT, 0))
+    assert apply_word(DEFAULT, word, stack, np.zeros((0, 2))).shape == (6, 0, 2)
 
 
 def test_word_acts_left_entry_first():
@@ -468,6 +477,28 @@ def test_stacked_step_matches_two_pass_step(m):
                 got = operators._step(DEFAULT, "H", m + 1, got, sign, shift=shift)
                 want = two_pass_step(DEFAULT, "H", m + 1, want, sign, shift=shift)
                 assert _same_bits(got, want), (word, sign, f)
+
+
+def test_factor_columns_follow_hbar_and_are_read_only():
+    # params that differ only in hbar fold one operand to their own bands,
+    # each the two-pass step's: the cache keys the factors' values
+    operators._factor_columns.cache_clear()
+    terms = operators._Terms.of(DEFAULT, eigenfunction(DEFAULT, 1, 2).cot_terms)
+    bands = {}
+    for hbar in (1.0, 2.0, 1.0):
+        p = replace(DEFAULT, hbar=hbar)
+        for kind in ("A", "Adag", "H"):
+            for sign in (1.0, -1.0):
+                got = operators._step(p, kind, 1, terms, sign)
+                assert _same_bits(got, two_pass_step(p, kind, 1, split_terms(terms), sign)), (hbar, kind, sign)
+                bands.setdefault((kind, sign), set()).add(got.band.tobytes())
+    # H does not depend on the sign: 5 factor sets per hbar
+    assert operators._factor_columns.cache_info().currsize == 10
+    assert all(len(found) == 2 for found in bands.values())
+    for column in operators._factor_columns((1.0, -2.0, 3.0), 4):
+        assert column.shape == (8, 1) and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0, 0] = 0.0
 
 
 LEVEL_ROWS = (

@@ -1,12 +1,13 @@
 """Adaptive quadrature and Richardson differentiation against known integrals."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from ptsusy.errors import NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
+from ptsusy.errors import DomainError, NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
 from ptsusy.quadrature import (
     BASE_RULE_ORDER,
     DEFAULT_CONFIG,
@@ -136,6 +137,49 @@ def test_nonfinite_component_raises():
         integrate_interval(lambda x: np.array([x, np.where(x > 0.5, np.nan, 1.0)]), 0.0, 1.0)
 
 
+def test_zero_components_give_empty_results():
+    # a vector integrand of leading shape (0,) or (2, 0) converges at once
+    for shape, cfg in (((0,), DEFAULT_CONFIG), ((2, 0), SUBSTITUTED)):
+        res = integrate_interval(lambda x: np.zeros(shape + x.shape), 0.0, 1.0, cfg)
+        assert res.value.shape == res.error.shape == shape
+        assert res.evaluations == 12 * BASE_RULE_ORDER
+    res = integrate_real_line(lambda u: np.zeros((0, u.size)), 1.0, DEFAULT_CONFIG)
+    assert res.value.shape == res.error.shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"rel_tol": math.nan},
+        {"abs_tol": math.nan},
+        {"abs_tol": math.inf},
+        {"rel_tol": -math.inf},
+        {"abs_tol": -1e-12},
+        {"max_subdivisions": 0},
+        {"max_subdivisions": -4},
+        {"max_subdivisions": 2.5},
+        {"max_subdivisions": 16.0},
+        {"max_subdivisions": math.nan},
+    ],
+    ids=repr,
+)
+def test_config_rejects_bad_tolerances_and_budgets(fields):
+    with pytest.raises(DomainError):
+        QuadratureConfig(**fields)
+    with pytest.raises(DomainError):
+        replace(DEFAULT_CONFIG, **fields)
+
+
+def test_config_accepts_zero_tolerances_and_small_budgets():
+    for cfg in (
+        QuadratureConfig(max_subdivisions=4),
+        QuadratureConfig(max_subdivisions=np.int64(8), abs_tol=0.0),
+        QuadratureConfig(rel_tol=0.0),
+    ):
+        res = integrate_interval(lambda x: 3.0 * x**2, 0.0, 2.0, cfg)
+        assert abs(res.value - 8.0) < 1e-12
+
+
 def test_one_unconverged_component_exhausts_the_budget():
     cfg = QuadratureConfig(max_subdivisions=8, abs_tol=1e-15, rel_tol=1e-15)
     integrate_interval(lambda x: x**2, 0.0, 1.0, cfg)  # converges on its own
@@ -169,19 +213,30 @@ def test_derivative_first_and_second_order():
 
 
 class Counting:
-    """Integrand wrapper that records the number of abscissas of every call."""
+    """Integrand wrapper that records the abscissas of every call and their number."""
 
     def __init__(self, f):
         self.f = f
         self.sizes = []
+        self.calls = []
 
     def __call__(self, x):
         self.sizes.append(x.size)
+        self.calls.append(x.copy())
         return self.f(x)
 
 
 SUBSTITUTED = QuadratureConfig(endpoint_substitution=True)
 TIGHT = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-13)
+LOOSE = QuadratureConfig(abs_tol=1e-5, rel_tol=1e-5)
+
+
+def _tiled(x):
+    # one bump on every quarter of [0, 1], read off a grid of 1/1024, so that
+    # translated panels see bit-equal values and their errors tie
+    k = np.rint(x * 1024.0).astype(int) % 256
+    return np.exp(-(((k - 128) / 40.0) ** 2))
+
 
 # (integrand, a, b, config): no split, a few splits, many splits, scalar and
 # vector valued, with and without the endpoint substitution
@@ -200,6 +255,7 @@ BATCHING_CASES = {
         TIGHT,
     ),
     "matrix": (lambda x: np.array([[x, np.sin(9.0 * x)], [np.exp(-x), 1.0 / (0.01 + x * x)]]), -1.0, 2.0, TIGHT),
+    "tied_quarters": (_tiled, 0.0, 1.0, LOOSE),
 }
 
 
@@ -230,6 +286,22 @@ def test_batching_cases_cover_splits():
         integrate_interval(counted, a, b, cfg)
         splits.append(len(counted.sizes) - 1)
     assert min(splits) == 0 and max(splits) >= 50
+
+
+def test_tied_panels_pop_in_the_order_they_were_made():
+    # the four initial segments tie, and so do the translated children of
+    # each split; the loop must split them first made, first split, as the
+    # panel-by-panel oracle does, node for node
+    batched, panelwise = Counting(_tiled), Counting(_tiled)
+    integrate_interval(batched, 0.0, 1.0, LOOSE)
+    panelwise_integrate(panelwise, 0.0, 1.0, LOOSE)
+    splits = batched.calls[1:]
+    assert len(splits) >= 20 and 6 * len(splits) == len(panelwise.calls) - 12
+    assert [int(4.0 * c.min()) for c in splits[:4]] == [0, 1, 2, 3]
+    for i, call in enumerate(splits):
+        # the oracle's split i: coarse, left and right panel of each child
+        oracle = panelwise.calls[12 + 6 * i : 18 + 6 * i]
+        assert call.tobytes() == np.concatenate([oracle[k] for k in (1, 2, 4, 5)]).tobytes(), i
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
