@@ -253,6 +253,10 @@ def identity_gram_projection(
     kernel's own tolerance (``kernel_config``; see ``resolution_kernel`` for
     the near-wall case at d' < 1).
     """
+    try:  # a count of states, as level_number reads an index; a bool is not one
+        size = level_number(-1 if isinstance(size, bool) else size)
+    except DomainError:
+        raise DomainError(f"size must be a nonnegative whole number of states, got {size!r}") from None
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)
     if size == 0:  # no states to project on, as gram_matrix([]); the level is still checked

@@ -30,7 +30,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,10 +79,17 @@ class IntegralResult:
     evaluations: int
 
 
-@lru_cache(maxsize=1)
-def _gauss_rule():
-    # built on first use: importing numpy.polynomial costs every process about 1.7 MB
-    return np.polynomial.legendre.leggauss(BASE_RULE_ORDER)
+# numpy.polynomial.legendre.leggauss(BASE_RULE_ORDER) written out; importing numpy.polynomial costs 1.7 ms, 1.1 MB
+_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701, -0.5709721726085388,
+    -0.3941513470775634, -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444, 0.16626920581699398,
+    0.1861610000155622, 0.1984314853271116, 0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+    0.16626920581699398, 0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 
 
 def _modulus(z):
@@ -97,15 +103,14 @@ def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     Returns shape (..., n_panels).  A non-finite value raises naming the
     first panel, in the order given, that holds one.
     """
-    nodes, weights = _gauss_rule()
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * nodes
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.asarray(f(xs.ravel()))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
     if not np.isfinite(vals).all():
         k = int(np.argmin(np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))))
         raise NonFiniteIntegrandError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
-    return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
+    return np.asarray((_WEIGHTS * vals).sum(axis=-1) * half, dtype=complex)
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:

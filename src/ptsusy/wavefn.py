@@ -21,10 +21,11 @@ At z = i cot theta, (z -+ 1) / 2 = i e^(+-i theta) / (2 sin theta), so
     sin^n P_n^(alpha, conj alpha)(i cot theta) = (i/2)^n sum_k F_k e^(i (2k - n) theta),
     F_k = C(n + alpha, n - k) C(n + conj alpha, k),
 
-a finite Fourier series with products for coefficients, no cancellation;
-the phase turns (i/2)^n into 2^-n.  Horner's rule in e^(2 i theta) on the
-unit circle is backward stable.  ``EigenFamily`` evaluates states of one
-``ModelParams`` in one Horner pass; ``gram_matrix`` and
+a finite Fourier series with products for coefficients, no cancellation; the
+phase turns (i/2)^n into 2^-n.  As F_(n - k) = conj F_k, the sum is twice the
+real part of its upper half: Horner's rule in e^(2 i theta) on the unit
+circle, backward stable, over about n/2 terms.  ``EigenFamily`` evaluates
+states of one ``ModelParams`` in one Horner pass; ``gram_matrix`` and
 ``coherent.identity_gram_projection`` build one family per call, and a single
 state's call is the one-row family.  Operator words act on the cotangent form
 of ``EigenFunction.cot_terms``, the same sum with e^(+-i theta) =
@@ -157,30 +158,40 @@ def _leading_loop(degree: np.ndarray) -> tuple:
     return tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
 
 
-class _FourierRows:
-    """Rows sum_k G_k e^(i (2k - d) theta) of coefficient rows G given by
-    falling degree d: one Horner pass in z = e^(2 i theta) at the 1-d angles
-    theta, which a row joins at its own degree, then e^(-i d theta)."""
+def _upper_half(g: np.ndarray) -> np.ndarray:
+    # H_j = 2 G_(ceil(d/2) + j), j <= d/2, of a row G_(d - k) = conj G_k of degree d; a middle G_(d/2) counts once
+    half = 2.0 * g[len(g) // 2 :]
+    half[0] *= 0.5 if len(g) % 2 else 1.0
+    return half
 
-    def __init__(self, rows):
-        degree = np.array([len(g) - 1 for g in rows])
-        self.coeffs = np.zeros((len(rows), degree[0] + 1), dtype=complex)
-        for out, g in zip(self.coeffs, rows):
-            out[: len(g)] = g
-        self.top = self.coeffs[np.arange(len(rows)), degree]
-        self.loop = _leading_loop(degree)
-        self.turn = -1j * degree[:, None]
+
+class _FourierRows:
+    """Real rows sum_k G_k e^(i (2k - d) theta), G_(d - k) = conj G_k, by falling degree d from their upper
+    halves H (``_upper_half``): Re[w^(d mod 2) sum_j H_j z^j] with w = e^(i theta) and z = w^2, one Horner
+    pass in z at the 1-d angles theta that a row joins at its own degree."""
+
+    def __init__(self, halves, degrees):
+        half_degree = np.array([len(h) - 1 for h in halves])
+        self.coeffs = np.zeros((len(halves), half_degree[0] + 1), dtype=complex)
+        for out, h in zip(self.coeffs, halves):
+            out[: len(h)] = h
+        self.top = self.coeffs[np.arange(len(halves)), half_degree]
+        self.loop = _leading_loop(half_degree)
+        self.odd = np.flatnonzero(np.asarray(degrees) % 2)
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        z = np.exp(2j * theta)
+        w = np.exp(1j * theta)
+        z = w * w
         acc = np.repeat(self.top[:, None], theta.size, axis=1)
         for j, k in self.loop:
             acc[:k] = acc[:k] * z + self.coeffs[:k, j, None]
-        return acc * np.exp(self.turn * theta)
+        if self.odd.size:
+            acc[self.odd] *= w
+        return acc.real
 
 
 class EigenFunction:
-    """One normalized bound state; callable on scalars or arrays of x.
+    """One normalized bound state, real valued; callable on scalars or arrays of x.
 
     Every level evaluates its own closed form: level m, state n is the
     level-zero state n of the family with strength index nu + m.  The same
@@ -200,6 +211,7 @@ class EigenFunction:
         self._gamma = -params.beta * math.pi / (params.length * s)
         # the phase (-i)^n times (i/2)^n leaves 2^-n
         self._fourier = _fourier_coefficients(n, complex(-s, params.beta / s)) * 0.5**n
+        self._half = _upper_half(self._fourier)
 
     @property
     def energy(self) -> float:
@@ -207,7 +219,7 @@ class EigenFunction:
 
     def __call__(self, x):
         row = self._family(x)[0]
-        return complex(row) if row.ndim == 0 else row
+        return float(row) if row.ndim == 0 else row
 
     @cached_property
     def _family(self) -> "EigenFamily":
@@ -248,12 +260,12 @@ class EigenFunction:
 class EigenFamily:
     """Eigenfunctions of one ``ModelParams``, any levels, evaluated together.
 
-    Calling it at x returns shape (len(states),) + shape(x), row i the values
-    of ``states[i]``.  The rows are held by falling degree n, each with its
-    2^-n F_k, log K, gamma and nu + m + 1.  A call runs one ``_FourierRows``
-    pass, so a row goes through the same operations in any family, takes
-    the envelope of every row in one expression and puts the rows back in
-    the order given.
+    Calling it at x returns floats of shape (len(states),) + shape(x), row i the
+    values of ``states[i]``.  The rows are held by falling degree n, each with
+    the upper half of 2^-n F_k, log K, gamma and nu + m + 1.  A call runs one
+    ``_FourierRows`` pass, so a row goes through the same operations in any
+    family, takes the envelope of every row in one expression and puts the rows
+    back in the order given.
     """
 
     def __init__(self, states):
@@ -265,7 +277,7 @@ class EigenFamily:
             raise DomainError("an eigenfunction family shares one ModelParams")
         by_degree = sorted(range(len(states)), key=lambda i: -states[i].idx.n)
         rows = [states[i] for i in by_degree]
-        self._sums = _FourierRows([f._fourier for f in rows])
+        self._sums = _FourierRows([f._half for f in rows], [f.idx.n for f in rows])
         env = np.array([[[f.norm_data.log_K], [f._gamma], [f._nu_eff + 1.0]] for f in rows])
         self._log_K, self._gamma, self._power = env.transpose(1, 0, 2)  # each (rows, 1)
         self._inverse = None if by_degree == list(range(len(states))) else np.argsort(by_degree)
@@ -278,7 +290,7 @@ class EigenFamily:
         flat = arr.ravel()
         theta = math.pi * flat / p.length
         poly = self._sums(theta)
-        out = np.zeros(poly.shape, dtype=complex)
+        out = np.zeros(poly.shape)
         # mask on x, not on sin: sin(pi * L / L) is a subnormal, not an exact 0
         interior = (flat > 0.0) & (flat < p.length)
         cols = slice(None) if interior.all() else interior  # a mask costs more on rows
@@ -301,7 +313,7 @@ def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
     Independent of the ladder fold: a cosine rotated by the mixing angle
     multiplies the degree n + 1 polynomial and an imaginary companion term
     carries the parameter-shifted degree n polynomial.  Used as the second
-    route when validating the chain construction.
+    route when validating the chain construction.  Real valued, as every state.
     """
     nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
     s1 = n + nu + 2.0
@@ -316,17 +328,16 @@ def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
         raise DomainError("x outside the box [0, L]")
     flat = arr.ravel()
     theta = math.pi * flat / L
-    out = np.zeros(flat.shape, dtype=complex)
+    out = np.zeros(flat.shape)
     interior = (flat > 0.0) & (flat < L)
     # sin^(n+1) P_(n+1)^(a1, conj a1) and sin^n P_n^(a1+1, conj a1+1) under the phase
     # (-i)^(n+1): 2^-(n+1), and -i 2^-n, which cancels the i of the companion term
-    top, shift = _FourierRows(
-        [_fourier_coefficients(n + 1, a1) * 0.5 ** (n + 1), _fourier_coefficients(n, a1 + 1.0) * 0.5**n]
-    )(theta)
+    rows = [_fourier_coefficients(n + 1, a1) * 0.5 ** (n + 1), _fourier_coefficients(n, a1 + 1.0) * 0.5**n]
+    top, shift = _FourierRows([_upper_half(g) for g in rows], [n + 1, n])(theta)
     bracket = amp * np.cos(theta - alpha_mix) * top + (0.5 * math.pi * hbar * (n + 2.0 * nu + 2.0) / L) * shift
     envelope = np.exp(norm.log_K - beta * math.pi * flat[interior] / (L * s1) + nu * np.log(np.sin(theta[interior])))
     out[interior] = envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def gram_matrix(
@@ -340,8 +351,8 @@ def gram_matrix(
     evaluated once per node, and every entry meets its own tolerance.  When
     every function is an ``EigenFunction`` of one ``ModelParams``, one
     ``EigenFamily`` built per call evaluates them all at each node, each row
-    bit for bit what its state gives alone at the same nodes; other
-    callables are called one by one.
+    bit for bit what its state gives alone at the same nodes, and the
+    integrand is real; other callables are called one by one.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)

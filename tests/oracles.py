@@ -61,6 +61,13 @@ as ``mpmath.jacobi`` sums it, with the prefactor taken once per polynomial.
 They share no summation with the two-sided binomial sum of ``wavefn``, and
 at 60 digits the cancellation of the hypergeometric series costs nothing.
 
+``full_length_rows`` is the eigenfunction evaluation as it was before
+``wavefn._FourierRows`` summed the upper half of each conjugate-symmetric
+Fourier row in real arithmetic: one complex Horner pass in e^(2 i theta) over
+all n + 1 coefficients, then the turn e^(-i n theta), complex rows out.  Its
+imaginary part is the roundoff that the real rows no longer carry, so it is
+the check that the phase convention makes every state real.
+
 ``gap_factor_N_loop`` is ``spectrum.gap_factor_N`` as it was before it
 became the M^2 product M^2(2n - m, m): its own loop over the rungs of the
 diagonal chain.  Both take the same factors in the same order, so they must
@@ -664,3 +671,21 @@ def mp_partner(params, n: int, x, dps=60):
             ) * sn**n * shift(u)
             out.append(complex(const * mpmath.exp(-beta * mpmath.pi * xv / (L * s1)) * sn**nu * bracket))
     return np.array(out).reshape(np.shape(x))
+
+
+def full_length_rows(states, x):
+    """Complex rows of the eigenfunctions ``states``, all of one model, at the
+    interior points x: K e^(gamma x) sin^(nu + m + 1) e^(-i n theta)
+    sum_k G_k e^(2 i k theta), every G_k of ``EigenFunction._fourier`` summed."""
+    p = states[0].params
+    x = np.asarray(x, dtype=float)
+    theta = math.pi * x / p.length
+    z = np.exp(2j * theta)
+    rows = []
+    for f in states:
+        acc = np.full(theta.shape, f._fourier[-1])
+        for g in f._fourier[-2::-1]:
+            acc = acc * z + g
+        envelope = np.exp(f.norm_data.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
+        rows.append(envelope * acc * np.exp(-1j * f.idx.n * theta))
+    return np.array(rows)

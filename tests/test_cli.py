@@ -137,6 +137,21 @@ def test_wavefn_byte_identical_reruns():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+def test_wavefn_states_are_real_in_csv_and_json(capsys):
+    # every eigenfunction is summed in real arithmetic, so the im column is
+    # an exact zero in both formats, and abs2 is re squared
+    args = ["wavefn", "--nu", "1", "--beta", "2", "--m", "3", "--n", "7", "--grid", "41"]
+    assert ptsusy.cli.main(args) == 0
+    _, header, data = parse_csv(capsys.readouterr().out)
+    im = header.index("im")
+    assert len(data) == 41 and all(float(row[im]) == 0.0 for row in data)
+    assert ptsusy.cli.main(args + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 41 and all(r["im"] == 0.0 for r in rows)
+    assert all(r["abs2"] == r["re"] ** 2 for r in rows)
+    assert any(r["re"] != 0.0 for r in rows)
+
+
 def test_verify_json_schema_and_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli(

@@ -2,6 +2,7 @@
 lowering-operator eigenrelation, overlap algebra, and the completeness kernel."""
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -290,6 +291,20 @@ def test_gram_projection_on_no_states_is_empty():
     for m in (-1, 0.5):
         with pytest.raises(DomainError):
             identity_gram_projection(DEFAULT, m, 0)
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, True, math.nan, math.inf, "2", None])
+def test_gram_projection_rejects_a_size_that_is_no_count(size):
+    # a DomainError naming the size, before any state is built
+    with pytest.raises(DomainError, match=re.escape(f"size must be a nonnegative whole number of states, got {size!r}")):
+        identity_gram_projection(DEFAULT, 0, size)
+
+
+@pytest.mark.parametrize("size", [2.0, np.int64(2), np.float64(2.0)])
+def test_gram_projection_accepts_whole_number_sizes(size):
+    mat = identity_gram_projection(DEFAULT, 0, size)
+    assert mat.shape == (2, 2)
+    assert mat.tobytes() == identity_gram_projection(DEFAULT, 0, 2).tobytes()
 
 
 def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):

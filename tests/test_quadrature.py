@@ -19,6 +19,17 @@ from ptsusy.quadrature import (
 from oracles import derivative, panelwise_integrate, panelwise_real_line
 
 
+def test_gauss_rule_literals_are_leggauss_bit_for_bit():
+    # the module writes the rule out so that no process imports
+    # numpy.polynomial; every quadrature result depends on these bits
+    from ptsusy import quadrature
+
+    nodes, weights = np.polynomial.legendre.leggauss(BASE_RULE_ORDER)
+    for got, want in ((quadrature._NODES, nodes), (quadrature._WEIGHTS, weights)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sine_squared_half():
     res = integrate_interval(lambda x: np.sin(np.pi * x) ** 2, 0.0, 1.0)
     assert abs(res.value - 0.5) < 1e-12

@@ -28,6 +28,7 @@ from ptsusy.wavefn import (
 from conftest import DEFAULT, PARAM_GRID, interior_grid
 from oracles import derivative as fd_derivative
 from oracles import (
+    full_length_rows,
     mp_eigenfunctions,
     mp_partner,
     normalization_double_sum,
@@ -147,13 +148,6 @@ def test_index_above_level_cap_raises_before_the_ladder():
         normalization_K(DEFAULT, LEVEL_CAP + 1)
     with pytest.raises(DegreeCapError):
         eigenfunction(DEFAULT, 0, LEVEL_CAP + 1)
-
-
-def test_states_are_real_positive_phase():
-    # the chain-adapted phase makes every bound state real valued
-    f = eigenfunction(DEFAULT, 0, 4)
-    vals = f(interior_grid(DEFAULT, 31))
-    assert np.max(np.abs(vals.imag)) < 1e-12 * np.max(np.abs(vals.real))
 
 
 def test_unit_norm_across_parameters(swept_params):
@@ -350,6 +344,50 @@ def test_family_rows_match_per_state_reference(p):
         assert np.max(np.abs(row - want)) <= 1e-11 * np.max(np.abs(want)), f.idx
 
 
+def _levels_0_to_10(p):
+    return [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
+
+
+def test_states_are_real_positive_phase():
+    # the chain-adapted phase makes every bound state real valued: the
+    # complex route that sums all n + 1 Fourier coefficients carries an
+    # imaginary part of roundoff only, and the package returns float rows
+    for p in MP_PARAMS:
+        states = _levels_0_to_10(p)
+        xs = interior_grid(p, 31)
+        assert EigenFamily(states)(xs).dtype == np.float64
+        assert eigenfunction(p, 0, 4)(xs).dtype == np.float64
+        for f, row in zip(states, full_length_rows(states, xs)):
+            assert np.max(np.abs(row.imag)) <= 1e-12 * np.max(np.abs(row.real)), (p, f.idx)
+
+
+@pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
+def test_fourier_rows_are_conjugate_symmetric(p):
+    # G_(n - k) = conj G_k, which the real rows rely on, holds to a few ulps
+    eps = np.finfo(float).eps
+    for f in _levels_0_to_10(p):
+        g = f._fourier
+        assert np.all(np.abs(g[::-1] - g.conj()) <= 4.0 * eps * np.abs(g)), f.idx
+
+
+@pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
+def test_half_rows_match_full_length_route(p):
+    # the upper-half real sum against the real part of the full complex sum.
+    # Both are Horner passes whose roundoff is at most a few (n + 1) eps
+    # envelope(x) sum_k |G_k|; at level 10, n 10 that reaches 4.9e-13 to
+    # 7.8e-13 of max |phi| on these grids, where both routes also differ from
+    # the 60-digit route by 3e-13 to 9e-13, so the bound is the conditioning
+    # of the sum and not a fixed fraction of max |phi|
+    eps = np.finfo(float).eps
+    xs = np.concatenate([interior_grid(p, 59, clamp=0.01), np.array([1e-6, 1e-3, 0.999]) * p.length])
+    theta = np.pi * xs / p.length
+    states = _levels_0_to_10(p)
+    for f, row, old in zip(states, EigenFamily(states)(xs), full_length_rows(states, xs)):
+        envelope = np.exp(f.norm_data.log_K + f._gamma * xs + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
+        bound = 4.0 * (f.idx.n + 1) * eps * envelope * np.sum(np.abs(f._fourier))
+        assert np.all(np.abs(row - old.real) <= bound), f.idx
+
+
 @pytest.mark.parametrize("p", FAMILY_PARAMS, ids=["default", "gauge2"])
 def test_one_state_calls_match_family_rows(p):
     # a one-state call is the one-row family and keeps shape and type.  Its
@@ -364,7 +402,7 @@ def test_one_state_calls_match_family_rows(p):
         assert rows.shape == (len(states),) + np.shape(x)
         for f, row in zip(states, rows):
             alone = f(x)
-            assert np.shape(alone) == np.shape(x) and type(alone) is (complex if np.ndim(x) == 0 else np.ndarray)
+            assert np.shape(alone) == np.shape(x) and type(alone) is (float if np.ndim(x) == 0 else np.ndarray)
             if np.size(x) > 1:
                 assert _same_bits(alone, row), (f.idx, np.shape(x))
             assert np.all(np.abs(alone - row) <= 1e-13 * np.max(np.abs(rows))), (f.idx, np.shape(x))
@@ -424,7 +462,7 @@ def test_partner_explicit_matches_per_state_reference(p):
     # shape and type follow x, and the walls are exact zeros
     for x in _family_points(p):
         got = partner_eigenfunction_explicit(p, 3, x)
-        assert np.shape(got) == np.shape(x) and type(got) is (complex if np.ndim(x) == 0 else np.ndarray)
+        assert np.shape(got) == np.shape(x) and type(got) is (float if np.ndim(x) == 0 else np.ndarray)
         assert np.all(np.asarray(got)[np.isin(np.asarray(x), [0.0, p.length])] == 0.0)
 
 
