@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import DegreeCapError, DomainError, PtsusyError
 from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_interval
-from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
+from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
 from .wavefn import _leading_loop, eigenfunction
 
 #: Relative clamp keeping operator evaluations away from the wall singularities.
@@ -472,10 +472,11 @@ def verify_operator_identities(
 
     The mandatory identities need states of degree up to max(n + m + 1, m + 4),
     the latter for the operand corpus of level m + 1.  Above ``LEVEL_CAP``
-    the cell cannot be certified and raises ``DegreeCapError`` up front.  Any
-    other ``PtsusyError`` inside one identity, such as an informational state
-    above the cap or an integral out of panels, ends only that identity: its
-    rows carry the error's type name as the residual and its message under
+    the cell cannot be certified and raises ``DegreeCapError`` up front, and
+    an index that ``level_number`` rejects raises ``DomainError``.  Any other
+    ``PtsusyError`` inside one identity, such as an informational state above
+    the cap or an integral out of panels, ends only that identity: its rows
+    carry the error's type name as the residual and its message under
     "error" in details, and are not passed if mandatory, skipped if
     informational.
 
@@ -500,6 +501,7 @@ def verify_operator_identities(
     the walls.  The words of the call go through the fold memo of
     ``apply_word``; the rows do not depend on what it holds.
     """
+    n, m = level_number(n), level_number(m)
     degree = max(n + m + 1, m + 4)
     if degree > LEVEL_CAP:
         raise DegreeCapError(f"cell (n={n}, m={m}) needs states of degree {degree}, which exceeds cap {LEVEL_CAP}")

@@ -11,7 +11,9 @@ refinement step with the nodes of several panels, and ``integrate_real_line``
 reads its first truncation check off the ends of its coarse probe.  One
 caller bends this rule: the integrand of ``coherent.identity_gram_projection``
 computes its resolution kernel at all nodes of a call on shared panels, so a
-node's value moves with the other nodes by about the kernel's tolerance.
+node's value moves with the other nodes by about the kernel's tolerance; and
+the kernel's inner integrand by a few ulps, as ``specfun.log_abs_gamma`` sums
+a block of nodes in one matrix product, whose rounding may depend on its size.
 
 Both integrators are vector valued: an integrand may return an array of
 shape (..., n_nodes) whose last axis runs over the abscissas, and every

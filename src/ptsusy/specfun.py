@@ -7,9 +7,9 @@ complex argument.
 
 ``log_gamma`` is the general complex log-gamma.  Beside it, ``log_abs_gamma``
 gives only its real part, log|Gamma(x + iy)| on a line of fixed x, summed in
-real arithmetic over arrays of y: the resolution kernel needs nothing else,
-at hundreds of thousands of points per pass, and ``log_gamma`` is the
-reference its tests hold it to.
+real arithmetic over arrays of y as one matrix product, whose rounding may
+depend on the batch: the resolution kernel needs nothing else, at hundreds of
+thousands of points per pass, and ``log_gamma`` is its tests' reference.
 
 Jacobi polynomials are supplied as their power-series coefficients in
 (1 - z)/2.  Nothing in the package sums them (``wavefn`` uses the two-sided
@@ -127,6 +127,16 @@ def log_gamma(z):
     return out[0] if scalar else out
 
 
+@lru_cache(maxsize=64)
+def _lanczos_rows(x: float) -> tuple:
+    # read-only M = [c_i a_i; -c_i] and a_i^2 of log_abs_gamma, a_i = x - 1 + i
+    a = x - 1.0 + np.arange(1.0, len(_LANCZOS_C))
+    c = np.array(_LANCZOS_C[1:])
+    m, a2 = np.stack((c * a, -c)), a * a
+    m.flags.writeable = a2.flags.writeable = False
+    return m, a2
+
+
 def log_abs_gamma(x: float, y):
     """log|Gamma(x + iy)| for a real scalar x >= 0.5 and a real array y.
 
@@ -135,29 +145,26 @@ def log_abs_gamma(x: float, y):
     points per call, and the complex sum pays for 14 complex divisions and
     two complex logarithms per point.  Same g and coefficients as
     ``log_gamma``, which stays the general function and this one's reference.
-    With a = x - 1 + i, each partial fraction c_i / (a + iy) adds
-    a r to Re S and -y r to Im S, r = c_i / (a^2 + y^2); the working arrays
-    have the shape of y.  |y| must stay below 1e150, where y^2 is finite.
-    Returns an array of y's shape, or a float for a scalar y.
+    With a_i = x - 1 + i and r_i = 1 / (a_i^2 + y^2), the partial fractions
+    c_i / (a_i + iy) sum to Re S = c_0 + sum c_i a_i r_i and Im S = -y sum c_i
+    r_i: one matrix product of M = [c_i a_i; -c_i], built once per x, and the
+    (14, N) array of r_i.  BLAS may order that sum by N, so a value can differ
+    from a one-point call by a few ulps.  |y| must stay below 1e150, where
+    y^2 is finite.  Returns an array of y's shape, or a float for a scalar y.
     """
     x = float(x)
     if not x >= 0.5 or not math.isfinite(x):
         raise DomainError(f"log_abs_gamma needs a finite x >= 0.5, got {x!r}")
     scalar = np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if not np.all(np.abs(y) < 1e150):
+    if not np.abs(y).max(initial=0.0) < 1e150:
         raise DomainError("log_abs_gamma needs finite |y| < 1e150")
+    m, a2 = _lanczos_rows(x)
     y2 = y * y
-    re = np.full(y.shape, _LANCZOS_C[0])
-    im = np.zeros(y.shape)
-    r = np.empty(y.shape)
-    for i in range(1, len(_LANCZOS_C)):
-        a = x - 1.0 + i
-        np.add(y2, a * a, out=r)
-        np.divide(_LANCZOS_C[i], r, out=r)
-        im -= r
-        r *= a
-        re += r
+    r = np.add.outer(a2, y2.ravel())
+    np.divide(1.0, r, out=r)  # in place; faster than np.reciprocal on floats
+    re, im = (m @ r).reshape((2,) + y.shape)
+    re += _LANCZOS_C[0]
     im *= y
     t = x - 0.5 + _LANCZOS_G
     # log|S|^2 overwrites re and (x - 1/2) log|t + iy| overwrites y2

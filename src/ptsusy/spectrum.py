@@ -50,15 +50,15 @@ def level_number(value) -> int:
     """A level or excitation index as an ``int``, or ``DomainError``.
 
     Accepts any integer type and any real whole number (2.0, ``np.int64(2)``);
-    a fraction, a non-finite value or a non-number is rejected, so an index
-    never reaches ``range`` or an array subscript as anything but an int.
+    a fraction, a non-finite value, a ``bool`` or a non-number is rejected, so
+    an index never reaches ``range`` or an array subscript as anything but an
+    int.
     """
-    if isinstance(value, numbers.Integral):
-        value = int(value)
-    elif isinstance(value, numbers.Real) and float(value).is_integer():
-        value = int(value)
-    else:
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
+    ):
         raise DomainError(f"level indices must be integers, got {value!r}")
+    value = int(value)
     if value < 0:
         raise DomainError("level indices must be nonnegative")
     return value

@@ -110,7 +110,7 @@ def ground_ladder(params: ModelParams) -> np.ndarray:
     return ladder
 
 
-@lru_cache(maxsize=2048)
+@lru_cache(maxsize=2048, typed=True)  # typed: True must not hit the entry of 1
 def normalization_K(params: ModelParams, n: int) -> NormalizationData:
     """Normalization constant of the n-th base eigenfunction, in log form.
 
@@ -301,7 +301,7 @@ class EigenFamily:
         return out.reshape((len(out),) + arr.shape)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)  # typed: True must not hit the entry of 1
 def eigenfunction(params: ModelParams, m: int, n: int) -> EigenFunction:
     """Cached EigenFunction factory."""
     return EigenFunction(params, LevelIndex(m=m, n=n))

@@ -68,6 +68,12 @@ all n + 1 coefficients, then the turn e^(-i n theta), complex rows out.  Its
 imaginary part is the roundoff that the real rows no longer carry, so it is
 the check that the phase convention makes every state real.
 
+``fraction_loop_log_abs_gamma`` is ``specfun.log_abs_gamma`` as it was
+before its partial fractions became one matrix product: one fraction at a
+time over arrays of y's shape, then the same real-arithmetic tail.  The
+product sums the same terms in another order, so the two agree to a few
+ulps, not bit for bit.
+
 ``gap_factor_N_loop`` is ``spectrum.gap_factor_N`` as it was before it
 became the M^2 product M^2(2n - m, m): its own loop over the rungs of the
 diagonal chain.  Both take the same factors in the same order, so they must
@@ -102,7 +108,7 @@ from ptsusy.errors import (
 )
 from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
 from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
-from ptsusy.specfun import log_gamma
+from ptsusy.specfun import _LANCZOS_C, _LANCZOS_G, _LOG_2PI, log_gamma
 from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, _gap_product_logs, energy, phase_alpha
 from ptsusy.wavefn import normalization_K
 
@@ -689,3 +695,23 @@ def full_length_rows(states, x):
         envelope = np.exp(f.norm_data.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
         rows.append(envelope * acc * np.exp(-1j * f.idx.n * theta))
     return np.array(rows)
+
+
+def fraction_loop_log_abs_gamma(x: float, y):
+    """log|Gamma(x + iy)| for a real x >= 0.5 and a real array y, summing the
+    Lanczos partial fractions c_i / (a + iy), a = x - 1 + i, one at a time
+    and then the tail of ``specfun.log_abs_gamma`` in its order of steps."""
+    y = np.asarray(y, dtype=float)
+    y2 = y * y
+    re = np.full(y.shape, _LANCZOS_C[0])
+    im = np.zeros(y.shape)
+    for i in range(1, len(_LANCZOS_C)):
+        a = x - 1.0 + i
+        r = _LANCZOS_C[i] / (y2 + a * a)
+        im -= r
+        re += a * r
+    im *= y
+    t = x - 0.5 + _LANCZOS_G
+    log_s2 = np.log(re * re + im * im)
+    log_t = 0.5 * (x - 0.5) * np.log(y2 + t * t)
+    return (log_t - y * np.arctan2(y, t)) + (0.5 * log_s2 + (0.5 * _LOG_2PI - t))

@@ -186,6 +186,16 @@ def test_fractional_level_rejected():
     assert resolution_kernel(DEFAULT, 1.0, 0.5) == resolution_kernel(DEFAULT, 1, 0.5)
 
 
+def test_bool_level_rejected():
+    # a bool is no level, though it is an Integral
+    with pytest.raises(DomainError, match="integers, got True"):
+        resolution_kernel(DEFAULT, True, 0.5)
+    with pytest.raises(DomainError, match="integers, got False"):
+        resolution_kernel(DEFAULT, False, np.array([0.3, 0.5]))
+    with pytest.raises(DomainError, match="integers, got True"):
+        CoherentState(DEFAULT, True, PhasePoint(0.3, 0.0))
+
+
 def test_phase_point_domain_guard():
     with pytest.raises(DomainError):
         CoherentState(DEFAULT, 0, PhasePoint(0.0, 0.0))

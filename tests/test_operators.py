@@ -284,6 +284,18 @@ def test_cell_above_the_level_cap_is_rejected_up_front(monkeypatch, n, m, degree
         verify_operator_identities(DEFAULT, n, m)
 
 
+@pytest.mark.parametrize(("n", "m"), [(True, 0), (0, True), (1, False), (0.5, 0), (0, 1.5)])
+def test_cell_with_a_non_index_is_rejected_up_front(monkeypatch, n, m):
+    # a bool or a fraction is no index: DomainError before any state or row,
+    # where (0, True) once ran the suite at m = 1 and (0.5, 0) raised TypeError
+    def no_states(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(operators, "eigenfunction", no_states)
+    with pytest.raises(DomainError, match="level indices must be integers"):
+        verify_operator_identities(DEFAULT, n, m)
+
+
 @pytest.mark.parametrize(("n", "m"), [(0, 16), (19, 0)])
 def test_cells_at_the_level_cap_are_certified(n, m):
     results = verify_operator_identities(DEFAULT, n, m)

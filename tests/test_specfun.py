@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ptsusy.errors import DegreeCapError, DomainError
 from ptsusy.specfun import DEGREE_CAP, jacobi_series_coefficients, log_abs_gamma, log_gamma, pochhammer
 
-from oracles import log_pochhammer, scaled_phase_sum
+from oracles import fraction_loop_log_abs_gamma, log_pochhammer, scaled_phase_sum
 
 mpmath.mp.dps = 40
 
@@ -114,10 +114,14 @@ ABS_GAMMA_X = (0.5, 2.0, 3.03, 7.5)
 ABS_GAMMA_Y = np.array([0.0, 1e-3, -1e-3, 1.0, -1.0, 30.0, -30.0, 1e3, -1e3, 1e5, -1e5])
 
 
-@pytest.mark.parametrize("x", ABS_GAMMA_X)
+# the mpmath check also reaches x = 62 (nu = 60 at level 0) and |y| up to the 1e150 limit
+ABS_GAMMA_Y_WIDE = np.concatenate((ABS_GAMMA_Y, [1e8, -1e8, 1e12, -1e12, 1e149, -1e149]))
+
+
+@pytest.mark.parametrize("x", ABS_GAMMA_X + (22.0, 62.0))
 def test_log_abs_gamma_against_mpmath(x):
-    got = log_abs_gamma(x, ABS_GAMMA_Y)
-    for y, g in zip(ABS_GAMMA_Y, got):
+    got = log_abs_gamma(x, ABS_GAMMA_Y_WIDE)
+    for y, g in zip(ABS_GAMMA_Y_WIDE, got):
         ref = float(mpmath.loggamma(mpmath.mpc(x, y)).real)
         assert abs(g - ref) <= 1e-13 * max(1.0, abs(ref)), (x, y)
 
@@ -140,6 +144,27 @@ def test_log_abs_gamma_is_even_in_y(x, y):
     assert abs(got[0] - got[1]) <= 1e-15 * max(1.0, abs(got[0]))
     ref = log_gamma(complex(x, y)).real
     assert abs(got[0] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("x", [0.5, 3.03, 22.0, 62.0])
+def test_log_abs_gamma_batch_matches_one_point_calls(x):
+    # the partial fractions are one BLAS product, whose rounding may depend
+    # on the batch size; a batch of 4,099 y spread over nine decades of |y|
+    # stays within a few ulps of one-point calls
+    rng = np.random.default_rng(11)
+    ys = rng.standard_normal(4099) * 10.0 ** rng.uniform(-3.0, 6.0, 4099)
+    batch = log_abs_gamma(x, ys)
+    single = np.array([log_abs_gamma(x, y) for y in ys])
+    assert np.all(np.abs(batch - single) <= 4e-15 * np.maximum(1.0, np.abs(single)))
+
+
+@pytest.mark.parametrize("x", ABS_GAMMA_X + (22.0, 62.0))
+def test_log_abs_gamma_matches_the_fraction_loop(x):
+    # the matrix product sums the loop's terms in another order: a few ulps
+    ys = np.concatenate((ABS_GAMMA_Y_WIDE, np.random.default_rng(13).standard_normal(500) * 50.0))
+    got = log_abs_gamma(x, ys)
+    ref = fraction_loop_log_abs_gamma(x, ys)
+    assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
 
 
 def test_log_abs_gamma_shapes_and_domain():

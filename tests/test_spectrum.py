@@ -131,6 +131,13 @@ def test_invalid_parameters_rejected():
         LevelIndex(m=-1, n=0)
 
 
+@pytest.mark.parametrize(("m", "n"), [(True, 0), (0, False), (True, True)])
+def test_bool_level_indices_rejected(m, n):
+    # bool is an Integral, but True is not level 1
+    with pytest.raises(DomainError, match="level indices must be integers, got (True|False)"):
+        LevelIndex(m, n)
+
+
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("field", ["nu", "beta", "hbar", "length", "mass"])
 def test_nonfinite_parameters_rejected(field, value):

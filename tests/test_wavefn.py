@@ -143,6 +143,19 @@ def test_bad_indices_raise_domain_error(n):
         LevelIndex(m=0, n=n)
 
 
+def test_bool_indices_build_no_state():
+    # eigenfunction(p, True, True) once built the state (1, 1); with (1, 1)
+    # and K_1 cached first, a bool must still miss their cache entries
+    for m, n in ((1, 1), (1, 0), (0, 0)):
+        eigenfunction(DEFAULT, m, n)
+    normalization_K(DEFAULT, 1)
+    for m, n in ((True, True), (True, 0), (0, False)):
+        with pytest.raises(DomainError, match="integers"):
+            eigenfunction(DEFAULT, m, n)
+    with pytest.raises(DomainError, match="integers"):
+        normalization_K(DEFAULT, True)
+
+
 def test_index_above_level_cap_raises_before_the_ladder():
     with pytest.raises(DegreeCapError):
         normalization_K(DEFAULT, LEVEL_CAP + 1)
