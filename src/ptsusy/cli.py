@@ -100,6 +100,8 @@ def load_config(path: str) -> dict:
                 if not all(map(math.isfinite, out[key])):
                     raise ConfigError(f"{path}:{lineno}: field {key}: expected finite numbers, got {value!r}")
             elif key.startswith("tol_"):
+                if not any(key[4:] in names for names in _TOLERANCES.values()):
+                    raise ConfigError(f"{path}:{lineno}: field {key}: no subcommand reads a tolerance of that name")
                 out.setdefault("tol", {})[key[4:]] = _tolerance(value, f"{path}:{lineno}: field {key}")
             elif key == "format" and value not in _FORMATS:
                 raise ConfigError(f"{path}:{lineno}: field format: expected csv or json, got {value!r}")
@@ -173,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--m", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--grid", type=int, default=None, help="verification grid size")
+    sp.add_argument("--grid", type=int, default=None, help="identity grid size, spanning to EDGE_CLAMP L from each wall")
     sp.add_argument(
         "--corrupt-w-sign",
         action="store_true",

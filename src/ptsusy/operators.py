@@ -30,8 +30,9 @@ is evaluated in one Horner pass in place, which a row joins at its own
 degree, so each row sees the same operations as when it is evaluated alone.
 
 The verification suite evaluates every operator identity of the hierarchy on
-sample grids and reports one relative residual per identity, flagging the
-deliberately ambiguous ones as informational rather than asserting them.
+one sample grid or by quadrature and reports one relative residual per
+identity, flagging the deliberately ambiguous ones as informational rather
+than asserting them.
 Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
 apply to one operand is folded once.  The identities that depend on the
@@ -56,7 +57,7 @@ from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integr
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
 from .wavefn import _leading_loop, eigenfunction
 
-#: Relative clamp keeping operator evaluations away from the wall singularities.
+#: Relative clamp keeping the identity grid and the quadratures off the walls.
 EDGE_CLAMP = 1e-6
 
 
@@ -312,16 +313,11 @@ class _OperandStack:
         return iter(self.funcs)
 
 
-def default_grid(params: ModelParams, size: int = 161, clamp: float = 0.02) -> np.ndarray:
-    """Uniform interior grid clamped away from the walls.
-
-    Identity checks use a clamp of 0.02 L, and 0.1 L for chains of depth
-    three and beyond (see ``verify_operator_identities``).  Quadrature keeps
-    the much smaller EDGE_CLAMP since integrals weight the edge region by its
-    tiny measure.
-    """
+def default_grid(params: ModelParams, size: int = 161) -> np.ndarray:
+    """The identity grid: ``size`` uniform points from EDGE_CLAMP L to
+    (1 - EDGE_CLAMP) L, the bounds of the suite's quadratures."""
     L = params.length
-    return np.linspace(clamp * L, (1.0 - clamp) * L, size)
+    return np.linspace(EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, size)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +392,6 @@ def _level_identities(
     # The rows are shared by every caller; ``verify_operator_identities``
     # hands out copies.
     grid = default_grid(params, grid_size)
-    bulk = default_grid(params, grid_size, clamp=0.1)
     head: list[IdentityResult] = []
     tail: list[IdentityResult] = []
     idx = {"m": m}
@@ -426,8 +421,8 @@ def _level_identities(
     # Single-step intertwining, both directions.  An annihilated member, such
     # as the ground state under A_m, folds to exactly 0 on both sides.
     def worst_of(stack, lhs_word, rhs_word, worst=0.0):
-        lhs = apply_word(params, lhs_word, stack, bulk, sign)
-        rhs = apply_word(params, rhs_word, stack, bulk, sign)
+        lhs = apply_word(params, lhs_word, stack, grid, sign)
+        rhs = apply_word(params, rhs_word, stack, grid, sign)
         return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
 
     with _identity(head, idx, grid_size, "intertwining_single", threshold=1e-7) as record:
@@ -491,24 +486,26 @@ def verify_operator_identities(
     and evaluates only the identities that depend on n.  The values are the
     same bit for bit as a call with an empty memo.
 
-    Depth-1 and depth-2 words are checked on [0.02 L, 0.98 L] and chains of
-    depth three and beyond on the bulk span [0.1 L, 0.9 L].  The bulk span
-    is not load-bearing: since the states are summed in the two-sided
-    binomial form, every one of the 204 cells n + m <= 19 under the level
-    cap passes on nu = 1, beta = 2, on nu = 0, beta = 0 and on nu = 1,
-    beta = 0 when every grid, the bulk included, is clamped at 1e-3 L or at
-    1e-5 L instead.  The quadrature identities integrate to within 1e-6 L of
-    the walls.  The words of the call go through the fold memo of
+    Every pointwise identity is checked on ``default_grid(params, grid_size)``;
+    a ``grid_size`` that is not a whole number of at least 3 raises
+    ``DomainError``.  The words of the call go through the fold memo of
     ``apply_word``; the rows do not depend on what it holds.
     """
     n, m = level_number(n), level_number(m)
+    try:  # a count of points, read as level_number reads an index
+        size = level_number(grid_size)
+    except DomainError:
+        size = 0
+    if size < 3:
+        raise DomainError(f"grid_size must be a whole number of at least 3, got {grid_size!r}")
+    grid_size = size
     degree = max(n + m + 1, m + 4)
     if degree > LEVEL_CAP:
         raise DegreeCapError(f"cell (n={n}, m={m}) needs states of degree {degree}, which exceeds cap {LEVEL_CAP}")
     if config is None:
         config = replace(DEFAULT_CONFIG, abs_tol=1e-13, rel_tol=1e-11)
     head, tail = _level_identities(params, m, grid_size, sign, config)
-    bulk = default_grid(params, grid_size, clamp=0.1)
+    grid = default_grid(params, grid_size)
     idx = {"n": n, "m": m}
 
     def stamped(rows):
@@ -523,7 +520,6 @@ def verify_operator_identities(
     lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
     two_m = 2.0 * params.mass
     e0_level = lambda k: energy(params, LevelIndex(0, k))
-    on_bulk = lru_cache(maxsize=None)(lambda state: state(bulk))
     # the chain B = A_m ... A_0 and its adjoint, and the partial chains
     # Lambda (levels m+1..n, empty unless n > m) and Theta (levels n+1..m,
     # empty unless m > n) with their adjoints; the first entry acts first
@@ -535,6 +531,7 @@ def verify_operator_identities(
     theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
     # state n of levels 0, m and m + 1, each of degree at most n + m + 1
     phi_n, phi_m, phi_up = (eigenfunction(params, level, n) for level in (0, m, m + 1))
+    phi_up_grid = phi_up(grid)
 
     def chain_eigenvalue(e, levels):
         # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
@@ -561,25 +558,25 @@ def verify_operator_identities(
     # the chain: the residual is scaled by the other factors, so it does not
     # rest on the fold leaving the chain exactly 0.
     with identity("product_BdagB", "supercharge_anticommutator_block0", threshold=1e-9) as record:
-        lhs = apply_word(params, word_b + word_bdag, phi_n, bulk, sign)
-        phi_n_bulk = on_bulk(phi_n)
-        scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_bulk)))
+        lhs = apply_word(params, word_b + word_bdag, phi_n, grid, sign)
+        phi_n_grid = phi_n(grid)
+        scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_grid)))
         for k in range(m + 1):
             if k != n:
                 scale *= abs(phi_n.energy - e0_level(k))
-        rhs = chain_eigenvalue(phi_n.energy, range(m + 1)) * phi_n_bulk
+        rhs = chain_eigenvalue(phi_n.energy, range(m + 1)) * phi_n_grid
         record(_rel(lhs, rhs, scale=scale), {"annihilating_branch": n <= m})
 
     eig_up = chain_eigenvalue(phi_up.energy, range(m + 1))
     with identity("product_BBdag", "supercharge_anticommutator_block1", threshold=1e-9) as record:
-        lhs = apply_word(params, word_bdag + word_b, phi_up, bulk, sign)
-        record(_rel(lhs, eig_up * on_bulk(phi_up)))
+        lhs = apply_word(params, word_bdag + word_b, phi_up, grid, sign)
+        record(_rel(lhs, eig_up * phi_up_grid))
 
     # Chain action with the closed-form gap factor.
     pref = rung ** (m + 1) * gap_factor_M(params, n, m)
     with identity("ladder_action", threshold=1e-8) as record:
-        lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), bulk, sign)
-        record(_rel(lhs, pref * on_bulk(phi_up)))
+        lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), grid, sign)
+        record(_rel(lhs, pref * phi_up_grid))
 
     # Mean values of the chain products by quadrature.
     with identity("mean_BBdag", threshold=1e-8) as record:
@@ -609,17 +606,17 @@ def verify_operator_identities(
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
         with identity("mixed_product") as record:
-            lhs = apply_word(params, word_bdag + word_b[: n + 1] + lam, phi_up, bulk, sign)
+            lhs = apply_word(params, word_bdag + word_b[: n + 1] + lam, phi_up, grid, sign)
             details = {}
             if n > m:
-                rhs = eig_up * apply_word(params, lam, phi_up, bulk, sign)
+                rhs = eig_up * apply_word(params, lam, phi_up, grid, sign)
                 details["lambda_form"] = _rel(lhs, rhs)
             else:
                 # theta first, then the operator polynomial prod_k (H - E_k) folded directly
                 terms = _fold(params, theta, phi_up, sign).terms
                 for k in range(n + 1):
                     terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
-                rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms), bulk))
+                rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms), grid))
                 details["theta_form"] = _rel(lhs, rhs)
             (best,) = details
             details["matching_variant"] = best
@@ -629,14 +626,14 @@ def verify_operator_identities(
     if n > m:
         with identity("partial_chain_product") as record:
             phi_hi = eigenfunction(params, n + 1, 0)
-            lhs = apply_word(params, lam_dag + lam, phi_hi, bulk, sign)
+            lhs = apply_word(params, lam_dag + lam, phi_hi, grid, sign)
             core = 1.0
             for k in range(m + 1, n + 1):
                 core *= phi_hi.energy - e0_level(k)
-            phi_hi_bulk = on_bulk(phi_hi)
+            phi_hi_grid = phi_hi(grid)
             variants = {
-                "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_bulk),
-                "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_bulk) if m > 0 else float("inf"),
+                "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_grid),
+                "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_grid) if m > 0 else float("inf"),
             }
             variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
             record(variants[variants["matching_variant"]], variants)

@@ -519,6 +519,34 @@ def test_tolerance_flags_the_command_does_not_read_rejected(capsys, command, fla
     assert captured.err.splitlines() == [f"ptsusy: config error: flag {flag}: {command} reads no tolerance of that name"]
 
 
+@pytest.mark.parametrize("command", ["verify", "coherent"])
+def test_config_tolerance_no_subcommand_reads_rejected(tmp_path, capsys, command):
+    # a misspelled tolerance in a config file used to run with the default
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("nu = 1.0\ntol_ladder_actoin = 1e-3\n")
+    assert ptsusy.cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"ptsusy: config error: {cfg}:2: field tol_ladder_actoin: no subcommand reads a tolerance of that name"
+    ]
+
+
+@pytest.mark.parametrize(
+    ("command", "extra"), [("verify", ["--n", "1", "--m", "0"]), ("coherent", ["--skip-resolution"])]
+)
+def test_config_tolerance_of_the_other_subcommand_accepted(tmp_path, capsys, command, extra):
+    # one file may serve both subcommands; each reads its own tolerances
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("tol_ladder_action = 1e-3\ntol_overlap = 1e-3\n")
+    assert ptsusy.cli.main([command, "--config", str(cfg), "--format", "json", *extra]) == 0
+    report = json.loads(capsys.readouterr().out)
+    if command == "verify":
+        assert {e["name"]: e for e in report["identities"]}["ladder_action"]["threshold"] == 1e-3
+    else:
+        assert report["tolerances"]["overlap"] == 1e-3
+
+
 def test_verify_tolerance_names_are_the_mandatory_identities():
     # at n > m every mandatory identity has a row, in report order
     results = ptsusy.operators.verify_operator_identities(ptsusy.cli._params(ptsusy.cli._DEFAULTS), 2, 1)

@@ -3,6 +3,7 @@ routes, word application, and the identity verification suite including its
 negative control."""
 
 import math
+import re
 import time
 from dataclasses import dataclass, replace
 
@@ -200,8 +201,8 @@ def test_trig_poly_bump_deterministic_and_zero_at_walls():
 
 def test_default_grid_interior():
     g = default_grid(DEFAULT, size=101)
-    assert g[0] >= 0.02 * DEFAULT.length
-    assert g[-1] <= 0.98 * DEFAULT.length
+    assert g[0] == EDGE_CLAMP * DEFAULT.length
+    assert g[-1] == (1.0 - EDGE_CLAMP) * DEFAULT.length
     assert len(g) == 101
 
 
@@ -296,6 +297,45 @@ def test_cell_with_a_non_index_is_rejected_up_front(monkeypatch, n, m):
         verify_operator_identities(DEFAULT, n, m)
 
 
+@pytest.mark.parametrize("grid_size", [0, -1, 2, 2.5, True, "5"])
+def test_grid_size_below_three_or_not_whole_is_rejected_up_front(monkeypatch, grid_size):
+    # 0 and -1 raised numpy's ValueError, 2.5 and "5" a TypeError, and True
+    # ran a grid of one point under the memo key of 1
+    def no_rows(*args):
+        raise AssertionError("the level rows were reached")
+
+    monkeypatch.setattr(operators, "_level_identities", no_rows)
+    message = f"grid_size must be a whole number of at least 3, got {grid_size!r}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        verify_operator_identities(DEFAULT, 1, 0, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("grid_size", [3, np.int64(161)])
+def test_grid_size_whole_numbers_from_three_accepted(grid_size):
+    results = verify_operator_identities(DEFAULT, 1, 0, grid_size=grid_size)
+    assert {r.grid_size for r in results} == {int(grid_size)}
+    assert all(type(r.grid_size) is int for r in results)
+    assert all(r.passed for r in results if not r.informational)
+
+
+def test_every_pointwise_identity_uses_the_one_grid(monkeypatch):
+    # every word evaluated at grid_size points sees default_grid itself; the
+    # chains of depth three and beyond once went to a [0.1 L, 0.9 L] grid
+    grids = []
+    real = operators.apply_word
+
+    def spy(params, word, func, x, sign=1.0):
+        grids.append(np.asarray(x))
+        return real(params, word, func, x, sign)
+
+    monkeypatch.setattr(operators, "apply_word", spy)
+    verify_operator_identities(DEFAULT, 3, 2)
+    on_grid = [x for x in grids if x.size == 161]
+    assert len(on_grid) >= 10
+    for x in on_grid:
+        np.testing.assert_array_equal(x, default_grid(DEFAULT))
+
+
 @pytest.mark.parametrize(("n", "m"), [(0, 16), (19, 0)])
 def test_cells_at_the_level_cap_are_certified(n, m):
     results = verify_operator_identities(DEFAULT, n, m)
@@ -329,7 +369,7 @@ def test_stacked_operand_matches_per_operand_fold(m):
     rng = np.random.default_rng(40 + m)
     members = operators.test_corpus(DEFAULT, m)
     stack = operators._OperandStack(members)
-    for grid in (default_grid(DEFAULT), default_grid(DEFAULT, clamp=0.1)):
+    for grid in (default_grid(DEFAULT), interior_grid(DEFAULT, 161, clamp=0.1)):
         for word in _words(m, rng):
             for sign in (1.0, -1.0):
                 stacked = apply_word(DEFAULT, word, stack, grid, sign)
@@ -647,7 +687,7 @@ def test_word_matches_jet_oracle(m):
     # the cotangent fold against the Taylor-jet fold on the bulk grid; an
     # annihilated result is measured in the word's natural unit instead
     rng = np.random.default_rng(40 + m)
-    bulk = default_grid(DEFAULT, clamp=0.1)
+    bulk = interior_grid(DEFAULT, 161, clamp=0.1)
     corpus = operators.test_corpus(DEFAULT, m)
     operands = corpus + [CoherentState(DEFAULT, m, PhasePoint(0.3, 2.0)), operators._OperandStack(corpus)]
     for word in _words(m, rng):
@@ -713,7 +753,10 @@ def test_product_bdagb_scale_does_not_rest_on_exact_annihilation(monkeypatch):
     # scale vanishes.  With the noise floor off, the fold leaves roundoff
     # where the chain should vanish; scaled by the nonvanishing factors it
     # stays a roundoff-sized residual (it read 1e298 with the zero factor).
+    # On [0.1 L, 0.9 L]: near the walls cot^j amplifies that roundoff, which
+    # the floor would drop, far beyond the threshold.
     monkeypatch.setattr(operators, "NOISE_FLOOR", 0.0)
+    monkeypatch.setattr(operators, "default_grid", lambda p, size=161: interior_grid(p, size, clamp=0.1))
     res = {r.name: r for r in verify_operator_identities(DEFAULT, 5, 5)}["product_BdagB"]
     assert res.details["annihilating_branch"] is True
     assert res.max_residual < 1e-9
@@ -731,18 +774,18 @@ def test_eigen_residual_does_not_depend_on_the_energy_scale():
 
 def _per_operand_residuals(params, n, m, sign):
     """factorization and both intertwining residuals, one operand at a time."""
-    grid, bulk = default_grid(params), default_grid(params, clamp=0.1)
+    grid = default_grid(params)
     two_m = 2.0 * params.mass
     e0_m = energy(params, LevelIndex(m, 0))
 
     def op_floor(f, depth):
         unit = (math.pi * params.hbar / params.length) ** (depth - 2)
-        return params.epsilon0 * unit * float(np.max(np.abs(f(bulk))))
+        return params.epsilon0 * unit * float(np.max(np.abs(f(grid))))
 
     def worst_of(funcs, lhs_word, rhs_word, depth, worst=0.0):
         for f in funcs:
-            lhs = apply_word(params, lhs_word, f, bulk, sign)
-            rhs = apply_word(params, rhs_word, f, bulk, sign)
+            lhs = apply_word(params, lhs_word, f, grid, sign)
+            rhs = apply_word(params, rhs_word, f, grid, sign)
             scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), op_floor(f, depth))
             worst = max(worst, _rel(lhs, rhs, scale=scale))
         return worst
