@@ -29,9 +29,10 @@ from .wavefn import EigenFamily, eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
 #: Most points one ``log_abs_gamma`` call of ``resolution_kernel`` receives;
-#: its working array is 14 x block floats.  Larger is faster but bigger: one
-#: ``completeness`` benchmark pass (seed 1, 2-core x86) took 11.2, 9.8 and 10.1
-#: ms at 4096, 16384 and no bound, and peaked at 37.4, 39.4 and 42.3 MB RSS.
+#: its working array is 14 x block floats.  Larger is faster but bigger: a warm
+#: ``completeness`` benchmark pass (seed 1, 2-core x86, median of 5 processes)
+#: took 7.2, 6.5 and 6.6 ms at 4096, 16384 and no bound, and the processes
+#: peaked at 37.9, 40.0 and 42.8 MB RSS.
 _KERNEL_BLOCK = 4096
 
 
@@ -172,10 +173,22 @@ def resolution_kernel(
                      / (1+u**2) du
 
     independent of beta: the tilt cancels between R**2 and the ground state.
+    Re lgamma(d'+2 + i(d'+1)u) = log|Gamma| is even in u, since
+    Gamma(conj z) = conj Gamma(z), and so is 1 + u**2, so only the drift
+    pi(d'+1)(1-2x/L) u is odd and the integral folds onto u >= 0:
+
+      G(x) = 4**(d'+1) / (pi Gamma(2d'+3)) sin(pi x/L)**(2d'+2)
+             * int_0^inf exp(2 Re lgamma(d'+2 + i(d'+1)u)) / (1+u**2)
+                     * (e^(d u) + e^(-d u)) du,   d = pi(d'+1)(1-2x/L),
+
+    one half-line integral in which each node costs one log|Gamma| for both
+    signs of u.  The two exponentials are summed as they are, since
+    2 cosh(d u) alone can overflow where the product does not.
     The u-integrand decays at least like exp(-|u| / decay(x)) with
     decay(x) = 1 / (2 pi (d'+1) min(x/L, 1 - x/L)).  Substituting
     u = decay(x) t gives every x the same decay in t, so all x share one set
-    of t nodes and the whole array is one vector-valued real-line integral.
+    of t nodes and the whole array is one vector-valued half-line integral
+    (``integrate_real_line`` with ``lower=0``).
     The front factor and the Jacobian decay(x) sit in the exponent, so each
     component integrates to G(x) itself, about 1.  Without that, near-wall
     components are many orders of magnitude larger than the others, and
@@ -191,9 +204,9 @@ def resolution_kernel(
     it by about its tolerance.  The integrand moves with the block too, by
     a few ulps, since the matrix product may round by its size.  Near a
     wall with d' < 1 the u-integrand has a layer of width about 1 around
-    u = 0, width about 2 pi min(x/L, 1 - x/L) in t, that the nodes can
-    miss: at nu = 0, m = 0 and x = 1e-3 L a one-point call reads
-    1 - 3.3e-6.
+    u = 0, width about 2 pi min(x/L, 1 - x/L) in t, at the end t = 0 of the
+    half line, that the nodes can miss: at nu = 0, m = 0 and x = 1e-3 L a
+    one-point call reads 1 - 3.3e-6.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, abs_tol=1e-10, rel_tol=1e-9)
@@ -215,20 +228,20 @@ def resolution_kernel(
     )
 
     def integrand(t):
-        # row i is the u-integrand of x_i at u = decay_i t, times decay_i and
-        # the front factor, so every row integrates to G(x_i)
+        # row i is the u-integrand of x_i at u = decay_i t and at -u, times
+        # decay_i and the front factor, so every row integrates to G(x_i) over t >= 0
         out = np.empty((xs.size, t.size))
         step = max(1, _KERNEL_BLOCK // t.size)
         for lo in range(0, xs.size, step):
             rows = slice(lo, lo + step)
             u = decay[rows, None] * t
-            expo = (
-                2.0 * log_abs_gamma(dp + 2.0, s * u) + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
-            )
-            out[rows] = np.exp(expo)
+            base = 2.0 * log_abs_gamma(dp + 2.0, s * u) + log_front[rows, None] - np.log1p(u * u)
+            tilt = drift[rows, None] * u
+            # the u-integrand at +u and at -u: two exps, not 2 cosh(tilt), which may overflow
+            out[rows] = np.exp(base + tilt) + np.exp(base - tilt)
         return out
 
-    g = integrate_real_line(integrand, 1.0, config).value.real.reshape(arr.shape)
+    g = integrate_real_line(integrand, 1.0, config, lower=0.0).value.real.reshape(arr.shape)
     return g if np.ndim(x) else float(g.ravel()[0])
 
 

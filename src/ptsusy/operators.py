@@ -44,6 +44,7 @@ each call receives copies stamped with its own indices.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -488,10 +489,13 @@ def verify_operator_identities(
 
     Every pointwise identity is checked on ``default_grid(params, grid_size)``;
     a ``grid_size`` that is not a whole number of at least 3 raises
-    ``DomainError``.  The words of the call go through the fold memo of
+    ``DomainError``, as does a ``sign`` other than the numbers 1 and -1 (a
+    bool included).  The words of the call go through the fold memo of
     ``apply_word``; the rows do not depend on what it holds.
     """
     n, m = level_number(n), level_number(m)
+    if isinstance(sign, bool) or not isinstance(sign, numbers.Real) or sign not in (1, -1):
+        raise DomainError(f"sign must be 1 or -1 (the negative control), got {sign!r}")
     try:  # a count of points, read as level_number reads an index
         size = level_number(grid_size)
     except DomainError:

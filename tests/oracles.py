@@ -10,7 +10,13 @@ integrator as it was before ``integrate_interval`` batched its panels: one
 integrand call per 15-node panel, the coarse panel of every child segment
 evaluated again, and a separate call for the first truncation check.  The
 batched integrator must reproduce their values, errors and errors raised bit
-for bit, with fewer integrand calls.
+for bit, with fewer integrand calls, on the whole line and on a half line.
+
+``two_sided_resolution_kernel`` is ``coherent.resolution_kernel`` as it was
+before its u-integral was folded onto u >= 0: one whole-line integral whose
+integrand takes log|Gamma| at +u and at -u separately; it reads what the
+kernel read before, bit for bit.  The folded integral puts its nodes
+elsewhere, so the two agree to the kernel's tolerance, not bit for bit.
 
 ``serial_jet_mul`` is the jet product as it was before ``Jet.__mul__``
 accumulated whole coefficient slices: a double loop over (k, j) with one
@@ -95,7 +101,7 @@ import mpmath
 import numpy as np
 
 from ptsusy import jets
-from ptsusy.coherent import CoherentState, cs_log_normalization
+from ptsusy.coherent import _KERNEL_BLOCK, CoherentState, cs_log_normalization
 from ptsusy.errors import (
     DegreeCapError,
     DomainError,
@@ -107,8 +113,15 @@ from ptsusy.errors import (
     TailBoundError,
 )
 from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
-from ptsusy.quadrature import BASE_RULE_ORDER, DEFAULT_CONFIG, MAX_EXPANSIONS, IntegralResult, integrate_interval
-from ptsusy.specfun import _LANCZOS_C, _LANCZOS_G, _LOG_2PI, log_gamma
+from ptsusy.quadrature import (
+    BASE_RULE_ORDER,
+    DEFAULT_CONFIG,
+    MAX_EXPANSIONS,
+    IntegralResult,
+    integrate_interval,
+    integrate_real_line,
+)
+from ptsusy.specfun import _LANCZOS_C, _LANCZOS_G, _LOG_2PI, log_abs_gamma, log_gamma
 from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, _gap_product_logs, energy, phase_alpha
 from ptsusy.wavefn import normalization_K
 
@@ -402,23 +415,64 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
     return IntegralResult(total, reported, evals)
 
 
-def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG):
-    """``integrate_real_line`` on ``panelwise_integrate``, probing every truncation point."""
+def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG, lower=-math.inf):
+    """``integrate_real_line`` on ``panelwise_integrate``, probing every truncation point.
+
+    lower = -inf integrates over the whole line, a finite lower over [lower, inf).
+    """
+    whole = lower == -math.inf
     u0 = 8.0 * decay_scale
-    probe = np.linspace(-u0, u0, 65)
+    probe = np.linspace(-u0, u0, 65) if whole else np.linspace(lower, lower + u0, 33)
     rough = abs(np.trapezoid(np.asarray(f(probe)), probe))
     u = u0
     for _ in range(MAX_EXPANSIONS):
-        edge = np.asarray(f(np.array([-u, u])))
+        cut = np.array([-u, u]) if whole else np.array([lower + u])
+        edge = np.asarray(f(cut))
         if not np.all(np.isfinite(edge)):
             raise NonFiniteIntegrandError("integrand not finite at the truncation points")
         tail = float(np.sum(np.abs(edge))) * decay_scale * 4.0
         tol = max(config.abs_tol, config.rel_tol * max(rough, 0.0))
         if tail <= 0.25 * max(tol, 1e-300):
-            core = panelwise_integrate(f, -u, u, config)
-            return IntegralResult(core.value, core.error + tail, core.evaluations + 2)
+            a, b = (-u, u) if whole else (lower, lower + u)
+            core = panelwise_integrate(f, a, b, config)
+            return IntegralResult(core.value, core.error + tail, core.evaluations + cut.size)
         u *= 1.6
-    raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
+    if whole:
+        raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
+    raise TailBoundError(f"could not certify the tail out to u = {lower + u:.3e}")
+
+
+def two_sided_resolution_kernel(params, m: int, x, config=None):
+    """``coherent.resolution_kernel`` over the whole u line, log|Gamma| at +u and -u apart."""
+    if config is None:
+        config = replace(DEFAULT_CONFIG, abs_tol=1e-10, rel_tol=1e-9)
+    dp = params.nu + m
+    s = dp + 1.0
+    L = params.length
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    decay = 1.0 / (2.0 * math.pi * s * np.minimum(xs / L, 1.0 - xs / L))
+    drift = math.pi * s * (1.0 - 2.0 * xs / L)
+    log_front = (
+        (dp + 1.0) * math.log(4.0)
+        - math.log(math.pi)
+        - math.lgamma(2.0 * dp + 3.0)
+        + (2.0 * dp + 2.0) * np.log(np.sin(math.pi * xs / L))
+        + np.log(decay)
+    )
+
+    def integrand(t):
+        out = np.empty((xs.size, t.size))
+        step = max(1, _KERNEL_BLOCK // t.size)
+        for lo in range(0, xs.size, step):
+            rows = slice(lo, lo + step)
+            u = decay[rows, None] * t
+            expo = (
+                2.0 * log_abs_gamma(dp + 2.0, s * u) + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
+            )
+            out[rows] = np.exp(expo)
+        return out
+
+    return integrate_real_line(integrand, 1.0, config).value.real.reshape(np.shape(x))
 
 
 def log_master_integral(delta: float, z: complex) -> complex:

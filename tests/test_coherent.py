@@ -25,7 +25,14 @@ from ptsusy.spectrum import ModelParams
 from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, interior_grid
-from oracles import cs_normalization, log_master_integral, master_integral, pairwise_gram, superpotential
+from oracles import (
+    cs_normalization,
+    log_master_integral,
+    master_integral,
+    pairwise_gram,
+    superpotential,
+    two_sided_resolution_kernel,
+)
 
 QCFG = QuadratureConfig(endpoint_substitution=True)
 
@@ -252,6 +259,42 @@ def test_resolution_kernel_real_sum_matches_the_complex_sum(monkeypatch, params)
     monkeypatch.setattr(coherent, "log_abs_gamma", lambda x, y: log_gamma(x + 1j * np.asarray(y)).real)
     for m, g in zip((0, 1, 2), real):
         assert np.max(np.abs(g - resolution_kernel(params, m, xs))) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "params",
+    [DEFAULT, replace(DEFAULT, nu=0.0, beta=0.0), replace(DEFAULT, nu=5.0, beta=50.0)],
+    ids=["nu1b2", "nu0b0", "nu5b50"],
+)
+def test_folded_kernel_matches_the_two_sided_route(params):
+    xs = KERNEL_X * params.length
+    for m in (0, 1, 2):
+        folded, two_sided = resolution_kernel(params, m, xs), two_sided_resolution_kernel(params, m, xs)
+        assert np.max(np.abs(folded - two_sided)) < 1e-9, m
+
+
+def test_folded_kernel_takes_one_log_gamma_per_node(monkeypatch):
+    # every node t >= 0 of the half-line integral serves u and -u with one
+    # log|Gamma| value: no negative argument, one point per row and node
+    import ptsusy.coherent as coherent
+
+    ys, results = [], []
+    real_lag, real_line = coherent.log_abs_gamma, coherent.integrate_real_line
+
+    def lag(x, y):
+        ys.append(np.asarray(y).ravel())
+        return real_lag(x, y)
+
+    def line(*args, **kwargs):
+        results.append(real_line(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(coherent, "log_abs_gamma", lag)
+    monkeypatch.setattr(coherent, "integrate_real_line", line)
+    xs = KERNEL_X * DEFAULT.length
+    resolution_kernel(DEFAULT, 1, xs)
+    assert min(float(y.min()) for y in ys) == 0.0
+    assert sum(y.size for y in ys) == xs.size * results[0].evaluations
 
 
 @pytest.mark.xfail(

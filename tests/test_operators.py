@@ -318,6 +318,27 @@ def test_grid_size_whole_numbers_from_three_accepted(grid_size):
     assert all(r.passed for r in results if not r.informational)
 
 
+@pytest.mark.parametrize("sign", [0.0, 2.0, math.nan, True, np.True_, "1"], ids=repr)
+def test_sign_other_than_plus_or_minus_one_is_rejected_up_front(monkeypatch, sign):
+    # 0.0 and 2.0 ran with a scaled superpotential and failed 12 rows, nan
+    # failed 8, and True ran as +1; only the numbers 1 and -1 are signs
+    def unreached(*args):
+        raise AssertionError("the level rows or a fold were reached")
+
+    monkeypatch.setattr(operators, "_level_identities", unreached)
+    monkeypatch.setattr(operators, "_fold", unreached)
+    with pytest.raises(DomainError, match=re.escape(f"sign must be 1 or -1 (the negative control), got {sign!r}")):
+        verify_operator_identities(DEFAULT, 1, 0, sign=sign)
+
+
+@pytest.mark.parametrize("sign", [1, -1, 1.0, -1.0], ids=repr)
+def test_sign_plus_or_minus_one_runs(sign):
+    results = verify_operator_identities(DEFAULT, 1, 0, sign=sign)
+    mandatory = [r.passed for r in results if not r.informational]
+    # +1 certifies the cell; the -1 negative control must fail some row
+    assert all(mandatory) if sign > 0 else not all(mandatory)
+
+
 def test_every_pointwise_identity_uses_the_one_grid(monkeypatch):
     # every word evaluated at grid_size points sees default_grid itself; the
     # chains of depth three and beyond once went to a [0.1 L, 0.9 L] grid

@@ -1,6 +1,7 @@
 """Adaptive quadrature and Richardson differentiation against known integrals."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -412,3 +413,77 @@ def test_real_line_vector_errors_name_the_truncation_points():
 
     with pytest.raises(NonFiniteIntegrandError, match="at the truncation points"):
         integrate_real_line(nan_ends, 1.0, DEFAULT_CONFIG)
+
+
+def test_half_line_gaussian_and_sech():
+    res = integrate_real_line(lambda u: np.exp(-(u**2)), 1.0, DEFAULT_CONFIG, lower=0.0)
+    assert abs(res.value - 0.5 * math.sqrt(math.pi)) < 1e-10
+    # a hint 10x too small: the one truncation point has to grow
+    res = integrate_real_line(lambda u: 1.0 / np.cosh(u), 0.1, DEFAULT_CONFIG, lower=0.0)
+    assert abs(res.value - 0.5 * math.pi) < 1e-9
+
+
+HALF_LINE_CASES = {
+    "gaussian_at_0": (lambda u: np.exp(-(u**2)), 1.0, 0.0),
+    "sech_wrong_scale_at_0": (lambda u: 1.0 / np.cosh(u), 0.1, 0.0),
+    "two_sided_exponential_at_0": (lambda u: np.exp(-np.abs(u) / 3.0), 3.0, 0.0),
+    "complex_shifted_at_-1.5": (lambda u: np.exp(-((u - 1.0) ** 2) + 2j * u) / (1.0 + u * u), 1.0, -1.5),
+}
+
+
+@pytest.mark.parametrize("case", HALF_LINE_CASES.values(), ids=HALF_LINE_CASES.keys())
+def test_half_line_matches_panelwise_oracle_with_one_probe_fewer(case):
+    f, scale, lower = case
+    batched, panelwise = Counting(f), Counting(f)
+    res = integrate_real_line(batched, scale, DEFAULT_CONFIG, lower=lower)
+    ref = panelwise_real_line(panelwise, scale, DEFAULT_CONFIG, lower=lower)
+    assert res.value == ref.value and res.error == ref.error
+    assert res.evaluations == sum(batched.sizes)
+    # the first truncation check reads the far end of the 33-point probe,
+    # and each growth step probes one point
+    assert batched.sizes[0] == panelwise.sizes[0] == 33
+    assert batched.calls[0][0] == lower and batched.calls[0][-1] == lower + 8.0 * scale
+    assert batched.sizes.count(1) == panelwise.sizes.count(1) - 1
+    assert min(float(x.min()) for x in batched.calls) == lower
+
+
+def test_half_line_tail_grows_one_truncation_point():
+    f = Counting(lambda u: 1.0 / np.cosh(u))
+    integrate_real_line(f, 0.1, DEFAULT_CONFIG, lower=2.0)
+    cuts = [float(x[0]) for x in f.calls if x.size == 1]
+    assert len(cuts) >= 3
+    u, want = 8.0 * 0.1, []
+    for _ in cuts:
+        u *= 1.6
+        want.append(2.0 + u)
+    assert cuts == want
+
+
+def test_half_line_tail_bound_error_names_the_one_truncation_point():
+    flat = Counting(np.ones_like)
+    with pytest.raises(TailBoundError, match="could not certify the tail out to u = ") as batched:
+        integrate_real_line(flat, 1.0, DEFAULT_CONFIG, lower=2.0)
+    with pytest.raises(TailBoundError) as panelwise:
+        panelwise_real_line(np.ones_like, 1.0, DEFAULT_CONFIG, lower=2.0)
+    assert str(batched.value) == str(panelwise.value)
+    assert flat.sizes == [33] + [1] * 59
+    assert all(x.min() >= 2.0 for x in flat.calls)
+
+
+@pytest.mark.parametrize("lower", [-math.inf, 0.0], ids=repr)
+@pytest.mark.parametrize("scale", [math.inf, 1e308, math.nan, 0.0, -1.0], ids=repr)
+def test_real_line_rejects_a_decay_scale_without_a_finite_probe(scale, lower):
+    # inf and 1e308 once reached linspace and blamed the integrand
+    def unreached(u):
+        raise AssertionError("the integrand was called")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="decay_scale must be positive with 8 \\* decay_scale finite"):
+            integrate_real_line(unreached, scale, DEFAULT_CONFIG, lower=lower)
+
+
+@pytest.mark.parametrize("lower", [math.nan, math.inf], ids=repr)
+def test_real_line_rejects_a_nan_or_plus_infinite_lower(lower):
+    with pytest.raises(ValueError, match="lower must be -inf or a finite number"):
+        integrate_real_line(lambda u: np.exp(-(u**2)), 1.0, DEFAULT_CONFIG, lower=lower)
