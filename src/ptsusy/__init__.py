@@ -12,7 +12,6 @@ from .coherent import (
 from .errors import (
     DegreeCapError,
     DomainError,
-    LossOfSignificanceError,
     NonFiniteIntegrandError,
     PoleError,
     PtsusyError,
@@ -31,14 +30,12 @@ from .spectrum import (
     energy,
     gap_factor_M,
     gap_factor_N,
-    phase_alpha,
 )
 from .wavefn import (
     EigenFunction,
     eigenfunction,
     gram_matrix,
     normalization_K,
-    partner_eigenfunction_explicit,
 )
 
 __version__ = "0.1.0"
@@ -50,7 +47,6 @@ __all__ = [
     "EigenFunction",
     "IdentityResult",
     "LevelIndex",
-    "LossOfSignificanceError",
     "ModelParams",
     "NonFiniteIntegrandError",
     "PhasePoint",
@@ -70,8 +66,6 @@ __all__ = [
     "integrate_interval",
     "integrate_real_line",
     "normalization_K",
-    "partner_eigenfunction_explicit",
-    "phase_alpha",
     "resolution_kernel",
     "verify_operator_identities",
     "__version__",

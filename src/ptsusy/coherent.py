@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval, integrate_real_line
+from .quadrature import DEFAULT_CONFIG, integrate_interval, integrate_real_line
 from .specfun import log_abs_gamma, log_gamma
 from .spectrum import ModelParams, level_number
 from .wavefn import EigenFamily, eigenfunction, log_ground_constant
@@ -34,14 +34,25 @@ _LN4 = math.log(4.0)
 #: took 7.2, 6.5 and 6.6 ms at 4096, 16384 and no bound, and the processes
 #: peaked at 37.9, 40.0 and 42.8 MB RSS.
 _KERNEL_BLOCK = 4096
+#: Tolerances of the u-integral of ``resolution_kernel``.
+_KERNEL_CONFIG = replace(DEFAULT_CONFIG, abs_tol=1e-10, rel_tol=1e-9)
+#: Tolerances of the x-integral of ``identity_gram_projection``.
+_PROJECTION_CONFIG = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)
 
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Position-momentum label of a coherent state; q strictly inside (0, L)."""
+    """Position-momentum label of a coherent state; q strictly inside (0, L).
+
+    Both labels must be finite; ``CoherentState`` checks the range of q.
+    """
 
     q: float
     p: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.q) and math.isfinite(self.p)):
+            raise DomainError(f"phase-space labels must be finite, got q={self.q!r}, p={self.p!r}")
 
 
 def _level_width(params: ModelParams, m: int) -> float:
@@ -156,12 +167,7 @@ def cs_overlap(a: CoherentState, b: CoherentState) -> complex:
     return complex(np.exp(log_ov))
 
 
-def resolution_kernel(
-    params: ModelParams,
-    m: int,
-    x,
-    config: QuadratureConfig | None = None,
-) -> np.ndarray:
+def resolution_kernel(params: ModelParams, m: int, x) -> np.ndarray:
     """Diagonal kernel G(x) of the phase-space completeness integral.
 
     G(x) = |phi_0(x)|**2 int_0^L R(q)**2 exp(2 W_m(q) x / hbar) dq after the
@@ -188,7 +194,7 @@ def resolution_kernel(
     decay(x) = 1 / (2 pi (d'+1) min(x/L, 1 - x/L)).  Substituting
     u = decay(x) t gives every x the same decay in t, so all x share one set
     of t nodes and the whole array is one vector-valued half-line integral
-    (``integrate_real_line`` with ``lower=0``).
+    (``integrate_real_line``, to the tolerances ``_KERNEL_CONFIG``).
     The front factor and the Jacobian decay(x) sit in the exponent, so each
     component integrates to G(x) itself, about 1.  Without that, near-wall
     components are many orders of magnitude larger than the others, and
@@ -208,8 +214,6 @@ def resolution_kernel(
     half line, that the nodes can miss: at nu = 0, m = 0 and x = 1e-3 L a
     one-point call reads 1 - 3.3e-6.
     """
-    if config is None:
-        config = replace(DEFAULT_CONFIG, abs_tol=1e-10, rel_tol=1e-9)
     dp = _level_width(params, m)
     s = dp + 1.0
     L = params.length
@@ -241,17 +245,11 @@ def resolution_kernel(
             out[rows] = np.exp(base + tilt) + np.exp(base - tilt)
         return out
 
-    g = integrate_real_line(integrand, 1.0, config, lower=0.0).value.real.reshape(arr.shape)
+    g = integrate_real_line(integrand, 1.0, _KERNEL_CONFIG).value.real.reshape(arr.shape)
     return g if np.ndim(x) else float(g.ravel()[0])
 
 
-def identity_gram_projection(
-    params: ModelParams,
-    m: int,
-    size: int,
-    config: QuadratureConfig | None = None,
-    kernel_config: QuadratureConfig | None = None,
-) -> np.ndarray:
+def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarray:
     """Project the phase-space completeness integral onto low eigenstates.
 
     Returns the matrix int conj(phi_i) G phi_j dx for i, j < size, which is
@@ -266,15 +264,14 @@ def identity_gram_projection(
     ``resolution_kernel`` call, whose panels those nodes share.  So the
     integrand's value at a node depends on the other nodes of the call,
     which the ``quadrature`` contract rules out, but only by about the
-    kernel's own tolerance (``kernel_config``; see ``resolution_kernel`` for
-    the near-wall case at d' < 1).
+    kernel's own tolerance (``_KERNEL_CONFIG``; see ``resolution_kernel`` for
+    the near-wall case at d' < 1).  The x-integral runs over
+    [1e-6 L, (1 - 1e-6) L] to the tolerances ``_PROJECTION_CONFIG``.
     """
     try:  # a count of states, as level_number reads an index
         size = level_number(size)
     except DomainError:
         raise DomainError(f"size must be a nonnegative whole number of states, got {size!r}") from None
-    if config is None:
-        config = replace(DEFAULT_CONFIG, endpoint_substitution=True, abs_tol=1e-9, rel_tol=1e-9)
     if size == 0:  # no states to project on, as gram_matrix([]); the level is still checked
         _level_width(params, m)
         return np.zeros((0, 0), dtype=complex)
@@ -284,11 +281,11 @@ def identity_gram_projection(
     rows, cols = np.triu_indices(size)
 
     def integrand(x):
-        g = resolution_kernel(params, m, x, kernel_config)
+        g = resolution_kernel(params, m, x)
         phi = family(x)
         return np.conj(phi[rows]) * g * phi[cols]
 
-    value = integrate_interval(integrand, lo, hi, config).value
+    value = integrate_interval(integrand, lo, hi, _PROJECTION_CONFIG).value
     out = np.zeros((size, size), dtype=complex)
     out[rows, cols] = value
     out[cols, rows] = np.conj(value)

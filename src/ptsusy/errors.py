@@ -21,10 +21,6 @@ class DegreeCapError(PtsusyError, ValueError):
     """Requested polynomial degree exceeds the configured cap."""
 
 
-class LossOfSignificanceError(PtsusyError, ArithmeticError):
-    """A cancellation-prone sum lost too many significant digits."""
-
-
 class SubdivisionLimitError(PtsusyError, RuntimeError):
     """Adaptive quadrature hit its panel budget before converging."""
 

@@ -36,9 +36,9 @@ than asserting them.
 Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
 apply to one operand is folded once.  The identities that depend on the
-level m alone are computed once per (params, m, grid size, sign, quadrature
-configuration), and their rows are kept in a bounded memo across calls;
-each call receives copies stamped with its own indices.
+level m alone are computed once per (params, m, grid size, sign), and their
+rows are kept in a bounded memo across calls; each call receives copies
+stamped with its own indices.
 """
 
 from __future__ import annotations
@@ -54,12 +54,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegreeCapError, DomainError, PtsusyError
-from .quadrature import DEFAULT_CONFIG, IntegralResult, QuadratureConfig, integrate_interval
+from .quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
 from .wavefn import _leading_loop, eigenfunction
 
 #: Relative clamp keeping the identity grid and the quadratures off the walls.
 EDGE_CLAMP = 1e-6
+#: Tolerances of the suite's quadratures; the eigen-residual lowers abs_tol to 1e-16.
+_SUITE_CONFIG = replace(DEFAULT_CONFIG, abs_tol=1e-13, rel_tol=1e-11)
+#: The operator kinds of a word entry.
+_KINDS = ("A", "Adag", "H")
 
 
 class TrigPolyBump:
@@ -156,14 +160,12 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
         unit = -sign * math.pi * params.hbar / params.length
         factors = (params.hbar if kind == "A" else -params.hbar, (-params.beta / lvl) * unit, lvl * unit)
         derived = terms.d_dx(terms.band)
-    elif kind == "H":
+    else:  # "H"; apply_word has checked the kind
         lvl = params.nu + level
         strength = lvl * (lvl + 1.0) * params.epsilon0
         scale = -(params.hbar**2) / (2.0 * params.mass)
         factors = (scale, strength - shift, -2.0 * params.beta * params.epsilon0, strength)
         derived = terms.d_dx(terms.d_dx(terms.band))
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
     # column 0 scales the derivative, columns 1: are the polynomial in c
     scale, *poly = _factor_columns(factors, len(terms.gamma))
     n = terms.band.shape[1]
@@ -267,7 +269,9 @@ def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Fold:
 def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     """Apply a sequence of operators (first entry acts first) at points x.
 
-    Word entries are ("A", level), ("Adag", level), or ("H", level).  Returns
+    Word entries are ("A", level), ("Adag", level), or ("H", level), with a
+    level that ``level_number`` accepts; any other entry raises
+    ``DomainError`` before the fold memo is consulted.  Returns
     the complex values of the resulting function at x, of shape x.shape.  The
     word is folded on the operand's ``cot_terms`` and the result is evaluated
     at x, a scalar being one point of a 1-d grid, so the value at a point
@@ -286,7 +290,14 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     # NaN fails both comparisons; an empty x passes
     if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=-math.inf) < params.length):
         raise DomainError("operator applications need interior sample points")
-    fold = _fold(params, tuple(word), func, sign)
+    word = tuple(word)
+    # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
+    for kind, level in word:
+        if kind not in _KINDS:
+            raise DomainError(f"unknown operator kind {kind!r}")
+        if type(level) is not int or level < 0:
+            level_number(level)
+    fold = _fold(params, word, func, sign)
     out = _members(func, _evaluate(params, fold.plan, arr.ravel()))
     return out.reshape(out.shape[:-1] + arr.shape)[()]
 
@@ -386,7 +397,7 @@ def _identity(results: list, indices: dict, grid_size: int, *names, threshold=No
 
 @lru_cache(maxsize=256)
 def _level_identities(
-    params: ModelParams, m: int, grid_size: int, sign: float, config: QuadratureConfig
+    params: ModelParams, m: int, grid_size: int, sign: float
 ) -> tuple[tuple[IdentityResult, ...], tuple[IdentityResult, ...]]:
     # The identities of level m that do not depend on the state n: the rows
     # that lead the report and the adjoint row that follows the chain means.
@@ -445,7 +456,7 @@ def _level_identities(
 
     with _identity(tail, idx, grid_size, "adjoint_consistency", threshold=1e-9) as record:
         L = params.length
-        quad = integrate_interval(inner_pair, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, config)
+        quad = integrate_interval(inner_pair, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, _SUITE_CONFIG)
         va, vb = quad.value.tolist()
         record(abs(va - vb) / max(abs(va), abs(vb), 1e-300), _quad_details(quad))
 
@@ -458,7 +469,6 @@ def verify_operator_identities(
     m: int,
     grid_size: int = 161,
     sign: float = 1.0,
-    config: QuadratureConfig | None = None,
 ) -> list[IdentityResult]:
     """Evaluate the full operator identity suite at indices (n, m).
 
@@ -479,8 +489,7 @@ def verify_operator_identities(
     Five identities do not depend on n: ground-state annihilation,
     factorization, single-step and chain intertwining (with its
     ``supercharge_commutator`` alias) and adjoint consistency.  Their rows
-    are computed once per (params, m, grid_size, sign, config), with
-    ``config=None`` resolved to the suite's default first, and kept in a
+    are computed once per (params, m, grid_size, sign) and kept in a
     bounded memo (``_level_identities``, 256 keys); a row recording a
     package error is kept like any other.  A call that shares the key
     reuses them, each a copy with this cell's indices and its own details,
@@ -506,9 +515,7 @@ def verify_operator_identities(
     degree = max(n + m + 1, m + 4)
     if degree > LEVEL_CAP:
         raise DegreeCapError(f"cell (n={n}, m={m}) needs states of degree {degree}, which exceeds cap {LEVEL_CAP}")
-    if config is None:
-        config = replace(DEFAULT_CONFIG, abs_tol=1e-13, rel_tol=1e-11)
-    head, tail = _level_identities(params, m, grid_size, sign, config)
+    head, tail = _level_identities(params, m, grid_size, sign)
     grid = default_grid(params, grid_size)
     idx = {"n": n, "m": m}
 
@@ -551,7 +558,7 @@ def verify_operator_identities(
         def integrand(x):
             return np.abs(apply_word(params, word, state, x, chain_sign)) ** 2 / unit
 
-        quad = integrate_interval(integrand, lo, hi, config)
+        quad = integrate_interval(integrand, lo, hi, _SUITE_CONFIG)
         mean = float(quad.value.real)
         return quad, mean if target is None else _rel(mean, target)
 
@@ -603,7 +610,7 @@ def verify_operator_identities(
         def resid_sq(x):
             return np.abs(apply_word(params, (("H", m),), phi_m, x) / e_val - phi_m(x)) ** 2
 
-        quad = integrate_interval(resid_sq, lo, hi, replace(config, abs_tol=1e-16))
+        quad = integrate_interval(resid_sq, lo, hi, replace(_SUITE_CONFIG, abs_tol=1e-16))
         record(math.sqrt(max(quad.value.real, 0.0)), _quad_details(quad))
 
     # Mixed chain products: evaluate every well-formed printed variant.

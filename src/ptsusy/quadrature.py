@@ -3,18 +3,17 @@
 This module is the independent numerical referee for every closed form in the
 package, so it deliberately avoids the analytic machinery of the other modules:
 plain panel-adaptive Gauss-Legendre integration and an exponential-tail
-wrapper for integrals over the real line or a half line [lower, inf).
-Integrands must accept numpy arrays of abscissas and return arrays of values
-(real or complex).  An integrand's value at a node must not depend on the
-other nodes of the same call: ``integrate_interval`` calls it once per
-refinement step with the nodes of several panels, and ``integrate_real_line``
-reads its first truncation check off its coarse probe: both ends of it on the
-whole line, its far end on a half line.  One caller bends this rule: the
-integrand of ``coherent.identity_gram_projection`` computes its resolution
-kernel at all nodes of a call on shared panels, so a node's value moves with
-the other nodes by about the kernel's tolerance; and the kernel's inner
-integrand by a few ulps, as ``specfun.log_abs_gamma`` sums a block of nodes
-in one matrix product, whose rounding may depend on its size.
+wrapper for integrals over the half line [0, inf).  Integrands must accept
+numpy arrays of abscissas and return arrays of values (real or complex).  An
+integrand's value at a node must not depend on the other nodes of the same
+call: ``integrate_interval`` calls it once per refinement step with the
+nodes of several panels, and ``integrate_real_line`` reads its first
+truncation check off the far end of its coarse probe.  One caller bends
+this rule: the integrand of ``coherent.identity_gram_projection`` computes
+its resolution kernel at all nodes of a call on shared panels, so a node's
+value moves with the other nodes by about the kernel's tolerance; and the
+kernel's inner integrand by a few ulps, as ``specfun.log_abs_gamma`` sums a
+block of nodes in one matrix product, whose rounding may depend on its size.
 
 Both integrators are vector valued: an integrand may return an array of
 shape (..., n_nodes) whose last axis runs over the abscissas, and every
@@ -124,7 +123,8 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
             It returns shape (n,) for a scalar integrand or (..., n) for a
             vector of integrands: the last axis is the node axis.  Its value
             at a node must not depend on the other nodes in the call.
-        a, b: finite endpoints, a < b.
+        a, b: finite endpoints, a < b, with b - a above 2**-30 max(|a|, |b|)
+            so that the Gauss nodes of the first panels are distinct numbers.
         config: tolerances, panel budget, and the endpoint substitution flag.
 
     Each panel is integrated by the Gauss rule on itself and on its two
@@ -153,12 +153,18 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         complex and the error a float.
 
     Raises:
+        ValueError: endpoints not finite, not a < b, or too close together
+            for their magnitude.
         SubdivisionLimitError: panel budget exhausted before every component
             reached its tolerance.
         NonFiniteIntegrandError: integrand produced NaN or infinity.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or not a < b:
         raise ValueError("integrate_interval needs finite endpoints with a < b")
+    if b - a <= 2.0**-30 * max(abs(a), abs(b)):
+        # the nodes would round onto a few representable numbers and the
+        # panel discrepancies vanish with them: a wrong value, a tiny error
+        raise ValueError(f"integrate_interval cannot resolve [{a!r}, {b!r}]: b - a is below 2**-30 max(|a|, |b|)")
 
     if config.endpoint_substitution:
         span = b - a
@@ -237,60 +243,41 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     return IntegralResult(value=total, error=reported, evaluations=evaluations)
 
 
-def integrate_real_line(
-    f, decay_scale: float, config: QuadratureConfig = DEFAULT_CONFIG, lower: float = -math.inf
-) -> IntegralResult:
-    """Integrate f over [lower, inf), by default the whole line, assuming exponential tails.
+def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
+    """Integrate f over the half line [0, inf) only, assuming an exponential tail.
+
+    The ``lower`` parameter and the whole-line default are gone: a
+    whole-line integral is that of f(u) + f(-u) over [0, inf).
 
     Args:
         f: vectorized integrand, shape (n,) or (..., n) as for
             ``integrate_interval``.
-        decay_scale: s such that |f(u)| falls off roughly like exp(-|u|/s) for
-            large |u|; used for the initial truncation and the tail bound.
+        decay_scale: s such that |f(u)| falls off roughly like exp(-u/s) for
+            large u; used for the initial truncation and the tail bound.
             8 s must be finite.
         config: interval-integration tolerances.
-        lower: the lower bound of the domain: -inf for the whole line, or a
-            finite number for the half line [lower, inf).
 
-    On the whole line the truncation point U grows until, for every
-    component k, (|f_k(U)| + |f_k(-U)|) * 4 s sits below a quarter of that
-    component's tolerance max(abs_tol, rel_tol * rough_k), where rough_k is
-    a trapezoid estimate of |I_k| on a 65-point probe of [-8 s, 8 s], and
-    the core integral runs over [-U, U].  On a half line there is one
-    truncation point, lower + U, with tail bound |f_k(lower + U)| * 4 s; the
-    probe is 33 points on [lower, lower + 8 s], the same spacing, and the
-    core integral runs over [lower, lower + U].  The first truncation check
-    reads the probe's ends (its far end on a half line).  Probing f itself
-    (rather than trusting a pure exponential model) keeps algebraic
-    prefactors honest.  The reported error adds each component's tail bound
-    to its core error.  The reported evaluations count every abscissa
-    passed to f: the probe, the truncation checks (two points per growth
-    step on the whole line, one on a half line) and the core integral.
+    The truncation point U grows until, for every component k,
+    |f_k(U)| * 4 s sits below a quarter of that component's tolerance
+    max(abs_tol, rel_tol * rough_k), where rough_k is a trapezoid estimate
+    of |I_k| on a 33-point probe of [0, 8 s], and the core integral runs
+    over [0, U].  The first truncation check reads the probe's far end.
+    Probing f itself (rather than trusting a pure exponential model) keeps
+    algebraic prefactors honest.  The reported error adds each component's
+    tail bound to its core error.  The reported evaluations count every
+    abscissa passed to f: the probe, one point per growth step and the core
+    integral.
 
     Raises:
-        ValueError: decay_scale not positive or 8 s not finite; lower NaN
-            or +inf.
-        TailBoundError: tails could not be certified within MAX_EXPANSIONS
-            growth steps.
+        ValueError: decay_scale not positive or 8 s not finite.
+        TailBoundError: the tail could not be certified within
+            MAX_EXPANSIONS growth steps.
     """
     u0 = 8.0 * decay_scale
     if not (decay_scale > 0.0 and math.isfinite(u0)):
         raise ValueError(f"decay_scale must be positive with 8 * decay_scale finite, got {decay_scale!r}")
-    if math.isnan(lower) or lower == math.inf:
-        raise ValueError(f"lower must be -inf or a finite number, got {lower!r}")
 
-    whole = lower == -math.inf
-    if whole:
-        probe = np.linspace(-u0, u0, 65)
-        ends = [0, -1]  # linspace ends are exactly -u0 and u0
-    else:
-        probe = np.linspace(lower, lower + u0, 33)
-        ends = [-1]  # the linspace end is exactly lower + u0
-
-    def span(u):
-        # the core interval at truncation U; its truncation points are span(u)[ends]
-        return (-u, u) if whole else (lower, lower + u)
-
+    probe = np.linspace(0.0, u0, 33)  # its last point is exactly u0
     probe_vals = np.asarray(f(probe))
     rough = np.abs(np.trapezoid(probe_vals, probe))
     tol = np.fmax(config.abs_tol, config.rel_tol * rough)  # fmax: a NaN rough leaves abs_tol
@@ -299,19 +286,17 @@ def integrate_real_line(
     evaluations = probe.size
     for expansion in range(MAX_EXPANSIONS):
         if expansion:
-            edge = np.asarray(f(np.array(span(u))[ends]))
-            evaluations += len(ends)
+            edge = np.asarray(f(np.array([u])))
+            evaluations += 1
         else:
-            edge = probe_vals[..., ends]
+            edge = probe_vals[..., -1:]
         if not np.all(np.isfinite(edge)):
             raise NonFiniteIntegrandError("integrand not finite at the truncation points")
         tail = np.abs(edge).sum(axis=-1) * decay_scale * 4.0
         if np.all(tail <= 0.25 * np.maximum(tol, 1e-300)):
-            core = integrate_interval(f, *span(u), config)
+            core = integrate_interval(f, 0.0, u, config)
             if np.ndim(tail) == 0:
                 tail = float(tail)
             return IntegralResult(core.value, core.error + tail, core.evaluations + evaluations)
         u *= 1.6
-    if whole:
-        raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
-    raise TailBoundError(f"could not certify the tail out to u = {lower + u:.3e}")
+    raise TailBoundError(f"could not certify the tail out to u = {u:.3e}")

@@ -138,9 +138,3 @@ def gap_factor_N(params: ModelParams, n: int, m: int) -> float:
     log_n = _gap_product_logs(_m_squared_factors(params, 2 * n - m, m))
     return 0.0 if log_n == -math.inf else math.exp(log_n)
 
-
-def phase_alpha(params: ModelParams, n: int) -> float:
-    """Mixing angle arctan(beta / ((nu + 1)(nu + n + 2))) of the first-level closed form."""
-    if n < 0:
-        raise DomainError("phase_alpha needs n >= 0")
-    return math.atan(params.beta / ((params.nu + 1.0) * (params.nu + n + 2.0)))

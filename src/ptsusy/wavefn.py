@@ -51,7 +51,7 @@ from . import jets
 from .errors import DegreeCapError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 from .specfun import log_gamma
-from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, level_number, phase_alpha
+from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, level_number
 
 
 @dataclass(frozen=True)
@@ -305,39 +305,6 @@ class EigenFamily:
 def eigenfunction(params: ModelParams, m: int, n: int) -> EigenFunction:
     """Cached EigenFunction factory."""
     return EigenFunction(params, LevelIndex(m=m, n=n))
-
-
-def partner_eigenfunction_explicit(params: ModelParams, n: int, x):
-    """First-level eigenfunction from its explicit closed form.
-
-    Independent of the ladder fold: a cosine rotated by the mixing angle
-    multiplies the degree n + 1 polynomial and an imaginary companion term
-    carries the parameter-shifted degree n polynomial.  Used as the second
-    route when validating the chain construction.  Real valued, as every state.
-    """
-    nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
-    s1 = n + nu + 2.0
-    a1 = complex(-s1, beta / s1)
-    norm = normalization_K(params, n + 1)
-    gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))
-    amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * (gap / (n + 1.0)) / (n + 2.0 * nu + 3.0))
-    alpha_mix = phase_alpha(params, n)
-
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= L)):
-        raise DomainError("x outside the box [0, L]")
-    flat = arr.ravel()
-    theta = math.pi * flat / L
-    out = np.zeros(flat.shape)
-    interior = (flat > 0.0) & (flat < L)
-    # sin^(n+1) P_(n+1)^(a1, conj a1) and sin^n P_n^(a1+1, conj a1+1) under the phase
-    # (-i)^(n+1): 2^-(n+1), and -i 2^-n, which cancels the i of the companion term
-    rows = [_fourier_coefficients(n + 1, a1) * 0.5 ** (n + 1), _fourier_coefficients(n, a1 + 1.0) * 0.5**n]
-    top, shift = _FourierRows([_upper_half(g) for g in rows], [n + 1, n])(theta)
-    bracket = amp * np.cos(theta - alpha_mix) * top + (0.5 * math.pi * hbar * (n + 2.0 * nu + 2.0) / L) * shift
-    envelope = np.exp(norm.log_K - beta * math.pi * flat[interior] / (L * s1) + nu * np.log(np.sin(theta[interior])))
-    out[interior] = envelope * bracket[interior] / math.sqrt(2.0 * mass * gap)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def gram_matrix(

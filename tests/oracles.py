@@ -10,12 +10,11 @@ integrator as it was before ``integrate_interval`` batched its panels: one
 integrand call per 15-node panel, the coarse panel of every child segment
 evaluated again, and a separate call for the first truncation check.  The
 batched integrator must reproduce their values, errors and errors raised bit
-for bit, with fewer integrand calls, on the whole line and on a half line.
+for bit, with fewer integrand calls, on the half line [0, inf).
 
-``two_sided_resolution_kernel`` is ``coherent.resolution_kernel`` as it was
-before its u-integral was folded onto u >= 0: one whole-line integral whose
-integrand takes log|Gamma| at +u and at -u separately; it reads what the
-kernel read before, bit for bit.  The folded integral puts its nodes
+``two_sided_resolution_kernel`` is ``coherent.resolution_kernel`` without
+the fold onto u >= 0: two half-line integrals, one for each sign of u, each
+taking log|Gamma| at its own u.  The folded integral puts its nodes
 elsewhere, so the two agree to the kernel's tolerance, not bit for bit.
 
 ``serial_jet_mul`` is the jet product as it was before ``Jet.__mul__``
@@ -59,8 +58,9 @@ product form: the gamma / Pochhammer double sum.  It is analytically
 identical but numerically ill conditioned (its terms cancel roughly like
 10**n), so it guards itself and serves as a cross-check at small n only.
 
-``mp_eigenfunctions`` and ``mp_partner`` are the eigenfunctions and
-``partner_eigenfunction_explicit`` from the Jacobi polynomials at 60 digits
+``mp_eigenfunctions`` and ``mp_partner`` are the eigenfunctions and the
+explicit first-level form of Bergeron et al. (J. Phys. A 45 (2012) 244028)
+from the Jacobi polynomials at 60 digits
 on the imaginary cotangent line, with the package's own log K:
 P_n^(a, b) = (a + 1)_n / n! 2F1(-n, n + a + b + 1; a + 1; (1 - z) / 2),
 as ``mpmath.jacobi`` sums it, with the prefactor taken once per polynomial.
@@ -88,6 +88,10 @@ agree bit for bit, the zero branch included.
 ``derivative`` is the Richardson-extrapolated central difference that
 checks the Taylor jets and the superpotential's derivative;
 ``ground_energy`` is the level's n = 0 energy by name.
+
+``LossOfSignificanceError`` is the error ``normalization_double_sum``
+raises when its terms cancel past ten digits; ``phase_alpha`` is the mixing
+angle of the first-level form.
 """
 
 import cmath
@@ -101,11 +105,10 @@ import mpmath
 import numpy as np
 
 from ptsusy import jets
-from ptsusy.coherent import _KERNEL_BLOCK, CoherentState, cs_log_normalization
+from ptsusy.coherent import _KERNEL_BLOCK, _KERNEL_CONFIG, CoherentState, cs_log_normalization
 from ptsusy.errors import (
     DegreeCapError,
     DomainError,
-    LossOfSignificanceError,
     NonFiniteIntegrandError,
     PoleError,
     PtsusyError,
@@ -122,7 +125,7 @@ from ptsusy.quadrature import (
     integrate_real_line,
 )
 from ptsusy.specfun import _LANCZOS_C, _LANCZOS_G, _LOG_2PI, log_abs_gamma, log_gamma
-from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, _gap_product_logs, energy, phase_alpha
+from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, _gap_product_logs, energy
 from ptsusy.wavefn import normalization_K
 
 
@@ -415,37 +418,27 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
     return IntegralResult(total, reported, evals)
 
 
-def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG, lower=-math.inf):
-    """``integrate_real_line`` on ``panelwise_integrate``, probing every truncation point.
-
-    lower = -inf integrates over the whole line, a finite lower over [lower, inf).
-    """
-    whole = lower == -math.inf
+def panelwise_real_line(f, decay_scale, config=DEFAULT_CONFIG):
+    """``integrate_real_line`` on ``panelwise_integrate``, probing every truncation point."""
     u0 = 8.0 * decay_scale
-    probe = np.linspace(-u0, u0, 65) if whole else np.linspace(lower, lower + u0, 33)
+    probe = np.linspace(0.0, u0, 33)
     rough = abs(np.trapezoid(np.asarray(f(probe)), probe))
     u = u0
     for _ in range(MAX_EXPANSIONS):
-        cut = np.array([-u, u]) if whole else np.array([lower + u])
-        edge = np.asarray(f(cut))
+        edge = np.asarray(f(np.array([u])))
         if not np.all(np.isfinite(edge)):
             raise NonFiniteIntegrandError("integrand not finite at the truncation points")
         tail = float(np.sum(np.abs(edge))) * decay_scale * 4.0
         tol = max(config.abs_tol, config.rel_tol * max(rough, 0.0))
         if tail <= 0.25 * max(tol, 1e-300):
-            a, b = (-u, u) if whole else (lower, lower + u)
-            core = panelwise_integrate(f, a, b, config)
-            return IntegralResult(core.value, core.error + tail, core.evaluations + cut.size)
+            core = panelwise_integrate(f, 0.0, u, config)
+            return IntegralResult(core.value, core.error + tail, core.evaluations + 1)
         u *= 1.6
-    if whole:
-        raise TailBoundError(f"could not certify tails out to |u| = {u:.3e}")
-    raise TailBoundError(f"could not certify the tail out to u = {lower + u:.3e}")
+    raise TailBoundError(f"could not certify the tail out to u = {u:.3e}")
 
 
-def two_sided_resolution_kernel(params, m: int, x, config=None):
-    """``coherent.resolution_kernel`` over the whole u line, log|Gamma| at +u and -u apart."""
-    if config is None:
-        config = replace(DEFAULT_CONFIG, abs_tol=1e-10, rel_tol=1e-9)
+def two_sided_resolution_kernel(params, m: int, x):
+    """``coherent.resolution_kernel`` as the sum of its half-line integrals over u >= 0 and u <= 0."""
     dp = params.nu + m
     s = dp + 1.0
     L = params.length
@@ -460,19 +453,23 @@ def two_sided_resolution_kernel(params, m: int, x, config=None):
         + np.log(decay)
     )
 
-    def integrand(t):
-        out = np.empty((xs.size, t.size))
-        step = max(1, _KERNEL_BLOCK // t.size)
-        for lo in range(0, xs.size, step):
-            rows = slice(lo, lo + step)
-            u = decay[rows, None] * t
-            expo = (
-                2.0 * log_abs_gamma(dp + 2.0, s * u) + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
-            )
-            out[rows] = np.exp(expo)
-        return out
+    def half(sign):
+        # the u-integrand at u = sign * decay_i * t, log|Gamma| taken at that u
+        def integrand(t):
+            out = np.empty((xs.size, t.size))
+            step = max(1, _KERNEL_BLOCK // t.size)
+            for lo in range(0, xs.size, step):
+                rows = slice(lo, lo + step)
+                u = sign * decay[rows, None] * t
+                expo = (
+                    2.0 * log_abs_gamma(dp + 2.0, s * u) + drift[rows, None] * u + log_front[rows, None] - np.log1p(u * u)
+                )
+                out[rows] = np.exp(expo)
+            return out
 
-    return integrate_real_line(integrand, 1.0, config).value.real.reshape(np.shape(x))
+        return integrate_real_line(integrand, 1.0, _KERNEL_CONFIG).value.real
+
+    return (half(1.0) + half(-1.0)).reshape(np.shape(x))
 
 
 def log_master_integral(delta: float, z: complex) -> complex:
@@ -678,6 +675,15 @@ def derivative(f, x: float, order: int = 1, h0: float | None = None, levels: int
     return best, best_err
 
 
+class LossOfSignificanceError(PtsusyError, ArithmeticError):
+    """A cancellation-prone sum lost too many significant digits."""
+
+
+def phase_alpha(params, n: int) -> float:
+    """Mixing angle arctan(beta / ((nu + 1)(nu + n + 2))) of the first-level closed form."""
+    return math.atan(params.beta / ((params.nu + 1.0) * (params.nu + n + 2.0)))
+
+
 def _mp_points(x, length):
     # (x, sin theta, (1 - i cot theta) / 2) at every point, as mpmath numbers
     out = []
@@ -712,7 +718,13 @@ def mp_eigenfunctions(states, x, dps=60):
 
 
 def mp_partner(params, n: int, x, dps=60):
-    """``partner_eigenfunction_explicit`` at the interior points x."""
+    """First-level state n from its explicit closed form at the interior points x.
+
+    A cosine rotated by the mixing angle ``phase_alpha`` multiplies the
+    degree n + 1 polynomial, and an imaginary companion term carries the
+    parameter-shifted degree n polynomial.  It shares no step with the
+    ladder fold, so it is the second route to the level-1 states.
+    """
     nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
     norm = normalization_K(params, n + 1)
     gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))

@@ -210,6 +210,16 @@ def test_phase_point_domain_guard():
         CoherentState(DEFAULT, 0, PhasePoint(DEFAULT.length, 0.0))
 
 
+@pytest.mark.parametrize(
+    ("q", "p"), [(0.3, math.nan), (0.3, math.inf), (0.3, -math.inf), (math.nan, 1.0), (math.inf, 1.0)]
+)
+def test_phase_point_rejects_nonfinite_labels(q, p):
+    # a NaN momentum once gave a state of value nan+nanj and an eigenvalue
+    # with a NaN imaginary part, and an infinite one RuntimeWarnings
+    with pytest.raises(DomainError, match="phase-space labels must be finite"):
+        PhasePoint(q, p)
+
+
 def test_endpoints_zero_and_operator_words_interior_only():
     st = CoherentState(DEFAULT, 0, PhasePoint(0.4, 1.0))
     vals = st(np.array([0.0, 0.5, 1.0]))
@@ -372,15 +382,14 @@ def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):
     monkeypatch.setattr(coherent, "integrate_interval", recorded)
     # looser than the defaults: this compares two routes, not the identity
     config = QuadratureConfig(endpoint_substitution=True, abs_tol=1e-7, rel_tol=1e-7)
-    kernel_config = replace(DEFAULT_CONFIG, abs_tol=1e-8, rel_tol=1e-8)
+    monkeypatch.setattr(coherent, "_PROJECTION_CONFIG", config)
+    monkeypatch.setattr(coherent, "_KERNEL_CONFIG", replace(DEFAULT_CONFIG, abs_tol=1e-8, rel_tol=1e-8))
     m, size = 1, 2
-    mat = identity_gram_projection(DEFAULT, m, size, config, kernel_config)
+    mat = identity_gram_projection(DEFAULT, m, size)
     (res,) = reported
     funcs = [eigenfunction(DEFAULT, m, n) for n in range(size)]
     L = DEFAULT.length
-    ref, ref_err = pairwise_gram(
-        funcs, 1e-6 * L, (1.0 - 1e-6) * L, config, lambda x: resolution_kernel(DEFAULT, m, x, kernel_config)
-    )
+    ref, ref_err = pairwise_gram(funcs, 1e-6 * L, (1.0 - 1e-6) * L, config, lambda x: resolution_kernel(DEFAULT, m, x))
     rows, cols = np.triu_indices(size)
     assert np.all(np.abs(mat[rows, cols] - ref[rows, cols]) <= res.error + ref_err[rows, cols])
     # lower triangle filled as the conjugate of the upper one, diagonal included

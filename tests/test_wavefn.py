@@ -11,7 +11,7 @@ import pytest
 
 from ptsusy import specfun, wavefn
 from ptsusy.coherent import CoherentState, PhasePoint
-from ptsusy.errors import DegreeCapError, DomainError, LossOfSignificanceError
+from ptsusy.errors import DegreeCapError, DomainError
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
 from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams
 from ptsusy.wavefn import (
@@ -22,12 +22,12 @@ from ptsusy.wavefn import (
     ground_ladder,
     log_ground_constant,
     normalization_K,
-    partner_eigenfunction_explicit,
 )
 
 from conftest import DEFAULT, PARAM_GRID, interior_grid
 from oracles import derivative as fd_derivative
 from oracles import (
+    LossOfSignificanceError,
     full_length_rows,
     mp_eigenfunctions,
     mp_partner,
@@ -208,9 +208,8 @@ def test_outside_box_rejected():
     [
         eigenfunction(DEFAULT, 0, 1),
         CoherentState(DEFAULT, 0, PhasePoint(0.4, 1.0)),
-        lambda x: partner_eigenfunction_explicit(DEFAULT, 1, x),
     ],
-    ids=["eigenfunction", "coherent_state", "partner_explicit"],
+    ids=["eigenfunction", "coherent_state"],
 )
 def test_nan_position_rejected(func):
     # NaN fails every comparison, so it must not slip past the box guard as 0
@@ -468,15 +467,11 @@ def test_gram_matrix_family_byte_equal_to_plain_callables(m):
 
 @pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
 def test_partner_explicit_matches_per_state_reference(p):
+    # the 60-digit explicit first-level form against each level-1 state
     xs = _bulk(p)
     for n in range(10):
         want = mp_partner(p, n, xs)
-        assert np.max(np.abs(partner_eigenfunction_explicit(p, n, xs) - want)) <= 1e-11 * np.max(np.abs(want)), n
-    # shape and type follow x, and the walls are exact zeros
-    for x in _family_points(p):
-        got = partner_eigenfunction_explicit(p, 3, x)
-        assert np.shape(got) == np.shape(x) and type(got) is (float if np.ndim(x) == 0 else np.ndarray)
-        assert np.all(np.asarray(got)[np.isin(np.asarray(x), [0.0, p.length])] == 0.0)
+        assert np.max(np.abs(eigenfunction(p, 1, n)(xs) - want)) <= 1e-11 * np.max(np.abs(want)), n
 
 
 def test_parity_at_zero_tilt():
@@ -509,14 +504,14 @@ def test_partner_level_closed_form_two_routes():
     # the explicit mixed-angle formula for level 1 against the shifted family
     xs = interior_grid(DEFAULT, 41, clamp=0.03)
     for n in range(4):
-        lhs = partner_eigenfunction_explicit(DEFAULT, n, xs)
+        lhs = mp_partner(DEFAULT, n, xs)
         rhs = eigenfunction(DEFAULT, 1, n)(xs)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
 
 
 def test_partner_route_other_parameters(swept_params):
     xs = interior_grid(swept_params, 21, clamp=0.05)
-    lhs = partner_eigenfunction_explicit(swept_params, 1, xs)
+    lhs = mp_partner(swept_params, 1, xs)
     rhs = eigenfunction(swept_params, 1, 1)(xs)
     assert np.max(np.abs(lhs - rhs)) < 1e-9 * np.max(np.abs(rhs))
 
