@@ -56,7 +56,7 @@ import numpy as np
 from .errors import DegreeCapError, DomainError, PtsusyError
 from .quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
-from .wavefn import _leading_loop, eigenfunction
+from .wavefn import eigenfunction
 
 #: Relative clamp keeping the identity grid and the quadratures off the walls.
 EDGE_CLAMP = 1e-6
@@ -194,6 +194,14 @@ class _Plan(NamedTuple):
     log_c: np.ndarray
     gamma: np.ndarray
     sin_power: np.ndarray
+
+
+def _leading_loop(degree: np.ndarray) -> tuple:
+    # Horner's loop over rows of falling degree: (power j, count of leading
+    # rows whose degree exceeds j) from the top degree down, so that a row
+    # joins at its own degree and sees the operations it would see alone
+    powers = np.arange(degree[0] - 1, -1, -1)
+    return tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
 
 
 def _plan(terms: _Terms) -> _Plan:

@@ -119,8 +119,7 @@ def gap_factor_M(params: ModelParams, n: int, m: int) -> float:
     M^2 is a product of per-rung energy gaps; it is evaluated in log space and
     exponentiated, so deep chains cannot overflow intermediate products.
     """
-    if n < 0 or m < 0:
-        raise DomainError("gap_factor_M needs n >= 0 and m >= 0")
+    n, m = level_number(n), level_number(m)
     log_m2 = _gap_product_logs(_m_squared_factors(params, n, m))
     return math.exp(0.5 * log_m2)
 
@@ -133,8 +132,7 @@ def gap_factor_N(params: ModelParams, n: int, m: int) -> float:
     meets its own energy), which is the correct physical zero rather than an
     error.
     """
-    if n < 0 or m < 0:
-        raise DomainError("gap_factor_N needs n >= 0 and m >= 0")
+    n, m = level_number(n), level_number(m)
     log_n = _gap_product_logs(_m_squared_factors(params, 2 * n - m, m))
     return 0.0 if log_n == -math.inf else math.exp(log_n)
 

@@ -25,12 +25,16 @@ a finite Fourier series with products for coefficients, no cancellation; the
 phase turns (i/2)^n into 2^-n.  As F_(n - k) = conj F_k, the sum is twice the
 real part of its upper half: Horner's rule in e^(2 i theta) on the unit
 circle, backward stable, over about n/2 terms.  ``EigenFamily`` evaluates
-states of one ``ModelParams`` in one Horner pass; ``gram_matrix`` and
-``coherent.identity_gram_projection`` build one family per call, and a single
-state's call is the one-row family.  Operator words act on the cotangent form
-of ``EigenFunction.cot_terms``, the same sum with e^(+-i theta) =
-sin theta (cot theta +- i); ``EigenFunction.taylor`` emits its Taylor jets on
-the open interval, which only the tests use, as the independent route.
+states of one ``ModelParams`` in one Horner pass over their upper halves,
+zero-padded to the longest: a shorter row stays an exact zero up to its own
+top coefficient, so each row goes through the same operations alone, in
+any family and in any order.  ``gram_matrix`` and
+``coherent.identity_gram_projection`` build one family per call, and a
+single state's call is the one-row family.
+Operator words act on the cotangent form of ``EigenFunction.cot_terms``, the
+same sum with e^(+-i theta) = sin theta (cot theta +- i);
+``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
+only the tests use, as the independent route.
 
 A level-m state is the level-zero closed form of the family whose strength
 index is shifted by m, with the same phase convention; the ladder-chain
@@ -42,7 +46,7 @@ it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -52,17 +56,6 @@ from .errors import DegreeCapError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 from .specfun import log_gamma
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, level_number
-
-
-@dataclass(frozen=True)
-class NormalizationData:
-    """Normalization constant for one base state, kept in log form."""
-
-    log_K: float
-
-    @property
-    def K(self) -> float:
-        return math.exp(self.log_K)
 
 
 def _check_degree(n: int):
@@ -111,8 +104,8 @@ def ground_ladder(params: ModelParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=2048, typed=True)  # typed: True must not hit the entry of 1
-def normalization_K(params: ModelParams, n: int) -> NormalizationData:
-    """Normalization constant of the n-th base eigenfunction, in log form.
+def normalization_K(params: ModelParams, n: int) -> float:
+    """log K, the log of the normalization constant of the n-th base eigenfunction.
 
     Product route: the ground constant of the family with strength index
     nu + n, entry n of ``ground_ladder(params)``, times
@@ -136,7 +129,7 @@ def normalization_K(params: ModelParams, n: int) -> NormalizationData:
     )
     for j in range(1, n + 1):
         log_rungs -= 0.5 * math.log((nu + j) ** 2 * s * s + beta * beta)
-    return NormalizationData(log_K=log_k0 + log_rungs)
+    return log_k0 + log_rungs
 
 
 def _fourier_coefficients(n: int, alpha: complex) -> np.ndarray:
@@ -150,44 +143,11 @@ def _fourier_coefficients(n: int, alpha: complex) -> np.ndarray:
     return binom[::-1] * binom.conj()
 
 
-def _leading_loop(degree: np.ndarray) -> tuple:
-    # Horner's loop over rows of falling degree: (power j, count of leading
-    # rows whose degree exceeds j) from the top degree down, so that a row
-    # joins at its own degree and sees the operations it would see alone
-    powers = np.arange(degree[0] - 1, -1, -1)
-    return tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
-
-
 def _upper_half(g: np.ndarray) -> np.ndarray:
     # H_j = 2 G_(ceil(d/2) + j), j <= d/2, of a row G_(d - k) = conj G_k of degree d; a middle G_(d/2) counts once
     half = 2.0 * g[len(g) // 2 :]
     half[0] *= 0.5 if len(g) % 2 else 1.0
     return half
-
-
-class _FourierRows:
-    """Real rows sum_k G_k e^(i (2k - d) theta), G_(d - k) = conj G_k, by falling degree d from their upper
-    halves H (``_upper_half``): Re[w^(d mod 2) sum_j H_j z^j] with w = e^(i theta) and z = w^2, one Horner
-    pass in z at the 1-d angles theta that a row joins at its own degree."""
-
-    def __init__(self, halves, degrees):
-        half_degree = np.array([len(h) - 1 for h in halves])
-        self.coeffs = np.zeros((len(halves), half_degree[0] + 1), dtype=complex)
-        for out, h in zip(self.coeffs, halves):
-            out[: len(h)] = h
-        self.top = self.coeffs[np.arange(len(halves)), half_degree]
-        self.loop = _leading_loop(half_degree)
-        self.odd = np.flatnonzero(np.asarray(degrees) % 2)
-
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        w = np.exp(1j * theta)
-        z = w * w
-        acc = np.repeat(self.top[:, None], theta.size, axis=1)
-        for j, k in self.loop:
-            acc[:k] = acc[:k] * z + self.coeffs[:k, j, None]
-        if self.odd.size:
-            acc[self.odd] *= w
-        return acc.real
 
 
 class EigenFunction:
@@ -206,7 +166,7 @@ class EigenFunction:
         self.idx = idx
         n = idx.n
         self._nu_eff = params.nu + idx.m
-        self.norm_data = normalization_K(replace(params, nu=self._nu_eff), n)
+        self.log_K = normalization_K(replace(params, nu=self._nu_eff), n)
         s = n + self._nu_eff + 1.0
         self._gamma = -params.beta * math.pi / (params.length * s)
         # the phase (-i)^n times (i/2)^n leaves 2^-n
@@ -238,7 +198,7 @@ class EigenFunction:
         q = self._fourier[n:]
         for k in range(n - 1, -1, -1):
             q = np.convolve(q, [1j, 1.0]) + self._fourier[k] * down[n - k]
-        return ((self.norm_data.log_K, self._gamma, self._nu_eff + n + 1.0, q),)
+        return ((self.log_K, self._gamma, self._nu_eff + n + 1.0, q),)
 
     def taylor(self, x, order: int) -> jets.Jet:
         """Taylor jet at interior point(s) x; batch axes follow the shape of x.
@@ -261,11 +221,14 @@ class EigenFamily:
     """Eigenfunctions of one ``ModelParams``, any levels, evaluated together.
 
     Calling it at x returns floats of shape (len(states),) + shape(x), row i the
-    values of ``states[i]``.  The rows are held by falling degree n, each with
-    the upper half of 2^-n F_k, log K, gamma and nu + m + 1.  A call runs one
-    ``_FourierRows`` pass, so a row goes through the same operations in any
-    family, takes the envelope of every row in one expression and puts the rows
-    back in the order given.
+    values of ``states[i]``.  Row i holds the upper half H of the Fourier row
+    2^-n F_k of ``states[i]``, zero-padded to the longest, and its log K, gamma
+    and nu + m + 1.  A call sums Re[w^(n mod 2) sum_j H_j z^j], w = e^(i theta),
+    z = w^2, in one Horner pass in z over all rows, then takes the envelope of
+    every row in one expression.  As z is finite, a row's padding stays an
+    exact zero up to its own top coefficient, where +-0 z + H_top = H_top; from
+    there the row sees the operations it would see alone, in any family and
+    in any order.
     """
 
     def __init__(self, states):
@@ -275,12 +238,12 @@ class EigenFamily:
         self.params = states[0].params
         if any(f.params != self.params for f in states):
             raise DomainError("an eigenfunction family shares one ModelParams")
-        by_degree = sorted(range(len(states)), key=lambda i: -states[i].idx.n)
-        rows = [states[i] for i in by_degree]
-        self._sums = _FourierRows([f._half for f in rows], [f.idx.n for f in rows])
-        env = np.array([[[f.norm_data.log_K], [f._gamma], [f._nu_eff + 1.0]] for f in rows])
+        self._table = np.zeros((len(states), max(len(f._half) for f in states)), dtype=complex)
+        for row, f in zip(self._table, states):
+            row[: len(f._half)] = f._half
+        self._odd = np.flatnonzero([f.idx.n % 2 for f in states])
+        env = np.array([[[f.log_K], [f._gamma], [f._nu_eff + 1.0]] for f in states])
         self._log_K, self._gamma, self._power = env.transpose(1, 0, 2)  # each (rows, 1)
-        self._inverse = None if by_degree == list(range(len(states))) else np.argsort(by_degree)
 
     def __call__(self, x) -> np.ndarray:
         p = self.params
@@ -289,15 +252,20 @@ class EigenFamily:
             raise DomainError("x outside the box [0, L]")
         flat = arr.ravel()
         theta = math.pi * flat / p.length
-        poly = self._sums(theta)
-        out = np.zeros(poly.shape)
+        w = np.exp(1j * theta)
+        z = w * w
+        acc = np.repeat(self._table[:, -1:], flat.size, axis=1)
+        for j in range(self._table.shape[1] - 2, -1, -1):
+            acc *= z
+            acc += self._table[:, j, None]
+        if self._odd.size:
+            acc[self._odd] *= w
+        out = np.zeros(acc.shape)
         # mask on x, not on sin: sin(pi * L / L) is a subnormal, not an exact 0
         interior = (flat > 0.0) & (flat < p.length)
         cols = slice(None) if interior.all() else interior  # a mask costs more on rows
         expo = self._log_K + self._gamma * flat[cols] + self._power * np.log(np.sin(theta[cols]))
-        out[:, cols] = np.exp(expo) * poly[:, cols]
-        if self._inverse is not None:
-            out = out[self._inverse]
+        out[:, cols] = np.exp(expo) * acc.real[:, cols]
         return out.reshape((len(out),) + arr.shape)
 
 

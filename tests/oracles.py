@@ -68,11 +68,11 @@ They share no summation with the two-sided binomial sum of ``wavefn``, and
 at 60 digits the cancellation of the hypergeometric series costs nothing.
 
 ``full_length_rows`` is the eigenfunction evaluation as it was before
-``wavefn._FourierRows`` summed the upper half of each conjugate-symmetric
-Fourier row in real arithmetic: one complex Horner pass in e^(2 i theta) over
-all n + 1 coefficients, then the turn e^(-i n theta), complex rows out.  Its
-imaginary part is the roundoff that the real rows no longer carry, so it is
-the check that the phase convention makes every state real.
+``wavefn.EigenFamily`` summed the upper half of each conjugate-symmetric
+Fourier row and kept the real part: one complex Horner pass in e^(2 i theta)
+over all n + 1 coefficients, then the turn e^(-i n theta), complex rows out.
+Its imaginary part is the roundoff that the real rows no longer carry, so it
+is the check that the phase convention makes every state real.
 
 ``fraction_loop_log_abs_gamma`` is ``specfun.log_abs_gamma`` as it was
 before its partial fractions became one matrix product: one fraction at a
@@ -104,7 +104,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 
-from ptsusy import jets
+from ptsusy import jets, quadrature
 from ptsusy.coherent import _KERNEL_BLOCK, _KERNEL_CONFIG, CoherentState, cs_log_normalization
 from ptsusy.errors import (
     DegreeCapError,
@@ -393,10 +393,10 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
         target = np.maximum(tol, 1e-16 * size * n_segments)
         if (total_err <= target).all():
             break
-        if n_segments >= config.max_subdivisions:
+        if n_segments >= quadrature.MAX_SUBDIVISIONS:
             worst = np.unravel_index(np.argmax(total_err - target), np.shape(total_err))
             raise SubdivisionLimitError(
-                f"no convergence within {config.max_subdivisions} panels "
+                f"no convergence within {quadrature.MAX_SUBDIVISIONS} panels "
                 f"(residual error {total_err[worst]:.3e}, tolerance {tol[worst]:.3e})"
             )
         neg_err, _, (lo, hi, fine, err) = heapq.heappop(heap)
@@ -711,7 +711,7 @@ def mp_eigenfunctions(states, x, dps=60):
             n, nu = f.idx.n, p.nu + f.idx.m
             s = n + nu + 1.0
             jacobi = _mp_jacobi(n, mpmath.mpc(-s, p.beta / s))
-            const = (-1j) ** n * mpmath.exp(f.norm_data.log_K)
+            const = (-1j) ** n * mpmath.exp(f.log_K)
             rate = -p.beta * mpmath.pi / (p.length * s)
             rows.append([complex(const * mpmath.exp(rate * xv) * sn ** (nu + n + 1) * jacobi(u)) for xv, sn, u in points])
     return np.array(rows).reshape((len(states),) + np.shape(x))
@@ -726,7 +726,7 @@ def mp_partner(params, n: int, x, dps=60):
     ladder fold, so it is the second route to the level-1 states.
     """
     nu, beta, L, hbar, mass = params.nu, params.beta, params.length, params.hbar, params.mass
-    norm = normalization_K(params, n + 1)
+    log_K = normalization_K(params, n + 1)
     gap = energy(params, LevelIndex(0, n + 1)) - energy(params, LevelIndex(0, 0))
     amp = math.sqrt(2.0 * mass * (n + 1.0) ** 2 * (gap / (n + 1.0)) / (n + 2.0 * nu + 3.0))
     out = []
@@ -735,7 +735,7 @@ def mp_partner(params, n: int, x, dps=60):
         a1 = mpmath.mpc(-s1, beta / s1)
         top, shift = _mp_jacobi(n + 1, a1), _mp_jacobi(n, a1 + 1)
         alpha_mix = phase_alpha(params, n)
-        const = (-1j) ** (n + 1) * mpmath.exp(norm.log_K) / mpmath.sqrt(2.0 * mass * gap)
+        const = (-1j) ** (n + 1) * mpmath.exp(log_K) / mpmath.sqrt(2.0 * mass * gap)
         for xv, sn, u in _mp_points(x, L):
             theta = mpmath.pi * xv / L
             bracket = amp * mpmath.cos(theta - alpha_mix) * sn ** (n + 1) * top(u) + (
@@ -758,7 +758,7 @@ def full_length_rows(states, x):
         acc = np.full(theta.shape, f._fourier[-1])
         for g in f._fourier[-2::-1]:
             acc = acc * z + g
-        envelope = np.exp(f.norm_data.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
+        envelope = np.exp(f.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
         rows.append(envelope * acc * np.exp(-1j * f.idx.n * theta))
     return np.array(rows)
 

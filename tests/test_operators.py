@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from ptsusy import cli, operators
+from ptsusy import cli, operators, quadrature
 from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DegreeCapError, DomainError
 from ptsusy.operators import (
@@ -274,8 +274,8 @@ def test_package_errors_become_rows_of_their_identity(monkeypatch):
     # a panel budget and tolerances that these integrals cannot meet: each
     # records the error, mandatory ones as failed and informational ones as
     # skipped, and the other identities keep their verdicts
-    cfg = QuadratureConfig(max_subdivisions=4, abs_tol=1e-30, rel_tol=1e-30)
-    monkeypatch.setattr(operators, "_SUITE_CONFIG", cfg)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
+    monkeypatch.setattr(operators, "_SUITE_CONFIG", QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
     results = {r.name: r for r in verify_operator_identities(DEFAULT, 2, 1, grid_size=21)}
     for name in ("mean_BBdag", "adjoint_consistency", "partial_chain_means"):
         row = results[name]
@@ -657,6 +657,40 @@ def test_every_cell_under_the_level_cap_is_certified():
         assert not failed, params
         assert capped == CAP_CELLS, params
     assert time.perf_counter() - start < 30.0
+
+
+# The mandatory rows that fail away from the checked (nu, beta) range, every
+# cell n + m <= cap: false fails of wall roundoff and then of the states'
+# accuracy.  Alias rows are counted out; a package error, recorded as the
+# residual's name, is counted in.  Any change of these sets is a change of
+# verdicts that the change making it must explain.
+FALSE_FAIL_REGISTER = {
+    (0.2, 400.0, 6): {
+        "intertwining_chain": [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 1)],
+        "ladder_action": [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0)],
+        "product_BdagB": [(4, 1), (5, 0), (5, 1), (6, 0)],
+        "product_BBdag": [(6, 0)],
+        "eigen_residual": [(6, 0)],  # SubdivisionLimitError
+    },
+    (60.0, 5.0, 10): {"product_BdagB": [(10, 0)], "product_BBdag": [(10, 0)]},
+    (20.0, 200.0, 10): {},
+}
+
+
+@pytest.mark.parametrize(("nu", "beta", "cap"), list(FALSE_FAIL_REGISTER), ids=lambda v: f"{v:g}")
+def test_false_fail_register_at_large_nu_and_beta(nu, beta, cap):
+    params = ModelParams(nu=nu, beta=beta)
+    failed, errors = set(), {}
+    for total in range(cap + 1):
+        for m in range(total + 1):
+            for r in verify_operator_identities(params, total - m, m):
+                if not r.informational and not r.passed and "alias_of" not in r.details:
+                    failed.add((total - m, m, r.name))
+                    if isinstance(r.max_residual, str):
+                        errors[total - m, m, r.name] = r.max_residual
+    want = FALSE_FAIL_REGISTER[nu, beta, cap]
+    assert failed == {(n, m, name) for name, cells in want.items() for n, m in cells}
+    assert errors == ({(6, 0, "eigen_residual"): "SubdivisionLimitError"} if "eigen_residual" in want else {})
 
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
+from ptsusy import quadrature
 from ptsusy.errors import DomainError, NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
 from ptsusy.quadrature import (
     BASE_RULE_ORDER,
@@ -23,8 +24,6 @@ from oracles import derivative, panelwise_integrate, panelwise_real_line
 def test_gauss_rule_literals_are_leggauss_bit_for_bit():
     # the module writes the rule out so that no process imports
     # numpy.polynomial; every quadrature result depends on these bits
-    from ptsusy import quadrature
-
     nodes, weights = np.polynomial.legendre.leggauss(BASE_RULE_ORDER)
     for got, want in ((quadrature._NODES, nodes), (quadrature._WEIGHTS, weights)):
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -74,8 +73,9 @@ def test_error_estimate_is_honest():
         assert actual <= max(10.0 * res.error, 1e-11)
 
 
-def test_subdivision_limit_raises():
-    cfg = QuadratureConfig(max_subdivisions=8, abs_tol=1e-15, rel_tol=1e-15)
+def test_subdivision_limit_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 8)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
     with pytest.raises(SubdivisionLimitError):
         # non-integrable endpoint: refinement cannot terminate
         integrate_interval(lambda x: 1.0 / x, 0.0, 1.0, cfg)
@@ -167,11 +167,6 @@ def test_zero_components_give_empty_results():
         {"abs_tol": math.inf},
         {"rel_tol": -math.inf},
         {"abs_tol": -1e-12},
-        {"max_subdivisions": 0},
-        {"max_subdivisions": -4},
-        {"max_subdivisions": 2.5},
-        {"max_subdivisions": 16.0},
-        {"max_subdivisions": math.nan},
     ],
     ids=repr,
 )
@@ -183,17 +178,14 @@ def test_config_rejects_bad_tolerances_and_budgets(fields):
 
 
 def test_config_accepts_zero_tolerances_and_small_budgets():
-    for cfg in (
-        QuadratureConfig(max_subdivisions=4),
-        QuadratureConfig(max_subdivisions=np.int64(8), abs_tol=0.0),
-        QuadratureConfig(rel_tol=0.0),
-    ):
+    for cfg in (QuadratureConfig(abs_tol=0.0), QuadratureConfig(rel_tol=0.0)):
         res = integrate_interval(lambda x: 3.0 * x**2, 0.0, 2.0, cfg)
         assert abs(res.value - 8.0) < 1e-12
 
 
-def test_one_unconverged_component_exhausts_the_budget():
-    cfg = QuadratureConfig(max_subdivisions=8, abs_tol=1e-15, rel_tol=1e-15)
+def test_one_unconverged_component_exhausts_the_budget(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 8)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
     integrate_interval(lambda x: x**2, 0.0, 1.0, cfg)  # converges on its own
     with pytest.raises(SubdivisionLimitError):
         integrate_interval(lambda x: np.array([x**2, 1.0 / x]), 0.0, 1.0, cfg)
@@ -336,8 +328,9 @@ def test_tied_panels_pop_in_the_order_they_were_made():
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
-def test_subdivision_limit_matches_panelwise_oracle(vector):
-    cfg = QuadratureConfig(max_subdivisions=8, abs_tol=1e-15, rel_tol=1e-15)
+def test_subdivision_limit_matches_panelwise_oracle(monkeypatch, vector):
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 8)
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
     f = (lambda x: np.array([x**2, 1.0 / x])) if vector else (lambda x: 1.0 / x)
     counted = Counting(f)
     with pytest.raises(SubdivisionLimitError) as batched:
@@ -346,7 +339,7 @@ def test_subdivision_limit_matches_panelwise_oracle(vector):
         panelwise_integrate(f, 0.0, 1.0, cfg)
     assert str(batched.value) == str(panelwise.value)
     assert "within 8 panels" in str(batched.value)
-    assert len(counted.sizes) == 1 + (cfg.max_subdivisions - 4)
+    assert len(counted.sizes) == 1 + (quadrature.MAX_SUBDIVISIONS - 4)
 
 
 def _nan_near(x0, width, f):

@@ -115,6 +115,19 @@ def test_gap_factor_frozen_values():
     assert gap_factor_N(P, 1, 0) == pytest.approx(546.0 / 25.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("gap", [gap_factor_M, gap_factor_N], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("index", [0.5, True, -1, 2.0], ids=repr)
+def test_gap_factors_read_indices_as_level_numbers(gap, index):
+    # a fraction, a bool or a negative is no level, in either slot; a
+    # whole-number float is the level of that int
+    if type(index) is float and index.is_integer():
+        assert gap(P, index, 1) == gap(P, 2, 1) and gap(P, 1, index) == gap(P, 1, 2)
+        return
+    for args in ((index, 0), (0, index)):
+        with pytest.raises(DomainError):
+            gap(P, *args)
+
+
 def test_phase_alpha_closed_form():
     # the mixing angle of the first-level form that criterion 7 checks against
     assert phase_alpha(P, 0) == pytest.approx(math.atan(2.0 / (2.0 * 3.0)), rel=1e-15)

@@ -59,14 +59,14 @@ K_ORACLE = {
 def test_normalization_product_form_vs_oracle():
     for (nu, beta, n), ref in K_ORACLE.items():
         p = ModelParams(nu=nu, beta=beta, hbar=1.0, length=1.0, mass=0.5)
-        got = normalization_K(p, n).K
+        got = math.exp(normalization_K(p, n))
         assert got == pytest.approx(ref, rel=5e-13)
 
 
 def test_normalization_double_sum_agrees_at_low_degree():
     # the printed double-sum route is usable at small n; cross-check the routes
     for n in range(0, 6):
-        a = normalization_K(DEFAULT, n).K
+        a = math.exp(normalization_K(DEFAULT, n))
         b = math.exp(normalization_double_sum(DEFAULT, n))
         assert a == pytest.approx(b, rel=1e-8)
 
@@ -118,7 +118,7 @@ def test_one_level_costs_one_log_gamma_call(monkeypatch):
     monkeypatch.setattr(wavefn, "log_gamma", counted)
     states = [EigenFunction(p, LevelIndex(m=3, n=n)) for n in range(11)]
     assert calls == [LEVEL_CAP + 1]
-    assert all(math.isfinite(f.norm_data.log_K) for f in states)
+    assert all(math.isfinite(f.log_K) for f in states)
 
 
 @pytest.mark.parametrize("n", [2.0, np.int64(2), np.float64(2.0)])
@@ -382,6 +382,15 @@ def test_fourier_rows_are_conjugate_symmetric(p):
         assert np.all(np.abs(g[::-1] - g.conj()) <= 4.0 * eps * np.abs(g)), f.idx
 
 
+def _horner_bound(f, x):
+    # 4 (n + 1) eps envelope(x) sum_k |G_k|, the roundoff of a Horner pass
+    # over the Fourier row of state f at x: the conditioning of its sum
+    theta = np.pi * np.asarray(x) / f.params.length
+    with np.errstate(divide="ignore"):  # log sin 0 = -inf gives the wall's envelope 0
+        envelope = np.exp(f.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
+    return 4.0 * (f.idx.n + 1) * np.finfo(float).eps * envelope * np.sum(np.abs(f._fourier))
+
+
 @pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
 def test_half_rows_match_full_length_route(p):
     # the upper-half real sum against the real part of the full complex sum.
@@ -390,34 +399,45 @@ def test_half_rows_match_full_length_route(p):
     # 7.8e-13 of max |phi| on these grids, where both routes also differ from
     # the 60-digit route by 3e-13 to 9e-13, so the bound is the conditioning
     # of the sum and not a fixed fraction of max |phi|
-    eps = np.finfo(float).eps
     xs = np.concatenate([interior_grid(p, 59, clamp=0.01), np.array([1e-6, 1e-3, 0.999]) * p.length])
-    theta = np.pi * xs / p.length
     states = _levels_0_to_10(p)
     for f, row, old in zip(states, EigenFamily(states)(xs), full_length_rows(states, xs)):
-        envelope = np.exp(f.norm_data.log_K + f._gamma * xs + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
-        bound = 4.0 * (f.idx.n + 1) * eps * envelope * np.sum(np.abs(f._fourier))
-        assert np.all(np.abs(row - old.real) <= bound), f.idx
+        assert np.all(np.abs(row - old.real) <= _horner_bound(f, xs)), f.idx
 
 
-@pytest.mark.parametrize("p", FAMILY_PARAMS, ids=["default", "gauge2"])
+@pytest.mark.parametrize(
+    "p",
+    FAMILY_PARAMS + [ModelParams(nu=20.0, beta=200.0), ModelParams(nu=0.2, beta=400.0)],
+    ids=["default", "gauge2", "nu20b200", "nu0.2b400"],
+)
 def test_one_state_calls_match_family_rows(p):
     # a one-state call is the one-row family and keeps shape and type.  Its
     # values agree with the rows of a family of levels 0-10, n 0-10 bit for
     # bit on a grid; at one point numpy's broadcast loops round the Horner
-    # steps differently (measured up to 3.7e-14 of the largest row), well
-    # inside the evaluation error against the mpmath route
+    # steps differently.  On the first two sets that gap is up to 3.7e-14 of
+    # the largest row at the points here (6.7e-13 at single grid points),
+    # well inside the evaluation error against the mpmath route; on the two
+    # large (nu, beta) sets, where the rows cancel hardest, it reaches 2.9e-11
+    # and 2.6e-7.  On every set it stays within the roundoff bound of each
+    # row's Horner pass (at most 0.16 of it at single grid points).  A
+    # shuffled copy of the family gives the same rows bit for bit at every
+    # point
     states = [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
     family = EigenFamily(states)
+    order = np.random.default_rng(5).permutation(len(states))
+    shuffled = EigenFamily([states[i] for i in order])
     for x in _family_points(p):
         rows = family(x)
         assert rows.shape == (len(states),) + np.shape(x)
+        assert _same_bits(shuffled(x)[np.argsort(order)], rows), np.shape(x)
         for f, row in zip(states, rows):
             alone = f(x)
             assert np.shape(alone) == np.shape(x) and type(alone) is (float if np.ndim(x) == 0 else np.ndarray)
             if np.size(x) > 1:
                 assert _same_bits(alone, row), (f.idx, np.shape(x))
-            assert np.all(np.abs(alone - row) <= 1e-13 * np.max(np.abs(rows))), (f.idx, np.shape(x))
+            assert np.all(np.abs(alone - row) <= _horner_bound(f, x)), (f.idx, np.shape(x))
+            if p in FAMILY_PARAMS:
+                assert np.all(np.abs(alone - row) <= 1e-13 * np.max(np.abs(rows))), (f.idx, np.shape(x))
         walls = np.isin(np.asarray(x), [0.0, p.length])
         assert np.all(rows[:, walls] == 0.0)
 
