@@ -21,7 +21,7 @@ import numpy as np
 
 from .coherent import CoherentState, PhasePoint, cs_overlap, resolution_kernel
 from .errors import PtsusyError
-from .operators import verify_operator_identities
+from .operators import MANDATORY, verify_operator_identities
 from .quadrature import DEFAULT_CONFIG, integrate_interval
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
 from .wavefn import eigenfunction, gram_matrix
@@ -38,22 +38,7 @@ _FORMATS = ("csv", "json")
 # the tolerances each subcommand reads, by the name of their --tol-<name>
 # flag: verify the thresholds of the mandatory identities, coherent its own
 _TOLERANCES = {
-    "verify": (
-        "ground_state_annihilation",
-        "factorization",
-        "intertwining_single",
-        "intertwining_chain",
-        "supercharge_commutator",
-        "product_BdagB",
-        "supercharge_anticommutator_block0",
-        "product_BBdag",
-        "supercharge_anticommutator_block1",
-        "ladder_action",
-        "mean_BBdag",
-        "mean_BdagB",
-        "adjoint_consistency",
-        "eigen_residual",
-    ),
+    "verify": tuple(name for key, (_, aliases) in MANDATORY.items() for name in (key, *aliases)),
     "coherent": ("normalization", "overlap", "resolution"),
 }
 

@@ -227,8 +227,8 @@ class EigenFamily:
     z = w^2, in one Horner pass in z over all rows, then takes the envelope of
     every row in one expression.  As z is finite, a row's padding stays an
     exact zero up to its own top coefficient, where +-0 z + H_top = H_top; from
-    there the row sees the operations it would see alone, in any family and
-    in any order.
+    there the row sees the operations it would see alone, in any family, in
+    any order and at any number of points (a lone point is taken twice).
     """
 
     def __init__(self, states):
@@ -250,7 +250,8 @@ class EigenFamily:
         arr = np.asarray(x, dtype=float)
         if not ((arr >= 0.0) & (arr <= p.length)).all():
             raise DomainError("x outside the box [0, L]")
-        flat = arr.ravel()
+        # a lone point taken twice: numpy rounds one-element complex loops otherwise
+        flat = np.resize(arr, max(arr.size, 2))
         theta = math.pi * flat / p.length
         w = np.exp(1j * theta)
         z = w * w
@@ -266,7 +267,7 @@ class EigenFamily:
         cols = slice(None) if interior.all() else interior  # a mask costs more on rows
         expo = self._log_K + self._gamma * flat[cols] + self._power * np.log(np.sin(theta[cols]))
         out[:, cols] = np.exp(expo) * acc.real[:, cols]
-        return out.reshape((len(out),) + arr.shape)
+        return out[:, : arr.size].reshape((len(out),) + arr.shape)
 
 
 @lru_cache(maxsize=1024, typed=True)  # typed: True must not hit the entry of 1

@@ -19,7 +19,7 @@ PARAM_GRID = [
 def clear_memos():
     """Empty the level-row memo and the fold memo of ``operators``."""
     operators._level_identities.cache_clear()
-    operators._folds.clear()
+    operators._fold.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -4,8 +4,11 @@ negative control."""
 
 import math
 import re
+import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -334,14 +337,20 @@ def test_grid_size_whole_numbers_from_three_accepted(grid_size):
 @pytest.mark.parametrize("sign", [0.0, 2.0, math.nan, True, np.True_, "1"], ids=repr)
 def test_sign_other_than_plus_or_minus_one_is_rejected_up_front(monkeypatch, sign):
     # 0.0 and 2.0 ran with a scaled superpotential and failed 12 rows, nan
-    # failed 8, and True ran as +1; only the numbers 1 and -1 are signs
+    # failed 8, and True ran as +1; only the numbers 1 and -1 are signs.
+    # apply_word gave another operator at 0.0 and 2.0 and exact zeros at nan
     def unreached(*args):
         raise AssertionError("the level rows or a fold were reached")
 
+    f = eigenfunction(DEFAULT, 1, 2)
     monkeypatch.setattr(operators, "_level_identities", unreached)
     monkeypatch.setattr(operators, "_fold", unreached)
-    with pytest.raises(DomainError, match=re.escape(f"sign must be 1 or -1 (the negative control), got {sign!r}")):
-        verify_operator_identities(DEFAULT, 1, 0, sign=sign)
+    for call in (
+        lambda: verify_operator_identities(DEFAULT, 1, 0, sign=sign),
+        lambda: apply_word(DEFAULT, (("A", 1),), f, [0.3, 0.6], sign),
+    ):
+        with pytest.raises(DomainError, match=re.escape(f"sign must be 1 or -1 (the negative control), got {sign!r}")):
+            call()
 
 
 @pytest.mark.parametrize("sign", [1, -1, 1.0, -1.0], ids=repr)
@@ -417,45 +426,53 @@ def _chain_words(m):
     return tuple(("A", k) for k in range(m + 1)), tuple(("Adag", k) for k in range(m, -1, -1))
 
 
-def _record_folds(monkeypatch):
-    # every fold the memo misses, as its key (params, id(operand), word,
-    # sign), and every step taken
-    misses, steps = [], []
-    fold, step = operators._fold, operators._step
-
-    def recorded_fold(params, word, func, sign):
-        if (params, id(func), word, sign) not in operators._folds:
-            misses.append((params, id(func), word, sign))
-        return fold(params, word, func, sign)
+def _count_steps(monkeypatch):
+    # every step taken, as (kind, level, sign, shift)
+    steps = []
+    step = operators._step
 
     def counted_step(params, kind, level, terms, sign, shift=0.0):
         steps.append((kind, level, sign, shift))
         return step(params, kind, level, terms, sign, shift)
 
-    monkeypatch.setattr(operators, "_fold", recorded_fold)
     monkeypatch.setattr(operators, "_step", counted_step)
-    return misses, steps
+    return steps
+
+
+def _record_folds(monkeypatch):
+    # the fold memo, every key (params, word, operand, sign) it is asked
+    # for, through the module name as _fold asks for a prefix, and every step
+    seen, fold = set(), operators._fold
+
+    def recorded_fold(params, word, func, sign):
+        seen.add((params, word, func, sign))
+        return fold(params, word, func, sign)
+
+    monkeypatch.setattr(operators, "_fold", recorded_fold)
+    return fold, seen, _count_steps(monkeypatch)
 
 
 def test_verify_folds_each_prefix_once(monkeypatch):
-    misses, steps = _record_folds(monkeypatch)
+    memo, seen, steps = _record_folds(monkeypatch)
     cells = [(n, m, sign) for n, m in ((3, 2), (3, 3), (2, 3)) for sign in (1.0, -1.0)]
     rows = [[r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] for n, m, sign in cells]
-    # every miss is in the memo still, so no key was folded twice, and the
-    # quadrature integrands, called once per refinement step, add no folds;
-    # a step extends a folded prefix, the shifted H steps of mixed_product
-    # (n < m) aside
-    assert len(operators._folds) == len(set(misses)) == len(misses)
+    # one miss per key asked for, and every one still in the memo, so no key
+    # was folded twice, and the quadrature integrands, called once per
+    # refinement step, add no folds; a step extends a folded prefix, the
+    # shifted H steps of mixed_product (n < m) aside
+    info = memo.cache_info()
+    assert info.misses == info.currsize == len(seen)
     shifted = [s for s in steps if s[3] != 0.0]
-    assert shifted and len(steps) - len(shifted) == sum(1 for key in misses if key[2])
+    assert shifted and len(steps) - len(shifted) == sum(1 for key in seen if key[1])
     # each cell alone, with both memos cleared, gives the same rows
+    monkeypatch.undo()
     for (n, m, sign), want in zip(cells, rows):
         clear_memos()
         assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] == want, (n, m, sign)
 
 
 def test_a_cell_reuses_the_folds_of_an_earlier_cell(monkeypatch):
-    _, steps = _record_folds(monkeypatch)
+    steps = _count_steps(monkeypatch)
     cold_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 3)]
     cold = len(steps)
     clear_memos()
@@ -467,28 +484,26 @@ def test_a_cell_reuses_the_folds_of_an_earlier_cell(monkeypatch):
     assert warm_rows == cold_rows
 
 
+def _small_memo(monkeypatch, size):
+    # the fold memo at another bound; its prefixes go through the same name
+    small = lru_cache(maxsize=size)(operators._fold.__wrapped__)
+    monkeypatch.setattr(operators, "_fold", small)
+    return small
+
+
 def test_fold_memo_stays_within_its_bound(monkeypatch):
-    sizes = []
-    fold = operators._fold
-
-    def sized_fold(*args):
-        out = fold(*args)
-        sizes.append(len(operators._folds))
-        return out
-
-    monkeypatch.setattr(operators, "_fold", sized_fold)
     for m in range(5):
         for n in range(7):
             verify_operator_identities(DEFAULT, n, m)
-    assert max(sizes) == operators.FOLD_MEMO_SIZE
-    # a small memo evicts folds that later words need again; they are folded
+    info = operators._fold.cache_info()
+    assert info.maxsize == info.currsize == operators.FOLD_MEMO_SIZE < info.misses
+    # a small memo evicts folds, and any that a later word needs is folded
     # again to the same values
     want = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)]
-    monkeypatch.setattr(operators, "FOLD_MEMO_SIZE", 16)
+    small = _small_memo(monkeypatch, 16)
     clear_memos()
-    sizes.clear()
     assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)] == want
-    assert max(sizes) == 16
+    assert small.cache_info().currsize == 16 < small.cache_info().misses
 
 
 def test_fold_memo_keys_the_sign():
@@ -497,8 +512,10 @@ def test_fold_memo_keys_the_sign():
     word, _ = _chain_words(2)
     grid = default_grid(DEFAULT)
     plus = apply_word(DEFAULT, word, f, grid, 1.0)
+    misses = operators._fold.cache_info().misses
     minus = apply_word(DEFAULT, word, f, grid, -1.0)
-    assert {(word, 1.0), (word, -1.0)} <= {(key[2], key[3]) for key in operators._folds if key[1] == id(f)}
+    # every prefix of the word, the empty one too, is folded again
+    assert operators._fold.cache_info().misses == misses + len(word) + 1
     assert np.max(np.abs(plus - minus)) > 1e-3 * np.max(np.abs(plus))
     plus_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 1)]
     warm = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 1, sign=-1.0)]
@@ -521,17 +538,28 @@ class _ByValue:
         return self.inner(x)
 
 
-def test_unhashable_operand_folds_by_identity():
+@dataclass(unsafe_hash=True)
+class _HashableByValue(_ByValue):
+    # compared and hashed by value
+    pass
+
+
+def test_fold_memo_keys_operands_by_equality(monkeypatch):
+    # the operand is part of the memo's key: an unhashable one is refused
+    # before any step, and operands equal by value share one fold
     f = eigenfunction(DEFAULT, 1, 2)
-    operand, twin = _ByValue(f), _ByValue(f)
-    with pytest.raises(TypeError):
-        hash(operand)
-    assert operand == twin
     word = (("A", 1), ("H", 1), ("Adag", 0))
     grid = default_grid(DEFAULT)
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(TypeError, match="unhashable"):
+        apply_word(DEFAULT, word, _ByValue(f), grid)
+    assert not steps
+    operand, twin = _HashableByValue(f), _HashableByValue(f)
+    assert operand == twin and operand is not twin
     got = apply_word(DEFAULT, word, operand, grid)
-    assert np.array_equal(got, apply_word(DEFAULT, word, f, grid))
     assert np.array_equal(apply_word(DEFAULT, word, twin, grid), got)
+    assert len(steps) == len(word)
+    assert np.array_equal(got, apply_word(DEFAULT, word, f, grid))
 
 
 def _two_pass_fold(word, func, sign):
@@ -695,7 +723,7 @@ def test_false_fail_register_at_large_nu_and_beta(nu, beta, cap):
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 @pytest.mark.parametrize("operand", ("corpus", "eigenfunction"))
-def test_shared_folds_are_bit_identical(operand, sign):
+def test_shared_folds_are_bit_identical(monkeypatch, operand, sign):
     word_b, word_bdag = _chain_words(2)
     word = word_b + word_bdag
     if operand == "corpus":
@@ -706,16 +734,80 @@ def test_shared_folds_are_bit_identical(operand, sign):
     prefixes = tuple(word[:i] for i in range(1, len(word) + 1))
     cold = {}
     for w in prefixes:
-        operators._folds.clear()
+        clear_memos()
         cold[w] = apply_word(DEFAULT, w, func, grid, sign)
     # the whole word first, so that its prefixes are looked up, not folded
-    operators._folds.clear()
+    clear_memos()
     for w in (word,) + prefixes:
         assert np.array_equal(apply_word(DEFAULT, w, func, grid, sign), cold[w]), w
-    assert len(operators._folds) == len(word) + 1
-    # a fold looked up again is the last to be evicted
+    info = operators._fold.cache_info()
+    assert info.misses == info.currsize == len(word) + 1
+    # in a memo just large enough for the word, a fold looked up again
+    # outlives the older ones: after two new folds evict two entries, the
+    # refreshed word[:1] is a hit and word[:2], next in line, is folded again
+    small = _small_memo(monkeypatch, len(word) + 1)
+    apply_word(DEFAULT, word, func, grid, sign)
     apply_word(DEFAULT, word[:1], func, grid, sign)
-    assert next(reversed(operators._folds))[2] == word[:1]
+    for n in (5, 6):
+        operators._fold(DEFAULT, (), eigenfunction(DEFAULT, 1, n), sign)
+    misses = small.cache_info().misses
+    apply_word(DEFAULT, word[:1], func, grid, sign)
+    assert small.cache_info().misses == misses
+    apply_word(DEFAULT, word[:2], func, grid, sign)
+    assert small.cache_info().misses == misses + 1
+
+
+class _Cut(BaseException):
+    # an interruption no handler of the package catches, as a signal's can be
+    pass
+
+
+def _run_cut(n, m, at=lambda frame, event: False):
+    # verify_operator_identities(n, m), cut at the first line event in
+    # operators.py, numbered from 1, for which at(frame, number) holds;
+    # returns the count of line events seen and whether the run was cut
+    seen = [0]
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            seen[0] += 1
+            if at(frame, seen[0]):
+                raise _Cut
+        return on_line
+
+    def on_call(frame, event, arg):
+        return on_line if frame.f_code.co_filename == operators.__file__ else None
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        verify_operator_identities(DEFAULT, n, m)
+        return seen[0], False
+    except _Cut:
+        return seen[0], True
+    finally:
+        sys.settrace(outer)
+
+
+def test_an_interrupted_cell_leaves_the_memos_consistent():
+    # the benchmark cuts verdicts with SIGALRM at any bytecode: cut cell
+    # (3, 2) at 40 line events spread over a cold run, and before each line
+    # of _DDx's widening at its first run, then run the whole cell on what
+    # the cut left in the memos; its rows are the cold rows
+    cold = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)]
+    clear_memos()
+    # an uncut run that counts the line events of _DDx.__call__ per line
+    ddx, runs = operators._DDx.__call__.__code__, Counter()
+    events, _ = _run_cut(3, 2, lambda frame, _: frame.f_code is ddx and runs.update([frame.f_lineno]))
+    # the widening's lines run on fewer calls than the lines around them
+    widening = [line for line, count in runs.items() if count < max(runs.values())]
+    assert len(widening) >= 3
+    cuts = [lambda _, number, k=k: number == k for k in np.linspace(1, events, 40).astype(int).tolist()]
+    cuts += [lambda frame, _, line=line: frame.f_code is ddx and frame.f_lineno == line for line in widening]
+    for cut in cuts:
+        clear_memos()
+        assert _run_cut(3, 2, cut)[1]
+        assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)] == cold
 
 
 def test_one_pass_horner_rows_match_each_term_alone():

@@ -344,7 +344,21 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
+def _short_of_the_reference(worst: str, over: int) -> pytest.MarkDecorator:
+    # the rows cancel too hard for 1e-11 at large nu and beta; a three-term
+    # recurrence for the Fourier rows should make these pass
+    return pytest.mark.xfail(strict=True, reason=f"worst {worst} of a state's largest value, {over} of 121 states over 1e-11")
+
+
+# (nu, beta) beyond MP_PARAMS, with the measured worst error of the family
+LARGE_PARAMS = [
+    pytest.param(ModelParams(nu=20.0, beta=200.0), marks=_short_of_the_reference("7.6e-11", 11), id="nu20b200"),
+    pytest.param(ModelParams(nu=60.0, beta=5.0), marks=_short_of_the_reference("3.2e-9", 36), id="nu60b5"),
+    pytest.param(ModelParams(nu=0.2, beta=400.0), marks=_short_of_the_reference("6.5e-9", 42), id="nu0.2b400"),
+]
+
+
+@pytest.mark.parametrize("p", [pytest.param(p, id=i) for p, i in zip(MP_PARAMS, MP_IDS)] + LARGE_PARAMS)
 def test_family_rows_match_per_state_reference(p):
     # every state of levels 0-10, n 0-10 as a row of one family, against the
     # 60-digit Jacobi series of each state; the Jacobi series in double
@@ -412,16 +426,11 @@ def test_half_rows_match_full_length_route(p):
 )
 def test_one_state_calls_match_family_rows(p):
     # a one-state call is the one-row family and keeps shape and type.  Its
-    # values agree with the rows of a family of levels 0-10, n 0-10 bit for
-    # bit on a grid; at one point numpy's broadcast loops round the Horner
-    # steps differently.  On the first two sets that gap is up to 3.7e-14 of
-    # the largest row at the points here (6.7e-13 at single grid points),
-    # well inside the evaluation error against the mpmath route; on the two
-    # large (nu, beta) sets, where the rows cancel hardest, it reaches 2.9e-11
-    # and 2.6e-7.  On every set it stays within the roundoff bound of each
-    # row's Horner pass (at most 0.16 of it at single grid points).  A
-    # shuffled copy of the family gives the same rows bit for bit at every
-    # point
+    # values are the rows of a family of levels 0-10, n 0-10 bit for bit at
+    # every point, a scalar and a one-point array included: a lone point is
+    # evaluated as two, as numpy rounds a complex product in a loop of one
+    # element otherwise.  A shuffled copy of the family gives the same rows
+    # bit for bit
     states = [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
     family = EigenFamily(states)
     order = np.random.default_rng(5).permutation(len(states))
@@ -433,11 +442,7 @@ def test_one_state_calls_match_family_rows(p):
         for f, row in zip(states, rows):
             alone = f(x)
             assert np.shape(alone) == np.shape(x) and type(alone) is (float if np.ndim(x) == 0 else np.ndarray)
-            if np.size(x) > 1:
-                assert _same_bits(alone, row), (f.idx, np.shape(x))
-            assert np.all(np.abs(alone - row) <= _horner_bound(f, x)), (f.idx, np.shape(x))
-            if p in FAMILY_PARAMS:
-                assert np.all(np.abs(alone - row) <= 1e-13 * np.max(np.abs(rows))), (f.idx, np.shape(x))
+            assert _same_bits(alone, row), (f.idx, np.shape(x))
         walls = np.isin(np.asarray(x), [0.0, p.length])
         assert np.all(rows[:, walls] == 0.0)
 
