@@ -82,8 +82,8 @@ def load_config(path: str) -> dict:
                     out[key] = [float(v) for v in value.split(",") if v.strip()]
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: field {key}: bad float list {value!r}")
-                if not all(map(math.isfinite, out[key])):
-                    raise ConfigError(f"{path}:{lineno}: field {key}: expected finite numbers, got {value!r}")
+                if not out[key] or not all(map(math.isfinite, out[key])):
+                    raise ConfigError(f"{path}:{lineno}: field {key}: expected one or more finite numbers, got {value!r}")
             elif key.startswith("tol_"):
                 if not any(key[4:] in names for names in _TOLERANCES.values()):
                     raise ConfigError(f"{path}:{lineno}: field {key}: no subcommand reads a tolerance of that name")

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
+from .operators import operand_values
 from .quadrature import DEFAULT_CONFIG, integrate_interval, integrate_real_line
 from .specfun import log_abs_gamma, log_gamma
 from .spectrum import ModelParams, level_number
@@ -90,7 +91,7 @@ class CoherentState:
     """Normalized lowering-operator eigenstate at hierarchy level m.
 
     Satisfies A_m eta = (W_m(q) + i p) eta pointwise; callable on scalars or
-    arrays.  Operator words act on its cotangent form, one term with Q = 1.
+    arrays of [0, L] through its cotangent form, one term with Q = 1.
     """
 
     def __init__(self, params: ModelParams, m: int, point: PhasePoint):
@@ -104,9 +105,8 @@ class CoherentState:
         self._u = u
         self.log_R = cs_log_normalization(params, self.m, point.q)
         self._log_K0 = log_ground_constant(dp, params.beta, params.length)
-        L = params.length
         # growth rate of eta / sin^(d'+1); the beta tilts have cancelled
-        self._rate = complex(-math.pi * s * u / L, point.p / params.hbar)
+        self._rate = complex(-math.pi * s * u / params.length, point.p / params.hbar)
 
     @property
     def eigenvalue(self) -> complex:
@@ -117,28 +117,12 @@ class CoherentState:
         return complex(w_q, self.point.p)
 
     def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        L = self.params.length
-        if not np.all((arr >= 0.0) & (arr <= L)):
-            raise DomainError("x outside the box [0, L]")
-        theta = math.pi * arr / L
-        w = np.sin(theta)
-        out = np.zeros(arr.shape, dtype=complex)
-        interior = (arr > 0.0) & (arr < L)
-        out[interior] = np.exp(
-            self.log_R
-            + self._log_K0
-            + self._rate * arr[interior]
-            + (self._dp + 1.0) * np.log(w[interior])
-        )
-        return complex(out[0]) if scalar else out
+        return operand_values(self, x)
 
     @property
     def cot_terms(self) -> tuple:
-        """(log C, gamma, a, Q) of the one term C e^(gamma x) sin^a Q(cot)."""
-        return ((self.log_R + self._log_K0, self._rate, self._dp + 1.0, np.ones(1, dtype=complex)),)
+        """(log C, gamma, a, Q) of the one term C e^(gamma x) sin^a Q(cot), gamma complex."""
+        return ((self.log_R + self._log_K0, self._rate, self._dp + 1.0, np.ones(1)),)
 
 
 def cs_overlap(a: CoherentState, b: CoherentState) -> complex:

@@ -17,7 +17,9 @@ degree d is evaluated as C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) with
 s = sin theta, which stays bounded up to the walls.  Eigenfunctions,
 coherent states and the smooth test bumps provide ``cot_terms``, and a
 corpus of operands can be stacked into one, so that one fold serves every
-member.
+member.  The operators are real, so eigenfunctions and bumps fold in float64
+and coherent states, whose gamma is complex, in complex128.  The empty word
+gives the values of bumps and coherent states (``operand_values``).
 
 A word is folded one operator at a time on top of the fold of its prefix.
 Q and the magnitudes each of its coefficients was summed from are held as
@@ -66,18 +68,14 @@ _KINDS = ("A", "Adag", "H")
 
 
 class TrigPolyBump:
-    """Smooth Dirichlet test function: sin^2 envelope times a random four-mode sine sum."""
+    """Smooth Dirichlet test function: sin^2 times a random four-mode sine sum, valued by its cot form."""
 
     def __init__(self, params: ModelParams, seed: int):
         self.params = params
         self.coeffs = np.random.default_rng(seed).normal(size=4)
 
     def __call__(self, x):
-        theta = math.pi * np.asarray(x, dtype=float) / self.params.length
-        acc = np.zeros_like(theta)
-        for j, cj in enumerate(self.coeffs, start=1):
-            acc += cj * np.sin(j * theta)
-        return np.sin(theta) ** 2 * acc
+        return operand_values(self, x)
 
     @cached_property
     def cot_terms(self) -> tuple:
@@ -96,7 +94,7 @@ class TrigPolyBump:
                 for _ in range((a - j - 2) // 2):
                     mode = np.convolve(mode, [1.0, 0.0, 1.0])
                 q += self.coeffs[j - 1] * mode
-            terms.append((0.0, 0.0, float(a), q.astype(complex)))
+            terms.append((0.0, 0.0, float(a), q))
         return tuple(terms)
 
 
@@ -120,10 +118,10 @@ class _Terms(NamedTuple):
     @classmethod
     def of(cls, params: ModelParams, terms) -> "_Terms":
         log_c, gamma, power, qs = zip(*terms)
-        coeffs = np.zeros((len(qs), max(map(len, qs))), dtype=complex)
+        gamma, power = np.array(gamma), np.array(power)
+        coeffs = np.zeros((len(qs), max(map(len, qs))), dtype=np.result_type(gamma, *{q.dtype for q in qs}))
         for row, q in zip(coeffs, qs):
             row[: len(q)] = q
-        gamma, power = np.array(gamma, dtype=complex), np.array(power)
         return cls(np.array(log_c), gamma, power, np.concatenate([coeffs, np.abs(coeffs)]), _DDx(params, gamma, power))
 
 
@@ -135,16 +133,16 @@ class _DDx:
     def __init__(self, params: ModelParams, gamma: np.ndarray, power: np.ndarray):
         self.k, self.power = math.pi / params.length, power[:, None]
         self.gamma = np.concatenate([gamma, np.abs(gamma)])[:, None]
-        self.rise = self.fall = np.zeros((len(self.gamma), 0), dtype=complex)
+        self.rise = self.fall = np.zeros((len(self.gamma), 0))
 
     def __call__(self, band: np.ndarray) -> np.ndarray:
         n = band.shape[1]
         # fall is widened last, so a widening cut short by a signal is redone
         if self.fall.shape[1] < n:
             rise, fall = self.k * (self.power - np.arange(2 * n)), -self.k * np.arange(1, 2 * n + 1)
-            self.rise = np.concatenate([rise, np.abs(rise)]).astype(complex)
-            self.fall = np.repeat([fall, np.abs(fall)], len(self.power), axis=0).astype(complex)
-        out = np.zeros((band.shape[0], n + 1), dtype=complex)
+            self.rise = np.concatenate([rise, np.abs(rise)])
+            self.fall = np.repeat([fall, np.abs(fall)], len(self.power), axis=0)
+        out = np.zeros((band.shape[0], n + 1), dtype=band.dtype)
         np.multiply(self.gamma, band, out=out[:, :n])
         out[:, 1:] += self.rise[:, :n] * band
         out[:, : n - 1] += self.fall[:, : n - 1] * band[:, 1:]
@@ -168,7 +166,7 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
     # column 0 scales the derivative, columns 1: are the polynomial in c
     scale, *poly = _factor_columns(factors, len(terms.gamma))
     n = terms.band.shape[1]
-    times = np.zeros(derived.shape, dtype=complex)
+    times = np.zeros(derived.shape, dtype=derived.dtype)
     for i, column in enumerate(poly):
         times[:, i : i + n] += column * terms.band
     return terms._replace(band=derived * scale + times)
@@ -177,7 +175,7 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
 @lru_cache(maxsize=1024)
 def _factor_columns(factors: tuple, rows: int) -> tuple:
     # a step's factors as read-only columns (see _step), keyed on their values
-    table = np.repeat([factors, np.abs(factors)], rows, axis=0).astype(complex)
+    table = np.repeat([factors, np.abs(factors)], rows, axis=0)
     table.setflags(write=False)
     return tuple(table[:, i : i + 1] for i in range(len(factors)))
 
@@ -275,12 +273,14 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     level that ``level_number`` accepts; any other entry, or a ``sign`` (the
     superpotential's factor, -1 the negative control) other than the numbers
     1 and -1, raises ``DomainError`` before the fold memo is consulted.
-    Returns the complex values of the resulting function at x, of shape
-    x.shape.  The word is folded on the operand's ``cot_terms`` and the
-    result is evaluated at x, a scalar being one point of a 1-d grid, so the
-    value at a point does not depend on the other points.  A stacked operand
-    (``_OperandStack`` of k functions) gives shape (k, *x.shape), row i
-    bit-identical to applying the word to member i alone.
+    Returns the values of the resulting function at x, of shape x.shape, in
+    the dtype of the operand's Q and gamma (float64 for eigenfunctions and
+    bumps, complex128 for coherent states).  The word is folded on the
+    operand's ``cot_terms`` and the result is evaluated at x, a scalar being
+    one point of a 1-d grid, so the value at a point does not depend on the
+    other points.  A stacked operand (``_OperandStack`` of k functions) gives
+    shape (k, *x.shape), row i bit-identical to applying the word to member i
+    alone when the members share a dtype.
 
     The fold of every (params, prefix, operand, sign) and its evaluation plan
     are kept in a process-wide ``lru_cache`` of ``FOLD_MEMO_SIZE`` entries,
@@ -306,11 +306,26 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     return out.reshape(out.shape[:-1] + arr.shape)[()]
 
 
+def operand_values(func, x):
+    """An operand's values on [0, L]: its empty word at interior points and
+    exactly 0 on the walls.  x outside [0, L] or NaN raises ``DomainError``;
+    a scalar x gives a Python float or complex."""
+    arr = np.asarray(x, dtype=float)
+    if not ((arr >= 0.0) & (arr <= func.params.length)).all():
+        raise DomainError("x outside the box [0, L]")
+    # the walls are masked before the fold takes log(sin)
+    interior = (arr > 0.0) & (arr < func.params.length)
+    values = apply_word(func.params, (), func, arr[interior])
+    out = np.zeros(arr.shape, dtype=values.dtype)
+    out[interior] = values
+    return out.item() if arr.ndim == 0 else out
+
+
 def _members(func, rows: np.ndarray) -> np.ndarray:
     # the evaluated term rows summed per member, in term order, from 0
     if not isinstance(func, _OperandStack):
         return sum(rows)
-    out = np.zeros((len(func.funcs), rows.shape[1]), dtype=complex)
+    out = np.zeros((len(func.funcs), rows.shape[1]), dtype=rows.dtype)
     for i, row in zip(func.owner, rows):
         out[i] += row
     return out
@@ -438,19 +453,16 @@ def _level_identities(
     with _identity(head, idx, grid_size, "ground_state_annihilation") as record:
         ground = eigenfunction(params, m, 0)
         ann = apply_word(params, (("A", m),), ground, grid, sign)
-        record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground(grid))))))
+        record(_rel(ann, 0.0, scale=float(np.max(np.abs(apply_word(params, (), ground, grid, sign))))))
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
     # one on the corpus.
     with _identity(head, idx, grid_size, "factorization") as record:
         e0_m = energy(params, LevelIndex(m, 0))
-        worst = 0.0
         direct = apply_word(params, (("H", m),), corpus(m), grid)
         chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign)
-        for f, d, c in zip(corpus(m), direct, chained):
-            fact = c / two_m + e0_m * np.asarray(f(grid), dtype=complex)
-            worst = max(worst, _rel(fact, d))
-        record(worst)
+        fact = chained / two_m + e0_m * apply_word(params, (), corpus(m), grid, sign)
+        record(max(_rel(f, d) for f, d in zip(fact, direct)))
 
     # Single-step intertwining, both directions.  An annihilated member, such
     # as the ground state under A_m, folds to exactly 0 on both sides.
@@ -473,8 +485,9 @@ def _level_identities(
     psi, phi = _bump(params, 201), _bump(params, 202)
 
     def inner_pair(x):
-        left = np.conj(apply_word(params, (("A", m),), psi, x, sign)) * phi(x)
-        return np.stack([left, np.conj(psi(x)) * apply_word(params, (("Adag", m),), phi, x, sign)])
+        left = np.conj(apply_word(params, (("A", m),), psi, x, sign)) * apply_word(params, (), phi, x, sign)
+        right = np.conj(apply_word(params, (), psi, x, sign)) * apply_word(params, (("Adag", m),), phi, x, sign)
+        return np.stack([left, right])
 
     with _identity(tail, idx, grid_size, "adjoint_consistency") as record:
         L = params.length
@@ -522,7 +535,8 @@ def verify_operator_identities(
     a ``grid_size`` that is not a whole number of at least 3 raises
     ``DomainError``, as does a ``sign`` other than the numbers 1 and -1 (a
     bool included).  The words of the call go through the fold memo of
-    ``apply_word``; the rows do not depend on what it holds.
+    ``apply_word``, an operand's own values included (its empty word); the
+    rows do not depend on what it holds.
     """
     n, m = level_number(n), level_number(m)
     _check_sign(sign)
@@ -563,7 +577,7 @@ def verify_operator_identities(
     theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
     # state n of levels 0, m and m + 1, each of degree at most n + m + 1
     phi_n, phi_m, phi_up = (eigenfunction(params, level, n) for level in (0, m, m + 1))
-    phi_up_grid = phi_up(grid)
+    phi_up_grid = apply_word(params, (), phi_up, grid, sign)
 
     def chain_eigenvalue(e, levels):
         # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
@@ -591,7 +605,7 @@ def verify_operator_identities(
     # rest on the fold leaving the chain exactly 0.
     with identity("product_BdagB") as record:
         lhs = apply_word(params, word_b + word_bdag, phi_n, grid, sign)
-        phi_n_grid = phi_n(grid)
+        phi_n_grid = apply_word(params, (), phi_n, grid, sign)
         scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_grid)))
         for k in range(m + 1):
             if k != n:
@@ -629,7 +643,7 @@ def verify_operator_identities(
         e_val = phi_m.energy
 
         def resid_sq(x):
-            return np.abs(apply_word(params, (("H", m),), phi_m, x) / e_val - phi_m(x)) ** 2
+            return np.abs(apply_word(params, (("H", m),), phi_m, x) / e_val - apply_word(params, (), phi_m, x)) ** 2
 
         quad = integrate_interval(resid_sq, lo, hi, replace(_SUITE_CONFIG, abs_tol=1e-16))
         record(math.sqrt(max(quad.value.real, 0.0)), _quad_details(quad))
@@ -662,7 +676,7 @@ def verify_operator_identities(
             core = 1.0
             for k in range(m + 1, n + 1):
                 core *= phi_hi.energy - e0_level(k)
-            phi_hi_grid = phi_hi(grid)
+            phi_hi_grid = apply_word(params, (), phi_hi, grid, sign)
             variants = {
                 "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_grid),
                 "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_grid) if m > 0 else float("inf"),

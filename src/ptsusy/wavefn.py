@@ -190,7 +190,8 @@ class EigenFunction:
         """The state as one term (log C, gamma, a, Q) of the cotangent form
         C e^(gamma x) sin^a Q(cot) that operator words act on, a = nu + m + n + 1:
         e^(+-i theta) = sin (cot +- i) turns the Fourier sum into
-        Q(c) = sum_k 2^-n F_k (c + i)^k (c - i)^(n - k)."""
+        Q(c) = sum_k 2^-n F_k (c + i)^k (c - i)^(n - k), real by the phase
+        convention: the convolutions' imaginary part is roundoff and dropped."""
         n = self.idx.n
         down = [np.ones(1, dtype=complex)]
         for _ in range(n):
@@ -198,7 +199,7 @@ class EigenFunction:
         q = self._fourier[n:]
         for k in range(n - 1, -1, -1):
             q = np.convolve(q, [1j, 1.0]) + self._fourier[k] * down[n - k]
-        return ((self.log_K, self._gamma, self._nu_eff + n + 1.0, q),)
+        return ((self.log_K, self._gamma, self._nu_eff + n + 1.0, q.real),)
 
     def taylor(self, x, order: int) -> jets.Jet:
         """Taylor jet at interior point(s) x; batch axes follow the shape of x.

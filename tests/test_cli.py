@@ -320,6 +320,18 @@ def test_config_integer_keys_reject_fractions(tmp_path, capsys, line):
     assert "int.cfg:2" in captured.err and line.split()[0] in captured.err
 
 
+@pytest.mark.parametrize("key", ["q", "p"])
+def test_config_empty_label_list_rejected(tmp_path, capsys, key):
+    # an empty list once fell back to the default labels without a word
+    cfg = tmp_path / "labels.cfg"
+    cfg.write_text(f"q = 0.3\np = 1.0\n{key} =\n")
+    assert ptsusy.cli.main(["coherent", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "labels.cfg:3" in line and f"field {key}" in line
+
+
 def test_config_integer_keys_accept_integral_floats(tmp_path, capsys):
     cfg = tmp_path / "int.cfg"
     cfg.write_text("m = 1\nn = 2.0\ngrid = 5.0\n")

@@ -29,6 +29,7 @@ from oracles import (
     cs_normalization,
     log_master_integral,
     master_integral,
+    operand_jet,
     pairwise_gram,
     superpotential,
     two_sided_resolution_kernel,
@@ -232,10 +233,12 @@ def test_endpoints_zero_and_operator_words_interior_only():
 
 
 def test_cot_terms_match_values():
-    # the empty word evaluates the cotangent form itself
+    # the state's values are the empty word of its cotangent form, against
+    # the exp formula of the Taylor oracle's order 0
     st = CoherentState(DEFAULT, 1, PhasePoint(0.3, 2.0))
     xs = np.array([0.2, 0.55])
-    assert np.allclose(apply_word(DEFAULT, (), st, xs), st(xs), rtol=1e-12)
+    assert np.array_equal(st(xs), apply_word(DEFAULT, (), st, xs))
+    assert np.allclose(st(xs), operand_jet(st, xs, 0).value, rtol=1e-12)
 
 
 def test_resolution_kernel_unity():

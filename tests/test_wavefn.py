@@ -12,6 +12,7 @@ import pytest
 from ptsusy import specfun, wavefn
 from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DegreeCapError, DomainError
+from ptsusy.operators import _OperandStack, apply_word
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
 from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams
 from ptsusy.wavefn import (
@@ -346,28 +347,47 @@ def _same_bits(a, b) -> bool:
 
 def _short_of_the_reference(worst: str, over: int) -> pytest.MarkDecorator:
     # the rows cancel too hard for 1e-11 at large nu and beta; a three-term
-    # recurrence for the Fourier rows should make these pass
+    # recurrence for the Fourier rows and for Q should make these pass
     return pytest.mark.xfail(strict=True, reason=f"worst {worst} of a state's largest value, {over} of 121 states over 1e-11")
 
 
-# (nu, beta) beyond MP_PARAMS, with the measured worst error of the family
-LARGE_PARAMS = [
-    pytest.param(ModelParams(nu=20.0, beta=200.0), marks=_short_of_the_reference("7.6e-11", 11), id="nu20b200"),
-    pytest.param(ModelParams(nu=60.0, beta=5.0), marks=_short_of_the_reference("3.2e-9", 36), id="nu60b5"),
-    pytest.param(ModelParams(nu=0.2, beta=400.0), marks=_short_of_the_reference("6.5e-9", 42), id="nu0.2b400"),
-]
+# (nu, beta) beyond MP_PARAMS
+LARGE_SETS = {
+    "nu20b200": ModelParams(nu=20.0, beta=200.0),
+    "nu60b5": ModelParams(nu=60.0, beta=5.0),
+    "nu0.2b400": ModelParams(nu=0.2, beta=400.0),
+}
 
 
-@pytest.mark.parametrize("p", [pytest.param(p, id=i) for p, i in zip(MP_PARAMS, MP_IDS)] + LARGE_PARAMS)
-def test_family_rows_match_per_state_reference(p):
-    # every state of levels 0-10, n 0-10 as a row of one family, against the
-    # 60-digit Jacobi series of each state; the Jacobi series in double
-    # erred up to 1.4e-9 here at level 10
+def _large_params(*worst) -> list:
+    # LARGE_SETS, each with a route's measured worst error and count of states over the bound
+    return [pytest.param(p, marks=_short_of_the_reference(*w), id=i) for (i, p), w in zip(LARGE_SETS.items(), worst)]
+
+
+def _rows_match_per_state_reference(p, evaluate):
+    # every state of levels 0-10, n 0-10 as a row of one evaluation, against
+    # the 60-digit Jacobi series of each state
     xs = _bulk(p)
-    states = [eigenfunction(p, m, n) for m in range(11) for n in range(11)]
-    rows = EigenFamily(states)(xs)
+    states = _levels_0_to_10(p)
+    rows = evaluate(states, xs)
     for f, row, want in zip(states, rows, mp_eigenfunctions(states, xs)):
         assert np.max(np.abs(row - want)) <= 1e-11 * np.max(np.abs(want)), f.idx
+
+
+MP_CASES = [pytest.param(p, id=i) for p, i in zip(MP_PARAMS, MP_IDS)]
+
+
+@pytest.mark.parametrize("p", MP_CASES + _large_params(("7.6e-11", 11), ("3.2e-9", 36), ("6.5e-9", 42)))
+def test_family_rows_match_per_state_reference(p):
+    # the Jacobi series in double erred up to 1.4e-9 here at level 10
+    _rows_match_per_state_reference(p, lambda states, xs: EigenFamily(states)(xs))
+
+
+@pytest.mark.parametrize("p", MP_CASES + _large_params(("6.3e-11", 8), ("2.6e-9", 36), ("4.5e-9", 42)))
+def test_fold_rows_match_per_state_reference(p):
+    # the second route: the states' cotangent form, the empty word that
+    # operator words extend, stacked into one fold
+    _rows_match_per_state_reference(p, lambda states, xs: apply_word(p, (), _OperandStack(states), xs))
 
 
 def _levels_0_to_10(p):
