@@ -7,6 +7,17 @@ parameters come from an optional flat key=value config file overridden by
 flags.  Output is CSV (header row, LF endings, shortest round-trip floats)
 or a single JSON object with sorted keys, so identical configs produce
 byte-identical artifacts.
+
+Each subcommand imports the layers it runs when it runs, so a process loads
+only these (``cli``, ``errors`` and ``spectrum`` always):
+
+    spectrum   nothing more; no numpy
+    wavefn     numpy, wavefn, specfun, quadrature
+    verify     numpy, operators, wavefn, specfun, quadrature
+    coherent   numpy, coherent, operators, wavefn, specfun, quadrature
+
+A tolerance named in a config file or a --tol- flag loads ``operators`` for
+the names of the mandatory identities.
 """
 
 from __future__ import annotations
@@ -17,14 +28,8 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .coherent import CoherentState, PhasePoint, cs_overlap, resolution_kernel
 from .errors import PtsusyError
-from .operators import MANDATORY, verify_operator_identities
-from .quadrature import DEFAULT_CONFIG, integrate_interval
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
-from .wavefn import eigenfunction, gram_matrix
 
 _PARAM_KEYS = ("nu", "beta", "hbar", "length", "mass")
 _DEFAULTS = {"nu": 1.0, "beta": 0.0, "hbar": 1.0, "length": 1.0, "mass": 0.5}
@@ -35,16 +40,21 @@ _SCALAR_KEYS = _PARAM_KEYS + _INT_KEYS + ("format", "out")
 _ALIASES = {"l": "length", "grid": "grid_points"}
 _FORMATS = ("csv", "json")
 
-# the tolerances each subcommand reads, by the name of their --tol-<name>
-# flag: verify the thresholds of the mandatory identities, coherent its own
-_TOLERANCES = {
-    "verify": tuple(name for key, (_, aliases) in MANDATORY.items() for name in (key, *aliases)),
-    "coherent": ("normalization", "overlap", "resolution"),
-}
-
 
 class ConfigError(Exception):
     pass
+
+
+def _tolerance_names(command: str) -> tuple[str, ...]:
+    # the tolerances a subcommand reads, by the name of their --tol-<name>
+    # flag: verify the thresholds of the mandatory identities, coherent its own
+    if command == "verify":
+        from .operators import MANDATORY
+
+        return tuple(name for key, (_, aliases) in MANDATORY.items() for name in (key, *aliases))
+    if command == "coherent":
+        return ("normalization", "overlap", "resolution")
+    return ()
 
 
 def _fmt(x: float) -> str:
@@ -85,7 +95,7 @@ def load_config(path: str) -> dict:
                 if not out[key] or not all(map(math.isfinite, out[key])):
                     raise ConfigError(f"{path}:{lineno}: field {key}: expected one or more finite numbers, got {value!r}")
             elif key.startswith("tol_"):
-                if not any(key[4:] in names for names in _TOLERANCES.values()):
+                if not any(key[4:] in _tolerance_names(command) for command in _COMMANDS):
                     raise ConfigError(f"{path}:{lineno}: field {key}: no subcommand reads a tolerance of that name")
                 out.setdefault("tol", {})[key[4:]] = _tolerance(value, f"{path}:{lineno}: field {key}")
             elif key == "format" and value not in _FORMATS:
@@ -203,7 +213,7 @@ def _merge(args: argparse.Namespace, tol_flags: dict) -> dict:
             cfg[key] = val
     # a config file may serve several subcommands, a flag only the one it is given to
     for name in tol_flags:
-        if name not in _TOLERANCES.get(args.command, ()):
+        if name not in _tolerance_names(args.command):
             raise ConfigError(f"flag --tol-{name}: {args.command} reads no tolerance of that name")
     cfg["tol"].update(tol_flags)
     return cfg
@@ -293,6 +303,11 @@ def cmd_spectrum(cfg: dict) -> int:
 
 
 def cmd_wavefn(cfg: dict) -> int:
+    import numpy as np
+
+    from .quadrature import DEFAULT_CONFIG, integrate_interval
+    from .wavefn import eigenfunction
+
     params = _params(cfg)
     m = int(cfg.get("m", 0))
     n = int(cfg.get("n", 0))
@@ -320,6 +335,8 @@ def cmd_wavefn(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    from .operators import verify_operator_identities
+
     params = _params(cfg)
     m = int(cfg.get("m", 1))
     n = int(cfg.get("n", 2))
@@ -352,6 +369,11 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_coherent(cfg: dict) -> int:
+    import numpy as np
+
+    from .coherent import CoherentState, PhasePoint, cs_overlap, resolution_kernel
+    from .wavefn import gram_matrix
+
     params = _params(cfg)
     m = int(cfg.get("m", 0))
     L = params.length

@@ -34,7 +34,8 @@ single state's call is the one-row family.
 Operator words act on the cotangent form of ``EigenFunction.cot_terms``, the
 same sum with e^(+-i theta) = sin theta (cot theta +- i);
 ``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
-only the tests use, as the independent route.
+only the tests use, as the independent route; it imports ``jets`` on its
+first call, so no other use of this module loads that layer.
 
 A level-m state is the level-zero closed form of the family whose strength
 index is shifted by m, with the same phase convention; the ladder-chain
@@ -51,7 +52,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import jets
 from .errors import DegreeCapError, DomainError
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_interval
 from .specfun import log_gamma
@@ -207,6 +207,8 @@ class EigenFunction:
         Coefficient k is the k-th derivative over k!.  The jet exists only on
         the open interval (0, L); anywhere else raises ``DomainError``.
         """
+        from . import jets  # the one use of jets in the package, so no report loads it
+
         p = self.params
         arr = np.asarray(x, dtype=float)
         if not np.all((arr > 0.0) & (arr < p.length)):
