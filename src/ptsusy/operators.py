@@ -29,7 +29,10 @@ columns per set of factor values.  A bounded ``lru_cache`` keyed on
 (params, prefix, operand, sign) keeps each fold with its plan: the rows in
 falling degree and, per power, Q cut at the noise floor.  The plan is
 evaluated in one Horner pass in place, which a row joins at its own degree,
-so each row sees the same operations as when it is evaluated alone.
+so each row sees the same operations as when it is evaluated alone.  Several
+words wanted at the same points (``apply_words``) go into one plan over all
+their folds' rows and one Horner pass per node set, and each result is
+bit-identical to its word evaluated alone.
 
 The verification suite evaluates every operator identity of the hierarchy on
 one sample grid or by quadrature and reports one relative residual per
@@ -37,10 +40,11 @@ identity, flagging the deliberately ambiguous ones as informational rather
 than asserting them.
 Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
-apply to one operand is folded once.  The identities that depend on the
-level m alone are computed once per (params, m, grid size, sign), and their
-rows are kept in a bounded memo across calls; each call receives copies
-stamped with its own indices.
+apply to one operand is folded once.  The words of a cell's pointwise rows,
+and of each integrand that needs several, are evaluated in one stacked call
+per node set.  The identities that depend on the level m alone are computed
+once per (params, m, grid size, sign), and their rows are kept in a bounded
+memo across calls; each call receives copies stamped with its own indices.
 """
 
 from __future__ import annotations
@@ -211,17 +215,25 @@ def _leading_loop(degree: np.ndarray) -> tuple:
     return tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
 
 
-def _plan(terms: _Terms) -> _Plan:
-    # Coefficients under the noise floor are dropped and every term is
-    # evaluated at the degree d of its top remaining coefficient, so a row
-    # does not depend on the other terms it is stacked with.
-    q, mag = terms.band[: len(terms.gamma)], terms.band[len(terms.gamma) :].real
-    q = np.where(np.abs(q) > NOISE_FLOOR * mag, q, 0.0)
+def _plan(*folded: _Terms) -> _Plan:
+    # The rows of every fold, one after another.  Coefficients under the
+    # noise floor are dropped and every term is evaluated at the degree d of
+    # its top remaining coefficient, so a row does not depend on the other
+    # rows it is stacked with, in its own fold or in another.
+    width = max(t.band.shape[1] for t in folded)
+    q = np.zeros((sum(len(t.gamma) for t in folded), width), dtype=folded[0].band.dtype)
+    start = 0
+    for t in folded:
+        rows, band = len(t.gamma), t.band
+        cut = np.where(np.abs(band[:rows]) > NOISE_FLOOR * band[rows:].real, band[:rows], 0.0)
+        q[start : start + rows, : band.shape[1]] = cut
+        start += rows
+    log_c, gamma, power = (np.concatenate(parts) for parts in zip(*((t.log_c, t.gamma, t.power) for t in folded)))
     degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
     degree, q = degree[order], q[order]
     loop = tuple((k, q[:k, j, None]) for j, k in _leading_loop(degree))
-    return _Plan(q[np.arange(len(q)), degree], loop, order, terms.log_c[order], terms.gamma[order], terms.power[order] - degree)
+    return _Plan(q[np.arange(len(q)), degree], loop, order, log_c[order], gamma[order], power[order] - degree)
 
 
 def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
@@ -298,22 +310,54 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     or share a prefix do not fold it again.  The operand must be hashable and
     keep its ``cot_terms``; equal operands share their folds.  The values are
     bit-identical with a warm memo and a cold one.
+
+    This is the one-request case of ``apply_words``, which evaluates several
+    words at the same points in one plan and one Horner pass, each result
+    bit-identical to its word applied alone; a single request evaluates the
+    plan kept with its fold.
     """
-    _check_sign(sign)
+    (values,) = apply_words(params, [(word, func, sign)], x)
+    return values
+
+
+def apply_words(params: ModelParams, requests, x) -> list:
+    """Apply several words at the same points x in one pass.
+
+    Each of the (at least one) requests is a (word, operand, sign) triple,
+    checked and folded as by ``apply_word``; the result is a list with one
+    array per request, each what ``apply_word(params, word, operand, x,
+    sign)`` returns, bit for bit and in the same dtype.  The rows of every fold go into one plan and one
+    Horner pass, which each row joins at its own degree, so it sees the same
+    operations as when its word is evaluated alone; every other operation is
+    elementwise.  The requests of one call share a dtype: float64 and
+    complex128 operands together raise ``DomainError``.
+    """
+    requests = [(tuple(word), func, sign) for word, func, sign in requests]
+    # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
+    for word, _, sign in requests:
+        _check_sign(sign)
+        for kind, level in word:
+            if kind not in _KINDS:
+                raise DomainError(f"unknown operator kind {kind!r}")
+            if type(level) is not int or level < 0:
+                level_number(level)
     arr = np.asarray(x, dtype=float)
     # NaN fails both comparisons; an empty x passes
     if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=-math.inf) < params.length):
         raise DomainError("operator applications need interior sample points")
-    word = tuple(word)
-    # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
-    for kind, level in word:
-        if kind not in _KINDS:
-            raise DomainError(f"unknown operator kind {kind!r}")
-        if type(level) is not int or level < 0:
-            level_number(level)
-    fold = _fold(params, word, func, sign)
-    out = _members(func, _evaluate(params, fold.plan, arr.ravel()))
-    return out.reshape(out.shape[:-1] + arr.shape)[()]
+    folds = [_fold(params, *request) for request in requests]
+    if any(fold.terms.band.dtype != folds[0].terms.band.dtype for fold in folds):
+        dtypes = sorted({str(fold.terms.band.dtype) for fold in folds})
+        raise DomainError(f"the words of one call need operands of one dtype, got {' and '.join(dtypes)}")
+    plan = folds[0].plan if len(folds) == 1 else _plan(*(fold.terms for fold in folds))
+    rows = _evaluate(params, plan, arr.ravel())
+    out, start = [], 0
+    for (_, func, _), fold in zip(requests, folds):
+        stop = start + len(fold.terms.gamma)
+        values = _members(func, rows[start:stop])
+        out.append(values.reshape(values.shape[:-1] + arr.shape)[()])
+        start = stop
+    return out
 
 
 def operand_values(func, x):
@@ -457,47 +501,59 @@ def _level_identities(
     two_m = 2.0 * params.mass
     # the standard operands of a level as one stack: a word folds all members
     # at once, and residuals are taken member by member
-    corpus = lru_cache(maxsize=None)(lambda level: _OperandStack(test_corpus(params, level)))
+    corpus = {level: _OperandStack(test_corpus(params, level)) for level in {0, m, m + 1}}
+
+    # Every word of the pointwise rows at the grid in one call, in report
+    # order: annihilation, factorization, single-step intertwining both ways
+    # and chain intertwining.  The corpus of level m + 1 holds states of
+    # degree m + 4, which the caller has checked against the cap.
+    ground = eigenfunction(params, m, 0)
+    word_b = tuple(("A", k) for k in range(m + 1))
+    requests = [
+        ((("A", m),), ground, sign),
+        ((), ground, sign),
+        ((("H", m),), corpus[m], 1.0),
+        ((("A", m), ("Adag", m)), corpus[m], sign),
+        ((), corpus[m], sign),
+        ((("A", m), ("H", m + 1)), corpus[m], sign),
+        ((("H", m), ("A", m)), corpus[m], sign),
+        ((("Adag", m), ("H", m)), corpus[m + 1], sign),
+        ((("H", m + 1), ("Adag", m)), corpus[m + 1], sign),
+        (word_b + (("H", m + 1),), corpus[0], sign),
+        ((("H", 0),) + word_b, corpus[0], sign),
+    ]
+    ann, ground_grid, direct, chained, values, *pairs = apply_words(params, requests, grid)
 
     # Ground-state annihilation at level m.
     with _identity(head, idx, grid_size, "ground_state_annihilation") as record:
-        ground = eigenfunction(params, m, 0)
-        ann = apply_word(params, (("A", m),), ground, grid, sign)
-        record(_rel(ann, 0.0, scale=float(np.max(np.abs(apply_word(params, (), ground, grid, sign))))))
+        record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground_grid)))))
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
     # one on the corpus.
     with _identity(head, idx, grid_size, "factorization") as record:
-        e0_m = energy(params, LevelIndex(m, 0))
-        direct = apply_word(params, (("H", m),), corpus(m), grid)
-        chained = apply_word(params, (("A", m), ("Adag", m)), corpus(m), grid, sign)
-        fact = chained / two_m + e0_m * apply_word(params, (), corpus(m), grid, sign)
+        fact = chained / two_m + energy(params, LevelIndex(m, 0)) * values
         record(max(_rel(f, d) for f, d in zip(fact, direct)))
 
     # Single-step intertwining, both directions.  An annihilated member, such
     # as the ground state under A_m, folds to exactly 0 on both sides.
-    def worst_of(stack, lhs_word, rhs_word, worst=0.0):
-        lhs = apply_word(params, lhs_word, stack, grid, sign)
-        rhs = apply_word(params, rhs_word, stack, grid, sign)
+    def worst_of(lhs, rhs, worst=0.0):
         return max([worst] + [_rel(lf, rf) for lf, rf in zip(lhs, rhs)])
 
     with _identity(head, idx, grid_size, "intertwining_single") as record:
-        worst = worst_of(corpus(m), (("A", m), ("H", m + 1)), (("H", m), ("A", m)))
-        record(worst_of(corpus(m + 1), (("Adag", m), ("H", m)), (("H", m + 1), ("Adag", m)), worst))
+        record(worst_of(*pairs[2:4], worst_of(*pairs[:2])))
 
     # Chain intertwining (equivalently, the supercharge commutator component).
-    word_b = tuple(("A", k) for k in range(m + 1))
     with _identity(head, idx, grid_size, "intertwining_chain") as record:
-        record(worst_of(corpus(0), word_b + (("H", m + 1),), (("H", 0),) + word_b))
+        record(worst_of(*pairs[4:]))
 
     # Adjoint consistency, <A psi, phi> and <psi, A^dag phi> as one two-component
     # integral; bumps keep both inner products away from zero.
     psi, phi = _bump(params, 201), _bump(params, 202)
+    words = [((("A", m),), psi, sign), ((), phi, sign), ((), psi, sign), ((("Adag", m),), phi, sign)]
 
     def inner_pair(x):
-        left = np.conj(apply_word(params, (("A", m),), psi, x, sign)) * apply_word(params, (), phi, x, sign)
-        right = np.conj(apply_word(params, (), psi, x, sign)) * apply_word(params, (("Adag", m),), phi, x, sign)
-        return np.stack([left, right])
+        a_psi, phi_x, psi_x, adag_phi = apply_words(params, words, x)
+        return np.stack([np.conj(a_psi) * phi_x, np.conj(psi_x) * adag_phi])
 
     with _identity(tail, idx, grid_size, "adjoint_consistency") as record:
         L = params.length
@@ -546,7 +602,10 @@ def verify_operator_identities(
     ``DomainError``, as does a ``sign`` other than the numbers 1 and -1 (a
     bool included).  The words of the call go through the fold memo of
     ``apply_word``, an operand's own values included (its empty word); the
-    rows do not depend on what it holds.
+    rows do not depend on what it holds.  The words of the pointwise rows are
+    evaluated at the grid in one ``apply_words`` call per cell and one for the
+    level rows; their operands are of degree at most the one checked up
+    front, so no state they need is refused by the cap.
     """
     n, m = level_number(n), level_number(m)
     _check_sign(sign)
@@ -587,7 +646,23 @@ def verify_operator_identities(
     theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
     # state n of levels 0, m and m + 1, each of degree at most n + m + 1
     phi_n, phi_m, phi_up = (eigenfunction(params, level, n) for level in (0, m, m + 1))
-    phi_up_grid = apply_word(params, (), phi_up, grid, sign)
+    # Every word of the pointwise rows at the grid in one call, by name; the
+    # operands are of degree at most n + m + 1, under the cap checked above.
+    pointwise = {
+        "phi_up": ((), phi_up),
+        "BdagB": (word_b + word_bdag, phi_n),
+        "phi_n": ((), phi_n),
+        "BBdag": (word_bdag + word_b, phi_up),
+        "ladder": (word_b, eigenfunction(params, 0, n + m + 1)),
+    }
+    if n != m:
+        pointwise["mixed"] = (word_bdag + word_b[: n + 1] + lam, phi_up)
+    if n > m:
+        phi_hi = eigenfunction(params, n + 1, 0)
+        pointwise.update(lam=(lam, phi_up), partial=(lam_dag + lam, phi_hi), phi_hi=((), phi_hi))
+    requests = [(word, func, sign) for word, func in pointwise.values()]
+    at_grid = dict(zip(pointwise, apply_words(params, requests, grid)))
+    phi_up_grid = at_grid["phi_up"]
 
     def chain_eigenvalue(e, levels):
         # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
@@ -614,8 +689,7 @@ def verify_operator_identities(
     # the chain: the residual is scaled by the other factors, so it does not
     # rest on the fold leaving the chain exactly 0.
     with identity("product_BdagB") as record:
-        lhs = apply_word(params, word_b + word_bdag, phi_n, grid, sign)
-        phi_n_grid = apply_word(params, (), phi_n, grid, sign)
+        lhs, phi_n_grid = at_grid["BdagB"], at_grid["phi_n"]
         scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_grid)))
         for k in range(m + 1):
             if k != n:
@@ -625,14 +699,12 @@ def verify_operator_identities(
 
     eig_up = chain_eigenvalue(phi_up.energy, range(m + 1))
     with identity("product_BBdag") as record:
-        lhs = apply_word(params, word_bdag + word_b, phi_up, grid, sign)
-        record(_rel(lhs, eig_up * phi_up_grid))
+        record(_rel(at_grid["BBdag"], eig_up * phi_up_grid))
 
     # Chain action with the closed-form gap factor.
     pref = rung ** (m + 1) * gap_factor_M(params, n, m)
     with identity("ladder_action") as record:
-        lhs = apply_word(params, word_b, eigenfunction(params, 0, n + m + 1), grid, sign)
-        record(_rel(lhs, pref * phi_up_grid))
+        record(_rel(at_grid["ladder"], pref * phi_up_grid))
 
     # Mean values of the chain products by quadrature.
     with identity("mean_BBdag") as record:
@@ -653,7 +725,8 @@ def verify_operator_identities(
         e_val = phi_m.energy
 
         def resid_sq(x):
-            return np.abs(apply_word(params, (("H", m),), phi_m, x) / e_val - apply_word(params, (), phi_m, x)) ** 2
+            h_phi, phi = apply_words(params, [((("H", m),), phi_m, 1.0), ((), phi_m, 1.0)], x)
+            return np.abs(h_phi / e_val - phi) ** 2
 
         quad = integrate_interval(resid_sq, lo, hi, replace(_SUITE_CONFIG, abs_tol=1e-16))
         record(math.sqrt(max(quad.value.real, 0.0)), _quad_details(quad))
@@ -662,10 +735,10 @@ def verify_operator_identities(
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
         with identity("mixed_product") as record:
-            lhs = apply_word(params, word_bdag + word_b[: n + 1] + lam, phi_up, grid, sign)
+            lhs = at_grid["mixed"]
             details = {}
             if n > m:
-                rhs = eig_up * apply_word(params, lam, phi_up, grid, sign)
+                rhs = eig_up * at_grid["lam"]
                 details["lambda_form"] = _rel(lhs, rhs)
             else:
                 # theta first, then the operator polynomial prod_k (H - E_k) folded directly
@@ -681,12 +754,10 @@ def verify_operator_identities(
     # Partial-chain products with both candidate prefactors.
     if n > m:
         with identity("partial_chain_product") as record:
-            phi_hi = eigenfunction(params, n + 1, 0)
-            lhs = apply_word(params, lam_dag + lam, phi_hi, grid, sign)
+            lhs, phi_hi_grid = at_grid["partial"], at_grid["phi_hi"]
             core = 1.0
             for k in range(m + 1, n + 1):
                 core *= phi_hi.energy - e0_level(k)
-            phi_hi_grid = apply_word(params, (), phi_hi, grid, sign)
             variants = {
                 "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_grid),
                 "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_grid) if m > 0 else float("inf"),

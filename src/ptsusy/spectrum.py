@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -18,7 +19,9 @@ class ModelParams:
 
     nu >= 0 controls the centrifugal strength, beta >= 0 the asymmetry tilt.
     Defaults pick the dimensionless gauge hbar = 1, L = 1, 2*mass = 1, in which
-    the energy unit epsilon0 equals pi**2.
+    the energy unit epsilon0 equals pi**2.  A gauge whose epsilon0 is not a
+    positive normal float, or whose energies up to ``LEVEL_CAP`` overflow,
+    raises ``DomainError``.
     """
 
     nu: float
@@ -39,6 +42,29 @@ class ModelParams:
             raise DomainError("beta must be >= 0")
         if not (self.hbar > 0.0 and self.length > 0.0 and self.mass > 0.0):
             raise DomainError("hbar, length, mass must be positive")
+        self._check_scale()
+
+    def _check_scale(self):
+        # epsilon0 must be a positive normal float and every energy up to
+        # LEVEL_CAP finite.  Python's ** raises where * gives inf, so epsilon0
+        # out of range may also come as OverflowError or ZeroDivisionError.
+        try:
+            e0 = self.epsilon0
+        except (OverflowError, ZeroDivisionError):
+            e0 = 0.0
+        if not (sys.float_info.min <= e0 < math.inf):
+            raise DomainError(
+                "hbar, length and mass must give a positive normal float epsilon0 = hbar^2 pi^2 / (2 mass length^2), "
+                f"got hbar {self.hbar!r}, length {self.length!r}, mass {self.mass!r}"
+            )
+        # energy() is epsilon0 (s^2 - beta^2 / s^2) with s from nu + 1 up to
+        # LEVEL_CAP + nu + 1: at most epsilon0 s^2 at the top level or
+        # epsilon0 beta^2 / s^2 at the bottom one in size
+        top, low = LEVEL_CAP + self.nu + 1.0, self.nu + 1.0
+        if not math.isfinite(e0 * (top * top)):
+            raise DomainError(f"nu must keep the energies up to level {LEVEL_CAP} finite, got {self.nu!r}")
+        if not math.isfinite(e0 * (self.beta * self.beta / (low * low))):
+            raise DomainError(f"beta must keep the energies up to level {LEVEL_CAP} finite, got {self.beta!r}")
 
     @property
     def epsilon0(self) -> float:

@@ -449,6 +449,32 @@ def test_package_errors_exit_2_with_one_stderr_line(monkeypatch, capsys, error):
     assert "Traceback" not in captured.err
 
 
+# a gauge outside double range, by command line, and the field it names
+OUT_OF_RANGE = {
+    "spectrum --beta 1e200": "beta",
+    "spectrum --nu 1e160": "nu",
+    "spectrum --length 1e-200": "length",
+    "spectrum --hbar 1e-200": "hbar",
+    "verify --length 1e200": "length",
+    "verify --nu 1e160": "nu",
+    "verify --hbar 1e-200 --n 1": "hbar",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", list(OUT_OF_RANGE))
+def test_gauge_outside_double_range_exits_2_with_one_stderr_line(capsys, command):
+    # these stopped with an OverflowError or ZeroDivisionError traceback
+    # (exit 1), printed energies of inf or 0.0, or passed verify rows with
+    # residual 0.0 while numpy warned; no warning may be raised either
+    field = OUT_OF_RANGE[command]
+    assert ptsusy.cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("ptsusy: error: ") and f"{field} " in line and "Traceback" not in captured.err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("key", ["q", "p"])

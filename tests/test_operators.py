@@ -374,15 +374,18 @@ def test_sign_plus_or_minus_one_runs(sign):
 
 def test_every_pointwise_identity_uses_the_one_grid(monkeypatch):
     # every word evaluated at grid_size points sees default_grid itself; the
-    # chains of depth three and beyond once went to a [0.1 L, 0.9 L] grid
+    # chains of depth three and beyond once went to a [0.1 L, 0.9 L] grid.
+    # The spy records the points of every request of apply_words, which
+    # apply_word and the stacked grid rows both go through
     grids = []
-    real = operators.apply_word
+    real = operators.apply_words
 
-    def spy(params, word, func, x, sign=1.0):
-        grids.append(np.asarray(x))
-        return real(params, word, func, x, sign)
+    def spy(params, requests, x):
+        requests = list(requests)
+        grids.extend(np.asarray(x) for _ in requests)
+        return real(params, requests, x)
 
-    monkeypatch.setattr(operators, "apply_word", spy)
+    monkeypatch.setattr(operators, "apply_words", spy)
     verify_operator_identities(DEFAULT, 3, 2)
     on_grid = [x for x in grids if x.size == 161]
     assert len(on_grid) >= 10
@@ -892,6 +895,43 @@ def test_word_value_does_not_depend_on_the_other_points(operand):
             assert np.shape(at_scalar) == values.shape[:-1]
             assert np.array_equal(at_scalar, values[..., i]), (word, i)
         assert np.array_equal(apply_word(DEFAULT, word, f, grid[57:58]), values[..., 57:58]), word
+
+
+def _first_quadrature_nodes(params):
+    # the abscissas of a suite integral's first call: 12 panels of 15 nodes
+    calls = []
+    lo, hi = EDGE_CLAMP * params.length, (1.0 - EDGE_CLAMP) * params.length
+    quadrature.integrate_interval(lambda x: calls.append(x) or np.ones_like(x), lo, hi, operators._SUITE_CONFIG)
+    return calls[0]
+
+
+def test_stacked_words_match_each_word_alone():
+    # one call with words of depth 0-6 (H words among them) on eigenfunctions,
+    # a bump and a corpus stack at both signs, in a shuffled order: each
+    # result is its own apply_word, bit for bit and in its dtype, at the
+    # identity grid, the first quadrature nodes, one scalar point and no point
+    rng = np.random.default_rng(31)
+    corpus = operators._OperandStack(operators.test_corpus(DEFAULT, 1))
+    operands = [eigenfunction(DEFAULT, 0, 3), eigenfunction(DEFAULT, 2, 1), operators._bump(DEFAULT, 201), corpus]
+    kinds = ("A", "Adag", "H")
+    words = [(), (("H", 1),), (("H", 0), ("H", 2))]
+    words += [tuple((kinds[rng.integers(3)], int(rng.integers(3))) for _ in range(depth)) for depth in range(1, 7)]
+    requests = [(word, f, sign) for word in words for f in operands for sign in (1.0, -1.0)]
+    requests = [requests[i] for i in rng.permutation(len(requests))]
+    nodes = _first_quadrature_nodes(DEFAULT)
+    assert nodes.size == 180
+    for x in (default_grid(DEFAULT), nodes, 0.3 * DEFAULT.length, np.array([])):
+        for (word, f, sign), got in zip(requests, operators.apply_words(DEFAULT, requests, x), strict=True):
+            want = apply_word(DEFAULT, word, f, x, sign)
+            assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, (word, sign)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (word, sign)
+    # coherent states stack with each other in complex128, but not with real operands
+    coherent = [CoherentState(DEFAULT, 1, PhasePoint(q, 2.0)) for q in (0.3, 0.6)]
+    pair = [((("A", 1),), coherent[0], 1.0), ((("H", 1), ("Adag", 1)), coherent[1], -1.0)]
+    for (word, f, sign), got in zip(pair, operators.apply_words(DEFAULT, pair, nodes)):
+        assert got.dtype == np.complex128 and got.tobytes() == apply_word(DEFAULT, word, f, nodes, sign).tobytes()
+    with pytest.raises(DomainError, match="one dtype, got complex128 and float64"):
+        operators.apply_words(DEFAULT, pair + [((), operands[0], 1.0)], nodes)
 
 
 def test_a_mixed_stack_folds_in_complex():

@@ -2,6 +2,8 @@
 the hierarchy shift law, and gap-factor/energy consistency."""
 
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from ptsusy.errors import DomainError
 from ptsusy.spectrum import (
+    LEVEL_CAP,
     LevelIndex,
     ModelParams,
     energy,
@@ -157,3 +160,27 @@ def test_nonfinite_parameters_rejected(field, value):
     kwargs = {"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5, field: value}
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("beta", 1e200), ("nu", 1e160), ("length", 1e200), ("length", 1e-200), ("hbar", 1e-200), ("hbar", 1e160), ("mass", 1e-310)],
+    ids=repr,
+)
+def test_gauge_outside_double_range_rejected(field, value):
+    # epsilon0 = hbar^2 pi^2 / (2 mass L^2) must be a positive normal float
+    # and every energy up to LEVEL_CAP finite: beta 1e200 and length 1e200
+    # raised OverflowError, length 1e-200 ZeroDivisionError, nu 1e160 gave
+    # energies of inf and hbar 1e-200 energies of 0.0
+    kwargs = {"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5, field: value}
+    with pytest.raises(DomainError, match=f"{field} .*{re.escape(repr(value))}"):
+        ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["nu", "beta", "hbar", "length", "mass"])
+@pytest.mark.parametrize("value", [1e-150, 1e150])
+def test_gauge_inside_double_range_keeps_every_energy_finite(field, value):
+    p = ModelParams(**{"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5, field: value})
+    assert sys.float_info.min <= p.epsilon0 < math.inf
+    for level in range(LEVEL_CAP + 1):
+        assert math.isfinite(energy(p, LevelIndex(m=level, n=0))), level

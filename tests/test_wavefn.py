@@ -5,6 +5,7 @@ product-form normalization against the double-sum oracle.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -364,13 +365,21 @@ def _large_params(*worst) -> list:
     return [pytest.param(p, marks=_short_of_the_reference(*w), id=i) for (i, p), w in zip(LARGE_SETS.items(), worst)]
 
 
+@lru_cache(maxsize=None)
+def _per_state_reference(p):
+    # the 60-digit Jacobi series of every state of levels 0-10, n 0-10 at
+    # _bulk(p), computed once per set for both routes; read-only
+    rows = mp_eigenfunctions(_levels_0_to_10(p), _bulk(p))
+    rows.flags.writeable = False
+    return rows
+
+
 def _rows_match_per_state_reference(p, evaluate):
     # every state of levels 0-10, n 0-10 as a row of one evaluation, against
     # the 60-digit Jacobi series of each state
-    xs = _bulk(p)
     states = _levels_0_to_10(p)
-    rows = evaluate(states, xs)
-    for f, row, want in zip(states, rows, mp_eigenfunctions(states, xs)):
+    rows = evaluate(states, _bulk(p))
+    for f, row, want in zip(states, rows, _per_state_reference(p)):
         assert np.max(np.abs(row - want)) <= 1e-11 * np.max(np.abs(want)), f.idx
 
 
