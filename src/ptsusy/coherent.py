@@ -17,6 +17,7 @@ stay finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,8 +58,9 @@ class PhasePoint:
 
 
 def _level_width(params: ModelParams, m: int) -> float:
-    # d' = nu + m: effective sine power index of the level-m ground state
-    if m < 0:
+    # d' = nu + m: effective sine power index of the level-m ground state;
+    # only a number is compared with 0, so "1" or None reaches level_number
+    if isinstance(m, numbers.Real) and m < 0:
         raise DomainError(f"hierarchy level must be nonnegative, got m={m}")
     return params.nu + level_number(m)
 

@@ -40,17 +40,22 @@ identity, flagging the deliberately ambiguous ones as informational rather
 than asserting them.
 Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
-apply to one operand is folded once.  The words of a cell's pointwise rows,
-and of each integrand that needs several, are evaluated in one stacked call
-per node set.  The identities that depend on the level m alone are computed
-once per (params, m, grid size, sign), and their rows are kept in a bounded
-memo across calls; each call receives copies stamped with its own indices.
+apply to one operand is folded once.  The words of a cell's pointwise rows
+are evaluated in one stacked call.  The quadrature rows of a cell (the chain
+means, the partial-chain means and the eigen residual) are the components
+of one integral on shared panels, each scaled so that one tolerance is its
+own; the words of that integral are folded and planned once per cell and
+evaluated in one pass per node batch.  The identities that depend on the
+level m alone are computed once per (params, m, grid size, sign), and their
+rows are kept in a bounded memo across calls; each call receives copies
+stamped with its own indices.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache, partial
@@ -59,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegreeCapError, DomainError, PtsusyError
-from .quadrature import DEFAULT_CONFIG, IntegralResult, integrate_interval
+from .quadrature import DEFAULT_CONFIG, integrate_interval
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
 from .wavefn import eigenfunction
 
@@ -257,9 +262,9 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 
 #: The most folds the fold memo keeps; the least recently used goes first.
-#: A cold pass of the benchmark's ``verify`` (seed 1) takes 2,206, 2,136 and
+#: A cold pass of the benchmark's ``verify`` (seed 1) takes 2,206, 2,140 and
 #: 2,090 steps at 256, 512 and 1,024 folds; with no bound 2,090 (74 warm),
-#: but peak RSS is 43.3 MB, against 39.9 MB at 512.
+#: but peak RSS is 39.3 MB, against 37.8 MB at 512.
 FOLD_MEMO_SIZE = 512
 
 
@@ -330,8 +335,17 @@ def apply_words(params: ModelParams, requests, x) -> list:
     Horner pass, which each row joins at its own degree, so it sees the same
     operations as when its word is evaluated alone; every other operation is
     elementwise.  The requests of one call share a dtype: float64 and
-    complex128 operands together raise ``DomainError``.
+    complex128 operands together raise ``DomainError``.  This is
+    ``_stacked_words`` evaluated once; a caller that wants the same words at
+    many node sets builds that evaluator once instead.
     """
+    return _stacked_words(params, requests)(x)
+
+
+def _stacked_words(params: ModelParams, requests):
+    # The requests checked and folded once, with one plan over all their
+    # folds' rows (see apply_words); returns the evaluator of that plan, which
+    # maps points x to one array per request in one Horner pass.
     requests = [(tuple(word), func, sign) for word, func, sign in requests]
     # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
     for word, _, sign in requests:
@@ -341,23 +355,27 @@ def apply_words(params: ModelParams, requests, x) -> list:
                 raise DomainError(f"unknown operator kind {kind!r}")
             if type(level) is not int or level < 0:
                 level_number(level)
-    arr = np.asarray(x, dtype=float)
-    # NaN fails both comparisons; an empty x passes
-    if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=-math.inf) < params.length):
-        raise DomainError("operator applications need interior sample points")
     folds = [_fold(params, *request) for request in requests]
     if any(fold.terms.band.dtype != folds[0].terms.band.dtype for fold in folds):
         dtypes = sorted({str(fold.terms.band.dtype) for fold in folds})
         raise DomainError(f"the words of one call need operands of one dtype, got {' and '.join(dtypes)}")
     plan = folds[0].plan if len(folds) == 1 else _plan(*(fold.terms for fold in folds))
-    rows = _evaluate(params, plan, arr.ravel())
-    out, start = [], 0
-    for (_, func, _), fold in zip(requests, folds):
-        stop = start + len(fold.terms.gamma)
-        values = _members(func, rows[start:stop])
-        out.append(values.reshape(values.shape[:-1] + arr.shape)[()])
-        start = stop
-    return out
+    members = [(func, len(fold.terms.gamma)) for (_, func, _), fold in zip(requests, folds)]
+
+    def evaluate(x) -> list:
+        arr = np.asarray(x, dtype=float)
+        # NaN fails both comparisons; an empty x passes
+        if not (arr.min(initial=math.inf) > 0.0 and arr.max(initial=-math.inf) < params.length):
+            raise DomainError("operator applications need interior sample points")
+        rows = _evaluate(params, plan, arr.ravel())
+        out, start = [], 0
+        for func, count in members:
+            values = _members(func, rows[start : start + count])
+            out.append(values.reshape(values.shape[:-1] + arr.shape)[()])
+            start += count
+        return out
+
+    return evaluate
 
 
 def operand_values(func, x):
@@ -432,13 +450,10 @@ def _rel(lhs, rhs, scale: float | None = None) -> float:
     return num / max(scale, 1e-300)
 
 
-def _quad_details(*results: IntegralResult) -> dict:
-    # provenance of a quadrature residual: error bound summed over results and
-    # components, and abscissas
-    return {
-        "quad_error": float(sum(np.sum(r.error) for r in results)),
-        "quad_evaluations": sum(r.evaluations for r in results),
-    }
+def _quad_details(error: float, evaluations: int) -> dict:
+    # provenance of a quadrature residual: its error bound and the abscissas
+    # of the integral it came from
+    return {"quad_error": float(error), "quad_evaluations": evaluations}
 
 
 @lru_cache(maxsize=256)
@@ -549,19 +564,46 @@ def _level_identities(
     # Adjoint consistency, <A psi, phi> and <psi, A^dag phi> as one two-component
     # integral; bumps keep both inner products away from zero.
     psi, phi = _bump(params, 201), _bump(params, 202)
-    words = [((("A", m),), psi, sign), ((), phi, sign), ((), psi, sign), ((("Adag", m),), phi, sign)]
+    words = _stacked_words(
+        params, [((("A", m),), psi, sign), ((), phi, sign), ((), psi, sign), ((("Adag", m),), phi, sign)]
+    )
 
     def inner_pair(x):
-        a_psi, phi_x, psi_x, adag_phi = apply_words(params, words, x)
+        a_psi, phi_x, psi_x, adag_phi = words(x)
         return np.stack([np.conj(a_psi) * phi_x, np.conj(psi_x) * adag_phi])
 
     with _identity(tail, idx, grid_size, "adjoint_consistency") as record:
         L = params.length
         quad = integrate_interval(inner_pair, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, _SUITE_CONFIG)
         va, vb = quad.value.tolist()
-        record(abs(va - vb) / max(abs(va), abs(vb), 1e-300), _quad_details(quad))
+        record(abs(va - vb) / max(abs(va), abs(vb), 1e-300), _quad_details(np.sum(quad.error), quad.evaluations))
 
     return tuple(head), tuple(tail)
+
+
+class _Component(NamedTuple):
+    # one quadrature residual of an identity cell: its identity and residual
+    # key, the requests of the words its integrand needs, the integrand from
+    # their values, the factor from its error bound to the units of its row,
+    # and the residual from its integral
+    name: str
+    key: str
+    requests: tuple
+    integrand: Callable[..., np.ndarray]
+    error_unit: float
+    residual: Callable[[float], float]
+
+
+def _integrate_components(params: ModelParams, components: list, lo: float, hi: float):
+    # one integral of the components on shared panels; every word they need
+    # is folded and planned once and evaluated in one pass per node batch
+    words = _stacked_words(params, [request for c in components for request in c.requests])
+
+    def integrand(x):
+        values = iter(words(x))
+        return np.stack([c.integrand(*(next(values) for _ in c.requests)) for c in components])
+
+    return integrate_interval(integrand, lo, hi, _SUITE_CONFIG)
 
 
 def verify_operator_identities(
@@ -606,6 +648,27 @@ def verify_operator_identities(
     evaluated at the grid in one ``apply_words`` call per cell and one for the
     level rows; their operands are of degree at most the one checked up
     front, so no state they need is refused by the cap.
+
+    The quadrature rows of the cell are one ``integrate_interval`` call, a
+    component per residual on shared panels: ``mean_BBdag``, ``mean_BdagB``
+    (n > m), the two partial-chain means (n != m) and ``eigen_residual``.  A
+    chain mean is divided by its closed-form target, so that it integrates
+    to about 1 and its residual is its scaled mean against 1; the mean of a
+    chain that annihilates its state (the theta case, m >= 2n + 1) is
+    divided by the natural unit and is its own residual.  The eigen residual
+    |H phi / E - phi|^2 is weighted by ``_SUITE_CONFIG.abs_tol / 1e-16``, so
+    that its tolerance is max(1e-16, 1e-11 |I|) in its own units.  Every
+    component then meets the one tolerance it met as an integral of its own,
+    and no component outweighs the others so far that it draws every split
+    of the panels.  Each row reports its own components' error bound, in the
+    units of its unscaled integrand, and the abscissas of the shared
+    integral.  A ``PtsusyError`` of that integral is recorded in the row of
+    every identity it serves; the pointwise rows keep their verdicts.  The
+    partial-chain means need the state n of level n + 1 (degree 2n + 1):
+    above the cap that row alone records ``DegreeCapError``, and the other
+    components still integrate.  Under the negative control (sign -1) no
+    closed form describes the chain means ``mean_BBdag`` and ``mean_BdagB``,
+    so each is integrated alone and unscaled, as its own identity.
     """
     n, m = level_number(n), level_number(m)
     _check_sign(sign)
@@ -671,16 +734,50 @@ def verify_operator_identities(
             value *= e - e0_level(k)
         return value
 
-    def chain_mean(word, state, target, chain_sign=1.0, unit=1.0):
-        # the quadrature of |word state|^2 / unit and its residual relative to
-        # target; a target of None stands for a closed form that vanishes
-        # identically, and the residual is then the mean itself
-        def integrand(x):
-            return np.abs(apply_word(params, word, state, x, chain_sign)) ** 2 / unit
+    def mean(name, key, word, state, target, chain_sign=1.0, unit=1.0):
+        # |word state|^2 as a component of a quadrature, divided by its
+        # closed-form target, so that it integrates to about 1.  A target of
+        # None stands for a closed form that vanishes identically: the mean
+        # in units of unit is then the residual.  A target that is 0 or not
+        # finite, and a chain of the negative control, which no closed form
+        # describes, are integrated unscaled.
+        if target is None:
+            scale, error_unit = unit, 1.0
+        elif chain_sign > 0 and math.isfinite(target) and target != 0.0:
+            scale = target
+            error_unit = abs(scale)
+        else:
+            scale = error_unit = 1.0
+        return _Component(
+            name,
+            key,
+            ((word, state, chain_sign),),
+            lambda values: np.abs(values) ** 2 / scale,
+            error_unit,
+            lambda value: value if target is None else _rel(value, target / scale),
+        )
 
-        quad = integrate_interval(integrand, lo, hi, _SUITE_CONFIG)
-        mean = float(quad.value.real)
-        return quad, mean if target is None else _rel(mean, target)
+    def partial_means():
+        # the components of the partial-chain means, on the state n of level n + 1
+        name = "partial_chain_means"
+        state_hi = eigenfunction(params, n + 1, n)
+        if n > m:
+            target = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
+            ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
+            return [
+                mean(name, "lambda_lambdadag", lam_dag, state_hi, target),
+                mean(name, "lambdadag_lambda", lam, phi_up, (rung ** (n - m) * ratio) ** 2),
+            ]
+        unit = rung ** (2 * (m - n))
+        target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
+        ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
+        # a closed-form factor that vanishes (m >= 2n + 1): the chain
+        # annihilates the state, so the mean is integrated against zero in
+        # natural units
+        return [
+            mean(name, "theta_thetadag", theta_dag, state_hi, None if target == 0.0 else target, unit=unit),
+            mean(name, "thetadag_theta", theta, phi_up, (rung ** (m - n) * ratio) ** 2),
+        ]
 
     identity = partial(_identity, results, idx, grid_size)
 
@@ -706,30 +803,75 @@ def verify_operator_identities(
     with identity("ladder_action") as record:
         record(_rel(at_grid["ladder"], pref * phi_up_grid))
 
-    # Mean values of the chain products by quadrature.
-    with identity("mean_BBdag") as record:
-        quad, res = chain_mean(word_bdag, phi_up, pref**2, sign)
-        record(res, _quad_details(quad))
+    # The quadrature rows of the cell are the components of one integral on
+    # shared panels: the chain means, the partial-chain means and the eigen
+    # residual, each scaled so that _SUITE_CONFIG's one tolerance is its own.
+    # The partial means need the state n of level n + 1, of degree 2n + 1,
+    # which may exceed the cap: their identity alone then records the error,
+    # and the other components still integrate.
+    components = [mean("mean_BBdag", "mean_BBdag", word_bdag, phi_up, pref**2, sign)]
     if n > m:
-        with identity("mean_BdagB") as record:
-            pref_n = rung ** (m + 1) * gap_factor_M(params, n - m - 1, m)
-            quad, res = chain_mean(word_b, phi_n, pref_n**2, sign)
-            record(res, _quad_details(quad))
+        pref_n = rung ** (m + 1) * gap_factor_M(params, n - m - 1, m)
+        components.append(mean("mean_BdagB", "mean_BdagB", word_b, phi_n, pref_n**2, sign))
+    outcomes = {}
+    if n != m:
+        try:
+            components += partial_means()
+        except PtsusyError as exc:
+            outcomes["partial_chain_means"] = exc
+    # Eigen-residual of the level-m state n, relative to its energy.  A
+    # residual at the 1e-6 threshold squares to 1e-12; weighted by
+    # abs_tol / 1e-16, its tolerance is max(1e-16, rel_tol * |I|) in the
+    # units of |H phi / E - phi|^2, which resolves it to 1e-8 and leaves the
+    # roundoff below unresolved.
+    weight, e_val = _SUITE_CONFIG.abs_tol / 1e-16, phi_m.energy
+    components.append(
+        _Component(
+            "eigen_residual",
+            "eigen_residual",
+            (((("H", m),), phi_m, 1.0), ((), phi_m, 1.0)),
+            lambda h_phi, phi: np.abs(h_phi / e_val - phi) ** 2 * weight,
+            1.0 / weight,
+            lambda value: math.sqrt(max(value / weight, 0.0)),
+        )
+    )
+    # A chain mean of the negative control (sign -1) may exceed the others by
+    # orders of magnitude and draw every split of a shared integral, so that
+    # the others never meet their tolerance (see integrate_interval): each is
+    # integrated alone.
+    shared = [c for c in components if c.requests[0][2] > 0]
+    for group in [shared] + [[c] for c in components if c.requests[0][2] < 0]:
+        try:
+            quad = _integrate_components(params, group, lo, hi)
+        except PtsusyError as exc:
+            outcomes.update((c.name, exc) for c in group)
+            continue
+        for c, value, error in zip(group, quad.value.real.tolist(), quad.error.tolist()):
+            residuals, details = outcomes.setdefault(c.name, ({}, _quad_details(0.0, quad.evaluations)))
+            residuals[c.key] = c.residual(value)
+            details["quad_error"] += error * c.error_unit
+
+    def integrated(name):
+        # the residuals of identity name's components by key, and the error
+        # bound (in the units of its unscaled integrand, |word state|^2 / unit
+        # for a vanishing target) and abscissas of their integral; a package
+        # error from its state or from that integral ends the identity
+        outcome = outcomes[name]
+        if isinstance(outcome, PtsusyError):
+            raise outcome
+        return outcome
+
+    # Mean values of the chain products by quadrature.
+    for name in ("mean_BBdag", "mean_BdagB") if n > m else ("mean_BBdag",):
+        with identity(name) as record:
+            residuals, details = integrated(name)
+            record(residuals[name], details)
 
     results.extend(stamped(tail))
 
-    # Eigen-residual of the level-m state n, relative to its energy.  A
-    # residual at the 1e-6 threshold squares to 1e-12; an absolute tolerance
-    # of 1e-16 resolves it to 1e-8 and leaves the roundoff below unresolved.
     with identity("eigen_residual") as record:
-        e_val = phi_m.energy
-
-        def resid_sq(x):
-            h_phi, phi = apply_words(params, [((("H", m),), phi_m, 1.0), ((), phi_m, 1.0)], x)
-            return np.abs(h_phi / e_val - phi) ** 2
-
-        quad = integrate_interval(resid_sq, lo, hi, replace(_SUITE_CONFIG, abs_tol=1e-16))
-        record(math.sqrt(max(quad.value.real, 0.0)), _quad_details(quad))
+        residuals, details = integrated("eigen_residual")
+        record(residuals["eigen_residual"], details)
 
     # Mixed chain products: evaluate every well-formed printed variant.
     # The operand index n keeps the chains from annihilating either side.
@@ -768,24 +910,7 @@ def verify_operator_identities(
     # Partial-chain mean values (quadrature route).
     if n != m:
         with identity("partial_chain_means") as record:
-            state_hi = eigenfunction(params, n + 1, n)
-            if n > m:
-                target = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
-                means = {"lambda_lambdadag": chain_mean(lam_dag, state_hi, target)}
-                ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
-                means["lambdadag_lambda"] = chain_mean(lam, phi_up, (rung ** (n - m) * ratio) ** 2)
-            else:
-                unit = rung ** (2 * (m - n))
-                target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
-                if target == 0.0:
-                    # closed-form factor vanishes (m >= 2n+1): the chain annihilates
-                    # the state, so the mean is integrated against zero in natural units
-                    means = {"theta_thetadag": chain_mean(theta_dag, state_hi, None, unit=unit)}
-                else:
-                    means = {"theta_thetadag": chain_mean(theta_dag, state_hi, target)}
-                ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
-                means["thetadag_theta"] = chain_mean(theta, phi_up, (rung ** (m - n) * ratio) ** 2)
-            residuals = {key: res for key, (_, res) in means.items()}
-            record(max(residuals.values()), {**residuals, **_quad_details(*(quad for quad, _ in means.values()))})
+            residuals, details = integrated("partial_chain_means")
+            record(max(residuals.values()), {**residuals, **details})
 
     return results

@@ -136,7 +136,11 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     components of very different magnitude starve the small ones: the large
     components keep drawing the splits while a small one that has not met
     its own tolerance waits, and the panel budget can run out first.  Scale
-    the components to comparable size before stacking them.
+    the components to comparable size before stacking them, as
+    ``operators.verify_operator_identities`` does: it divides each chain
+    mean of a cell by its closed-form target and weights the eigen residual
+    by abs_tol / 1e-16, and integrates a mean that no closed form scales
+    (the negative control's) on its own.
 
     f is called once per refinement step: once for the 12 panels of the 4
     initial segments (each segment and its two halves), then once per split

@@ -85,6 +85,14 @@ became the M^2 product M^2(2n - m, m): its own loop over the rungs of the
 diagonal chain.  Both take the same factors in the same order, so they must
 agree bit for bit, the zero branch included.
 
+``per_identity_quadratures`` is the quadrature rows of an identity cell as
+they were before the cell integrated them as components of one integral:
+each chain mean |word state|^2 and the eigen residual |H phi / E - phi|^2
+is its own adaptive integral on its own panels, the means to
+``operators._SUITE_CONFIG`` and the residual with abs_tol lowered to 1e-16.
+The shared panels differ, so the two agree within the sum of their error
+bounds, not bit for bit.
+
 ``derivative`` is the Richardson-extrapolated central difference that
 checks the Taylor jets and the superpotential's derivative;
 ``ground_energy`` is the level's n = 0 energy by name.
@@ -115,7 +123,7 @@ from ptsusy.errors import (
     SubdivisionLimitError,
     TailBoundError,
 )
-from ptsusy.operators import NOISE_FLOOR, TrigPolyBump, _OperandStack
+from ptsusy.operators import _SUITE_CONFIG, EDGE_CLAMP, NOISE_FLOOR, TrigPolyBump, _OperandStack, _rel, apply_word
 from ptsusy.quadrature import (
     BASE_RULE_ORDER,
     DEFAULT_CONFIG,
@@ -125,8 +133,16 @@ from ptsusy.quadrature import (
     integrate_real_line,
 )
 from ptsusy.specfun import _LANCZOS_C, _LANCZOS_G, _LOG_2PI, log_abs_gamma, log_gamma
-from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, _gap_product_logs, energy
-from ptsusy.wavefn import normalization_K
+from ptsusy.spectrum import (
+    LEVEL_CAP,
+    LevelIndex,
+    ModelParams,
+    _gap_product_logs,
+    energy,
+    gap_factor_M,
+    gap_factor_N,
+)
+from ptsusy.wavefn import eigenfunction, normalization_K
 
 
 def serial_jet_mul(a, b):
@@ -781,3 +797,70 @@ def fraction_loop_log_abs_gamma(x: float, y):
     log_s2 = np.log(re * re + im * im)
     log_t = 0.5 * (x - 0.5) * np.log(y2 + t * t)
     return (log_t - y * np.arctan2(y, t)) + (0.5 * log_s2 + (0.5 * _LOG_2PI - t))
+
+
+class QuadratureComponent(NamedTuple):
+    """One quadrature residual of an identity row: the residual, the error
+    bound of its integral and the closed-form target it is relative to (None
+    where the residual is the integral itself)."""
+
+    residual: float
+    error: float
+    target: float | None
+
+
+def per_identity_quadratures(params, n: int, m: int, sign: float = 1.0) -> dict:
+    """The quadrature rows of cell (n, m), one adaptive integral each.
+
+    Returns {row name: {residual key: QuadratureComponent}} for mean_BBdag,
+    mean_BdagB (n > m), partial_chain_means (n != m) and eigen_residual.
+    """
+    L = params.length
+    lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
+    rung = math.pi * params.hbar / L
+    word_b = tuple(("A", k) for k in range(m + 1))
+    word_bdag = tuple(("Adag", k) for k in range(m, -1, -1))
+    lam = tuple(("A", k) for k in range(m + 1, n + 1))
+    lam_dag = tuple(("Adag", k) for k in range(n, m, -1))
+    theta = tuple(("Adag", k) for k in range(m, n, -1))
+    theta_dag = tuple(("A", k) for k in range(n + 1, m + 1))
+    phi_n, phi_m, phi_up = (eigenfunction(params, level, n) for level in (0, m, m + 1))
+
+    def chain_mean(word, state, target, chain_sign=1.0, unit=1.0):
+        def integrand(x):
+            return np.abs(apply_word(params, word, state, x, chain_sign)) ** 2 / unit
+
+        quad = integrate_interval(integrand, lo, hi, _SUITE_CONFIG)
+        mean = float(quad.value.real)
+        return QuadratureComponent(mean if target is None else _rel(mean, target), quad.error, target)
+
+    pref = rung ** (m + 1) * gap_factor_M(params, n, m)
+    rows = {"mean_BBdag": {"mean_BBdag": chain_mean(word_bdag, phi_up, pref**2, sign)}}
+    if n > m:
+        pref_n = rung ** (m + 1) * gap_factor_M(params, n - m - 1, m)
+        rows["mean_BdagB"] = {"mean_BdagB": chain_mean(word_b, phi_n, pref_n**2, sign)}
+    if n != m:
+        state_hi = eigenfunction(params, n + 1, n)
+        if n > m:
+            target = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
+            ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
+            rows["partial_chain_means"] = {
+                "lambda_lambdadag": chain_mean(lam_dag, state_hi, target),
+                "lambdadag_lambda": chain_mean(lam, phi_up, (rung ** (n - m) * ratio) ** 2),
+            }
+        else:
+            unit = rung ** (2 * (m - n))
+            target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
+            ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
+            rows["partial_chain_means"] = {
+                "theta_thetadag": chain_mean(theta_dag, state_hi, None if target == 0.0 else target, unit=unit),
+                "thetadag_theta": chain_mean(theta, phi_up, (rung ** (m - n) * ratio) ** 2),
+            }
+
+    def resid_sq(x):
+        return np.abs(apply_word(params, (("H", m),), phi_m, x) / phi_m.energy - apply_word(params, (), phi_m, x)) ** 2
+
+    quad = integrate_interval(resid_sq, lo, hi, replace(_SUITE_CONFIG, abs_tol=1e-16))
+    residual = math.sqrt(max(quad.value.real, 0.0))
+    rows["eigen_residual"] = {"eigen_residual": QuadratureComponent(residual, quad.error, None)}
+    return rows

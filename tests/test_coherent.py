@@ -180,6 +180,20 @@ def test_negative_level_rejected():
         resolution_kernel(DEFAULT, -1, 0.5)
 
 
+@pytest.mark.parametrize("m", ["1", None], ids=repr)
+def test_level_that_is_no_number_rejected(m):
+    # the sign test ran first and raised TypeError comparing m with 0
+    calls = (
+        lambda: CoherentState(DEFAULT, m, PhasePoint(0.3, 0.0)),
+        lambda: cs_log_normalization(DEFAULT, m, 0.3),
+        lambda: resolution_kernel(DEFAULT, m, 0.5),
+        lambda: identity_gram_projection(DEFAULT, m, 0),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match=f"level indices must be integers, got {re.escape(repr(m))}"):
+            call()
+
+
 def test_fractional_level_rejected():
     pt = PhasePoint(0.3, 0.0)
     with pytest.raises(DomainError, match="integers"):

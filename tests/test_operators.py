@@ -31,6 +31,7 @@ from ptsusy.wavefn import eigenfunction
 from conftest import DEFAULT, clear_memos, interior_grid
 from oracles import (
     SuperPotential,
+    per_identity_quadratures,
     grouped_evaluate,
     jet_apply_word,
     operand_jet,
@@ -291,13 +292,90 @@ def test_package_errors_become_rows_of_their_identity(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
     monkeypatch.setattr(operators, "_SUITE_CONFIG", QuadratureConfig(abs_tol=1e-30, rel_tol=1e-30))
     results = {r.name: r for r in verify_operator_identities(DEFAULT, 2, 1, grid_size=21)}
-    for name in ("mean_BBdag", "adjoint_consistency", "partial_chain_means"):
+    # every row of the cell's shared integral, and adjointness of its own
+    for name in ("mean_BBdag", "mean_BdagB", "adjoint_consistency", "eigen_residual", "partial_chain_means"):
         row = results[name]
         assert row.max_residual == "SubdivisionLimitError" and "4 panels" in row.details["error"], name
         assert row.passed is (None if row.informational else False), name
     for name in ("factorization", "product_BdagB", "supercharge_anticommutator_block0", "mixed_product"):
         assert not isinstance(results[name].max_residual, str), name
     assert results["factorization"].passed is True
+
+
+def test_a_cell_integrates_its_quadrature_rows_once(monkeypatch):
+    # with the level rows warm, the chain means, the partial-chain means and
+    # the eigen residual of a cell are the components of one integral, whose
+    # abscissa count every one of their rows reports
+    verify_operator_identities(DEFAULT, 2, 1)
+    calls = []
+
+    def spy(*args, _real=operators.integrate_interval, **kwargs):
+        calls.append(_real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(operators, "integrate_interval", spy)
+    results = {r.name: r for r in verify_operator_identities(DEFAULT, 3, 1)}
+    (quad,) = calls
+    assert quad.value.shape == (5,)
+    for name in ("mean_BBdag", "mean_BdagB", "eigen_residual", "partial_chain_means"):
+        assert results[name].details["quad_evaluations"] == quad.evaluations, name
+
+
+@pytest.mark.parametrize(
+    ("params", "n", "m"),
+    [
+        (DEFAULT, 2, 1),
+        (DEFAULT, 1, 3),
+        (DEFAULT, 0, 1),
+        (DEFAULT, 6, 5),
+        (ModelParams(nu=1.0, beta=0.0, length=1e-4), 2, 1),
+    ],
+    ids=["2-1", "1-3", "0-1", "6-5", "length1e-4"],
+)
+def test_shared_quadrature_matches_one_integral_per_identity(params, n, m):
+    # each component of the shared integral against its own adaptive
+    # integral, within the sum of both error bounds: a relative residual
+    # |M - T| / max(|M|, |T|) moves by at most |dM| / |T|, an integral against
+    # zero by |dM|, and the eigen residual's square by |dM|.  (0, 1) is the
+    # annihilating theta case, whose closed form vanishes.
+    results = {r.name: r for r in verify_operator_identities(params, n, m)}
+    reference = per_identity_quadratures(params, n, m)
+    assert set(reference) == {name for name in results if "quad_error" in results[name].details} - {
+        "adjoint_consistency"
+    }
+    for name, components in reference.items():
+        row = results[name]
+        for key, ref in components.items():
+            got = row.details.get(key, row.max_residual)
+            bound = row.details["quad_error"] + ref.error
+            if name == "eigen_residual":
+                assert abs(got**2 - ref.residual**2) <= bound, (name, got, ref)
+            elif ref.target is None:
+                assert abs(got - ref.residual) <= bound, (name, key, got, ref)
+            else:
+                assert abs(got - ref.residual) * abs(ref.target) <= bound, (name, key, got, ref)
+    if n == 0 and m == 1:
+        assert reference["partial_chain_means"]["theta_thetadag"].target is None
+
+
+@pytest.mark.parametrize(("n", "m"), [(6, 2), (6, 3)])
+def test_negative_control_means_are_integrated_alone(n, m):
+    # Under the sign flip no closed form describes a chain mean: at (6, 2)
+    # mean_BdagB reads 5.8e6 times its target.  As a component of the shared
+    # integral it drew every split, the partial-chain means never met their
+    # tolerance, and after 2**14 panels (4 s) eigen_residual, which the flip
+    # must leave intact, failed with them.  Alone, each is the integral it
+    # was before the cell shared one.
+    start = time.perf_counter()
+    results = {r.name: r for r in verify_operator_identities(DEFAULT, n, m, sign=-1.0)}
+    assert time.perf_counter() - start < 2.0
+    assert results["eigen_residual"].passed is True
+    assert not isinstance(results["partial_chain_means"].max_residual, str)
+    reference = per_identity_quadratures(DEFAULT, n, m, sign=-1.0)
+    for name in ("mean_BBdag", "mean_BdagB"):
+        assert results[name].max_residual == reference[name][name].residual, name
+        assert results[name].details["quad_error"] == reference[name][name].error, name
+        assert results[name].passed is False, name
 
 
 @pytest.mark.parametrize(("n", "m", "degree"), [(0, 17, 21), (2, 17, 21), (0, 19, 23), (30, 0, 31)])
