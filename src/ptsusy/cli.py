@@ -335,7 +335,7 @@ def cmd_wavefn(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    from .operators import verify_operator_identities
+    from .operators import passes, verify_operator_identities
 
     params = _params(cfg)
     m = int(cfg.get("m", 1))
@@ -351,7 +351,7 @@ def cmd_verify(cfg: dict) -> int:
         tol = tols.get(res.name)
         # a row whose residual is an error's name stays failed
         if tol is not None and not res.informational and not isinstance(res.max_residual, str):
-            res = replace(res, threshold=tol, passed=bool(res.max_residual <= tol))
+            res = replace(res, threshold=tol, passed=passes(res.max_residual, tol))
         entries.append(res.to_jsonable())
     mandatory_pass = all(r["passed"] for r in entries if not r["informational"])
     report = {

@@ -483,6 +483,12 @@ MANDATORY = {
 }
 
 
+def passes(residual: float | str, threshold: float) -> bool:
+    """The suite's pass rule: a residual passes strictly below its threshold,
+    and a residual that is an error's name never passes."""
+    return not isinstance(residual, str) and bool(residual < threshold)
+
+
 @contextmanager
 def _identity(results: list, indices: dict, grid_size: int, name: str):
     # yields the recorder of one identity's residual, a row for the name and
@@ -490,7 +496,7 @@ def _identity(results: list, indices: dict, grid_size: int, name: str):
     threshold, aliases = MANDATORY.get(name, (None, ()))
 
     def record(res, details=None):
-        passed = None if threshold is None else not isinstance(res, str) and bool(res < threshold)
+        passed = None if threshold is None else passes(res, threshold)
         for i, row in enumerate((name, *aliases)):
             extra = (details or {}) if i == 0 else {"alias_of": name}
             results.append(IdentityResult(row, dict(indices), res, threshold, passed, threshold is None, grid_size, extra))

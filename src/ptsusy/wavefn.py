@@ -8,11 +8,14 @@ gives every ladder relation a positive connection constant.
 
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
-The ground constants of one ``ModelParams`` at nu, nu + 1, ..., nu + LEVEL_CAP
-form one read-only ladder, computed in one vectorised ``log_gamma`` call on
-first use and cached (``ground_ladder``).  State n of level m reads entry n
-of the ladder of strength index nu + m, so one level costs one call, and
-every entry is bit for bit what the scalar ``log_ground_constant`` gives.
+State n of level m is base state n of the family with strength index nu + m,
+so its ground constant is the base one at (nu + m) + n.  Every ground
+constant one ``ModelParams`` can reach, entry (m, j) for m + j <= LEVEL_CAP,
+sits in one read-only table, computed in one vectorised ``log_gamma`` call
+over its 231 entries on first use and cached (``ground_table``).  A state
+reads its entry and forms its rung factors at nu + m directly, so no state
+builds a shifted ``ModelParams``, and every entry is bit for bit what the
+scalar ``log_ground_constant`` gives at (nu + m) + j.
 ``CoherentState`` has no level cap and keeps the scalar call.
 
 The Jacobi factor is summed in its two-sided binomial form (DLMF 18.5.8).
@@ -91,36 +94,28 @@ def log_ground_constant(nu, beta: float, length: float):
 
 
 @lru_cache(maxsize=256)
-def ground_ladder(params: ModelParams) -> np.ndarray:
-    """log_ground_constant(nu + j, beta, L) for j = 0..LEVEL_CAP, read-only.
+def ground_table(params: ModelParams) -> np.ndarray:
+    """log_ground_constant((nu + m) + j, beta, L) at row m, column j, read-only.
 
-    One vectorised pass per ``ModelParams``: every state of one level reads
-    its ground constant from the same ladder.  Entry j is bit for bit the
-    scalar call at nu + j.
+    Row m is the ground ladder of level m.  The table is filled for
+    m + j <= LEVEL_CAP in one vectorised pass per ``ModelParams``, NaN beyond
+    the cap: every state of every level reads its ground constant from it.
+    Entry (m, j) is bit for bit the scalar call at (nu + m) + j, the strength
+    index of level m shifted by j.
     """
-    ladder = log_ground_constant(params.nu + np.arange(LEVEL_CAP + 1), params.beta, params.length)
-    ladder.flags.writeable = False
-    return ladder
+    r = np.arange(LEVEL_CAP + 1)
+    m, j = np.nonzero(np.add.outer(r, r) <= LEVEL_CAP)
+    table = np.full((LEVEL_CAP + 1, LEVEL_CAP + 1), np.nan)
+    table[m, j] = log_ground_constant((params.nu + m) + j, params.beta, params.length)
+    table.flags.writeable = False
+    return table
 
 
-@lru_cache(maxsize=2048, typed=True)  # typed: True must not hit the entry of 1
-def normalization_K(params: ModelParams, n: int) -> float:
-    """log K, the log of the normalization constant of the n-th base eigenfunction.
-
-    Product route: the ground constant of the family with strength index
-    nu + n, entry n of ``ground_ladder(params)``, times
-
-        s**n sqrt(n! (n + 2 nu + 2)_n / prod_{j=1..n} ((nu + j)^2 s^2 + beta^2))
-
-    with s = n + nu + 1.  One factor per ladder rung, every factor positive,
-    so this stays accurate at any degree.  n must be a whole number in
-    [0, LEVEL_CAP]; it is checked before it indexes the ladder.
-    """
-    n = level_number(n)
-    _check_degree(n)
-    nu, beta, L = params.nu, params.beta, params.length
+def _log_K(params: ModelParams, m: int, n: int) -> float:
+    # log K of state n of level m: base state n at strength index nu + m;
+    # m + n must be checked against the cap first
+    nu, beta = params.nu + m, params.beta
     s = n + nu + 1.0
-    log_k0 = ground_ladder(params)[n]
     log_rungs = n * math.log(s) if n else 0.0
     log_rungs += 0.5 * (
         math.lgamma(n + 1.0)
@@ -129,7 +124,26 @@ def normalization_K(params: ModelParams, n: int) -> float:
     )
     for j in range(1, n + 1):
         log_rungs -= 0.5 * math.log((nu + j) ** 2 * s * s + beta * beta)
-    return log_k0 + log_rungs
+    return ground_table(params)[m, n] + log_rungs
+
+
+@lru_cache(maxsize=2048, typed=True)  # typed: True must not hit the entry of 1
+def normalization_K(params: ModelParams, n: int) -> float:
+    """log K, the log of the normalization constant of the n-th base eigenfunction.
+
+    Product route: the ground constant of the family with strength index
+    nu + n, entry (0, n) of ``ground_table(params)``, times
+
+        s**n sqrt(n! (n + 2 nu + 2)_n / prod_{j=1..n} ((nu + j)^2 s^2 + beta^2))
+
+    with s = n + nu + 1.  One factor per ladder rung, every factor positive,
+    so this stays accurate at any degree.  It is the level m = 0 case of the
+    constant every ``EigenFunction`` forms at nu + m.  n must be a whole
+    number in [0, LEVEL_CAP]; it is checked before it indexes the table.
+    """
+    n = level_number(n)
+    _check_degree(n)
+    return _log_K(params, 0, n)
 
 
 def _fourier_coefficients(n: int, alpha: complex) -> np.ndarray:
@@ -154,10 +168,12 @@ class EigenFunction:
     """One normalized bound state, real valued; callable on scalars or arrays of x.
 
     Every level evaluates its own closed form: level m, state n is the
-    level-zero state n of the family with strength index nu + m.  The same
-    function built by folding the ladder chain over the base family (see the
-    operator layer) agrees with this pointwise; the test suite checks that
-    instead of assuming it.
+    level-zero state n of the family with strength index nu + m.  Its log K
+    is that state's product form at nu + m, with its ground constant read
+    from entry (m, n) of the parameter set's ``ground_table``; no shifted
+    ``ModelParams`` is built.  The same function built by folding the ladder
+    chain over the base family (see the operator layer) agrees with this
+    pointwise; the test suite checks that instead of assuming it.
     """
 
     def __init__(self, params: ModelParams, idx: LevelIndex):
@@ -166,7 +182,7 @@ class EigenFunction:
         self.idx = idx
         n = idx.n
         self._nu_eff = params.nu + idx.m
-        self.log_K = normalization_K(replace(params, nu=self._nu_eff), n)
+        self.log_K = _log_K(params, idx.m, n)
         s = n + self._nu_eff + 1.0
         self._gamma = -params.beta * math.pi / (params.length * s)
         # the phase (-i)^n times (i/2)^n leaves 2^-n

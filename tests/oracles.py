@@ -58,6 +58,13 @@ product form: the gamma / Pochhammer double sum.  It is analytically
 identical but numerically ill conditioned (its terms cancel roughly like
 10**n), so it guards itself and serves as a cross-check at small n only.
 
+``shifted_normalization_K`` is log K of state n of level m as
+``wavefn.EigenFunction`` formed it before ``wavefn.ground_table``: the base
+constant of a ``ModelParams`` whose strength index is shifted to nu + m.
+It builds that shifted parameter set and its own table; the package reads
+entry (m, n) of the table of the unshifted set, and the two agree bit for
+bit.
+
 ``mp_eigenfunctions`` and ``mp_partner`` are the eigenfunctions and the
 explicit first-level form of Bergeron et al. (J. Phys. A 45 (2012) 244028)
 from the Jacobi polynomials at 60 digits
@@ -552,6 +559,11 @@ def scaled_phase_sum(log_terms) -> tuple[float, complex]:
         return (-math.inf, 0.0 + 0.0j)
     scaled = [cmath.exp(lt - mstar) for lt in logs]
     return (mstar, _compensated_scalar_sum(scaled))
+
+
+def shifted_normalization_K(params, m: int, n: int) -> float:
+    """log K of state n of level m: base state n of the family at strength index nu + m."""
+    return normalization_K(replace(params, nu=params.nu + m), n)
 
 
 def normalization_double_sum(params, n: int, cap: int = LEVEL_CAP) -> float:

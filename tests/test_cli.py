@@ -603,9 +603,13 @@ def test_verify_tolerance_names_are_the_mandatory_identities():
 
 def test_zero_and_dashed_tolerance_flags_accepted(capsys):
     # a zero threshold is a valid (failing) override, and dashes in a flag's
-    # name stand for underscores
-    args = ["verify", "--n", "1", "--m", "0", "--tol-eigen-residual", "0", "--format", "json"]
+    # name stand for underscores; an override keeps the suite's strict rule,
+    # so the exactly-zero annihilation residual of (1, 0) fails threshold 0
+    args = ["verify", "--n", "1", "--m", "0", "--tol-eigen-residual", "0"]
+    args += ["--tol-ground_state_annihilation", "0", "--format", "json"]
     assert ptsusy.cli.main(args) == 1
     report = json.loads(capsys.readouterr().out)
-    row = {e["name"]: e for e in report["identities"]}["eigen_residual"]
-    assert row["threshold"] == 0.0 and row["passed"] is False
+    rows = {e["name"]: e for e in report["identities"]}
+    assert rows["ground_state_annihilation"]["max_residual"] == 0.0
+    for name in ("eigen_residual", "ground_state_annihilation"):
+        assert rows[name]["threshold"] == 0.0 and rows[name]["passed"] is False, name

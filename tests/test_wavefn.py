@@ -21,7 +21,7 @@ from ptsusy.wavefn import (
     EigenFunction,
     eigenfunction,
     gram_matrix,
-    ground_ladder,
+    ground_table,
     log_ground_constant,
     normalization_K,
 )
@@ -35,6 +35,7 @@ from oracles import (
     mp_partner,
     normalization_double_sum,
     pairwise_gram,
+    shifted_normalization_K,
     superpotential,
 )
 
@@ -90,36 +91,66 @@ def test_ground_constant_symmetric_well():
     assert np.allclose(f(xs), np.sqrt(2.0) * np.sin(np.pi * xs), rtol=1e-13)
 
 
-@pytest.mark.parametrize("p", PARAM_GRID, ids=lambda p: f"nu{p.nu}b{p.beta}L{p.length}")
+# nu = 0.123: (nu + m) + j and nu + (m + j) round apart at 88 of the 231
+# entries, and 54 of their ground constants differ, so the table's order of
+# operations is pinned
+TABLE_PARAMS = PARAM_GRID + [ModelParams(nu=0.123, beta=2.0456, hbar=1.0, length=1.0, mass=0.5)]
+
+
+@pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"nu{p.nu}b{p.beta}L{p.length}")
 def test_ground_ladder_matches_scalar_route_bit_for_bit(p):
-    ladder = ground_ladder(p)
-    assert ladder.shape == (LEVEL_CAP + 1,)
-    for j in range(LEVEL_CAP + 1):
-        scalar = log_ground_constant(p.nu + j, p.beta, p.length)
-        assert isinstance(scalar, float)
-        assert ladder[j].hex() == scalar.hex(), j
+    # row m of the table is the ground ladder of level m
+    table = ground_table(p)
+    assert table.shape == (LEVEL_CAP + 1, LEVEL_CAP + 1)
+    for m in range(LEVEL_CAP + 1):
+        for j in range(LEVEL_CAP + 1):
+            if m + j > LEVEL_CAP:
+                assert math.isnan(table[m, j]), (m, j)
+                continue
+            scalar = log_ground_constant((p.nu + m) + j, p.beta, p.length)
+            assert isinstance(scalar, float)
+            assert table[m, j].hex() == scalar.hex(), (m, j)
+
+
+@pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"nu{p.nu}b{p.beta}L{p.length}")
+def test_every_log_K_matches_the_shifted_parameter_route(p):
+    # the route EigenFunction took before the table: normalization_K at a
+    # ModelParams whose strength index is shifted by the level
+    for m in range(LEVEL_CAP + 1):
+        for n in range(LEVEL_CAP + 1 - m):
+            got = EigenFunction(p, LevelIndex(m=m, n=n)).log_K
+            assert float(got).hex() == float(shifted_normalization_K(p, m, n)).hex(), (m, n)
 
 
 def test_ground_ladder_is_read_only():
-    ladder = ground_ladder(DEFAULT)
+    table = ground_table(DEFAULT)
     with pytest.raises(ValueError):
-        ladder[0] = 0.0
+        table[0, 0] = 0.0
     with pytest.raises(ValueError):
-        ladder += 1.0
+        table += 1.0
 
 
-def test_one_level_costs_one_log_gamma_call(monkeypatch):
+def test_states_of_every_level_cost_one_log_gamma_call_and_no_params(monkeypatch):
     # a parameter set no other test builds, so every cache starts cold
     p = ModelParams(nu=0.8123, beta=1.4321, hbar=1.0, length=1.0, mass=0.5)
     calls = []
+    built = []
 
     def counted(z):
         calls.append(np.size(z))
         return specfun.log_gamma(z)
 
+    original = ModelParams.__post_init__
+
+    def spy(self):
+        built.append(self)
+        original(self)
+
     monkeypatch.setattr(wavefn, "log_gamma", counted)
-    states = [EigenFunction(p, LevelIndex(m=3, n=n)) for n in range(11)]
-    assert calls == [LEVEL_CAP + 1]
+    monkeypatch.setattr(ModelParams, "__post_init__", spy)
+    states = [EigenFunction(p, LevelIndex(m=m, n=n)) for m in range(11) for n in range(11)]
+    assert calls == [(LEVEL_CAP + 1) * (LEVEL_CAP + 2) // 2]
+    assert built == []
     assert all(math.isfinite(f.log_K) for f in states)
 
 
