@@ -246,9 +246,10 @@ def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarr
     and one ``EigenFamily`` built per call evaluates the states there in
     one Horner pass of their two-sided binomial sums.
 
-    Each integrand call computes G at all its nodes with one
-    ``resolution_kernel`` call, whose panels those nodes share.  So the
-    integrand's value at a node depends on the other nodes of the call,
+    Each integrand call, one per refinement round of the x-integral,
+    computes G at all its nodes with one ``resolution_kernel`` call, whose
+    panels those nodes share.  So the integrand's value at a node depends on
+    the other nodes of the call,
     which the ``quadrature`` contract rules out, but only by about the
     kernel's own tolerance (``_KERNEL_CONFIG``; see ``resolution_kernel`` for
     the near-wall case at d' < 1).  The x-integral runs over

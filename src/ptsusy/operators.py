@@ -262,9 +262,10 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 
 #: The most folds the fold memo keeps; the least recently used goes first.
-#: A cold pass of the benchmark's ``verify`` (seed 1) takes 2,206, 2,140 and
-#: 2,090 steps at 256, 512 and 1,024 folds; with no bound 2,090 (74 warm),
-#: but peak RSS is 39.3 MB, against 37.8 MB at 512.
+#: A cold pass of the benchmark's ``verify`` (seed 1, each cell cut at its
+#: 1.5 s deadline) takes 2,016, 1,946 and 1,892 steps at 256, 512 and 1,024
+#: folds, 220, 220 and 212 of them on the level corpus stacks; with no bound
+#: 1,892 (none warm), but peak RSS is 39.2 MB, against 37.9 MB at 512.
 FOLD_MEMO_SIZE = 512
 
 
@@ -508,6 +509,14 @@ def _identity(results: list, indices: dict, grid_size: int, name: str):
 
 
 @lru_cache(maxsize=256)
+def _corpus_stack(params: ModelParams, level: int) -> _OperandStack:
+    # the standard operands of a level as one stack: a word folds all members
+    # at once, and residuals are taken member by member.  One stack per
+    # (params, level), so the levels m and m + 1 of two cells share its folds.
+    return _OperandStack(test_corpus(params, level))
+
+
+@lru_cache(maxsize=256)
 def _level_identities(
     params: ModelParams, m: int, grid_size: int, sign: float
 ) -> tuple[tuple[IdentityResult, ...], tuple[IdentityResult, ...]]:
@@ -520,9 +529,7 @@ def _level_identities(
     tail: list[IdentityResult] = []
     idx = {"m": m}
     two_m = 2.0 * params.mass
-    # the standard operands of a level as one stack: a word folds all members
-    # at once, and residuals are taken member by member
-    corpus = {level: _OperandStack(test_corpus(params, level)) for level in {0, m, m + 1}}
+    corpus = {level: _corpus_stack(params, level) for level in {0, m, m + 1}}
 
     # Every word of the pointwise rows at the grid in one call, in report
     # order: annihilation, factorization, single-step intertwining both ways

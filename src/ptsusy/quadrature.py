@@ -6,7 +6,7 @@ plain panel-adaptive Gauss-Legendre integration and an exponential-tail
 wrapper for integrals over the half line [0, inf).  Integrands must accept
 numpy arrays of abscissas and return arrays of values (real or complex).  An
 integrand's value at a node must not depend on the other nodes of the same
-call: ``integrate_interval`` calls it once per refinement step with the
+call: ``integrate_interval`` calls it once per refinement round with the
 nodes of several panels, and ``integrate_real_line`` reads its first
 truncation check off the far end of its coarse probe.  One caller bends
 this rule: the integrand of ``coherent.identity_gram_projection`` computes
@@ -44,6 +44,8 @@ BASE_RULE_ORDER = 15
 MAX_EXPANSIONS = 60
 #: Panels ``integrate_interval`` may split an interval into before it gives up.
 MAX_SUBDIVISIONS = 2**14
+#: Splits ``integrate_interval`` may evaluate in one integrand call.
+MAX_ROUND_SPLITS = 16
 
 
 @dataclass(frozen=True)
@@ -99,20 +101,64 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, list]:
     """Gauss sums of f over the panels [lo[k], hi[k]] from one call of f.
 
-    Returns shape (..., n_panels).  A non-finite value raises naming the
-    first panel, in the order given, that holds one.
+    Returns the sums, shape (..., n_panels), and the indices of the panels
+    that hold a non-finite value, in order; the sum of such a panel is 0.
     """
     half = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.asarray(f(xs.ravel()))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
+    bad = []
     if not np.isfinite(vals).all():
-        k = int(np.argmin(np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))))
-        raise NonFiniteIntegrandError(f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]")
-    return np.asarray((_WEIGHTS * vals).sum(axis=-1) * half, dtype=complex)
+        finite = np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))
+        vals = np.where(finite[:, None], vals, 0.0)
+        bad = np.flatnonzero(~finite).tolist()
+    return np.asarray((_WEIGHTS * vals).sum(axis=-1) * half, dtype=complex), bad
+
+
+def _nonfinite(lo: np.ndarray, hi: np.ndarray, k: int) -> str:
+    return f"integrand not finite inside [{float(lo[k])!r}, {float(hi[k])!r}]"
+
+
+def _segments(lo: np.ndarray, hi: np.ndarray, coarse: np.ndarray, left: np.ndarray, right: np.ndarray) -> list:
+    # (key, segment) per segment [lo[k], hi[k]] from its Gauss values on itself
+    # and on its halves, the last axis running over the segments.  A segment
+    # holds its ends, value, error and halves, views of one block copied out
+    # for it alone, so that no segment keeps its round's arrays alive; its key
+    # is its largest error (0 with no components).
+    fine = left + right
+    err = _modulus(coarse - fine)
+    keys = err.reshape(-1, len(lo)).max(axis=0, initial=0.0).tolist()
+    blocks = np.array([fine, err, left, right])
+    out = []
+    for key, lo_k, hi_k, block in zip(keys, lo.tolist(), hi.tolist(), blocks.transpose(-1, *range(blocks.ndim - 1))):
+        fine_k, err_k, left_k, right_k = block.copy()
+        out.append((key, (lo_k, hi_k, fine_k, err_k.real, left_k, right_k)))
+    return out
+
+
+def _split_round(f, parents: list) -> list:
+    # The children of every parent segment from one call of f on the 4
+    # quarter panels of each: per parent its two (key, segment) in order, or
+    # the message naming the first non-finite of its quarter panels.  The
+    # children's coarse panels are the parent's halves, already evaluated.
+    points = []
+    for lo, hi, *_ in parents:
+        mid = 0.5 * (lo + hi)
+        points.append((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi))
+    points = np.array(points)
+    panel_lo, panel_hi = points[:, :-1].ravel(), points[:, 1:].ravel()
+    vals, bad = _panel_values(f, panel_lo, panel_hi)
+    vals = vals.reshape(vals.shape[:-1] + (-1, 2))
+    coarse = np.stack([half for parent in parents for half in parent[4:]], axis=-1)
+    children = _segments(points[:, 0:3:2].ravel(), points[:, 2::2].ravel(), coarse, vals[..., 0], vals[..., 1])
+    out = [children[2 * j : 2 * j + 2] for j in range(len(parents))]
+    for k in reversed(bad):
+        out[k // 4] = _nonfinite(panel_lo, panel_hi, k)
+    return out
 
 
 def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
@@ -142,19 +188,26 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     by abs_tol / 1e-16, and integrates a mean that no closed form scales
     (the negative control's) on its own.
 
-    f is called once per refinement step: once for the 12 panels of the 4
-    initial segments (each segment and its two halves), then once per split
-    for the 4 quarter panels of the two children, whose own Gauss values
-    are the halves already computed.  Results are the same as integrating
-    panel by panel; a non-finite value names the first affected panel in
-    that panel-by-panel order.
+    f is called once for the 12 panels of the 4 initial segments (each
+    segment and its two halves), then once per refinement round.  A round
+    takes the segment the loop pops next and the ones after it in pop order
+    while the errors of the segments not taken still miss the target, so
+    that the loop must split every one of them before it can stop.  It stops
+    early at a segment whose children are evaluated already, at the panel
+    budget, or at ``MAX_ROUND_SPLITS``.  Its call holds the 4 quarter panels
+    of each split, the children's own Gauss values being the halves already
+    computed.  The loop then splits one segment at a time, in the order and
+    with the sums of a loop that evaluates each split alone, so results are
+    the same as integrating panel by panel.  A non-finite value raises when
+    the loop reaches its split, naming the first affected panel in that
+    panel-by-panel order.
 
     Returns:
         IntegralResult with the estimate and a conservative error bound (sum
         of per-panel discrepancies, at least the rounding-noise floor of the
-        stopping test), both of the integrand's leading shape,
-        and the number of abscissas.  For a scalar integrand the value is a
-        complex and the error a float.
+        stopping test), both of the integrand's leading shape, and the
+        number of abscissas of the panels they are built from.  For a scalar
+        integrand the value is a complex and the error a float.
 
     Raises:
         ValueError: endpoints not finite, not a < b, or too close together
@@ -180,41 +233,34 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         inner = replace(config, endpoint_substitution=False)
         return integrate_interval(g, 0.0, math.pi, inner)
 
-    evaluations = 0
     counter = itertools.count()
     heap = []
     total = 0.0 + 0.0j
     total_err = 0.0
 
-    def add_segments(lo: np.ndarray, hi: np.ndarray, coarse: np.ndarray | None = None) -> None:
-        # One call of f for the halves of every segment [lo[k], hi[k]], and for
-        # the segments themselves unless their values are given, panels laid
-        # out coarse, left, right per segment as a panel-by-panel loop meets
-        # them; a segment's key is its largest error (0 with no components).
-        nonlocal evaluations, total, total_err
-        mid = 0.5 * (lo + hi)
-        ends = (lo, lo, mid, hi, mid, hi) if coarse is None else (lo, mid, mid, hi)
-        lows, highs = np.array(ends).reshape(2, -1, len(lo)).transpose(0, 2, 1)
-        vals = _panel_values(f, lows.ravel(), highs.ravel())
-        evaluations += lows.size * BASE_RULE_ORDER
-        vals = vals.reshape(vals.shape[:-1] + lows.shape)
-        if coarse is None:
-            coarse = vals[..., 0]
-        left, right = vals[..., -2], vals[..., -1]
-        fine = left + right
-        err = _modulus(coarse - fine)
-        keys = err.reshape(-1, len(lo)).max(axis=0, initial=0.0).tolist()
-        per_segment = (v.transpose(-1, *range(v.ndim - 1)) for v in (fine, err, left, right))
-        for key, seg in zip(keys, zip(lo.tolist(), hi.tolist(), *per_segment)):
+    def push(segments: list) -> None:
+        nonlocal total, total_err
+        for key, seg in segments:
             total += seg[2]
             total_err += seg[3]
             heapq.heappush(heap, (-key, next(counter), seg))
 
-    n_init = 4
-    edges = np.linspace(a, b, n_init + 1)
-    add_segments(edges[:-1], edges[1:])
+    # the 4 initial segments, panels laid out coarse, left, right per segment
+    edges = np.linspace(a, b, 5)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    panel_lo, panel_hi = np.array([[lo, lo, mid], [hi, mid, hi]]).transpose(0, 2, 1).reshape(2, -1)
+    vals, bad = _panel_values(f, panel_lo, panel_hi)
+    if bad:
+        raise NonFiniteIntegrandError(_nonfinite(panel_lo, panel_hi, bad[0]))
+    vals = vals.reshape(vals.shape[:-1] + (4, 3))
+    push(_segments(lo, hi, vals[..., 0], vals[..., 1], vals[..., 2]))
+    evaluations = 12 * BASE_RULE_ORDER
 
-    n_segments = n_init
+    # counter number of a segment on the heap -> what its split adds: its two
+    # children, or the message of its first non-finite quarter panel
+    children = {}
+    n_segments = 4
     while True:
         size = _modulus(total)
         tol = np.maximum(config.abs_tol, config.rel_tol * size)
@@ -230,15 +276,35 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
                 f"no convergence within {MAX_SUBDIVISIONS} panels "
                 f"(residual error {total_err[worst]:.3e}, tolerance {tol[worst]:.3e})"
             )
-        neg_err, _, seg = heapq.heappop(heap)
-        lo, hi, fine, err, left, right = seg
+        top = heapq.heappop(heap)
+        neg_err, number, seg = top
         if -neg_err <= 0.0:
             break  # best refinement already exact; nothing more to gain
-        mid = 0.5 * (lo + hi)
-        total -= fine
-        total_err -= err
-        # the children's coarse panels are the halves already evaluated
-        add_segments(np.array([lo, mid]), np.array([mid, hi]), np.stack([left, right], axis=-1))
+        if number not in children:
+            # A round: this segment, and the next ones in pop order while the
+            # errors of the segments not taken still miss the target, so that
+            # the loop must split each before it can converge.  The floor grows
+            # with every split, so a taken segment may, rarely, never be split:
+            # its children then go unused and uncounted.
+            taken = [top]
+            rest = total_err - seg[3]
+            room = min(MAX_ROUND_SPLITS, MAX_SUBDIVISIONS - n_segments - len(children))
+            while len(taken) < room and np.any(rest > target) and heap:
+                neg_key, following, _ = heap[0]
+                if neg_key >= 0.0 or following in children:
+                    break
+                taken.append(heapq.heappop(heap))
+                rest = rest - taken[-1][2][3]
+            for entry in taken[1:]:
+                heapq.heappush(heap, entry)
+            children.update(zip((entry[1] for entry in taken), _split_round(f, [entry[2] for entry in taken])))
+        split = children.pop(number)
+        if isinstance(split, str):
+            raise NonFiniteIntegrandError(split)
+        total -= seg[2]
+        total_err -= seg[3]
+        push(split)
+        evaluations += 4 * BASE_RULE_ORDER
         n_segments += 1
 
     reported = np.maximum(total_err, floor)

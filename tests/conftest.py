@@ -17,8 +17,9 @@ PARAM_GRID = [
 
 
 def clear_memos():
-    """Empty the level-row memo and the fold memo of ``operators``."""
+    """Empty the level-row, corpus-stack and fold memos of ``operators``."""
     operators._level_identities.cache_clear()
+    operators._corpus_stack.cache_clear()
     operators._fold.cache_clear()
 
 

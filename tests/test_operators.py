@@ -550,7 +550,7 @@ def test_verify_folds_each_prefix_once(monkeypatch):
     rows = [[r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] for n, m, sign in cells]
     # one miss per key asked for, and every one still in the memo, so no key
     # was folded twice, and the quadrature integrands, called once per
-    # refinement step, add no folds; a step extends a folded prefix, the
+    # refinement round, add no folds; a step extends a folded prefix, the
     # shifted H steps of mixed_product (n < m) aside
     info = memo.cache_info()
     assert info.misses == info.currsize == len(seen)
@@ -574,6 +574,32 @@ def test_a_cell_reuses_the_folds_of_an_earlier_cell(monkeypatch):
     # word_b on phi_3 and the chains of level 2 are folded already
     assert 0 < len(steps) < cold
     assert warm_rows == cold_rows
+
+
+def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
+    # cell m folds the words of its level rows on the corpus stacks of levels
+    # 0, m and m + 1, one stack per (params, level); cell m + 1 finds the
+    # stacks of levels 0 and m + 1 with their folds in the memo
+    on_stacks = []
+    fold = operators._fold.__wrapped__
+
+    def counted(params, word, func, sign):
+        if word and isinstance(func, operators._OperandStack):
+            on_stacks.append(func)
+        return fold(params, word, func, sign)
+
+    monkeypatch.setattr(operators, "_fold", lru_cache(maxsize=None)(counted))
+    cold_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 1, 3)]
+    cold = list(on_stacks)
+    clear_memos()
+    verify_operator_identities(DEFAULT, 1, 2)
+    on_stacks.clear()
+    warm_rows = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 1, 3)]
+    assert warm_rows == cold_rows
+    assert len(on_stacks) < len(cold)
+    # on level 0 the chain words of cell 2, B = A_2 A_1 A_0 and H_0 B, are
+    # prefixes of those of cell 3: only A_3 on each and H_4 after B are new
+    assert on_stacks.count(operators._corpus_stack(DEFAULT, 0)) == 3
 
 
 def _small_memo(monkeypatch, size):

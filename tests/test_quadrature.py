@@ -1,6 +1,7 @@
 """Adaptive quadrature and Richardson differentiation against known integrals."""
 
 import math
+import time
 import warnings
 from dataclasses import replace
 
@@ -282,6 +283,21 @@ BATCHING_CASES = {
 }
 
 
+def _oracle_splits(batched, panelwise):
+    # The oracle's split indices of every round call of the batched run, in
+    # call order: the oracle evaluates 3 panels per initial segment and 6 per
+    # split, coarse, left and right of each child, and a round call holds the
+    # 4 quarter panels (left and right of each child) of each of its splits.
+    order = BASE_RULE_ORDER
+    splits = (len(panelwise.calls) - 12) // 6
+    index = {
+        np.concatenate([panelwise.calls[12 + 6 * i + k] for k in (1, 2, 4, 5)]).tobytes(): i for i in range(splits)
+    }
+    assert len(index) == splits
+    step = 4 * order
+    return [[index[call[j : j + step].tobytes()] for j in range(0, call.size, step)] for call in batched.calls[1:]]
+
+
 @pytest.mark.parametrize("case", BATCHING_CASES.values(), ids=BATCHING_CASES.keys())
 def test_batched_panels_match_panelwise_oracle_bit_for_bit(case):
     f, a, b, cfg = case
@@ -291,40 +307,63 @@ def test_batched_panels_match_panelwise_oracle_bit_for_bit(case):
     assert np.asarray(res.value).tobytes() == np.asarray(ref.value).tobytes()
     assert np.asarray(res.error).tobytes() == np.asarray(ref.error).tobytes()
     assert type(res.value) is type(ref.value) and type(res.error) is type(ref.error)
-    # the oracle evaluates 3 panels per initial segment and 6 per split; the
-    # batched loop makes one call for the 12 initial panels and one call of
-    # 4 quarter panels per split, reusing the halves as the children's coarse
+    # the batched loop makes one call for the 12 initial panels and one call
+    # per refinement round, of the 4 quarter panels of each split the round
+    # takes, reusing the halves as the children's coarse; no evaluated panel
+    # goes unused
     order = BASE_RULE_ORDER
     splits = (ref.evaluations // order - 12) // 6
     assert ref.evaluations == order * (12 + 6 * splits)
-    assert len(batched.sizes) == 1 + splits
     assert res.evaluations == sum(batched.sizes) == order * (12 + 4 * splits)
     assert sum(panelwise.sizes) == ref.evaluations
+    assert batched.calls[0].tobytes() == np.concatenate(panelwise.calls[:12]).tobytes()
+    # the split abscissas are the oracle's panels 1, 2, 4 and 5 of each
+    # split, as a multiset; a round takes its splits in the oracle's order
+    got = np.sort(np.concatenate([np.zeros(0)] + batched.calls[1:]))
+    quarters = [panelwise.calls[12 + 6 * i + k] for i in range(splits) for k in (1, 2, 4, 5)]
+    want = np.sort(np.concatenate([np.zeros(0)] + quarters))
+    assert got.tobytes() == want.tobytes()
+    rounds = _oracle_splits(batched, panelwise)
+    assert sorted(i for r in rounds for i in r) == list(range(splits))
+    assert all(r == sorted(r) for r in rounds)
+    assert len(batched.sizes) <= 1 + splits
+
+
+def test_rounds_take_fewer_calls_than_splits():
+    # the 4 initial segments of cos^2(40 pi x) all miss the tight tolerance,
+    # and so do their 8 children: their splits go to f in two round calls
+    f, a, b, cfg = BATCHING_CASES["oscillatory"]
+    counted = Counting(f)
+    res = integrate_interval(counted, a, b, cfg)
+    splits = (res.evaluations // BASE_RULE_ORDER - 12) // 4
+    assert splits == 12
+    assert len(counted.sizes) < 1 + splits
 
 
 def test_batching_cases_cover_splits():
     splits = []
     for f, a, b, cfg in BATCHING_CASES.values():
-        counted = Counting(f)
-        integrate_interval(counted, a, b, cfg)
-        splits.append(len(counted.sizes) - 1)
+        res = integrate_interval(f, a, b, cfg)
+        splits.append((res.evaluations // BASE_RULE_ORDER - 12) // 4)
     assert min(splits) == 0 and max(splits) >= 50
 
 
 def test_tied_panels_pop_in_the_order_they_were_made():
     # the four initial segments tie, and so do the translated children of
     # each split; the loop must split them first made, first split, as the
-    # panel-by-panel oracle does, node for node
+    # panel-by-panel oracle does, node for node: each round takes its splits
+    # in the oracle's order, and the first round takes the four quarters
     batched, panelwise = Counting(_tiled), Counting(_tiled)
     integrate_interval(batched, 0.0, 1.0, LOOSE)
     panelwise_integrate(panelwise, 0.0, 1.0, LOOSE)
-    splits = batched.calls[1:]
-    assert len(splits) >= 20 and 6 * len(splits) == len(panelwise.calls) - 12
-    assert [int(4.0 * c.min()) for c in splits[:4]] == [0, 1, 2, 3]
-    for i, call in enumerate(splits):
-        # the oracle's split i: coarse, left and right panel of each child
-        oracle = panelwise.calls[12 + 6 * i : 18 + 6 * i]
-        assert call.tobytes() == np.concatenate([oracle[k] for k in (1, 2, 4, 5)]).tobytes(), i
+    rounds = _oracle_splits(batched, panelwise)
+    splits = (len(panelwise.calls) - 12) // 6
+    assert splits >= 20 and sorted(i for r in rounds for i in r) == list(range(splits))
+    assert rounds[0][:4] == [0, 1, 2, 3]
+    assert [int(4.0 * batched.calls[1][60 * k]) for k in range(4)] == [0, 1, 2, 3]
+    for r in rounds:
+        assert r == sorted(r), r
+    assert max(len(r) for r in rounds) == quadrature.MAX_ROUND_SPLITS
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
@@ -342,9 +381,36 @@ def test_subdivision_limit_matches_panelwise_oracle(monkeypatch, vector):
     assert len(counted.sizes) == 1 + (quadrature.MAX_SUBDIVISIONS - 4)
 
 
+def test_panel_budget_path_raises_in_bounded_time():
+    # sin(1e7 x^2) at zero tolerances spends the whole panel budget, 16,380
+    # splits.  One split per call took 0.47 s on a 2-core machine; a round
+    # that scanned the whole heap for its segments took 30 s.
+    calls = []
+
+    def chirp(x):
+        calls.append(x.size)
+        return np.sin(1e7 * x * x)
+
+    start = time.perf_counter()
+    with pytest.raises(SubdivisionLimitError) as exc:
+        integrate_interval(chirp, 0.0, 1.0, QuadratureConfig(abs_tol=0.0, rel_tol=0.0))
+    elapsed = time.perf_counter() - start
+    assert str(exc.value) == "no convergence within 16384 panels (residual error 5.100e-02, tolerance 0.000e+00)"
+    assert elapsed < 5.0
+    assert len(calls) < quadrature.MAX_SUBDIVISIONS - 4
+
+
 def _nan_near(x0, width, f):
     def g(x):
         return np.where(np.abs(x - x0) < width, np.nan, f(x))
+
+    return g
+
+
+def _nan_at(points, f):
+    # NaN at the given abscissas alone, each the middle node of one panel
+    def g(x):
+        return np.where(np.isin(x, points), np.nan, f(x))
 
     return g
 
@@ -361,6 +427,20 @@ NONFINITE_CASES = {
         DEFAULT_CONFIG,
     ),
     "substituted": (_nan_near(0.7, 1e-6, lambda x: 1.0 / np.abs(x - 0.7) ** 0.25), 0.0, 1.0, SUBSTITUTED),
+    # The first round of two_log_singularities takes [0, 0.25], [0.5, 0.75]
+    # and [0.75, 1], which the one-split loop makes its 1st, 5th and 72nd
+    # splits.  A NaN at the middle node of the quarter panel [0.875, 0.9375]
+    # is named after 71 splits.
+    "later_split_of_round": (_nan_at([0.90625], BATCHING_CASES["two_log_singularities"][0]), 0.0, 1.0, TIGHT),
+    # A NaN in a quarter panel of [0.5, 0.75], from that first round, and
+    # one in [0.28125, 0.3125], a quarter of the 2nd split, which a later
+    # round evaluates: the one-split loop meets the second first.
+    "later_round_reached_first": (
+        _nan_at([0.59375, 0.296875], BATCHING_CASES["two_log_singularities"][0]),
+        0.0,
+        1.0,
+        TIGHT,
+    ),
 }
 
 
@@ -373,6 +453,17 @@ def test_nonfinite_panel_named_as_panelwise_oracle(case):
         with pytest.raises(NonFiniteIntegrandError) as panelwise:
             panelwise_integrate(f, a, b, cfg)
     assert str(batched.value) == str(panelwise.value)
+
+
+def test_nonfinite_panel_of_a_round_raises_when_its_split_is_reached():
+    # the NaN's split is evaluated in the first round call, and raised only
+    # when the loop reaches it, after every split the oracle makes before it
+    f, a, b, cfg = NONFINITE_CASES["later_split_of_round"]
+    counted = Counting(f)
+    with pytest.raises(NonFiniteIntegrandError, match=r"inside \[0\.875, 0\.9375\]"):
+        integrate_interval(counted, a, b, cfg)
+    assert 0.90625 in counted.calls[1]
+    assert len(counted.calls) > 2
 
 
 REAL_LINE_CASES = {
