@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import DomainError
 from .operators import operand_values
-from .quadrature import DEFAULT_CONFIG, integrate_interval, integrate_real_line
+from .quadrature import DEFAULT_CONFIG, integrate_real_line
 from .specfun import log_abs_gamma, log_gamma
 from .spectrum import ModelParams, level_number
-from .wavefn import EigenFamily, eigenfunction, log_ground_constant
+from .wavefn import EigenFamily, _gram, eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
 #: Most points one ``log_abs_gamma`` call of ``resolution_kernel`` receives;
@@ -241,10 +241,12 @@ def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarr
     Returns the matrix int conj(phi_i) G phi_j dx for i, j < size, which is
     the identity matrix when the coherent family resolves unity.  The kernel
     G is evaluated pointwise inside the quadrature, so this is a genuine
-    double-integral check, not a restatement of orthonormality.  The upper
-    triangle is one vector-valued integral, so G is computed once per node,
-    and one ``EigenFamily`` built per call evaluates the states there in
-    one Horner pass of their two-sided binomial sums.
+    double-integral check, not a restatement of orthonormality.  The matrix
+    is the triangle integral of ``wavefn.gram_matrix`` with G as its weight,
+    conj(phi_i) G phi_j multiplied in that order: the upper triangle is one
+    vector-valued integral, so G is computed once per node, and one
+    ``EigenFamily`` built per call evaluates the states there in one Horner
+    pass of their two-sided binomial sums.
 
     Each integrand call, one per refinement round of the x-integral,
     computes G at all its nodes with one ``resolution_kernel`` call, whose
@@ -264,16 +266,5 @@ def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarr
         return np.zeros((0, 0), dtype=complex)
     family = EigenFamily(eigenfunction(params, m, n) for n in range(size))
     L = params.length
-    lo, hi = 1e-6 * L, (1.0 - 1e-6) * L
-    rows, cols = np.triu_indices(size)
-
-    def integrand(x):
-        g = resolution_kernel(params, m, x)
-        phi = family(x)
-        return np.conj(phi[rows]) * g * phi[cols]
-
-    value = integrate_interval(integrand, lo, hi, _PROJECTION_CONFIG).value
-    out = np.zeros((size, size), dtype=complex)
-    out[rows, cols] = value
-    out[cols, rows] = np.conj(value)
-    return out
+    kernel = lambda x: resolution_kernel(params, m, x)
+    return _gram(family, size, 1e-6 * L, (1.0 - 1e-6) * L, _PROJECTION_CONFIG, weight=kernel)

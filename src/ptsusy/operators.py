@@ -26,13 +26,14 @@ Q and the magnitudes each of its coefficients was summed from are held as
 one band of rows, so a step is one pass with the signed multipliers on the
 Q rows and their absolute values on the magnitude rows, kept as read-only
 columns per set of factor values.  A bounded ``lru_cache`` keyed on
-(params, prefix, operand, sign) keeps each fold with its plan: the rows in
-falling degree and, per power, Q cut at the noise floor.  The plan is
-evaluated in one Horner pass in place, which a row joins at its own degree,
-so each row sees the same operations as when it is evaluated alone.  Several
-words wanted at the same points (``apply_words``) go into one plan over all
-their folds' rows and one Horner pass per node set, and each result is
-bit-identical to its word evaluated alone.
+(params, prefix, operand, sign) keeps each fold.  The words wanted at the
+same points go into one plan over all their folds' rows, built once per
+call: the rows in falling degree and, per power, Q cut at the noise floor.
+The plan is evaluated in one Horner pass in place per node set, which a row
+joins at its own degree, so each row sees the same operations as when its
+word is evaluated alone, and each result is bit-identical to it.
+``wavefn.gram_matrix`` stacks every operand that is not an eigenfunction
+into one and evaluates its empty word this way, once per integrand call.
 
 The verification suite evaluates every operator identity of the hierarchy on
 one sample grid or by quadrature and reports one relative residual per
@@ -269,24 +270,14 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 FOLD_MEMO_SIZE = 512
 
 
-class _Fold:
-    # a word folded on an operand, and its evaluation plan once asked for
-    def __init__(self, terms: _Terms):
-        self.terms = terms
-
-    @cached_property
-    def plan(self) -> _Plan:
-        return _plan(self.terms)
-
-
 @lru_cache(maxsize=FOLD_MEMO_SIZE)
-def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Fold:
+def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Terms:
     # the fold of word on func, extending the fold of word[:-1] by one step;
     # the prefix is looked up through the module name, so a (params, prefix,
     # operand, sign) is folded once while the memo holds it
     if not word:
-        return _Fold(_Terms.of(params, func.cot_terms))
-    return _Fold(_step(params, *word[-1], _fold(params, word[:-1], func, sign).terms, sign))
+        return _Terms.of(params, func.cot_terms)
+    return _step(params, *word[-1], _fold(params, word[:-1], func, sign), sign)
 
 
 def _check_sign(sign) -> None:
@@ -310,43 +301,28 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     shape (k, *x.shape), row i bit-identical to applying the word to member i
     alone when the members share a dtype.
 
-    The fold of every (params, prefix, operand, sign) and its evaluation plan
-    are kept in a process-wide ``lru_cache`` of ``FOLD_MEMO_SIZE`` entries,
-    and a word extends its longest folded prefix, so calls that repeat a word
-    or share a prefix do not fold it again.  The operand must be hashable and
-    keep its ``cot_terms``; equal operands share their folds.  The values are
-    bit-identical with a warm memo and a cold one.
+    The fold of every (params, prefix, operand, sign) is kept in a
+    process-wide ``lru_cache`` of ``FOLD_MEMO_SIZE`` entries, and a word
+    extends its longest folded prefix, so calls that repeat a word or share a
+    prefix do not fold it again; the evaluation plan is built per call.  The
+    operand must be hashable and keep its ``cot_terms``; equal operands share
+    their folds.  The values are bit-identical with a warm memo and a cold one.
 
-    This is the one-request case of ``apply_words``, which evaluates several
-    words at the same points in one plan and one Horner pass, each result
-    bit-identical to its word applied alone; a single request evaluates the
-    plan kept with its fold.
+    This is ``_stacked_words`` with one request, evaluated once.
     """
-    (values,) = apply_words(params, [(word, func, sign)], x)
+    (values,) = _stacked_words(params, [(word, func, sign)])(x)
     return values
 
 
-def apply_words(params: ModelParams, requests, x) -> list:
-    """Apply several words at the same points x in one pass.
-
-    Each of the (at least one) requests is a (word, operand, sign) triple,
-    checked and folded as by ``apply_word``; the result is a list with one
-    array per request, each what ``apply_word(params, word, operand, x,
-    sign)`` returns, bit for bit and in the same dtype.  The rows of every fold go into one plan and one
-    Horner pass, which each row joins at its own degree, so it sees the same
-    operations as when its word is evaluated alone; every other operation is
-    elementwise.  The requests of one call share a dtype: float64 and
-    complex128 operands together raise ``DomainError``.  This is
-    ``_stacked_words`` evaluated once; a caller that wants the same words at
-    many node sets builds that evaluator once instead.
-    """
-    return _stacked_words(params, requests)(x)
-
-
 def _stacked_words(params: ModelParams, requests):
-    # The requests checked and folded once, with one plan over all their
-    # folds' rows (see apply_words); returns the evaluator of that plan, which
-    # maps points x to one array per request in one Horner pass.
+    # The (word, operand, sign) requests checked and folded as by apply_word,
+    # with one plan over all their folds' rows, built once per call; returns
+    # the evaluator of that plan, which maps points x to one array per
+    # request, each bit for bit and in the dtype of its word applied alone:
+    # one Horner pass, which each row joins at its own degree, and every other
+    # operation elementwise.  The requests of one call share a dtype: float64
+    # and complex128 operands together raise DomainError.  A caller that
+    # wants the same words at many node sets keeps the evaluator.
     requests = [(tuple(word), func, sign) for word, func, sign in requests]
     # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
     for word, _, sign in requests:
@@ -357,11 +333,11 @@ def _stacked_words(params: ModelParams, requests):
             if type(level) is not int or level < 0:
                 level_number(level)
     folds = [_fold(params, *request) for request in requests]
-    if any(fold.terms.band.dtype != folds[0].terms.band.dtype for fold in folds):
-        dtypes = sorted({str(fold.terms.band.dtype) for fold in folds})
+    if any(fold.band.dtype != folds[0].band.dtype for fold in folds):
+        dtypes = sorted({str(fold.band.dtype) for fold in folds})
         raise DomainError(f"the words of one call need operands of one dtype, got {' and '.join(dtypes)}")
-    plan = folds[0].plan if len(folds) == 1 else _plan(*(fold.terms for fold in folds))
-    members = [(func, len(fold.terms.gamma)) for (_, func, _), fold in zip(requests, folds)]
+    plan = _plan(*folds)
+    members = [(func, len(fold.gamma)) for (_, func, _), fold in zip(requests, folds)]
 
     def evaluate(x) -> list:
         arr = np.asarray(x, dtype=float)
@@ -550,7 +526,7 @@ def _level_identities(
         (word_b + (("H", m + 1),), corpus[0], sign),
         ((("H", 0),) + word_b, corpus[0], sign),
     ]
-    ann, ground_grid, direct, chained, values, *pairs = apply_words(params, requests, grid)
+    ann, ground_grid, direct, chained, values, *pairs = _stacked_words(params, requests)(grid)
 
     # Ground-state annihilation at level m.
     with _identity(head, idx, grid_size, "ground_state_annihilation") as record:
@@ -658,7 +634,7 @@ def verify_operator_identities(
     bool included).  The words of the call go through the fold memo of
     ``apply_word``, an operand's own values included (its empty word); the
     rows do not depend on what it holds.  The words of the pointwise rows are
-    evaluated at the grid in one ``apply_words`` call per cell and one for the
+    evaluated at the grid in one stacked pass per cell and one for the
     level rows; their operands are of degree at most the one checked up
     front, so no state they need is refused by the cap.
 
@@ -737,7 +713,7 @@ def verify_operator_identities(
         phi_hi = eigenfunction(params, n + 1, 0)
         pointwise.update(lam=(lam, phi_up), partial=(lam_dag + lam, phi_hi), phi_hi=((), phi_hi))
     requests = [(word, func, sign) for word, func in pointwise.values()]
-    at_grid = dict(zip(pointwise, apply_words(params, requests, grid)))
+    at_grid = dict(zip(pointwise, _stacked_words(params, requests)(grid)))
     phi_up_grid = at_grid["phi_up"]
 
     def chain_eigenvalue(e, levels):
@@ -897,7 +873,7 @@ def verify_operator_identities(
                 details["lambda_form"] = _rel(lhs, rhs)
             else:
                 # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-                terms = _fold(params, theta, phi_up, sign).terms
+                terms = _fold(params, theta, phi_up, sign)
                 for k in range(n + 1):
                     terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
                 rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms), grid))

@@ -32,8 +32,11 @@ states of one ``ModelParams`` in one Horner pass over their upper halves,
 zero-padded to the longest: a shorter row stays an exact zero up to its own
 top coefficient, so each row goes through the same operations alone, in
 any family and in any order.  ``gram_matrix`` and
-``coherent.identity_gram_projection`` build one family per call, and a
-single state's call is the one-row family.
+``coherent.identity_gram_projection`` build one family per call and share
+one triangle integral, and a single state's call is the one-row family.
+The other operands of ``gram_matrix``, coherent states and bumps, are
+stacked as one operand of the operator layer and valued by its empty word,
+once per integrand call; that layer is imported only then.
 Operator words act on the cotangent form of ``EigenFunction.cot_terms``, the
 same sum with e^(+-i theta) = sin theta (cot theta +- i);
 ``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
@@ -295,37 +298,56 @@ def eigenfunction(params: ModelParams, m: int, n: int) -> EigenFunction:
     return EigenFunction(params, LevelIndex(m=m, n=n))
 
 
+def _gram(values, k: int, lo: float, hi: float, config: QuadratureConfig, weight=None) -> np.ndarray:
+    # the Hermitian matrix of int conj(phi_i) w phi_j over [lo, hi], phi =
+    # values(x) of shape (k, len(x)) and w = weight(x), 1 if None: its upper
+    # triangle is one vector-valued integral, the lower one its conjugate
+    rows, cols = np.triu_indices(k)
+
+    def integrand(x):
+        phi = values(x)
+        if weight is None:
+            return np.conj(phi[rows]) * phi[cols]
+        return np.conj(phi[rows]) * weight(x) * phi[cols]
+
+    value = integrate_interval(integrand, lo, hi, config).value
+    gram = np.zeros((k, k), dtype=complex)
+    gram[rows, cols] = value
+    gram[cols, rows] = np.conj(value)
+    return gram
+
+
 def gram_matrix(
     functions,
     length: float,
     config: QuadratureConfig | None = None,
 ) -> np.ndarray:
-    """Hermitian Gram matrix of callables over [0, length] by adaptive quadrature.
+    """Hermitian Gram matrix of operands of one ``ModelParams`` over [0, length].
 
-    The upper triangle is one vector-valued integral: every function is
-    evaluated once per node, and every entry meets its own tolerance.  When
-    every function is an ``EigenFunction`` of one ``ModelParams``, one
-    ``EigenFamily`` built per call evaluates them all at each node, each row
-    bit for bit what its state gives alone at the same nodes, and the
-    integrand is real; other callables are called one by one.
+    The upper triangle is one vector-valued adaptive integral: every operand
+    is evaluated once per node, and every entry meets its own tolerance.
+    When every operand is an ``EigenFunction``, one ``EigenFamily`` built per
+    call evaluates them all at each node, each row bit for bit what its
+    state gives alone at the same nodes, and the integrand is real.  Any
+    other operands (coherent states, bumps) are stacked as one operand of
+    the operator layer and valued by its empty word in one pass per
+    integrand call, each row bit for bit the operand's own call at the same
+    interior nodes.  Operands of different ``ModelParams``, or without
+    ``params`` and ``cot_terms``, raise ``DomainError``.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)
     k = len(functions)
     if not k:
         return np.zeros((0, 0), dtype=complex)
-    rows, cols = np.triu_indices(k)
-    if all(isinstance(f, EigenFunction) and f.params == functions[0].params for f in functions):
+    if all(isinstance(f, EigenFunction) for f in functions):
         values = EigenFamily(functions)
     else:
-        values = lambda t: np.array([f(t) for f in functions])
+        from .operators import _OperandStack, _stacked_words  # here only: ``ptsusy wavefn`` never loads it
 
-    def integrand(t):
-        phi = values(t)
-        return np.conj(phi[rows]) * phi[cols]
-
-    value = integrate_interval(integrand, 0.0, length, config).value
-    gram = np.zeros((k, k), dtype=complex)
-    gram[rows, cols] = value
-    gram[cols, rows] = np.conj(value)
-    return gram
+        params = getattr(functions[0], "params", None)
+        if params is None or any(getattr(f, "params", None) != params or not hasattr(f, "cot_terms") for f in functions):
+            raise DomainError("a Gram matrix needs operands of one ModelParams with cot_terms")
+        words = _stacked_words(params, [((), _OperandStack(functions), 1.0)])
+        values = lambda t: words(t)[0]
+    return _gram(values, k, 0.0, length, config)

@@ -383,21 +383,51 @@ def test_coherent_csv_self_overlap_and_kernel():
 
 
 def test_coherent_tables_are_one_gram_integral(monkeypatch, capsys):
-    # counted through every module binding the CLI can reach it by; the
-    # quadrature module's own name would count endpoint substitution's inner call
+    # counted through the one module binding the CLI reaches it by, as the
+    # coherent layer integrates its Grams through wavefn's; the quadrature
+    # module's own name would count endpoint substitution's inner call
     calls = []
-    for module in (ptsusy.coherent, ptsusy.wavefn):
+    real = ptsusy.wavefn.integrate_interval
 
-        def counted(*args, _real=module.integrate_interval, **kwargs):
-            calls.append(1)
-            return _real(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "integrate_interval", counted)
+    assert not hasattr(ptsusy.coherent, "integrate_interval")
+    monkeypatch.setattr(ptsusy.wavefn, "integrate_interval", counted)
     args = ["coherent", "--q", "0.3", "--q", "0.6", "--p", "-1", "--p", "2", "--skip-resolution"]
     assert ptsusy.cli.main(args) == 0
     out = capsys.readouterr().out
     assert out.endswith("# all_pass: true\n")
     assert len(calls) == 1
+
+
+def test_coherent_deviation_equal_to_its_tolerance_fails(capsys):
+    # the suite's pass rule (operators.passes): strictly below the tolerance.
+    # The self overlap of a state is exactly 1, so its deviation 0.0 fails a
+    # tolerance of 0
+    base = ["coherent", "--q=0.5", "--p=0", "--grid", "3", "--format", "json"]
+    assert ptsusy.cli.main([*base, "--skip-resolution", "--tol-overlap", "0", "--tol-normalization", "1"]) == 1
+    (row,) = json.loads(capsys.readouterr().out)["normalization"]
+    assert row["self_overlap_dev"] == 0.0 and row["passed"] is False
+    # each other deviation, read from a passing run, set as its own tolerance
+    assert ptsusy.cli.main(base) == 0
+    first = json.loads(capsys.readouterr().out)
+    (norm,), (overlap,) = first["normalization"], first["overlaps"]
+    kernel_devs = [abs(r["kernel"] - 1.0) for r in first["resolution"]["rows"]]
+    tols = {
+        "normalization": norm["norm_quadrature_dev"],
+        "overlap": overlap["quadrature_dev"],
+        "resolution": kernel_devs[1],
+    }
+    assert all(tol > 0.0 for tol in tols.values()) and norm["self_overlap_dev"] < tols["overlap"]
+    flags = [arg for name, tol in tols.items() for arg in (f"--tol-{name}", repr(tol))]
+    assert ptsusy.cli.main([*base, *flags]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["normalization"][0]["passed"] is False
+    assert report["overlaps"][0]["passed"] is False
+    assert [r["passed"] for r in report["resolution"]["rows"]] == [dev < kernel_devs[1] for dev in kernel_devs]
+    assert report["all_pass"] is False
 
 
 def test_coherent_json_schema_and_determinism(tmp_path):

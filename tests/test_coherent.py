@@ -389,6 +389,7 @@ def test_gram_projection_accepts_whole_number_sizes(size):
 
 def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):
     import ptsusy.coherent as coherent
+    import ptsusy.wavefn as wavefn
 
     reported = []
 
@@ -396,7 +397,8 @@ def test_gram_projection_agrees_with_pairwise_oracle(monkeypatch):
         reported.append(integrate_interval(*args))
         return reported[-1]
 
-    monkeypatch.setattr(coherent, "integrate_interval", recorded)
+    # the projection is the triangle integral of gram_matrix, with G as its weight
+    monkeypatch.setattr(wavefn, "integrate_interval", recorded)
     # looser than the defaults: this compares two routes, not the identity
     config = QuadratureConfig(endpoint_substitution=True, abs_tol=1e-7, rel_tol=1e-7)
     monkeypatch.setattr(coherent, "_PROJECTION_CONFIG", config)

@@ -453,17 +453,22 @@ def test_sign_plus_or_minus_one_runs(sign):
 def test_every_pointwise_identity_uses_the_one_grid(monkeypatch):
     # every word evaluated at grid_size points sees default_grid itself; the
     # chains of depth three and beyond once went to a [0.1 L, 0.9 L] grid.
-    # The spy records the points of every request of apply_words, which
-    # apply_word and the stacked grid rows both go through
+    # The spy records the points of every request of a stacked evaluator,
+    # which apply_word, the stacked grid rows and the integrands all go through
     grids = []
-    real = operators.apply_words
+    real = operators._stacked_words
 
-    def spy(params, requests, x):
+    def spy(params, requests):
         requests = list(requests)
-        grids.extend(np.asarray(x) for _ in requests)
-        return real(params, requests, x)
+        evaluate = real(params, requests)
 
-    monkeypatch.setattr(operators, "apply_words", spy)
+        def recorded(x):
+            grids.extend(np.asarray(x) for _ in requests)
+            return evaluate(x)
+
+        return recorded
+
+    monkeypatch.setattr(operators, "_stacked_words", spy)
     verify_operator_identities(DEFAULT, 3, 2)
     on_grid = [x for x in grids if x.size == 161]
     assert len(on_grid) >= 10
@@ -704,7 +709,7 @@ def test_stacked_step_matches_two_pass_step(m):
     for word in _words(m, rng):
         for f in [operators._OperandStack(corpus)] + corpus:
             for sign in (1.0, -1.0):
-                got, want = operators._fold(DEFAULT, word, f, sign).terms, _two_pass_fold(word, f, sign)
+                got, want = operators._fold(DEFAULT, word, f, sign), _two_pass_fold(word, f, sign)
                 assert _same_bits(got, want), (word, sign, f)
                 got = operators._step(DEFAULT, "H", m + 1, got, sign, shift=shift)
                 want = two_pass_step(DEFAULT, "H", m + 1, want, sign, shift=shift)
@@ -929,8 +934,8 @@ def test_one_pass_horner_rows_match_each_term_alone():
     # the lowering chain leaves the rows at different degrees, so they join
     # the Horner loop at different powers
     word_b, _ = _chain_words(1)
-    fold = operators._fold(DEFAULT, word_b, operators._OperandStack(operators.test_corpus(DEFAULT, 0)), 1.0)
-    terms, plan = fold.terms, fold.plan
+    terms = operators._fold(DEFAULT, word_b, operators._OperandStack(operators.test_corpus(DEFAULT, 0)), 1.0)
+    plan = operators._plan(terms)
     degree = terms.power[plan.order] - plan.sin_power
     assert len(set(degree.tolist())) > 2
     assert list(degree) == sorted(degree, reverse=True)
@@ -952,9 +957,9 @@ def test_one_pass_horner_matches_per_degree_loops(m):
     for grid in (default_grid(DEFAULT), np.array([EDGE_CLAMP, 0.5, 1.0 - EDGE_CLAMP]) * DEFAULT.length):
         for word in _words(m, rng):
             for sign in (1.0, -1.0):
-                fold = operators._fold(DEFAULT, word, stack, sign)
-                got = operators._evaluate(DEFAULT, fold.plan, grid)
-                assert np.array_equal(got, grouped_evaluate(DEFAULT, split_terms(fold.terms), grid)), (word, sign)
+                terms = operators._fold(DEFAULT, word, stack, sign)
+                got = operators._evaluate(DEFAULT, operators._plan(terms), grid)
+                assert np.array_equal(got, grouped_evaluate(DEFAULT, split_terms(terms), grid)), (word, sign)
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -1025,17 +1030,17 @@ def test_stacked_words_match_each_word_alone():
     nodes = _first_quadrature_nodes(DEFAULT)
     assert nodes.size == 180
     for x in (default_grid(DEFAULT), nodes, 0.3 * DEFAULT.length, np.array([])):
-        for (word, f, sign), got in zip(requests, operators.apply_words(DEFAULT, requests, x), strict=True):
+        for (word, f, sign), got in zip(requests, operators._stacked_words(DEFAULT, requests)(x), strict=True):
             want = apply_word(DEFAULT, word, f, x, sign)
             assert np.shape(got) == np.shape(want) and got.dtype == want.dtype, (word, sign)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (word, sign)
     # coherent states stack with each other in complex128, but not with real operands
     coherent = [CoherentState(DEFAULT, 1, PhasePoint(q, 2.0)) for q in (0.3, 0.6)]
     pair = [((("A", 1),), coherent[0], 1.0), ((("H", 1), ("Adag", 1)), coherent[1], -1.0)]
-    for (word, f, sign), got in zip(pair, operators.apply_words(DEFAULT, pair, nodes)):
+    for (word, f, sign), got in zip(pair, operators._stacked_words(DEFAULT, pair)(nodes)):
         assert got.dtype == np.complex128 and got.tobytes() == apply_word(DEFAULT, word, f, nodes, sign).tobytes()
     with pytest.raises(DomainError, match="one dtype, got complex128 and float64"):
-        operators.apply_words(DEFAULT, pair + [((), operands[0], 1.0)], nodes)
+        operators._stacked_words(DEFAULT, pair + [((), operands[0], 1.0)])
 
 
 def test_a_mixed_stack_folds_in_complex():

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from ptsusy import specfun, wavefn
+from ptsusy import operators, specfun, wavefn
 from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DegreeCapError, DomainError
 from ptsusy.operators import _OperandStack, apply_word
@@ -330,22 +330,22 @@ def test_gram_matrix_agrees_with_pairwise_oracle(monkeypatch, m):
 
 
 @pytest.mark.parametrize("m", [0, 10])
-def test_gram_matrix_point_budget(m):
-    # one evaluation of every function per node; the per-pair loop this
-    # replaced took 25,380 points at m = 0 and 42,840 at m = 10
-    points = [0]
+def test_gram_matrix_point_budget(monkeypatch, m):
+    # one evaluation of every function per node, all in one family call; the
+    # per-pair loop this replaced took 25,380 points at m = 0 and 42,840 at m = 10
+    points = []
+    real = EigenFamily.__call__
 
-    def counted(f):
-        def g(x):
-            points[0] += np.size(x)
-            return f(x)
+    def counted(self, x):
+        points.append((len(self._table), np.size(x)))
+        return real(self, x)
 
-        return g
-
-    funcs = [counted(eigenfunction(DEFAULT, m, n)) for n in range(11)]
+    monkeypatch.setattr(EigenFamily, "__call__", counted)
+    funcs = [eigenfunction(DEFAULT, m, n) for n in range(11)]
     gram = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
     assert np.max(np.abs(gram - np.eye(11))) < 1e-8
-    assert points[0] <= 5000
+    assert points and all(rows == 11 for rows, _ in points)
+    assert sum(size for _, size in points) <= 5000
 
 
 # the parameter sets of the checks against the mpmath route: the tests'
@@ -539,15 +539,77 @@ def test_gram_matrix_of_no_functions_is_empty():
     assert gram.shape == (0, 0) and gram.dtype == complex
 
 
-@pytest.mark.parametrize("m", [0, 7])
-def test_gram_matrix_family_byte_equal_to_plain_callables(m):
-    # eigenfunctions of one model go through one family per call; the same
-    # states wrapped as plain callables take one call each per node array,
-    # which runs the same operations on every row
-    funcs = [eigenfunction(DEFAULT, m, n) for n in range(11)]
-    plain = [lambda x, f=f: f(x) for f in funcs]
-    batched = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
-    assert batched.tobytes() == gram_matrix(plain, DEFAULT.length, ORTHONORMALITY_CONFIG).tobytes()
+# operands of gram_matrix that are not eigenfunctions: coherent states, some
+# near a wall, and the suite's bumps
+STACKED_GRAM_OPERANDS = {
+    "coherent": lambda: [CoherentState(DEFAULT, 1, PhasePoint(q, p)) for q in (0.02, 0.3, 0.6) for p in (-2.0, 1.5)],
+    "bumps": lambda: [operators._bump(DEFAULT, seed) for seed in (101, 102, 201, 202)],
+}
+
+
+@pytest.mark.parametrize("kind", list(STACKED_GRAM_OPERANDS))
+def test_stacked_gram_matches_each_operand_alone(monkeypatch, kind):
+    # the operands are stacked into one fold and evaluated once per integrand
+    # call; each row is bit for bit the operand's own call, so the matrix is
+    # the one the per-operand route integrates, and it agrees with one
+    # adaptive integral per pair within the two error bounds
+    funcs = STACKED_GRAM_OPERANDS[kind]()
+    integrands, evaluations = [0], [0]
+    real_interval, real_words = wavefn.integrate_interval, operators._stacked_words
+    results = []
+
+    def recorded_interval(f, *args):
+        def counted(x):
+            integrands[0] += 1
+            return f(x)
+
+        results.append(real_interval(counted, *args))
+        return results[-1]
+
+    def recorded_words(*args):
+        evaluate = real_words(*args)
+
+        def counted(x):
+            evaluations[0] += 1
+            return evaluate(x)
+
+        return counted
+
+    monkeypatch.setattr(wavefn, "integrate_interval", recorded_interval)
+    monkeypatch.setattr(operators, "_stacked_words", recorded_words)
+    gram = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    (res,) = results
+    assert integrands[0] >= 1 and evaluations[0] == integrands[0]
+    monkeypatch.undo()
+    k = len(funcs)
+    per_operand = wavefn._gram(lambda t: np.array([f(t) for f in funcs]), k, 0.0, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    assert gram.tobytes() == per_operand.tobytes()
+    ref, ref_err = pairwise_gram(funcs, 0.0, DEFAULT.length, ORTHONORMALITY_CONFIG)
+    rows, cols = np.triu_indices(k)
+    assert np.all(np.abs(gram[rows, cols] - ref[rows, cols]) <= res.error + ref_err[rows, cols])
+    if kind == "coherent":
+        assert np.max(np.abs(gram.diagonal() - 1.0)) < 1e-8
+
+
+OTHER = ModelParams(nu=2.5, beta=1.0)
+
+
+@pytest.mark.parametrize(
+    "operands",
+    [
+        lambda: [eigenfunction(DEFAULT, 0, 0), eigenfunction(OTHER, 0, 1)],
+        lambda: [CoherentState(DEFAULT, 0, PhasePoint(0.3, 1.0)), CoherentState(OTHER, 0, PhasePoint(0.3, 1.0))],
+        lambda: [operators._bump(DEFAULT, 101), operators._bump(OTHER, 101)],
+        lambda: [lambda x: np.sin(np.pi * x) * np.sqrt(2.0)],
+        lambda: [eigenfunction(DEFAULT, 0, 0), lambda x: np.sin(np.pi * x)],
+        lambda: [_OperandStack(operators.test_corpus(DEFAULT, 0))],
+    ],
+    ids=["eigen_mixed_params", "coherent_mixed_params", "bump_mixed_params", "plain_callable", "eigen_and_plain", "no_params"],
+)
+def test_gram_matrix_rejects_operands_it_cannot_stack(operands):
+    # one ModelParams, and params and cot_terms on every operand
+    with pytest.raises(DomainError, match="one ModelParams"):
+        gram_matrix(operands(), DEFAULT.length)
 
 
 @pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
