@@ -332,7 +332,9 @@ def test_gram_matrix_agrees_with_pairwise_oracle(monkeypatch, m):
 @pytest.mark.parametrize("m", [0, 10])
 def test_gram_matrix_point_budget(monkeypatch, m):
     # one evaluation of every function per node, all in one family call; the
-    # per-pair loop this replaced took 25,380 points at m = 0 and 42,840 at m = 10
+    # per-pair loop this replaced took 25,380 function points at m = 0 and
+    # 42,840 at m = 10. A point is one function at one node, so a family call
+    # counts its rows times its nodes
     points = []
     real = EigenFamily.__call__
 
@@ -345,7 +347,7 @@ def test_gram_matrix_point_budget(monkeypatch, m):
     gram = gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG)
     assert np.max(np.abs(gram - np.eye(11))) < 1e-8
     assert points and all(rows == 11 for rows, _ in points)
-    assert sum(size for _, size in points) <= 5000
+    assert sum(rows * size for rows, size in points) <= 5000
 
 
 # the parameter sets of the checks against the mpmath route: the tests'
