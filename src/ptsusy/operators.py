@@ -17,9 +17,13 @@ degree d is evaluated as C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) with
 s = sin theta, which stays bounded up to the walls.  Eigenfunctions,
 coherent states and the smooth test bumps provide ``cot_terms``, and a
 corpus of operands can be stacked into one, so that one fold serves every
-member.  The operators are real, so eigenfunctions and bumps fold in float64
-and coherent states, whose gamma is complex, in complex128.  The empty word
-gives the values of bumps and coherent states (``operand_values``).
+member.  A bare eigenfunction is folded as its row of its level's stack
+(``_level_stack``, every state n <= LEVEL_CAP - m of level m), so one fold
+of a word serves every state of the level, and a call plans only the rows
+it reads, each bit for bit the state folded alone.  The operators are real,
+so eigenfunctions and bumps fold in float64 and coherent states, whose
+gamma is complex, in complex128.  The empty word gives the values of bumps
+and coherent states (``operand_values``).
 
 A word is folded one operator at a time on top of the fold of its prefix.
 Q and the magnitudes each of its coefficients was summed from are held as
@@ -27,13 +31,15 @@ one band of rows, so a step is one pass with the signed multipliers on the
 Q rows and their absolute values on the magnitude rows, kept as read-only
 columns per set of factor values.  A bounded ``lru_cache`` keyed on
 (params, prefix, operand, sign) keeps each fold.  The words wanted at the
-same points go into one plan over all their folds' rows, built once per
-call: the rows in falling degree and, per power, Q cut at the noise floor.
+same points go into one plan over the rows of their folds that they read,
+cut straight from each band and built once per call: the rows in falling
+degree and, per power, Q cut at the noise floor.
 The plan is evaluated in one Horner pass in place per node set, which a row
 joins at its own degree, so each row sees the same operations as when its
 word is evaluated alone, and each result is bit-identical to it.
 ``wavefn.gram_matrix`` stacks every operand that is not an eigenfunction
-into one and evaluates its empty word this way, once per integrand call.
+into one and evaluates its empty word this way, once per integrand call,
+without keeping that stack's fold in the memo.
 
 The verification suite evaluates every operator identity of the hierarchy on
 one sample grid or by quadrature and reports one relative residual per
@@ -41,12 +47,14 @@ identity, flagging the deliberately ambiguous ones as informational rather
 than asserting them.
 Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
-apply to one operand is folded once.  The words of a cell's pointwise rows
+apply to one level's states is folded once.  The words of a cell's pointwise rows
 are evaluated in one stacked call.  The quadrature rows of a cell (the chain
 means, the partial-chain means and the eigen residual) are the components
 of one integral on shared panels, each scaled so that one tolerance is its
 own; the words of that integral are folded and planned once per cell and
-evaluated in one pass per node batch.  The identities that depend on the
+evaluated in one pass per node batch.  If that integral fails, the
+informational components keep the error and the mandatory ones are
+integrated again without them.  The identities that depend on the
 level m alone are computed once per (params, m, grid size, sign), and their
 rows are kept in a bounded memo across calls; each call receives copies
 stamped with its own indices.
@@ -67,7 +75,7 @@ import numpy as np
 from .errors import DegreeCapError, DomainError, PtsusyError
 from .quadrature import DEFAULT_CONFIG, integrate_interval
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
-from .wavefn import eigenfunction
+from .wavefn import EigenFunction, eigenfunction
 
 #: Relative clamp keeping the identity grid and the quadratures off the walls.
 EDGE_CLAMP = 1e-6
@@ -221,20 +229,21 @@ def _leading_loop(degree: np.ndarray) -> tuple:
     return tuple(zip(powers.tolist(), np.searchsorted(-degree, -powers).tolist()))
 
 
-def _plan(*folded: _Terms) -> _Plan:
-    # The rows of every fold, one after another.  Coefficients under the
-    # noise floor are dropped and every term is evaluated at the degree d of
-    # its top remaining coefficient, so a row does not depend on the other
-    # rows it is stacked with, in its own fold or in another.
-    width = max(t.band.shape[1] for t in folded)
-    q = np.zeros((sum(len(t.gamma) for t in folded), width), dtype=folded[0].band.dtype)
+def _plan(*folded: _Terms, cuts=()) -> _Plan:
+    # The rows of every fold, one after another, or of each fold the term
+    # rows its slice in cuts selects, read straight from its band.
+    # Coefficients under the noise floor are dropped and every term is
+    # evaluated at the degree d of its top remaining coefficient, so a row
+    # does not depend on the other rows it is stacked with, in its own fold
+    # or in another.
+    cuts = cuts or (slice(None),) * len(folded)
+    parts = [(t.band[: len(t.gamma)][cut], t.band[len(t.gamma) :][cut]) for t, cut in zip(folded, cuts)]
+    q = np.zeros((sum(len(rows) for rows, _ in parts), max(t.band.shape[1] for t in folded)), dtype=folded[0].band.dtype)
     start = 0
-    for t in folded:
-        rows, band = len(t.gamma), t.band
-        cut = np.where(np.abs(band[:rows]) > NOISE_FLOOR * band[rows:].real, band[:rows], 0.0)
-        q[start : start + rows, : band.shape[1]] = cut
-        start += rows
-    log_c, gamma, power = (np.concatenate(parts) for parts in zip(*((t.log_c, t.gamma, t.power) for t in folded)))
+    for rows, mag in parts:
+        q[start : start + len(rows), : rows.shape[1]] = np.where(np.abs(rows) > NOISE_FLOOR * mag.real, rows, 0.0)
+        start += len(rows)
+    log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
     degree, q = degree[order], q[order]
@@ -263,10 +272,12 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 
 #: The most folds the fold memo keeps; the least recently used goes first.
-#: A cold pass of the benchmark's ``verify`` (seed 1, each cell cut at its
-#: 1.5 s deadline) takes 2,016, 1,946 and 1,892 steps at 256, 512 and 1,024
-#: folds, 220, 220 and 212 of them on the level corpus stacks; with no bound
-#: 1,892 (none warm), but peak RSS is 39.2 MB, against 37.9 MB at 512.
+#: A cold pass of the benchmark's ``verify`` (seed 1, 92 cells on two
+#: parameter sets, 750 keys folded) takes 768, 766 and 766 steps at 256, 512
+#: and 1,024 folds, and each pass from the third on 512, 74 and 74 (the
+#: second takes 439 at 512); the 74 are mixed_product's shifted H steps,
+#: which the memo does not keep.  With no bound it is 766 and 74.  Peak RSS
+#: of that process is 40.0 MB at 256 folds and 41.6 MB at 512 and beyond.
 FOLD_MEMO_SIZE = 512
 
 
@@ -299,14 +310,17 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     one point of a 1-d grid, so the value at a point does not depend on the
     other points.  A stacked operand (``_OperandStack`` of k functions) gives
     shape (k, *x.shape), row i bit-identical to applying the word to member i
-    alone when the members share a dtype.
+    alone when the members share a dtype.  An ``EigenFunction`` of params is
+    folded as its row of its level's stack, so a word on any state of a level
+    is folded once for every state of it, and only that row is evaluated.
 
     The fold of every (params, prefix, operand, sign) is kept in a
     process-wide ``lru_cache`` of ``FOLD_MEMO_SIZE`` entries, and a word
     extends its longest folded prefix, so calls that repeat a word or share a
     prefix do not fold it again; the evaluation plan is built per call.  The
     operand must be hashable and keep its ``cot_terms``; equal operands share
-    their folds.  The values are bit-identical with a warm memo and a cold one.
+    their folds.  The values are bit-identical with a warm memo and a cold one,
+    and to the state's own fold for an eigenfunction.
 
     This is ``_stacked_words`` with one request, evaluated once.
     """
@@ -314,9 +328,13 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     return values
 
 
-def _stacked_words(params: ModelParams, requests):
+def _stacked_words(params: ModelParams, requests, memo: bool = True):
     # The (word, operand, sign) requests checked and folded as by apply_word,
-    # with one plan over all their folds' rows, built once per call; returns
+    # with one plan over the rows of their folds that they read, built once
+    # per call: a bare eigenfunction of params reads its row of the fold of
+    # its level's stack (``_level_stack``), any other operand its own fold.
+    # memo=False keeps each request's own fold out of the fold memo (its
+    # prefixes still go through it), for an operand built per call.  Returns
     # the evaluator of that plan, which maps points x to one array per
     # request, each bit for bit and in the dtype of its word applied alone:
     # one Horner pass, which each row joins at its own degree, and every other
@@ -332,12 +350,22 @@ def _stacked_words(params: ModelParams, requests):
                 raise DomainError(f"unknown operator kind {kind!r}")
             if type(level) is not int or level < 0:
                 level_number(level)
-    folds = [_fold(params, *request) for request in requests]
-    if any(fold.band.dtype != folds[0].band.dtype for fold in folds):
-        dtypes = sorted({str(fold.band.dtype) for fold in folds})
+    fold = _fold if memo else _fold.__wrapped__
+    folds, cuts = [], []
+    for word, func, sign in requests:
+        if isinstance(func, EigenFunction) and func.params == params:
+            # a bare state is its row of its level's stack, which shares
+            # every fold with the other states of the level
+            folds.append(fold(params, word, _level_stack(params, func.idx.m), sign))
+            cuts.append(slice(func.idx.n, func.idx.n + 1))
+        else:
+            folds.append(fold(params, word, func, sign))
+            cuts.append(slice(None))
+    if any(f.band.dtype != folds[0].band.dtype for f in folds):
+        dtypes = sorted({str(f.band.dtype) for f in folds})
         raise DomainError(f"the words of one call need operands of one dtype, got {' and '.join(dtypes)}")
-    plan = _plan(*folds)
-    members = [(func, len(fold.gamma)) for (_, func, _), fold in zip(requests, folds)]
+    plan = _plan(*folds, cuts=cuts)
+    members = [(func, len(f.gamma[cut])) for (_, func, _), f, cut in zip(requests, folds, cuts)]
 
     def evaluate(x) -> list:
         arr = np.asarray(x, dtype=float)
@@ -490,6 +518,14 @@ def _corpus_stack(params: ModelParams, level: int) -> _OperandStack:
     # at once, and residuals are taken member by member.  One stack per
     # (params, level), so the levels m and m + 1 of two cells share its folds.
     return _OperandStack(test_corpus(params, level))
+
+
+@lru_cache(maxsize=256)
+def _level_stack(params: ModelParams, level: int) -> _OperandStack:
+    # every state of a level under the cap as one stack, member n the state
+    # n: a word on any state of the level is folded once for all of them,
+    # and each request plans only its own row
+    return _OperandStack(eigenfunction(params, level, n) for n in range(LEVEL_CAP - level + 1))
 
 
 @lru_cache(maxsize=256)
@@ -651,8 +687,12 @@ def verify_operator_identities(
     and no component outweighs the others so far that it draws every split
     of the panels.  Each row reports its own components' error bound, in the
     units of its unscaled integrand, and the abscissas of the shared
-    integral.  A ``PtsusyError`` of that integral is recorded in the row of
-    every identity it serves; the pointwise rows keep their verdicts.  The
+    integral.  A ``PtsusyError`` of that integral is recorded in the
+    informational rows it serves, and the mandatory components are then
+    integrated again without them, so that an informational component that
+    cannot converge leaves the mandatory verdicts as they are; an error of
+    the mandatory integral is recorded in the row of every identity it
+    serves.  The pointwise rows keep their verdicts.  The
     partial-chain means need the state n of level n + 1 (degree 2n + 1):
     above the cap that row alone records ``DegreeCapError``, and the other
     components still integrate.  Under the negative control (sign -1) no
@@ -828,12 +868,20 @@ def verify_operator_identities(
     # orders of magnitude and draw every split of a shared integral, so that
     # the others never meet their tolerance (see integrate_interval): each is
     # integrated alone.
-    shared = [c for c in components if c.requests[0][2] > 0]
-    for group in [shared] + [[c] for c in components if c.requests[0][2] < 0]:
+    # An informational component that stalls the shared integral keeps its
+    # error, and the mandatory components are integrated again without it.
+    groups = [[c for c in components if c.requests[0][2] > 0]]
+    groups += [[c] for c in components if c.requests[0][2] < 0]
+    while groups:
+        group = groups.pop(0)
         try:
             quad = _integrate_components(params, group, lo, hi)
         except PtsusyError as exc:
-            outcomes.update((c.name, exc) for c in group)
+            mandatory = [c for c in group if c.name in MANDATORY]
+            retry = 0 < len(mandatory) < len(group)
+            outcomes.update((c.name, exc) for c in group if not retry or c.name not in MANDATORY)
+            if retry:
+                groups.insert(0, mandatory)
             continue
         for c, value, error in zip(group, quad.value.real.tolist(), quad.error.tolist()):
             residuals, details = outcomes.setdefault(c.name, ({}, _quad_details(0.0, quad.evaluations)))
@@ -872,11 +920,12 @@ def verify_operator_identities(
                 rhs = eig_up * at_grid["lam"]
                 details["lambda_form"] = _rel(lhs, rhs)
             else:
-                # theta first, then the operator polynomial prod_k (H - E_k) folded directly
-                terms = _fold(params, theta, phi_up, sign)
+                # theta first, then the operator polynomial prod_k (H - E_k)
+                # folded directly on the level's stack, of which phi_up is row n
+                terms = _fold(params, theta, _level_stack(params, m + 1), sign)
                 for k in range(n + 1):
                     terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
-                rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms), grid))
+                rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms, cuts=[slice(n, n + 1)]), grid))
                 details["theta_form"] = _rel(lhs, rhs)
             (best,) = details
             details["matching_variant"] = best

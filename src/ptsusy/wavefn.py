@@ -34,11 +34,16 @@ top coefficient, so each row goes through the same operations alone, in
 any family and in any order.  ``gram_matrix`` and
 ``coherent.identity_gram_projection`` build one family per call and share
 one triangle integral, and a single state's call is the one-row family.
+A state builds its Fourier row on first use by a family, so a state that
+only the operator layer reads never builds it.
 The other operands of ``gram_matrix``, coherent states and bumps, are
 stacked as one operand of the operator layer and valued by its empty word,
-once per integrand call; that layer is imported only then.
-Operator words act on the cotangent form of ``EigenFunction.cot_terms``, the
-same sum with e^(+-i theta) = sin theta (cot theta +- i);
+once per integrand call, outside the fold memo, as the stack is built per
+call; that layer is imported only then.
+Operator words act on the cotangent form of ``EigenFunction.cot_terms``:
+with e^(+-i theta) = sin theta (cot theta +- i) the same function is
+sin^n times a real polynomial Q in cot theta, which Jacobi's three-term
+recurrence builds on Python floats with no cancelling step.
 ``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
 only the tests use, as the independent route; it imports ``jets`` on its
 first call, so no other use of this module loads that layer.
@@ -186,11 +191,18 @@ class EigenFunction:
         n = idx.n
         self._nu_eff = params.nu + idx.m
         self.log_K = _log_K(params, idx.m, n)
-        s = n + self._nu_eff + 1.0
-        self._gamma = -params.beta * math.pi / (params.length * s)
+        self._s = n + self._nu_eff + 1.0
+        self._gamma = -params.beta * math.pi / (params.length * self._s)
+
+    @cached_property
+    def _fourier(self) -> np.ndarray:
         # the phase (-i)^n times (i/2)^n leaves 2^-n
-        self._fourier = _fourier_coefficients(n, complex(-s, params.beta / s)) * 0.5**n
-        self._half = _upper_half(self._fourier)
+        s = self._s
+        return _fourier_coefficients(self.idx.n, complex(-s, self.params.beta / s)) * 0.5**self.idx.n
+
+    @cached_property
+    def _half(self) -> np.ndarray:
+        return _upper_half(self._fourier)
 
     @property
     def energy(self) -> float:
@@ -207,18 +219,25 @@ class EigenFunction:
     @cached_property
     def cot_terms(self) -> tuple:
         """The state as one term (log C, gamma, a, Q) of the cotangent form
-        C e^(gamma x) sin^a Q(cot) that operator words act on, a = nu + m + n + 1:
-        e^(+-i theta) = sin (cot +- i) turns the Fourier sum into
-        Q(c) = sum_k 2^-n F_k (c + i)^k (c - i)^(n - k), real by the phase
-        convention: the convolutions' imaginary part is roundoff and dropped."""
-        n = self.idx.n
-        down = [np.ones(1, dtype=complex)]
-        for _ in range(n):
-            down.append(np.convolve(down[-1], [-1j, 1.0]))
-        q = self._fourier[n:]
-        for k in range(n - 1, -1, -1):
-            q = np.convolve(q, [1j, 1.0]) + self._fourier[k] * down[n - k]
-        return ((self.log_K, self._gamma, self._nu_eff + n + 1.0, q.real),)
+        C e^(gamma x) sin^a Q(cot) that operator words act on, a = nu + m + n + 1.
+
+        Q(c) = (-i)^n P_n^(alpha, conj alpha)(i c), alpha = -S + i beta / S and
+        S = a, the Fourier sum with e^(+-i theta) = sin (cot +- i).  It is built
+        by Jacobi's three-term recurrence (DLMF 18.9.1) on Python floats, every
+        coefficient real under the phase: Q_0 = 1, Q_1 = beta / S + (1 - S) c
+        and Q_(k+1) = (A_k c + b_k) Q_k + C_k Q_(k-1), lowest power first.  No
+        denominator vanishes for k < n < S.  Unlike a sum over the Fourier row,
+        whose terms cancel at large nu or beta, no step cancels."""
+        n, beta, s = self.idx.n, self.params.beta, self._s
+        q_prev, q = [1.0], [beta / s, 1.0 - s]
+        for k in range(1, n):
+            two = 2.0 * (k - s)
+            den = (k + 1) * (k - 2.0 * s + 1.0)
+            a = (two + 1.0) * (two + 2.0) / (2.0 * den)
+            b = -4.0 * beta * (two + 1.0) / (2.0 * den * two)
+            c = ((k - s) ** 2 + (beta / s) ** 2) * (two + 2.0) / (den * two)
+            q_prev, q = q, [a * lo + b * mid + c * hi for lo, mid, hi in zip([0.0, *q], [*q, 0.0], [*q_prev, 0.0, 0.0])]
+        return ((self.log_K, self._gamma, s, np.array(q if n else q_prev)),)
 
     def taylor(self, x, order: int) -> jets.Jet:
         """Taylor jet at interior point(s) x; batch axes follow the shape of x.
@@ -348,6 +367,7 @@ def gram_matrix(
         params = getattr(functions[0], "params", None)
         if params is None or any(getattr(f, "params", None) != params or not hasattr(f, "cot_terms") for f in functions):
             raise DomainError("a Gram matrix needs operands of one ModelParams with cot_terms")
-        words = _stacked_words(params, [((), _OperandStack(functions), 1.0)])
+        # a stack built per call: its fold would hold a memo entry that never hits
+        words = _stacked_words(params, [((), _OperandStack(functions), 1.0)], memo=False)
         values = lambda t: words(t)[0]
     return _gram(values, k, 0.0, length, config)

@@ -791,6 +791,21 @@ def full_length_rows(states, x):
     return np.array(rows)
 
 
+def convolution_cot_q(f) -> np.ndarray:
+    """Q of the eigenfunction f's cotangent form summed from its Fourier row,
+    Q(c) = sum_k 2^-n F_k (c + i)^k (c - i)^(n - k), by two convolution
+    loops, with the imaginary part, roundoff by the phase convention,
+    dropped; ``EigenFunction.cot_terms`` builds Q by the Jacobi recurrence."""
+    n = f.idx.n
+    down = [np.ones(1, dtype=complex)]
+    for _ in range(n):
+        down.append(np.convolve(down[-1], [-1j, 1.0]))
+    q = f._fourier[n:]
+    for k in range(n - 1, -1, -1):
+        q = np.convolve(q, [1j, 1.0]) + f._fourier[k] * down[n - k]
+    return q.real
+
+
 def fraction_loop_log_abs_gamma(x: float, y):
     """log|Gamma(x + iy)| for a real x >= 0.5 and a real array y, summing the
     Lanczos partial fractions c_i / (a + iy), a = x - 1 + i, one at a time

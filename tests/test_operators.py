@@ -25,7 +25,7 @@ from ptsusy.operators import (
     verify_operator_identities,
 )
 from ptsusy.quadrature import QuadratureConfig
-from ptsusy.spectrum import LevelIndex, ModelParams, energy
+from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy
 from ptsusy.wavefn import eigenfunction
 
 from conftest import DEFAULT, clear_memos, interior_grid
@@ -271,6 +271,10 @@ def test_informational_variants_recorded():
     partial = results["partial_chain_product"]
     assert "mass_prefactor" in partial.details and "index_prefactor" in partial.details
     assert partial.details["matching_variant"] == "mass_prefactor"
+    # n < m: the theta form, its operator polynomial folded on the row of
+    # the level stack that phi_up is, holds at roundoff
+    theta = {r.name: r for r in verify_operator_identities(DEFAULT, 1, 3)}["mixed_product"]
+    assert theta.details["matching_variant"] == "theta_form" and theta.max_residual < 1e-13
 
 
 @pytest.mark.parametrize(
@@ -607,6 +611,77 @@ def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
     assert on_stacks.count(operators._corpus_stack(DEFAULT, 0)) == 3
 
 
+def _alone(params, word, f, sign, grid, shifts=()):
+    # word on the state f folded alone and with no memo, then an H step of
+    # its last level per shift, as mixed_product folds its operator polynomial
+    terms = operators._Terms.of(params, f.cot_terms)
+    for kind, level in word:
+        terms = operators._step(params, kind, level, terms, sign)
+    for shift in shifts:
+        terms = operators._step(params, "H", f.idx.m, terms, sign, shift=shift)
+    return operators._members(f, operators._evaluate(params, operators._plan(terms), grid))
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("params", [DEFAULT, ModelParams(nu=0.0, beta=0.0)], ids=["default", "well"])
+def test_level_stack_rows_match_each_state_folded_alone(monkeypatch, params, sign):
+    # the words of cells (4, 1) and (1, 3), B, B^dag, Lambda or Theta and H,
+    # on every state of the level each acts on: the row a state reads from
+    # its level stack's fold is, bit for bit, the state folded alone, and a
+    # call plans that one row
+    grid = default_grid(params)
+    rows, evaluate = [], operators._evaluate
+
+    def recorded(params, plan, x):
+        rows.append(len(plan.order))
+        return evaluate(params, plan, x)
+
+    monkeypatch.setattr(operators, "_evaluate", recorded)
+    for n, m in ((4, 1), (1, 3)):
+        word_b, word_bdag = _chain_words(m)
+        partial = tuple(("A", k) for k in range(m + 1, n + 1)) or tuple(("Adag", k) for k in range(m, n, -1))
+        for level, word in ((0, word_b), (m + 1, word_bdag), (m + 1, partial), (m, (("H", m),))):
+            for k in range(LEVEL_CAP - level + 1):
+                f = eigenfunction(params, level, k)
+                got = apply_word(params, word, f, grid, sign)
+                assert got.tobytes() == _alone(params, word, f, sign, grid).tobytes(), (word, level, k)
+        # the theta form of mixed_product: the operator polynomial folded on
+        # Theta's fold of the stack, and each row planned alone
+        shifts = [energy(params, LevelIndex(0, j)) for j in range(n + 1)]
+        terms = operators._fold(params, partial, operators._level_stack(params, m + 1), sign)
+        for shift in shifts:
+            terms = operators._step(params, "H", m + 1, terms, sign, shift=shift)
+        for k in range(len(terms.gamma)):
+            got = operators._evaluate(params, operators._plan(terms, cuts=[slice(k, k + 1)]), grid)[0]
+            assert got.tobytes() == _alone(params, partial, eigenfunction(params, m + 1, k), sign, grid, shifts).tobytes(), k
+    assert set(rows) == {1}
+
+
+def test_a_stalled_informational_component_leaves_the_mandatory_verdicts(monkeypatch):
+    # the partial-chain means share one integral with the chain means and
+    # the eigen residual; when they cannot converge, their row alone records
+    # the error, and the mandatory components are integrated without them
+    want = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 1)]
+    real = operators._integrate_components
+
+    def stalled(params, components, lo, hi):
+        # an informational integrand that oscillates far below any panel's width
+        noisy = lambda f: lambda values: f(values) * (1.0 + 1e-3 * np.sin(1e9 * np.abs(values)))
+        components = [c if c.name in operators.MANDATORY else c._replace(integrand=noisy(c.integrand)) for c in components]
+        return real(params, components, lo, hi)
+
+    monkeypatch.setattr(operators, "_integrate_components", stalled)
+    clear_memos()
+    got = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 1)]
+    assert [r["name"] for r in got] == [r["name"] for r in want]
+    for g, w in zip(got, want):
+        if g["name"] == "partial_chain_means":
+            assert g["max_residual"] == "SubdivisionLimitError" and w["max_residual"] < 1e-12
+        else:
+            assert g["passed"] == w["passed"] and not isinstance(g["max_residual"], str), g["name"]
+    assert all(g["passed"] for g in got if not g["informational"])
+
+
 def _small_memo(monkeypatch, size):
     # the fold memo at another bound; its prefixes go through the same name
     small = lru_cache(maxsize=size)(operators._fold.__wrapped__)
@@ -615,9 +690,13 @@ def _small_memo(monkeypatch, size):
 
 
 def test_fold_memo_stays_within_its_bound(monkeypatch):
-    for m in range(5):
-        for n in range(7):
-            verify_operator_identities(DEFAULT, n, m)
+    # cells of one level share their states' folds through the level stacks,
+    # so both signs on two parameter sets are needed to fill the memo
+    for params in (DEFAULT, ModelParams(nu=0.0, beta=0.0)):
+        for sign in (1.0, -1.0):
+            for m in range(5):
+                for n in range(7):
+                    verify_operator_identities(params, n, m, sign=sign)
     info = operators._fold.cache_info()
     assert info.maxsize == info.currsize == operators.FOLD_MEMO_SIZE < info.misses
     # a small memo evicts folds, and any that a later word needs is folded
@@ -811,16 +890,15 @@ def test_every_cell_under_the_level_cap_is_certified():
 
 
 # The mandatory rows that fail away from the checked (nu, beta) range, every
-# cell n + m <= cap: false fails of wall roundoff and then of the states'
-# accuracy.  Alias rows are counted out; a package error, recorded as the
+# cell n + m <= cap.  The false fails of the states' accuracy that the first
+# two sets held went with the cancelling Q of the Fourier row: with each
+# state's Q from its three-term recurrence all three are empty.  Alias rows
+# are counted out; a package error, recorded as the
 # residual's name, would be counted in, and none occurs.  Any change of these
 # sets is a change of verdicts that the change making it must explain.
 FALSE_FAIL_REGISTER = {
-    (0.2, 400.0, 6): {
-        "ladder_action": [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 1), (4, 2), (5, 0)],
-        "product_BdagB": [(4, 1), (5, 1), (6, 0)],
-    },
-    (60.0, 5.0, 10): {"product_BdagB": [(10, 0)]},
+    (0.2, 400.0, 6): {},
+    (60.0, 5.0, 10): {},
     (20.0, 200.0, 10): {},
 }
 
