@@ -20,7 +20,9 @@ corpus of operands can be stacked into one, so that one fold serves every
 member.  A bare eigenfunction is folded as its row of its level's stack
 (``_level_stack``, every state n <= LEVEL_CAP - m of level m), so one fold
 of a word serves every state of the level, and a call plans only the rows
-it reads, each bit for bit the state folded alone.  The operators are real,
+it reads, each bit for bit the state folded alone.  At very large beta the
+high states of a stack overflow in their folds; a RuntimeWarning reports
+that only for a row a call reads.  The operators are real,
 so eigenfunctions and bumps fold in float64 and coherent states, whose
 gamma is complex, in complex128.  The empty word gives the values of bumps
 and coherent states (``operand_values``).
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
@@ -184,20 +187,25 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
         lvl = params.nu + level + 1.0
         unit = -sign * math.pi * params.hbar / params.length
         factors = (params.hbar if kind == "A" else -params.hbar, (-params.beta / lvl) * unit, lvl * unit)
-        derived = terms.d_dx(terms.band)
+        derivatives = 1
     else:  # "H"; apply_word has checked the kind
         lvl = params.nu + level
         strength = lvl * (lvl + 1.0) * params.epsilon0
         scale = -(params.hbar**2) / (2.0 * params.mass)
         factors = (scale, strength - shift, -2.0 * params.beta * params.epsilon0, strength)
-        derived = terms.d_dx(terms.d_dx(terms.band))
+        derivatives = 2
     # column 0 scales the derivative, columns 1: are the polynomial in c
     scale, *poly = _factor_columns(factors, len(terms.gamma))
     n = terms.band.shape[1]
-    times = np.zeros(derived.shape, dtype=derived.dtype)
-    for i, column in enumerate(poly):
-        times[:, i : i + n] += column * terms.band
-    return terms._replace(band=derived * scale + times)
+    # rows fold silently: one that overflows warns in _plan, if a call reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        derived = terms.band
+        for _ in range(derivatives):
+            derived = terms.d_dx(derived)
+        times = np.zeros(derived.shape, dtype=derived.dtype)
+        for i, column in enumerate(poly):
+            times[:, i : i + n] += column * terms.band
+        return terms._replace(band=derived * scale + times)
 
 
 @lru_cache(maxsize=1024)
@@ -235,14 +243,21 @@ def _plan(*folded: _Terms, cuts=()) -> _Plan:
     # Coefficients under the noise floor are dropped and every term is
     # evaluated at the degree d of its top remaining coefficient, so a row
     # does not depend on the other rows it is stacked with, in its own fold
-    # or in another.
+    # or in another.  A row read whose fold overflowed, a coefficient or a
+    # magnitude that is not finite, raises a RuntimeWarning; the rows of a
+    # fold that are not read raise none.
     cuts = cuts or (slice(None),) * len(folded)
     parts = [(t.band[: len(t.gamma)][cut], t.band[len(t.gamma) :][cut]) for t, cut in zip(folded, cuts)]
-    q = np.zeros((sum(len(rows) for rows, _ in parts), max(t.band.shape[1] for t in folded)), dtype=folded[0].band.dtype)
+    size = sum(len(rows) for rows, _ in parts)
+    read = np.zeros((2 * size, max(t.band.shape[1] for t in folded)), dtype=folded[0].band.dtype)
     start = 0
     for rows, mag in parts:
-        q[start : start + len(rows), : rows.shape[1]] = np.where(np.abs(rows) > NOISE_FLOOR * mag.real, rows, 0.0)
+        read[start : start + len(rows), : rows.shape[1]] = rows
+        read[size + start : size + start + len(rows), : rows.shape[1]] = mag
         start += len(rows)
+    if not np.isfinite(read).all():
+        warnings.warn("overflow encountered in folding a word: coefficients that are not finite", RuntimeWarning)
+    q = np.where(np.abs(read[:size]) > NOISE_FLOOR * read[size:].real, read[:size], 0.0)
     log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
@@ -310,9 +325,11 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     one point of a 1-d grid, so the value at a point does not depend on the
     other points.  A stacked operand (``_OperandStack`` of k functions) gives
     shape (k, *x.shape), row i bit-identical to applying the word to member i
-    alone when the members share a dtype.  An ``EigenFunction`` of params is
-    folded as its row of its level's stack, so a word on any state of a level
-    is folded once for every state of it, and only that row is evaluated.
+    alone when the members share a dtype.  An ``EigenFunction`` is folded as
+    its row of its level's stack (the states of its own params), so a word on
+    any state of a level is folded once for every state of it, and only that
+    row is evaluated.  A fold that overflows raises a RuntimeWarning only if
+    a row of it that the call reads is not finite.
 
     The fold of every (params, prefix, operand, sign) is kept in a
     process-wide ``lru_cache`` of ``FOLD_MEMO_SIZE`` entries, and a word
@@ -331,8 +348,8 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
 def _stacked_words(params: ModelParams, requests, memo: bool = True):
     # The (word, operand, sign) requests checked and folded as by apply_word,
     # with one plan over the rows of their folds that they read, built once
-    # per call: a bare eigenfunction of params reads its row of the fold of
-    # its level's stack (``_level_stack``), any other operand its own fold.
+    # per call: a bare eigenfunction reads its row of the fold of its
+    # level's stack (``_level_stack``), any other operand its own fold.
     # memo=False keeps each request's own fold out of the fold memo (its
     # prefixes still go through it), for an operand built per call.  Returns
     # the evaluator of that plan, which maps points x to one array per
@@ -353,10 +370,10 @@ def _stacked_words(params: ModelParams, requests, memo: bool = True):
     fold = _fold if memo else _fold.__wrapped__
     folds, cuts = [], []
     for word, func, sign in requests:
-        if isinstance(func, EigenFunction) and func.params == params:
+        if isinstance(func, EigenFunction):
             # a bare state is its row of its level's stack, which shares
             # every fold with the other states of the level
-            folds.append(fold(params, word, _level_stack(params, func.idx.m), sign))
+            folds.append(fold(params, word, _level_stack(func.params, func.idx.m), sign))
             cuts.append(slice(func.idx.n, func.idx.n + 1))
         else:
             folds.append(fold(params, word, func, sign))

@@ -657,6 +657,44 @@ def test_level_stack_rows_match_each_state_folded_alone(monkeypatch, params, sig
     assert set(rows) == {1}
 
 
+#: The rows of verify_operator_identities at nu 1, beta 1e30, cell (1, 0), as
+#: the fold of each state alone gave them: (name, residual, passed).
+BETA_1E30_ROWS = [
+    ("ground_state_annihilation", 0.0, True),
+    ("factorization", 0.9999999999999952, False),
+    ("intertwining_single", 4.32706206778858e-16, True),
+    ("intertwining_chain", 4.32706206778858e-16, True),
+    ("supercharge_commutator", 4.32706206778858e-16, True),
+    ("product_BdagB", 0.0, True),
+    ("supercharge_anticommutator_block0", 0.0, True),
+    ("product_BBdag", 0.0, True),
+    ("supercharge_anticommutator_block1", 0.0, True),
+    ("ladder_action", 0.0, True),
+    ("mean_BBdag", 1.0, False),
+    ("mean_BdagB", 1.0, False),
+    ("adjoint_consistency", 0.0, True),
+    ("eigen_residual", 0.0, True),
+    ("mixed_product", 0.0, None),
+    ("partial_chain_product", 0.0, None),
+    ("partial_chain_means", 1.0, None),
+]
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_stack_rows_warn_only_when_read():
+    # at beta 1e30 the folds of the high states of level 0 overflow; a cell
+    # that reads only low rows of the stack raises no warning and gives the
+    # rows of each state folded alone, and a call that reads an overflowed
+    # row is warned
+    params = ModelParams(nu=1.0, beta=1e30)
+    rows = verify_operator_identities(params, 1, 0)
+    assert [(r.name, r.max_residual, r.passed) for r in rows] == BETA_1E30_ROWS
+    bdag_b = (("A", 0), ("Adag", 0))
+    assert not np.isfinite(operators._fold(params, bdag_b, operators._level_stack(params, 0), 1.0).band).all()
+    with pytest.warns(RuntimeWarning, match="not finite"):
+        apply_word(params, bdag_b, eigenfunction(params, 0, 10), default_grid(params))
+
+
 def test_a_stalled_informational_component_leaves_the_mandatory_verdicts(monkeypatch):
     # the partial-chain means share one integral with the chain means and
     # the eigen residual; when they cannot converge, their row alone records
@@ -890,12 +928,10 @@ def test_every_cell_under_the_level_cap_is_certified():
 
 
 # The mandatory rows that fail away from the checked (nu, beta) range, every
-# cell n + m <= cap.  The false fails of the states' accuracy that the first
-# two sets held went with the cancelling Q of the Fourier row: with each
-# state's Q from its three-term recurrence all three are empty.  Alias rows
-# are counted out; a package error, recorded as the
-# residual's name, would be counted in, and none occurs.  Any change of these
-# sets is a change of verdicts that the change making it must explain.
+# cell n + m <= cap: all three sets are empty.  Alias rows are counted out; a
+# package error, recorded as the residual's name, would be counted in, and
+# none occurs.  Any change of these sets is a change of verdicts that the
+# change making it must explain.
 FALSE_FAIL_REGISTER = {
     (0.2, 400.0, 6): {},
     (60.0, 5.0, 10): {},
