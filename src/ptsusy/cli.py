@@ -12,7 +12,7 @@ Each subcommand imports the layers it runs when it runs, so a process loads
 only these (``cli``, ``errors`` and ``spectrum`` always):
 
     spectrum   nothing more; no numpy
-    wavefn     numpy, wavefn, specfun, quadrature
+    wavefn     numpy, wavefn, operators, specfun, quadrature
     verify     numpy, operators, wavefn, specfun, quadrature
     coherent   numpy, coherent, operators, wavefn, specfun, quadrature
 

@@ -27,7 +27,7 @@ from .operators import operand_values
 from .quadrature import DEFAULT_CONFIG, integrate_real_line
 from .specfun import log_abs_gamma, log_gamma
 from .spectrum import ModelParams, level_number
-from .wavefn import EigenFamily, _gram, eigenfunction, log_ground_constant
+from .wavefn import _gram, eigenfunction, log_ground_constant
 
 _LN4 = math.log(4.0)
 #: Most points one ``log_abs_gamma`` call of ``resolution_kernel`` receives;
@@ -244,9 +244,9 @@ def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarr
     double-integral check, not a restatement of orthonormality.  The matrix
     is the triangle integral of ``wavefn.gram_matrix`` with G as its weight,
     conj(phi_i) G phi_j multiplied in that order: the upper triangle is one
-    vector-valued integral, so G is computed once per node, and one
-    ``EigenFamily`` built per call evaluates the states there in one Horner
-    pass of their two-sided binomial sums.
+    vector-valued integral, so G is computed once per node, and the states,
+    stacked as one operand of the operator layer, are valued there by its
+    empty word in one pass.
 
     Each integrand call, one per refinement round of the x-integral,
     computes G at all its nodes with one ``resolution_kernel`` call, whose
@@ -264,7 +264,7 @@ def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarr
     if size == 0:  # no states to project on, as gram_matrix([]); the level is still checked
         _level_width(params, m)
         return np.zeros((0, 0), dtype=complex)
-    family = EigenFamily(eigenfunction(params, m, n) for n in range(size))
+    states = [eigenfunction(params, m, n) for n in range(size)]
     L = params.length
     kernel = lambda x: resolution_kernel(params, m, x)
-    return _gram(family, size, 1e-6 * L, (1.0 - 1e-6) * L, _PROJECTION_CONFIG, weight=kernel)
+    return _gram(states, 1e-6 * L, (1.0 - 1e-6) * L, _PROJECTION_CONFIG, weight=kernel)

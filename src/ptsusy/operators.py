@@ -24,8 +24,8 @@ it reads, each bit for bit the state folded alone.  At very large beta the
 high states of a stack overflow in their folds; a RuntimeWarning reports
 that only for a row a call reads.  The operators are real,
 so eigenfunctions and bumps fold in float64 and coherent states, whose
-gamma is complex, in complex128.  The empty word gives the values of bumps
-and coherent states (``operand_values``).
+gamma is complex, in complex128.  The empty word gives the values of every
+operand, eigenfunctions included (``operand_values``).
 
 A word is folded one operator at a time on top of the fold of its prefix.
 Q and the magnitudes each of its coefficients was summed from are held as
@@ -39,9 +39,9 @@ degree and, per power, Q cut at the noise floor.
 The plan is evaluated in one Horner pass in place per node set, which a row
 joins at its own degree, so each row sees the same operations as when its
 word is evaluated alone, and each result is bit-identical to it.
-``wavefn.gram_matrix`` stacks every operand that is not an eigenfunction
-into one and evaluates its empty word this way, once per integrand call,
-without keeping that stack's fold in the memo.
+``wavefn.gram_matrix`` stacks its operands into one and evaluates its empty
+word this way, once per integrand call, without keeping that stack's fold
+in the memo.
 
 The verification suite evaluates every operator identity of the hierarchy on
 one sample grid or by quadrature and reports one relative residual per
@@ -150,10 +150,11 @@ class _Terms(NamedTuple):
     def of(cls, params: ModelParams, terms) -> "_Terms":
         log_c, gamma, power, qs = zip(*terms)
         gamma, power = np.array(gamma), np.array(power)
-        coeffs = np.zeros((len(qs), max(map(len, qs))), dtype=np.result_type(gamma, *{q.dtype for q in qs}))
-        for row, q in zip(coeffs, qs):
+        band = np.zeros((2 * len(qs), max(map(len, qs))), dtype=np.result_type(gamma, *{q.dtype for q in qs}))
+        for row, q in zip(band, qs):
             row[: len(q)] = q
-        return cls(np.array(log_c), gamma, power, np.concatenate([coeffs, np.abs(coeffs)]), _DDx(params, gamma, power))
+        np.abs(band[: len(qs)], out=band[len(qs) :])
+        return cls(np.array(log_c), gamma, power, band, _DDx(params, gamma, power))
 
 
 class _DDx:
@@ -247,18 +248,22 @@ def _plan(*folded: _Terms, cuts=()) -> _Plan:
     # magnitude that is not finite, raises a RuntimeWarning; the rows of a
     # fold that are not read raise none.
     cuts = cuts or (slice(None),) * len(folded)
-    parts = [(t.band[: len(t.gamma)][cut], t.band[len(t.gamma) :][cut]) for t, cut in zip(folded, cuts)]
-    size = sum(len(rows) for rows, _ in parts)
-    read = np.zeros((2 * size, max(t.band.shape[1] for t in folded)), dtype=folded[0].band.dtype)
-    start = 0
-    for rows, mag in parts:
-        read[start : start + len(rows), : rows.shape[1]] = rows
-        read[size + start : size + start + len(rows), : rows.shape[1]] = mag
-        start += len(rows)
+    if len(folded) == 1 and cuts[0] == slice(None):  # every row of one fold: its band as it is
+        ((log_c, gamma, power, read, _),) = folded
+        size = len(gamma)
+    else:
+        parts = [(t.band[: len(t.gamma)][cut], t.band[len(t.gamma) :][cut]) for t, cut in zip(folded, cuts)]
+        size = sum(len(rows) for rows, _ in parts)
+        read = np.zeros((2 * size, max(t.band.shape[1] for t in folded)), dtype=folded[0].band.dtype)
+        start = 0
+        for rows, mag in parts:
+            read[start : start + len(rows), : rows.shape[1]] = rows
+            read[size + start : size + start + len(rows), : rows.shape[1]] = mag
+            start += len(rows)
+        log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     if not np.isfinite(read).all():
         warnings.warn("overflow encountered in folding a word: coefficients that are not finite", RuntimeWarning)
     q = np.where(np.abs(read[:size]) > NOISE_FLOOR * read[size:].real, read[:size], 0.0)
-    log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
     degree, q = degree[order], q[order]
@@ -416,9 +421,12 @@ def operand_values(func, x):
 
 
 def _members(func, rows: np.ndarray) -> np.ndarray:
-    # the evaluated term rows summed per member, in term order, from 0
+    # the evaluated term rows summed per member, in term order, from 0; where
+    # every member has one term, its row as it is
     if not isinstance(func, _OperandStack):
-        return sum(rows)
+        return rows[0] if len(rows) == 1 else sum(rows)
+    if len(rows) == len(func.funcs):
+        return rows
     out = np.zeros((len(func.funcs), rows.shape[1]), dtype=rows.dtype)
     for i, row in zip(func.owner, rows):
         out[i] += row

@@ -12,9 +12,10 @@ depend on the batch: the resolution kernel needs nothing else, at hundreds of
 thousands of points per pass, and ``log_gamma`` is its tests' reference.
 
 Jacobi polynomials are supplied as their power-series coefficients in
-(1 - z)/2.  Nothing in the package sums them (``wavefn`` uses the two-sided
-binomial form): the tests do, and the benchmark in ``perfbench/`` reads
-their cache, so they stay here until it stops.  Values that can overflow are
+(1 - z)/2.  Nothing in the package sums them (``wavefn`` builds each
+state's polynomial by Jacobi's three-term recurrence): the tests do, and the
+benchmark in ``perfbench/`` reads their cache, so they stay here until it
+stops.  Values that can overflow are
 handled by the callers in log space.
 """
 

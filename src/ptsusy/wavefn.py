@@ -18,32 +18,20 @@ builds a shifted ``ModelParams``, and every entry is bit for bit what the
 scalar ``log_ground_constant`` gives at (nu + m) + j.
 ``CoherentState`` has no level cap and keeps the scalar call.
 
-The Jacobi factor is summed in its two-sided binomial form (DLMF 18.5.8).
-At z = i cot theta, (z -+ 1) / 2 = i e^(+-i theta) / (2 sin theta), so
-
-    sin^n P_n^(alpha, conj alpha)(i cot theta) = (i/2)^n sum_k F_k e^(i (2k - n) theta),
-    F_k = C(n + alpha, n - k) C(n + conj alpha, k),
-
-a finite Fourier series with products for coefficients, no cancellation; the
-phase turns (i/2)^n into 2^-n.  As F_(n - k) = conj F_k, the sum is twice the
-real part of its upper half: Horner's rule in e^(2 i theta) on the unit
-circle, backward stable, over about n/2 terms.  ``EigenFamily`` evaluates
-states of one ``ModelParams`` in one Horner pass over their upper halves,
-zero-padded to the longest: a shorter row stays an exact zero up to its own
-top coefficient, so each row goes through the same operations alone, in
-any family and in any order.  ``gram_matrix`` and
-``coherent.identity_gram_projection`` build one family per call and share
-one triangle integral, and a single state's call is the one-row family.
-A state builds its Fourier row on first use by a family, so a state that
-only the operator layer reads never builds it.
-The other operands of ``gram_matrix``, coherent states and bumps, are
-stacked as one operand of the operator layer and valued by its empty word,
-once per integrand call, outside the fold memo, as the stack is built per
-call; that layer is imported only then.
-Operator words act on the cotangent form of ``EigenFunction.cot_terms``:
-with e^(+-i theta) = sin theta (cot theta +- i) the same function is
-sin^n times a real polynomial Q in cot theta, which Jacobi's three-term
-recurrence builds on Python floats with no cancelling step.
+A state's values come from its cotangent form, ``EigenFunction.cot_terms``:
+with e^(+-i theta) = sin theta (cot theta +- i), the Jacobi factor on the
+imaginary cotangent line is sin^n times a real polynomial Q in cot theta,
+which Jacobi's three-term recurrence builds on Python floats with no
+cancelling step.  A call is ``operators.operand_values``, the empty word of
+the operator layer: a bare state reads its row of the memoized fold of its
+level's stack, with exact zeros on the walls.  ``gram_matrix`` and
+``coherent.identity_gram_projection`` stack their operands, eigenfunctions
+or not, as one operand of that layer, value its empty word once per
+integrand call outside the fold memo, as the stack is built per call, and
+share one triangle integral (``_gram``).  Each row is bit for bit the
+operand's own call at the same interior nodes.  The operator layer imports
+``EigenFunction`` and ``eigenfunction`` from this module, so this module
+imports it at its foot, after both are defined.
 ``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
 only the tests use, as the independent route; it imports ``jets`` on its
 first call, so no other use of this module loads that layer.
@@ -154,24 +142,6 @@ def normalization_K(params: ModelParams, n: int) -> float:
     return _log_K(params, 0, n)
 
 
-def _fourier_coefficients(n: int, alpha: complex) -> np.ndarray:
-    # F_k = C(n + alpha, n - k) C(n + conj alpha, k), k = 0..n; binomials of
-    # conjugate arguments are conjugate, and each is a product of its factors
-    w = n + alpha
-    binom = [1.0 + 0.0j]
-    for j in range(n):
-        binom.append(binom[-1] * (w - j) / (j + 1))
-    binom = np.array(binom)
-    return binom[::-1] * binom.conj()
-
-
-def _upper_half(g: np.ndarray) -> np.ndarray:
-    # H_j = 2 G_(ceil(d/2) + j), j <= d/2, of a row G_(d - k) = conj G_k of degree d; a middle G_(d/2) counts once
-    half = 2.0 * g[len(g) // 2 :]
-    half[0] *= 0.5 if len(g) % 2 else 1.0
-    return half
-
-
 class EigenFunction:
     """One normalized bound state, real valued; callable on scalars or arrays of x.
 
@@ -179,9 +149,13 @@ class EigenFunction:
     level-zero state n of the family with strength index nu + m.  Its log K
     is that state's product form at nu + m, with its ground constant read
     from entry (m, n) of the parameter set's ``ground_table``; no shifted
-    ``ModelParams`` is built.  The same function built by folding the ladder
-    chain over the base family (see the operator layer) agrees with this
-    pointwise; the test suite checks that instead of assuming it.
+    ``ModelParams`` is built.  A call is the state's empty word in the
+    operator layer (``operators.operand_values``): a float for a scalar x,
+    an array of the shape of x otherwise, exactly 0 on the walls, and
+    ``DomainError`` for x outside [0, L] or NaN.  The same function built by
+    folding the ladder chain over the base family (see the operator layer)
+    agrees with this pointwise; the test suite checks that instead of
+    assuming it.
     """
 
     def __init__(self, params: ModelParams, idx: LevelIndex):
@@ -194,27 +168,12 @@ class EigenFunction:
         self._s = n + self._nu_eff + 1.0
         self._gamma = -params.beta * math.pi / (params.length * self._s)
 
-    @cached_property
-    def _fourier(self) -> np.ndarray:
-        # the phase (-i)^n times (i/2)^n leaves 2^-n
-        s = self._s
-        return _fourier_coefficients(self.idx.n, complex(-s, self.params.beta / s)) * 0.5**self.idx.n
-
-    @cached_property
-    def _half(self) -> np.ndarray:
-        return _upper_half(self._fourier)
-
     @property
     def energy(self) -> float:
         return energy(self.params, self.idx)
 
     def __call__(self, x):
-        row = self._family(x)[0]
-        return float(row) if row.ndim == 0 else row
-
-    @cached_property
-    def _family(self) -> "EigenFamily":
-        return EigenFamily((self,))
+        return operators.operand_values(self, x)
 
     @cached_property
     def cot_terms(self) -> tuple:
@@ -226,8 +185,9 @@ class EigenFunction:
         by Jacobi's three-term recurrence (DLMF 18.9.1) on Python floats, every
         coefficient real under the phase: Q_0 = 1, Q_1 = beta / S + (1 - S) c
         and Q_(k+1) = (A_k c + b_k) Q_k + C_k Q_(k-1), lowest power first.  No
-        denominator vanishes for k < n < S.  Unlike a sum over the Fourier row,
-        whose terms cancel at large nu or beta, no step cancels."""
+        denominator vanishes for k < n < S.  Unlike the two-sided binomial sum
+        over the Fourier row (DLMF 18.5.8), whose terms cancel at large nu or
+        beta, no step cancels."""
         n, beta, s = self.idx.n, self.params.beta, self._s
         q_prev, q = [1.0], [beta / s, 1.0 - s]
         for k in range(1, n):
@@ -258,73 +218,38 @@ class EigenFunction:
         return env * jets.polyval(q, c / s) * math.exp(log_c)
 
 
-class EigenFamily:
-    """Eigenfunctions of one ``ModelParams``, any levels, evaluated together.
-
-    Calling it at x returns floats of shape (len(states),) + shape(x), row i the
-    values of ``states[i]``.  Row i holds the upper half H of the Fourier row
-    2^-n F_k of ``states[i]``, zero-padded to the longest, and its log K, gamma
-    and nu + m + 1.  A call sums Re[w^(n mod 2) sum_j H_j z^j], w = e^(i theta),
-    z = w^2, in one Horner pass in z over all rows, then takes the envelope of
-    every row in one expression.  As z is finite, a row's padding stays an
-    exact zero up to its own top coefficient, where +-0 z + H_top = H_top; from
-    there the row sees the operations it would see alone, in any family, in
-    any order and at any number of points (a lone point is taken twice).
-    """
-
-    def __init__(self, states):
-        states = tuple(states)
-        if not states:
-            raise DomainError("an eigenfunction family needs at least one state")
-        self.params = states[0].params
-        if any(f.params != self.params for f in states):
-            raise DomainError("an eigenfunction family shares one ModelParams")
-        self._table = np.zeros((len(states), max(len(f._half) for f in states)), dtype=complex)
-        for row, f in zip(self._table, states):
-            row[: len(f._half)] = f._half
-        self._odd = np.flatnonzero([f.idx.n % 2 for f in states])
-        env = np.array([[[f.log_K], [f._gamma], [f._nu_eff + 1.0]] for f in states])
-        self._log_K, self._gamma, self._power = env.transpose(1, 0, 2)  # each (rows, 1)
-
-    def __call__(self, x) -> np.ndarray:
-        p = self.params
-        arr = np.asarray(x, dtype=float)
-        if not ((arr >= 0.0) & (arr <= p.length)).all():
-            raise DomainError("x outside the box [0, L]")
-        # a lone point taken twice: numpy rounds one-element complex loops otherwise
-        flat = np.resize(arr, max(arr.size, 2))
-        theta = math.pi * flat / p.length
-        w = np.exp(1j * theta)
-        z = w * w
-        acc = np.repeat(self._table[:, -1:], flat.size, axis=1)
-        for j in range(self._table.shape[1] - 2, -1, -1):
-            acc *= z
-            acc += self._table[:, j, None]
-        if self._odd.size:
-            acc[self._odd] *= w
-        out = np.zeros(acc.shape)
-        # mask on x, not on sin: sin(pi * L / L) is a subnormal, not an exact 0
-        interior = (flat > 0.0) & (flat < p.length)
-        cols = slice(None) if interior.all() else interior  # a mask costs more on rows
-        expo = self._log_K + self._gamma * flat[cols] + self._power * np.log(np.sin(theta[cols]))
-        out[:, cols] = np.exp(expo) * acc.real[:, cols]
-        return out[:, : arr.size].reshape((len(out),) + arr.shape)
-
-
 @lru_cache(maxsize=1024, typed=True)  # typed: True must not hit the entry of 1
 def eigenfunction(params: ModelParams, m: int, n: int) -> EigenFunction:
     """Cached EigenFunction factory."""
     return EigenFunction(params, LevelIndex(m=m, n=n))
 
 
-def _gram(values, k: int, lo: float, hi: float, config: QuadratureConfig, weight=None) -> np.ndarray:
-    # the Hermitian matrix of int conj(phi_i) w phi_j over [lo, hi], phi =
-    # values(x) of shape (k, len(x)) and w = weight(x), 1 if None: its upper
-    # triangle is one vector-valued integral, the lower one its conjugate
-    rows, cols = np.triu_indices(k)
+@lru_cache(maxsize=64)
+def _triangle(k: int) -> tuple:
+    # the row and column indices of the upper triangle of a k x k matrix, read-only
+    indices = np.triu_indices(k)
+    for index in indices:
+        index.flags.writeable = False
+    return indices
+
+
+def _gram(functions, lo: float, hi: float, config: QuadratureConfig, weight=None) -> np.ndarray:
+    # the Hermitian matrix of int conj(phi_i) w phi_j over [lo, hi], phi_i the
+    # operands and w = weight(x), 1 if None.  The operands are stacked as one
+    # and valued by its empty word, folded outside the memo, as no later call
+    # could find a stack built per call.  The upper triangle is one
+    # vector-valued integral, the lower one its conjugate
+    k = len(functions)
+    if not k:
+        return np.zeros((0, 0), dtype=complex)
+    params = getattr(functions[0], "params", None)
+    if params is None or any(getattr(f, "params", None) != params or not hasattr(f, "cot_terms") for f in functions):
+        raise DomainError("a Gram matrix needs operands of one ModelParams with cot_terms")
+    words = operators._stacked_words(params, [((), operators._OperandStack(functions), 1.0)], memo=False)
+    rows, cols = _triangle(k)
 
     def integrand(x):
-        phi = values(x)
+        (phi,) = words(x)
         if weight is None:
             return np.conj(phi[rows]) * phi[cols]
         return np.conj(phi[rows]) * weight(x) * phi[cols]
@@ -345,29 +270,18 @@ def gram_matrix(
 
     The upper triangle is one vector-valued adaptive integral: every operand
     is evaluated once per node, and every entry meets its own tolerance.
-    When every operand is an ``EigenFunction``, one ``EigenFamily`` built per
-    call evaluates them all at each node, each row bit for bit what its
-    state gives alone at the same nodes, and the integrand is real.  Any
-    other operands (coherent states, bumps) are stacked as one operand of
-    the operator layer and valued by its empty word in one pass per
-    integrand call, each row bit for bit the operand's own call at the same
-    interior nodes.  Operands of different ``ModelParams``, or without
-    ``params`` and ``cot_terms``, raise ``DomainError``.
+    The operands (eigenfunctions, coherent states, bumps) are stacked as one
+    operand of the operator layer and valued by its empty word in one pass
+    per integrand call, each row bit for bit the operand's own call at the
+    same interior nodes; the integrand is real when every operand is.
+    Operands of different ``ModelParams``, or without ``params`` and
+    ``cot_terms``, raise ``DomainError``.
     """
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)
-    k = len(functions)
-    if not k:
-        return np.zeros((0, 0), dtype=complex)
-    if all(isinstance(f, EigenFunction) for f in functions):
-        values = EigenFamily(functions)
-    else:
-        from .operators import _OperandStack, _stacked_words  # here only: ``ptsusy wavefn`` never loads it
+    return _gram(functions, 0.0, length, config)
 
-        params = getattr(functions[0], "params", None)
-        if params is None or any(getattr(f, "params", None) != params or not hasattr(f, "cot_terms") for f in functions):
-            raise DomainError("a Gram matrix needs operands of one ModelParams with cot_terms")
-        # a stack built per call: its fold would hold a memo entry that never hits
-        words = _stacked_words(params, [((), _OperandStack(functions), 1.0)], memo=False)
-        values = lambda t: words(t)[0]
-    return _gram(values, k, 0.0, length, config)
+
+# the operator layer imports EigenFunction and eigenfunction from this module,
+# so it is imported here, after both, whichever of the two modules loads first
+from . import operators  # noqa: E402

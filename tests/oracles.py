@@ -71,15 +71,25 @@ from the Jacobi polynomials at 60 digits
 on the imaginary cotangent line, with the package's own log K:
 P_n^(a, b) = (a + 1)_n / n! 2F1(-n, n + a + b + 1; a + 1; (1 - z) / 2),
 as ``mpmath.jacobi`` sums it, with the prefactor taken once per polynomial.
-They share no summation with the two-sided binomial sum of ``wavefn``, and
+They share no summation with the three-term recurrence of ``wavefn``, and
 at 60 digits the cancellation of the hypergeometric series costs nothing.
 
-``full_length_rows`` is the eigenfunction evaluation as it was before
-``wavefn.EigenFamily`` summed the upper half of each conjugate-symmetric
-Fourier row and kept the real part: one complex Horner pass in e^(2 i theta)
-over all n + 1 coefficients, then the turn e^(-i n theta), complex rows out.
-Its imaginary part is the roundoff that the real rows no longer carry, so it
-is the check that the phase convention makes every state real.
+``fourier_row`` is the Jacobi factor of a state in its two-sided binomial
+form (DLMF 18.5.8), which the package summed before every state was valued
+by its cotangent form: at z = i cot theta, (z -+ 1) / 2 =
+i e^(+-i theta) / (2 sin theta), so
+
+    sin^n P_n^(alpha, conj alpha)(i cot theta) = (i/2)^n sum_k F_k e^(i (2k - n) theta),
+    F_k = C(n + alpha, n - k) C(n + conj alpha, k),
+
+and the phase (-i)^n turns (i/2)^n into 2^-n.  Its terms cancel at large nu
+or beta, where the three-term recurrence of ``EigenFunction.cot_terms``
+does not.  ``full_length_rows`` sums it: one complex Horner pass in
+e^(2 i theta) over all n + 1 coefficients, then the turn e^(-i n theta),
+complex rows out.  Its imaginary part is roundoff, so it is the check that
+the phase convention makes every state real, and its real part is an
+independent route to the state's values.  ``convolution_cot_q`` builds Q
+from it.
 
 ``fraction_loop_log_abs_gamma`` is ``specfun.log_abs_gamma`` as it was
 before its partial fractions became one matrix product: one fraction at a
@@ -773,19 +783,34 @@ def mp_partner(params, n: int, x, dps=60):
     return np.array(out).reshape(np.shape(x))
 
 
+def fourier_row(f) -> np.ndarray:
+    """G_k = 2^-n F_k, k = 0..n, of the eigenfunction f: F_k = C(n + alpha, n - k)
+    C(n + conj alpha, k), alpha = -S + i beta / S, S = nu + m + n + 1.  The
+    binomials of conjugate arguments are conjugate, each a product of its
+    factors, so G_(n - k) = conj G_k up to rounding."""
+    n, s = f.idx.n, f._s
+    w = n + complex(-s, f.params.beta / s)
+    binom = [1.0 + 0.0j]
+    for j in range(n):
+        binom.append(binom[-1] * (w - j) / (j + 1))
+    binom = np.array(binom)
+    return binom[::-1] * binom.conj() * 0.5**n
+
+
 def full_length_rows(states, x):
     """Complex rows of the eigenfunctions ``states``, all of one model, at the
     interior points x: K e^(gamma x) sin^(nu + m + 1) e^(-i n theta)
-    sum_k G_k e^(2 i k theta), every G_k of ``EigenFunction._fourier`` summed."""
+    sum_k G_k e^(2 i k theta), every G_k of ``fourier_row`` summed."""
     p = states[0].params
     x = np.asarray(x, dtype=float)
     theta = math.pi * x / p.length
     z = np.exp(2j * theta)
     rows = []
     for f in states:
-        acc = np.full(theta.shape, f._fourier[-1])
-        for g in f._fourier[-2::-1]:
-            acc = acc * z + g
+        g = fourier_row(f)
+        acc = np.full(theta.shape, g[-1])
+        for g_k in g[-2::-1]:
+            acc = acc * z + g_k
         envelope = np.exp(f.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
         rows.append(envelope * acc * np.exp(-1j * f.idx.n * theta))
     return np.array(rows)
@@ -796,13 +821,13 @@ def convolution_cot_q(f) -> np.ndarray:
     Q(c) = sum_k 2^-n F_k (c + i)^k (c - i)^(n - k), by two convolution
     loops, with the imaginary part, roundoff by the phase convention,
     dropped; ``EigenFunction.cot_terms`` builds Q by the Jacobi recurrence."""
-    n = f.idx.n
+    n, g = f.idx.n, fourier_row(f)
     down = [np.ones(1, dtype=complex)]
     for _ in range(n):
         down.append(np.convolve(down[-1], [-1j, 1.0]))
-    q = f._fourier[n:]
+    q = g[n:]
     for k in range(n - 1, -1, -1):
-        q = np.convolve(q, [1j, 1.0]) + f._fourier[k] * down[n - k]
+        q = np.convolve(q, [1j, 1.0]) + g[k] * down[n - k]
     return q.real
 
 
