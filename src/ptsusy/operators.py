@@ -14,7 +14,9 @@ of the hierarchy), so a whole word is folded once on the coefficients of Q,
 exactly up to rounding and independently of where it is evaluated.  The
 coefficients that are roundoff (``NOISE_FLOOR``) are dropped, and a term of
 degree d is evaluated as C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) with
-s = sin theta, which stays bounded up to the walls.  Eigenfunctions,
+s = sin theta, which stays bounded up to the walls; theta is taken from the
+distance to the nearer wall, so that s keeps its relative accuracy at both
+(for x near L, pi x / L would carry the rounding of pi).  Eigenfunctions,
 coherent states and the smooth test bumps provide ``cot_terms``, and a
 corpus of operands can be stacked into one, so that one fold serves every
 member.  A bare eigenfunction is folded as its row of its level's stack
@@ -275,9 +277,13 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
     # rows of C e^(gamma x) s^(a-d) sum_j q_j cos^j s^(d-j) at the 1-d points
     # x, in term order.  One Horner pass runs from the top degree down, in
     # place; a row joins it at its own degree, so it sees the same operations
-    # in the same order as when it is evaluated alone.
-    theta = x * (math.pi / params.length)
-    s, cos = np.sin(theta), np.cos(theta)
+    # in the same order as when it is evaluated alone.  theta is taken from
+    # the distance to the nearer wall, L - x being exact for x >= L/2, so
+    # that sin keeps its relative accuracy near x = L; cos takes the sign of
+    # L/2 - x.
+    length = params.length
+    theta = np.minimum(x, length - x) * (math.pi / length)
+    s, cos = np.sin(theta), np.copysign(np.cos(theta), 0.5 * length - x)
     acc = np.repeat(plan.top[:, None], x.size, axis=1)
     s_pow = np.ones(acc.shape)
     for k, q_j in plan.loop:

@@ -24,6 +24,13 @@ integral per matrix entry.  ``integrate_real_line`` also takes each
 component's rough size and tail bound on its own, and grows one truncation
 point until every component's tail is certified.  A one-dimensional
 integrand is the special case with an empty leading shape.
+
+A panel's Gauss sum is one ``np.vecdot`` of its node weights with its
+values, times its half width, and one call sums every panel of a round.
+That dot rounds a panel's sum the same whether the panel is summed alone or
+with others, so the batched integrator matches one that integrates panel by
+panel, bit for bit.  The endpoint substitution is part of the rule: its
+map moves the nodes and its Jacobian scales their weights.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +60,11 @@ class QuadratureConfig:
     """Tolerances for the adaptive integrator.
 
     abs_tol and rel_tol, finite and nonnegative, combine as max(abs_tol,
-    rel_tol * |integral|); endpoint_substitution maps the panel through
-    x = a + (b-a)(1 - cos t)/2, which clusters nodes at both ends and tames
-    algebraic endpoint behavior.  The panel budget is ``MAX_SUBDIVISIONS``.
+    rel_tol * |integral|); endpoint_substitution lays the panels out in t on
+    [0, pi] and maps each node to x = a + (b-a)(1 - cos t)/2, its weight
+    carrying the Jacobian (b-a) sin t / 2, which clusters nodes at both ends
+    and tames algebraic endpoint behavior.  The panel budget is
+    ``MAX_SUBDIVISIONS``.
     """
 
     abs_tol: float = 1e-12
@@ -101,22 +110,66 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _panel_values(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, list]:
-    """Gauss sums of f over the panels [lo[k], hi[k]] from one call of f.
-
-    Returns the sums, shape (..., n_panels), and the indices of the panels
-    that hold a non-finite value, in order; the sum of such a panel is 0.
-    """
+def _rule(lo: np.ndarray, hi: np.ndarray, substitution=None) -> tuple:
+    # The abscissas and node weights of the Gauss rule on the panels
+    # [lo[k], hi[k]], one row per panel, and the panels' half widths.  With
+    # substitution (a, h) the panels lie in t (see _substitute).
     half = 0.5 * (hi - lo)
-    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    if substitution is None:
+        return t, _WEIGHTS, half
+    return _substitute(substitution, half, 1.0 - np.cos(t), np.sin(t))
+
+
+def _substitute(substitution: tuple, half: np.ndarray, one_minus_cos: np.ndarray, sin: np.ndarray) -> tuple:
+    # the rule of panels in t of half widths half under the substitution
+    # (a, h): a node t maps to x = a + h (1 - cos t), and its weight carries
+    # the Jacobian h sin t
+    a, h = substitution
+    return a + h * one_minus_cos, _WEIGHTS * (h * sin), half
+
+
+def _start(a: float, b: float) -> tuple:
+    # the 4 initial segments of [a, b], their ends lo and hi, and their 12
+    # panels laid out coarse, left, right per segment
+    edges = np.linspace(a, b, 5)
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    panel_lo, panel_hi = np.array([[lo, lo, mid], [hi, mid, hi]]).transpose(0, 2, 1).reshape(2, -1)
+    return lo, hi, panel_lo, panel_hi
+
+
+def _substitution_start() -> tuple:
+    # the start of every substituted integral, in t on [0, pi], and its
+    # panels' half widths, 1 - cos and sin of their nodes
+    start = _start(0.0, math.pi)
+    t, _, half = _rule(*start[2:])
+    return start, (half, 1.0 - np.cos(t), np.sin(t))
+
+
+_SUBSTITUTED_START, _SUBSTITUTED_NODES = _substitution_start()
+
+
+def _panel_values(f, xs: np.ndarray, weights: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, list]:
+    """Gauss sums of f over panels from one call of f.
+
+    xs holds each panel's abscissas, one row per panel, weights its node
+    weights (broadcast against xs) and half its half width.  A panel's sums
+    are one ``np.vecdot`` over its row, which gives the same bits whether the
+    panel is summed alone or with others.  Returns the sums, shape (...,
+    n_panels), and the indices of the panels that hold a non-finite value, in
+    order; the sum of such a panel is 0.  A non-finite value makes its sum
+    non-finite, so the values are read only when a sum is.
+    """
     vals = np.asarray(f(xs.ravel()))
     vals = vals.reshape(vals.shape[:-1] + xs.shape)
+    sums = np.asarray(np.vecdot(weights, vals) * half, dtype=complex)
     bad = []
-    if not np.isfinite(vals).all():
+    if not np.isfinite(sums).all():
         finite = np.isfinite(vals).reshape(-1, *xs.shape).all(axis=(0, 2))
-        vals = np.where(finite[:, None], vals, 0.0)
+        sums[..., ~finite] = 0.0
         bad = np.flatnonzero(~finite).tolist()
-    return np.asarray((_WEIGHTS * vals).sum(axis=-1) * half, dtype=complex), bad
+    return sums, bad
 
 
 def _nonfinite(lo: np.ndarray, hi: np.ndarray, k: int) -> str:
@@ -140,7 +193,7 @@ def _segments(lo: np.ndarray, hi: np.ndarray, coarse: np.ndarray, left: np.ndarr
     return out
 
 
-def _split_round(f, parents: list) -> list:
+def _split_round(f, substitution, parents: list) -> list:
     # The children of every parent segment from one call of f on the 4
     # quarter panels of each: per parent its two (key, segment) in order, or
     # the message naming the first non-finite of its quarter panels.  The
@@ -151,7 +204,7 @@ def _split_round(f, parents: list) -> list:
         points.append((lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi))
     points = np.array(points)
     panel_lo, panel_hi = points[:, :-1].ravel(), points[:, 1:].ravel()
-    vals, bad = _panel_values(f, panel_lo, panel_hi)
+    vals, bad = _panel_values(f, *_rule(panel_lo, panel_hi, substitution))
     vals = vals.reshape(vals.shape[:-1] + (-1, 2))
     coarse = np.stack([half for parent in parents for half in parent[4:]], axis=-1)
     children = _segments(points[:, 0:3:2].ravel(), points[:, 2::2].ravel(), coarse, vals[..., 0], vals[..., 1])
@@ -174,7 +227,12 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         config: tolerances and the endpoint substitution flag.
 
     Each panel is integrated by the Gauss rule on itself and on its two
-    halves; the discrepancy is that panel's error, per component.  The
+    halves; the discrepancy is that panel's error, per component.  With the
+    endpoint substitution the panels lie in t on [0, pi]: f is called at
+    x = a + (b - a)(1 - cos t)/2 for each node t, whose Gauss weight carries
+    the Jacobian (b - a) sin t / 2.  A panel's sum is one ``np.vecdot`` of
+    its weights with its values, times its half width; the panels of a call
+    are summed in one dot, which gives each panel the bits it gets alone.  The
     integral stops when every component k has total error within
     max(abs_tol, rel_tol * |I_k|), or within its rounding-noise floor.
     Until then the panel whose largest component error is largest is split,
@@ -198,9 +256,12 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     of each split, the children's own Gauss values being the halves already
     computed.  The loop then splits one segment at a time, in the order and
     with the sums of a loop that evaluates each split alone, so results are
-    the same as integrating panel by panel.  A non-finite value raises when
-    the loop reaches its split, naming the first affected panel in that
-    panel-by-panel order.
+    the same as integrating panel by panel.  The segments a round takes are
+    held to the rounding-noise floor at the most splits the round can make,
+    which the floor reaches no earlier, so that the loop splits each of them
+    unless |I| moves.  A non-finite value raises when the loop reaches its
+    split, naming the first affected panel (in t under the substitution) in
+    that panel-by-panel order.
 
     Returns:
         IntegralResult with the estimate and a conservative error bound (sum
@@ -224,14 +285,14 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
         raise ValueError(f"integrate_interval cannot resolve [{a!r}, {b!r}]: b - a is below 2**-30 max(|a|, |b|)")
 
     if config.endpoint_substitution:
-        span = b - a
-
-        def g(t):
-            x = a + span * 0.5 * (1.0 - np.cos(t))
-            return f(x) * (span * 0.5 * np.sin(t))
-
-        inner = replace(config, endpoint_substitution=False)
-        return integrate_interval(g, 0.0, math.pi, inner)
+        # the panels lie in t on [0, pi], all integrals starting on the same ones
+        substitution = (a, (b - a) * 0.5)
+        lo, hi, panel_lo, panel_hi = _SUBSTITUTED_START
+        start = _substitute(substitution, *_SUBSTITUTED_NODES)
+    else:
+        substitution = None
+        lo, hi, panel_lo, panel_hi = _start(a, b)
+        start = _rule(panel_lo, panel_hi)
 
     counter = itertools.count()
     heap = []
@@ -245,12 +306,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
             total_err += seg[3]
             heapq.heappush(heap, (-key, next(counter), seg))
 
-    # the 4 initial segments, panels laid out coarse, left, right per segment
-    edges = np.linspace(a, b, 5)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    panel_lo, panel_hi = np.array([[lo, lo, mid], [hi, mid, hi]]).transpose(0, 2, 1).reshape(2, -1)
-    vals, bad = _panel_values(f, panel_lo, panel_hi)
+    vals, bad = _panel_values(f, *start)
     if bad:
         raise NonFiniteIntegrandError(_nonfinite(panel_lo, panel_hi, bad[0]))
     vals = vals.reshape(vals.shape[:-1] + (4, 3))
@@ -284,12 +340,14 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
             # A round: this segment, and the next ones in pop order while the
             # errors of the segments not taken still miss the target, so that
             # the loop must split each before it can converge.  The floor grows
-            # with every split, so a taken segment may, rarely, never be split:
-            # its children then go unused and uncounted.
+            # with every split, so they are held to the floor at the most
+            # splits the round can make: a taken segment whose children then
+            # go unused, and uncounted, needs |I| to move at the round.
             taken = [top]
             rest = total_err - seg[3]
             room = min(MAX_ROUND_SPLITS, MAX_SUBDIVISIONS - n_segments - len(children))
-            while len(taken) < room and np.any(rest > target) and heap:
+            reach = np.maximum(tol, 1e-16 * size * (n_segments + room))
+            while len(taken) < room and np.any(rest > reach) and heap:
                 neg_key, following, _ = heap[0]
                 if neg_key >= 0.0 or following in children:
                     break
@@ -297,7 +355,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
                 rest = rest - taken[-1][2][3]
             for entry in taken[1:]:
                 heapq.heappush(heap, entry)
-            children.update(zip((entry[1] for entry in taken), _split_round(f, [entry[2] for entry in taken])))
+            children.update(zip((entry[1] for entry in taken), _split_round(f, substitution, [entry[2] for entry in taken])))
         split = children.pop(number)
         if isinstance(split, str):
             raise NonFiniteIntegrandError(split)

@@ -250,9 +250,11 @@ def _gram(functions, lo: float, hi: float, config: QuadratureConfig, weight=None
 
     def integrand(x):
         (phi,) = words(x)
+        # conj of real rows is a copy of the same bits
+        left = np.conj(phi[rows]) if np.iscomplexobj(phi) else phi[rows]
         if weight is None:
-            return np.conj(phi[rows]) * phi[cols]
-        return np.conj(phi[rows]) * weight(x) * phi[cols]
+            return left * phi[cols]
+        return left * weight(x) * phi[cols]
 
     value = integrate_interval(integrand, lo, hi, config).value
     gram = np.zeros((k, k), dtype=complex)

@@ -10,7 +10,10 @@ integrator as it was before ``integrate_interval`` batched its panels: one
 integrand call per 15-node panel, the coarse panel of every child segment
 evaluated again, and a separate call for the first truncation check.  The
 batched integrator must reproduce their values, errors and errors raised bit
-for bit, with fewer integrand calls, on the half line [0, inf).
+for bit, with fewer integrand calls, on the half line [0, inf).  Both take
+the same per-panel rule (``_panel_value``): one ``np.vecdot`` of the node
+weights with the values, the endpoint substitution moving the nodes and
+scaling the weights by its Jacobian.
 
 ``two_sided_resolution_kernel`` is ``coherent.resolution_kernel`` without
 the fold onto u >= 0: two half-line integrals, one for each sign of u, each
@@ -39,7 +42,8 @@ both, so they must agree bit for bit.
 ``grouped_evaluate`` is the evaluation of folded cotangent terms as it was
 before ``operators._evaluate`` ran one Horner pass over prepared rows: one
 Horner loop per distinct row degree.  Each row goes through the same
-operations in both, so they must agree bit for bit.
+operations in both, the angle taken from the nearer wall, so they must agree
+bit for bit.
 
 ``SuperPotential``, ``superpotential`` and ``potential`` are the closed forms
 of W_m and V_m on the grid.  The package folds them into operator words as
@@ -330,8 +334,10 @@ def grouped_evaluate(params, terms: SplitTerms, x):
     q = np.where(np.abs(terms.coeffs) > NOISE_FLOOR * terms.mag, terms.coeffs, 0.0)
     nonzero = q != 0.0
     degree = np.where(nonzero.any(axis=1), q.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    theta = x * (math.pi / params.length)
-    s, cos = np.sin(theta), np.cos(theta)
+    # theta from the distance to the nearer wall, cos signed by the side of
+    # the midpoint, as the operator layer takes them
+    theta = np.minimum(x, params.length - x) * (math.pi / params.length)
+    s, cos = np.sin(theta), np.copysign(np.cos(theta), 0.5 * params.length - x)
     log_s = np.log(s)
     rows = np.empty((len(q), x.size), dtype=complex)
     for d in np.unique(degree):
@@ -375,26 +381,30 @@ def _modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
-def _panel_value(f, a, b, order):
+def _panel_value(f, a, b, order, substitution=None):
+    """The Gauss sum of f over the panel [a, b] by the rule of
+    ``integrate_interval``: one ``np.vecdot`` of the node weights with the
+    values, times the half width.  With substitution (x0, h) the panel lies
+    in t, a node t maps to x = x0 + h (1 - cos t) and its weight carries the
+    Jacobian h sin t."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
+    if substitution is not None:
+        x0, h = substitution
+        weights = weights * (h * np.sin(xs))
+        xs = x0 + h * (1.0 - np.cos(xs))
     vals = np.asarray(f(xs))
     if not np.isfinite(vals).all():
         raise NonFiniteIntegrandError(f"integrand not finite inside [{a!r}, {b!r}]")
-    return np.asarray((weights * vals).sum(axis=-1) * half, dtype=complex)
+    return np.asarray(np.vecdot(weights, vals) * half, dtype=complex)
 
 
 def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
     """``integrate_interval`` with one integrand call per panel."""
+    substitution = None
     if config.endpoint_substitution:
-        span = b - a
-
-        def g(t):
-            x = a + span * 0.5 * (1.0 - np.cos(t))
-            return f(x) * (span * 0.5 * np.sin(t))
-
-        return panelwise_integrate(g, 0.0, math.pi, replace(config, endpoint_substitution=False))
+        substitution, a, b = (a, (b - a) * 0.5), 0.0, math.pi
 
     order = BASE_RULE_ORDER
     evals = 0
@@ -403,9 +413,9 @@ def panelwise_integrate(f, a, b, config=DEFAULT_CONFIG):
         nonlocal evals
         evals += 3 * order
         mid = 0.5 * (lo + hi)
-        coarse = _panel_value(f, lo, hi, order)
-        left = _panel_value(f, lo, mid, order)
-        right = _panel_value(f, mid, hi, order)
+        coarse = _panel_value(f, lo, hi, order, substitution)
+        left = _panel_value(f, lo, mid, order, substitution)
+        right = _panel_value(f, mid, hi, order, substitution)
         fine = left + right
         return (lo, hi, fine, _modulus(coarse - fine))
 

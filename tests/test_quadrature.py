@@ -19,7 +19,7 @@ from ptsusy.quadrature import (
     integrate_real_line,
 )
 
-from oracles import derivative, panelwise_integrate, panelwise_real_line
+from oracles import _panel_value, derivative, panelwise_integrate, panelwise_real_line
 
 
 def test_gauss_rule_literals_are_leggauss_bit_for_bit():
@@ -327,6 +327,80 @@ def test_batched_panels_match_panelwise_oracle_bit_for_bit(case):
     assert sorted(i for r in rounds for i in r) == list(range(splits))
     assert all(r == sorted(r) for r in rounds)
     assert len(batched.sizes) <= 1 + splits
+
+
+def _modes(x):
+    # 66 products of smooth modes, the shape of the integrand of an 11-state Gram matrix
+    k = np.arange(66)[:, None]
+    return np.sin((k % 11 + 1) * x) * np.cos((k // 11 + 1) * x)
+
+
+@pytest.mark.parametrize("substitution", [None, (-0.3, 1.7)], ids=["plain", "substituted"])
+@pytest.mark.parametrize(
+    "f",
+    [_modes, lambda x: _modes(x) * np.exp(1j * x), lambda x: np.cos(x), lambda x: np.exp(1j * x) * np.ones((3, 4, 1))],
+    ids=["real", "complex", "scalar", "complex_3x4"],
+)
+def test_panel_sums_are_the_same_alone_and_in_a_round(f, substitution):
+    # a panel's sums are one dot of its weights with its values, so a call on
+    # 24 panels gives each panel the bits of a call on it alone, and those of
+    # the panel-by-panel oracle's rule; with the substitution the panels lie
+    # in t, mapped through x = a + h (1 - cos t)
+    rng = np.random.default_rng(5)
+    lo = np.sort(rng.uniform(0.0, 3.0, 24))
+    hi = lo + rng.uniform(1e-3, 0.1, 24)
+    sums, bad = quadrature._panel_values(f, *quadrature._rule(lo, hi, substitution))
+    assert bad == [] and sums.dtype == complex and sums.shape[-1] == 24
+    for k in range(24):
+        alone, _ = quadrature._panel_values(f, *quadrature._rule(lo[k : k + 1], hi[k : k + 1], substitution))
+        assert alone[..., 0].tobytes() == sums[..., k].tobytes()
+        assert _panel_value(f, lo[k], hi[k], BASE_RULE_ORDER, substitution).tobytes() == sums[..., k].tobytes()
+
+
+def test_constants_integrate_exactly():
+    # the Gauss weights sum to exactly 2.0 in the dot, so a panel of the
+    # constant 1 sums to exactly twice its half width, and an interval of
+    # dyadic ends to exactly its length
+    assert np.vecdot(quadrature._WEIGHTS, np.ones(BASE_RULE_ORDER)) == 2.0
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(-5.0, 5.0, 40)
+    hi = lo + 10.0 ** rng.uniform(-8.0, 1.0, 40)
+    sums, _ = quadrature._panel_values(np.ones_like, *quadrature._rule(lo, hi))
+    assert np.array_equal(sums, 2.0 * (0.5 * (hi - lo)))
+    for a, b in ((0.0, 1.0), (-3.0, 5.0), (1.0, 1.0 + 2.0**-29), (2.0**-40, 2.0**-38), (-1e6, 3e6)):
+        res = integrate_interval(np.ones_like, a, b)
+        assert res.value == b - a and res.evaluations == 12 * BASE_RULE_ORDER
+
+
+def _floor_dominated(seed: int, count: int = 300):
+    # peaks, Gaussians on a slope and powers of x at zero tolerances, with and
+    # without the substitution: the rounding-noise floor ends every integral
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        c, w, p = rng.uniform(0.1, 0.9), 10.0 ** rng.uniform(-3.0, -0.5), rng.uniform(0.0, 3.0)
+        f = (
+            lambda x, c=c, w=w: 1.0 / (w * w + (x - c) ** 2),
+            lambda x, c=c, w=w: np.exp(-(((x - c) / w) ** 2)) + x,
+            lambda x, p=p: x**p,
+        )[i % 3]
+        yield f, QuadratureConfig(abs_tol=0.0, rel_tol=0.0, endpoint_substitution=bool(i % 2))
+
+
+def test_rounds_evaluate_no_split_the_loop_leaves_unmade():
+    # The floor grows with every split.  Held to the floor at the first split
+    # of their round, rounds evaluated splits that the loop never made in 6 of
+    # these 300 integrals (360 abscissas); held to the floor at the last split
+    # a round can make, in none.  Every 10th integral matches the oracle.
+    unused = 0
+    for i, (f, cfg) in enumerate(_floor_dominated(4)):
+        counted = Counting(f)
+        res = integrate_interval(counted, 0.0, 1.0, cfg)
+        unused += sum(counted.sizes) - res.evaluations
+        if i % 10 == 0:
+            ref = panelwise_integrate(f, 0.0, 1.0, cfg)
+            assert (res.value, res.error) == (ref.value, ref.error)
+            assert (ref.evaluations // BASE_RULE_ORDER - 12) // 6 == (res.evaluations // BASE_RULE_ORDER - 12) // 4
+    assert unused == 0
 
 
 def test_rounds_take_fewer_calls_than_splits():

@@ -426,6 +426,19 @@ def test_family_rows_match_per_state_reference(p):
     _rows_match_per_state_reference(p, lambda states, xs: np.array([f(xs) for f in states]))
 
 
+@pytest.mark.parametrize("m, n", [(4, 3), (6, 5)])
+def test_states_keep_their_relative_accuracy_at_both_walls(m, n):
+    # at 0.999 L the angle pi x / L once carried the rounding of pi, and the
+    # wall power multiplied it: 1.3e-13 and 1.7e-13 off the 60-digit series,
+    # against 1.3e-15 and 5.1e-15 at 0.001 L.  The angle is now taken from
+    # the distance to the nearer wall: 1.9e-16 and 1.3e-15 at 0.999 L
+    p = MP_PARAMS[MP_IDS.index("gauge2")]
+    f = eigenfunction(p, m, n)
+    xs = np.array([0.001, 0.999]) * p.length
+    want = mp_eigenfunctions([f], xs)[0]
+    assert np.all(np.abs(f(xs) - want) <= 1e-14 * np.abs(want))
+
+
 @lru_cache(maxsize=None)
 def _per_state_reference(p):
     # the 60-digit Jacobi series of every state of levels 0-10, n 0-10 at
