@@ -39,6 +39,9 @@ _INT_KEYS = ("m", "n", "m_max", "n_max", "grid_points")
 _SCALAR_KEYS = _PARAM_KEYS + _INT_KEYS + ("format", "out")
 _ALIASES = {"l": "length", "grid": "grid_points"}
 _FORMATS = ("csv", "json")
+# a norm or a coherent state's norm quadrature passes strictly within this of 1
+# (coherent: the default of --tol-normalization)
+NORM_TOLERANCE = 1e-8
 
 
 class ConfigError(Exception):
@@ -331,6 +334,15 @@ def cmd_wavefn(cfg: dict) -> int:
     indices = {"m": m, "n": n}
     report = {"command": "wavefn", "params": _param_obj(params), "indices": indices, "norm": float(norm), "rows": rows}
     _write(cfg, report, [(None, ("x", "re", "im", "abs2"), rows)], {"indices": indices}, "norm")
+    # a state narrower than the grid and the norm quadrature resolve (at
+    # beta 1e30 or nu 1e150) integrates to a norm far from 1: reported, not good
+    if not abs(norm - 1.0) < NORM_TOLERANCE:
+        print(
+            f"ptsusy: wavefn: norm {float(norm)!r} of state m {m}, n {n} is not within {NORM_TOLERANCE:g} of 1; "
+            "the state is not resolved by the norm quadrature",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 
@@ -384,7 +396,7 @@ def cmd_coherent(cfg: dict) -> int:
     if grid < 1:
         raise ConfigError("grid_points must be at least 1")
     tols = cfg.get("tol", {})
-    tol_norm = tols.get("normalization", 1e-8)
+    tol_norm = tols.get("normalization", NORM_TOLERANCE)
     tol_overlap = tols.get("overlap", 1e-8)
     tol_resolution = tols.get("resolution", 1e-6)
 

@@ -80,6 +80,8 @@ def level_number(value) -> int:
     an index never reaches ``range`` or an array subscript as anything but an
     int.
     """
+    if type(value) is int and value >= 0:  # the common case; a bool is not an int here
+        return value
     if isinstance(value, bool) or not (
         isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and float(value).is_integer())
     ):

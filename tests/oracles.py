@@ -69,6 +69,13 @@ It builds that shifted parameter set and its own table; the package reads
 entry (m, n) of the table of the unshifted set, and the two agree bit for
 bit.
 
+``per_state_log_K`` and ``per_state_cot_q`` are log K and Q of one state as
+``wavefn.EigenFunction`` built them before ``wavefn.state_table``: the
+product form's rung factors summed one at a time on Python floats, and
+Jacobi's three-term recurrence run for that state alone.  The table runs
+the recurrence once per distinct S for all states and the rung factors in
+one masked pass, and every entry agrees with these bit for bit.
+
 ``mp_eigenfunctions`` and ``mp_partner`` are the eigenfunctions and the
 explicit first-level form of Bergeron et al. (J. Phys. A 45 (2012) 244028)
 from the Jacobi polynomials at 60 digits
@@ -163,7 +170,7 @@ from ptsusy.spectrum import (
     gap_factor_M,
     gap_factor_N,
 )
-from ptsusy.wavefn import eigenfunction, normalization_K
+from ptsusy.wavefn import eigenfunction, ground_table, normalization_K
 
 
 def serial_jet_mul(a, b):
@@ -579,6 +586,40 @@ def scaled_phase_sum(log_terms) -> tuple[float, complex]:
         return (-math.inf, 0.0 + 0.0j)
     scaled = [cmath.exp(lt - mstar) for lt in logs]
     return (mstar, _compensated_scalar_sum(scaled))
+
+
+def per_state_log_K(params, m: int, n: int) -> float:
+    """log K of state n of level m by its own product form, one state at a
+    time on Python floats: the ground constant of ``wavefn.ground_table``
+    plus the rung factors at nu + m, accumulated in rising rung order."""
+    nu, beta = params.nu + m, params.beta
+    s = n + nu + 1.0
+    log_rungs = n * math.log(s) if n else 0.0
+    log_rungs += 0.5 * (
+        math.lgamma(n + 1.0)
+        + math.lgamma(2.0 * n + 2.0 * nu + 2.0)
+        - math.lgamma(n + 2.0 * nu + 2.0)
+    )
+    for j in range(1, n + 1):
+        log_rungs -= 0.5 * math.log((nu + j) ** 2 * s * s + beta * beta)
+    return ground_table(params)[m, n] + log_rungs
+
+
+def per_state_cot_q(params, m: int, n: int) -> np.ndarray:
+    """Q of state n of level m by Jacobi's three-term recurrence (DLMF 18.9.1)
+    run for that state alone on Python floats, S = n + (nu + m) + 1:
+    Q_0 = 1, Q_1 = beta / S + (1 - S) c and
+    Q_(k+1) = (A_k c + b_k) Q_k + C_k Q_(k-1), lowest power first."""
+    beta, s = params.beta, n + (params.nu + m) + 1.0
+    q_prev, q = [1.0], [beta / s, 1.0 - s]
+    for k in range(1, n):
+        two = 2.0 * (k - s)
+        den = (k + 1) * (k - 2.0 * s + 1.0)
+        a = (two + 1.0) * (two + 2.0) / (2.0 * den)
+        b = -4.0 * beta * (two + 1.0) / (2.0 * den * two)
+        c = ((k - s) ** 2 + (beta / s) ** 2) * (two + 2.0) / (den * two)
+        q_prev, q = q, [a * lo + b * mid + c * hi for lo, mid, hi in zip([0.0, *q], [*q, 0.0], [*q_prev, 0.0, 0.0])]
+    return np.array(q if n else q_prev)
 
 
 def shifted_normalization_K(params, m: int, n: int) -> float:

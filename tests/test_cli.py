@@ -155,6 +155,28 @@ def test_wavefn_states_are_real_in_csv_and_json(capsys):
     assert any(r["re"] != 0.0 for r in rows)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--nu", "1", "--beta", "1e30", "--m", "0", "--n", "1"],
+        ["--nu", "1e150", "--beta", "0", "--m", "0", "--n", "0"],
+        ["--nu", "0", "--beta", "1e150", "--m", "0", "--n", "0"],
+    ],
+)
+def test_wavefn_unresolved_state_exits_1_with_its_report(capsys, args):
+    # each state is narrower than the grid and the norm quadrature resolve
+    # (within about 1e-30 L of a wall at beta 1e30, a peak about 1e-75 L wide
+    # at nu 1e150): its norm reads 0.0, which once exited 0.  The report is
+    # still written, with one stderr line and no warning
+    assert ptsusy.cli.main(["wavefn", *args, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["norm"] == 0.0 and len(report["rows"]) == 101
+    (line,) = captured.err.splitlines()
+    assert line.startswith("ptsusy: wavefn: norm 0.0 of state") and "1e-08" in line
+
+
 def test_verify_json_schema_and_exit_zero(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli(

@@ -84,7 +84,12 @@ def test_import_budget(case):
 @pytest.mark.parametrize("module", ["ptsusy.wavefn", "ptsusy.operators", "ptsusy.coherent"])
 def test_each_layer_of_the_import_cycle_loads_alone(module):
     # wavefn binds operators at its foot and operators imports wavefn at its
-    # head: either may load first, and each binds the other
-    probe = f"import {module}, ptsusy.wavefn as w, ptsusy.operators as o; assert w.operators is o and o.EigenFunction is w.EigenFunction"
+    # head: either may load first, and each binds the other.  No table of
+    # states is built at import
+    probe = (
+        f"import {module}, ptsusy.wavefn as w, ptsusy.operators as o; "
+        "assert w.operators is o and o.EigenFunction is w.EigenFunction; "
+        "assert w.state_table.cache_info().currsize == w.ground_table.cache_info().currsize == 0"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -17,6 +17,7 @@ from ptsusy.spectrum import (
     energy,
     gap_factor_M,
     gap_factor_N,
+    level_number,
 )
 
 from conftest import PARAM_GRID
@@ -152,6 +153,25 @@ def test_bool_level_indices_rejected(m, n):
     # bool is an Integral, but True is not level 1
     with pytest.raises(DomainError, match="level indices must be integers, got (True|False)"):
         LevelIndex(m, n)
+
+
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [
+        (True, "level indices must be integers, got True"),
+        (2.5, "level indices must be integers, got 2.5"),
+        (math.nan, "level indices must be integers, got nan"),
+        ("2", "level indices must be integers, got '2'"),
+        (None, "level indices must be integers, got None"),
+        (-1, "level indices must be nonnegative"),
+    ],
+)
+def test_rejected_level_numbers_keep_their_messages(value, message):
+    # the plain-int fast path lets none of these through: a bool is not of
+    # type int, and a negative int falls through to the full check
+    with pytest.raises(DomainError) as info:
+        level_number(value)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -4,6 +4,7 @@ against finite differences, the superpotential log-derivative law, and the
 product-form normalization against the double-sum oracle.
 """
 
+import hashlib
 import math
 import time
 from functools import lru_cache
@@ -24,6 +25,7 @@ from ptsusy.wavefn import (
     ground_table,
     log_ground_constant,
     normalization_K,
+    state_table,
 )
 
 from conftest import DEFAULT, PARAM_GRID, interior_grid
@@ -37,6 +39,8 @@ from oracles import (
     mp_partner,
     normalization_double_sum,
     pairwise_gram,
+    per_state_cot_q,
+    per_state_log_K,
     shifted_normalization_K,
     superpotential,
 )
@@ -154,6 +158,89 @@ def test_states_of_every_level_cost_one_log_gamma_call_and_no_params(monkeypatch
     assert calls == [(LEVEL_CAP + 1) * (LEVEL_CAP + 2) // 2]
     assert built == []
     assert all(math.isfinite(f.log_K) for f in states)
+
+
+def _state_digests(p, cot_terms) -> list:
+    # one sha256 per state of p under the cap, of its (log K, gamma, a, Q)
+    # from cot_terms(m, n): the three floats by their hex form, Q by its bytes
+    digests = []
+    for m in range(LEVEL_CAP + 1):
+        for n in range(LEVEL_CAP + 1 - m):
+            log_k, gamma, power, q = cot_terms(m, n)
+            assert q.dtype == np.float64 and q.shape == (n + 1,), (m, n)
+            text = " ".join(float(v).hex() for v in (log_k, gamma, power))
+            digests.append(hashlib.sha256(text.encode() + q.tobytes()).hexdigest())
+    return digests
+
+
+def _table_terms(p):
+    def terms(m, n):
+        (term,) = EigenFunction(p, LevelIndex(m=m, n=n)).cot_terms
+        return term
+
+    return terms
+
+
+def _per_state_terms(p):
+    # each state by its own recurrence and its own product form, as every
+    # EigenFunction built them before the table
+    def terms(m, n):
+        s = n + (p.nu + m) + 1.0
+        return per_state_log_K(p, m, n), -p.beta * math.pi / (p.length * s), s, per_state_cot_q(p, m, n)
+
+    return terms
+
+
+STATE_TABLE_SETS = [
+    DEFAULT,
+    ModelParams(nu=0.37, beta=0.0, hbar=2.0, length=2.0, mass=1.0),
+    ModelParams(nu=0.0, beta=0.0),
+    ModelParams(nu=0.2, beta=400.0),
+    ModelParams(nu=20.0, beta=200.0),
+    ModelParams(nu=60.0, beta=5.0),
+    TABLE_PARAMS[-1],
+]
+
+
+def test_state_table_is_the_per_state_route_bit_for_bit():
+    # every state under the cap read from its parameter set's table against
+    # the same state by its own recurrence and product form, hashed: on the
+    # named sets and 300 seeded ones with nu up to 100 and beta up to 500
+    # (69,300 states).  numpy's ** 2 or np.log in the table's build in place
+    # of np.float_power or math.log fails it.  About 1.5 s on 2 cores
+    rng = np.random.default_rng(20)
+    sweep = [ModelParams(nu=rng.uniform(0.0, 100.0), beta=rng.uniform(0.0, 500.0)) for _ in range(300)]
+    start = time.perf_counter()
+    for p in STATE_TABLE_SETS + sweep:
+        got, want = _state_digests(p, _table_terms(p)), _state_digests(p, _per_state_terms(p))
+        assert got == want, (p, [i for i, (g, w) in enumerate(zip(got, want)) if g != w][:5])
+    assert time.perf_counter() - start < 30.0
+
+
+def test_state_table_is_read_only_and_states_read_views():
+    table = state_table(DEFAULT)
+    for array in table:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    assert table.log_K.shape == (LEVEL_CAP + 1, LEVEL_CAP + 1)
+    assert np.isnan(table.log_K[1, LEVEL_CAP]) and not np.isnan(table.log_K[1, LEVEL_CAP - 1])
+    # a new state: one cached earlier may hold a table since evicted
+    ((log_k, _, _, q),) = EigenFunction(DEFAULT, LevelIndex(m=3, n=4)).cot_terms
+    assert q.base is table.q and not q.flags.writeable
+    assert log_k == table.log_K[3, 4] and normalization_K(DEFAULT, 4) == table.log_K[0, 4]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("nu", "beta"), [(1e150, 0.0), (0.0, 1e150), (1.0, 1e30), (0.0, 0.0)])
+def test_state_table_builds_silently_at_the_corners(nu, beta):
+    # the rung factors or the Q of the high states overflow at the first
+    # three; the build raises and warns nothing, and only a call that reads
+    # such a state warns (see test_overflowing_stack_rows_warn_only_when_read)
+    p = ModelParams(nu=nu, beta=beta)
+    table = state_table.__wrapped__(p)
+    assert math.isfinite(table.log_K[0, 0]) and np.all(np.isfinite(table.cot_q(0, 1)))
+    ((log_k, _, _, q),) = EigenFunction(p, LevelIndex(m=0, n=0)).cot_terms
+    assert log_k == table.log_K[0, 0] and q.tolist() == [1.0]
 
 
 @pytest.mark.parametrize("n", [2.0, np.int64(2), np.float64(2.0)])
