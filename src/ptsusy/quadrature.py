@@ -374,8 +374,7 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
 def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAULT_CONFIG) -> IntegralResult:
     """Integrate f over the half line [0, inf) only, assuming an exponential tail.
 
-    The ``lower`` parameter and the whole-line default are gone: a
-    whole-line integral is that of f(u) + f(-u) over [0, inf).
+    A whole-line integral is that of f(u) + f(-u) over [0, inf).
 
     Args:
         f: vectorized integrand, shape (n,) or (..., n) as for

@@ -9,12 +9,8 @@ gives every ladder relation a positive connection constant.
 Normalization constants come from an exact product form: the ground constant
 of the index-shifted family times explicit positive factors, one per rung.
 State n of level m is base state n of the family with strength index nu + m,
-so its ground constant is the base one at (nu + m) + n.  Every ground
-constant one ``ModelParams`` can reach, entry (m, j) for m + j <= LEVEL_CAP,
-sits in one read-only table, computed in one vectorised ``log_gamma`` call
-over its 231 entries (``ground_table``), bit for bit what the scalar
-``log_ground_constant`` gives at (nu + m) + j.  ``CoherentState`` has no
-level cap and keeps the scalar call.
+so its ground constant is ``log_ground_constant`` at (nu + m) + n.
+``CoherentState`` has no level cap and makes the scalar call.
 
 A state's values come from its cotangent form, ``EigenFunction.cot_terms``:
 with e^(+-i theta) = sin theta (cot theta +- i), the Jacobi factor on the
@@ -25,9 +21,10 @@ E_n^(m+1) = E_(n+1)^(m)), so the states of one S are successive steps of
 one recurrence.  ``state_table`` holds every state under the cap of one
 ``ModelParams``, its log K and its Q, read-only: built once, when the set's
 first state is asked for and never at import, with the recurrence run for
-every distinct S at once and the rung factors of every log K in one masked
-pass.  Each entry is bit for bit the state's own scalar route
-(``tests/oracles.py``), and no state builds a shifted ``ModelParams``.
+every distinct S at once and the ground constants and rung factors of every
+log K in one pass each.  Each entry is bit for bit the state's own scalar
+route (``tests/oracles.py``), and no state builds a shifted ``ModelParams``.
+A state keeps a copy of its Q, not the table.
 A call is ``operators.operand_values``, the empty word of
 the operator layer: a bare state reads its row of the memoized fold of its
 level's stack, with exact zeros on the walls.  ``gram_matrix`` and
@@ -53,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,40 +98,22 @@ def log_ground_constant(nu, beta: float, length: float):
     return out[()]
 
 
-@lru_cache(maxsize=256)
-def ground_table(params: ModelParams) -> np.ndarray:
-    """log_ground_constant((nu + m) + j, beta, L) at row m, column j, read-only.
-
-    Row m is the ground ladder of level m.  The table is filled for
-    m + j <= LEVEL_CAP in one vectorised pass per ``ModelParams``, NaN beyond
-    the cap, when the set's ``state_table`` is built: every log K there is
-    its entry (m, n) plus the rung factors.  Entry (m, j) is bit for bit the
-    scalar call at (nu + m) + j, the strength index of level m shifted by j.
-    """
-    r = np.arange(LEVEL_CAP + 1)
-    m, j = np.nonzero(np.add.outer(r, r) <= LEVEL_CAP)
-    table = np.full((LEVEL_CAP + 1, LEVEL_CAP + 1), np.nan)
-    table[m, j] = log_ground_constant((params.nu + m) + j, params.beta, params.length)
-    table.flags.writeable = False
-    return table
-
-
 class StateTable(NamedTuple):
     """Every state of one ``ModelParams`` under ``LEVEL_CAP``, read-only.
 
     ``log_K[m, n]`` is log K of state n of level m, NaN past the cap.  The
     Q of every state (its cotangent polynomial, lowest power first) sits in
-    ``q``, one state after the other, state (m, n) at ``start[m, n]`` with
-    its n + 1 coefficients; ``cot_q`` hands out that slice as a view.
+    ``q`` as the recurrence leaves it, step by S row by coefficient: state
+    (m, n) is ``q[n, row[m, n], 1 : n + 2]``, which ``cot_q`` hands out as a
+    view.
     """
 
     log_K: np.ndarray
     q: np.ndarray
-    start: np.ndarray
+    row: np.ndarray
 
     def cot_q(self, m: int, n: int) -> np.ndarray:
-        i = self.start[m, n]
-        return self.q[i : i + n + 1]
+        return self.q[n, self.row[m, n], 1 : n + 2]
 
 
 def _rungs(params: ModelParams, m: np.ndarray, n: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -159,11 +138,12 @@ def _rungs(params: ModelParams, m: np.ndarray, n: np.ndarray, s: np.ndarray) -> 
     return out
 
 
-def _cot_polynomials(beta: float, n: np.ndarray, s: np.ndarray, first: np.ndarray) -> np.ndarray:
-    # the Q of every state, state i from first[i] on: Jacobi's recurrence
+def _cot_polynomials(beta: float, n: np.ndarray, s: np.ndarray) -> tuple:
+    # the Q of every state and the row of each state's S: Jacobi's recurrence
     # (DLMF 18.9.1) on cot, run once per distinct S for all the states of that
     # S, each S advanced only up to its deepest n, so no denominator vanishes.
-    # Squares go through float_power, pow as Python's ** calls it
+    # State i's Q is q[n[i], row[i], 1 : n[i] + 2].  Squares go through
+    # float_power, pow as Python's ** calls it
     deepest = {}
     for value, k in zip(s.tolist(), n.tolist()):
         deepest[value] = max(deepest.get(value, 0), k)
@@ -196,8 +176,7 @@ def _cot_polynomials(beta: float, n: np.ndarray, s: np.ndarray, first: np.ndarra
         q[k + 1, : live[k], 1 : k + 3] = (
             a * q[k, : live[k], : k + 2] + b * q[k, : live[k], 1 : k + 3] + c * q[k - 1, : live[k], 1 : k + 3]
         )
-    state = np.repeat(np.arange(len(n)), n + 1)
-    return q[n[state], row[state], 1 + np.arange(len(state)) - first[state]]
+    return q, row
 
 
 @lru_cache(maxsize=256)
@@ -209,10 +188,11 @@ def state_table(params: ModelParams) -> StateTable:
     m + 1 sets its Q and the states of one S are successive members of one
     three-term recurrence: Q is run once per distinct S across all S at
     once, each advanced only to the deepest n that S has.  log K is the
-    ground constant of ``ground_table`` plus the rung factors of every state
-    in one masked pass, each state's terms taken in the order of the scalar
-    product form.  Every entry is bit for bit the per-state route: squares
-    by ``np.float_power`` (pow, as Python's ** calls it), logs and log-gammas
+    ground constant at (nu + m) + n, one ``log_ground_constant`` call for
+    all states, plus the rung factors of every state in one masked pass,
+    each state's terms taken in the order of the scalar product form.
+    Every entry is bit for bit the per-state route: squares by
+    ``np.float_power`` (pow, as Python's ** calls it), logs and log-gammas
     per entry.  The build runs with numpy's warnings off: a state whose
     factors overflow holds inf or NaN, and only a call that reads it warns.
     """
@@ -220,16 +200,14 @@ def state_table(params: ModelParams) -> StateTable:
     m, n = np.nonzero(np.add.outer(r, r) <= LEVEL_CAP)
     s = n + (params.nu + m) + 1.0
     log_K = np.full((LEVEL_CAP + 1, LEVEL_CAP + 1), np.nan)
-    first = np.concatenate([[0], np.cumsum(n + 1)[:-1]])
-    start = np.zeros((LEVEL_CAP + 1, LEVEL_CAP + 1), dtype=int)
-    start[m, n] = first
-    ground = ground_table(params)[m, n]
+    row = np.zeros((LEVEL_CAP + 1, LEVEL_CAP + 1), dtype=int)
+    ground = log_ground_constant((params.nu + m) + n, params.beta, params.length)
     with np.errstate(all="ignore"):
         log_K[m, n] = ground + _rungs(params, m, n, s)
-        q = _cot_polynomials(params.beta, n, s, first)
-    for array in (log_K, q, start):
+        q, row[m, n] = _cot_polynomials(params.beta, n, s)
+    for array in (log_K, q, row):
         array.flags.writeable = False
-    return StateTable(log_K, q, start)
+    return StateTable(log_K, q, row)
 
 
 @lru_cache(maxsize=2048, typed=True)  # typed: True must not hit the entry of 1
@@ -237,7 +215,7 @@ def normalization_K(params: ModelParams, n: int) -> float:
     """log K, the log of the normalization constant of the n-th base eigenfunction.
 
     Product route: the ground constant of the family with strength index
-    nu + n, entry (0, n) of ``ground_table(params)``, times
+    nu + n, ``log_ground_constant(nu + n, beta, L)``, times
 
         s**n sqrt(n! (n + 2 nu + 2)_n / prod_{j=1..n} ((nu + j)^2 s^2 + beta^2))
 
@@ -255,18 +233,21 @@ def normalization_K(params: ModelParams, n: int) -> float:
 class EigenFunction:
     """One normalized bound state, real valued; callable on scalars or arrays of x.
 
-    Every level evaluates its own closed form: level m, state n is the
-    level-zero state n of the family with strength index nu + m.  Its log K
-    (that state's product form at nu + m) and its Q are entry (m, n) of the
-    parameter set's ``state_table``, read when the state is built, which
-    builds the table if it is the set's first state; no shifted
-    ``ModelParams`` is built.  A call is the state's empty word in the
-    operator layer (``operators.operand_values``): a float for a scalar x,
-    an array of the shape of x otherwise, exactly 0 on the walls, and
-    ``DomainError`` for x outside [0, L] or NaN.  The same function built by
-    folding the ladder chain over the base family (see the operator layer)
-    agrees with this pointwise; the test suite checks that instead of
-    assuming it.
+    Level m, state n is the level-zero state n of the family with strength
+    index nu + m.  Its log K and Q are entry (m, n) of the parameter set's
+    ``state_table``, read when the state is built, which builds the table if
+    it is the set's first state; no shifted ``ModelParams`` is built.
+    ``cot_terms`` is the state as one term (log K, gamma, a, Q) of the
+    cotangent form K e^(gamma x) sin^a Q(cot) that operator words act on:
+    a = S = nu + m + n + 1, gamma = -beta pi / (L S) and Q(c) = (-i)^n
+    P_n^(alpha, conj alpha)(i c), alpha = -S + i beta / S, real under the
+    phase, lowest power first, a read-only copy of the table's row.  A call
+    is the state's empty word in the operator layer
+    (``operators.operand_values``): a float for a scalar x, an array of the
+    shape of x otherwise, exactly 0 on the walls, and ``DomainError`` for x
+    outside [0, L] or NaN.  The same function built by folding the ladder
+    chain over the base family (see the operator layer) agrees with this
+    pointwise; the test suite checks that instead of assuming it.
     """
 
     def __init__(self, params: ModelParams, idx: LevelIndex):
@@ -275,11 +256,11 @@ class EigenFunction:
         self.idx = idx
         m, n = idx.m, idx.n
         table = state_table(params)
-        self._nu_eff = params.nu + m
         self.log_K = table.log_K[m, n]
-        self._q = table.cot_q(m, n)
-        self._s = n + self._nu_eff + 1.0
-        self._gamma = -params.beta * math.pi / (params.length * self._s)
+        s = n + (params.nu + m) + 1.0
+        q = table.cot_q(m, n).copy()
+        q.flags.writeable = False
+        self.cot_terms = ((self.log_K, -params.beta * math.pi / (params.length * s), s, q),)
 
     @property
     def energy(self) -> float:
@@ -287,22 +268,6 @@ class EigenFunction:
 
     def __call__(self, x):
         return operators.operand_values(self, x)
-
-    @cached_property
-    def cot_terms(self) -> tuple:
-        """The state as one term (log C, gamma, a, Q) of the cotangent form
-        C e^(gamma x) sin^a Q(cot) that operator words act on, a = nu + m + n + 1.
-
-        Q(c) = (-i)^n P_n^(alpha, conj alpha)(i c), alpha = -S + i beta / S and
-        S = a, the Fourier sum with e^(+-i theta) = sin (cot +- i), every
-        coefficient real under the phase, lowest power first.  Q is a
-        read-only view of the state's row of ``state_table``, which builds it
-        by Jacobi's three-term recurrence (DLMF 18.9.1): Q_0 = 1,
-        Q_1 = beta / S + (1 - S) c and Q_(k+1) = (A_k c + b_k) Q_k + C_k Q_(k-1).
-        No denominator vanishes for k < n < S.  Unlike the two-sided binomial
-        sum over the Fourier row (DLMF 18.5.8), whose terms cancel at large
-        nu or beta, no step cancels."""
-        return ((self.log_K, self._gamma, self._s, self._q),)
 
     def taylor(self, x, order: int) -> jets.Jet:
         """Taylor jet at interior point(s) x; batch axes follow the shape of x.
@@ -382,8 +347,12 @@ def gram_matrix(
     per integrand call, each row bit for bit the operand's own call at the
     same interior nodes; the integrand is real when every operand is.
     Operands of different ``ModelParams``, or without ``params`` and
-    ``cot_terms``, raise ``DomainError``.
+    ``cot_terms``, raise ``DomainError``, and so does a ``length`` other
+    than the operands' ``params.length``.
     """
+    own = getattr(functions[0], "params", None) if len(functions) else None
+    if own is not None and own.length != length:
+        raise DomainError(f"a Gram matrix over [0, {length}] of operands of length {own.length}")
     if config is None:
         config = replace(DEFAULT_CONFIG, endpoint_substitution=True)
     return _gram(functions, 0.0, length, config)

@@ -63,11 +63,10 @@ identical but numerically ill conditioned (its terms cancel roughly like
 10**n), so it guards itself and serves as a cross-check at small n only.
 
 ``shifted_normalization_K`` is log K of state n of level m as
-``wavefn.EigenFunction`` formed it before ``wavefn.ground_table``: the base
-constant of a ``ModelParams`` whose strength index is shifted to nu + m.
-It builds that shifted parameter set and its own table; the package reads
-entry (m, n) of the table of the unshifted set, and the two agree bit for
-bit.
+``wavefn.EigenFunction`` once formed it: the base constant of a
+``ModelParams`` whose strength index is shifted to nu + m.  It builds that
+shifted parameter set and its own table; the package reads entry (m, n) of
+the table of the unshifted set, and the two agree bit for bit.
 
 ``per_state_log_K`` and ``per_state_cot_q`` are log K and Q of one state as
 ``wavefn.EigenFunction`` built them before ``wavefn.state_table``: the
@@ -170,7 +169,7 @@ from ptsusy.spectrum import (
     gap_factor_M,
     gap_factor_N,
 )
-from ptsusy.wavefn import eigenfunction, ground_table, normalization_K
+from ptsusy.wavefn import eigenfunction, log_ground_constant, normalization_K
 
 
 def serial_jet_mul(a, b):
@@ -590,8 +589,8 @@ def scaled_phase_sum(log_terms) -> tuple[float, complex]:
 
 def per_state_log_K(params, m: int, n: int) -> float:
     """log K of state n of level m by its own product form, one state at a
-    time on Python floats: the ground constant of ``wavefn.ground_table``
-    plus the rung factors at nu + m, accumulated in rising rung order."""
+    time on Python floats: the scalar ground constant at (nu + m) + n plus
+    the rung factors at nu + m, accumulated in rising rung order."""
     nu, beta = params.nu + m, params.beta
     s = n + nu + 1.0
     log_rungs = n * math.log(s) if n else 0.0
@@ -602,7 +601,7 @@ def per_state_log_K(params, m: int, n: int) -> float:
     )
     for j in range(1, n + 1):
         log_rungs -= 0.5 * math.log((nu + j) ** 2 * s * s + beta * beta)
-    return ground_table(params)[m, n] + log_rungs
+    return log_ground_constant(nu + n, beta, params.length) + log_rungs
 
 
 def per_state_cot_q(params, m: int, n: int) -> np.ndarray:
@@ -839,7 +838,8 @@ def fourier_row(f) -> np.ndarray:
     C(n + conj alpha, k), alpha = -S + i beta / S, S = nu + m + n + 1.  The
     binomials of conjugate arguments are conjugate, each a product of its
     factors, so G_(n - k) = conj G_k up to rounding."""
-    n, s = f.idx.n, f._s
+    ((_, _, s, _),) = f.cot_terms
+    n = f.idx.n
     w = n + complex(-s, f.params.beta / s)
     binom = [1.0 + 0.0j]
     for j in range(n):
@@ -862,7 +862,8 @@ def full_length_rows(states, x):
         acc = np.full(theta.shape, g[-1])
         for g_k in g[-2::-1]:
             acc = acc * z + g_k
-        envelope = np.exp(f.log_K + f._gamma * x + (f._nu_eff + 1.0) * np.log(np.sin(theta)))
+        ((log_k, gamma, _, _),) = f.cot_terms
+        envelope = np.exp(log_k + gamma * x + (p.nu + f.idx.m + 1.0) * np.log(np.sin(theta)))
         rows.append(envelope * acc * np.exp(-1j * f.idx.n * theta))
     return np.array(rows)
 

@@ -22,7 +22,6 @@ from ptsusy.wavefn import (
     EigenFunction,
     eigenfunction,
     gram_matrix,
-    ground_table,
     log_ground_constant,
     normalization_K,
     state_table,
@@ -98,24 +97,23 @@ def test_ground_constant_symmetric_well():
 
 
 # nu = 0.123: (nu + m) + j and nu + (m + j) round apart at 88 of the 231
-# entries, and 54 of their ground constants differ, so the table's order of
-# operations is pinned
+# entries, and 54 of their ground constants differ, so the order of
+# operations of the state table's ground constants is pinned
 TABLE_PARAMS = PARAM_GRID + [ModelParams(nu=0.123, beta=2.0456, hbar=1.0, length=1.0, mass=0.5)]
 
 
 @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"nu{p.nu}b{p.beta}L{p.length}")
 def test_ground_ladder_matches_scalar_route_bit_for_bit(p):
-    # row m of the table is the ground ladder of level m
-    table = ground_table(p)
-    assert table.shape == (LEVEL_CAP + 1, LEVEL_CAP + 1)
-    for m in range(LEVEL_CAP + 1):
-        for j in range(LEVEL_CAP + 1):
-            if m + j > LEVEL_CAP:
-                assert math.isnan(table[m, j]), (m, j)
-                continue
-            scalar = log_ground_constant((p.nu + m) + j, p.beta, p.length)
-            assert isinstance(scalar, float)
-            assert table[m, j].hex() == scalar.hex(), (m, j)
+    # the ground ladders of every level, one log_ground_constant call on the
+    # 231 index arrays of the state table, against the scalar call at (nu + m) + j
+    r = np.arange(LEVEL_CAP + 1)
+    m, j = np.nonzero(np.add.outer(r, r) <= LEVEL_CAP)
+    ladder = log_ground_constant((p.nu + m) + j, p.beta, p.length)
+    assert ladder.shape == (231,)
+    for k, (level, rung) in enumerate(zip(m.tolist(), j.tolist())):
+        scalar = log_ground_constant((p.nu + level) + rung, p.beta, p.length)
+        assert isinstance(scalar, float)
+        assert ladder[k].hex() == scalar.hex(), (level, rung)
 
 
 @pytest.mark.parametrize("p", TABLE_PARAMS, ids=lambda p: f"nu{p.nu}b{p.beta}L{p.length}")
@@ -126,14 +124,6 @@ def test_every_log_K_matches_the_shifted_parameter_route(p):
         for n in range(LEVEL_CAP + 1 - m):
             got = EigenFunction(p, LevelIndex(m=m, n=n)).log_K
             assert float(got).hex() == float(shifted_normalization_K(p, m, n)).hex(), (m, n)
-
-
-def test_ground_ladder_is_read_only():
-    table = ground_table(DEFAULT)
-    with pytest.raises(ValueError):
-        table[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        table += 1.0
 
 
 def test_states_of_every_level_cost_one_log_gamma_call_and_no_params(monkeypatch):
@@ -217,17 +207,20 @@ def test_state_table_is_the_per_state_route_bit_for_bit():
     assert time.perf_counter() - start < 30.0
 
 
-def test_state_table_is_read_only_and_states_read_views():
+def test_state_table_is_read_only_and_states_keep_their_own_q():
     table = state_table(DEFAULT)
     for array in table:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 0
     assert table.log_K.shape == (LEVEL_CAP + 1, LEVEL_CAP + 1)
     assert np.isnan(table.log_K[1, LEVEL_CAP]) and not np.isnan(table.log_K[1, LEVEL_CAP - 1])
-    # a new state: one cached earlier may hold a table since evicted
-    ((log_k, _, _, q),) = EigenFunction(DEFAULT, LevelIndex(m=3, n=4)).cot_terms
-    assert q.base is table.q and not q.flags.writeable
+    ((log_k, _, _, q),) = eigenfunction(DEFAULT, 3, 4).cot_terms
+    assert q.tobytes() == table.cot_q(3, 4).tobytes()
     assert log_k == table.log_K[3, 4] and normalization_K(DEFAULT, 4) == table.log_K[0, 4]
+    # a cached state holds no table once the table cache lets it go
+    state_table.cache_clear()
+    ((_, _, _, q),) = eigenfunction(DEFAULT, 3, 4).cot_terms
+    assert not q.flags.writeable and q.base is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -552,7 +545,7 @@ def test_recurrence_q_matches_the_convolution_q(p):
             f = eigenfunction(p, m, n)
             ((_, _, power, q),) = f.cot_terms
             want = convolution_cot_q(f)
-            assert power == n + f._nu_eff + 1.0 and q.dtype == np.float64 and q.shape == want.shape, f.idx
+            assert power == n + (p.nu + m) + 1.0 and q.dtype == np.float64 and q.shape == want.shape, f.idx
             assert np.max(np.abs(q - want)) <= 1e-14 * np.max(np.abs(want)), f.idx
 
 
@@ -732,22 +725,43 @@ def test_stacked_gram_leaves_the_fold_memo_as_it_was():
 OTHER = ModelParams(nu=2.5, beta=1.0)
 
 
+ONE_MODEL = "one ModelParams"
+
+
 @pytest.mark.parametrize(
-    "operands",
+    ("operands", "length", "match"),
     [
-        lambda: [eigenfunction(DEFAULT, 0, 0), eigenfunction(OTHER, 0, 1)],
-        lambda: [CoherentState(DEFAULT, 0, PhasePoint(0.3, 1.0)), CoherentState(OTHER, 0, PhasePoint(0.3, 1.0))],
-        lambda: [operators._bump(DEFAULT, 101), operators._bump(OTHER, 101)],
-        lambda: [lambda x: np.sin(np.pi * x) * np.sqrt(2.0)],
-        lambda: [eigenfunction(DEFAULT, 0, 0), lambda x: np.sin(np.pi * x)],
-        lambda: [_OperandStack(operators.test_corpus(DEFAULT, 0))],
+        (lambda: [eigenfunction(DEFAULT, 0, 0), eigenfunction(OTHER, 0, 1)], DEFAULT.length, ONE_MODEL),
+        (
+            lambda: [CoherentState(DEFAULT, 0, PhasePoint(0.3, 1.0)), CoherentState(OTHER, 0, PhasePoint(0.3, 1.0))],
+            DEFAULT.length,
+            ONE_MODEL,
+        ),
+        (lambda: [operators._bump(DEFAULT, 101), operators._bump(OTHER, 101)], DEFAULT.length, ONE_MODEL),
+        (lambda: [lambda x: np.sin(np.pi * x) * np.sqrt(2.0)], DEFAULT.length, ONE_MODEL),
+        (lambda: [eigenfunction(DEFAULT, 0, 0), lambda x: np.sin(np.pi * x)], DEFAULT.length, ONE_MODEL),
+        (lambda: [_OperandStack(operators.test_corpus(DEFAULT, 0))], DEFAULT.length, ONE_MODEL),
+        # over [0, 0.5] the diagonal read 0.81, 0.42 and 0.53 with no error,
+        # and over [0, 2] the nodes past the wall raised a confusing error
+        (lambda: [eigenfunction(DEFAULT, 0, n) for n in range(3)], 0.5, r"\[0, 0\.5\] .* length 1\.0"),
+        (lambda: [eigenfunction(DEFAULT, 0, n) for n in range(3)], 2.0, r"\[0, 2\.0\] .* length 1\.0"),
     ],
-    ids=["eigen_mixed_params", "coherent_mixed_params", "bump_mixed_params", "plain_callable", "eigen_and_plain", "no_params"],
+    ids=[
+        "eigen_mixed_params",
+        "coherent_mixed_params",
+        "bump_mixed_params",
+        "plain_callable",
+        "eigen_and_plain",
+        "no_params",
+        "length_0.5",
+        "length_2.0",
+    ],
 )
-def test_gram_matrix_rejects_operands_it_cannot_stack(operands):
-    # one ModelParams, and params and cot_terms on every operand
-    with pytest.raises(DomainError, match="one ModelParams"):
-        gram_matrix(operands(), DEFAULT.length)
+def test_gram_matrix_rejects_operands_it_cannot_stack(operands, length, match):
+    # one ModelParams, params and cot_terms on every operand, and the
+    # operands' own length
+    with pytest.raises(DomainError, match=match):
+        gram_matrix(operands(), length)
 
 
 @pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
