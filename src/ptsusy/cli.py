@@ -54,7 +54,7 @@ def _tolerance_names(command: str) -> tuple[str, ...]:
     if command == "verify":
         from .operators import MANDATORY
 
-        return tuple(name for key, (_, aliases) in MANDATORY.items() for name in (key, *aliases))
+        return tuple(MANDATORY)
     if command == "coherent":
         return ("normalization", "overlap", "resolution")
     return ()
@@ -308,8 +308,8 @@ def cmd_spectrum(cfg: dict) -> int:
 def cmd_wavefn(cfg: dict) -> int:
     import numpy as np
 
-    from .quadrature import DEFAULT_CONFIG, integrate_interval
-    from .wavefn import eigenfunction
+    from .quadrature import DEFAULT_CONFIG
+    from .wavefn import _gram, eigenfunction
 
     params = _params(cfg)
     m = int(cfg.get("m", 0))
@@ -321,12 +321,7 @@ def cmd_wavefn(cfg: dict) -> int:
     xs = np.linspace(0.0, params.length, grid)
     vals = func(xs)
     eps = 1e-9 * params.length
-    norm = integrate_interval(
-        lambda x: np.abs(func(x)) ** 2,
-        eps,
-        params.length - eps,
-        replace(DEFAULT_CONFIG, endpoint_substitution=True),
-    ).value.real
+    norm = _gram([func], eps, params.length - eps, replace(DEFAULT_CONFIG, endpoint_substitution=True))[0, 0].real
     rows = [
         {"x": float(x), "re": float(v.real), "im": float(v.imag), "abs2": float(abs(v) ** 2)}
         for x, v in zip(xs, vals)
@@ -360,7 +355,7 @@ def cmd_verify(cfg: dict) -> int:
     tols = cfg.get("tol", {})
     entries = []
     for res in results:
-        tol = tols.get(res.name)
+        tol = tols.get(res.details.get("alias_of", res.name))  # an alias row follows its identity
         # a row whose residual is an error's name stays failed
         if tol is not None and not res.informational and not isinstance(res.max_residual, str):
             res = replace(res, threshold=tol, passed=passes(res.max_residual, tol))

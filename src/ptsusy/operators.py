@@ -1,7 +1,9 @@
 """First-order ladder operators, Hamiltonians, and the identity verification suite.
 
 Operator words (ladder steps and Hamiltonian applications at chosen hierarchy
-levels) act on the cotangent form of their operand: a sum of terms
+levels, an entry ("H", level, e) standing for H_level - e, so that an operator
+polynomial prod_k (H - E_k) is a word) act on the cotangent form of their
+operand: a sum of terms
 
     C e^(gamma x) sin(theta)^a Q(cot theta),    theta = pi x / L,
 
@@ -51,8 +53,9 @@ identity, flagging the deliberately ambiguous ones as informational rather
 than asserting them.
 Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
-apply to one level's states is folded once.  The words of a cell's pointwise rows
-are evaluated in one stacked call.  The quadrature rows of a cell (the chain
+apply to one level's states is folded once.  The words of a cell's
+pointwise rows, mixed_product's operator polynomial among them, are
+evaluated in one stacked call.  The quadrature rows of a cell (the chain
 means, the partial-chain means and the eigen residual) are the components
 of one integral on shared panels, each scaled so that one tolerance is its
 own; the words of that integral are folded and planned once per cell and
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -298,12 +302,12 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 
 #: The most folds the fold memo keeps; the least recently used goes first.
-#: A cold pass of the benchmark's ``verify`` (seed 1, 92 cells on two
-#: parameter sets, 750 keys folded) takes 768, 766 and 766 steps at 256, 512
-#: and 1,024 folds, and each pass from the third on 512, 74 and 74 (the
-#: second takes 439 at 512); the 74 are mixed_product's shifted H steps,
-#: which the memo does not keep.  With no bound it is 766 and 74.  Peak RSS
-#: of that process is 40.0 MB at 256 folds and 41.6 MB at 512 and beyond.
+#: The benchmark's ``verify`` cells (seed 1, 92 cells on two parameter sets)
+#: fold 824 keys, mixed_product's shifted H steps included.  Passes one to
+#: four take 788, 512, 512 and 512 steps at 256 folds, 766, 491, 426 and 426
+#: at 512 (740, 446, 0 and 0 without its ``HANG_CELLS``), and 766, 0, 0 and 0
+#: at 1,024.  Peak RSS of a benchmark run of ``verify``, one cold pass, is
+#: 42.3 MB at 256 folds, 43.7 MB at 512 and 45.1 MB at 1,024.
 FOLD_MEMO_SIZE = 512
 
 
@@ -314,7 +318,8 @@ def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Terms:
     # operand, sign) is folded once while the memo holds it
     if not word:
         return _Terms.of(params, func.cot_terms)
-    return _step(params, *word[-1], _fold(params, word[:-1], func, sign), sign)
+    kind, level, *shift = word[-1]
+    return _step(params, kind, level, _fold(params, word[:-1], func, sign), sign, *shift)
 
 
 def _check_sign(sign) -> None:
@@ -325,10 +330,11 @@ def _check_sign(sign) -> None:
 def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     """Apply a sequence of operators (first entry acts first) at points x.
 
-    Word entries are ("A", level), ("Adag", level), or ("H", level), with a
-    level that ``level_number`` accepts; any other entry, or a ``sign`` (the
-    superpotential's factor, -1 the negative control) other than the numbers
-    1 and -1, raises ``DomainError`` before the fold memo is consulted.
+    Word entries are ("A", level), ("Adag", level), ("H", level), or
+    ("H", level, e) for H_level - e, e a finite real number and not a bool,
+    with a level that ``level_number`` accepts; any other entry, or a ``sign``
+    (the superpotential's factor, -1 the negative control) other than the
+    numbers 1 and -1, raises ``DomainError`` before the fold memo is consulted.
     Returns the values of the resulting function at x, of shape x.shape, in
     the dtype of the operand's Q and gamma (float64 for eigenfunctions and
     bumps, complex128 for coherent states).  The word is folded on the
@@ -373,9 +379,12 @@ def _stacked_words(params: ModelParams, requests, memo: bool = True):
     # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
     for word, _, sign in requests:
         _check_sign(sign)
-        for kind, level in word:
+        for kind, level, *shift in word:
             if kind not in _KINDS:
                 raise DomainError(f"unknown operator kind {kind!r}")
+            e = shift[0] if kind == "H" and len(shift) == 1 else None
+            if shift and (isinstance(e, bool) or not isinstance(e, numbers.Real) or not abs(e) <= sys.float_info.max):
+                raise DomainError(f"a shifted entry is ('H', level, e), e finite and real, got {(kind, level, *shift)!r}")
             if type(level) is not int or level < 0:
                 level_number(level)
     fold = _fold if memo else _fold.__wrapped__
@@ -783,6 +792,8 @@ def verify_operator_identities(
     if n > m:
         phi_hi = eigenfunction(params, n + 1, 0)
         pointwise.update(lam=(lam, phi_up), partial=(lam_dag + lam, phi_hi), phi_hi=((), phi_hi))
+    elif n < m:  # Theta, then the operator polynomial prod_k (H_(n+1) - E_0^(k))
+        pointwise["theta"] = (theta + tuple(("H", n + 1, e0_level(k)) for k in range(n + 1)), phi_up)
     requests = [(word, func, sign) for word, func in pointwise.values()]
     at_grid = dict(zip(pointwise, _stacked_words(params, requests)(grid)))
     phi_up_grid = at_grid["phi_up"]
@@ -945,22 +956,9 @@ def verify_operator_identities(
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
         with identity("mixed_product") as record:
-            lhs = at_grid["mixed"]
-            details = {}
-            if n > m:
-                rhs = eig_up * at_grid["lam"]
-                details["lambda_form"] = _rel(lhs, rhs)
-            else:
-                # theta first, then the operator polynomial prod_k (H - E_k)
-                # folded directly on the level's stack, of which phi_up is row n
-                terms = _fold(params, theta, _level_stack(params, m + 1), sign)
-                for k in range(n + 1):
-                    terms = _step(params, "H", n + 1, terms, sign, shift=e0_level(k))
-                rhs = two_m ** (n + 1) * _members(phi_up, _evaluate(params, _plan(terms, cuts=[slice(n, n + 1)]), grid))
-                details["theta_form"] = _rel(lhs, rhs)
-            (best,) = details
-            details["matching_variant"] = best
-            record(details[best], details)
+            form, rhs = ("lambda_form", eig_up * at_grid["lam"]) if n > m else ("theta_form", two_m ** (n + 1) * at_grid["theta"])
+            residual = _rel(at_grid["mixed"], rhs)
+            record(residual, {form: residual, "matching_variant": form})
 
     # Partial-chain products with both candidate prefactors.
     if n > m:

@@ -492,7 +492,8 @@ def test_package_errors_exit_2_with_one_stderr_line(monkeypatch, capsys, error):
     def fail(*args, **kwargs):
         raise error("integrator gave up")
 
-    monkeypatch.setattr(ptsusy.quadrature, "integrate_interval", fail)
+    # the norm's integral, as wavefn._gram calls it
+    monkeypatch.setattr(ptsusy.wavefn, "integrate_interval", fail)
     code = ptsusy.cli.main(["wavefn", "--n", "1", "--grid", "5"])
     captured = capsys.readouterr()
     assert code == 2
@@ -606,6 +607,7 @@ def test_unusable_tolerances_rejected(tmp_path, capsys, command, name, value):
         ("verify", "--tol-factorisation"),
         ("verify", "--tol-overlap"),
         ("verify", "--tol-mixed_product"),
+        ("verify", "--tol-supercharge_anticommutator_block0"),
         ("coherent", "--tol-factorization"),
         ("spectrum", "--tol-overlap"),
         ("wavefn", "--tol-normalization"),
@@ -648,9 +650,30 @@ def test_config_tolerance_of_the_other_subcommand_accepted(tmp_path, capsys, com
 
 
 def test_verify_tolerance_names_are_the_mandatory_identities():
-    # at n > m every mandatory identity has a row, in report order
+    # at n > m every mandatory identity has a row, in report order; an alias
+    # row has no tolerance of its own
     results = ptsusy.operators.verify_operator_identities(ptsusy.cli._params(ptsusy.cli._DEFAULTS), 2, 1)
-    assert list(ptsusy.cli._tolerance_names("verify")) == [r.name for r in results if not r.informational]
+    names = [r.name for r in results if not r.informational and "alias_of" not in r.details]
+    assert list(ptsusy.cli._tolerance_names("verify")) == names
+
+
+def test_an_alias_row_follows_its_identity_under_an_override(tmp_path, capsys):
+    # product_BdagB and supercharge_anticommutator_block0 report one check
+    # with one residual: the identity's override fails both rows, and an
+    # alias has no tolerance of its own (its flag: the rejection test above)
+    args = ["verify", "--n", "2", "--m", "1", "--format", "json"]
+    assert ptsusy.cli.main([*args, "--tol-product_BdagB", "1e-30"]) == 1
+    rows = {e["name"]: e for e in json.loads(capsys.readouterr().out)["identities"]}
+    for name in ("product_BdagB", "supercharge_anticommutator_block0"):
+        assert rows[name]["threshold"] == 1e-30 and rows[name]["passed"] is False, name
+    assert rows["product_BdagB"]["max_residual"] == rows["supercharge_anticommutator_block0"]["max_residual"]
+    assert rows["supercharge_anticommutator_block1"]["threshold"] == 1e-9
+    cfg = tmp_path / "alias.cfg"
+    cfg.write_text("tol_supercharge_commutator = 1\n")
+    assert ptsusy.cli.main([*args, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"ptsusy: config error: {cfg}:1: field tol_supercharge_commutator: no subcommand reads a tolerance of that name"
+    ]
 
 
 def test_zero_and_dashed_tolerance_flags_accepted(capsys):

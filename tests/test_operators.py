@@ -171,15 +171,21 @@ def test_apply_word_rejects_wall_points():
             apply_word(DEFAULT, (("A", 0),), f, xs)
 
 
-@pytest.mark.parametrize("entry", [("A", -1), ("A", 1.5), ("H", -2), ("A", True), ("B", 0)], ids=repr)
+BAD_ENTRIES = [("A", -1), ("A", 1.5), ("H", -2), ("A", True), ("B", 0)]
+# a shift only after "H", finite, real and no bool, and nothing after it
+BAD_ENTRIES += [("A", 1, 2.0), ("H", 1, math.nan), ("H", 1, math.inf), ("H", 1, True), ("H", 1, "x"), ("H", 1, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
 def test_apply_word_rejects_an_entry_that_is_no_operator(entry):
     # the levels once gave finite values for operators that do not exist;
-    # ("A", True) hashes as ("A", 1), so the check comes before the fold
-    # memo, which holds ("A", 1) here
+    # ("A", True) hashes as ("A", 1) and ("H", 1, True) as ("H", 1, 1.0), so
+    # the check comes before the fold memo, which holds both here
     f = eigenfunction(DEFAULT, 0, 1)
     x = np.array([0.3, 0.6])
     apply_word(DEFAULT, (("H", 0), ("A", 1)), f, x)
-    with pytest.raises(DomainError, match="unknown operator kind 'B'|level indices must"):
+    apply_word(DEFAULT, (("H", 0), ("H", 1, 1.0)), f, x)
+    with pytest.raises(DomainError, match="unknown operator kind 'B'|level indices must|a shifted entry is"):
         apply_word(DEFAULT, (("H", 0), entry), f, x)
 
 
@@ -559,12 +565,12 @@ def test_verify_folds_each_prefix_once(monkeypatch):
     rows = [[r.to_jsonable() for r in verify_operator_identities(DEFAULT, n, m, sign=sign)] for n, m, sign in cells]
     # one miss per key asked for, and every one still in the memo, so no key
     # was folded twice, and the quadrature integrands, called once per
-    # refinement round, add no folds; a step extends a folded prefix, the
-    # shifted H steps of mixed_product (n < m) aside
+    # refinement round, add no folds; every step extends a folded prefix,
+    # the shifted H steps of mixed_product's operator polynomial (n < m) too
     info = memo.cache_info()
     assert info.misses == info.currsize == len(seen)
-    shifted = [s for s in steps if s[3] != 0.0]
-    assert shifted and len(steps) - len(shifted) == sum(1 for key in seen if key[1])
+    assert any(s[3] != 0.0 for s in steps)
+    assert len(steps) == sum(1 for key in seen if key[1])
     # each cell alone, with both memos cleared, gives the same rows
     monkeypatch.undo()
     for (n, m, sign), want in zip(cells, rows):
@@ -583,6 +589,18 @@ def test_a_cell_reuses_the_folds_of_an_earlier_cell(monkeypatch):
     # word_b on phi_3 and the chains of level 2 are folded already
     assert 0 < len(steps) < cold
     assert warm_rows == cold_rows
+
+
+def test_a_repeated_cell_takes_no_step(monkeypatch):
+    # every word of a cell n < m, the operator polynomial prod_k (H - E_k)
+    # of mixed_product included, is kept in the fold memo: run again, the
+    # cell folds nothing
+    steps = _count_steps(monkeypatch)
+    want = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 4)]
+    assert [s for s in steps if s[3] != 0.0] == [("H", 3, 1.0, energy(DEFAULT, LevelIndex(0, k))) for k in range(3)]
+    steps.clear()
+    assert [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 2, 4)] == want
+    assert steps == []
 
 
 def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
@@ -646,14 +664,18 @@ def test_level_stack_rows_match_each_state_folded_alone(monkeypatch, params, sig
                 got = apply_word(params, word, f, grid, sign)
                 assert got.tobytes() == _alone(params, word, f, sign, grid).tobytes(), (word, level, k)
         # the theta form of mixed_product: the operator polynomial folded on
-        # Theta's fold of the stack, and each row planned alone
+        # Theta's fold of the stack, and each row planned alone; the same
+        # word with its shifts as ("H", level, e) entries reads those rows
         shifts = [energy(params, LevelIndex(0, j)) for j in range(n + 1)]
         terms = operators._fold(params, partial, operators._level_stack(params, m + 1), sign)
         for shift in shifts:
             terms = operators._step(params, "H", m + 1, terms, sign, shift=shift)
+        shifted = partial + tuple(("H", m + 1, shift) for shift in shifts)
         for k in range(len(terms.gamma)):
+            f = eigenfunction(params, m + 1, k)
             got = operators._evaluate(params, operators._plan(terms, cuts=[slice(k, k + 1)]), grid)[0]
-            assert got.tobytes() == _alone(params, partial, eigenfunction(params, m + 1, k), sign, grid, shifts).tobytes(), k
+            assert got.tobytes() == _alone(params, partial, f, sign, grid, shifts).tobytes(), k
+            assert apply_word(params, shifted, f, grid, sign).tobytes() == got.tobytes(), k
     assert set(rows) == {1}
 
 
