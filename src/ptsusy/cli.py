@@ -18,11 +18,19 @@ only these (``cli``, ``errors`` and ``spectrum`` always):
 
 A tolerance named in a config file or a --tol- flag loads ``operators`` for
 the names of the mandatory identities.
+
+A ``ptsusy`` process (the console script, or ``python -m ptsusy.cli``) enters
+through ``run()``, which runs ``main`` with CPython's cyclic collector off and
+freezes every live object before it exits: what a command allocates lives
+until exit anyway, so the collections during the imports and the sweep at
+shutdown would only traverse it.  ``main`` itself leaves the collector as it
+finds it, for tests and library callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -486,5 +494,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry point: ``main`` with the collector off, then exit.
+
+    What is live is frozen also when ``main`` raises (argparse's ``--help``
+    and usage exits), so the sweep at shutdown skips it.
+    """
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -332,7 +332,8 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
 
     Word entries are ("A", level), ("Adag", level), ("H", level), or
     ("H", level, e) for H_level - e, e a finite real number and not a bool,
-    with a level that ``level_number`` accepts; any other entry, or a ``sign``
+    with a level that ``level_number`` accepts, each entry a tuple; any other
+    entry (a list, a string, a tuple of other length), or a ``sign``
     (the superpotential's factor, -1 the negative control) other than the
     numbers 1 and -1, raises ``DomainError`` before the fold memo is consulted.
     Returns the values of the resulting function at x, of shape x.shape, in
@@ -379,12 +380,15 @@ def _stacked_words(params: ModelParams, requests, memo: bool = True):
     # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
     for word, _, sign in requests:
         _check_sign(sign)
-        for kind, level, *shift in word:
+        for entry in word:
+            if type(entry) is not tuple or not (len(entry) == 2 or len(entry) == 3 and entry[0] == "H"):
+                raise DomainError(f"a word entry is a tuple (kind, level) or ('H', level, e), got {entry!r}")
+            kind, level, *shift = entry
             if kind not in _KINDS:
                 raise DomainError(f"unknown operator kind {kind!r}")
-            e = shift[0] if kind == "H" and len(shift) == 1 else None
+            e = shift[0] if shift else None
             if shift and (isinstance(e, bool) or not isinstance(e, numbers.Real) or not abs(e) <= sys.float_info.max):
-                raise DomainError(f"a shifted entry is ('H', level, e), e finite and real, got {(kind, level, *shift)!r}")
+                raise DomainError(f"a shifted entry is ('H', level, e), e finite and real, got {entry!r}")
             if type(level) is not int or level < 0:
                 level_number(level)
     fold = _fold if memo else _fold.__wrapped__

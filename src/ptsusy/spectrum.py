@@ -32,7 +32,11 @@ class ModelParams:
 
     def __post_init__(self):
         for name in ("nu", "beta", "hbar", "length", "mass"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            # as level_number: no bool, string or complex passes as a number
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            value = float(value)
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)

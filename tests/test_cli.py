@@ -1,12 +1,14 @@
 """End-to-end CLI contract: deterministic artifacts, documented schemas,
 config file handling, and the exit-status rules."""
 
+import gc
 import json
 import math
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -688,3 +690,101 @@ def test_zero_and_dashed_tolerance_flags_accepted(capsys):
     assert rows["ground_state_annihilation"]["max_residual"] == 0.0
     for name in ("eigen_residual", "ground_state_annihilation"):
         assert rows[name]["threshold"] == 0.0 and rows[name]["passed"] is False, name
+
+
+# -- the process entry point ---------------------------------------------------
+# run() turns the collector off and freezes what is live before the process
+# exits; it is called here only in subprocesses, as in the pytest process it
+# would leave the collector off.
+
+
+def _set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize(
+    ("args", "code"),
+    [
+        (["spectrum", "--format", "json"], 0),
+        (["verify", "--n", "1", "--m", "0", "--tol-eigen-residual", "0", "--format", "json"], 1),
+        (["spectrum", "--beta", "1e200"], 2),
+        (["bogus"], 2),
+    ],
+    ids=["exit0", "exit1", "exit2", "usage"],
+)
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_main_leaves_the_collector_as_it_found_it(args, code, enabled):
+    was_enabled = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        frozen = gc.get_freeze_count()
+        try:
+            got = ptsusy.cli.main(args)
+        except SystemExit as exc:  # argparse's usage exit
+            got = exc.code
+        assert got == code
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        _set_collector(was_enabled)
+
+
+def test_run_turns_the_collector_off_and_freezes_before_exit():
+    # what the process sees at exit, printed by an atexit handler
+    script = (
+        "import atexit, gc, sys; from ptsusy import cli;"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr));"
+        "sys.argv = ['ptsusy', 'spectrum', '--format', 'json']; cli.run()"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["command"] == "spectrum"
+    assert proc.stderr == "False True\n"
+
+
+def _workload_commands(tmp_path):
+    # the eight commands the benchmark's cli workload runs, on a fixed model
+    model_text = "nu = 1.37\nbeta = 1.61\nhbar = 1.0\nlength = 1.2\nmass = 0.5\n"
+    model, states = tmp_path / "model.cfg", tmp_path / "states.cfg"
+    model.write_text(model_text)
+    states.write_text(model_text + "q = 0.36, 0.72\np = -2.0, 1.5\nm = 1\n")
+    cfg = ["--config", str(model)]
+    near_wall = ["--q=0.018", "--q=0.6", "--q=1.164", "--p=-3.0", "--p=2.0"]
+    return {
+        "spectrum-csv": ["spectrum", *cfg, "--gap-factors", "--m-max", "3", "--n-max", "6"],
+        "spectrum-json": ["spectrum", *cfg, "--format", "json"],
+        "wavefn-csv": ["wavefn", *cfg, "--m", "2", "--n", "3", "--grid", "201"],
+        "wavefn-json": ["wavefn", *cfg, "--n", "5", "--format", "json"],
+        "verify-json": ["verify", *cfg, "--n", "1", "--m", "2", "--format", "json"],
+        "verify-corrupt": ["verify", *cfg, "--n", "2", "--m", "1", "--corrupt-w-sign", "--format", "json"],
+        "coherent-json": ["coherent", *cfg, *near_wall, "--format", "json"],
+        "coherent-csv": ["coherent", "--config", str(states), "--skip-resolution"],
+    }
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["spectrum-csv", "spectrum-json", "wavefn-csv", "wavefn-json", "verify-json", "verify-corrupt", "coherent-json", "coherent-csv"],
+)
+def test_process_entry_prints_what_main_prints(tmp_path, capsysbinary, label):
+    args = _workload_commands(tmp_path)[label]
+    proc = subprocess.run(CLI + args, capture_output=True, timeout=300)
+    code = ptsusy.cli.main(args)
+    out = capsysbinary.readouterr().out
+    assert code == (1 if label == "verify-corrupt" else 0)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_process_entry_help_and_usage_exits():
+    proc = run_cli("--help")
+    assert proc.stdout.startswith("usage:") and proc.stderr == ""
+    proc = run_cli("bogus", check=False)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "invalid choice: 'bogus'" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_console_script_is_the_process_entry():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.strip().splitlines() == ['ptsusy = "ptsusy.cli:run"']

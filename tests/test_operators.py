@@ -174,6 +174,9 @@ def test_apply_word_rejects_wall_points():
 BAD_ENTRIES = [("A", -1), ("A", 1.5), ("H", -2), ("A", True), ("B", 0)]
 # a shift only after "H", finite, real and no bool, and nothing after it
 BAD_ENTRIES += [("A", 1, 2.0), ("H", 1, math.nan), ("H", 1, math.inf), ("H", 1, True), ("H", 1, "x"), ("H", 1, 1.0, 2.0)]
+# an entry is a tuple of 2 items, or of 3 for "H": not a shorter tuple, a
+# string (the word "AB" is the entries "A" and "B") or a list
+BAD_ENTRIES += [("A",), (), "A", "AB", ["H", 0], ["H", 0, 1.0]]
 
 
 @pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
@@ -185,7 +188,7 @@ def test_apply_word_rejects_an_entry_that_is_no_operator(entry):
     x = np.array([0.3, 0.6])
     apply_word(DEFAULT, (("H", 0), ("A", 1)), f, x)
     apply_word(DEFAULT, (("H", 0), ("H", 1, 1.0)), f, x)
-    with pytest.raises(DomainError, match="unknown operator kind 'B'|level indices must|a shifted entry is"):
+    with pytest.raises(DomainError, match="unknown operator kind 'B'|level indices must|a shifted entry is|a word entry is"):
         apply_word(DEFAULT, (("H", 0), entry), f, x)
 
 

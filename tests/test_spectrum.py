@@ -5,6 +5,7 @@ import math
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,6 +181,21 @@ def test_nonfinite_parameters_rejected(field, value):
     kwargs = {"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5, field: value}
     with pytest.raises(DomainError, match=f"{field} must be finite"):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [None, 1j, "1", True], ids=repr)
+@pytest.mark.parametrize("field", ["nu", "beta", "hbar", "length", "mass"])
+def test_parameters_that_are_no_real_number_rejected(field, value):
+    # None and 1j once raised a bare TypeError from float(), and "1" and True
+    # passed as 1.0, where level_number rejects "2" and True
+    kwargs = {"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be a real number, got {re.escape(repr(value))}"):
+        ModelParams(**kwargs)
+
+
+def test_numpy_and_integer_parameters_accepted_as_floats():
+    p = ModelParams(nu=np.float64(1.0), beta=np.int64(2), hbar=np.float32(1.0), length=1, mass=0.5)
+    assert p == P and all(type(getattr(p, k)) is float for k in ("nu", "beta", "hbar", "length", "mass"))
 
 
 @pytest.mark.parametrize(
