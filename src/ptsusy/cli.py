@@ -480,10 +480,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = list(sys.argv[1:] if argv is None else argv)
+    """Run the ptsusy command in argv (``sys.argv[1:]`` if None) and return
+    its exit status: ``--help`` returns 0, and argparse's usage errors,
+    config errors and package errors return 2, each with its message."""
+    raw =list(sys.argv[1:] if argv is None else argv)
     try:
         raw, tol_flags = _extract_tol_flags(raw)
-        args = _build_parser().parse_args(raw)
+        try:
+            args = _build_parser().parse_args(raw)
+        except SystemExit as exc:  # argparse's --help (0) and usage errors (2)
+            return exc.code
         cfg = _merge(args, tol_flags)
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
@@ -495,11 +501,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """The process entry point: ``main`` with the collector off, then exit.
-
-    What is live is frozen also when ``main`` raises (argparse's ``--help``
-    and usage exits), so the sweep at shutdown skips it.
-    """
+    """The process entry point: ``main`` with the collector off, then exit
+    with its status; what is live is frozen before exit, so the sweep at
+    shutdown skips it."""
     gc.disable()
     try:
         code = main()

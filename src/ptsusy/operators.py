@@ -32,14 +32,14 @@ gamma is complex, in complex128.  The empty word gives the values of every
 operand, eigenfunctions included (``operand_values``).
 
 A word is folded one operator at a time on top of the fold of its prefix.
-Q and the magnitudes each of its coefficients was summed from are held as
-one band of rows, so a step is one pass with the signed multipliers on the
-Q rows and their absolute values on the magnitude rows, kept as read-only
-columns per set of factor values.  A bounded ``lru_cache`` keyed on
+Q and the magnitudes each of its coefficients was summed from are the two
+planes of one band, so a step is one pass with the signed multipliers on
+the Q plane and their absolute values on the magnitude plane, each pair
+broadcast over the rows.  A bounded ``lru_cache`` keyed on
 (params, prefix, operand, sign) keeps each fold.  The words wanted at the
 same points go into one plan over the rows of their folds that they read,
-cut straight from each band and built once per call: the rows in falling
-degree and, per power, Q cut at the noise floor.
+cut straight from both planes of each band and built once per call: the
+rows in falling degree and, per power, Q cut at the noise floor.
 The plan is evaluated in one Horner pass in place per node set, which a row
 joins at its own degree, so each row sees the same operations as when its
 word is evaluated alone, and each result is bit-identical to it.
@@ -144,8 +144,8 @@ NOISE_FLOOR = 1e-12
 
 class _Terms(NamedTuple):
     # cotangent terms as arrays over its r terms; band holds Q, zero-padded to
-    # a common width, in rows :r and, per coefficient, the sum of the
-    # magnitudes it came from in rows r:, so that a step folds both in one pass
+    # a common width, in plane 0 and, per coefficient, the sum of the
+    # magnitudes it came from in plane 1, so that a step folds both in one pass
     log_c: np.ndarray
     gamma: np.ndarray
     power: np.ndarray
@@ -156,10 +156,10 @@ class _Terms(NamedTuple):
     def of(cls, params: ModelParams, terms) -> "_Terms":
         log_c, gamma, power, qs = zip(*terms)
         gamma, power = np.array(gamma), np.array(power)
-        band = np.zeros((2 * len(qs), max(map(len, qs))), dtype=np.result_type(gamma, *{q.dtype for q in qs}))
-        for row, q in zip(band, qs):
+        band = np.zeros((2, len(qs), max(map(len, qs))), dtype=np.result_type(gamma, *{q.dtype for q in qs}))
+        for row, q in zip(band[0], qs):
             row[: len(q)] = q
-        np.abs(band[: len(qs)], out=band[len(qs) :])
+        np.abs(band[0], out=band[1])
         return cls(np.array(log_c), gamma, power, band, _DDx(params, gamma, power))
 
 
@@ -167,29 +167,30 @@ class _DDx:
     # d/dx on a band: coefficient j of the new Q is
     # gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1), and of the
     # magnitudes the same sum with every multiplier's absolute value.  The
-    # multipliers depend on the operand alone and grow with the widest band.
+    # multipliers depend on the operand alone, broadcast over the band's rows
+    # as gamma (2, r, 1), rise (2, r, N) and fall (2, 1, N), and grow with N.
     def __init__(self, params: ModelParams, gamma: np.ndarray, power: np.ndarray):
         self.k, self.power = math.pi / params.length, power[:, None]
-        self.gamma = np.concatenate([gamma, np.abs(gamma)])[:, None]
-        self.rise = self.fall = np.zeros((len(self.gamma), 0))
+        self.gamma = np.array([gamma, np.abs(gamma)])[:, :, None]
+        self.rise = self.fall = np.zeros((2, 1, 0))
 
     def __call__(self, band: np.ndarray) -> np.ndarray:
-        n = band.shape[1]
+        n = band.shape[-1]
         # fall is widened last, so a widening cut short by a signal is redone
-        if self.fall.shape[1] < n:
+        if self.fall.shape[-1] < n:
             rise, fall = self.k * (self.power - np.arange(2 * n)), -self.k * np.arange(1, 2 * n + 1)
-            self.rise = np.concatenate([rise, np.abs(rise)])
-            self.fall = np.repeat([fall, np.abs(fall)], len(self.power), axis=0)
-        out = np.zeros((band.shape[0], n + 1), dtype=band.dtype)
-        np.multiply(self.gamma, band, out=out[:, :n])
-        out[:, 1:] += self.rise[:, :n] * band
-        out[:, : n - 1] += self.fall[:, : n - 1] * band[:, 1:]
+            self.rise = np.array([rise, np.abs(rise)])
+            self.fall = np.array([fall, np.abs(fall)])[:, None]
+        out = np.zeros(band.shape[:2] + (n + 1,), dtype=band.dtype)
+        np.multiply(self.gamma, band, out=out[..., :n])
+        out[..., 1:] += self.rise[..., :n] * band
+        out[..., : n - 1] += self.fall[..., : n - 1] * band[..., 1:]
         return out
 
 
 def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float, shift: float = 0.0) -> _Terms:
-    # one operator applied to the band, its signed factors on the Q rows and
-    # their absolute values on the magnitude rows; an "H" step subtracts shift * Q
+    # one operator applied to the band, its signed factors on the Q plane and
+    # their absolute values on the magnitude plane; "H" subtracts shift * Q
     if kind in ("A", "Adag"):
         lvl = params.nu + level + 1.0
         unit = -sign * math.pi * params.hbar / params.length
@@ -201,26 +202,19 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
         scale = -(params.hbar**2) / (2.0 * params.mass)
         factors = (scale, strength - shift, -2.0 * params.beta * params.epsilon0, strength)
         derivatives = 2
-    # column 0 scales the derivative, columns 1: are the polynomial in c
-    scale, *poly = _factor_columns(factors, len(terms.gamma))
-    n = terms.band.shape[1]
+    # each factor as a (2, 1, 1) pair over the planes: the first scales the
+    # derivative, the others are the polynomial in c
+    scale, *poly = np.array([factors, np.abs(factors)]).T[:, :, None, None]
+    n = terms.band.shape[-1]
     # rows fold silently: one that overflows warns in _plan, if a call reads it
     with np.errstate(over="ignore", invalid="ignore"):
         derived = terms.band
         for _ in range(derivatives):
             derived = terms.d_dx(derived)
         times = np.zeros(derived.shape, dtype=derived.dtype)
-        for i, column in enumerate(poly):
-            times[:, i : i + n] += column * terms.band
+        for i, factor in enumerate(poly):
+            times[..., i : i + n] += factor * terms.band
         return terms._replace(band=derived * scale + times)
-
-
-@lru_cache(maxsize=1024)
-def _factor_columns(factors: tuple, rows: int) -> tuple:
-    # a step's factors as read-only columns (see _step), keyed on their values
-    table = np.repeat([factors, np.abs(factors)], rows, axis=0)
-    table.setflags(write=False)
-    return tuple(table[:, i : i + 1] for i in range(len(factors)))
 
 
 class _Plan(NamedTuple):
@@ -256,20 +250,17 @@ def _plan(*folded: _Terms, cuts=()) -> _Plan:
     cuts = cuts or (slice(None),) * len(folded)
     if len(folded) == 1 and cuts[0] == slice(None):  # every row of one fold: its band as it is
         ((log_c, gamma, power, read, _),) = folded
-        size = len(gamma)
     else:
-        parts = [(t.band[: len(t.gamma)][cut], t.band[len(t.gamma) :][cut]) for t, cut in zip(folded, cuts)]
-        size = sum(len(rows) for rows, _ in parts)
-        read = np.zeros((2 * size, max(t.band.shape[1] for t in folded)), dtype=folded[0].band.dtype)
+        parts = [t.band[:, cut] for t, cut in zip(folded, cuts)]
+        read = np.zeros((2, sum(p.shape[1] for p in parts), max(p.shape[2] for p in parts)), dtype=parts[0].dtype)
         start = 0
-        for rows, mag in parts:
-            read[start : start + len(rows), : rows.shape[1]] = rows
-            read[size + start : size + start + len(rows), : rows.shape[1]] = mag
-            start += len(rows)
+        for part in parts:
+            read[:, start : start + part.shape[1], : part.shape[2]] = part
+            start += part.shape[1]
         log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     if not np.isfinite(read).all():
         warnings.warn("overflow encountered in folding a word: coefficients that are not finite", RuntimeWarning)
-    q = np.where(np.abs(read[:size]) > NOISE_FLOOR * read[size:].real, read[:size], 0.0)
+    q = np.where(np.abs(read[0]) > NOISE_FLOOR * read[1].real, read[0], 0.0)
     degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
     degree, q = degree[order], q[order]
@@ -333,9 +324,10 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     Word entries are ("A", level), ("Adag", level), ("H", level), or
     ("H", level, e) for H_level - e, e a finite real number and not a bool,
     with a level that ``level_number`` accepts, each entry a tuple; any other
-    entry (a list, a string, a tuple of other length), or a ``sign``
-    (the superpotential's factor, -1 the negative control) other than the
-    numbers 1 and -1, raises ``DomainError`` before the fold memo is consulted.
+    entry (a list, a string, a tuple of other length), a ``sign`` (the
+    superpotential's factor, -1 the negative control) other than the numbers
+    1 and -1, or an operand or stack member whose ``params.length`` is not
+    ``params.length`` raises ``DomainError`` before the fold memo is consulted.
     Returns the values of the resulting function at x, of shape x.shape, in
     the dtype of the operand's Q and gamma (float64 for eigenfunctions and
     bumps, complex128 for coherent states).  The word is folded on the
@@ -378,8 +370,11 @@ def _stacked_words(params: ModelParams, requests, memo: bool = True):
     # wants the same words at many node sets keeps the evaluator.
     requests = [(tuple(word), func, sign) for word, func, sign in requests]
     # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
-    for word, _, sign in requests:
+    for word, func, sign in requests:
         _check_sign(sign)
+        for member in func.funcs if isinstance(func, _OperandStack) else (func,):
+            if (length := getattr(member, "params", params).length) != params.length:
+                raise DomainError(f"an operand of length {length} under params of length {params.length}")
         for entry in word:
             if type(entry) is not tuple or not (len(entry) == 2 or len(entry) == 3 and entry[0] == "H"):
                 raise DomainError(f"a word entry is a tuple (kind, level) or ('H', level, e), got {entry!r}")

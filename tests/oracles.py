@@ -33,10 +33,10 @@ cot and 1/sin^2 of the grid as jets too.  It shares nothing with
 the two must agree to the jets' roundoff.
 
 ``two_pass_step`` is one operator step of the word fold as it was before
-``operators._step`` held Q and its magnitudes in one band: the operator
-runs twice, once on Q with the signed multipliers and once on the
-magnitudes with their absolute values, and every d/dx builds its
-multipliers again.  Each coefficient goes through the same operations in
+``operators._step`` held Q and its magnitudes as the two planes of one
+band: the operator runs twice, once on Q with the signed multipliers and
+once on the magnitudes with their absolute values, and every d/dx builds
+its multipliers again.  Each coefficient goes through the same operations in
 both, so they must agree bit for bit.
 
 ``grouped_evaluate`` is the evaluation of folded cotangent terms as it was
@@ -280,8 +280,8 @@ class SplitTerms(NamedTuple):
 
 def split_terms(terms) -> SplitTerms:
     """The ``SplitTerms`` of folded ``operators._Terms``, whose band holds
-    the rows of Q over the rows of the magnitudes."""
-    coeffs, mag = np.split(terms.band, 2)
+    Q in plane 0 and the magnitudes in plane 1."""
+    coeffs, mag = terms.band
     return SplitTerms(terms.log_c, terms.gamma, terms.power, coeffs, mag.real)
 
 

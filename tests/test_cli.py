@@ -712,8 +712,9 @@ def _set_collector(enabled):
         (["verify", "--n", "1", "--m", "0", "--tol-eigen-residual", "0", "--format", "json"], 1),
         (["spectrum", "--beta", "1e200"], 2),
         (["bogus"], 2),
+        (["--help"], 0),
     ],
-    ids=["exit0", "exit1", "exit2", "usage"],
+    ids=["exit0", "exit1", "exit2", "usage", "help"],
 )
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
 def test_main_leaves_the_collector_as_it_found_it(args, code, enabled):
@@ -721,11 +722,7 @@ def test_main_leaves_the_collector_as_it_found_it(args, code, enabled):
     try:
         _set_collector(enabled)
         frozen = gc.get_freeze_count()
-        try:
-            got = ptsusy.cli.main(args)
-        except SystemExit as exc:  # argparse's usage exit
-            got = exc.code
-        assert got == code
+        assert ptsusy.cli.main(args) == code
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         _set_collector(was_enabled)

@@ -192,6 +192,30 @@ def test_apply_word_rejects_an_entry_that_is_no_operator(entry):
         apply_word(DEFAULT, (("H", 0), entry), f, x)
 
 
+@pytest.mark.parametrize(
+    "operand",
+    [
+        lambda: eigenfunction(DEFAULT, 0, 1),
+        lambda: operators._bump(DEFAULT, 101),
+        lambda: CoherentState(DEFAULT, 0, PhasePoint(0.3, 2.0)),
+        lambda: operators._OperandStack(operators.test_corpus(DEFAULT, 0)),
+    ],
+    ids=["eigenfunction", "bump", "coherent", "stack"],
+)
+def test_apply_word_rejects_an_operand_of_another_length(operand):
+    # an operand of length 1 under params of length 2 once gave the values of
+    # another function, even at 1.5, outside the operand's box; the check
+    # comes before the fold memo
+    f = operand()
+    info = operators._fold.cache_info()
+    for word in ((), (("A", 0),)):
+        with pytest.raises(DomainError, match=r"length 1\.0 under params of length 2\.0"):
+            apply_word(replace(DEFAULT, length=2.0), word, f, [0.25, 0.5, 1.5])
+    assert operators._fold.cache_info() == info
+    # another nu and beta on the same box are accepted
+    assert np.isfinite(apply_word(replace(DEFAULT, nu=2.0, beta=1.0), (("A", 0),), f, [0.25, 0.5])).all()
+
+
 def test_apply_word_accepts_an_empty_grid():
     word = (("A", 0), ("H", 1))
     assert apply_word(DEFAULT, word, eigenfunction(DEFAULT, 0, 1), np.array([])).shape == (0,)
@@ -849,9 +873,11 @@ def test_stacked_step_matches_two_pass_step(m):
     # as mixed_product folds its operator polynomial
     rng = np.random.default_rng(40 + m)
     corpus = operators.test_corpus(DEFAULT, m)
+    # a coherent state folds in complex128, alone and stacked with the real corpus
+    coherent = CoherentState(DEFAULT, m, PhasePoint(0.3, 2.0))
     shift = energy(DEFAULT, LevelIndex(0, m))
     for word in _words(m, rng):
-        for f in [operators._OperandStack(corpus)] + corpus:
+        for f in [operators._OperandStack(corpus)] + corpus + [coherent, operators._OperandStack(corpus + [coherent])]:
             for sign in (1.0, -1.0):
                 got, want = operators._fold(DEFAULT, word, f, sign), _two_pass_fold(word, f, sign)
                 assert _same_bits(got, want), (word, sign, f)
@@ -860,10 +886,9 @@ def test_stacked_step_matches_two_pass_step(m):
                 assert _same_bits(got, want), (word, sign, f)
 
 
-def test_factor_columns_follow_hbar_and_are_read_only():
+def test_step_factors_follow_hbar():
     # params that differ only in hbar fold one operand to their own bands,
-    # each the two-pass step's: the cache keys the factors' values
-    operators._factor_columns.cache_clear()
+    # each the two-pass step's
     terms = operators._Terms.of(DEFAULT, eigenfunction(DEFAULT, 1, 2).cot_terms)
     bands = {}
     for hbar in (1.0, 2.0, 1.0):
@@ -873,13 +898,7 @@ def test_factor_columns_follow_hbar_and_are_read_only():
                 got = operators._step(p, kind, 1, terms, sign)
                 assert _same_bits(got, two_pass_step(p, kind, 1, split_terms(terms), sign)), (hbar, kind, sign)
                 bands.setdefault((kind, sign), set()).add(got.band.tobytes())
-    # H does not depend on the sign: 5 factor sets per hbar
-    assert operators._factor_columns.cache_info().currsize == 10
     assert all(len(found) == 2 for found in bands.values())
-    for column in operators._factor_columns((1.0, -2.0, 3.0), 4):
-        assert column.shape == (8, 1) and not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0, 0] = 0.0
 
 
 LEVEL_ROWS = (
@@ -1085,9 +1104,7 @@ def test_one_pass_horner_rows_match_each_term_alone():
     for i, row in enumerate(rows):
         # term i alone: its Q row and its magnitude row
         one = slice(i, i + 1)
-        alone = terms._replace(
-            log_c=terms.log_c[one], gamma=terms.gamma[one], power=terms.power[one], band=terms.band[[i, i + len(rows)]]
-        )
+        alone = terms._replace(log_c=terms.log_c[one], gamma=terms.gamma[one], power=terms.power[one], band=terms.band[:, one])
         assert np.array_equal(row, operators._evaluate(DEFAULT, operators._plan(alone), grid)[0]), i
 
 
