@@ -34,7 +34,7 @@ import gc
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .errors import PtsusyError
 from .spectrum import LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N
@@ -231,17 +231,8 @@ def _merge(args: argparse.Namespace, tol_flags: dict) -> dict:
 
 
 def _params(cfg: dict) -> ModelParams:
-    return ModelParams(
-        nu=float(cfg["nu"]),
-        beta=float(cfg["beta"]),
-        hbar=float(cfg["hbar"]),
-        length=float(cfg["length"]),
-        mass=float(cfg["mass"]),
-    )
-
-
-def _param_obj(params: ModelParams) -> dict:
-    return {k: float(getattr(params, k)) for k in _PARAM_KEYS}
+    # ModelParams converts every field to float
+    return ModelParams(**{k: cfg[k] for k in _PARAM_KEYS})
 
 
 def _sanitize(obj):
@@ -309,7 +300,7 @@ def cmd_spectrum(cfg: dict) -> int:
                 row["gap_factor_n"] = gap_factor_N(params, n, m)
             rows.append(row)
     cols = ["m", "n", "energy"] + (["gap_factor_m", "gap_factor_n"] if gap else [])
-    _write(cfg, {"command": "spectrum", "params": _param_obj(params), "rows": rows}, [(None, cols, rows)])
+    _write(cfg, {"command": "spectrum", "params": asdict(params), "rows": rows}, [(None, cols, rows)])
     return 0
 
 
@@ -335,7 +326,7 @@ def cmd_wavefn(cfg: dict) -> int:
         for x, v in zip(xs, vals)
     ]
     indices = {"m": m, "n": n}
-    report = {"command": "wavefn", "params": _param_obj(params), "indices": indices, "norm": float(norm), "rows": rows}
+    report = {"command": "wavefn", "params": asdict(params), "indices": indices, "norm": float(norm), "rows": rows}
     _write(cfg, report, [(None, ("x", "re", "im", "abs2"), rows)], {"indices": indices}, "norm")
     # a state narrower than the grid and the norm quadrature resolve (at
     # beta 1e30 or nu 1e150) integrates to a norm far from 1: reported, not good
@@ -371,7 +362,7 @@ def cmd_verify(cfg: dict) -> int:
     mandatory_pass = all(r["passed"] for r in entries if not r["informational"])
     report = {
         "command": "verify",
-        "params": _param_obj(params),
+        "params": asdict(params),
         "indices": {"n": n, "m": m},
         "grid_size": grid,
         "superpotential_sign": sign,
@@ -452,7 +443,7 @@ def cmd_coherent(cfg: dict) -> int:
 
     report = {
         "command": "coherent",
-        "params": _param_obj(params),
+        "params": asdict(params),
         "level": m,
         "tolerances": {"normalization": tol_norm, "overlap": tol_overlap, "resolution": tol_resolution},
         "normalization": norm_rows,
@@ -483,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run the ptsusy command in argv (``sys.argv[1:]`` if None) and return
     its exit status: ``--help`` returns 0, and argparse's usage errors,
     config errors and package errors return 2, each with its message."""
-    raw =list(sys.argv[1:] if argv is None else argv)
+    raw = list(sys.argv[1:] if argv is None else argv)
     try:
         raw, tol_flags = _extract_tol_flags(raw)
         try:

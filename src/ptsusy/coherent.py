@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .operators import operand_values
+from .operators import EDGE_CLAMP, operand_values
 from .quadrature import DEFAULT_CONFIG, integrate_real_line
 from .specfun import log_abs_gamma, log_gamma
 from .spectrum import ModelParams, level_number
@@ -255,16 +255,16 @@ def identity_gram_projection(params: ModelParams, m: int, size: int) -> np.ndarr
     which the ``quadrature`` contract rules out, but only by about the
     kernel's own tolerance (``_KERNEL_CONFIG``; see ``resolution_kernel`` for
     the near-wall case at d' < 1).  The x-integral runs over
-    [1e-6 L, (1 - 1e-6) L] to the tolerances ``_PROJECTION_CONFIG``.
+    [EDGE_CLAMP L, (1 - EDGE_CLAMP) L], the bounds of the identity suite's
+    quadratures, to the tolerances ``_PROJECTION_CONFIG``.  No states (size
+    0) give the empty complex matrix; the level is checked for every size.
     """
     try:  # a count of states, as level_number reads an index
         size = level_number(size)
     except DomainError:
         raise DomainError(f"size must be a nonnegative whole number of states, got {size!r}") from None
-    if size == 0:  # no states to project on, as gram_matrix([]); the level is still checked
-        _level_width(params, m)
-        return np.zeros((0, 0), dtype=complex)
+    _level_width(params, m)  # the kernel's check of the level, for every size
     states = [eigenfunction(params, m, n) for n in range(size)]
     L = params.length
     kernel = lambda x: resolution_kernel(params, m, x)
-    return _gram(states, 1e-6 * L, (1.0 - 1e-6) * L, _PROJECTION_CONFIG, weight=kernel)
+    return _gram(states, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, _PROJECTION_CONFIG, weight=kernel)

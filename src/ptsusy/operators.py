@@ -44,8 +44,8 @@ The plan is evaluated in one Horner pass in place per node set, which a row
 joins at its own degree, so each row sees the same operations as when its
 word is evaluated alone, and each result is bit-identical to it.
 ``wavefn.gram_matrix`` stacks its operands into one and evaluates its empty
-word this way, once per integrand call, without keeping that stack's fold
-in the memo.
+word this way, once per integrand call.  A stack is a value: stacks of the
+same members in the same order are one key of the memo.
 
 The verification suite evaluates every operator identity of the hierarchy on
 one sample grid or by quadrature and reports one relative residual per
@@ -248,16 +248,13 @@ def _plan(*folded: _Terms, cuts=()) -> _Plan:
     # magnitude that is not finite, raises a RuntimeWarning; the rows of a
     # fold that are not read raise none.
     cuts = cuts or (slice(None),) * len(folded)
-    if len(folded) == 1 and cuts[0] == slice(None):  # every row of one fold: its band as it is
-        ((log_c, gamma, power, read, _),) = folded
-    else:
-        parts = [t.band[:, cut] for t, cut in zip(folded, cuts)]
-        read = np.zeros((2, sum(p.shape[1] for p in parts), max(p.shape[2] for p in parts)), dtype=parts[0].dtype)
-        start = 0
-        for part in parts:
-            read[:, start : start + part.shape[1], : part.shape[2]] = part
-            start += part.shape[1]
-        log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
+    parts = [t.band[:, cut] for t, cut in zip(folded, cuts)]
+    read = np.zeros((2, sum(p.shape[1] for p in parts), max(p.shape[2] for p in parts)), dtype=parts[0].dtype)
+    start = 0
+    for part in parts:
+        read[:, start : start + part.shape[1], : part.shape[2]] = part
+        start += part.shape[1]
+    log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     if not np.isfinite(read).all():
         warnings.warn("overflow encountered in folding a word: coefficients that are not finite", RuntimeWarning)
     q = np.where(np.abs(read[0]) > NOISE_FLOOR * read[1].real, read[0], 0.0)
@@ -298,7 +295,9 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 #: four take 788, 512, 512 and 512 steps at 256 folds, 766, 491, 426 and 426
 #: at 512 (740, 446, 0 and 0 without its ``HANG_CELLS``), and 766, 0, 0 and 0
 #: at 1,024.  Peak RSS of a benchmark run of ``verify``, one cold pass, is
-#: 42.3 MB at 256 folds, 43.7 MB at 512 and 45.1 MB at 1,024.
+#: 42.3 MB at 256 folds, 43.7 MB at 512 and 45.1 MB at 1,024.  ``verify``
+#: makes no Gram; a ``gram`` pass adds one key per Gram call, the empty word
+#: of its stack (33 at each of seeds 1-3), and a warm pass adds none.
 FOLD_MEMO_SIZE = 512
 
 
@@ -355,14 +354,12 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     return values
 
 
-def _stacked_words(params: ModelParams, requests, memo: bool = True):
+def _stacked_words(params: ModelParams, requests):
     # The (word, operand, sign) requests checked and folded as by apply_word,
     # with one plan over the rows of their folds that they read, built once
     # per call: a bare eigenfunction reads its row of the fold of its
     # level's stack (``_level_stack``), any other operand its own fold.
-    # memo=False keeps each request's own fold out of the fold memo (its
-    # prefixes still go through it), for an operand built per call.  Returns
-    # the evaluator of that plan, which maps points x to one array per
+    # Returns the evaluator of that plan, which maps points x to one array per
     # request, each bit for bit and in the dtype of its word applied alone:
     # one Horner pass, which each row joins at its own degree, and every other
     # operation elementwise.  The requests of one call share a dtype: float64
@@ -386,16 +383,15 @@ def _stacked_words(params: ModelParams, requests, memo: bool = True):
                 raise DomainError(f"a shifted entry is ('H', level, e), e finite and real, got {entry!r}")
             if type(level) is not int or level < 0:
                 level_number(level)
-    fold = _fold if memo else _fold.__wrapped__
     folds, cuts = [], []
     for word, func, sign in requests:
         if isinstance(func, EigenFunction):
             # a bare state is its row of its level's stack, which shares
             # every fold with the other states of the level
-            folds.append(fold(params, word, _level_stack(func.params, func.idx.m), sign))
+            folds.append(_fold(params, word, _level_stack(func.params, func.idx.m), sign))
             cuts.append(slice(func.idx.n, func.idx.n + 1))
         else:
-            folds.append(fold(params, word, func, sign))
+            folds.append(_fold(params, word, func, sign))
             cuts.append(slice(None))
     if any(f.band.dtype != folds[0].band.dtype for f in folds):
         dtypes = sorted({str(f.band.dtype) for f in folds})
@@ -449,15 +445,20 @@ def _members(func, rows: np.ndarray) -> np.ndarray:
 
 class _OperandStack:
     """Several operands as one, for ``apply_word``: the members' cotangent
-    terms side by side, each tagged with the member it belongs to."""
+    terms side by side, each tagged with the member it belongs to.  A value:
+    stacks of the same members in the same order are equal and hash alike,
+    so they share their folds."""
 
     def __init__(self, funcs):
-        self.funcs = list(funcs)
+        self.funcs = tuple(funcs)
         self.cot_terms = tuple(t for f in self.funcs for t in f.cot_terms)
         self.owner = np.array([i for i, f in enumerate(self.funcs) for _ in f.cot_terms])
 
-    def __iter__(self):
-        return iter(self.funcs)
+    def __eq__(self, other):
+        return isinstance(other, _OperandStack) and self.funcs == other.funcs
+
+    def __hash__(self):
+        return hash(self.funcs)
 
 
 def default_grid(params: ModelParams, size: int = 161) -> np.ndarray:
@@ -552,14 +553,6 @@ def _identity(results: list, indices: dict, grid_size: int, name: str):
 
 
 @lru_cache(maxsize=256)
-def _corpus_stack(params: ModelParams, level: int) -> _OperandStack:
-    # the standard operands of a level as one stack: a word folds all members
-    # at once, and residuals are taken member by member.  One stack per
-    # (params, level), so the levels m and m + 1 of two cells share its folds.
-    return _OperandStack(test_corpus(params, level))
-
-
-@lru_cache(maxsize=256)
 def _level_stack(params: ModelParams, level: int) -> _OperandStack:
     # every state of a level under the cap as one stack, member n the state
     # n: a word on any state of the level is folded once for all of them,
@@ -580,7 +573,10 @@ def _level_identities(
     tail: list[IdentityResult] = []
     idx = {"m": m}
     two_m = 2.0 * params.mass
-    corpus = {level: _corpus_stack(params, level) for level in {0, m, m + 1}}
+    # the standard operands of a level as one stack: a word folds all members
+    # at once, and residuals are taken member by member.  Equal stacks share
+    # their folds, so the levels m and m + 1 of two cells fold once.
+    corpus = {level: _OperandStack(test_corpus(params, level)) for level in {0, m, m + 1}}
 
     # Every word of the pointwise rows at the grid in one call, in report
     # order: annihilation, factorization, single-step intertwining both ways

@@ -30,11 +30,11 @@ the operator layer: a bare state reads its row of the memoized fold of its
 level's stack, with exact zeros on the walls.  ``gram_matrix`` and
 ``coherent.identity_gram_projection`` stack their operands, eigenfunctions
 or not, as one operand of that layer, value its empty word once per
-integrand call outside the fold memo, as the stack is built per call, and
-share one triangle integral (``_gram``).  Each row is bit for bit the
-operand's own call at the same interior nodes.  The operator layer imports
-``EigenFunction`` and ``eigenfunction`` from this module, so this module
-imports it at its foot, after both are defined.
+integrand call, and share one triangle integral (``_gram``); a later Gram
+of the same operands finds that stack's fold in the memo.  Each row is bit
+for bit the operand's own call at the same interior nodes.  The operator
+layer imports ``EigenFunction`` and ``eigenfunction`` from this module, so
+this module imports it at its foot, after both are defined.
 ``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
 only the tests use, as the independent route; it imports ``jets`` on its
 first call, so no other use of this module loads that layer.
@@ -138,31 +138,23 @@ def _rungs(params: ModelParams, m: np.ndarray, n: np.ndarray, s: np.ndarray) -> 
     return out
 
 
-def _cot_polynomials(beta: float, n: np.ndarray, s: np.ndarray) -> tuple:
+def _cot_polynomials(beta: float, s: np.ndarray) -> tuple:
     # the Q of every state and the row of each state's S: Jacobi's recurrence
     # (DLMF 18.9.1) on cot, run once per distinct S for all the states of that
-    # S, each S advanced only up to its deepest n, so no denominator vanishes.
-    # State i's Q is q[n[i], row[i], 1 : n[i] + 2].  Squares go through
-    # float_power, pow as Python's ** calls it
-    deepest = {}
-    for value, k in zip(s.tolist(), n.tolist()):
-        deepest[value] = max(deepest.get(value, 0), k)
-    # deepest first, so the rows still live at a step are a prefix
-    values = sorted(deepest, key=deepest.get, reverse=True)
-    S, depth = np.array(values), np.array([deepest[v] for v in values])
-    rank = {v: i for i, v in enumerate(values)}
-    row = np.array([rank[v] for v in s.tolist()])
-    live = np.count_nonzero(depth[:, None] > np.arange(LEVEL_CAP + 1), axis=0).tolist()
-    # the factors of every step taken, row r from Q_j to Q_(j+1) at j < depth[r]
-    r, j = np.nonzero(np.arange(1, LEVEL_CAP + 1) < depth[:, None])
-    j += 1
-    s_j = S[r]
-    two = 2.0 * (j - s_j)
-    den = (j + 1) * (j - 2.0 * s_j + 1.0)
-    factors = np.zeros((3, len(S), LEVEL_CAP + 1, 1))
-    factors[0, r, j, 0] = (two + 1.0) * (two + 2.0) / (2.0 * den)
-    factors[1, r, j, 0] = -4.0 * beta * (two + 1.0) / (2.0 * den * two)
-    factors[2, r, j, 0] = (np.float_power(j - s_j, 2.0) + np.float_power(beta / s_j, 2.0)) * (two + 2.0) / (den * two)
+    # S, over every step up to the cap.  A step past the deepest n of an S
+    # may divide by zero; no state reads it.  State i, of degree n, has its Q
+    # in q[n, row[i], 1 : n + 2].  Squares go through float_power, pow as
+    # Python's ** calls it
+    rows: dict = {}
+    row = np.array([rows.setdefault(value, len(rows)) for value in s.tolist()])
+    S = np.array(list(rows))
+    # the factors of every step, row r from Q_j to Q_(j+1) in column j
+    j, s_r = np.arange(LEVEL_CAP + 1.0), S[:, None]
+    two = 2.0 * (j - s_r)
+    den = (j + 1.0) * (j - 2.0 * s_r + 1.0)
+    a = (two + 1.0) * (two + 2.0) / (2.0 * den)
+    b = -4.0 * beta * (two + 1.0) / (2.0 * den * two)
+    c = (np.float_power(j - s_r, 2.0) + np.float_power(beta / s_r, 2.0)) * (two + 2.0) / (den * two)
     # Q_k of row r in columns 1 .. k + 1 of q[k, r], column 0 and the rest
     # 0.0, so the slices from 0, 1 and 1 are the zero-padded c Q_k, Q_k and
     # Q_(k-1) of one step
@@ -170,12 +162,8 @@ def _cot_polynomials(beta: float, n: np.ndarray, s: np.ndarray) -> tuple:
     q[0, :, 1] = 1.0
     q[1, :, 1], q[1, :, 2] = beta / S, 1.0 - S
     for k in range(1, LEVEL_CAP):
-        if not live[k]:
-            break
-        a, b, c = factors[:, : live[k], k]
-        q[k + 1, : live[k], 1 : k + 3] = (
-            a * q[k, : live[k], : k + 2] + b * q[k, : live[k], 1 : k + 3] + c * q[k - 1, : live[k], 1 : k + 3]
-        )
+        a_k, b_k, c_k = a[:, k, None], b[:, k, None], c[:, k, None]
+        q[k + 1, :, 1 : k + 3] = a_k * q[k, :, : k + 2] + b_k * q[k, :, 1 : k + 3] + c_k * q[k - 1, :, 1 : k + 3]
     return q, row
 
 
@@ -187,14 +175,16 @@ def state_table(params: ModelParams) -> StateTable:
     n of level m is base state n at strength index nu + m, so S = n + nu +
     m + 1 sets its Q and the states of one S are successive members of one
     three-term recurrence: Q is run once per distinct S across all S at
-    once, each advanced only to the deepest n that S has.  log K is the
+    once, every S over every step up to the cap.  log K is the
     ground constant at (nu + m) + n, one ``log_ground_constant`` call for
     all states, plus the rung factors of every state in one masked pass,
     each state's terms taken in the order of the scalar product form.
     Every entry is bit for bit the per-state route: squares by
     ``np.float_power`` (pow, as Python's ** calls it), logs and log-gammas
     per entry.  The build runs with numpy's warnings off: a state whose
-    factors overflow holds inf or NaN, and only a call that reads it warns.
+    factors overflow holds inf or NaN, and only a call that reads it warns;
+    a step past the deepest n of an S, which no state reads, may divide by
+    zero.
     """
     r = np.arange(LEVEL_CAP + 1)
     m, n = np.nonzero(np.add.outer(r, r) <= LEVEL_CAP)
@@ -204,7 +194,7 @@ def state_table(params: ModelParams) -> StateTable:
     ground = log_ground_constant((params.nu + m) + n, params.beta, params.length)
     with np.errstate(all="ignore"):
         log_K[m, n] = ground + _rungs(params, m, n, s)
-        q, row[m, n] = _cot_polynomials(params.beta, n, s)
+        q, row[m, n] = _cot_polynomials(params.beta, s)
     for array in (log_K, q, row):
         array.flags.writeable = False
     return StateTable(log_K, q, row)
@@ -306,16 +296,15 @@ def _triangle(k: int) -> tuple:
 def _gram(functions, lo: float, hi: float, config: QuadratureConfig, weight=None) -> np.ndarray:
     # the Hermitian matrix of int conj(phi_i) w phi_j over [lo, hi], phi_i the
     # operands and w = weight(x), 1 if None.  The operands are stacked as one
-    # and valued by its empty word, folded outside the memo, as no later call
-    # could find a stack built per call.  The upper triangle is one
-    # vector-valued integral, the lower one its conjugate
+    # and valued by its empty word.  The upper triangle is one vector-valued
+    # integral, the lower one its conjugate
     k = len(functions)
     if not k:
         return np.zeros((0, 0), dtype=complex)
     params = getattr(functions[0], "params", None)
     if params is None or any(getattr(f, "params", None) != params or not hasattr(f, "cot_terms") for f in functions):
         raise DomainError("a Gram matrix needs operands of one ModelParams with cot_terms")
-    words = operators._stacked_words(params, [((), operators._OperandStack(functions), 1.0)], memo=False)
+    words = operators._stacked_words(params, [((), operators._OperandStack(functions), 1.0)])
     rows, cols = _triangle(k)
 
     def integrand(x):
@@ -345,7 +334,9 @@ def gram_matrix(
     The operands (eigenfunctions, coherent states, bumps) are stacked as one
     operand of the operator layer and valued by its empty word in one pass
     per integrand call, each row bit for bit the operand's own call at the
-    same interior nodes; the integrand is real when every operand is.
+    same interior nodes; the integrand is real when every operand is.  The
+    stack's fold is kept in the fold memo, so the operands must be
+    hashable, and a later Gram of the same operands folds nothing.
     Operands of different ``ModelParams``, or without ``params`` and
     ``cot_terms``, raise ``DomainError``, and so does a ``length`` other
     than the operands' ``params.length``.

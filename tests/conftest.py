@@ -17,9 +17,8 @@ PARAM_GRID = [
 
 
 def clear_memos():
-    """Empty the level-row, corpus-stack, level-stack and fold memos of ``operators``."""
+    """Empty the level-row, level-stack and fold memos of ``operators``."""
     operators._level_identities.cache_clear()
-    operators._corpus_stack.cache_clear()
     operators._level_stack.cache_clear()
     operators._fold.cache_clear()
 

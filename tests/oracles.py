@@ -186,7 +186,7 @@ def operand_jet(func, x, order: int) -> jets.Jet:
     """Taylor jet of an operand at the points x; a stack has its members on
     the axis after the Taylor axis."""
     if isinstance(func, _OperandStack):
-        return jets.Jet(np.stack([operand_jet(f, x, order).c for f in func], axis=1))
+        return jets.Jet(np.stack([operand_jet(f, x, order).c for f in func.funcs], axis=1))
     X = jets.Jet.variable(np.asarray(x, dtype=float), order)
     s, _ = jets.sin_cos(X * (math.pi / func.params.length))
     if isinstance(func, TrigPolyBump):

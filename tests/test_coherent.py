@@ -365,12 +365,15 @@ def test_gram_projection_identity_small():
 
 
 def test_gram_projection_on_no_states_is_empty():
-    # the 0 x 0 matrix, as gram_matrix([]) gives
+    # the 0 x 0 matrix, as gram_matrix([]) gives; the level is checked as
+    # the kernel checks it, with its message, for every size
     mat = identity_gram_projection(DEFAULT, 1, 0)
     assert mat.shape == (0, 0) and mat.dtype == complex
-    for m in (-1, 0.5):
+    for size in (0, 2):
+        with pytest.raises(DomainError, match=re.escape("hierarchy level must be nonnegative, got m=-1")):
+            identity_gram_projection(DEFAULT, -1, size)
         with pytest.raises(DomainError):
-            identity_gram_projection(DEFAULT, m, 0)
+            identity_gram_projection(DEFAULT, 0.5, size)
 
 
 @pytest.mark.parametrize("size", [-1, 2.5, True, math.nan, math.inf, "2", None])

@@ -632,8 +632,8 @@ def test_a_repeated_cell_takes_no_step(monkeypatch):
 
 def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
     # cell m folds the words of its level rows on the corpus stacks of levels
-    # 0, m and m + 1, one stack per (params, level); cell m + 1 finds the
-    # stacks of levels 0 and m + 1 with their folds in the memo
+    # 0, m and m + 1; cell m + 1 builds equal stacks of levels 0 and m + 1,
+    # which find their folds in the memo
     on_stacks = []
     fold = operators._fold.__wrapped__
 
@@ -653,7 +653,7 @@ def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
     assert len(on_stacks) < len(cold)
     # on level 0 the chain words of cell 2, B = A_2 A_1 A_0 and H_0 B, are
     # prefixes of those of cell 3: only A_3 on each and H_4 after B are new
-    assert on_stacks.count(operators._corpus_stack(DEFAULT, 0)) == 3
+    assert on_stacks.count(operators._OperandStack(operators.test_corpus(DEFAULT, 0))) == 3
 
 
 def _alone(params, word, f, sign, grid, shifts=()):

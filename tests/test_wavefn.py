@@ -461,9 +461,9 @@ def _same_bits(a, b) -> bool:
 
 
 def _stacked_rows(states, x):
-    # the empty word of the states stacked as one operand, folded outside the
-    # memo: the values gram_matrix integrates, one row per state
-    (rows,) = operators._stacked_words(states[0].params, [((), _OperandStack(states), 1.0)], memo=False)(x)
+    # the empty word of the states stacked as one operand: the values
+    # gram_matrix integrates, one row per state
+    (rows,) = operators._stacked_words(states[0].params, [((), _OperandStack(states), 1.0)])(x)
     return rows
 
 
@@ -691,13 +691,13 @@ def test_stacked_gram_matches_each_operand_alone(monkeypatch, kind):
     assert integrands[0] >= 1 and evaluations[0] == integrands[0]
     monkeypatch.undo()
 
-    def per_operand_words(params, requests, memo=True):
+    def per_operand_words(params, requests):
         # the stack of _gram valued one operand call at a time; the calls
         # themselves take the real route
         ((_, stack, _),) = requests
         if isinstance(stack, _OperandStack):
-            return lambda x: [np.array([f(x) for f in stack])]
-        return real_words(params, requests, memo)
+            return lambda x: [np.array([f(x) for f in stack.funcs])]
+        return real_words(params, requests)
 
     monkeypatch.setattr(operators, "_stacked_words", per_operand_words)
     per_operand = wavefn._gram(funcs, 0.0, DEFAULT.length, ORTHONORMALITY_CONFIG)
@@ -711,14 +711,24 @@ def test_stacked_gram_matches_each_operand_alone(monkeypatch, kind):
         assert np.max(np.abs(gram.diagonal() - 1.0)) < 1e-8
 
 
-def test_stacked_gram_leaves_the_fold_memo_as_it_was():
-    # each call stacks its operands anew; the stack's fold, which no later
-    # call could find, is not kept in the fold memo
+def test_equal_stacks_are_one_fold_and_a_repeated_gram_adds_none():
+    # a stack is a value: the same members in the same order are one key of
+    # the fold memo, the same members in another order another.  A Gram
+    # stacks its operands anew on every call; the first call folds the stack
+    # once, and a later call of the same operands finds that fold and
+    # returns the same bytes
+    states = [eigenfunction(DEFAULT, 2, n) for n in range(4)]
+    stack, same, turned = _OperandStack(states), _OperandStack(list(states)), _OperandStack(states[::-1])
+    assert stack == same and hash(stack) == hash(same) and stack != turned
+    misses = operators._fold.cache_info().misses
+    for func in (stack, same, turned):
+        operators._fold(DEFAULT, (), func, 1.0)
+    assert operators._fold.cache_info().misses == misses + 2
     coherent = [CoherentState(DEFAULT, 1, PhasePoint(q, p)) for q, p in ((0.3, 2.0), (0.6, -1.0))]
-    for funcs in (coherent, [eigenfunction(DEFAULT, 2, n) for n in range(4)]):
+    for funcs, folds in ((coherent, 1), (states, 0)):
         size = operators._fold.cache_info().currsize
         grams = [gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG) for _ in range(3)]
-        assert operators._fold.cache_info().currsize == size
+        assert operators._fold.cache_info().currsize == size + folds
         assert all(g.tobytes() == grams[0].tobytes() for g in grams[1:])
 
 
