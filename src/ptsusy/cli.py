@@ -428,7 +428,9 @@ def cmd_coherent(cfg: dict) -> int:
 
     resolution = None
     if not cfg.get("skip_resolution"):
-        xs = np.array([j * L / (grid + 1.0) for j in range(1, grid + 1)])
+        xs = np.arange(1, grid + 1) * L / (grid + 1.0)
+        if xs.size != grid:  # numpy gives no points past int64, a ValueError past its size limit
+            raise ConfigError(f"grid_points {grid} is too large")
         gvals = resolution_kernel(params, m, xs)
         res_rows = []
         for x, g in zip(xs, gvals):

@@ -93,7 +93,8 @@ class CoherentState:
     """Normalized lowering-operator eigenstate at hierarchy level m.
 
     Satisfies A_m eta = (W_m(q) + i p) eta pointwise; callable on scalars or
-    arrays of [0, L] through its cotangent form, one term with Q = 1.
+    arrays of [0, L] through its cotangent form, one term with Q = 1.  A
+    value of (params, m, point), so equal states built apart share folds.
     """
 
     def __init__(self, params: ModelParams, m: int, point: PhasePoint):
@@ -109,6 +110,12 @@ class CoherentState:
         self._log_K0 = log_ground_constant(dp, params.beta, params.length)
         # growth rate of eta / sin^(d'+1); the beta tilts have cancelled
         self._rate = complex(-math.pi * s * u / params.length, point.p / params.hbar)
+
+    def __eq__(self, other):
+        return isinstance(other, CoherentState) and (self.params, self.m, self.point) == (other.params, other.m, other.point)
+
+    def __hash__(self):
+        return hash((self.params, self.m, self.point))
 
     @property
     def eigenvalue(self) -> complex:

@@ -35,11 +35,13 @@ A word is folded one operator at a time on top of the fold of its prefix.
 Q and the magnitudes each of its coefficients was summed from are the two
 planes of one band, so a step is one pass with the signed multipliers on
 the Q plane and their absolute values on the magnitude plane, each pair
-broadcast over the rows.  A bounded ``lru_cache`` keyed on
-(params, prefix, operand, sign) keeps each fold.  The words wanted at the
-same points go into one plan over the rows of their folds that they read,
-cut straight from both planes of each band and built once per call: the
-rows in falling degree and, per power, Q cut at the noise floor.
+broadcast over the rows; a step forms its own d/dx multipliers for the
+band width it has, so a fold is plain arrays and nothing else.  A bounded
+``lru_cache`` keyed on (params, prefix, operand, sign) keeps each fold.
+The words wanted at the same points go into one plan over the rows of
+their folds that they read, cut straight from both planes of each band
+and built once per call: the rows in falling degree and, per power, Q cut
+at the noise floor.
 The plan is evaluated in one Horner pass in place per node set, which a row
 joins at its own degree, so each row sees the same operations as when its
 word is evaluated alone, and each result is bit-identical to it.
@@ -150,42 +152,16 @@ class _Terms(NamedTuple):
     gamma: np.ndarray
     power: np.ndarray
     band: np.ndarray
-    d_dx: "_DDx"
 
     @classmethod
-    def of(cls, params: ModelParams, terms) -> "_Terms":
+    def of(cls, terms) -> "_Terms":
         log_c, gamma, power, qs = zip(*terms)
-        gamma, power = np.array(gamma), np.array(power)
+        gamma = np.array(gamma)
         band = np.zeros((2, len(qs), max(map(len, qs))), dtype=np.result_type(gamma, *{q.dtype for q in qs}))
         for row, q in zip(band[0], qs):
             row[: len(q)] = q
         np.abs(band[0], out=band[1])
-        return cls(np.array(log_c), gamma, power, band, _DDx(params, gamma, power))
-
-
-class _DDx:
-    # d/dx on a band: coefficient j of the new Q is
-    # gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1), and of the
-    # magnitudes the same sum with every multiplier's absolute value.  The
-    # multipliers depend on the operand alone, broadcast over the band's rows
-    # as gamma (2, r, 1), rise (2, r, N) and fall (2, 1, N), and grow with N.
-    def __init__(self, params: ModelParams, gamma: np.ndarray, power: np.ndarray):
-        self.k, self.power = math.pi / params.length, power[:, None]
-        self.gamma = np.array([gamma, np.abs(gamma)])[:, :, None]
-        self.rise = self.fall = np.zeros((2, 1, 0))
-
-    def __call__(self, band: np.ndarray) -> np.ndarray:
-        n = band.shape[-1]
-        # fall is widened last, so a widening cut short by a signal is redone
-        if self.fall.shape[-1] < n:
-            rise, fall = self.k * (self.power - np.arange(2 * n)), -self.k * np.arange(1, 2 * n + 1)
-            self.rise = np.array([rise, np.abs(rise)])
-            self.fall = np.array([fall, np.abs(fall)])[:, None]
-        out = np.zeros(band.shape[:2] + (n + 1,), dtype=band.dtype)
-        np.multiply(self.gamma, band, out=out[..., :n])
-        out[..., 1:] += self.rise[..., :n] * band
-        out[..., : n - 1] += self.fall[..., : n - 1] * band[..., 1:]
-        return out
+        return cls(np.array(log_c), gamma, np.array(power), band)
 
 
 def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float, shift: float = 0.0) -> _Terms:
@@ -206,11 +182,24 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
     # derivative, the others are the polynomial in c
     scale, *poly = np.array([factors, np.abs(factors)]).T[:, :, None, None]
     n = terms.band.shape[-1]
+    # d/dx on a band of width w: coefficient j of the new Q is
+    # gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1), and of the
+    # magnitudes the same sum with every multiplier's absolute value.  A fold
+    # is plain arrays: the step forms its multipliers gamma, rise k (a - j)
+    # and fall -k j (magnitude k j) as pairs of planes, for its widest band
+    k, j = math.pi / params.length, np.arange(n + derivatives - 1)
+    rise = k * (terms.power[:, None] - j)
+    gamma, rise = np.array([terms.gamma, np.abs(terms.gamma)])[:, :, None], np.array([rise, np.abs(rise)])
+    fall = np.multiply.outer([-k, k], j[1:])[:, None]
     # rows fold silently: one that overflows warns in _plan, if a call reads it
     with np.errstate(over="ignore", invalid="ignore"):
         derived = terms.band
-        for _ in range(derivatives):
-            derived = terms.d_dx(derived)
+        for w in range(n, n + derivatives):
+            out = np.zeros(derived.shape[:2] + (w + 1,), dtype=derived.dtype)
+            np.multiply(gamma, derived, out=out[..., :w])
+            out[..., 1:] += rise[..., :w] * derived
+            out[..., : w - 1] += fall[..., : w - 1] * derived[..., 1:]
+            derived = out
         times = np.zeros(derived.shape, dtype=derived.dtype)
         for i, factor in enumerate(poly):
             times[..., i : i + n] += factor * terms.band
@@ -307,7 +296,7 @@ def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Terms:
     # the prefix is looked up through the module name, so a (params, prefix,
     # operand, sign) is folded once while the memo holds it
     if not word:
-        return _Terms.of(params, func.cot_terms)
+        return _Terms.of(func.cot_terms)
     kind, level, *shift = word[-1]
     return _step(params, kind, level, _fold(params, word[:-1], func, sign), sign, *shift)
 

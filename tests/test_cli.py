@@ -386,6 +386,15 @@ def test_verify_grid_below_the_schema_minimum_rejected(capsys, grid):
     assert captured.err.splitlines() == ["ptsusy: config error: grid_points must be at least 3"]
 
 
+@pytest.mark.parametrize("grid", [10**20, 2**63 + 4])
+def test_coherent_grid_past_numpy_size_exits_at_once(grid):
+    # numpy refuses 10**20 kernel points and builds none for 2**63 + 4;
+    # either run exits 2 within seconds with a message and no traceback
+    proc = subprocess.run(CLI + ["coherent", "--grid", str(grid)], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("ptsusy: ") and "Traceback" not in proc.stderr
+
+
 def test_coherent_csv_self_overlap_and_kernel():
     proc = run_cli(
         "coherent", "--nu", "1", "--beta", "2", "--m", "0",

@@ -6,7 +6,6 @@ import math
 import re
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -659,7 +658,7 @@ def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
 def _alone(params, word, f, sign, grid, shifts=()):
     # word on the state f folded alone and with no memo, then an H step of
     # its last level per shift, as mixed_product folds its operator polynomial
-    terms = operators._Terms.of(params, f.cot_terms)
+    terms = operators._Terms.of(f.cot_terms)
     for kind, level in word:
         terms = operators._step(params, kind, level, terms, sign)
     for shift in shifts:
@@ -854,7 +853,7 @@ def test_fold_memo_keys_operands_by_equality(monkeypatch):
 
 
 def _two_pass_fold(word, func, sign):
-    terms = split_terms(operators._Terms.of(DEFAULT, func.cot_terms))
+    terms = split_terms(operators._Terms.of(func.cot_terms))
     for kind, level in word:
         terms = two_pass_step(DEFAULT, kind, level, terms, sign)
     return terms
@@ -889,7 +888,7 @@ def test_stacked_step_matches_two_pass_step(m):
 def test_step_factors_follow_hbar():
     # params that differ only in hbar fold one operand to their own bands,
     # each the two-pass step's
-    terms = operators._Terms.of(DEFAULT, eigenfunction(DEFAULT, 1, 2).cot_terms)
+    terms = operators._Terms.of(eigenfunction(DEFAULT, 1, 2).cot_terms)
     bands = {}
     for hbar in (1.0, 2.0, 1.0):
         p = replace(DEFAULT, hbar=hbar)
@@ -1072,18 +1071,17 @@ def _run_cut(n, m, at=lambda frame, event: False):
 def test_an_interrupted_cell_leaves_the_memos_consistent():
     # the benchmark cuts verdicts with SIGALRM at any bytecode: cut cell
     # (3, 2) at 40 line events spread over a cold run, and before each line
-    # of _DDx's widening at its first run, then run the whole cell on what
-    # the cut left in the memos; its rows are the cold rows
+    # of _step, the d/dx multipliers it forms included, at its first run,
+    # then run the whole cell on what the cut left in the memos; its rows
+    # are the cold rows
     cold = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)]
     clear_memos()
-    # an uncut run that counts the line events of _DDx.__call__ per line
-    ddx, runs = operators._DDx.__call__.__code__, Counter()
-    events, _ = _run_cut(3, 2, lambda frame, _: frame.f_code is ddx and runs.update([frame.f_lineno]))
-    # the widening's lines run on fewer calls than the lines around them
-    widening = [line for line, count in runs.items() if count < max(runs.values())]
-    assert len(widening) >= 3
+    # an uncut run that records the lines of _step it runs: every line of its body
+    step, lines = operators._step.__code__, set()
+    events, _ = _run_cut(3, 2, lambda frame, _: frame.f_code is step and lines.add(frame.f_lineno))
+    assert lines == {line for *_, line in step.co_lines() if line is not None} - {step.co_firstlineno}
     cuts = [lambda _, number, k=k: number == k for k in np.linspace(1, events, 40).astype(int).tolist()]
-    cuts += [lambda frame, _, line=line: frame.f_code is ddx and frame.f_lineno == line for line in widening]
+    cuts += [lambda frame, _, line=line: frame.f_code is step and frame.f_lineno == line for line in sorted(lines)]
     for cut in cuts:
         clear_memos()
         assert _run_cut(3, 2, cut)[1]

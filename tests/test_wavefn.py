@@ -732,6 +732,25 @@ def test_equal_stacks_are_one_fold_and_a_repeated_gram_adds_none():
         assert all(g.tobytes() == grams[0].tobytes() for g in grams[1:])
 
 
+def test_equal_coherent_states_built_apart_share_one_gram_fold():
+    # a coherent state is a value of (params, m, point): the Grams of two
+    # lists of equal states, built apart, fold one stack and are the same
+    # bytes; a list with a new phase point folds a new stack
+    def states(points):
+        return [CoherentState(DEFAULT, 1, PhasePoint(q, p)) for q, p in points]
+
+    points = ((0.2, -2.0), (0.2, 1.5), (0.6, -2.0), (0.6, 1.5))
+    first, second = states(points), states(points)
+    assert first == second and first[0] is not second[0] and hash(first[0]) == hash(second[0])
+    assert first[0] != CoherentState(DEFAULT, 2, first[0].point) and first[0] != CoherentState(OTHER, 1, first[0].point)
+    size = operators._fold.cache_info().currsize
+    grams = [gram_matrix(funcs, DEFAULT.length, ORTHONORMALITY_CONFIG) for funcs in (first, second)]
+    assert operators._fold.cache_info().currsize == size + 1
+    assert grams[0].tobytes() == grams[1].tobytes()
+    gram_matrix(states(points[:3] + ((0.7, 1.5),)), DEFAULT.length, ORTHONORMALITY_CONFIG)
+    assert operators._fold.cache_info().currsize == size + 2
+
+
 OTHER = ModelParams(nu=2.5, beta=1.0)
 
 
