@@ -393,6 +393,11 @@ def cmd_coherent(cfg: dict) -> int:
     tol_norm = tols.get("normalization", NORM_TOLERANCE)
     tol_overlap = tols.get("overlap", 1e-8)
     tol_resolution = tols.get("resolution", 1e-6)
+    xs = None
+    if not cfg.get("skip_resolution"):  # the kernel points, built and checked before any state
+        xs = np.arange(1, grid + 1) * L / (grid + 1.0)
+        if xs.size != grid:  # numpy gives no points past int64, a ValueError past its size limit
+            raise ConfigError(f"grid_points {grid} is too large")
 
     points = [PhasePoint(q, p) for q in qs for p in ps]
     states = [CoherentState(params, m, pt) for pt in points]
@@ -427,10 +432,7 @@ def cmd_coherent(cfg: dict) -> int:
         )
 
     resolution = None
-    if not cfg.get("skip_resolution"):
-        xs = np.arange(1, grid + 1) * L / (grid + 1.0)
-        if xs.size != grid:  # numpy gives no points past int64, a ValueError past its size limit
-            raise ConfigError(f"grid_points {grid} is too large")
+    if xs is not None:
         gvals = resolution_kernel(params, m, xs)
         res_rows = []
         for x, g in zip(xs, gvals):

@@ -50,11 +50,6 @@ class Jet:
         c[0] = v
         return cls(c)
 
-    def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise ValueError("cannot extend a jet; only truncation is allowed")
-        return Jet(self.c[: order + 1])
-
     def derivative(self) -> "Jet":
         # Jet of f' at the same point, one order lower.
         if self.order < 1:

@@ -20,8 +20,9 @@ s = sin theta, which stays bounded up to the walls; theta is taken from the
 distance to the nearer wall, so that s keeps its relative accuracy at both
 (for x near L, pi x / L would carry the rounding of pi).  Eigenfunctions,
 coherent states and the smooth test bumps provide ``cot_terms``, and a
-corpus of operands can be stacked into one, so that one fold serves every
-member.  A bare eigenfunction is folded as its row of its level's stack
+stack of operands, the tuple of its members, is folded as one operand on
+their terms side by side, so that one fold serves every member.  A bare
+eigenfunction is folded as its row of its level's stack
 (``_level_stack``, every state n <= LEVEL_CAP - m of level m), so one fold
 of a word serves every state of the level, and a call plans only the rows
 it reads, each bit for bit the state folded alone.  At very large beta the
@@ -46,8 +47,8 @@ The plan is evaluated in one Horner pass in place per node set, which a row
 joins at its own degree, so each row sees the same operations as when its
 word is evaluated alone, and each result is bit-identical to it.
 ``wavefn.gram_matrix`` stacks its operands into one and evaluates its empty
-word this way, once per integrand call.  A stack is a value: stacks of the
-same members in the same order are one key of the memo.
+word this way, once per integrand call.  Tuples of the same members in the
+same order are equal and hash alike, so they are one key of the memo.
 
 The verification suite evaluates every operator identity of the hierarchy on
 one sample grid or by quadrature and reports one relative residual per
@@ -296,7 +297,8 @@ def _fold(params: ModelParams, word: tuple, func, sign: float) -> _Terms:
     # the prefix is looked up through the module name, so a (params, prefix,
     # operand, sign) is folded once while the memo holds it
     if not word:
-        return _Terms.of(func.cot_terms)
+        # a stack's members' terms side by side, joined only on a miss
+        return _Terms.of([t for f in (func if isinstance(func, tuple) else (func,)) for t in f.cot_terms])
     kind, level, *shift = word[-1]
     return _step(params, kind, level, _fold(params, word[:-1], func, sign), sign, *shift)
 
@@ -321,8 +323,8 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     bumps, complex128 for coherent states).  The word is folded on the
     operand's ``cot_terms`` and the result is evaluated at x, a scalar being
     one point of a 1-d grid, so the value at a point does not depend on the
-    other points.  A stacked operand (``_OperandStack`` of k functions) gives
-    shape (k, *x.shape), row i bit-identical to applying the word to member i
+    other points.  A stack, the tuple of k operands, gives shape
+    (k, *x.shape), row i bit-identical to applying the word to member i
     alone when the members share a dtype.  An ``EigenFunction`` is folded as
     its row of its level's stack (the states of its own params), so a word on
     any state of a level is folded once for every state of it, and only that
@@ -358,7 +360,7 @@ def _stacked_words(params: ModelParams, requests):
     # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
     for word, func, sign in requests:
         _check_sign(sign)
-        for member in func.funcs if isinstance(func, _OperandStack) else (func,):
+        for member in func if isinstance(func, tuple) else (func,):
             if (length := getattr(member, "params", params).length) != params.length:
                 raise DomainError(f"an operand of length {length} under params of length {params.length}")
         for entry in word:
@@ -420,34 +422,16 @@ def operand_values(func, x):
 
 
 def _members(func, rows: np.ndarray) -> np.ndarray:
-    # the evaluated term rows summed per member, in term order, from 0; where
-    # every member has one term, its row as it is
-    if not isinstance(func, _OperandStack):
-        return rows[0] if len(rows) == 1 else sum(rows)
-    if len(rows) == len(func.funcs):
-        return rows
-    out = np.zeros((len(func.funcs), rows.shape[1]), dtype=rows.dtype)
-    for i, row in zip(func.owner, rows):
-        out[i] += row
-    return out
-
-
-class _OperandStack:
-    """Several operands as one, for ``apply_word``: the members' cotangent
-    terms side by side, each tagged with the member it belongs to.  A value:
-    stacks of the same members in the same order are equal and hash alike,
-    so they share their folds."""
-
-    def __init__(self, funcs):
-        self.funcs = tuple(funcs)
-        self.cot_terms = tuple(t for f in self.funcs for t in f.cot_terms)
-        self.owner = np.array([i for i, f in enumerate(self.funcs) for _ in f.cot_terms])
-
-    def __eq__(self, other):
-        return isinstance(other, _OperandStack) and self.funcs == other.funcs
-
-    def __hash__(self):
-        return hash(self.funcs)
+    # the evaluated term rows summed per member, in term order, from 0, one
+    # row per member of a stack (the tuple of its operands) and the one row
+    # of a single operand; where every member has one term, its row as it is
+    members = func if isinstance(func, tuple) else (func,)
+    if len(rows) > len(members):
+        summed = np.zeros((len(members), rows.shape[1]), dtype=rows.dtype)
+        for i, row in zip([i for i, f in enumerate(members) for _ in f.cot_terms], rows):
+            summed[i] += row
+        rows = summed
+    return rows if isinstance(func, tuple) else rows[0]
 
 
 def default_grid(params: ModelParams, size: int = 161) -> np.ndarray:
@@ -542,11 +526,11 @@ def _identity(results: list, indices: dict, grid_size: int, name: str):
 
 
 @lru_cache(maxsize=256)
-def _level_stack(params: ModelParams, level: int) -> _OperandStack:
+def _level_stack(params: ModelParams, level: int) -> tuple:
     # every state of a level under the cap as one stack, member n the state
     # n: a word on any state of the level is folded once for all of them,
     # and each request plans only its own row
-    return _OperandStack(eigenfunction(params, level, n) for n in range(LEVEL_CAP - level + 1))
+    return tuple(eigenfunction(params, level, n) for n in range(LEVEL_CAP - level + 1))
 
 
 @lru_cache(maxsize=256)
@@ -565,7 +549,7 @@ def _level_identities(
     # the standard operands of a level as one stack: a word folds all members
     # at once, and residuals are taken member by member.  Equal stacks share
     # their folds, so the levels m and m + 1 of two cells fold once.
-    corpus = {level: _OperandStack(test_corpus(params, level)) for level in {0, m, m + 1}}
+    corpus = {level: tuple(test_corpus(params, level)) for level in {0, m, m + 1}}
 
     # Every word of the pointwise rows at the grid in one call, in report
     # order: annihilation, factorization, single-step intertwining both ways
@@ -676,7 +660,9 @@ def verify_operator_identities(
     the cap or an integral out of panels, ends only that identity: its rows
     carry the error's type name as the residual and its message under
     "error" in details, and are not passed if mandatory, skipped if
-    informational.
+    informational.  A closed form of the cell past double range, such as a
+    gap factor or the (2M)^(m+1) of the chain products, raises
+    ``DomainError``; the folds before it may have warned of their overflow.
 
     Five identities do not depend on n: ground-state annihilation,
     factorization, single-step and chain intertwining (with its
@@ -735,6 +721,14 @@ def verify_operator_identities(
     degree = max(n + m + 1, m + 4)
     if degree > LEVEL_CAP:
         raise DegreeCapError(f"cell (n={n}, m={m}) needs states of degree {degree}, which exceeds cap {LEVEL_CAP}")
+    try:
+        return _cell_rows(params, n, m, grid_size, sign)
+    except OverflowError:
+        raise DomainError(f"cell (n={n}, m={m}): a closed form exceeds double range") from None
+
+
+def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float) -> list[IdentityResult]:
+    # the rows of a checked cell in report order, for verify_operator_identities
     head, tail = _level_identities(params, m, grid_size, sign)
     grid = default_grid(params, grid_size)
     idx = {"n": n, "m": m}
@@ -872,7 +866,7 @@ def verify_operator_identities(
     if n != m:
         try:
             components += partial_means()
-        except PtsusyError as exc:
+        except DegreeCapError as exc:
             outcomes["partial_chain_means"] = exc
     # Eigen-residual of the level-m state n, relative to its energy.  A
     # residual at the 1e-6 threshold squares to 1e-12; weighted by

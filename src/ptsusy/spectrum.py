@@ -136,6 +136,14 @@ def _gap_product_logs(factors) -> float:
     return total
 
 
+def _gap_exp(log_value: float) -> float:
+    # a gap factor from its log, 0 for -inf; past double range a DomainError
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"gap factor e^{log_value:.6g} exceeds double range") from None
+
+
 def _m_squared_factors(params: ModelParams, n: int, m: int):
     nu, beta = params.nu, params.beta
     top = n + m + nu + 2.0
@@ -149,11 +157,11 @@ def gap_factor_M(params: ModelParams, n: int, m: int) -> float:
     """Ladder-chain gap factor M(n, m) > 0, the positive square root of M^2.
 
     M^2 is a product of per-rung energy gaps; it is evaluated in log space and
-    exponentiated, so deep chains cannot overflow intermediate products.
+    exponentiated, so deep chains cannot overflow intermediate products.  A
+    factor past double range raises ``DomainError``.
     """
     n, m = level_number(n), level_number(m)
-    log_m2 = _gap_product_logs(_m_squared_factors(params, n, m))
-    return math.exp(0.5 * log_m2)
+    return _gap_exp(0.5 * _gap_product_logs(_m_squared_factors(params, n, m)))
 
 
 def gap_factor_N(params: ModelParams, n: int, m: int) -> float:
@@ -162,9 +170,8 @@ def gap_factor_N(params: ModelParams, n: int, m: int) -> float:
     N(n, m) is the product M^2(2n - m, m): the same rungs, read from the
     top level 2n + 1.  It vanishes identically once m >= 2n + 1 (a chain rung
     meets its own energy), which is the correct physical zero rather than an
-    error.
+    error.  A factor past double range raises ``DomainError``.
     """
     n, m = level_number(n), level_number(m)
-    log_n = _gap_product_logs(_m_squared_factors(params, 2 * n - m, m))
-    return 0.0 if log_n == -math.inf else math.exp(log_n)
+    return _gap_exp(_gap_product_logs(_m_squared_factors(params, 2 * n - m, m)))
 

@@ -28,11 +28,11 @@ A state keeps a copy of its Q, not the table.
 A call is ``operators.operand_values``, the empty word of
 the operator layer: a bare state reads its row of the memoized fold of its
 level's stack, with exact zeros on the walls.  ``gram_matrix`` and
-``coherent.identity_gram_projection`` stack their operands, eigenfunctions
-or not, as one operand of that layer, value its empty word once per
-integrand call, and share one triangle integral (``_gram``); a later Gram
-of the same operands finds that stack's fold in the memo.  Each row is bit
-for bit the operand's own call at the same interior nodes.  The operator
+``coherent.identity_gram_projection`` pass their operands, eigenfunctions
+or not, to that layer as one stack, the tuple of them, value its empty
+word once per integrand call, and share one triangle integral (``_gram``);
+a later Gram of the same operands finds that stack's fold in the memo.
+Each row is bit for bit the operand's own call at the same interior nodes.  The operator
 layer imports ``EigenFunction`` and ``eigenfunction`` from this module, so
 this module imports it at its foot, after both are defined.
 ``EigenFunction.taylor`` emits its Taylor jets on the open interval, which
@@ -295,16 +295,16 @@ def _triangle(k: int) -> tuple:
 
 def _gram(functions, lo: float, hi: float, config: QuadratureConfig, weight=None) -> np.ndarray:
     # the Hermitian matrix of int conj(phi_i) w phi_j over [lo, hi], phi_i the
-    # operands and w = weight(x), 1 if None.  The operands are stacked as one
-    # and valued by its empty word.  The upper triangle is one vector-valued
-    # integral, the lower one its conjugate
+    # operands and w = weight(x), 1 if None.  The operands are one stack,
+    # their tuple, valued by its empty word.  The upper triangle is one
+    # vector-valued integral, the lower one its conjugate
     k = len(functions)
     if not k:
         return np.zeros((0, 0), dtype=complex)
     params = getattr(functions[0], "params", None)
     if params is None or any(getattr(f, "params", None) != params or not hasattr(f, "cot_terms") for f in functions):
         raise DomainError("a Gram matrix needs operands of one ModelParams with cot_terms")
-    words = operators._stacked_words(params, [((), operators._OperandStack(functions), 1.0)])
+    words = operators._stacked_words(params, [((), tuple(functions), 1.0)])
     rows, cols = _triangle(k)
 
     def integrand(x):
@@ -331,10 +331,10 @@ def gram_matrix(
 
     The upper triangle is one vector-valued adaptive integral: every operand
     is evaluated once per node, and every entry meets its own tolerance.
-    The operands (eigenfunctions, coherent states, bumps) are stacked as one
-    operand of the operator layer and valued by its empty word in one pass
-    per integrand call, each row bit for bit the operand's own call at the
-    same interior nodes; the integrand is real when every operand is.  The
+    The operands (eigenfunctions, coherent states, bumps) are one stack of
+    the operator layer, the tuple of them, valued by its empty word in one
+    pass per integrand call, each row bit for bit the operand's own call at
+    the same interior nodes; the integrand is real when every operand is.  The
     stack's fold is kept in the fold memo, so the operands must be
     hashable, and a later Gram of the same operands folds nothing.
     Operands of different ``ModelParams``, or without ``params`` and

@@ -150,7 +150,7 @@ from ptsusy.errors import (
     SubdivisionLimitError,
     TailBoundError,
 )
-from ptsusy.operators import _SUITE_CONFIG, EDGE_CLAMP, NOISE_FLOOR, TrigPolyBump, _OperandStack, _rel, apply_word
+from ptsusy.operators import _SUITE_CONFIG, EDGE_CLAMP, NOISE_FLOOR, TrigPolyBump, _rel, apply_word
 from ptsusy.quadrature import (
     BASE_RULE_ORDER,
     DEFAULT_CONFIG,
@@ -182,11 +182,18 @@ def serial_jet_mul(a, b):
     return out
 
 
+def truncate(jet: jets.Jet, order: int) -> jets.Jet:
+    """The jet's coefficients up to order; a jet cannot be extended."""
+    if order > jet.order:
+        raise ValueError("cannot extend a jet; only truncation is allowed")
+    return jets.Jet(jet.c[: order + 1])
+
+
 def operand_jet(func, x, order: int) -> jets.Jet:
-    """Taylor jet of an operand at the points x; a stack has its members on
-    the axis after the Taylor axis."""
-    if isinstance(func, _OperandStack):
-        return jets.Jet(np.stack([operand_jet(f, x, order).c for f in func.funcs], axis=1))
+    """Taylor jet of an operand at the points x; a stack, the tuple of its
+    operands, has its members on the axis after the Taylor axis."""
+    if isinstance(func, tuple):
+        return jets.Jet(np.stack([operand_jet(f, x, order).c for f in func], axis=1))
     X = jets.Jet.variable(np.asarray(x, dtype=float), order)
     s, _ = jets.sin_cos(X * (math.pi / func.params.length))
     if isinstance(func, TrigPolyBump):
@@ -204,11 +211,11 @@ def _jet_step(params, kind, level, fj, cot, csc2, sign):
     hbar = params.hbar
     if kind in ("A", "Adag"):
         lvl = params.nu + level + 1.0
-        w = (cot.truncate(fj.order - 1) * lvl - params.beta / lvl) * (-sign * math.pi * hbar / params.length)
+        w = (truncate(cot, fj.order - 1) * lvl - params.beta / lvl) * (-sign * math.pi * hbar / params.length)
         return fj.derivative() * (hbar if kind == "A" else -hbar) + w * fj
     if kind == "H":
         lvl = params.nu + level
-        c, c2 = cot.truncate(fj.order - 2), csc2.truncate(fj.order - 2)
+        c, c2 = truncate(cot, fj.order - 2), truncate(csc2, fj.order - 2)
         v = (c2 * (lvl * (lvl + 1.0)) - c * (2.0 * params.beta)) * params.epsilon0
         kinetic = fj.derivative().derivative() * (-(hbar**2) / (2.0 * params.mass))
         return kinetic + v * fj

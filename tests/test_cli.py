@@ -395,6 +395,17 @@ def test_coherent_grid_past_numpy_size_exits_at_once(grid):
     assert proc.stderr.startswith("ptsusy: ") and "Traceback" not in proc.stderr
 
 
+def test_coherent_grid_is_checked_before_any_gram(capsys, monkeypatch):
+    # the kernel points were built and checked only after the Gram of every
+    # state and the closed-form overlaps
+    def no_gram(*args, **kwargs):
+        raise AssertionError("gram_matrix reached")
+
+    monkeypatch.setattr(ptsusy.wavefn, "gram_matrix", no_gram)
+    assert ptsusy.cli.main(["coherent", "--grid", str(2**63 + 4)]) == 2
+    assert capsys.readouterr().err == f"ptsusy: config error: grid_points {2**63 + 4} is too large\n"
+
+
 def test_coherent_csv_self_overlap_and_kernel():
     proc = run_cli(
         "coherent", "--nu", "1", "--beta", "2", "--m", "0",
@@ -522,6 +533,7 @@ OUT_OF_RANGE = {
     "verify --length 1e200": "length",
     "verify --nu 1e160": "nu",
     "verify --hbar 1e-200 --n 1": "hbar",
+    "spectrum --nu 0 --beta 1e80 --gap-factors": "gap factor",
 }
 
 
@@ -537,6 +549,18 @@ def test_gauge_outside_double_range_exits_2_with_one_stderr_line(capsys, command
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("ptsusy: error: ") and f"{field} " in line and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify --nu 0 --beta 1e25 --n 6 --m 5", "verify --hbar 1e100 --mass 1e200 --n 0 --m 3"])
+def test_verify_closed_form_past_double_range_exits_2(capsys, command):
+    # a gap factor (beta 1e25) or the (2M)^(m+1) of product_BdagB (mass
+    # 1e200) past double range stopped with an OverflowError traceback and
+    # exit 1; the folds before it warn of their own overflow, by design
+    with pytest.warns(RuntimeWarning, match="overflow encountered in folding a word"):
+        assert ptsusy.cli.main(command.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("ptsusy: error: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.filterwarnings("error")

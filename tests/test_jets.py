@@ -7,7 +7,7 @@ import pytest
 
 from ptsusy import jets
 
-from oracles import serial_jet_mul
+from oracles import serial_jet_mul, truncate
 
 
 def coeffs_of(jet, k):
@@ -85,9 +85,11 @@ def test_truncate():
     x = np.array([0.5])
     X = jets.Jet.variable(x, 5)
     E = jets.exp(X)
-    T = E.truncate(2)
+    T = truncate(E, 2)
     assert T.order == 2
     assert np.allclose(coeffs_of(T, 2), coeffs_of(E, 2))
+    with pytest.raises(ValueError, match="cannot extend a jet"):
+        truncate(T, 3)
 
 
 def test_composition_against_finite_difference():
@@ -141,5 +143,5 @@ def test_coefficients_independent_of_truncation_order():
     for name, op in ops.items():
         full = op(u, v)
         for n in range(top + 1):
-            for jf, jn in zip(full, op(u.truncate(n), v.truncate(n))):
-                np.testing.assert_array_equal(jf.truncate(n).c, jn.c, err_msg=f"{name} at order {n}")
+            for jf, jn in zip(full, op(truncate(u, n), truncate(v, n))):
+                np.testing.assert_array_equal(truncate(jf, n).c, jn.c, err_msg=f"{name} at order {n}")

@@ -197,7 +197,7 @@ def test_apply_word_rejects_an_entry_that_is_no_operator(entry):
         lambda: eigenfunction(DEFAULT, 0, 1),
         lambda: operators._bump(DEFAULT, 101),
         lambda: CoherentState(DEFAULT, 0, PhasePoint(0.3, 2.0)),
-        lambda: operators._OperandStack(operators.test_corpus(DEFAULT, 0)),
+        lambda: tuple(operators.test_corpus(DEFAULT, 0)),
     ],
     ids=["eigenfunction", "bump", "coherent", "stack"],
 )
@@ -218,7 +218,7 @@ def test_apply_word_rejects_an_operand_of_another_length(operand):
 def test_apply_word_accepts_an_empty_grid():
     word = (("A", 0), ("H", 1))
     assert apply_word(DEFAULT, word, eigenfunction(DEFAULT, 0, 1), np.array([])).shape == (0,)
-    stack = operators._OperandStack(operators.test_corpus(DEFAULT, 0))
+    stack = tuple(operators.test_corpus(DEFAULT, 0))
     assert apply_word(DEFAULT, word, stack, np.zeros((0, 2))).shape == (6, 0, 2)
 
 
@@ -544,7 +544,7 @@ def _words(m, rng):
 def test_stacked_operand_matches_per_operand_fold(m):
     rng = np.random.default_rng(40 + m)
     members = operators.test_corpus(DEFAULT, m)
-    stack = operators._OperandStack(members)
+    stack = tuple(members)
     for grid in (default_grid(DEFAULT), interior_grid(DEFAULT, 161, clamp=0.1)):
         for word in _words(m, rng):
             for sign in (1.0, -1.0):
@@ -552,6 +552,23 @@ def test_stacked_operand_matches_per_operand_fold(m):
                 assert stacked.shape == (len(members),) + grid.shape
                 for f, row in zip(members, stacked):
                     np.testing.assert_array_equal(row, apply_word(DEFAULT, word, f, grid, sign), err_msg=str(word))
+
+
+def test_apply_word_on_a_tuple_of_operands():
+    # a stack is the plain tuple of its operands: the corpus, whose bumps are
+    # two terms each, and coherent states give one row per member, each the
+    # bits of its member alone, at points of any shape
+    corpus = tuple(operators.test_corpus(DEFAULT, 1))
+    assert [len(f.cot_terms) for f in corpus] == [1, 1, 1, 1, 2, 2]
+    coherent = tuple(CoherentState(DEFAULT, 1, PhasePoint(q, p)) for q, p in ((0.3, 2.0), (0.7, -1.5), (0.5, 0.0)))
+    x = interior_grid(DEFAULT, 24, clamp=0.05).reshape(4, 6)
+    for stack in (corpus, coherent):
+        for word in ((), (("A", 1),), (("Adag", 1), ("H", 1)), (("H", 2, 1.5),)):
+            for sign in (1.0, -1.0):
+                rows = apply_word(DEFAULT, word, stack, x, sign)
+                assert rows.shape == (len(stack),) + x.shape
+                for f, row in zip(stack, rows):
+                    assert row.tobytes() == apply_word(DEFAULT, word, f, x, sign).tobytes(), (word, sign, f)
 
 
 def _chain_words(m):
@@ -637,7 +654,7 @@ def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
     fold = operators._fold.__wrapped__
 
     def counted(params, word, func, sign):
-        if word and isinstance(func, operators._OperandStack):
+        if word and isinstance(func, tuple):
             on_stacks.append(func)
         return fold(params, word, func, sign)
 
@@ -652,7 +669,7 @@ def test_cells_share_the_corpus_stacks_of_their_levels(monkeypatch):
     assert len(on_stacks) < len(cold)
     # on level 0 the chain words of cell 2, B = A_2 A_1 A_0 and H_0 B, are
     # prefixes of those of cell 3: only A_3 on each and H_4 after B are new
-    assert on_stacks.count(operators._OperandStack(operators.test_corpus(DEFAULT, 0))) == 3
+    assert on_stacks.count(tuple(operators.test_corpus(DEFAULT, 0))) == 3
 
 
 def _alone(params, word, f, sign, grid, shifts=()):
@@ -853,7 +870,9 @@ def test_fold_memo_keys_operands_by_equality(monkeypatch):
 
 
 def _two_pass_fold(word, func, sign):
-    terms = split_terms(operators._Terms.of(func.cot_terms))
+    # a stack, the tuple of its operands, has its members' terms side by side
+    members = func if isinstance(func, tuple) else (func,)
+    terms = split_terms(operators._Terms.of([t for f in members for t in f.cot_terms]))
     for kind, level in word:
         terms = two_pass_step(DEFAULT, kind, level, terms, sign)
     return terms
@@ -876,7 +895,7 @@ def test_stacked_step_matches_two_pass_step(m):
     coherent = CoherentState(DEFAULT, m, PhasePoint(0.3, 2.0))
     shift = energy(DEFAULT, LevelIndex(0, m))
     for word in _words(m, rng):
-        for f in [operators._OperandStack(corpus)] + corpus + [coherent, operators._OperandStack(corpus + [coherent])]:
+        for f in [tuple(corpus)] + corpus + [coherent, tuple(corpus + [coherent])]:
             for sign in (1.0, -1.0):
                 got, want = operators._fold(DEFAULT, word, f, sign), _two_pass_fold(word, f, sign)
                 assert _same_bits(got, want), (word, sign, f)
@@ -1006,7 +1025,7 @@ def test_shared_folds_are_bit_identical(monkeypatch, operand, sign):
     word_b, word_bdag = _chain_words(2)
     word = word_b + word_bdag
     if operand == "corpus":
-        func = operators._OperandStack(operators.test_corpus(DEFAULT, 0))
+        func = tuple(operators.test_corpus(DEFAULT, 0))
     else:
         func = eigenfunction(DEFAULT, 0, 3)
     grid = default_grid(DEFAULT)
@@ -1092,7 +1111,7 @@ def test_one_pass_horner_rows_match_each_term_alone():
     # the lowering chain leaves the rows at different degrees, so they join
     # the Horner loop at different powers
     word_b, _ = _chain_words(1)
-    terms = operators._fold(DEFAULT, word_b, operators._OperandStack(operators.test_corpus(DEFAULT, 0)), 1.0)
+    terms = operators._fold(DEFAULT, word_b, tuple(operators.test_corpus(DEFAULT, 0)), 1.0)
     plan = operators._plan(terms)
     degree = terms.power[plan.order] - plan.sin_power
     assert len(set(degree.tolist())) > 2
@@ -1109,7 +1128,7 @@ def test_one_pass_horner_rows_match_each_term_alone():
 @pytest.mark.parametrize("m", range(3))
 def test_one_pass_horner_matches_per_degree_loops(m):
     rng = np.random.default_rng(40 + m)
-    stack = operators._OperandStack(operators.test_corpus(DEFAULT, m))
+    stack = tuple(operators.test_corpus(DEFAULT, m))
     for grid in (default_grid(DEFAULT), np.array([EDGE_CLAMP, 0.5, 1.0 - EDGE_CLAMP]) * DEFAULT.length):
         for word in _words(m, rng):
             for sign in (1.0, -1.0):
@@ -1125,11 +1144,11 @@ def test_word_matches_jet_oracle(m):
     rng = np.random.default_rng(40 + m)
     bulk = interior_grid(DEFAULT, 161, clamp=0.1)
     corpus = operators.test_corpus(DEFAULT, m)
-    operands = corpus + [CoherentState(DEFAULT, m, PhasePoint(0.3, 2.0)), operators._OperandStack(corpus)]
+    operands = corpus + [CoherentState(DEFAULT, m, PhasePoint(0.3, 2.0)), tuple(corpus)]
     for word in _words(m, rng):
         order = sum(2 if kind == "H" else 1 for kind, _ in word)
         for f in operands:
-            size = max(float(np.max(np.abs(g(bulk)))) for g in getattr(f, "funcs", [f]))
+            size = max(float(np.max(np.abs(g(bulk)))) for g in (f if isinstance(f, tuple) else [f]))
             unit = (math.pi * DEFAULT.hbar / DEFAULT.length) ** order * size
             for sign in (1.0, -1.0):
                 got = apply_word(DEFAULT, word, f, bulk, sign)
@@ -1141,7 +1160,7 @@ def test_word_matches_jet_oracle(m):
 # an operand of each kind and the dtype its folds take
 LONE_POINT_OPERANDS = {
     "eigenfunction": (lambda: eigenfunction(DEFAULT, 1, 2), np.float64),
-    "corpus": (lambda: operators._OperandStack(operators.test_corpus(DEFAULT, 1)), np.float64),
+    "corpus": (lambda: tuple(operators.test_corpus(DEFAULT, 1)), np.float64),
     "coherent": (lambda: CoherentState(DEFAULT, 1, PhasePoint(0.3, 2.0)), np.complex128),
 }
 
@@ -1176,7 +1195,7 @@ def test_stacked_words_match_each_word_alone():
     # result is its own apply_word, bit for bit and in its dtype, at the
     # identity grid, the first quadrature nodes, one scalar point and no point
     rng = np.random.default_rng(31)
-    corpus = operators._OperandStack(operators.test_corpus(DEFAULT, 1))
+    corpus = tuple(operators.test_corpus(DEFAULT, 1))
     operands = [eigenfunction(DEFAULT, 0, 3), eigenfunction(DEFAULT, 2, 1), operators._bump(DEFAULT, 201), corpus]
     kinds = ("A", "Adag", "H")
     words = [(), (("H", 1),), (("H", 0), ("H", 2))]
@@ -1205,7 +1224,7 @@ def test_a_mixed_stack_folds_in_complex():
     # float64 folds up to the last bits of exp
     rng = np.random.default_rng(42)
     corpus = operators.test_corpus(DEFAULT, 2)
-    mixed = operators._OperandStack(corpus + [CoherentState(DEFAULT, 2, PhasePoint(0.3, 2.0))])
+    mixed = tuple(corpus + [CoherentState(DEFAULT, 2, PhasePoint(0.3, 2.0))])
     grid = default_grid(DEFAULT)
     for word in [()] + _words(2, rng):
         rows = apply_word(DEFAULT, word, mixed, grid)

@@ -120,6 +120,15 @@ def test_gap_factor_frozen_values():
     assert gap_factor_N(P, 1, 0) == pytest.approx(546.0 / 25.0, rel=1e-13)
 
 
+@pytest.mark.parametrize(("gap", "n", "m"), [(gap_factor_N, 1, 1), (gap_factor_M, 0, 3)], ids=["N", "M"])
+def test_gap_factor_past_double_range_raises_domain_error(gap, n, m):
+    # at nu 0, beta 1e80 each rung factor 1 + beta^2 / ((k + 1) top)^2 is
+    # about 1e159: math.exp of the log sum raised OverflowError, which
+    # ptsusy spectrum --gap-factors printed as a traceback with exit 1
+    with pytest.raises(DomainError, match="exceeds double range"):
+        gap(ModelParams(0.0, 1e80), n, m)
+
+
 @pytest.mark.parametrize("gap", [gap_factor_M, gap_factor_N], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("index", [0.5, True, -1, 2.0], ids=repr)
 def test_gap_factors_read_indices_as_level_numbers(gap, index):

@@ -15,7 +15,7 @@ import pytest
 from ptsusy import operators, specfun, wavefn
 from ptsusy.coherent import CoherentState, PhasePoint
 from ptsusy.errors import DegreeCapError, DomainError
-from ptsusy.operators import _OperandStack, apply_word
+from ptsusy.operators import apply_word
 from ptsusy.quadrature import QuadratureConfig, integrate_interval
 from ptsusy.spectrum import LEVEL_CAP, LevelIndex, ModelParams
 from ptsusy.wavefn import (
@@ -463,7 +463,7 @@ def _same_bits(a, b) -> bool:
 def _stacked_rows(states, x):
     # the empty word of the states stacked as one operand: the values
     # gram_matrix integrates, one row per state
-    (rows,) = operators._stacked_words(states[0].params, [((), _OperandStack(states), 1.0)])(x)
+    (rows,) = operators._stacked_words(states[0].params, [((), tuple(states), 1.0)])(x)
     return rows
 
 
@@ -494,7 +494,7 @@ def test_fold_rows_match_per_state_reference(p):
     # cotangent form, the empty word that operator words extend.  With Q
     # from the recurrence the worst reads 2.9e-13 at (20, 200) and 1.5e-14 at
     # (60, 5); at (0.2, 400) the monomial coefficients themselves hold 8.6e-11
-    _rows_match_per_state_reference(p, lambda states, xs: apply_word(p, (), _OperandStack(states), xs))
+    _rows_match_per_state_reference(p, lambda states, xs: apply_word(p, (), tuple(states), xs))
 
 
 @pytest.mark.parametrize("p", MP_PARAMS, ids=MP_IDS)
@@ -695,8 +695,8 @@ def test_stacked_gram_matches_each_operand_alone(monkeypatch, kind):
         # the stack of _gram valued one operand call at a time; the calls
         # themselves take the real route
         ((_, stack, _),) = requests
-        if isinstance(stack, _OperandStack):
-            return lambda x: [np.array([f(x) for f in stack.funcs])]
+        if isinstance(stack, tuple):
+            return lambda x: [np.array([f(x) for f in stack])]
         return real_words(params, requests)
 
     monkeypatch.setattr(operators, "_stacked_words", per_operand_words)
@@ -712,13 +712,13 @@ def test_stacked_gram_matches_each_operand_alone(monkeypatch, kind):
 
 
 def test_equal_stacks_are_one_fold_and_a_repeated_gram_adds_none():
-    # a stack is a value: the same members in the same order are one key of
-    # the fold memo, the same members in another order another.  A Gram
-    # stacks its operands anew on every call; the first call folds the stack
-    # once, and a later call of the same operands finds that fold and
-    # returns the same bytes
+    # a stack is the tuple of its operands: the same members in the same
+    # order are one key of the fold memo, the same members in another order
+    # another.  A Gram stacks its operands anew on every call; the first call
+    # folds the stack once, and a later call of the same operands finds that
+    # fold and returns the same bytes
     states = [eigenfunction(DEFAULT, 2, n) for n in range(4)]
-    stack, same, turned = _OperandStack(states), _OperandStack(list(states)), _OperandStack(states[::-1])
+    stack, same, turned = tuple(states), tuple(list(states)), tuple(states[::-1])
     assert stack == same and hash(stack) == hash(same) and stack != turned
     misses = operators._fold.cache_info().misses
     for func in (stack, same, turned):
@@ -769,7 +769,7 @@ ONE_MODEL = "one ModelParams"
         (lambda: [operators._bump(DEFAULT, 101), operators._bump(OTHER, 101)], DEFAULT.length, ONE_MODEL),
         (lambda: [lambda x: np.sin(np.pi * x) * np.sqrt(2.0)], DEFAULT.length, ONE_MODEL),
         (lambda: [eigenfunction(DEFAULT, 0, 0), lambda x: np.sin(np.pi * x)], DEFAULT.length, ONE_MODEL),
-        (lambda: [_OperandStack(operators.test_corpus(DEFAULT, 0))], DEFAULT.length, ONE_MODEL),
+        (lambda: [tuple(operators.test_corpus(DEFAULT, 0))], DEFAULT.length, ONE_MODEL),
         # over [0, 0.5] the diagonal read 0.81, 0.42 and 0.53 with no error,
         # and over [0, 2] the nodes past the wall raised a confusing error
         (lambda: [eigenfunction(DEFAULT, 0, n) for n in range(3)], 0.5, r"\[0, 0\.5\] .* length 1\.0"),
