@@ -58,16 +58,18 @@ Its words, the integrands of its quadratures included, share the fold
 memo with every other call, so a prefix that several identities or cells
 apply to one level's states is folded once.  The words of a cell's
 pointwise rows, mixed_product's operator polynomial among them, are
-evaluated in one stacked call.  The quadrature rows of a cell (the chain
-means, the partial-chain means and the eigen residual) are the components
-of one integral on shared panels, each scaled so that one tolerance is its
-own; the words of that integral are folded and planned once per cell and
-evaluated in one pass per node batch.  If that integral fails, the
-informational components keep the error and the mandatory ones are
-integrated again without them.  The identities that depend on the
-level m alone are computed once per (params, m, grid size, sign), and their
-rows are kept in a bounded memo across calls; each call receives copies
-stamped with its own indices.
+evaluated in one stacked call.  A cell's closed forms (gap factors, chain
+eigenvalues, the (2M)^(m+1) scales) are computed before any of its words
+is folded.  Each quadrature row of a cell (the chain means, the
+partial-chain means and the eigen residual) squares an eigenstate's word,
+one term K e^(gamma x) s^a Q(cot theta) of its fold, and sums it on the
+Gauss-Romanovski nodes of the state's weight (``quadrature.gauss_romanovski``),
+which is exact for the square of Q cut at the noise floor; a square with no
+such rule (a cut degree at or above a, as in the negative control's raised
+chains) is integrated adaptively, alone, over the clamped box.  The
+identities that depend on the level m alone are computed once per (params,
+m, grid size, sign), and their rows are kept in a bounded memo across
+calls; each call receives copies stamped with its own indices.
 """
 
 from __future__ import annotations
@@ -85,14 +87,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegreeCapError, DomainError, PtsusyError
-from .quadrature import DEFAULT_CONFIG, integrate_interval
+from .quadrature import DEFAULT_CONFIG, gauss_romanovski, integrate_interval
 from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
 from .wavefn import EigenFunction, eigenfunction
 
 #: Relative clamp keeping the identity grid and the quadratures off the walls.
 EDGE_CLAMP = 1e-6
-#: Tolerances of the suite's quadratures; the eigen-residual lowers abs_tol to 1e-16.
+#: Tolerances of the suite's adaptive quadratures.
 _SUITE_CONFIG = replace(DEFAULT_CONFIG, abs_tol=1e-13, rel_tol=1e-11)
+#: The spacing of doubles at 1, for the rounding bounds of the rule sums.
+_EPS = sys.float_info.epsilon
 #: The operator kinds of a word entry.
 _KINDS = ("A", "Adag", "H")
 
@@ -207,6 +211,12 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
         return terms._replace(band=derived * scale + times)
 
 
+def _cut(band: np.ndarray) -> np.ndarray:
+    # Q of a band's rows with every coefficient at or under the noise floor
+    # of its magnitude set to 0
+    return np.where(np.abs(band[0]) > NOISE_FLOOR * band[1].real, band[0], 0.0)
+
+
 class _Plan(NamedTuple):
     # a folded word prepared for evaluation, rows sorted by falling degree d:
     # each row's q_d, per power j < top degree the leading row count still in
@@ -247,7 +257,7 @@ def _plan(*folded: _Terms, cuts=()) -> _Plan:
     log_c, gamma, power = (np.concatenate([getattr(t, name)[cut] for t, cut in zip(folded, cuts)]) for name in ("log_c", "gamma", "power"))
     if not np.isfinite(read).all():
         warnings.warn("overflow encountered in folding a word: coefficients that are not finite", RuntimeWarning)
-    q = np.where(np.abs(read[0]) > NOISE_FLOOR * read[1].real, read[0], 0.0)
+    q = _cut(read)
     degree = ((q != 0.0) * np.arange(q.shape[1])).max(axis=1)
     order = np.argsort(-degree, kind="stable")
     degree, q = degree[order], q[order]
@@ -469,8 +479,8 @@ def _rel(lhs, rhs, scale: float | None = None) -> float:
 
 
 def _quad_details(error: float, evaluations: int) -> dict:
-    # provenance of a quadrature residual: its error bound and the abscissas
-    # of the integral it came from
+    # provenance of a quadrature residual: the error bound and the nodes or
+    # abscissas of the integrals it came from
     return {"quad_error": float(error), "quad_evaluations": evaluations}
 
 
@@ -615,28 +625,87 @@ def _level_identities(
 
 
 class _Component(NamedTuple):
-    # one quadrature residual of an identity cell: its identity and residual
-    # key, the requests of the words its integrand needs, the integrand from
-    # their values, the factor from its error bound to the units of its row,
-    # and the residual from its integral
+    # one quadrature residual of a cell: its identity and residual key, the
+    # eigenstate and the sign its words act with, the terms (coefficient,
+    # word) whose sum on the state is squared, the scale the square is
+    # divided by, and the residual from the integral of that quotient
     name: str
     key: str
-    requests: tuple
-    integrand: Callable[..., np.ndarray]
-    error_unit: float
+    state: EigenFunction
+    sign: float
+    terms: tuple
+    scale: float
     residual: Callable[[float], float]
 
 
-def _integrate_components(params: ModelParams, components: list, lo: float, hi: float):
-    # one integral of the components on shared panels; every word they need
-    # is folded and planned once and evaluated in one pass per node batch
-    words = _stacked_words(params, [request for c in components for request in c.requests])
+def _integrate(params: ModelParams, c: _Component) -> tuple[float, float, int]:
+    # The integral over [0, L] of |sum_k coef_k word_k state|^2 / scale, a
+    # bound on its error and the number of its nodes.  Each word is the
+    # state's row of its fold on the level stack, cut at the noise floor;
+    # the rows share log C, gamma and a, so the sum is one term
+    # C e^(gamma x) s^a Q(c), which is C^2 (L/pi) w(t) Q(t)^2 dt in t = cot
+    # theta, w the Romanovski weight of P = 2a, G = 2 gamma L / pi.  Where Q's
+    # degree d is under a, the (d + 1)-node Gauss-Romanovski rule is exact
+    # for it; otherwise, or if a row or the rule's sum is not finite, the
+    # square is integrated adaptively and alone over the clamped box.  A
+    # scale that is not positive and finite (a unit that underflowed) raises
+    # DomainError.
+    if not 0.0 < c.scale < math.inf:
+        raise DomainError(f"{c.key}: its scale {c.scale!r} is not a positive finite number")
+    state, L = c.state, params.length
+    row, stack = state.idx.n, _level_stack(state.params, state.idx.m)
+    folds = [(coef, _fold(params, word, stack, c.sign)) for coef, word in c.terms]
+    first = folds[0][1]
+    log_c, gamma, power = float(first.log_c[row]), float(first.gamma[row]), float(first.power[row])
+    q, mag = np.zeros((2, max(f.band.shape[-1] for _, f in folds)))
+    # top: the highest power of the rows' kept coefficients, which may cancel in q
+    finite, top = True, 0
+    for coef, f in folds:
+        band = f.band[:, row]
+        # a row that overflowed, its magnitudes not finite, takes the
+        # adaptive route, which warns of it
+        finite = math.isfinite(band[1].sum())
+        if not finite:
+            break
+        factor, cut = coef * math.exp(f.log_c[row] - log_c), _cut(band)
+        q[: band.shape[-1]] += factor * cut
+        mag[: band.shape[-1]] += abs(factor) * band[1]
+        top = max([top, *cut.nonzero()[0][-1:].tolist()])
+    degree = max(q.nonzero()[0][-1:].tolist(), default=0)
+    if finite and degree < power:
+        G = 2.0 * gamma * L / math.pi
+        nodes, log_w = gauss_romanovski(2.0 * power, G, degree + 1)
+        log_weights = log_w + (2.0 * log_c + math.log(L / math.pi) - math.log(c.scale))
+        # The rounding bound: each Q(t_i) within b_i = u sum_j m_j |t_i|^j
+        # over the kept powers j, m_j the magnitude its coefficient was
+        # summed from and u = 8 (top kept power + word length + 1) eps, and
+        # each weight within (max |log W| + 2 pi |G| + 4N) eps of itself,
+        # 2 pi |G| the size of the terms that cancel in log mu0 and in log
+        # C^2: the sum of W_i ((|Q(t_i)| + b_i)^2 - Q(t_i)^2), and the value
+        # times the weights' drift.
+        u = 8.0 * (top + max(len(word) for _, word in c.terms) + 1) * _EPS
+        drift = (max(log_weights.max(), -log_weights.min()) + 2.0 * math.pi * abs(G) + 4.0 * len(nodes)) * _EPS
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = np.exp(log_weights)
+            # Q and its magnitude polynomial at the nodes, as sums of powers
+            powers = nodes[:, None] ** np.arange(top + 1)
+            q_t = powers @ q[: top + 1]
+            value = float(weights @ (q_t * q_t))
+            bar = np.abs(powers) @ (u * mag[: top + 1])
+            error = float((weights * bar) @ (2.0 * np.abs(q_t) + bar) + drift * value)
+        # a sum past double range takes the adaptive route below
+        if math.isfinite(error):
+            return value, error, len(nodes)
+    words = _stacked_words(params, [(word, state, c.sign) for _, word in c.terms])
 
     def integrand(x):
-        values = iter(words(x))
-        return np.stack([c.integrand(*(next(values) for _ in c.requests)) for c in components])
+        total = 0.0
+        for (coef, _), values in zip(c.terms, words(x)):
+            total = total + coef * values
+        return np.abs(total) ** 2 / c.scale
 
-    return integrate_interval(integrand, lo, hi, _SUITE_CONFIG)
+    quad = integrate_interval(integrand, EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L, _SUITE_CONFIG)
+    return float(quad.value.real), float(quad.error), quad.evaluations
 
 
 def verify_operator_identities(
@@ -662,7 +731,8 @@ def verify_operator_identities(
     "error" in details, and are not passed if mandatory, skipped if
     informational.  A closed form of the cell past double range, such as a
     gap factor or the (2M)^(m+1) of the chain products, raises
-    ``DomainError``; the folds before it may have warned of their overflow.
+    ``DomainError`` before any word of the cell is folded, so no fold warns
+    of its own overflow first.
 
     Five identities do not depend on n: ground-state annihilation,
     factorization, single-step and chain intertwining (with its
@@ -684,30 +754,32 @@ def verify_operator_identities(
     level rows; their operands are of degree at most the one checked up
     front, so no state they need is refused by the cap.
 
-    The quadrature rows of the cell are one ``integrate_interval`` call, a
-    component per residual on shared panels: ``mean_BBdag``, ``mean_BdagB``
-    (n > m), the two partial-chain means (n != m) and ``eigen_residual``.  A
-    chain mean is divided by its closed-form target, so that it integrates
-    to about 1 and its residual is its scaled mean against 1; the mean of a
-    chain that annihilates its state (the theta case, m >= 2n + 1) is
-    divided by the natural unit and is its own residual.  The eigen residual
-    |H phi / E - phi|^2 is weighted by ``_SUITE_CONFIG.abs_tol / 1e-16``, so
-    that its tolerance is max(1e-16, 1e-11 |I|) in its own units.  Every
-    component then meets the one tolerance it met as an integral of its own,
-    and no component outweighs the others so far that it draws every split
-    of the panels.  Each row reports its own components' error bound, in the
-    units of its unscaled integrand, and the abscissas of the shared
-    integral.  A ``PtsusyError`` of that integral is recorded in the
-    informational rows it serves, and the mandatory components are then
-    integrated again without them, so that an informational component that
-    cannot converge leaves the mandatory verdicts as they are; an error of
-    the mandatory integral is recorded in the row of every identity it
-    serves.  The pointwise rows keep their verdicts.  The
-    partial-chain means need the state n of level n + 1 (degree 2n + 1):
-    above the cap that row alone records ``DegreeCapError``, and the other
-    components still integrate.  Under the negative control (sign -1) no
-    closed form describes the chain means ``mean_BBdag`` and ``mean_BdagB``,
-    so each is integrated alone and unscaled, as its own identity.
+    The quadrature rows of the cell are one integral per component:
+    ``mean_BBdag``, ``mean_BdagB`` (n > m), the two partial-chain means
+    (n != m) and ``eigen_residual``.  A chain mean is divided by its
+    closed-form target, so that it integrates to about 1 and its residual is
+    its scaled mean against 1; the mean of a chain that annihilates its
+    state (the theta case, m >= 2n + 1) is divided by the natural unit and
+    is its own residual.  The eigen residual is the root of the integral of
+    |H phi / E - phi|^2.  Each component is the square of one term
+    C e^(gamma x) s^a Q of its state's fold, Q cut at the noise floor (for
+    the eigen residual, Q_(H phi) / E - Q_phi of the two cut rows), and its
+    integral over [0, L] is (L/pi) sum_i W_i C^2 Q(t_i)^2 on the N-node
+    Gauss-Romanovski rule of P = 2a, G = 2 gamma L / pi and N = deg Q + 1,
+    exact for it.  Where no rule exists (N - 1 >= P/2), a row overflowed or
+    the rule's sum left double range, the square is integrated adaptively
+    and alone over [EDGE_CLAMP L,
+    (1 - EDGE_CLAMP) L] to ``_SUITE_CONFIG``.  Each row's details carry
+    ``quad_error``, in the units of the integral its residual is read from,
+    and ``quad_evaluations``, summed over its components: for a rule, a
+    rounding bound of its sum (see ``_integrate``) and its node count; for
+    an adaptive integral, its error bound and abscissa count.  A
+    ``PtsusyError`` of a component's integral is recorded in its identity's
+    rows alone.  The partial-chain means need the state n of level n + 1
+    (degree 2n + 1): above the cap that row alone records
+    ``DegreeCapError``.  Under the negative control (sign -1) no closed form
+    describes the chain means ``mean_BBdag`` and ``mean_BdagB``, so each is
+    integrated unscaled, as its own identity.
     """
     n, m = level_number(n), level_number(m)
     _check_sign(sign)
@@ -729,6 +801,51 @@ def verify_operator_identities(
 
 def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float) -> list[IdentityResult]:
     # the rows of a checked cell in report order, for verify_operator_identities
+    L = params.length
+    # the unit pi hbar / L of the ladder-chain prefactors
+    rung = math.pi * params.hbar / L
+    two_m = 2.0 * params.mass
+    e0_level = lambda k: energy(params, LevelIndex(0, k))
+
+    def chain_eigenvalue(e, levels):
+        # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
+        value = two_m ** len(levels)
+        for k in levels:
+            value *= e - e0_level(k)
+        return value
+
+    # The closed forms of the cell come first: one past double range ends the
+    # cell with DomainError before any word is folded.  The energies are
+    # those of the states n of levels 0 and m + 1 (phi_n and phi_up below).
+    e_n, e_up = energy(params, LevelIndex(0, n)), energy(params, LevelIndex(m + 1, n))
+    eig_n, eig_up = chain_eigenvalue(e_n, range(m + 1)), chain_eigenvalue(e_up, range(m + 1))
+    # product_BdagB's scale: (2M)^(m+1) and every energy factor but the one that vanishes at k = n
+    bdagb_power = two_m ** (m + 1)
+    bdagb_factors = [abs(e_n - e0_level(k)) for k in range(m + 1) if k != n]
+    pref = rung ** (m + 1) * gap_factor_M(params, n, m)
+    targets = {"mean_BBdag": pref**2}
+    if n > m:
+        targets["mean_BdagB"] = (rung ** (m + 1) * gap_factor_M(params, n - m - 1, m)) ** 2
+        ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
+        targets["lambda_lambdadag"] = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
+        targets["lambdadag_lambda"] = (rung ** (n - m) * ratio) ** 2
+        # partial_chain_product's prefactors, on the ground state of level n + 1
+        e_hi, core = energy(params, LevelIndex(n + 1, 0)), 1.0
+        for k in range(m + 1, n + 1):
+            core *= e_hi - e0_level(k)
+        prefactors = {"mass_prefactor": two_m ** (n - m) * core}
+        prefactors["index_prefactor"] = (2.0 * m) ** (n - m) * core if m > 0 else None
+    elif n < m:
+        unit = rung ** (2 * (m - n))
+        target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
+        ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
+        # a closed-form factor that vanishes (m >= 2n + 1): the chain
+        # annihilates the state, so the mean is integrated against zero in
+        # natural units
+        targets["theta_thetadag"] = None if target == 0.0 else target
+        targets["thetadag_theta"] = (rung ** (m - n) * ratio) ** 2
+        theta_factor = two_m ** (n + 1)
+
     head, tail = _level_identities(params, m, grid_size, sign)
     grid = default_grid(params, grid_size)
     idx = {"n": n, "m": m}
@@ -739,12 +856,6 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
         return [IdentityResult(**{**vars(r), "indices": dict(idx), "details": dict(r.details)}) for r in rows]
 
     results = stamped(head)
-    L = params.length
-    # the unit pi hbar / L of the ladder-chain prefactors
-    rung = math.pi * params.hbar / L
-    lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
-    two_m = 2.0 * params.mass
-    e0_level = lambda k: energy(params, LevelIndex(0, k))
     # the chain B = A_m ... A_0 and its adjoint, and the partial chains
     # Lambda (levels m+1..n, empty unless n > m) and Theta (levels n+1..m,
     # empty unless m > n) with their adjoints; the first entry acts first
@@ -776,57 +887,22 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     at_grid = dict(zip(pointwise, _stacked_words(params, requests)(grid)))
     phi_up_grid = at_grid["phi_up"]
 
-    def chain_eigenvalue(e, levels):
-        # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
-        value = two_m ** len(levels)
-        for k in levels:
-            value *= e - e0_level(k)
-        return value
-
-    def mean(name, key, word, state, target, chain_sign=1.0, unit=1.0):
-        # |word state|^2 as a component of a quadrature, divided by its
+    def mean(name, key, word, state, chain_sign=1.0, unit=1.0):
+        # |word state|^2 as a quadrature component, divided by its
         # closed-form target, so that it integrates to about 1.  A target of
         # None stands for a closed form that vanishes identically: the mean
-        # in units of unit is then the residual.  A target that is 0 or not
-        # finite, and a chain of the negative control, which no closed form
-        # describes, are integrated unscaled.
+        # in units of unit is then the residual.  A target that is not
+        # positive and finite, and a chain of the negative control, which no
+        # closed form describes, are integrated unscaled.
+        target = targets[key]
         if target is None:
-            scale, error_unit = unit, 1.0
-        elif chain_sign > 0 and math.isfinite(target) and target != 0.0:
+            scale = unit
+        elif chain_sign > 0 and 0.0 < target < math.inf:
             scale = target
-            error_unit = abs(scale)
         else:
-            scale = error_unit = 1.0
-        return _Component(
-            name,
-            key,
-            ((word, state, chain_sign),),
-            lambda values: np.abs(values) ** 2 / scale,
-            error_unit,
-            lambda value: value if target is None else _rel(value, target / scale),
-        )
-
-    def partial_means():
-        # the components of the partial-chain means, on the state n of level n + 1
-        name = "partial_chain_means"
-        state_hi = eigenfunction(params, n + 1, n)
-        if n > m:
-            target = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
-            ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
-            return [
-                mean(name, "lambda_lambdadag", lam_dag, state_hi, target),
-                mean(name, "lambdadag_lambda", lam, phi_up, (rung ** (n - m) * ratio) ** 2),
-            ]
-        unit = rung ** (2 * (m - n))
-        target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
-        ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
-        # a closed-form factor that vanishes (m >= 2n + 1): the chain
-        # annihilates the state, so the mean is integrated against zero in
-        # natural units
-        return [
-            mean(name, "theta_thetadag", theta_dag, state_hi, None if target == 0.0 else target, unit=unit),
-            mean(name, "thetadag_theta", theta, phi_up, (rung ** (m - n) * ratio) ** 2),
-        ]
+            scale = 1.0
+        residual = lambda value: value if target is None else _rel(value, target / scale)
+        return _Component(name, key, state, chain_sign, ((1.0, word),), scale, residual)
 
     identity = partial(_identity, results, idx, grid_size)
 
@@ -836,83 +912,70 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     # rest on the fold leaving the chain exactly 0.
     with identity("product_BdagB") as record:
         lhs, phi_n_grid = at_grid["BdagB"], at_grid["phi_n"]
-        scale = two_m ** (m + 1) * float(np.max(np.abs(phi_n_grid)))
-        for k in range(m + 1):
-            if k != n:
-                scale *= abs(phi_n.energy - e0_level(k))
-        rhs = chain_eigenvalue(phi_n.energy, range(m + 1)) * phi_n_grid
-        record(_rel(lhs, rhs, scale=scale), {"annihilating_branch": n <= m})
+        scale = bdagb_power * float(np.max(np.abs(phi_n_grid)))
+        for factor in bdagb_factors:
+            scale *= factor
+        record(_rel(lhs, eig_n * phi_n_grid, scale=scale), {"annihilating_branch": n <= m})
 
-    eig_up = chain_eigenvalue(phi_up.energy, range(m + 1))
     with identity("product_BBdag") as record:
         record(_rel(at_grid["BBdag"], eig_up * phi_up_grid))
 
     # Chain action with the closed-form gap factor.
-    pref = rung ** (m + 1) * gap_factor_M(params, n, m)
     with identity("ladder_action") as record:
         record(_rel(at_grid["ladder"], pref * phi_up_grid))
 
-    # The quadrature rows of the cell are the components of one integral on
-    # shared panels: the chain means, the partial-chain means and the eigen
-    # residual, each scaled so that _SUITE_CONFIG's one tolerance is its own.
-    # The partial means need the state n of level n + 1, of degree 2n + 1,
-    # which may exceed the cap: their identity alone then records the error,
-    # and the other components still integrate.
-    components = [mean("mean_BBdag", "mean_BBdag", word_bdag, phi_up, pref**2, sign)]
+    # The quadrature rows of the cell, one integral per component (see
+    # _integrate): the chain means, the partial-chain means and the eigen
+    # residual.  The partial means need the state n of level n + 1, of
+    # degree 2n + 1, which may exceed the cap: their identity alone then
+    # records the error.
+    components = [mean("mean_BBdag", "mean_BBdag", word_bdag, phi_up, sign)]
     if n > m:
-        pref_n = rung ** (m + 1) * gap_factor_M(params, n - m - 1, m)
-        components.append(mean("mean_BdagB", "mean_BdagB", word_b, phi_n, pref_n**2, sign))
+        components.append(mean("mean_BdagB", "mean_BdagB", word_b, phi_n, sign))
     outcomes = {}
     if n != m:
+        name = "partial_chain_means"
         try:
-            components += partial_means()
+            state_hi = eigenfunction(params, n + 1, n)
         except DegreeCapError as exc:
-            outcomes["partial_chain_means"] = exc
-    # Eigen-residual of the level-m state n, relative to its energy.  A
-    # residual at the 1e-6 threshold squares to 1e-12; weighted by
-    # abs_tol / 1e-16, its tolerance is max(1e-16, rel_tol * |I|) in the
-    # units of |H phi / E - phi|^2, which resolves it to 1e-8 and leaves the
-    # roundoff below unresolved.
-    weight, e_val = _SUITE_CONFIG.abs_tol / 1e-16, phi_m.energy
-    components.append(
-        _Component(
-            "eigen_residual",
-            "eigen_residual",
-            (((("H", m),), phi_m, 1.0), ((), phi_m, 1.0)),
-            lambda h_phi, phi: np.abs(h_phi / e_val - phi) ** 2 * weight,
-            1.0 / weight,
-            lambda value: math.sqrt(max(value / weight, 0.0)),
-        )
-    )
-    # A chain mean of the negative control (sign -1) may exceed the others by
-    # orders of magnitude and draw every split of a shared integral, so that
-    # the others never meet their tolerance (see integrate_interval): each is
-    # integrated alone.
-    # An informational component that stalls the shared integral keeps its
-    # error, and the mandatory components are integrated again without it.
-    groups = [[c for c in components if c.requests[0][2] > 0]]
-    groups += [[c] for c in components if c.requests[0][2] < 0]
-    while groups:
-        group = groups.pop(0)
-        try:
-            quad = _integrate_components(params, group, lo, hi)
-        except PtsusyError as exc:
-            mandatory = [c for c in group if c.name in MANDATORY]
-            retry = 0 < len(mandatory) < len(group)
-            outcomes.update((c.name, exc) for c in group if not retry or c.name not in MANDATORY)
-            if retry:
-                groups.insert(0, mandatory)
+            outcomes[name] = exc
+        else:
+            if n > m:
+                components += [
+                    mean(name, "lambda_lambdadag", lam_dag, state_hi),
+                    mean(name, "lambdadag_lambda", lam, phi_up),
+                ]
+            else:
+                components += [
+                    mean(name, "theta_thetadag", theta_dag, state_hi, unit=unit),
+                    mean(name, "thetadag_theta", theta, phi_up),
+                ]
+    # Eigen residual of the level-m state n, relative to its energy:
+    # |H phi / E - phi|^2 in units of 1.
+    if phi_m.energy == 0.0:
+        outcomes["eigen_residual"] = DomainError(f"state (n={n}, m={m}) has energy 0, so no residual relative to it")
+    else:
+        terms = ((1.0 / phi_m.energy, (("H", m),)), (-1.0, ()))
+        residual = lambda value: math.sqrt(max(value, 0.0))
+        components.append(_Component("eigen_residual", "eigen_residual", phi_m, 1.0, terms, 1.0, residual))
+    for c in components:
+        if isinstance(outcomes.get(c.name), PtsusyError):
             continue
-        for c, value, error in zip(group, quad.value.real.tolist(), quad.error.tolist()):
-            residuals, details = outcomes.setdefault(c.name, ({}, _quad_details(0.0, quad.evaluations)))
-            residuals[c.key] = c.residual(value)
-            details["quad_error"] += error * c.error_unit
+        try:
+            value, error, nodes = _integrate(params, c)
+        except PtsusyError as exc:
+            outcomes[c.name] = exc
+            continue
+        residuals, details = outcomes.setdefault(c.name, ({}, _quad_details(0.0, 0)))
+        residuals[c.key] = c.residual(value)
+        details["quad_error"] += error
+        details["quad_evaluations"] += nodes
 
     def integrated(name):
-        # the residuals of identity name's components by key, and the error
-        # bound (in the units of its unscaled integrand, |word state|^2 / unit
-        # for a vanishing target) and abscissas of their integral; a package
-        # error from its state or from that integral ends the identity
+        # the residuals of identity name's components by key, and the summed
+        # error bound (in the units of the integral the residual is read
+        # from) and node counts of their integrals; a package error from its
+        # state or from an integral ends the identity
         outcome = outcomes[name]
         if isinstance(outcome, PtsusyError):
             raise outcome
@@ -934,7 +997,7 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     # The operand index n keeps the chains from annihilating either side.
     if n != m:
         with identity("mixed_product") as record:
-            form, rhs = ("lambda_form", eig_up * at_grid["lam"]) if n > m else ("theta_form", two_m ** (n + 1) * at_grid["theta"])
+            form, rhs = ("lambda_form", eig_up * at_grid["lam"]) if n > m else ("theta_form", theta_factor * at_grid["theta"])
             residual = _rel(at_grid["mixed"], rhs)
             record(residual, {form: residual, "matching_variant": form})
 
@@ -942,12 +1005,8 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     if n > m:
         with identity("partial_chain_product") as record:
             lhs, phi_hi_grid = at_grid["partial"], at_grid["phi_hi"]
-            core = 1.0
-            for k in range(m + 1, n + 1):
-                core *= phi_hi.energy - e0_level(k)
             variants = {
-                "mass_prefactor": _rel(lhs, two_m ** (n - m) * core * phi_hi_grid),
-                "index_prefactor": _rel(lhs, (2.0 * m) ** (n - m) * core * phi_hi_grid) if m > 0 else float("inf"),
+                key: float("inf") if factor is None else _rel(lhs, factor * phi_hi_grid) for key, factor in prefactors.items()
             }
             variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
             record(variants[variants["matching_variant"]], variants)

@@ -1,4 +1,4 @@
-"""Adaptive quadrature.
+"""Adaptive quadrature, and the Gauss rule of the well's eigenstate weight.
 
 This module is the independent numerical referee for every closed form in the
 package, so it deliberately avoids the analytic machinery of the other modules:
@@ -31,6 +31,15 @@ That dot rounds a panel's sum the same whether the panel is summed alone or
 with others, so the batched integrator matches one that integrates panel by
 panel, bit for bit.  The endpoint substitution is part of the rule: its
 map moves the nodes and its Jacobian scales their weights.
+
+``gauss_romanovski`` is the one fixed rule: the N-node Gauss rule of the
+Romanovski weight (1 + t^2)^(-P/2-1) e^(G arccot t) on the real line,
+cached per (P, G, N).  With t = cot(pi x / L) it integrates the square of
+an eigenstate's term K e^(gamma x) sin^a Q(cot) over the whole box exactly,
+at P = 2a, G = 2 gamma L / pi and N = deg Q + 1.  Its nodes are the
+eigenvalues of the Jacobi matrix of the weight's three-term recurrence, its
+weights Christoffel numbers, and its total mass mu0 a closed form whose
+log-gamma comes from ``specfun``, the one analytic piece this module uses.
 """
 
 from __future__ import annotations
@@ -39,10 +48,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NonFiniteIntegrandError, SubdivisionLimitError, TailBoundError
+from .specfun import log_abs_gamma_point
 
 
 #: Gauss-Legendre nodes per panel.
@@ -240,11 +251,9 @@ def integrate_interval(f, a: float, b: float, config: QuadratureConfig = DEFAULT
     components of very different magnitude starve the small ones: the large
     components keep drawing the splits while a small one that has not met
     its own tolerance waits, and the panel budget can run out first.  Scale
-    the components to comparable size before stacking them, as
-    ``operators.verify_operator_identities`` does: it divides each chain
-    mean of a cell by its closed-form target and weights the eigen residual
-    by abs_tol / 1e-16, and integrates a mean that no closed form scales
-    (the negative control's) on its own.
+    the components to comparable size before stacking them, or integrate
+    them one at a time, as ``operators.verify_operator_identities`` does
+    with each quadrature row that has no Gauss-Romanovski rule.
 
     f is called once for the 12 panels of the 4 initial segments (each
     segment and its two halves), then once per refinement round.  A round
@@ -427,3 +436,58 @@ def integrate_real_line(f, decay_scale: float, config: QuadratureConfig = DEFAUL
             return IntegralResult(core.value, core.error + tail, core.evaluations + evaluations)
         u *= 1.6
     raise TailBoundError(f"could not certify the tail out to u = {u:.3e}")
+
+
+#: The most Gauss-Romanovski rules ``gauss_romanovski`` keeps; the least
+#: recently used goes first.
+ROMANOVSKI_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=ROMANOVSKI_CACHE_SIZE, typed=True)  # typed: True and 1.0 must not hit the entry of 1
+def gauss_romanovski(P: float, G: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N-node Gauss rule of the Romanovski weight on the real line.
+
+    The weight is w(t) = (1 + t^2)^(-P/2-1) e^(G arccot t), arccot in
+    (0, pi): with t = cot theta, sin^P theta e^(G theta) d theta.  Its
+    moments of degree below P + 1 are finite, so the rule, exact for every
+    polynomial of degree at most 2N - 1, exists while N - 1 < P/2; other
+    arguments raise ``DomainError``.  Returns the nodes, rising, and the log
+    of their weights, read-only, kept per (P, G, N).
+
+    The monic orthogonal polynomials of w (Romanovski, or pseudo-Jacobi,
+    polynomials: Jacobi's with alpha = conj(beta) = -P/2 - 1 - iG/2 on the
+    imaginary line) satisfy t p_k = p_(k+1) + b_k p_k + c_k p_(k-1) with
+    b_k = -G (P + 2) / (u (u - 2)) and c_k = k (P + 2 - k) (u^2 + G^2) /
+    (u^2 (u^2 - 1)), u = P + 2 - 2k.  The nodes are the eigenvalues of the
+    Jacobi matrix (Golub and Welsch, Math. Comp. 23 (1969) 221), from
+    ``numpy.linalg.eigvalsh``.  The weights are Christoffel numbers,
+    mu0 / sum_k r_k(t)^2 over the orthonormal polynomials scaled to r_0 = 1,
+    summed along the recurrence in Python floats, not mu0 v_0^2 from the
+    eigenvectors, which loses digits at large |G|.  mu0 = pi e^(G pi/2)
+    Gamma(P + 1) / (2^P |Gamma(1 + P/2 + iG/2)|^2) is the integral of w,
+    taken in log space with ``specfun.log_abs_gamma_point``.
+    """
+    if not (math.isfinite(P) and math.isfinite(G)) or type(N) is not int or not 0 < N or not 2 * (N - 1) < P:
+        raise DomainError(f"no {N!r}-node Gauss-Romanovski rule at P = {P!r}, G = {G!r}: it needs N - 1 < P/2")
+    b, root_c = [], []
+    for k in range(N):
+        u = P + 2.0 - 2.0 * k
+        b.append(-G * (P + 2.0) / (u * (u - 2.0)))
+        if k:
+            root_c.append(math.sqrt(k * (P + 2.0 - k) / (u * u - 1.0)) * math.hypot(u, G) / u)
+    jacobi = np.diag(b)
+    jacobi.flat[N :: N + 1] = root_c  # the subdiagonal, which eigvalsh reads
+    nodes = np.linalg.eigvalsh(jacobi)
+    log_mu0 = math.log(math.pi) + 0.5 * math.pi * G + math.lgamma(P + 1.0) - P * math.log(2.0)
+    log_mu0 -= 2.0 * log_abs_gamma_point(1.0 + 0.5 * P, 0.5 * G)
+    log_weights = []
+    for t in nodes.tolist():
+        r_prev, r, total, c_prev = 0.0, 1.0, 1.0, 0.0
+        for b_k, c_k in zip(b, root_c):
+            r_prev, r = r, ((t - b_k) * r - c_prev * r_prev) / c_k
+            c_prev = c_k
+            total += r * r
+        log_weights.append(log_mu0 - math.log(total))
+    log_weights = np.array(log_weights)
+    nodes.flags.writeable = log_weights.flags.writeable = False
+    return nodes, log_weights

@@ -183,6 +183,28 @@ def log_abs_gamma(x: float, y):
     return float(out[0]) if scalar else out
 
 
+def log_abs_gamma_point(x: float, y: float) -> float:
+    """log|Gamma(x + iy)| at one point, x >= 0.5 and |y| < 1e150, in floats.
+
+    The partial-fraction sum of ``log_abs_gamma`` in Python arithmetic, for
+    a caller that needs one value and would pay more for building arrays
+    than for the sum: ``quadrature.gauss_romanovski`` takes its mu0 from it.
+    It may differ from ``log_abs_gamma`` at the same point by a few ulps.
+    """
+    if not (x >= 0.5 and math.isfinite(x) and abs(y) < 1e150):
+        raise DomainError(f"log_abs_gamma_point needs a finite x >= 0.5 and |y| < 1e150, got {x!r}, {y!r}")
+    y2, re, im = y * y, _LANCZOS_C[0], 0.0
+    for i in range(1, len(_LANCZOS_C)):
+        a = x - 1.0 + i
+        r = 1.0 / (a * a + y2)
+        re += _LANCZOS_C[i] * a * r
+        im -= _LANCZOS_C[i] * r
+    im *= y
+    t = x - 0.5 + _LANCZOS_G
+    log_t = 0.5 * (x - 0.5) * math.log(y2 + t * t)
+    return log_t - y * math.atan2(y, t) + 0.5 * math.log(re * re + im * im) + (0.5 * _LOG_2PI - t)
+
+
 def pochhammer(a, k: int):
     """Rising factorial (a)_k as an explicit k-term product.
 

@@ -112,13 +112,13 @@ became the M^2 product M^2(2n - m, m): its own loop over the rungs of the
 diagonal chain.  Both take the same factors in the same order, so they must
 agree bit for bit, the zero branch included.
 
-``per_identity_quadratures`` is the quadrature rows of an identity cell as
-they were before the cell integrated them as components of one integral:
-each chain mean |word state|^2 and the eigen residual |H phi / E - phi|^2
-is its own adaptive integral on its own panels, the means to
+``per_identity_quadratures`` is the quadrature rows of an identity cell by
+the adaptive route they had before their Gauss-Romanovski rules: each chain
+mean |word state|^2 and the eigen residual |H phi / E - phi|^2 is its own
+adaptive integral over the clamped box, the means to
 ``operators._SUITE_CONFIG`` and the residual with abs_tol lowered to 1e-16.
-The shared panels differ, so the two agree within the sum of their error
-bounds, not bit for bit.
+It is the check of the rule rows, which agree with it within the sum of
+their error bounds and rounding, not bit for bit.
 
 ``derivative`` is the Richardson-extrapolated central difference that
 checks the Taylor jets and the superpotential's derivative;
@@ -963,8 +963,14 @@ def per_identity_quadratures(params, n: int, m: int, sign: float = 1.0) -> dict:
             unit = rung ** (2 * (m - n))
             target = unit * gap_factor_N(params, n, m) / gap_factor_N(params, n, n)
             ratio = gap_factor_M(params, n, m) / gap_factor_M(params, m, n)
+            # a closed form that vanishes (m >= 2n + 1): the mean in units of
+            # unit is its own residual; otherwise it is relative to target
+            if target == 0.0:
+                theta_thetadag = chain_mean(theta_dag, state_hi, None, unit=unit)
+            else:
+                theta_thetadag = chain_mean(theta_dag, state_hi, target)
             rows["partial_chain_means"] = {
-                "theta_thetadag": chain_mean(theta_dag, state_hi, None if target == 0.0 else target, unit=unit),
+                "theta_thetadag": theta_thetadag,
                 "thetadag_theta": chain_mean(theta, phi_up, (rung ** (m - n) * ratio) ** 2),
             }
 

@@ -248,13 +248,15 @@ def test_verify_cell_at_cli_defaults_is_honest_and_fast(n, m):
 def test_verify_row_above_the_level_cap_fails_alone(capsys, monkeypatch):
     # At (10, 1) every mandatory identity lies within the level cap, but the
     # informational partial-chain means need the level-11 state n = 10: that
-    # row alone is skipped as DegreeCapError.  With the quadrature out of
-    # panels, each quadrature row records the error, a tolerance override
-    # leaves a mandatory one failed, and the other rows stand.
+    # row alone is skipped as DegreeCapError.  With every quadrature out of
+    # panels, the adaptive one of adjoint_consistency and the integral of
+    # each quadrature row, every such row records the error, a tolerance
+    # override leaves a mandatory one failed, and the other rows stand.
     def out_of_panels(*args, **kwargs):
         raise SubdivisionLimitError("no panels left")
 
     monkeypatch.setattr(ptsusy.operators, "integrate_interval", out_of_panels)
+    monkeypatch.setattr(ptsusy.operators, "_integrate", out_of_panels)
     args = ["verify", "--n", "10", "--m", "1", "--format", "json", "--tol-eigen_residual", "1"]
     assert ptsusy.cli.main(args) == 1
     report = json.loads(capsys.readouterr().out)
@@ -534,6 +536,10 @@ OUT_OF_RANGE = {
     "verify --nu 1e160": "nu",
     "verify --hbar 1e-200 --n 1": "hbar",
     "spectrum --nu 0 --beta 1e80 --gap-factors": "gap factor",
+    # a gap factor of verify (beta 1e25) and the (2M)^(m+1) of product_BdagB
+    # (mass 1e200), checked before any word of the cell is folded
+    "verify --nu 0 --beta 1e25 --n 6 --m 5": "gap factor",
+    "verify --hbar 1e100 --mass 1e200 --n 0 --m 3": "closed form",
 }
 
 
@@ -549,18 +555,6 @@ def test_gauge_outside_double_range_exits_2_with_one_stderr_line(capsys, command
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("ptsusy: error: ") and f"{field} " in line and "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize("command", ["verify --nu 0 --beta 1e25 --n 6 --m 5", "verify --hbar 1e100 --mass 1e200 --n 0 --m 3"])
-def test_verify_closed_form_past_double_range_exits_2(capsys, command):
-    # a gap factor (beta 1e25) or the (2M)^(m+1) of product_BdagB (mass
-    # 1e200) past double range stopped with an OverflowError traceback and
-    # exit 1; the folds before it warn of their own overflow, by design
-    with pytest.warns(RuntimeWarning, match="overflow encountered in folding a word"):
-        assert ptsusy.cli.main(command.split()) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines()[-1].startswith("ptsusy: error: ") and "Traceback" not in captured.err
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,6 +5,7 @@ import time
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
@@ -15,6 +16,7 @@ from ptsusy.quadrature import (
     BASE_RULE_ORDER,
     DEFAULT_CONFIG,
     QuadratureConfig,
+    gauss_romanovski,
     integrate_interval,
     integrate_real_line,
 )
@@ -659,3 +661,79 @@ def test_real_line_rejects_a_decay_scale_without_a_finite_probe(scale):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="decay_scale must be positive with 8 \\* decay_scale finite"):
             integrate_real_line(unreached, scale, DEFAULT_CONFIG)
+
+
+#: (P, G, N) of the Gauss-Romanovski rules checked against adaptive moments:
+#: G of both signs, P whole and not, and N - 1 up to the last whole number
+#: under P/2, where the moments of degree 2N - 1 <= P are still bounded in theta
+ROMANOVSKI_CASES = [(2.0, 0.0, 1), (4.0, 0.0, 2), (9.0, -3.0, 5), (13.2, -40.0, 6), (6.5, 2.5, 3), (20.4, -80.0, 10)]
+
+
+def _romanovski_moments(P: float, G: float, count: int) -> list:
+    # m_k = int w t^k dt, k < count, to 30 digits: m_0 = mu0 from mpmath's
+    # gamma, then Pearson's equation (sigma w)' = tau w, sigma = 1 + t^2 and
+    # tau = -P t - G, integrated against t^k: (k - P) m_(k+1) = G m_k - k m_(k-1)
+    with mpmath.workdps(30):
+        mu0 = mpmath.pi * mpmath.exp(G * mpmath.pi / 2) * mpmath.gamma(P + 1)
+        moments = [mu0 / (2**P * abs(mpmath.gamma(1 + P / 2 + 0.5j * G)) ** 2)]
+        for k in range(count - 1):
+            previous = moments[k - 1] if k else 0
+            moments.append((G * moments[k] - k * previous) / (k - P))
+        return moments
+
+
+@pytest.mark.parametrize(("P", "G", "N"), ROMANOVSKI_CASES, ids=str)
+def test_gauss_romanovski_is_exact_to_degree_2n_minus_1(P, G, N):
+    # the rule's moments of degree k <= 2N - 1 against the exact ones, each
+    # within 1e-14 of the moment of |t|^k, the scale it can cancel from,
+    # which for odd k is at most sqrt(m_(k-1) m_(k+1)) where that exists
+    nodes, log_w = gauss_romanovski(P, G, N)
+    assert nodes.shape == log_w.shape == (N,) and np.all(np.diff(nodes) > 0.0)
+    w = np.exp(log_w)
+    count = 2 * N + 1 if 2 * N < P + 1 else 2 * N
+    moments = [float(m) for m in _romanovski_moments(P, G, count)]
+    for k in range(2 * N):
+        scale = abs(moments[k])
+        if k % 2 and k + 1 < count:
+            scale = max(scale, math.sqrt(moments[k - 1] * moments[k + 1]))
+        assert abs(float(w @ nodes**k) - moments[k]) <= 1e-14 * scale, k
+
+
+def test_gauss_romanovski_weights_sum_to_the_closed_form_mu0():
+    # mu0 = pi e^(G pi / 2) Gamma(P + 1) / (2^P |Gamma(1 + P/2 + iG/2)|^2);
+    # at G = 0 and P = 2 it is pi / 2, at P = 4 it is 3 pi / 8
+    for P, want in ((2.0, math.pi / 2.0), (4.0, 3.0 * math.pi / 8.0)):
+        for N in range(1, int(P / 2) + 1):
+            _, log_w = gauss_romanovski(P, 0.0, N)
+            assert math.isclose(float(np.exp(log_w).sum()), want, rel_tol=1e-14), (P, N)
+    # at large |G| the weights stay in log space: e^(G pi / 2) alone is 1e-682
+    nodes, log_w = gauss_romanovski(12.0, -1000.0, 4)
+    assert np.isfinite(log_w).all() and np.all(nodes > 0.0)
+
+
+def test_gauss_romanovski_is_cached_and_read_only():
+    first = gauss_romanovski(9.0, -3.0, 5)
+    assert gauss_romanovski(9.0, -3.0, 5) is first
+    for array in first:
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    ("P", "G", "N"),
+    [
+        (2.0, 0.0, 2),
+        (4.0, 1.0, 3),
+        (5.0, 0.0, 4),
+        (4.0, 0.0, 0),
+        (4.0, 0.0, 1.0),
+        (4.0, 0.0, True),
+        (math.inf, 0.0, 1),
+        (4.0, math.nan, 1),
+    ],
+    ids=str,
+)
+def test_gauss_romanovski_without_a_rule_raises(P, G, N):
+    # N - 1 < P/2 is where the moments of degree 2N - 1 exist; N is a whole
+    # int, P and G finite
+    with pytest.raises(DomainError, match="Gauss-Romanovski"):
+        gauss_romanovski(P, G, N)

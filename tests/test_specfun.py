@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptsusy.errors import DegreeCapError, DomainError
-from ptsusy.specfun import DEGREE_CAP, jacobi_series_coefficients, log_abs_gamma, log_gamma, pochhammer
+from ptsusy.specfun import (
+    DEGREE_CAP,
+    jacobi_series_coefficients,
+    log_abs_gamma,
+    log_abs_gamma_point,
+    log_gamma,
+    pochhammer,
+)
 
 from oracles import fraction_loop_log_abs_gamma, log_pochhammer, scaled_phase_sum
 
@@ -165,6 +172,19 @@ def test_log_abs_gamma_matches_the_fraction_loop(x):
     got = log_abs_gamma(x, ys)
     ref = fraction_loop_log_abs_gamma(x, ys)
     assert np.all(np.abs(got - ref) <= 4e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("x", ABS_GAMMA_X + (22.0, 62.0))
+def test_log_abs_gamma_point_matches_the_array_sum(x):
+    # the same partial fractions summed in Python floats: a few ulps
+    ys = np.concatenate((ABS_GAMMA_Y_WIDE, np.random.default_rng(17).standard_normal(200) * 10.0 ** 4))
+    want = log_abs_gamma(x, ys)
+    got = np.array([log_abs_gamma_point(x, y) for y in ys.tolist()])
+    assert np.all(np.abs(got - want) <= 4e-15 * np.maximum(1.0, np.abs(want)))
+    assert type(log_abs_gamma_point(x, 0.7)) is float
+    for bad in ((0.49, 0.0), (math.nan, 0.0), (x, math.inf), (x, math.nan), (x, 1e200)):
+        with pytest.raises(DomainError):
+            log_abs_gamma_point(*bad)
 
 
 def test_log_abs_gamma_shapes_and_domain():
