@@ -24,7 +24,8 @@ through ``run()``, which runs ``main`` with CPython's cyclic collector off and
 freezes every live object before it exits: what a command allocates lives
 until exit anyway, so the collections during the imports and the sweep at
 shutdown would only traverse it.  ``main`` itself leaves the collector as it
-finds it, for tests and library callers.
+finds it, for tests and library callers.  ``run`` also sets one OpenBLAS
+thread where the environment sets no ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -498,7 +500,10 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """The process entry point: ``main`` with the collector off, then exit
     with its status; what is live is frozen before exit, so the sweep at
-    shutdown skips it."""
+    shutdown skips it.  OpenBLAS runs one thread unless the environment
+    sets ``OPENBLAS_NUM_THREADS``: no numpy is loaded yet, and a command's
+    products are too small for a second thread to save wall time."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     try:
         code = main()

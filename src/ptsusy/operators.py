@@ -66,10 +66,12 @@ one term K e^(gamma x) s^a Q(cot theta) of its fold, and sums it on the
 Gauss-Romanovski nodes of the state's weight (``quadrature.gauss_romanovski``),
 which is exact for the square of Q cut at the noise floor; a square with no
 such rule (a cut degree at or above a, as in the negative control's raised
-chains) is integrated adaptively, alone, over the clamped box.  The
-identities that depend on the level m alone are computed once per (params,
-m, grid size, sign), and their rows are kept in a bounded memo across
-calls; each call receives copies stamped with its own indices.
+chains) is integrated adaptively, alone, over the clamped box.  Each
+identity integrates its components where its row is recorded, so an error
+of its states or integrals ends that identity alone.  The identities
+that depend on the level m alone are computed once per (params, m, grid
+size, sign), and their rows are kept in a bounded memo across calls; each
+call receives copies stamped with its own indices.
 """
 
 from __future__ import annotations
@@ -564,12 +566,11 @@ def _level_identities(
     # Every word of the pointwise rows at the grid in one call, in report
     # order: annihilation, factorization, single-step intertwining both ways
     # and chain intertwining.  The corpus of level m + 1 holds states of
-    # degree m + 4, which the caller has checked against the cap.
-    ground = eigenfunction(params, m, 0)
+    # degree m + 4, which the caller has checked against the cap.  The
+    # corpus's first member is the ground state of level m.
     word_b = tuple(("A", k) for k in range(m + 1))
     requests = [
-        ((("A", m),), ground, sign),
-        ((), ground, sign),
+        ((("A", m),), corpus[m][0], sign),
         ((("H", m),), corpus[m], 1.0),
         ((("A", m), ("Adag", m)), corpus[m], sign),
         ((), corpus[m], sign),
@@ -580,11 +581,11 @@ def _level_identities(
         (word_b + (("H", m + 1),), corpus[0], sign),
         ((("H", 0),) + word_b, corpus[0], sign),
     ]
-    ann, ground_grid, direct, chained, values, *pairs = _stacked_words(params, requests)(grid)
+    ann, direct, chained, values, *pairs = _stacked_words(params, requests)(grid)
 
     # Ground-state annihilation at level m.
     with _identity(head, idx, grid_size, "ground_state_annihilation") as record:
-        record(_rel(ann, 0.0, scale=float(np.max(np.abs(ground_grid)))))
+        record(_rel(ann, 0.0, scale=float(np.max(np.abs(values[0])))))
 
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
     # one on the corpus.
@@ -625,11 +626,10 @@ def _level_identities(
 
 
 class _Component(NamedTuple):
-    # one quadrature residual of a cell: its identity and residual key, the
-    # eigenstate and the sign its words act with, the terms (coefficient,
-    # word) whose sum on the state is squared, the scale the square is
-    # divided by, and the residual from the integral of that quotient
-    name: str
+    # one quadrature residual of a cell: its residual key, the eigenstate
+    # and the sign its words act with, the terms (coefficient, word) whose
+    # sum on the state is squared, the scale the square is divided by, and
+    # the residual from the integral of that quotient
     key: str
     state: EigenFunction
     sign: float
@@ -754,7 +754,8 @@ def verify_operator_identities(
     level rows; their operands are of degree at most the one checked up
     front, so no state they need is refused by the cap.
 
-    The quadrature rows of the cell are one integral per component:
+    The quadrature rows of the cell are one integral per component, each
+    identity's components integrated where its row is recorded:
     ``mean_BBdag``, ``mean_BdagB`` (n > m), the two partial-chain means
     (n != m) and ``eigen_residual``.  A chain mean is divided by its
     closed-form target, so that it integrates to about 1 and its residual is
@@ -768,18 +769,18 @@ def verify_operator_identities(
     Gauss-Romanovski rule of P = 2a, G = 2 gamma L / pi and N = deg Q + 1,
     exact for it.  Where no rule exists (N - 1 >= P/2), a row overflowed or
     the rule's sum left double range, the square is integrated adaptively
-    and alone over [EDGE_CLAMP L,
-    (1 - EDGE_CLAMP) L] to ``_SUITE_CONFIG``.  Each row's details carry
-    ``quad_error``, in the units of the integral its residual is read from,
-    and ``quad_evaluations``, summed over its components: for a rule, a
-    rounding bound of its sum (see ``_integrate``) and its node count; for
-    an adaptive integral, its error bound and abscissa count.  A
-    ``PtsusyError`` of a component's integral is recorded in its identity's
-    rows alone.  The partial-chain means need the state n of level n + 1
-    (degree 2n + 1): above the cap that row alone records
-    ``DegreeCapError``.  Under the negative control (sign -1) no closed form
-    describes the chain means ``mean_BBdag`` and ``mean_BdagB``, so each is
-    integrated unscaled, as its own identity.
+    and alone over [EDGE_CLAMP L, (1 - EDGE_CLAMP) L] to ``_SUITE_CONFIG``.
+    Each row's details carry ``quad_error``, in the units of the integral
+    its residual is read from, and ``quad_evaluations``, summed over its
+    components: for a rule, a rounding bound of its sum (see ``_integrate``)
+    and its node count; for an adaptive integral, its error bound and
+    abscissa count.  A ``PtsusyError`` of a component's state or integral
+    is raised inside its identity and recorded in its rows alone:
+    ``DegreeCapError`` for the state n of level n + 1 (degree 2n + 1) of
+    the partial-chain means above the cap, ``DomainError`` for an eigen
+    residual at energy 0.  Under the negative control (sign -1) no closed
+    form describes the chain means ``mean_BBdag`` and ``mean_BdagB``, so
+    each is integrated unscaled, as its own identity.
     """
     n, m = level_number(n), level_number(m)
     _check_sign(sign)
@@ -887,7 +888,7 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     at_grid = dict(zip(pointwise, _stacked_words(params, requests)(grid)))
     phi_up_grid = at_grid["phi_up"]
 
-    def mean(name, key, word, state, chain_sign=1.0, unit=1.0):
+    def mean(key, word, state, chain_sign=1.0, unit=1.0):
         # |word state|^2 as a quadrature component, divided by its
         # closed-form target, so that it integrates to about 1.  A target of
         # None stands for a closed form that vanishes identically: the mean
@@ -902,7 +903,7 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
         else:
             scale = 1.0
         residual = lambda value: value if target is None else _rel(value, target / scale)
-        return _Component(name, key, state, chain_sign, ((1.0, word),), scale, residual)
+        return _Component(key, state, chain_sign, ((1.0, word),), scale, residual)
 
     identity = partial(_identity, results, idx, grid_size)
 
@@ -924,73 +925,34 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     with identity("ladder_action") as record:
         record(_rel(at_grid["ladder"], pref * phi_up_grid))
 
-    # The quadrature rows of the cell, one integral per component (see
-    # _integrate): the chain means, the partial-chain means and the eigen
-    # residual.  The partial means need the state n of level n + 1, of
-    # degree 2n + 1, which may exceed the cap: their identity alone then
-    # records the error.
-    components = [mean("mean_BBdag", "mean_BBdag", word_bdag, phi_up, sign)]
-    if n > m:
-        components.append(mean("mean_BdagB", "mean_BdagB", word_b, phi_n, sign))
-    outcomes = {}
-    if n != m:
-        name = "partial_chain_means"
-        try:
-            state_hi = eigenfunction(params, n + 1, n)
-        except DegreeCapError as exc:
-            outcomes[name] = exc
-        else:
-            if n > m:
-                components += [
-                    mean(name, "lambda_lambdadag", lam_dag, state_hi),
-                    mean(name, "lambdadag_lambda", lam, phi_up),
-                ]
-            else:
-                components += [
-                    mean(name, "theta_thetadag", theta_dag, state_hi, unit=unit),
-                    mean(name, "thetadag_theta", theta, phi_up),
-                ]
-    # Eigen residual of the level-m state n, relative to its energy:
-    # |H phi / E - phi|^2 in units of 1.
-    if phi_m.energy == 0.0:
-        outcomes["eigen_residual"] = DomainError(f"state (n={n}, m={m}) has energy 0, so no residual relative to it")
-    else:
-        terms = ((1.0 / phi_m.energy, (("H", m),)), (-1.0, ()))
-        residual = lambda value: math.sqrt(max(value, 0.0))
-        components.append(_Component("eigen_residual", "eigen_residual", phi_m, 1.0, terms, 1.0, residual))
-    for c in components:
-        if isinstance(outcomes.get(c.name), PtsusyError):
-            continue
-        try:
-            value, error, nodes = _integrate(params, c)
-        except PtsusyError as exc:
-            outcomes[c.name] = exc
-            continue
-        residuals, details = outcomes.setdefault(c.name, ({}, _quad_details(0.0, 0)))
-        residuals[c.key] = c.residual(value)
-        details["quad_error"] += error
-        details["quad_evaluations"] += nodes
-
-    def integrated(name):
-        # the residuals of identity name's components by key, and the summed
+    def quadrature(*components):
+        # the residuals of an identity's components by key, and the summed
         # error bound (in the units of the integral the residual is read
-        # from) and node counts of their integrals; a package error from its
-        # state or from an integral ends the identity
-        outcome = outcomes[name]
-        if isinstance(outcome, PtsusyError):
-            raise outcome
-        return outcome
+        # from) and node count of their integrals (see _integrate)
+        residuals, details = {}, _quad_details(0.0, 0)
+        for c in components:
+            value, error, nodes = _integrate(params, c)
+            residuals[c.key] = c.residual(value)
+            details["quad_error"] += error
+            details["quad_evaluations"] += nodes
+        return residuals, details
 
     # Mean values of the chain products by quadrature.
-    for name in ("mean_BBdag", "mean_BdagB") if n > m else ("mean_BBdag",):
-        with identity(name) as record:
-            residuals, details = integrated(name)
-            record(residuals[name], details)
+    for key, word, state in [("mean_BBdag", word_bdag, phi_up), ("mean_BdagB", word_b, phi_n)][: 1 + (n > m)]:
+        with identity(key) as record:
+            residuals, details = quadrature(mean(key, word, state, sign))
+            record(residuals[key], details)
 
     results.extend(stamped(tail))
 
+    # Eigen residual of the level-m state n, relative to its energy:
+    # |H phi / E - phi|^2 in units of 1.
     with identity("eigen_residual") as record:
-        residuals, details = integrated("eigen_residual")
+        if phi_m.energy == 0.0:
+            raise DomainError(f"state (n={n}, m={m}) has energy 0, so no residual relative to it")
+        terms = ((1.0 / phi_m.energy, (("H", m),)), (-1.0, ()))
+        residual = lambda value: math.sqrt(max(value, 0.0))
+        residuals, details = quadrature(_Component("eigen_residual", phi_m, 1.0, terms, 1.0, residual))
         record(residuals["eigen_residual"], details)
 
     # Mixed chain products: evaluate every well-formed printed variant.
@@ -1011,10 +973,17 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
             variants["matching_variant"] = min(("mass_prefactor", "index_prefactor"), key=lambda k: variants[k])
             record(variants[variants["matching_variant"]], variants)
 
-    # Partial-chain mean values (quadrature route).
+    # Partial-chain mean values (quadrature route).  They need the state n
+    # of level n + 1, of degree 2n + 1: above the cap their row alone
+    # records DegreeCapError.
     if n != m:
         with identity("partial_chain_means") as record:
-            residuals, details = integrated("partial_chain_means")
+            state_hi = eigenfunction(params, n + 1, n)
+            if n > m:
+                components = mean("lambda_lambdadag", lam_dag, state_hi), mean("lambdadag_lambda", lam, phi_up)
+            else:
+                components = mean("theta_thetadag", theta_dag, state_hi, unit=unit), mean("thetadag_theta", theta, phi_up)
+            residuals, details = quadrature(*components)
             record(max(residuals.values()), {**residuals, **details})
 
     return results

@@ -4,6 +4,7 @@ config file handling, and the exit-status rules."""
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -765,6 +766,24 @@ def test_run_turns_the_collector_off_and_freezes_before_exit():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and json.loads(proc.stdout)["command"] == "spectrum"
     assert proc.stderr == "False True\n"
+
+
+@pytest.mark.parametrize(("given", "seen"), [(None, "1"), ("3", "3")], ids=["unset", "user_value"])
+def test_run_sets_one_openblas_thread_unless_the_environment_names_a_count(given, seen):
+    # the OPENBLAS_NUM_THREADS of the process at exit, printed by an atexit
+    # handler: run sets 1 where the environment sets none, and leaves the
+    # user's value; verify loads numpy after run has set it
+    script = (
+        "import atexit, os, sys; from ptsusy import cli;"
+        "atexit.register(lambda: print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, file=sys.stderr));"
+        "sys.argv = ['ptsusy', 'verify', '--n', '0', '--m', '0', '--format', 'json']; cli.run()"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["command"] == "verify"
+    assert proc.stderr == f"{seen} True\n"
 
 
 def _workload_commands(tmp_path):

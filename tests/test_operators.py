@@ -470,6 +470,30 @@ def test_negative_control_means_are_integrated_alone(n, m):
         assert results[name].passed is False, name
 
 
+def test_a_capped_partial_mean_and_an_adaptive_mean_stay_in_their_rows(monkeypatch):
+    # Under the sign flip at nu 1, beta 2, cell (10, 1): the partial-chain
+    # means need the state 10 of level 11 (degree 21) and record
+    # DegreeCapError alone; mean_BdagB has no Gauss rule and is the one
+    # adaptive integral of the cell (180 abscissas); the eigen residual is
+    # its rule sum and passes.  Every other row holds a number.
+    params, n, m = ModelParams(nu=1.0, beta=2.0), 10, 1
+    verify_operator_identities(params, n, m, sign=-1.0)
+    calls = []
+    real = operators.integrate_interval
+    monkeypatch.setattr(operators, "integrate_interval", lambda *args: calls.append(args) or real(*args))
+    rows = {r.name: r for r in verify_operator_identities(params, n, m, sign=-1.0)}
+    assert {name for name, r in rows.items() if isinstance(r.max_residual, str)} == {"partial_chain_means"}
+    assert rows["partial_chain_means"].max_residual == "DegreeCapError" and rows["partial_chain_means"].passed is None
+    assert "exceeds cap" in rows["partial_chain_means"].details["error"]
+    word_b, _ = _chain_words(m)
+    degree, power = _cut_degree(params, word_b, eigenfunction(params, 0, n), -1.0)
+    assert degree >= power and len(calls) == 1
+    assert rows["mean_BdagB"].details["quad_evaluations"] == 180 and rows["mean_BdagB"].passed is False
+    degree, power = _cut_degree(params, (("H", m),), eigenfunction(params, m, n))
+    assert degree < power and rows["eigen_residual"].details["quad_evaluations"] == degree + 1
+    assert rows["eigen_residual"].passed is True
+
+
 @pytest.mark.parametrize(("n", "m", "degree"), [(0, 17, 21), (2, 17, 21), (0, 19, 23), (30, 0, 31)])
 def test_cell_above_the_level_cap_is_rejected_up_front(monkeypatch, n, m, degree):
     # the mandatory identities need degree max(n + m + 1, m + 4); above the
@@ -834,7 +858,7 @@ def test_a_stalled_informational_component_leaves_the_mandatory_verdicts(monkeyp
     real = operators._integrate
 
     def stalled(params, component):
-        if component.name == "partial_chain_means":
+        if component.key in ("lambda_lambdadag", "lambdadag_lambda"):
             raise SubdivisionLimitError("no convergence within 16384 panels")
         return real(params, component)
 
