@@ -36,9 +36,13 @@ A word is folded one operator at a time on top of the fold of its prefix.
 Q and the magnitudes each of its coefficients was summed from are the two
 planes of one band, so a step is one pass with the signed multipliers on
 the Q plane and their absolute values on the magnitude plane, each pair
-broadcast over the rows; a step forms its own d/dx multipliers for the
-band width it has, so a fold is plain arrays and nothing else.  A bounded
-``lru_cache`` keyed on (params, prefix, operand, sign) keeps each fold.
+broadcast over the rows.  The d/dx multipliers depend only on the stack's
+rates gamma and powers a, on L and on the band's width, so they are formed
+once per stack and width bucket, not per step: a bounded store
+(``_multipliers``) keeps each set whole and read-only, every fold on the
+stack reads it, and no step widens anything in place, so a fold is plain
+arrays and nothing else.  A bounded ``lru_cache`` keyed on (params, prefix,
+operand, sign) keeps each fold.
 The words wanted at the same points go into one plan over the rows of
 their folds that they read, cut straight from both planes of each band
 and built once per call: the rows in falling degree and, per power, Q cut
@@ -90,7 +94,7 @@ import numpy as np
 
 from .errors import DegreeCapError, DomainError, PtsusyError
 from .quadrature import DEFAULT_CONFIG, gauss_romanovski, integrate_interval
-from .spectrum import LEVEL_CAP, LevelIndex, ModelParams, energy, gap_factor_M, gap_factor_N, level_number
+from .spectrum import LEVEL_CAP, ModelParams, diagonal_energy, gap_factor_M, gap_factor_N, level_number
 from .wavefn import EigenFunction, eigenfunction
 
 #: Relative clamp keeping the identity grid and the quadratures off the walls.
@@ -171,6 +175,31 @@ class _Terms(NamedTuple):
         return cls(np.array(log_c), gamma, np.array(power), band)
 
 
+#: The most multiplier sets ``_multipliers`` keeps; the least recently used
+#: goes first.  A cold seed-1 pass of the benchmark's ``verify`` cells builds
+#: 37 sets for its 768 fold steps (at most 21 rows of 32 a plane, 0.2 MB).
+MULTIPLIER_STORE_SIZE = 256
+#: Band widths share one multiplier set per bucket of this many coefficients.
+_WIDTH_BUCKET = 16
+
+
+@lru_cache(maxsize=MULTIPLIER_STORE_SIZE)
+def _multipliers(rates: bytes, rate_type: str, powers: bytes, power_type: str, length: float, width: int) -> tuple:
+    # The d/dx multipliers of the rows whose gamma and a are the bytes rates
+    # and powers, for bands of up to width coefficients: gamma (2, r, 1),
+    # rise k (a - j) (2, r, width) and fall -k j (2, 1, width - 1), signed on
+    # plane 0 and their absolute values on plane 1, read-only.  The store
+    # keeps a set once it is whole, so a build a signal cuts leaves nothing
+    gamma, power = np.frombuffer(rates, rate_type), np.frombuffer(powers, power_type)
+    k, j = math.pi / length, np.arange(width)
+    rise = k * (power[:, None] - j)
+    fall = np.multiply.outer([-k, k], j[1:])[:, None]
+    planes = np.array([gamma, np.abs(gamma)])[:, :, None], np.array([rise, np.abs(rise)]), fall
+    for plane in planes:
+        plane.flags.writeable = False
+    return planes
+
+
 def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float, shift: float = 0.0) -> _Terms:
     # one operator applied to the band, its signed factors on the Q plane and
     # their absolute values on the magnitude plane; "H" subtracts shift * Q
@@ -187,17 +216,16 @@ def _step(params: ModelParams, kind: str, level: int, terms: _Terms, sign: float
         derivatives = 2
     # each factor as a (2, 1, 1) pair over the planes: the first scales the
     # derivative, the others are the polynomial in c
-    scale, *poly = np.array([factors, np.abs(factors)]).T[:, :, None, None]
+    scale, *poly = np.array([(f, abs(f)) for f in factors])[:, :, None, None]
     n = terms.band.shape[-1]
     # d/dx on a band of width w: coefficient j of the new Q is
     # gamma q_j + k (a - j + 1) q_(j-1) - k (j + 1) q_(j+1), and of the
-    # magnitudes the same sum with every multiplier's absolute value.  A fold
-    # is plain arrays: the step forms its multipliers gamma, rise k (a - j)
-    # and fall -k j (magnitude k j) as pairs of planes, for its widest band
-    k, j = math.pi / params.length, np.arange(n + derivatives - 1)
-    rise = k * (terms.power[:, None] - j)
-    gamma, rise = np.array([terms.gamma, np.abs(terms.gamma)])[:, :, None], np.array([rise, np.abs(rise)])
-    fall = np.multiply.outer([-k, k], j[1:])[:, None]
+    # magnitudes the same sum with every multiplier's absolute value, read
+    # from the stack's multiplier set of the width bucket of its widest band
+    bucket = -(-(n + derivatives - 1) // _WIDTH_BUCKET) * _WIDTH_BUCKET
+    gamma, rise, fall = _multipliers(
+        terms.gamma.tobytes(), terms.gamma.dtype.str, terms.power.tobytes(), terms.power.dtype.str, params.length, bucket
+    )
     # rows fold silently: one that overflows warns in _plan, if a call reads it
     with np.errstate(over="ignore", invalid="ignore"):
         derived = terms.band
@@ -293,11 +321,12 @@ def _evaluate(params: ModelParams, plan: _Plan, x: np.ndarray) -> np.ndarray:
 
 #: The most folds the fold memo keeps; the least recently used goes first.
 #: The benchmark's ``verify`` cells (seed 1, 92 cells on two parameter sets)
-#: fold 824 keys, mixed_product's shifted H steps included.  Passes one to
-#: four take 788, 512, 512 and 512 steps at 256 folds, 766, 491, 426 and 426
-#: at 512 (740, 446, 0 and 0 without its ``HANG_CELLS``), and 766, 0, 0 and 0
-#: at 1,024.  Peak RSS of a benchmark run of ``verify``, one cold pass, is
-#: 42.3 MB at 256 folds, 43.7 MB at 512 and 45.1 MB at 1,024.  ``verify``
+#: fold 826 keys, mixed_product's shifted H steps and the negative control's
+#: partial chains included.  Passes one to four take 784, 514, 514 and 514
+#: steps at 256 folds, 768, 501, 442 and 444 at 512 (742, 455, 0 and 0
+#: without its ``HANG_CELLS``), and 768, 0, 0 and 0 at 1,024.  Peak RSS of
+#: a benchmark run of ``verify``, one cold pass, was 42.3 MB at 256 folds,
+#: 43.7 MB at 512 and 45.1 MB at 1,024 when last measured.  ``verify``
 #: makes no Gram; a ``gram`` pass adds one key per Gram call, the empty word
 #: of its stack (33 at each of seeds 1-3), and a warm pass adds none.
 FOLD_MEMO_SIZE = 512
@@ -351,41 +380,46 @@ def apply_word(params: ModelParams, word, func, x, sign: float = 1.0):
     their folds.  The values are bit-identical with a warm memo and a cold one,
     and to the state's own fold for an eigenfunction.
 
-    This is ``_stacked_words`` with one request, evaluated once.
+    This is the one entry for words from outside the operator layer, so the
+    word, the sign and the operand's length are checked here, once, before
+    ``_stacked_words`` with one request evaluates it once; the words that
+    the layer builds itself (the verification suite's, ``wavefn``'s Gram
+    stacks) go to ``_stacked_words`` unchecked.
     """
+    word = tuple(word)
+    _check_sign(sign)
+    # before the memo, whose keys hash ("A", True) as ("A", 1)
+    for member in func if isinstance(func, tuple) else (func,):
+        if (length := getattr(member, "params", params).length) != params.length:
+            raise DomainError(f"an operand of length {length} under params of length {params.length}")
+    for entry in word:
+        if type(entry) is not tuple or not (len(entry) == 2 or len(entry) == 3 and entry[0] == "H"):
+            raise DomainError(f"a word entry is a tuple (kind, level) or ('H', level, e), got {entry!r}")
+        kind, level, *shift = entry
+        if kind not in _KINDS:
+            raise DomainError(f"unknown operator kind {kind!r}")
+        e = shift[0] if shift else None
+        if shift and (isinstance(e, bool) or not isinstance(e, numbers.Real) or not abs(e) <= sys.float_info.max):
+            raise DomainError(f"a shifted entry is ('H', level, e), e finite and real, got {entry!r}")
+        if type(level) is not int or level < 0:
+            level_number(level)
     (values,) = _stacked_words(params, [(word, func, sign)])(x)
     return values
 
 
 def _stacked_words(params: ModelParams, requests):
-    # The (word, operand, sign) requests checked and folded as by apply_word,
-    # with one plan over the rows of their folds that they read, built once
-    # per call: a bare eigenfunction reads its row of the fold of its
-    # level's stack (``_level_stack``), any other operand its own fold.
+    # The (word, operand, sign) requests folded as by apply_word, with one
+    # plan over the rows of their folds that they read, built once per call:
+    # a bare eigenfunction reads its row of the fold of its level's stack
+    # (``_level_stack``), any other operand its own fold.  The words are the
+    # layer's own, tuples of valid entries under a sign of 1 or -1 on
+    # operands of params' length: apply_word checks those from outside.
     # Returns the evaluator of that plan, which maps points x to one array per
     # request, each bit for bit and in the dtype of its word applied alone:
     # one Horner pass, which each row joins at its own degree, and every other
     # operation elementwise.  The requests of one call share a dtype: float64
     # and complex128 operands together raise DomainError.  A caller that
     # wants the same words at many node sets keeps the evaluator.
-    requests = [(tuple(word), func, sign) for word, func, sign in requests]
-    # one pass, before the memo, whose keys hash ("A", True) as ("A", 1)
-    for word, func, sign in requests:
-        _check_sign(sign)
-        for member in func if isinstance(func, tuple) else (func,):
-            if (length := getattr(member, "params", params).length) != params.length:
-                raise DomainError(f"an operand of length {length} under params of length {params.length}")
-        for entry in word:
-            if type(entry) is not tuple or not (len(entry) == 2 or len(entry) == 3 and entry[0] == "H"):
-                raise DomainError(f"a word entry is a tuple (kind, level) or ('H', level, e), got {entry!r}")
-            kind, level, *shift = entry
-            if kind not in _KINDS:
-                raise DomainError(f"unknown operator kind {kind!r}")
-            e = shift[0] if shift else None
-            if shift and (isinstance(e, bool) or not isinstance(e, numbers.Real) or not abs(e) <= sys.float_info.max):
-                raise DomainError(f"a shifted entry is ('H', level, e), e finite and real, got {entry!r}")
-            if type(level) is not int or level < 0:
-                level_number(level)
     folds, cuts = [], []
     for word, func, sign in requests:
         if isinstance(func, EigenFunction):
@@ -590,7 +624,7 @@ def _level_identities(
     # Factorized Hamiltonian A_m^dag A_m / 2M + E_0^(m) reproduces the direct
     # one on the corpus.
     with _identity(head, idx, grid_size, "factorization") as record:
-        fact = chained / two_m + energy(params, LevelIndex(m, 0)) * values
+        fact = chained / two_m + diagonal_energy(params, m) * values
         record(max(_rel(f, d) for f, d in zip(fact, direct)))
 
     # Single-step intertwining, both directions.  An annihilated member, such
@@ -657,9 +691,8 @@ def _integrate(params: ModelParams, c: _Component) -> tuple[float, float, int]:
     folds = [(coef, _fold(params, word, stack, c.sign)) for coef, word in c.terms]
     first = folds[0][1]
     log_c, gamma, power = float(first.log_c[row]), float(first.gamma[row]), float(first.power[row])
-    q, mag = np.zeros((2, max(f.band.shape[-1] for _, f in folds)))
     # top: the highest power of the rows' kept coefficients, which may cancel in q
-    finite, top = True, 0
+    finite, top, rows = True, 0, []
     for coef, f in folds:
         band = f.band[:, row]
         # a row that overflowed, its magnitudes not finite, takes the
@@ -668,10 +701,18 @@ def _integrate(params: ModelParams, c: _Component) -> tuple[float, float, int]:
         if not finite:
             break
         factor, cut = coef * math.exp(f.log_c[row] - log_c), _cut(band)
-        q[: band.shape[-1]] += factor * cut
-        mag[: band.shape[-1]] += abs(factor) * band[1]
+        rows.append((factor * cut, abs(factor) * band[1]))
         top = max([top, *cut.nonzero()[0][-1:].tolist()])
-    degree = max(q.nonzero()[0][-1:].tolist(), default=0)
+    if finite:
+        # the rows' Q and magnitudes summed, zero-padded to the widest row;
+        # a single row is its own sum
+        q, mag = rows[0]
+        if len(rows) > 1:
+            q, mag = np.zeros((2, max(len(row_q) for row_q, _ in rows)))
+            for row_q, row_mag in rows:
+                q[: len(row_q)] += row_q
+                mag[: len(row_q)] += row_mag
+        degree = max(q.nonzero()[0][-1:].tolist(), default=0)
     if finite and degree < power:
         G = 2.0 * gamma * L / math.pi
         nodes, log_w = gauss_romanovski(2.0 * power, G, degree + 1)
@@ -684,7 +725,8 @@ def _integrate(params: ModelParams, c: _Component) -> tuple[float, float, int]:
         # C^2: the sum of W_i ((|Q(t_i)| + b_i)^2 - Q(t_i)^2), and the value
         # times the weights' drift.
         u = 8.0 * (top + max(len(word) for _, word in c.terms) + 1) * _EPS
-        drift = (max(log_weights.max(), -log_weights.min()) + 2.0 * math.pi * abs(G) + 4.0 * len(nodes)) * _EPS
+        spread = log_weights.tolist()
+        drift = (max(max(spread), -min(spread)) + 2.0 * math.pi * abs(G) + 4.0 * len(nodes)) * _EPS
         with np.errstate(over="ignore", invalid="ignore"):
             weights = np.exp(log_weights)
             # Q and its magnitude polynomial at the nodes, as sums of powers
@@ -778,9 +820,10 @@ def verify_operator_identities(
     is raised inside its identity and recorded in its rows alone:
     ``DegreeCapError`` for the state n of level n + 1 (degree 2n + 1) of
     the partial-chain means above the cap, ``DomainError`` for an eigen
-    residual at energy 0.  Under the negative control (sign -1) no closed
-    form describes the chain means ``mean_BBdag`` and ``mean_BdagB``, so
-    each is integrated unscaled, as its own identity.
+    residual at energy 0.  Under the negative control (sign -1) the chains
+    of ``mean_BBdag``, ``mean_BdagB`` and the partial-chain means act with
+    the flipped sign, and no closed form describes them: each is integrated
+    unscaled and read against the closed form of the uncorrupted chain.
     """
     n, m = level_number(n), level_number(m)
     _check_sign(sign)
@@ -806,7 +849,9 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
     # the unit pi hbar / L of the ladder-chain prefactors
     rung = math.pi * params.hbar / L
     two_m = 2.0 * params.mass
-    e0_level = lambda k: energy(params, LevelIndex(0, k))
+    # E_0^(k), which is E_k^(0), by the closed form of spectrum.energy: the
+    # indices are checked, so no LevelIndex is built
+    e0_level = partial(diagonal_energy, params)
 
     def chain_eigenvalue(e, levels):
         # (2M)^len(levels) prod_k (e - E_0^(k)), multiplied in level order
@@ -817,8 +862,9 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
 
     # The closed forms of the cell come first: one past double range ends the
     # cell with DomainError before any word is folded.  The energies are
-    # those of the states n of levels 0 and m + 1 (phi_n and phi_up below).
-    e_n, e_up = energy(params, LevelIndex(0, n)), energy(params, LevelIndex(m + 1, n))
+    # those of the states n of levels 0 and m + 1 (phi_n and phi_up below),
+    # E_n^(0) and E_n^(m+1) = E_(n+m+1)^(0).
+    e_n, e_up = e0_level(n), e0_level(n + m + 1)
     eig_n, eig_up = chain_eigenvalue(e_n, range(m + 1)), chain_eigenvalue(e_up, range(m + 1))
     # product_BdagB's scale: (2M)^(m+1) and every energy factor but the one that vanishes at k = n
     bdagb_power = two_m ** (m + 1)
@@ -831,7 +877,7 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
         targets["lambda_lambdadag"] = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
         targets["lambdadag_lambda"] = (rung ** (n - m) * ratio) ** 2
         # partial_chain_product's prefactors, on the ground state of level n + 1
-        e_hi, core = energy(params, LevelIndex(n + 1, 0)), 1.0
+        e_hi, core = e0_level(n + 1), 1.0
         for k in range(m + 1, n + 1):
             core *= e_hi - e0_level(k)
         prefactors = {"mass_prefactor": two_m ** (n - m) * core}
@@ -902,7 +948,9 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
             scale = target
         else:
             scale = 1.0
-        residual = lambda value: value if target is None else _rel(value, target / scale)
+        # against target / scale, as _rel takes it, in Python floats
+        goal = None if target is None else target / scale
+        residual = lambda value: value if goal is None else abs(value - goal) / max(abs(value), abs(goal), 1e-300)
         return _Component(key, state, chain_sign, ((1.0, word),), scale, residual)
 
     identity = partial(_identity, results, idx, grid_size)
@@ -975,14 +1023,15 @@ def _cell_rows(params: ModelParams, n: int, m: int, grid_size: int, sign: float)
 
     # Partial-chain mean values (quadrature route).  They need the state n
     # of level n + 1, of degree 2n + 1: above the cap their row alone
-    # records DegreeCapError.
+    # records DegreeCapError.  Their chains act with the cell's sign, so
+    # the negative control reaches them as it reaches the chain means.
     if n != m:
         with identity("partial_chain_means") as record:
             state_hi = eigenfunction(params, n + 1, n)
             if n > m:
-                components = mean("lambda_lambdadag", lam_dag, state_hi), mean("lambdadag_lambda", lam, phi_up)
+                components = mean("lambda_lambdadag", lam_dag, state_hi, sign), mean("lambdadag_lambda", lam, phi_up, sign)
             else:
-                components = mean("theta_thetadag", theta_dag, state_hi, unit=unit), mean("thetadag_theta", theta, phi_up)
+                components = mean("theta_thetadag", theta_dag, state_hi, sign, unit), mean("thetadag_theta", theta, phi_up, sign)
             residuals, details = quadrature(*components)
             record(max(residuals.values()), {**residuals, **details})
 

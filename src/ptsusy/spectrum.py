@@ -47,6 +47,13 @@ class ModelParams:
         if not (self.hbar > 0.0 and self.length > 0.0 and self.mass > 0.0):
             raise DomainError("hbar, length, mass must be positive")
         self._check_scale()
+        # the hash of the fields, computed once: every memo of the package
+        # keys on the params.  It is not a field, so ==, repr, asdict and
+        # replace see the five fields alone
+        object.__setattr__(self, "_hash", hash((self.nu, self.beta, self.hbar, self.length, self.mass)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def _check_scale(self):
         # epsilon0 must be a positive normal float and every energy up to
@@ -119,7 +126,13 @@ def energy(params: ModelParams, idx: LevelIndex) -> float:
     quantum number n + m + nu + 1, which makes the shift law
     E_n^(m+1) = E_{n+1}^(m) an exact identity of this function.
     """
-    s = idx.n + idx.m + params.nu + 1.0
+    return diagonal_energy(params, idx.n + idx.m)
+
+
+def diagonal_energy(params: ModelParams, k: int) -> float:
+    """The energy of every state with n + m = k, an int the caller has
+    checked: ``energy`` without building a ``LevelIndex``, bit for bit."""
+    s = k + params.nu + 1.0
     return params.epsilon0 * (s * s - params.beta**2 / (s * s))
 
 

@@ -17,10 +17,11 @@ PARAM_GRID = [
 
 
 def clear_memos():
-    """Empty the level-row, level-stack and fold memos of ``operators``."""
+    """Empty the level-row, level-stack, fold and multiplier memos of ``operators``."""
     operators._level_identities.cache_clear()
     operators._level_stack.cache_clear()
     operators._fold.cache_clear()
+    operators._multipliers.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -925,6 +925,7 @@ def per_identity_quadratures(params, n: int, m: int, sign: float = 1.0) -> dict:
 
     Returns {row name: {residual key: QuadratureComponent}} for mean_BBdag,
     mean_BdagB (n > m), partial_chain_means (n != m) and eigen_residual.
+    The chains of the means act with ``sign``, as the suite's do.
     """
     L = params.length
     lo, hi = EDGE_CLAMP * L, (1.0 - EDGE_CLAMP) * L
@@ -956,8 +957,8 @@ def per_identity_quadratures(params, n: int, m: int, sign: float = 1.0) -> dict:
             target = rung ** (2 * (n - m)) * gap_factor_N(params, n, n) / gap_factor_N(params, n, m)
             ratio = gap_factor_M(params, m, n) / gap_factor_M(params, n, m)
             rows["partial_chain_means"] = {
-                "lambda_lambdadag": chain_mean(lam_dag, state_hi, target),
-                "lambdadag_lambda": chain_mean(lam, phi_up, (rung ** (n - m) * ratio) ** 2),
+                "lambda_lambdadag": chain_mean(lam_dag, state_hi, target, sign),
+                "lambdadag_lambda": chain_mean(lam, phi_up, (rung ** (n - m) * ratio) ** 2, sign),
             }
         else:
             unit = rung ** (2 * (m - n))
@@ -966,12 +967,12 @@ def per_identity_quadratures(params, n: int, m: int, sign: float = 1.0) -> dict:
             # a closed form that vanishes (m >= 2n + 1): the mean in units of
             # unit is its own residual; otherwise it is relative to target
             if target == 0.0:
-                theta_thetadag = chain_mean(theta_dag, state_hi, None, unit=unit)
+                theta_thetadag = chain_mean(theta_dag, state_hi, None, sign, unit=unit)
             else:
-                theta_thetadag = chain_mean(theta_dag, state_hi, target)
+                theta_thetadag = chain_mean(theta_dag, state_hi, target, sign)
             rows["partial_chain_means"] = {
                 "theta_thetadag": theta_thetadag,
-                "thetadag_theta": chain_mean(theta, phi_up, (rung ** (m - n) * ratio) ** 2),
+                "thetadag_theta": chain_mean(theta, phi_up, (rung ** (m - n) * ratio) ** 2, sign),
             }
 
     def resid_sq(x):

@@ -558,6 +558,26 @@ def test_sign_other_than_plus_or_minus_one_is_rejected_up_front(monkeypatch, sig
             call()
 
 
+def test_a_cell_checks_its_sign_once(monkeypatch):
+    # the words the suite builds itself are not checked again: a cell makes
+    # the one sign check up front, where each of its stacked requests once
+    # made its own
+    real, signs = operators._check_sign, []
+    monkeypatch.setattr(operators, "_check_sign", lambda sign: signs.append(sign) or real(sign))
+    verify_operator_identities(DEFAULT, 3, 2)
+    assert signs == [1.0]
+
+
+@pytest.mark.parametrize(("n", "m", "flipped"), [(3, 1, 0.832), (2, 0, 0.932), (1, 3, 1032.0)])
+def test_the_negative_control_reaches_the_partial_chain_means(n, m, flipped):
+    # the partial-chain means once folded their chains with the uncorrupted
+    # superpotential under the sign flip: at (3, 1) the row read 9.5e-15
+    # under both signs.  Their chains act with the cell's sign
+    rows = {sign: {r.name: r for r in verify_operator_identities(DEFAULT, n, m, sign=sign)} for sign in (1.0, -1.0)}
+    assert rows[1.0]["partial_chain_means"].max_residual < 1e-12
+    assert rows[-1.0]["partial_chain_means"].max_residual == pytest.approx(flipped, rel=1e-3)
+
+
 @pytest.mark.parametrize("sign", [1, -1, 1.0, -1.0], ids=repr)
 def test_sign_plus_or_minus_one_runs(sign):
     results = verify_operator_identities(DEFAULT, 1, 0, sign=sign)
@@ -991,6 +1011,39 @@ def test_stacked_step_matches_two_pass_step(m):
                 assert _same_bits(got, want), (word, sign, f)
 
 
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_folds_across_width_buckets_match_two_pass_step(sign):
+    # 32 ladder steps and a shifted H widen the band of a level stack, the
+    # corpus stack and a complex coherent state across at least two
+    # boundaries of the multiplier store's width buckets; every step is the
+    # two-pass step's, byte for byte
+    rng = np.random.default_rng(52)
+    word = tuple((("A", "Adag")[rng.integers(2)], int(rng.integers(4))) for _ in range(32))
+    word += (("H", 2, energy(DEFAULT, LevelIndex(0, 2))),)
+    coherent = CoherentState(DEFAULT, 1, PhasePoint(0.3, 2.0))
+    for f in (operators._level_stack(DEFAULT, 1), tuple(operators.test_corpus(DEFAULT, 1)), coherent):
+        got, want, buckets = operators._fold(DEFAULT, (), f, sign), _two_pass_fold((), f, sign), set()
+        for kind, level, *shift in word:
+            buckets.add(-(-(got.band.shape[-1] + (kind == "H")) // operators._WIDTH_BUCKET))
+            got = operators._step(DEFAULT, kind, level, got, sign, *shift)
+            want = two_pass_step(DEFAULT, kind, level, want, sign, *shift)
+            assert _same_bits(got, want), (f, kind, level, got.band.shape)
+        assert len(buckets) >= 3, (f, buckets)
+
+
+def test_the_multiplier_store_keeps_read_only_sets_within_its_bound(monkeypatch):
+    # every set a cell's steps read is read-only, and the store stays within
+    # MULTIPLIER_STORE_SIZE
+    real, sets = operators._multipliers, []
+    monkeypatch.setattr(operators, "_multipliers", lambda *key: sets.append(real(*key)) or sets[-1])
+    verify_operator_identities(DEFAULT, 3, 2)
+    assert sets and all(not plane.flags.writeable for planes in sets for plane in planes)
+    with pytest.raises(ValueError, match="read-only"):
+        sets[0][1][0, 0, 0] = 0.0
+    info = real.cache_info()
+    assert info.maxsize == operators.MULTIPLIER_STORE_SIZE and 0 < info.currsize < len(sets)
+
+
 def test_step_factors_follow_hbar():
     # params that differ only in hbar fold one operand to their own bands,
     # each the two-pass step's
@@ -1235,17 +1288,18 @@ def _run_cut(n, m, at=lambda frame, event: False):
 def test_an_interrupted_cell_leaves_the_memos_consistent():
     # the benchmark cuts verdicts with SIGALRM at any bytecode: cut cell
     # (3, 2) at 40 line events spread over a cold run, and before each line
-    # of _step, the d/dx multipliers it forms included, at its first run,
-    # then run the whole cell on what the cut left in the memos; its rows
-    # are the cold rows
+    # of _step and of _multipliers, which builds the d/dx multiplier sets
+    # the multiplier store keeps, at its first run, then run the whole cell
+    # on what the cut left in the memos; its rows are the cold rows
     cold = [r.to_jsonable() for r in verify_operator_identities(DEFAULT, 3, 2)]
     clear_memos()
-    # an uncut run that records the lines of _step it runs: every line of its body
-    step, lines = operators._step.__code__, set()
-    events, _ = _run_cut(3, 2, lambda frame, _: frame.f_code is step and lines.add(frame.f_lineno))
-    assert lines == {line for *_, line in step.co_lines() if line is not None} - {step.co_firstlineno}
+    # an uncut run that records the lines of both it runs: every line of their bodies
+    codes = (operators._step.__code__, operators._multipliers.__wrapped__.__code__)
+    lines = set()
+    events, _ = _run_cut(3, 2, lambda frame, _: frame.f_code in codes and lines.add((frame.f_code, frame.f_lineno)))
+    assert lines == {(code, line) for code in codes for *_, line in code.co_lines() if line not in (None, code.co_firstlineno)}
     cuts = [lambda _, number, k=k: number == k for k in np.linspace(1, events, 40).astype(int).tolist()]
-    cuts += [lambda frame, _, line=line: frame.f_code is step and frame.f_lineno == line for line in sorted(lines)]
+    cuts += [lambda frame, _, at=at: (frame.f_code, frame.f_lineno) == at for at in lines]
     for cut in cuts:
         clear_memos()
         assert _run_cut(3, 2, cut)[1]
@@ -1484,11 +1538,14 @@ def test_a_rule_sum_past_double_range_takes_the_adaptive_route():
     # chain of cell (1, 12) is 1e-317, and its rule's weights over that unit
     # overflow (numpy warned of it): that component is integrated
     # adaptively, 180 abscissas beside the 13 nodes of the other, and no
-    # warning is raised
+    # warning is raised.  Under the sign flip the chain is not annihilated
+    # and its mean, integrated adaptively, is far from its closed form 0
     params = ModelParams(nu=0.0, beta=7.0, hbar=1e-10, length=1e5, mass=1e8)
-    row = {r.name: r for r in verify_operator_identities(params, 1, 12, sign=-1.0)}["partial_chain_means"]
+    row = {r.name: r for r in verify_operator_identities(params, 1, 12)}["partial_chain_means"]
     assert row.details["quad_evaluations"] == 13 + 180
     assert row.max_residual < 1e-12
+    row = {r.name: r for r in verify_operator_identities(params, 1, 12, sign=-1.0)}["partial_chain_means"]
+    assert row.details["theta_thetadag"] > 1e100
 
 
 def _per_operand_residuals(params, n, m, sign):

@@ -2,8 +2,10 @@
 the hierarchy shift law, and gap-factor/energy consistency."""
 
 import math
+import pickle
 import re
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from ptsusy.spectrum import (
     LEVEL_CAP,
     LevelIndex,
     ModelParams,
+    diagonal_energy,
     energy,
     gap_factor_M,
     gap_factor_N,
@@ -57,6 +60,31 @@ def test_scaling_in_length_and_mass():
 def test_shift_law_is_bit_exact(n, m):
     # the level-(m+1) spectrum is the level-m spectrum minus its ground state
     assert energy(P, LevelIndex(m=m + 1, n=n)) == energy(P, LevelIndex(m=m, n=n + 1))
+
+
+def test_diagonal_energy_is_energy_bit_for_bit():
+    for p in PARAM_GRID + [ModelParams(nu=0.123, beta=2.0456), ModelParams(nu=60.0, beta=1e4)]:
+        for m in range(LEVEL_CAP + 1):
+            for n in range(LEVEL_CAP + 1 - m):
+                assert diagonal_energy(p, n + m) == energy(p, LevelIndex(m=m, n=n)), (p, m, n)
+
+
+def test_equal_params_built_apart_hash_alike():
+    # the hash is computed once, from the five fields; it is the value the
+    # generated dataclass hash had, and ==, repr, asdict and replace see the
+    # fields alone
+    fields = {"nu": 1.0, "beta": 2.0, "hbar": 1.0, "length": 1.0, "mass": 0.5}
+    twins = [ModelParams(1, 2), ModelParams(**fields), replace(ModelParams(3.0, 0.0), nu=np.float64(1.0), beta=2)]
+    twins.append(pickle.loads(pickle.dumps(P)))
+    for twin in twins:
+        assert twin == P and twin is not P and hash(twin) == hash(P) == hash(tuple(fields.values()))
+        assert {P: "found"}[twin] == "found"
+    assert repr(P) == "ModelParams(nu=1.0, beta=2.0, hbar=1.0, length=1.0, mass=0.5)"
+    assert asdict(P) == fields
+    other = replace(P, beta=3.0)
+    assert other != P and other.beta == 3.0 and hash(other) == hash((1.0, 3.0, 1.0, 1.0, 0.5))
+    with pytest.raises(AttributeError):
+        P.nu = 2.0
 
 
 @given(
